@@ -8,15 +8,16 @@ import (
 )
 
 const (
-	// defaultGatherWidth is the number of random accesses Pipelined keeps
-	// in flight at once when P is unset: wide enough that a
-	// per-millisecond backend serves thousands of probes per second,
-	// narrow enough not to stampede a real service.
+	// defaultGatherWidth is the number of gather chunks (see
+	// Pipelined.Gather: batched calls, or single probes of a source that
+	// does not batch) Pipelined keeps in flight at once when P is unset:
+	// wide enough that a per-millisecond backend serves thousands of
+	// probes per second, narrow enough not to stampede a real service.
 	defaultGatherWidth = 64
 	// pipelinedGatherCutoff is the probe count below which
-	// Pipelined.Gather runs inline. It is deliberately tiny: the executor
-	// exists for sources where a single access costs more than a
-	// goroutine handoff.
+	// Pipelined.Gather probes sources that do not batch inline. It is
+	// deliberately tiny: the executor exists for sources where a single
+	// access costs more than a goroutine handoff.
 	pipelinedGatherCutoff = 16
 )
 
@@ -35,9 +36,11 @@ const (
 // round proceed concurrently across lists.
 //
 // The random-access gather phase overlaps across both lists AND objects:
-// the executor resolves memoized grades first, fans the genuinely
-// missing probes out on up to P workers against the raw sources, and
-// then delivers the fetched grades in exactly the serial probe order.
+// the executor resolves memoized grades first, cuts each list's missing
+// probes into chunks of the source's batch size (one round trip per
+// list over a subsys.BatchGrader, one probe per chunk otherwise), fans
+// the chunks out on up to P workers against the raw sources, and then
+// delivers the fetched grades in exactly the serial probe order.
 // Payment stays strictly on delivery in both phases, so the Section 5
 // tallies are bit-identical to the Serial executor's (the equivalence
 // tests pin this), and budgets compose: reservations happen before
@@ -53,7 +56,7 @@ const (
 // returns an *AbandonedError promptly, even with a wedged batch in
 // flight.
 type Pipelined struct {
-	// P caps the number of random accesses in flight during the gather
+	// P caps the number of gather chunks in flight during the gather
 	// phase; 0 means defaultGatherWidth. Unlike Concurrent, useful
 	// values exceed the CPU count: the workers overlap waiting.
 	P int
@@ -83,11 +86,11 @@ func (p Pipelined) width() int {
 	return defaultGatherWidth
 }
 
-// gatherFanOut implements the executor's own fan-out rule: latency-bound
-// probes overlap profitably even on one CPU, so the cutoff is tiny.
-func (Pipelined) gatherFanOut(m, nObjs int) bool {
-	return m*nObjs >= pipelinedGatherCutoff
-}
+// gatherFanOut implements the executor's own fan-out rule: every
+// random-access phase goes through Gather, which batches what the
+// sources can batch and applies the inline cutoff itself once it knows
+// how many probes actually miss the memo.
+func (Pipelined) gatherFanOut(m, nObjs int) bool { return true }
 
 // Stage implements Executor: start (lazily) a prefetch pipeline on every
 // staged list, register each needy cursor's demand so all refills are in
@@ -136,61 +139,67 @@ func (p Pipelined) Stage(ctx context.Context, cursors []*subsys.Cursor, ahead in
 
 // Gather implements Executor: cols[j][i] = lists[j].Grade(objs[i]),
 // overlapped across every (list, object) pair. Memoized grades are
-// resolved inline first; the genuinely missing probes fan out on up to
-// width() workers against the raw sources — uncounted — and are then
-// delivered in the exact serial order (list-major, ascending object
-// index), so per-list tallies and memo state match Serial bit for bit.
+// resolved inline first; each list's run of genuinely missing probes is
+// cut into chunks of that list's batch size (subsys.Counted.GradeBatch:
+// one round trip per chunk over a batching source, one probe per chunk
+// otherwise), the chunks fan out on up to width() workers against the
+// raw sources — uncounted — and the grades are then delivered in the
+// exact serial order (list-major, ascending object index), so per-list
+// tallies and memo state match Serial bit for bit.
 func (p Pipelined) Gather(ctx context.Context, lists []*subsys.Counted, objs []int, cols [][]float64) error {
-	type probe struct{ j, i int }
-	var misses []probe
+	// A chunk is the run [lo, hi) of the miss arrays below, all of list j;
+	// its worker leaves the count of grades obtained in n and the source
+	// failure that stopped it, if any, in err.
+	type chunk struct {
+		j, lo, hi, n int
+		err          error
+	}
+	var (
+		at, ids []int // per miss, list-major: index into objs, object id
+		chunks  []chunk
+		batched bool
+	)
 	for j, l := range lists {
-		col := cols[j]
+		col, first := cols[j], len(at)
 		for i, obj := range objs {
 			if g, ok := l.Known(obj); ok {
 				col[i] = g
 			} else {
-				misses = append(misses, probe{j, i})
+				at, ids = append(at, i), append(ids, obj)
 			}
 		}
+		size := l.GradeBatch()
+		batched = batched || size > 1
+		for lo := first; lo < len(at); lo += size {
+			chunks = append(chunks, chunk{j: j, lo: lo, hi: min(lo+size, len(at))})
+		}
 	}
-	if len(misses) == 0 {
+	if len(at) == 0 {
 		return nil
 	}
-	if len(misses) < pipelinedGatherCutoff {
-		for _, pr := range misses {
-			cols[pr.j][pr.i] = lists[pr.j].Grade(objs[pr.i])
+	if len(at) < pipelinedGatherCutoff && !batched {
+		// Too few single probes to pay a goroutine handoff for.
+		for _, c := range chunks {
+			cols[c.j][at[c.lo]] = lists[c.j].Grade(ids[c.lo])
 		}
 		return nil
 	}
-	fallible := false
-	for _, l := range lists {
-		if l.Fallible() {
-			fallible = true
-			break
-		}
-	}
-	fetched := make([]float64, len(misses))
-	var ferrs []error
-	if fallible {
-		ferrs = make([]error, len(misses))
-	}
-	err := fanOut(ctx, p.width(), len(misses), func(ctx context.Context, t int) bool {
+	fetched := make([]float64, len(at))
+	err := fanOut(ctx, p.width(), len(chunks), func(ctx context.Context, t int) bool {
 		if ctx.Done() != nil && t%ctxCheckEvery == 0 && ctx.Err() != nil {
 			return false
 		}
-		pr := misses[t]
-		if ferrs != nil {
-			// Raw fallible read: a source failure is recorded per probe,
-			// NOT by bailing the fan-out — bailing would fabricate an
-			// abandonment (poisoned lists, GC'd state) out of an orderly,
-			// typed failure. Delivery below turns the first failed probe
-			// in serial order into the list's sticky error.
-			fetched[t], ferrs[t] = lists[pr.j].TrySourceGrade(objs[pr.i])
-			return true
-		}
-		// Raw, unmetered read: payment happens at delivery below.
-		fetched[t] = lists[pr.j].SourceGrade(objs[pr.i])
-		return true
+		// Raw, unmetered read: payment happens at delivery below. A source
+		// failure is recorded per chunk, NOT by bailing the fan-out —
+		// bailing would fabricate an abandonment (poisoned lists, GC'd
+		// state) out of an orderly, typed failure.
+		c := &chunks[t]
+		c.n, c.err = lists[c.j].TrySourceGrades(ids[c.lo:c.hi], fetched[c.lo:c.hi])
+		// Except under a canceled context: then the failure is the
+		// cancellation reaching the transport, and bailing reports the
+		// abandonment whichever way the race with fanOut's own watch of
+		// ctx goes.
+		return c.err == nil || ctx.Err() == nil
 	})
 	if err != nil {
 		for _, l := range lists {
@@ -201,19 +210,22 @@ func (p Pipelined) Gather(ctx context.Context, lists []*subsys.Counted, objs []i
 	// Delivery in serial probe order: each miss pays one random access
 	// (objs are distinct within a phase, so the miss set was fixed at
 	// phase start — exactly the accesses Serial would have paid).
-	for t, pr := range misses {
-		if ferrs != nil && ferrs[t] != nil {
+	for _, c := range chunks {
+		l, col := lists[c.j], cols[c.j]
+		for t := c.lo; t < c.lo+c.n; t++ {
+			col[at[t]] = l.DeliverGrade(ids[t], fetched[t])
+		}
+		if c.err != nil {
 			// First failed probe in serial order: record it as the list's
 			// sticky error and stop delivering — the ExecContext's
 			// post-gather check surfaces the typed error, and no grade
 			// past the failure point is paid for.
-			lists[pr.j].FailGrade(objs[pr.i], ferrs[t])
+			l.FailGrade(ids[c.lo+c.n], c.err)
 			for _, l := range lists {
 				l.AbortPrefetch()
 			}
 			return nil
 		}
-		cols[pr.j][pr.i] = lists[pr.j].DeliverGrade(objs[pr.i], fetched[t])
 	}
 	return nil
 }

@@ -222,13 +222,12 @@ func (m *Middleware) queryCached(ctx context.Context, q query.Node, cfg queryCon
 		atoms[i] = cache.AtomRef{Attr: a.Attr, Target: a.Target}
 	}
 	kth := rep.Results[len(rep.Results)-1].Grade
-	m.resultCache.Put(key, cache.NewEntry(
-		cloneReport(rep), rep.Cost, atoms, plan.Agg, members, kth, epochs))
-	var esum uint64
-	for _, e := range epochs {
-		esum += e
-	}
-	rep.Cache = &CacheInfo{Hit: false, Epoch: esum}
+	entry := cache.NewEntry(
+		cloneReport(rep), rep.Cost, atoms, plan.Agg, members, kth, epochs)
+	// The entry owns epochs from here on, and once Put publishes it a
+	// concurrent hit's Revalidate writes them: read the sum first.
+	rep.Cache = &CacheInfo{Hit: false, Epoch: entry.EpochSum()}
+	m.resultCache.Put(key, entry)
 	return rep, nil
 }
 

@@ -55,9 +55,34 @@
 // spool the consumer absorbs into the (still uncounted) prefix buffer,
 // and only consumption meters and memoizes, so tallies stay
 // bit-identical however deep the pipeline ran. The random-access twins
-// SourceGrade (raw, unmetered, callable concurrently) and DeliverGrade
-// (pays in serial order) let an executor overlap random accesses across
-// lists and objects under the same invariant.
+// TrySourceGrades (raw, unmetered, callable concurrently) and
+// DeliverGrade (pays in serial order) let an executor overlap random
+// accesses across lists and objects under the same invariant.
+//
+// # Batched random access
+//
+// Sorted access is batched in the Source contract itself (Entries);
+// random access is batched through an optional capability, BatchGrader:
+// TryGrades(objs, out) performs up to MaxGrades random accesses in one
+// call. A source where a call is a round trip (wire.RemoteSource)
+// implements it; sources where a call is an array read do not, and
+// nothing changes for them. The contract is TryEntries' partial prefix:
+// n grades were obtained before err, out[:n] is valid, and a non-nil
+// err belongs to objs[n] — so however probes were batched, a failure
+// pins to the object a one-by-one sweep would have failed at.
+// Counted.TrySourceGrades is the raw face an executor calls (one source
+// call per batch, or one per object without the capability, GradeBatch
+// telling it how to cut); payment stays per grade at DeliverGrade, so a
+// batch of n is n random accesses in every Section 5 tally.
+//
+// Resilient, FaultSource, LatencySource and ShardView forward the
+// capability — and report MaxGrades 0 over a parent without it — so
+// wrapping a remote source does not silently fall back to one round
+// trip per object: Resilient retries only the undelivered remainder of
+// a batch, progress resetting the per-site budget exactly as for spans;
+// FaultSource scans a batch's objects for fault sites in order;
+// LatencySource charges one call; ShardView translates ids. Validated
+// deliberately does not forward it (see its comment).
 //
 // Lifecycle: Fence drains a list's pipeline (no further accesses once
 // the in-flight batch lands), Release stops and joins it, AbortPrefetch

@@ -37,6 +37,45 @@ type FallibleSource interface {
 	TryGrade(obj int) (float64, error)
 }
 
+// BatchGrader is the optional batched random-access capability: the
+// random twin of TryEntries, for sources where a call costs a round
+// trip. It is a capability, not part of Source, so existing sources
+// and wrappers stay valid; a wrapper whose parent lacks it reports
+// MaxGrades 0 and its TryGrades must not be called. Only the pipelined
+// gather uses it, and payment stays per delivered grade, so batching
+// never moves a Section 5 tally.
+type BatchGrader interface {
+	// TryGrades performs up to MaxGrades random accesses in one call:
+	// out[i] = grade of objs[i]. n is the number of grades obtained
+	// before err — the partial-prefix contract of TryEntries: out[:n] is
+	// valid and a non-nil err is pinned to objs[n].
+	TryGrades(objs []int, out []float64) (n int, err error)
+	// MaxGrades is the largest batch one call may carry; below 1 the
+	// capability is absent.
+	MaxGrades() int
+}
+
+// batchFace is the half of BatchGrader every forwarding wrapper shares:
+// the parent's batched face (nil when it has none, or reports
+// MaxGrades below 1) and MaxGrades forwarded from it. The wrapper adds
+// its own TryGrades over bg.
+type batchFace struct{ bg BatchGrader }
+
+func batchOf(src Source) batchFace {
+	if bg, ok := src.(BatchGrader); ok && bg.MaxGrades() > 0 {
+		return batchFace{bg}
+	}
+	return batchFace{}
+}
+
+// MaxGrades implements BatchGrader: the parent's, or 0 without one.
+func (b batchFace) MaxGrades() int {
+	if b.bg != nil {
+		return b.bg.MaxGrades()
+	}
+	return 0
+}
+
 // SourceError is the typed failure the middleware surfaces when a
 // list's source fails: which list, where in which access mode, how many
 // attempts were made, and the underlying cause. It propagates unchanged

@@ -96,7 +96,10 @@ func (e *FaultError) Transient() bool { return e.Temporary }
 // FaultSource per run.
 type FaultSource struct {
 	src  Source
+	fs   FallibleSource // nil when src is infallible
 	plan FaultPlan
+
+	batchFace // bg nil when src does not batch random access
 
 	mu       sync.Mutex
 	attempts map[faultKey]int
@@ -112,7 +115,8 @@ type faultKey struct {
 
 // NewFaultSource wraps src with the given fault plan.
 func NewFaultSource(src Source, plan FaultPlan) *FaultSource {
-	f := &FaultSource{src: src, plan: plan}
+	f := &FaultSource{src: src, plan: plan, batchFace: batchOf(src)}
+	f.fs, _ = src.(FallibleSource)
 	if plan.Transient > 0 {
 		f.attempts = make(map[faultKey]int)
 	}
@@ -234,12 +238,24 @@ func (f *FaultSource) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
 			continue
 		}
 		if err := f.inject(false, r); err != nil {
-			var span []gradedset.Entry
-			if r > lo {
-				span = f.src.Entries(lo, r)
+			if r == lo {
+				return nil, err
+			}
+			span, perr := f.entries(lo, r)
+			if perr != nil {
+				return span, perr
 			}
 			return span, err
 		}
+	}
+	return f.entries(lo, hi)
+}
+
+// entries reads the wrapped source through its fallible face when it
+// has one: a remote parent's plain face panics on a transport failure.
+func (f *FaultSource) entries(lo, hi int) ([]gradedset.Entry, error) {
+	if f.fs != nil {
+		return f.fs.TryEntries(lo, hi)
 	}
 	return f.src.Entries(lo, hi), nil
 }
@@ -254,7 +270,36 @@ func (f *FaultSource) TryGrade(obj int) (float64, error) {
 			return 0, err
 		}
 	}
+	if f.fs != nil {
+		return f.fs.TryGrade(obj)
+	}
 	return f.src.Grade(obj), nil
+}
+
+// TryGrades implements BatchGrader: the batch is one physical access
+// whose objects are scanned for fault sites in order; on the first live
+// one the grades before it are fetched and returned with the injected
+// error, so the failure pins to the same object however probes were
+// batched.
+func (f *FaultSource) TryGrades(objs []int, out []float64) (int, error) {
+	if err := f.failAfter(); err != nil {
+		return 0, err
+	}
+	for i, obj := range objs {
+		if !f.faulty(true, obj) {
+			continue
+		}
+		if err := f.inject(true, obj); err != nil {
+			if i == 0 {
+				return 0, err
+			}
+			if n, perr := f.bg.TryGrades(objs[:i], out); perr != nil {
+				return n, perr
+			}
+			return i, err
+		}
+	}
+	return f.bg.TryGrades(objs, out)
 }
 
 // FaultSubsystem wraps a subsystem so every source it produces is

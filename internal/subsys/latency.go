@@ -38,6 +38,8 @@ type LatencySource struct {
 	jit     *jitterer
 	calls   atomic.Int64
 	items   atomic.Int64
+
+	batchFace // bg non-nil when src batches random access
 }
 
 // LatencyOption configures optional latency-simulation behavior.
@@ -90,6 +92,7 @@ func NewLatencySource(src Source, perCall, perItem time.Duration, opts ...Latenc
 	if fs, ok := src.(FallibleSource); ok {
 		s.fs = fs
 	}
+	s.batchFace = batchOf(src)
 	if cfg.jitterFrac > 0 {
 		s.jit = &jitterer{frac: cfg.jitterFrac, rng: rand.New(rand.NewSource(int64(cfg.jitterSeed)))}
 	}
@@ -167,6 +170,14 @@ func (s *LatencySource) TryGrade(obj int) (float64, error) {
 		return s.src.Grade(obj), nil
 	}
 	return s.fs.TryGrade(obj)
+}
+
+// TryGrades implements BatchGrader: one call's latency for the whole
+// batch, covering the grades actually delivered.
+func (s *LatencySource) TryGrades(objs []int, out []float64) (int, error) {
+	n, err := s.bg.TryGrades(objs, out)
+	s.pay(n)
+	return n, err
 }
 
 // Universe forwards the wrapped source's dense-universe hint, so latency

@@ -148,6 +148,8 @@ type ResilientSource struct {
 	pol Policy
 	now func() time.Time // test hook
 
+	batchFace // bg nil when src does not batch random access
+
 	mu       sync.Mutex
 	rng      *rand.Rand
 	state    breakerPhase
@@ -190,6 +192,7 @@ func Resilient(src Source, pol Policy) *ResilientSource {
 	if fs, ok := src.(FallibleSource); ok {
 		r.fs = fs
 	}
+	r.batchFace = batchOf(src)
 	return r
 }
 
@@ -319,6 +322,7 @@ func (r *ResilientSource) backoff(attempt int) {
 type tryResult struct {
 	span []gradedset.Entry
 	g    float64
+	gs   []float64
 	err  error
 }
 
@@ -419,16 +423,10 @@ func (r *ResilientSource) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
 			}
 			continue
 		}
-		r.onFailure()
 		attempts++
-		if !retryable(res.err) || attempts > r.pol.MaxRetries {
-			if attempts > 1 {
-				return out, &RetryError{Attempts: attempts, Err: res.err}
-			}
-			return out, res.err
+		if err := r.failed(attempts, res.err); err != nil {
+			return out, err
 		}
-		r.retries.Add(1)
-		r.pause(attempts, res.err)
 	}
 	return out, nil
 }
@@ -446,17 +444,65 @@ func (r *ResilientSource) TryGrade(obj int) (float64, error) {
 			r.onSuccess()
 			return res.g, nil
 		}
-		r.onFailure()
 		attempts++
-		if !retryable(res.err) || attempts > r.pol.MaxRetries {
-			if attempts > 1 {
-				return 0, &RetryError{Attempts: attempts, Err: res.err}
-			}
-			return 0, res.err
+		if err := r.failed(attempts, res.err); err != nil {
+			return 0, err
 		}
-		r.retries.Add(1)
-		r.pause(attempts, res.err)
 	}
+}
+
+// TryGrades implements BatchGrader with partial-progress retries,
+// exactly as TryEntries treats spans: the grades obtained advance the
+// request and reset the per-site retry budget, and only the undelivered
+// remainder is retried. Each attempt fills a buffer of its own, so one
+// abandoned by the timeout cannot race its replacement.
+func (r *ResilientSource) TryGrades(objs []int, out []float64) (int, error) {
+	pos, attempts := 0, 0
+	for pos < len(objs) {
+		if berr := r.allow(); berr != nil {
+			r.fastFails.Add(1)
+			return pos, berr
+		}
+		rest := objs[pos:]
+		res := r.call(func() tryResult {
+			gs := make([]float64, len(rest))
+			n, err := r.bg.TryGrades(rest, gs)
+			return tryResult{gs: gs[:n], err: err}
+		})
+		if len(res.gs) > 0 {
+			pos += copy(out[pos:], res.gs)
+			attempts = 0
+		}
+		if res.err == nil {
+			r.onSuccess()
+			if len(res.gs) == 0 {
+				return pos, nil // short without error: do not spin
+			}
+			continue
+		}
+		attempts++
+		if err := r.failed(attempts, res.err); err != nil {
+			return pos, err
+		}
+	}
+	return pos, nil
+}
+
+// failed books the attempts-th consecutive failed attempt at one site:
+// it returns the terminal error when the failure is permanent or the
+// retry budget is spent, and otherwise sleeps the backoff and returns
+// nil for the caller to try again.
+func (r *ResilientSource) failed(attempts int, err error) error {
+	r.onFailure()
+	if !retryable(err) || attempts > r.pol.MaxRetries {
+		if attempts > 1 {
+			return &RetryError{Attempts: attempts, Err: err}
+		}
+		return err
+	}
+	r.retries.Add(1)
+	r.pause(attempts, err)
+	return nil
 }
 
 // ResilientSubsystem wraps a subsystem so every source it produces is

@@ -91,6 +91,8 @@ type ShardView struct {
 	entries []gradedset.Entry // local-id entries in shard rank order
 	scanned int               // parent ranks examined so far
 	cut     int               // future fills keep only local ids < cut (work stealing)
+
+	batchFace // bg non-nil when parent batches random access
 }
 
 // NewShardView builds the shard's re-ranked view of parent.
@@ -99,6 +101,7 @@ func NewShardView(parent Source, r ShardRange) *ShardView {
 	if fp, ok := parent.(FallibleSource); ok {
 		v.fparent = fp
 	}
+	v.batchFace = batchOf(parent)
 	return v
 }
 
@@ -191,6 +194,16 @@ func (s *ShardView) Entries(lo, hi int) []gradedset.Entry {
 // parent's global id.
 func (s *ShardView) Grade(obj int) float64 {
 	return s.parent.Grade(obj + s.r.Lo)
+}
+
+// TryGrades implements BatchGrader when the parent does: batched random
+// access by local id, translated to the parent's global ids like Grade.
+func (s *ShardView) TryGrades(objs []int, out []float64) (int, error) {
+	global := make([]int, len(objs))
+	for i, obj := range objs {
+		global[i] = obj + s.r.Lo
+	}
+	return s.bg.TryGrades(global, out)
 }
 
 // tryFill is the fallible twin of fill: it scans through the fallible

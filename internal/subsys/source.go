@@ -1,6 +1,8 @@
 package subsys
 
 import (
+	"errors"
+
 	"fuzzydb/internal/cost"
 	"fuzzydb/internal/gradedset"
 )
@@ -94,6 +96,7 @@ func (s ListSource) Universe() (int, bool) { return s.list.DenseUniverse() }
 type Counted struct {
 	src     Source
 	fs      FallibleSource // non-nil when src exposes the fallible face
+	bg      BatchGrader    // non-nil when src batches random access
 	idx     int            // list index within the evaluation (SourceError.List)
 	serr    *SourceError   // sticky first failure; the stream then reads as exhausted
 	length  int            // src.Len(), cached off the interface
@@ -114,7 +117,7 @@ type Counted struct {
 // Count wraps src for metered access. When src reports a dense universe
 // the memo is array-backed; otherwise a map is used.
 func Count(src Source) *Counted {
-	c := &Counted{src: src, length: src.Len()}
+	c := &Counted{src: src, length: src.Len(), bg: batchOf(src).bg}
 	if f, ok := src.(FallibleSource); ok {
 		c.fs = f
 	}
@@ -345,9 +348,10 @@ func (c *Counted) Err() error {
 	return c.serr
 }
 
-// Fallible reports whether the underlying source exposes the fallible
-// face (and can therefore fail mid-query).
-func (c *Counted) Fallible() bool { return c.fs != nil }
+// Fallible reports whether the underlying source exposes a fallible
+// face — FallibleSource or BatchGrader — and can therefore fail
+// mid-query.
+func (c *Counted) Fallible() bool { return c.fs != nil || c.bg != nil }
 
 // StartPrefetch attaches a background prefetch pipeline to the list: a
 // worker goroutine keeps the uncounted readahead buffer ahead of
@@ -511,38 +515,66 @@ func (c *Counted) Grade(obj int) float64 {
 	return g
 }
 
-// SourceGrade reads obj's grade from the underlying source directly:
-// no metering, no memo — raw transport. It exists for executors that
-// overlap random accesses out of band and then pay for them in order via
-// DeliverGrade; unlike every other method it may be called from several
-// goroutines at once (the source must tolerate concurrent reads).
-func (c *Counted) SourceGrade(obj int) float64 { return c.src.Grade(obj) }
-
-// TrySourceGrade is the fallible twin of SourceGrade: raw concurrent
-// transport that can report a failure instead of a grade. Like
-// SourceGrade it never meters, memoizes, or records — a failure
-// observed here is handed back to the evaluation goroutine, which
-// records it at delivery time via FailGrade.
-func (c *Counted) TrySourceGrade(obj int) (float64, error) {
-	if c.fs != nil {
-		return c.fs.TryGrade(obj)
+// GradeBatch is the most objects one TrySourceGrades call fetches in a
+// single source call: the source's MaxGrades, or 1 without BatchGrader.
+func (c *Counted) GradeBatch() int {
+	if c.bg != nil {
+		return c.bg.MaxGrades()
 	}
-	return c.src.Grade(obj), nil
+	return 1
 }
 
+// TrySourceGrades reads the grades of objs from the underlying source
+// directly — out[i] for objs[i], in one call when the source batches
+// random access: no metering, no memo, raw transport. n is the number
+// of grades obtained before err (see BatchGrader). It exists for
+// executors that overlap random accesses out of band and then pay for
+// them in order via DeliverGrade (or record the failure via FailGrade);
+// unlike every other method it may be called from several goroutines at
+// once (the source must tolerate concurrent reads).
+func (c *Counted) TrySourceGrades(objs []int, out []float64) (n int, err error) {
+	switch {
+	case c.bg != nil:
+		n, err = c.bg.TryGrades(objs, out)
+		if n >= len(objs) {
+			return len(objs), nil
+		}
+		if err == nil {
+			err = errShortGrades
+		}
+		return n, err
+	case c.fs != nil:
+		for i, obj := range objs {
+			if out[i], err = c.fs.TryGrade(obj); err != nil {
+				return i, err
+			}
+		}
+	default:
+		for i, obj := range objs {
+			out[i] = c.src.Grade(obj)
+		}
+	}
+	return len(objs), nil
+}
+
+// errShortGrades pins a BatchGrader that broke its contract (fewer
+// grades than asked, no error) instead of delivering zeros.
+var errShortGrades = errors.New("subsys: batched random access returned short without an error")
+
 // FailGrade records a random-access failure observed out of band (see
-// TrySourceGrade) as the list's sticky error. Like DeliverGrade it must
+// TrySourceGrades) as the list's sticky error. Like DeliverGrade it must
 // be called from the evaluation goroutine, in serial probe order, so the
 // failure that sticks is the one a serial evaluation would have hit
 // first.
 func (c *Counted) FailGrade(obj int, err error) { c.failRandom(obj, err) }
 
 // DeliverGrade pays for one random access whose grade was fetched out of
-// band (see SourceGrade): if obj is already known the memoized grade is
-// returned at no cost — exactly the cache hit a serial probe would have
-// had — otherwise the random tally advances and g enters the memo. Must
-// be called from the evaluation goroutine, in the same order a serial
-// evaluation would have probed, so tallies and memo state coincide.
+// band (see TrySourceGrades): if obj is already known the memoized grade
+// is returned at no cost — exactly the cache hit a serial probe would
+// have had — otherwise the random tally advances and g enters the memo.
+// Must be called from the evaluation goroutine, in the same order a
+// serial evaluation would have probed, so tallies and memo state
+// coincide.
 func (c *Counted) DeliverGrade(obj int, g float64) float64 {
 	if g0, ok := c.Known(obj); ok {
 		return g0

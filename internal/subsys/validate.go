@@ -14,6 +14,11 @@ import (
 // algorithms' correctness proofs all assume sorted order — so violations
 // panic with a diagnostic rather than propagate bad grades.
 //
+// Validated deliberately does not forward BatchGrader: its checks are
+// per access against unsynchronized state, so it must stay off the
+// concurrent batched gather, and a batch handed to the wrapped source
+// whole would bypass them.
+//
 // Use it when integrating an untrusted or freshly written subsystem:
 //
 //	src := subsys.Validated(mySubsystemResult)

@@ -51,6 +51,9 @@ func (e *TransportError) Error() string {
 		return fmt.Sprintf("wire: %s: server status %d: %s", e.Op, e.Status, e.Msg)
 	case e.Status != 0:
 		return fmt.Sprintf("wire: %s: server status %d", e.Op, e.Status)
+	case e.Msg != "":
+		// An in-band source fault or a malformed 200 response.
+		return fmt.Sprintf("wire: %s: %s", e.Op, e.Msg)
 	default:
 		return fmt.Sprintf("wire: %s: %v", e.Op, e.Err)
 	}
@@ -146,9 +149,10 @@ func (c *Client) Close() { c.hc.CloseIdleConnections() }
 // Source returns the named remote list as a subsys.Source. The source
 // implements subsys.FallibleSource (transport and server faults flow
 // through the typed-error machinery instead of panicking),
-// subsys.UniverseHinter (when the server reports a dense universe), and
+// subsys.UniverseHinter (when the server reports a dense universe),
 // subsys.ContextSource (per-request contexts bound by the engine reach
-// the HTTP requests).
+// the HTTP requests), and subsys.BatchGrader (when the server advertises
+// /v1/grades).
 func (c *Client) Source(list string) (*RemoteSource, error) {
 	for _, name := range c.meta.Lists {
 		if name == list {
@@ -342,8 +346,9 @@ func envelopeError(op string, resp *http.Response) *TransportError {
 }
 
 // RemoteSource is one remote list as a subsys.Source: sorted access
-// maps to paged /v1/entries fetches, random access to /v1/grade. Obtain
-// one from Client.Source.
+// maps to paged /v1/entries fetches, random access to /v1/grade and, in
+// batches through subsys.BatchGrader, to /v1/grades. Obtain one from
+// Client.Source.
 //
 // The Try* methods are safe for concurrent use (the pipelined
 // executor's prefetchers and gather workers all hit the shared pooled
@@ -405,7 +410,10 @@ func (s *RemoteSource) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
 		if err := s.c.post(ctx, "entries", "/v1/entries", EntriesRequest{List: s.list, Lo: pos, Hi: hi}, &resp); err != nil {
 			return out, err
 		}
-		span := resp.entries()
+		span, err := resp.entries(hi - pos)
+		if err != nil {
+			return out, err
+		}
 		out = append(out, span...)
 		pos += len(span)
 		if resp.Err != nil {
@@ -438,7 +446,46 @@ func (s *RemoteSource) TryGrade(obj int) (float64, error) {
 	if resp.Err != nil {
 		return 0, &TransportError{Op: "grade", Msg: resp.Err.Message, Temporary: resp.Err.Transient}
 	}
+	if err := checkGrades("grade", []float64{resp.Grade}); err != nil {
+		return 0, err
+	}
 	return resp.Grade, nil
+}
+
+// TryGrades implements subsys.BatchGrader: one /v1/grades round trip
+// for the whole batch. A mid-batch source failure on the server comes
+// back as the prefix of grades obtained plus the error; a response that
+// is not exactly that — too many grades, too few without an error, a
+// grade outside [0, 1] — is a permanent *TransportError and delivers
+// nothing.
+func (s *RemoteSource) TryGrades(objs []int, out []float64) (int, error) {
+	var resp GradesResponse
+	if err := s.c.post(s.boundCtx(), "grades", "/v1/grades", GradesRequest{List: s.list, Objects: objs}, &resp); err != nil {
+		return 0, err
+	}
+	n := len(resp.Grades)
+	if n > len(objs) || (n < len(objs)) != (resp.Err != nil) {
+		return 0, &TransportError{Op: "grades", Msg: fmt.Sprintf(
+			"malformed batch: %d grades for %d objects, err set: %t", n, len(objs), resp.Err != nil)}
+	}
+	if err := checkGrades("grades", resp.Grades); err != nil {
+		return 0, err
+	}
+	copy(out, resp.Grades)
+	if resp.Err != nil {
+		return n, &TransportError{Op: "grades", Msg: resp.Err.Message, Temporary: resp.Err.Transient}
+	}
+	return n, nil
+}
+
+// MaxGrades implements subsys.BatchGrader: the server's page when it
+// advertises /v1/grades, 0 (capability absent, /v1/grade per object)
+// when dialled to a server that predates the endpoint.
+func (s *RemoteSource) MaxGrades() int {
+	if s.c.meta.Grades {
+		return s.c.meta.Page
+	}
+	return 0
 }
 
 // Entry implements Source; it panics on a transport failure (see the

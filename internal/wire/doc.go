@@ -18,16 +18,27 @@
 // A SourceServer serves raw sorted lists; a QueryServer serves a full
 // engine. cmd/fuzzyserve mounts both on one mux.
 //
-//	GET  /v1/meta     → Meta{n, dense, lists, page, engine}
+//	GET  /v1/meta     → Meta{n, dense, lists, page, grades, engine}
 //	POST /v1/entries  EntriesRequest{list, lo, hi} → EntriesResponse{objects, grades, err?}
 //	POST /v1/grade    GradeRequest{list, object}   → GradeResponse{grade, err?}
+//	POST /v1/grades   GradesRequest{list, objects} → GradesResponse{grades, err?}
 //	POST /v1/query    QueryRequest                 → QueryResponse
 //	GET  /v1/results  ?q=…&k=…&…                  → NDJSON stream of Result rows
 //
 // /v1/entries is sorted access: the entries at ranks [lo, hi) of one
 // list, paged — the server delivers at most Meta.Page entries per
 // response and the client continues from rank lo+len(objects). /v1/grade
-// is random access. /v1/query evaluates one request end to end and
+// is random access; /v1/grades is random access in batches: grades[i]
+// is the grade of objects[i], for at most Meta.Page objects — a larger
+// batch, or on a dense server an object id outside {0,…,n−1}, is a 400.
+// The batch is len(objects) accesses delivered together, never a
+// cheaper kind of access: the client still meters one random access per
+// grade it delivers. When the backing source fails mid-batch the
+// response carries the grades obtained before the failure plus err, and
+// the failure belongs to objects[len(grades)] — the partial-prefix
+// contract of /v1/entries (subsys.BatchGrader on the client). A response
+// shorter than the request without err, or longer than it, is malformed.
+// /v1/query evaluates one request end to end and
 // returns the full report (results, Section 5 tallies, per-list and
 // per-shard breakdowns, plan, prefetch stats, degraded lists).
 //
@@ -48,6 +59,25 @@
 // cancelled or timed out. The transient flag feeds the client-side
 // retry decision (subsys.Resilient): 5xx and 429 default transient,
 // other 4xx permanent.
+//
+// # Compatibility
+//
+// /v1/grades postdates the other source endpoints. A server that mounts
+// it says so in Meta ("grades": true); a client dialled to a server
+// that does not keeps to one /v1/grade per object — RemoteSource then
+// reports the batch capability absent (MaxGrades 0) and every layer
+// above falls back by itself. An old client simply never calls the new
+// route. Neither side has a switch for it.
+//
+// # Malformed responses
+//
+// The client trusts the status line, not the body: an entries span
+// whose objects and grades differ in length or that is longer than
+// asked for, a grades batch of the wrong length, and any grade outside
+// [0, 1] (NaN and infinities do not survive JSON decoding at all) are
+// returned as a *TransportError — permanent when the JSON was well
+// formed, since a retry would be answered the same — and none of the
+// response's values reach the engine.
 //
 // # Overload: 429 and Retry-After
 //
@@ -101,7 +131,10 @@
 //     claim so downstream set algebra keeps the flat-array fast path;
 //   - subsys.ContextSource — the engine binds each evaluation's context
 //     (core.NewExecContext), and every HTTP access runs under it, so
-//     cancelling a query cancels its in-flight network reads.
+//     cancelling a query cancels its in-flight network reads;
+//   - subsys.BatchGrader — TryGrades is one /v1/grades round trip, so
+//     the pipelined executor's gather phase costs one round trip per
+//     list (per Meta.Page misses) instead of one per object.
 //
 // TryEntries(lo, hi) coalesces one logical span into sequential paged
 // fetches and, on failure, returns the partial span alongside the

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"fmt"
+
 	"fuzzydb/internal/cost"
 	"fuzzydb/internal/gradedset"
 )
@@ -18,8 +20,12 @@ type Meta struct {
 	Lists []string `json:"lists"`
 	// Page is the server's per-response cap on Entries spans: a request
 	// for more ranks than Page returns the first Page of them, and the
-	// client continues from where the span ended.
+	// client continues from where the span ended. It also caps the
+	// objects of one /v1/grades batch; a larger batch is rejected.
 	Page int `json:"page"`
+	// Grades reports that the server mounts POST /v1/grades; a client
+	// dialled to a server that does not say so keeps to /v1/grade.
+	Grades bool `json:"grades,omitempty"`
 	// Engine reports whether the server also mounts the query endpoints
 	// (POST /v1/query, GET /v1/results).
 	Engine bool `json:"engine,omitempty"`
@@ -66,17 +72,34 @@ type EntriesResponse struct {
 	Err     *Fault    `json:"err,omitempty"`
 }
 
-// entries converts the parallel arrays to graded entries.
-func (r *EntriesResponse) entries() []gradedset.Entry {
-	n := len(r.Objects)
-	if len(r.Grades) < n {
-		n = len(r.Grades)
+// entries converts the parallel arrays to graded entries, rejecting
+// what only a broken or hostile server sends: arrays of different
+// lengths, more entries than the max asked for, and grades outside
+// [0, 1] (NaN and infinities never survive JSON decoding).
+func (r *EntriesResponse) entries(max int) ([]gradedset.Entry, error) {
+	if len(r.Objects) != len(r.Grades) || len(r.Objects) > max {
+		return nil, &TransportError{Op: "entries", Msg: fmt.Sprintf(
+			"malformed span: %d objects, %d grades, %d requested", len(r.Objects), len(r.Grades), max)}
 	}
-	out := make([]gradedset.Entry, n)
-	for i := 0; i < n; i++ {
-		out[i] = gradedset.Entry{Object: r.Objects[i], Grade: r.Grades[i]}
+	if err := checkGrades("entries", r.Grades); err != nil {
+		return nil, err
 	}
-	return out
+	out := make([]gradedset.Entry, len(r.Objects))
+	for i, obj := range r.Objects {
+		out[i] = gradedset.Entry{Object: obj, Grade: r.Grades[i]}
+	}
+	return out, nil
+}
+
+// checkGrades returns a permanent *TransportError for the first grade
+// outside [0, 1]: the client never hands such a value to the engine.
+func checkGrades(op string, grades []float64) error {
+	for i, g := range grades {
+		if !gradedset.ValidGrade(g) {
+			return &TransportError{Op: op, Msg: fmt.Sprintf("grade %v at position %d is outside [0, 1]", g, i)}
+		}
+	}
+	return nil
 }
 
 // GradeRequest asks for random access: the grade of Object in the named
@@ -90,6 +113,22 @@ type GradeRequest struct {
 type GradeResponse struct {
 	Grade float64 `json:"grade"`
 	Err   *Fault  `json:"err,omitempty"`
+}
+
+// GradesRequest asks for batched random access: the grades of Objects,
+// at most Meta.Page of them, in the named list. POST /v1/grades.
+type GradesRequest struct {
+	List    string `json:"list"`
+	Objects []int  `json:"objects"`
+}
+
+// GradesResponse carries Grades[i] for Objects[i]. It is shorter than
+// the request only when the backing source failed mid-batch: Err is then
+// set, Grades is the prefix obtained, and the failure belongs to
+// Objects[len(Grades)] (the subsys.BatchGrader contract).
+type GradesResponse struct {
+	Grades []float64 `json:"grades"`
+	Err    *Fault    `json:"err,omitempty"`
 }
 
 // QueryRequest is one engine evaluation: POST /v1/query, and (flattened

@@ -39,6 +39,32 @@ type SourceServer struct {
 type serverList struct {
 	src subsys.Source
 	fs  subsys.FallibleSource // non-nil when src exposes the fallible face
+	bg  subsys.BatchGrader    // non-nil when src batches random access
+}
+
+// grade is one random access through the best face the list has.
+func (sl serverList) grade(obj int) (float64, error) {
+	if sl.fs != nil {
+		return sl.fs.TryGrade(obj)
+	}
+	return sl.src.Grade(obj), nil
+}
+
+// grades is one batched random access with the subsys.BatchGrader
+// contract: handed to the source whole when it batches that many,
+// probed object by object otherwise.
+func (sl serverList) grades(objs []int, out []float64) (int, error) {
+	if sl.bg != nil && len(objs) <= sl.bg.MaxGrades() {
+		return sl.bg.TryGrades(objs, out)
+	}
+	for i, obj := range objs {
+		g, err := sl.grade(obj)
+		if err != nil {
+			return i, err
+		}
+		out[i] = g
+	}
+	return len(objs), nil
 }
 
 // ServerOption configures a SourceServer.
@@ -91,10 +117,13 @@ func NewSourceServer(lists map[string]subsys.Source, opts ...ServerOption) (*Sou
 		if fs, ok := src.(subsys.FallibleSource); ok {
 			sl.fs = fs
 		}
+		if bg, ok := src.(subsys.BatchGrader); ok && bg.MaxGrades() > 0 {
+			sl.bg = bg
+		}
 		s.lists[name] = sl
 	}
 	sort.Strings(names)
-	s.meta = Meta{N: n, Dense: dense, Lists: names, Page: s.page, Engine: s.engine}
+	s.meta = Meta{N: n, Dense: dense, Lists: names, Page: s.page, Grades: true, Engine: s.engine}
 	s.mux = http.NewServeMux()
 	s.Register(s.mux)
 	return s, nil
@@ -109,6 +138,7 @@ func (s *SourceServer) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/meta", s.handleMeta)
 	mux.HandleFunc("POST /v1/entries", s.handleEntries)
 	mux.HandleFunc("POST /v1/grade", s.handleGrade)
+	mux.HandleFunc("POST /v1/grades", s.handleGrades)
 }
 
 // ServeHTTP implements http.Handler over the server's own mux.
@@ -175,16 +205,46 @@ func (s *SourceServer) handleGrade(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp, ok := serveBound(r, sl.src, func() GradeResponse {
-		var resp GradeResponse
-		if sl.fs != nil {
-			g, err := sl.fs.TryGrade(req.Object)
-			resp.Grade = g
-			if err != nil {
-				resp.Grade = 0
-				resp.Err = faultOf(err)
+		g, err := sl.grade(req.Object)
+		if err != nil {
+			return GradeResponse{Err: faultOf(err)}
+		}
+		return GradeResponse{Grade: g}
+	})
+	if !ok {
+		return // client gone; nothing to write
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+func (s *SourceServer) handleGrades(w http.ResponseWriter, r *http.Request) {
+	var req GradesRequest
+	if !decodeRequest(w, r, &req) {
+		return
+	}
+	sl, ok := s.lists[req.List]
+	if !ok {
+		writeFault(w, http.StatusNotFound, &Fault{Message: fmt.Sprintf("unknown list %q", req.List)})
+		return
+	}
+	if len(req.Objects) > s.page {
+		writeFault(w, http.StatusBadRequest, &Fault{Message: fmt.Sprintf("batch of %d objects exceeds the page of %d", len(req.Objects), s.page)})
+		return
+	}
+	if s.meta.Dense {
+		for _, obj := range req.Objects {
+			if obj < 0 || obj >= s.meta.N {
+				writeFault(w, http.StatusBadRequest, &Fault{Message: fmt.Sprintf("object %d outside the universe of %d", obj, s.meta.N)})
+				return
 			}
-		} else {
-			resp.Grade = sl.src.Grade(req.Object)
+		}
+	}
+	resp, ok := serveBound(r, sl.src, func() GradesResponse {
+		out := make([]float64, len(req.Objects))
+		n, err := sl.grades(req.Objects, out)
+		resp := GradesResponse{Grades: out[:n]}
+		if err != nil {
+			resp.Err = faultOf(err)
 		}
 		return resp
 	})

@@ -12,6 +12,7 @@ var (
 	_ subsys.FallibleSource = (*RemoteSource)(nil)
 	_ subsys.UniverseHinter = (*RemoteSource)(nil)
 	_ subsys.ContextSource  = (*RemoteSource)(nil)
+	_ subsys.BatchGrader    = (*RemoteSource)(nil)
 	_ subsys.Subsystem      = (*Subsystem)(nil)
 )
 
