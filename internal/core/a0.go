@@ -2,7 +2,6 @@ package core
 
 import (
 	"fuzzydb/internal/agg"
-	"fuzzydb/internal/gradedset"
 	"fuzzydb/internal/subsys"
 )
 
@@ -149,14 +148,13 @@ func (a A0Prime) TopK(ec *ExecContext, lists []*subsys.Counted, t agg.Func, k in
 		return nil, err
 	}
 
-	// Sorted access phase, tracking per-list prefix order so the i₀
-	// prefix can be scanned afterwards. Matches are collected in
-	// discovery order (which round-robin makes deterministic).
+	// Sorted access phase. Matches are collected in discovery order
+	// (which round-robin makes deterministic); the i₀ prefix scanned
+	// afterwards is what that list's cursor consumed.
 	m := len(lists)
 	sc := acquireScratch(lists)
 	defer ec.releaseScratch(sc)
 	cursors := subsys.Cursors(lists)
-	prefixes := make([][]gradedset.Entry, m)
 	var matches []int
 	for len(matches) < k {
 		if err := ec.Stage(cursors, 1); err != nil {
@@ -167,13 +165,12 @@ func (a A0Prime) TopK(ec *ExecContext, lists []*subsys.Counted, t agg.Func, k in
 		}
 		exhausted := true
 		stop := false
-		for i, cu := range cursors {
+		for _, cu := range cursors {
 			e, ok := cu.Next()
 			if !ok {
 				continue
 			}
 			exhausted = false
-			prefixes[i] = append(prefixes[i], e)
 			if sc.visit(e.Object) == int32(m) {
 				matches = append(matches, e.Object)
 				if a.MidRoundStop && len(matches) >= k {
@@ -204,8 +201,9 @@ func (a A0Prime) TopK(ec *ExecContext, lists []*subsys.Counted, t agg.Func, k in
 	}
 
 	// Candidates: members of the i₀ prefix graded at least g₀ there.
-	cand := make([]int, 0, len(prefixes[i0]))
-	for _, e := range prefixes[i0] {
+	prefix := cursors[i0].Consumed()
+	cand := make([]int, 0, len(prefix))
+	for _, e := range prefix {
 		if e.Grade >= g0 {
 			cand = append(cand, e.Object)
 		}

@@ -39,9 +39,10 @@ type Executor interface {
 	// flight.
 	Stage(ctx context.Context, cursors []*subsys.Cursor, ahead int) error
 	// Gather performs the random-access phase: cols[j][i] =
-	// lists[j].Grade(objs[i]) for every list j and object i. Each list is
-	// probed by at most one worker, in ascending object-index order, so
-	// per-list tallies and memo state match the serial order exactly.
+	// lists[j].Grade(objs[i]) for every list j and object i. Each list's
+	// column is filled by at most one worker and paid for in ascending
+	// object-index order (subsys.Counted.Grades), so per-list tallies and
+	// memo state are the same under every executor.
 	Gather(ctx context.Context, lists []*subsys.Counted, objs []int, cols [][]float64) error
 }
 
@@ -377,9 +378,12 @@ func (ec *ExecContext) stopPrefetch() {
 }
 
 // Gather runs the random-access phase — cols[j][i] = lists[j].Grade of
-// objs[i] — through the executor. Under a budget it degrades to a serial
-// object-major sweep with an exact per-object reservation, so the budget
-// is never overshot.
+// objs[i] — through the executor. Every executor, Serial included, fills
+// the columns list-major: a list's misses are then read from its source
+// in one go (subsys.Counted.Grades), where an object-major sweep waits
+// out each probe's cache misses, or its round trip, before issuing the
+// next. Under a budget it is that object-major sweep nonetheless, serial,
+// with an exact per-object reservation, so the budget is never overshot.
 func (ec *ExecContext) Gather(lists []*subsys.Counted, objs []int, cols [][]float64) error {
 	if err := ec.err(); err != nil {
 		return err
@@ -413,38 +417,21 @@ func (ec *ExecContext) Gather(lists []*subsys.Counted, objs []int, cols [][]floa
 }
 
 // appendScores runs the random-access-plus-computation phase shared by
-// the A₀ family: for every object, complete its grade vector across
-// lists and append (object, t(vector)) to entries, preserving object
-// order. Serially it is a single object-major sweep (the best cache
-// behavior for the memoized probes); under a parallel executor the
-// probes fan out one worker per list through Gather and the aggregation
-// runs over the gathered columns. Tallies are identical either way: each
-// (list, object) grade is paid for at most once, whatever the order.
+// the A₀ family: complete every object's grade vector across lists, then
+// append (object, t(vector)) to entries, preserving object order. The
+// grades are gathered into one column per list (see Gather) and the
+// aggregation runs over the columns, under every executor: each (list,
+// object) grade is paid for at most once, whatever the order.
 func (ec *ExecContext) appendScores(sc *scratch, lists []*subsys.Counted, objs []int, t agg.Func, entries []gradedset.Entry) ([]gradedset.Entry, error) {
-	buf := sc.gradesBuf(len(lists))
-	if ec.par && ec.budget <= 0 && ec.gatherFans(len(lists), len(objs)) {
-		cols := sc.colsBuf(len(lists), len(objs))
-		if err := ec.Gather(lists, objs, cols); err != nil {
-			return entries, err
-		}
-		for i, obj := range objs {
-			for j := range cols {
-				buf[j] = cols[j][i]
-			}
-			entries = append(entries, gradedset.Entry{Object: obj, Grade: t.Apply(buf)})
-		}
-		return entries, nil
+	cols := sc.colsBuf(len(lists), len(objs))
+	if err := ec.Gather(lists, objs, cols); err != nil {
+		return entries, err
 	}
+	buf := sc.gradesBuf(len(lists))
 	for i, obj := range objs {
-		if i%ctxCheckEvery == 0 {
-			if err := ec.err(); err != nil {
-				return entries, err
-			}
+		for j := range cols {
+			buf[j] = cols[j][i]
 		}
-		if err := ec.ReserveProbes(lists, obj); err != nil {
-			return entries, err
-		}
-		gradesInto(buf, lists, obj)
 		entries = append(entries, gradedset.Entry{Object: obj, Grade: t.Apply(buf)})
 	}
 	return entries, nil
@@ -471,7 +458,7 @@ func (ec *ExecContext) ReserveProbes(lists []*subsys.Counted, obj int) error {
 // each object's probes.
 func (ec *ExecContext) gatherBudgeted(lists []*subsys.Counted, objs []int, cols [][]float64) error {
 	for i, obj := range objs {
-		if i%budgetCheckEvery == 0 {
+		if i%ctxCheckEvery == 0 {
 			if err := ec.err(); err != nil {
 				return err
 			}
@@ -511,9 +498,6 @@ const (
 	// poll per 256 probes) to vanish in the noise of the probes
 	// themselves. Polls never touch the tallies.
 	ctxCheckEvery = 256
-	// budgetCheckEvery paces cancellation polls in the budgeted gather
-	// (which already pays a reservation per object).
-	budgetCheckEvery = 64
 )
 
 // Serial is the inline executor: every access happens on the calling
@@ -532,24 +516,36 @@ func (Serial) Parallel() bool { return false }
 // satisfy the interface for callers driving an executor directly.)
 func (Serial) Stage(ctx context.Context, cursors []*subsys.Cursor, ahead int) error { return nil }
 
-// Gather implements Executor: list-major inline probing with periodic
-// cancellation checks.
+// Gather implements Executor: list-major and inline, one column after
+// another — the order Concurrent and Pipelined pay in too, so all three
+// leave the same tallies and report the same first SourceError.
 func (Serial) Gather(ctx context.Context, lists []*subsys.Counted, objs []int, cols [][]float64) error {
-	done := ctx.Done()
 	for j, l := range lists {
-		col := cols[j]
-		for i, obj := range objs {
-			if done != nil && i%ctxCheckEvery == 0 {
-				select {
-				case <-done:
-					return fmt.Errorf("core: evaluation canceled: %w", context.Cause(ctx))
-				default:
-				}
-			}
-			col[i] = l.Grade(obj)
+		if !fillColumn(ctx, l, objs, cols[j]) {
+			return fmt.Errorf("core: evaluation canceled: %w", context.Cause(ctx))
 		}
 	}
 	return nil
+}
+
+// fillColumn is the one place a list's column is filled: col[i] =
+// l.Grade(objs[i]) through the batched column routine, in spans of
+// ctxCheckEvery objects with a cancellation poll between spans. It
+// reports false if ctx was canceled before the column was complete.
+func fillColumn(ctx context.Context, l *subsys.Counted, objs []int, col []float64) bool {
+	done := ctx.Done()
+	for lo := 0; lo < len(objs); lo += ctxCheckEvery {
+		if done != nil {
+			select {
+			case <-done:
+				return false
+			default:
+			}
+		}
+		hi := min(lo+ctxCheckEvery, len(objs))
+		l.Grades(objs[lo:hi], col[lo:hi])
+	}
+	return true
 }
 
 // Concurrent is the overlapping executor: it issues the physical source
@@ -633,48 +629,18 @@ func gatherFansOut(m, nObjs int) bool {
 	return nObjs*m >= gatherSerialCutoff && runtime.GOMAXPROCS(0) > 1
 }
 
-// gatherPlanner is the optional executor capability of deciding when a
-// random-access phase should be routed through Gather rather than probed
-// inline. A latency-hiding executor wants the fan-out almost always
-// (overlapping waits pays even on one CPU); a compute-overlap executor
-// only past the compute cutoff.
-type gatherPlanner interface {
-	gatherFanOut(m, nObjs int) bool
-}
-
-// gatherFans applies the executor's own fan-out rule when it has one,
-// else the compute-bound default. Both routes produce bit-identical
-// tallies; only wall-clock differs.
-func (ec *ExecContext) gatherFans(m, nObjs int) bool {
-	if gp, ok := ec.exec.(gatherPlanner); ok {
-		return gp.gatherFanOut(m, nObjs)
-	}
-	return gatherFansOut(m, nObjs)
-}
-
-// Gather implements Executor: one worker per list, each probing every
-// object in ascending index order (the same per-list order Serial uses,
-// so memo state and tallies agree exactly).
+// Gather implements Executor: one worker per list, each filling its
+// list's column with the routine Serial uses (so memo state and tallies
+// agree exactly).
 func (c Concurrent) Gather(ctx context.Context, lists []*subsys.Counted, objs []int, cols [][]float64) error {
 	if !gatherFansOut(len(lists), len(objs)) {
-		// Inline keeps the same per-list probe order; cancellation is
-		// honored between probes rather than by abandonment.
+		// Inline keeps the same per-list order; cancellation is honored
+		// between spans rather than by abandonment.
 		return Serial{}.Gather(ctx, lists, objs, cols)
 	}
 	return fanOut(ctx, c.p(), len(lists), func(ctx context.Context, j int) bool {
-		l, col := lists[j], cols[j]
-		done := ctx.Done()
-		for i, obj := range objs {
-			if done != nil && i%ctxCheckEvery == 0 {
-				select {
-				case <-done:
-					return false // abandoned; stop burning the subsystem
-				default:
-				}
-			}
-			col[i] = l.Grade(obj)
-		}
-		return true
+		// A false return is an abandonment: stop burning the subsystem.
+		return fillColumn(ctx, lists[j], objs, cols[j])
 	})
 }
 

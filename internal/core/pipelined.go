@@ -86,12 +86,6 @@ func (p Pipelined) width() int {
 	return defaultGatherWidth
 }
 
-// gatherFanOut implements the executor's own fan-out rule: every
-// random-access phase goes through Gather, which batches what the
-// sources can batch and applies the inline cutoff itself once it knows
-// how many probes actually miss the memo.
-func (Pipelined) gatherFanOut(m, nObjs int) bool { return true }
-
 // Stage implements Executor: start (lazily) a prefetch pipeline on every
 // staged list, register each needy cursor's demand so all refills are in
 // flight at once, then wait until each cursor can deliver its next
@@ -178,11 +172,9 @@ func (p Pipelined) Gather(ctx context.Context, lists []*subsys.Counted, objs []i
 		return nil
 	}
 	if len(at) < pipelinedGatherCutoff && !batched {
-		// Too few single probes to pay a goroutine handoff for.
-		for _, c := range chunks {
-			cols[c.j][at[c.lo]] = lists[c.j].Grade(ids[c.lo])
-		}
-		return nil
+		// Too few single probes to pay a goroutine handoff for: fill the
+		// columns inline, in the same order.
+		return Serial{}.Gather(ctx, lists, objs, cols)
 	}
 	fetched := make([]float64, len(at))
 	err := fanOut(ctx, p.width(), len(chunks), func(ctx context.Context, t int) bool {

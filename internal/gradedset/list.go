@@ -129,17 +129,39 @@ func (l *List) DenseUniverse() (int, bool) {
 
 // Grade returns the grade of obj. This is one unit of random access.
 func (l *List) Grade(obj int) (float64, error) {
-	if l.denseRank != nil {
-		if obj < 0 || obj >= len(l.denseRank) {
-			return 0, fmt.Errorf("%w: %d", ErrUnknownObject, obj)
-		}
-		return l.entries[l.denseRank[obj]].Grade, nil
-	}
-	i, ok := l.rank[obj]
+	g, ok := l.Lookup(obj)
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownObject, obj)
 	}
-	return l.entries[i].Grade, nil
+	return g, nil
+}
+
+// Lookup is Grade in comma-ok form, for callers to whom an ungraded
+// object is an ordinary answer (it grades 0) rather than an error worth
+// formatting.
+func (l *List) Lookup(obj int) (float64, bool) {
+	if l.denseRank != nil {
+		if uint(obj) >= uint(len(l.denseRank)) {
+			return 0, false
+		}
+		return l.entries[l.denseRank[obj]].Grade, true
+	}
+	i, ok := l.rank[obj]
+	if !ok {
+		return 0, false
+	}
+	return l.entries[i].Grade, true
+}
+
+// Grades is batched random access: out[i] is the grade of objs[i], 0 for
+// an object the list does not grade. Over the dense index it is one loop
+// of independent loads, so the cache misses of different objects overlap
+// instead of each probe waiting out the one before it.
+func (l *List) Grades(objs []int, out []float64) {
+	out = out[:len(objs)]
+	for i, obj := range objs {
+		out[i], _ = l.Lookup(obj)
+	}
 }
 
 // Rank returns the sorted position of obj, or -1 if absent.

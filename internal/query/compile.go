@@ -191,6 +191,13 @@ func (c *compiler) walkAll(children []Node) ([]evalNode, []float64, error) {
 func (c *compiler) connective(op opKind, kids []evalNode, weights []float64) (evalNode, error) {
 	node := opNode{op: op, kids: kids}
 	if weights == nil {
+		node.flat = true
+		for i, k := range kids {
+			if k != leafNode(i) {
+				node.flat = false
+				break
+			}
+		}
 		return node, nil
 	}
 	sum := 0.0
@@ -244,6 +251,12 @@ type opNode struct {
 	// weighted, when set, replaces the bare connective with its
 	// Fagin–Wimmers weighted form over the children's values.
 	weighted *agg.Weighted
+	// flat marks an unweighted connective whose children are exactly the
+	// leaves 0…n−1 in order (every flat conjunction or disjunction): the
+	// children's values are then gs[:n] itself, so eval applies the
+	// connective to it without building the values slice. Decided once,
+	// at compile time.
+	flat bool
 }
 
 func (o opNode) eval(sem Semantics, gs []float64) float64 {
@@ -251,9 +264,14 @@ func (o opNode) eval(sem Semantics, gs []float64) float64 {
 	case opNot:
 		return sem.Not(o.kids[0].eval(sem, gs))
 	default:
-		vals := make([]float64, len(o.kids))
-		for i, k := range o.kids {
-			vals[i] = k.eval(sem, gs)
+		var vals []float64
+		if o.flat {
+			vals = gs[:len(o.kids)]
+		} else {
+			vals = make([]float64, len(o.kids))
+			for i, k := range o.kids {
+				vals[i] = k.eval(sem, gs)
+			}
 		}
 		if o.weighted != nil {
 			return o.weighted.Apply(vals)

@@ -65,15 +65,32 @@
 // random access is batched through an optional capability, BatchGrader:
 // TryGrades(objs, out) performs up to MaxGrades random accesses in one
 // call. A source where a call is a round trip (wire.RemoteSource)
-// implements it; sources where a call is an array read do not, and
-// nothing changes for them. The contract is TryEntries' partial prefix:
-// n grades were obtained before err, out[:n] is valid, and a non-nil
-// err belongs to objs[n] — so however probes were batched, a failure
-// pins to the object a one-by-one sweep would have failed at.
-// Counted.TrySourceGrades is the raw face an executor calls (one source
-// call per batch, or one per object without the capability, GradeBatch
-// telling it how to cut); payment stays per grade at DeliverGrade, so a
-// batch of n is n random accesses in every Section 5 tally.
+// implements it; sources where a call is an array read do not. The
+// contract is TryEntries' partial prefix: n grades were obtained before
+// err, out[:n] is valid, and a non-nil err belongs to objs[n] — so
+// however probes were batched, a failure pins to the object a one-by-one
+// sweep would have failed at. Counted.TrySourceGrades is the raw face
+// (one source call per batch, or one per object without the capability,
+// GradeBatch telling the caller how to cut); payment stays per grade at
+// DeliverGrade, so a batch of n is n random accesses in every Section 5
+// tally.
+//
+// Counted.Grades is the one routine that fills a list's column of a
+// random-access phase, whatever the executor: grades the memo holds are
+// resolved inline, the misses are read from the source in one go and
+// then paid for in ascending index order, so its outcome — column,
+// tallies, memo, sticky first failure — is that of probing the objects
+// one by one. "In one go" is GradeBatch-sized TryGrades calls over a
+// BatchGrader, and one Grade/TryGrade per miss over any other source,
+// with one exception that is not a capability: a Counted wrapping the
+// bare in-memory ListSource reads its list's grades directly
+// (gradedset.List.Grades, a loop of independent loads, so the cache
+// misses of different objects overlap). ListSource does NOT implement
+// BatchGrader, on purpose: the wrappers below would forward it, and a
+// simulated remote would receive a whole list's misses as one call.
+// Behind any wrapper — latency, faults, resilience, a shard view, a
+// tracer — a probe is no longer two array reads, and the wrapper keeps
+// seeing every one.
 //
 // Resilient, FaultSource, LatencySource and ShardView forward the
 // capability — and report MaxGrades 0 over a parent without it — so

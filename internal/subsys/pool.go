@@ -1,6 +1,10 @@
 package subsys
 
-import "sync"
+import (
+	"sync"
+
+	"fuzzydb/internal/gradedset"
+)
 
 // denseCache memoizes grades over the dense universe {0,…,N−1} with an
 // epoch-stamped flat array: grades[obj] is valid iff stamp[obj] == gen.
@@ -13,6 +17,12 @@ type denseCache struct {
 	grades []float64
 	stamp  []uint32
 	seen   []int // objects with known grades, in first-seen order
+
+	// Buffers of the Counted that holds the cache, pooled with it so their
+	// capacity outlives one evaluation: the list's buffered sorted prefix
+	// (see Counted.Release) and the staging of one Counted.Grades call.
+	prefix []gradedset.Entry
+	miss   missBuf
 }
 
 // get returns the memoized grade of obj, if known.

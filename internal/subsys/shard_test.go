@@ -45,7 +45,7 @@ func TestPlanShards(t *testing.T) {
 
 // randomList builds a dense graded list with deterministic pseudo-random
 // distinct grades.
-func randomList(t *testing.T, n int, seed int64) *gradedset.List {
+func randomList(t testing.TB, n int, seed int64) *gradedset.List {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	entries := make([]gradedset.Entry, n)

@@ -57,10 +57,7 @@ func (s ListSource) Entries(lo, hi int) []gradedset.Entry { return s.list.Range(
 
 // Grade implements Source; absent objects grade 0.
 func (s ListSource) Grade(obj int) float64 {
-	g, err := s.list.Grade(obj)
-	if err != nil {
-		return 0
-	}
+	g, _ := s.list.Lookup(obj)
 	return g
 }
 
@@ -109,6 +106,7 @@ type Counted struct {
 	prefix []gradedset.Entry // buffered prefix, prefix[r] = entry at rank r; may exceed fetched
 	dc     *denseCache       // dense-universe memo; nil → map fallback
 	known  map[int]float64   // map fallback memo (also overflow for out-of-universe probes)
+	list   *gradedset.List   // the list itself when src is a bare in-memory ListSource
 	pipe   *pipeline         // background prefetcher; nil until StartPrefetch
 	pstats PipelineStats     // stats snapshot kept past Release
 	piped  bool              // a pipeline ran at some point (pstats is meaningful)
@@ -121,9 +119,16 @@ func Count(src Source) *Counted {
 	if f, ok := src.(FallibleSource); ok {
 		c.fs = f
 	}
+	if ls, ok := src.(ListSource); ok {
+		// Only the bare adapter: behind a wrapper (latency, faults, a
+		// tracer) a probe is no longer two array reads, and the wrapper
+		// must keep seeing every access.
+		c.list = ls.list
+	}
 	if h, ok := src.(UniverseHinter); ok {
 		if n, dense := h.Universe(); dense {
 			c.dc = acquireDenseCache(n)
+			c.prefix = c.dc.prefix[:0]
 			return c
 		}
 	}
@@ -161,6 +166,10 @@ func (c *Counted) Release() {
 		c.pipe = nil
 	}
 	if c.dc != nil {
+		// The prefix buffer goes back with the memo: its capacity is what
+		// the next evaluation's sorted phase fills instead of growing one
+		// from empty.
+		c.dc.prefix = c.prefix
 		releaseDenseCache(c.dc)
 		c.dc = nil
 	}
@@ -515,6 +524,75 @@ func (c *Counted) Grade(obj int) float64 {
 	return g
 }
 
+// Grades is the random-access phase of one list, the batched form of
+//
+//	for i, obj := range objs { col[i] = c.Grade(obj) }
+//
+// with exactly that loop's outcome: the column, the random tally, the
+// memo, Seen() order and the sticky first failure (duplicates in objs
+// and objects outside a dense universe included). What changes is how
+// the source is read. Known grades are resolved inline; the misses are
+// collected and read in one go — straight from the list when the source
+// is an in-memory ListSource (one loop of independent loads instead of
+// a virtual call per probe), in GradeBatch() chunks over a BatchGrader —
+// and then paid for through DeliverGrade in ascending index order. A
+// source with neither gets one Grade call per miss, as before.
+func (c *Counted) Grades(objs []int, col []float64) {
+	var local missBuf
+	b := &local
+	if c.dc != nil {
+		b = &c.dc.miss
+	}
+	at, ids := b.at[:0], b.ids[:0]
+	for i, obj := range objs {
+		if g, ok := c.Known(obj); ok {
+			col[i] = g
+		} else {
+			at, ids = append(at, i), append(ids, obj)
+		}
+	}
+	b.at, b.ids = at, ids
+	if c.list == nil && c.bg == nil {
+		for t, i := range at {
+			col[i] = c.Grade(ids[t])
+		}
+		return
+	}
+	if cap(b.out) < len(ids) {
+		b.out = make([]float64, len(ids))
+	}
+	out := b.out[:len(ids)]
+	size := len(ids)
+	if c.list == nil {
+		size = c.GradeBatch()
+	}
+	for lo := 0; lo < len(ids) && c.serr == nil; lo += size {
+		hi := min(lo+size, len(ids))
+		n, err := c.TrySourceGrades(ids[lo:hi], out[lo:hi])
+		for t := lo; t < lo+n; t++ {
+			col[at[t]] = c.DeliverGrade(ids[t], out[t])
+		}
+		if err != nil {
+			c.failRandom(ids[lo+n], err)
+		}
+	}
+	if c.serr != nil {
+		// Failed list (now or before the call): a miss the source never
+		// delivered reads as 0, a delivered one as what the memo holds.
+		for t, i := range at {
+			col[i], _ = c.Known(ids[t])
+		}
+	}
+}
+
+// missBuf is the staging of one Grades call: for each object whose grade
+// was not known, its index in objs and its id, and the grades read for
+// them from the source.
+type missBuf struct {
+	at, ids []int
+	out     []float64
+}
+
 // GradeBatch is the most objects one TrySourceGrades call fetches in a
 // single source call: the source's MaxGrades, or 1 without BatchGrader.
 func (c *Counted) GradeBatch() int {
@@ -534,6 +612,8 @@ func (c *Counted) GradeBatch() int {
 // once (the source must tolerate concurrent reads).
 func (c *Counted) TrySourceGrades(objs []int, out []float64) (n int, err error) {
 	switch {
+	case c.list != nil:
+		c.list.Grades(objs, out)
 	case c.bg != nil:
 		n, err = c.bg.TryGrades(objs, out)
 		if n >= len(objs) {
@@ -690,6 +770,12 @@ func (cu *Cursor) NextBatch(max int) []gradedset.Entry {
 
 // Pos returns how many entries this cursor has consumed.
 func (cu *Cursor) Pos() int { return cu.pos }
+
+// Consumed returns the entries this cursor has consumed, ranks
+// [0, Pos()), as a read-only view of the list's delivered prefix — not
+// [0, Depth()), which another cursor (an earlier phase, a previous page)
+// may have pushed deeper. Valid until the list is released.
+func (cu *Cursor) Consumed() []gradedset.Entry { return cu.list.prefix[:cu.pos:cu.pos] }
 
 // Buffered returns how many entries beyond the cursor's position are
 // already buffered on the list: the number of Next calls that are
