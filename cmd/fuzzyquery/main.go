@@ -482,11 +482,7 @@ func (t *tolerance) print(rep *fuzzydb.Report) {
 	if len(t.resilied) > 0 {
 		var st fuzzydb.ResilienceStats
 		for _, r := range t.resilied {
-			s := r.Stats()
-			st.Retries += s.Retries
-			st.Timeouts += s.Timeouts
-			st.BreakerTrips += s.BreakerTrips
-			st.FastFails += s.FastFails
+			st = st.Add(r.Stats())
 		}
 		fmt.Printf("resilience: %d retries, %d timeouts, %d breaker trips, %d fast-fails\n",
 			st.Retries, st.Timeouts, st.BreakerTrips, st.FastFails)

@@ -409,3 +409,128 @@ func TestCacheConcurrentQueryUpdate(t *testing.T) {
 		t.Fatalf("hits %d + misses %d != %d lookups", st.Hits, st.Misses, 4*60)
 	}
 }
+
+// TestCacheBehindWrappers: a subsystem wrapper must not hide a mutable
+// subsystem's versions from the result cache. Each wrapped engine runs
+// the same script of queries, grade updates that do and do not reach
+// the cached k-th grade, and one Set as an engine over the bare lists,
+// and must agree with it step by step: answers, hit or miss, the epoch
+// the entry is stamped with, and the cache's counters. A wrapper that
+// reads as immutable (epoch 0) keeps serving the answer it cached first.
+func TestCacheBehindWrappers(t *testing.T) {
+	const n, m, k = 600, 2, 10
+	wrappers := []struct {
+		name string
+		wrap func(subsys.Subsystem) subsys.Subsystem
+	}{
+		{"bare", func(s subsys.Subsystem) subsys.Subsystem { return s }},
+		{"WithLatency", func(s subsys.Subsystem) subsys.Subsystem { return subsys.WithLatency(s, 0, 0) }},
+		{"WithFaults", func(s subsys.Subsystem) subsys.Subsystem { return subsys.WithFaults(s, subsys.FaultPlan{Seed: 3}) }},
+		{"WithResilience", func(s subsys.Subsystem) subsys.Subsystem {
+			return subsys.WithResilience(s, subsys.Policy{MaxRetries: 1})
+		}},
+		{"WithResilience(WithLatency(WithFaults))", func(s subsys.Subsystem) subsys.Subsystem {
+			return subsys.WithResilience(subsys.WithLatency(subsys.WithFaults(s, subsys.FaultPlan{Seed: 3}), 0, 0), subsys.Policy{MaxRetries: 1})
+		}},
+	}
+	db := scoredb.Generator{N: n, M: m, Seed: 53}.MustGenerate()
+	q := genConj(m)
+	ctx := context.Background()
+
+	type step struct {
+		results []core.Result
+		cache   CacheInfo
+		stats   CacheStats
+	}
+	// script runs the whole interleaving against one engine and returns
+	// what each query observed.
+	script := func(t *testing.T, wrap func(subsys.Subsystem) subsys.Subsystem) []step {
+		muts := make([]*subsys.Mutable, m)
+		subsystems := make([]subsys.Subsystem, m)
+		for i := range muts {
+			muts[i] = subsys.NewMutable(attrName(i), n, subsys.DefaultJournalDepth)
+			muts[i].Set("*", db.List(i))
+			subsystems[i] = wrap(muts[i])
+		}
+		eng, err := New(subsystems, WithCache(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var steps []step
+		ask := func() *Report {
+			t.Helper()
+			rep, err := eng.Query(ctx, q, TopN(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Cache == nil {
+				t.Fatal("no Report.Cache on a cacheable query")
+			}
+			st, _ := eng.CacheStats()
+			steps = append(steps, step{rep.Results, *rep.Cache, st})
+			return rep
+		}
+		update := func(list, obj int, g float64) {
+			t.Helper()
+			if err := muts[list].UpdateGrade("*", obj, g); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		first := ask()
+		ask()
+		member := make(map[int]bool, k)
+		for _, r := range first.Results {
+			member[r.Object] = true
+		}
+		outsider := 0
+		for member[outsider] {
+			outsider++
+		}
+		kth := first.Results[k-1].Grade
+		update(0, outsider, kth/2) // stays below the k-th grade: the entry survives
+		ask()
+		update(0, outsider, 1) // both lists lift it to the top: the entry goes
+		update(1, outsider, 1)
+		ask()
+		ask()
+		update(1, first.Results[0].Object, kth/4) // a member sinks
+		ask()
+		muts[0].Set("*", db.List(0)) // the journal cannot describe this
+		ask()
+		ask()
+		return steps
+	}
+
+	var want []step
+	for _, w := range wrappers {
+		t.Run(w.name, func(t *testing.T) {
+			got := script(t, w.wrap)
+			if want == nil {
+				// The bare engine: check the script exercises what it says.
+				hits := []bool{false, true, true, false, true, false, false, true}
+				for i, s := range got {
+					if s.cache.Hit != hits[i] {
+						t.Fatalf("bare engine, query %d: hit = %t, want %t", i, s.cache.Hit, hits[i])
+					}
+				}
+				if got[3].results[0].Object == got[0].results[0].Object || got[3].results[0].Grade != 1 {
+					t.Fatalf("the lifted object did not take the top: %v", got[3].results[0])
+				}
+				want = got
+				return
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i].results, want[i].results) {
+					t.Fatalf("query %d: results differ from the bare engine's:\n got %v\nwant %v", i, got[i].results, want[i].results)
+				}
+				if got[i].cache != want[i].cache {
+					t.Fatalf("query %d: Cache = %+v, bare engine's %+v", i, got[i].cache, want[i].cache)
+				}
+				if got[i].stats != want[i].stats {
+					t.Fatalf("query %d: stats = %+v, bare engine's %+v", i, got[i].stats, want[i].stats)
+				}
+			}
+		})
+	}
+}

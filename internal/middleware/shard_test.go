@@ -3,10 +3,14 @@ package middleware
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"fuzzydb/internal/core"
 	"fuzzydb/internal/cost"
+	"fuzzydb/internal/gradedset"
+	"fuzzydb/internal/subsys"
 )
 
 // TestQueryWithShardsMatchesUnsharded: a sharded engine request returns
@@ -320,5 +324,70 @@ func TestQueryWithPrefetchIsCostNeutral(t *testing.T) {
 		if depth > 0 && rep.Prefetch.MaxDepth > depth {
 			t.Errorf("fixed depth %d exceeded: max %d", depth, rep.Prefetch.MaxDepth)
 		}
+	}
+}
+
+// droppyList stands in for a remote list while a weighted shard plan is
+// being drawn: its plain Grade panics, as wire.RemoteSource's does on a
+// transport failure, and its failAt-th random access fails, once.
+type droppyList struct {
+	subsys.ListSource
+	failAt int64
+	probes atomic.Int64
+}
+
+func (d *droppyList) Grade(int) float64 { panic("plain face of a remote list read") }
+
+func (d *droppyList) TryEntry(rank int) (gradedset.Entry, error) { return d.Entry(rank), nil }
+
+func (d *droppyList) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
+	return d.Entries(lo, hi), nil
+}
+
+func (d *droppyList) TryGrade(obj int) (float64, error) {
+	if d.probes.Add(1) == d.failAt {
+		return 0, errors.New("connection dropped")
+	}
+	return d.ListSource.Grade(obj), nil
+}
+
+// droppySubsystem serves droppyLists and, embedding only the interface,
+// is no GradeSketcher: the planner has to sample its lists.
+type droppySubsystem struct{ subsys.Subsystem }
+
+func (s droppySubsystem) Query(target string) (subsys.Source, error) {
+	src, err := s.Subsystem.Query(target)
+	if err != nil {
+		return nil, err
+	}
+	return &droppyList{ListSource: src.(subsys.ListSource), failAt: 100}, nil
+}
+
+// TestSampleSketchFailureFallsBackToEvenSplit: one dropped connection
+// while the weighted planner samples a remote list costs the plan that
+// list's sketch, not the process — the query still returns the
+// unsharded answer.
+func TestSampleSketchFailureFallsBackToEvenSplit(t *testing.T) {
+	const n, m = 1200, 3
+	plain := genStore(t, n, m, 71)
+	subsystems := make([]subsys.Subsystem, m)
+	for i := range subsystems {
+		subsystems[i] = droppySubsystem{plain.subsystems[attrName(i)]}
+	}
+	mw, err := New(subsystems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := genConj(m)
+	want, err := plain.Query(context.Background(), q, TopN(15))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := mw.Query(context.Background(), q, TopN(15), WithShards(4), WithShardPlan(core.ShardPlanWeighted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Shards != 4 || !reflect.DeepEqual(rep.Results, want.Results) {
+		t.Fatalf("%d shards, results\n got %v\nwant %v", rep.Shards, rep.Results, want.Results)
 	}
 }

@@ -22,10 +22,10 @@ type ContextSource interface {
 }
 
 // BindContext binds ctx to every source that declares the ContextSource
-// capability; the rest are untouched. Wrappers (Counted, shard views,
-// resilience/fault/latency layers) forward the capability to what they
-// wrap, so the binding reaches the transport no matter how deep the
-// stack is.
+// capability; the rest are untouched. Counted and every Source wrapper
+// (through the embedded base, see wrap.go) forward the capability to
+// what they wrap, so the binding reaches the transport no matter how
+// deep the stack is — for the P shard views of one parent, idempotently.
 func BindContext(ctx context.Context, srcs []Source) {
 	for _, s := range srcs {
 		bindContext(ctx, s)
@@ -47,20 +47,3 @@ func (c *Counted) BindContext(ctx context.Context) {
 		bindContext(ctx, c.src)
 	}
 }
-
-// BindContext forwards the request context to the view's parent source,
-// so a sharded evaluation over remote sources still runs its RPCs under
-// the request context. Idempotent across the P views of one parent.
-func (s *ShardView) BindContext(ctx context.Context) { bindContext(ctx, s.parent) }
-
-// BindContext forwards the request context through the resilience layer.
-func (r *ResilientSource) BindContext(ctx context.Context) { bindContext(ctx, r.src) }
-
-// BindContext forwards the request context through the fault injector.
-func (f *FaultSource) BindContext(ctx context.Context) { bindContext(ctx, f.src) }
-
-// BindContext forwards the request context through the latency wrapper.
-func (s *LatencySource) BindContext(ctx context.Context) { bindContext(ctx, s.src) }
-
-// BindContext forwards the request context through validation.
-func (v *validatedSource) BindContext(ctx context.Context) { bindContext(ctx, v.src) }

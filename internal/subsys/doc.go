@@ -86,20 +86,11 @@
 // bare in-memory ListSource reads its list's grades directly
 // (gradedset.List.Grades, a loop of independent loads, so the cache
 // misses of different objects overlap). ListSource does NOT implement
-// BatchGrader, on purpose: the wrappers below would forward it, and a
-// simulated remote would receive a whole list's misses as one call.
-// Behind any wrapper — latency, faults, resilience, a shard view, a
-// tracer — a probe is no longer two array reads, and the wrapper keeps
-// seeing every one.
-//
-// Resilient, FaultSource, LatencySource and ShardView forward the
-// capability — and report MaxGrades 0 over a parent without it — so
-// wrapping a remote source does not silently fall back to one round
-// trip per object: Resilient retries only the undelivered remainder of
-// a batch, progress resetting the per-site budget exactly as for spans;
-// FaultSource scans a batch's objects for fault sites in order;
-// LatencySource charges one call; ShardView translates ids. Validated
-// deliberately does not forward it (see its comment).
+// BatchGrader, on purpose: every wrapper forwards it (see "Writing a
+// wrapper"), and a simulated remote would receive a whole list's misses
+// as one call. Behind any wrapper — latency, faults, resilience, a shard
+// view, a tracer — a probe is no longer two array reads, and the
+// wrapper keeps seeing every one.
 //
 // Lifecycle: Fence drains a list's pipeline (no further accesses once
 // the in-flight batch lands), Release stops and joins it, AbortPrefetch
@@ -201,6 +192,36 @@
 // deterministic fault injection (site-keyed, so the faulty ranks are
 // identical however accesses are batched or sharded) the tests and the
 // fuzz harness drive all of this with.
+//
+// # Writing a wrapper
+//
+// Everything stacked on a Source or a Subsystem must be transparent to
+// the tallies and to the optional faces the engine probes for; a wrapper
+// that drops one silently loses the dense fast path, batched random
+// access, weighted planning or cache invalidation. So no wrapper
+// forwards capabilities by hand: it embeds a base (wrap.go) and
+// overrides what it changes.
+//
+// A Source wrapper embeds inner, which resolves the wrapped source's
+// faces once (FacesOf) and forwards
+//
+//	Source            Len, Entry, Entries, Grade   the plain face, untouched
+//	UniverseHinter    Universe                     the wrapped source's hint
+//	ContextSource     BindContext                  bound on the wrapped source
+//	BatchGrader       MaxGrades                    0 when in.Batch is nil
+//
+// and adds TryEntry/TryEntries/TryGrade over in.Try — always: every
+// wrapper is a FallibleSource that over a parent that cannot fail never
+// fails — and TryGrades over in.Batch. Validated embeds the base too
+// and adds neither, which is why the base has no Try* of its own.
+//
+// A Subsystem wrapper embeds wrapped, whose Query wraps what the inner
+// subsystem returns and which forwards GradeSketcher and Versioned;
+// the middleware's SelectivityEstimator and ConjunctionEvaluator are
+// the two faces deliberately not forwarded (the reason is on wrapped).
+// Counted and the prefetch pipeline are not wrappers in this sense and
+// keep their own two-face reads: whether the source can fail at all is
+// what Counted.Fallible reports.
 //
 // The package also provides realistic stand-ins for the subsystems the
 // paper names: a relational predicate engine (0/1 grades, the

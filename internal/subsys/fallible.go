@@ -13,7 +13,9 @@ import (
 // detects the capability at wrap time and routes every physical access
 // through it; the plain methods exist only to satisfy Source for
 // consumers that never look, and by convention they forward to the
-// underlying data without surfacing faults.
+// underlying data without surfacing faults. Every wrapper in this
+// package, shard views included, always exposes Try* — over a parent
+// that cannot fail they simply never fail (see FacesOf).
 //
 // Contract for the Try* methods: on a nil error the result is complete
 // (TryEntries returns exactly hi−lo entries). On a non-nil error
@@ -55,27 +57,6 @@ type BatchGrader interface {
 	// MaxGrades is the largest batch one call may carry; below 1 the
 	// capability is absent.
 	MaxGrades() int
-}
-
-// batchFace is the half of BatchGrader every forwarding wrapper shares:
-// the parent's batched face (nil when it has none, or reports
-// MaxGrades below 1) and MaxGrades forwarded from it. The wrapper adds
-// its own TryGrades over bg.
-type batchFace struct{ bg BatchGrader }
-
-func batchOf(src Source) batchFace {
-	if bg, ok := src.(BatchGrader); ok && bg.MaxGrades() > 0 {
-		return batchFace{bg}
-	}
-	return batchFace{}
-}
-
-// MaxGrades implements BatchGrader: the parent's, or 0 without one.
-func (b batchFace) MaxGrades() int {
-	if b.bg != nil {
-		return b.bg.MaxGrades()
-	}
-	return 0
 }
 
 // SourceError is the typed failure the middleware surfaces when a

@@ -95,11 +95,8 @@ func (e *FaultError) Transient() bool { return e.Temporary }
 // counters are stateful: equivalence tests must build a fresh
 // FaultSource per run.
 type FaultSource struct {
-	src  Source
-	fs   FallibleSource // nil when src is infallible
+	inner
 	plan FaultPlan
-
-	batchFace // bg nil when src does not batch random access
 
 	mu       sync.Mutex
 	attempts map[faultKey]int
@@ -115,8 +112,7 @@ type faultKey struct {
 
 // NewFaultSource wraps src with the given fault plan.
 func NewFaultSource(src Source, plan FaultPlan) *FaultSource {
-	f := &FaultSource{src: src, plan: plan, batchFace: batchOf(src)}
-	f.fs, _ = src.(FallibleSource)
+	f := &FaultSource{inner: wrapping(src), plan: plan}
 	if plan.Transient > 0 {
 		f.attempts = make(map[faultKey]int)
 	}
@@ -195,34 +191,9 @@ func (f *FaultSource) failAfter() error {
 // transient ones later cleared by retries).
 func (f *FaultSource) Injected() int64 { return f.injected.Load() }
 
-// Len implements Source.
-func (f *FaultSource) Len() int { return f.src.Len() }
-
-// Entry implements Source, forwarding without fault injection (see the
-// type comment).
-func (f *FaultSource) Entry(rank int) gradedset.Entry { return f.src.Entry(rank) }
-
-// Entries implements Source, forwarding without fault injection.
-func (f *FaultSource) Entries(lo, hi int) []gradedset.Entry { return f.src.Entries(lo, hi) }
-
-// Grade implements Source, forwarding without fault injection.
-func (f *FaultSource) Grade(obj int) float64 { return f.src.Grade(obj) }
-
-// Universe implements UniverseHinter when the wrapped source does.
-func (f *FaultSource) Universe() (int, bool) {
-	if h, ok := f.src.(UniverseHinter); ok {
-		return h.Universe()
-	}
-	return 0, false
-}
-
 // TryEntry implements FallibleSource.
 func (f *FaultSource) TryEntry(rank int) (gradedset.Entry, error) {
-	span, err := f.TryEntries(rank, rank+1)
-	if len(span) == 1 {
-		return span[0], err
-	}
-	return gradedset.Entry{}, err
+	return oneEntry(f.TryEntries(rank, rank+1))
 }
 
 // TryEntries implements FallibleSource: it scans the requested ranks for
@@ -241,23 +212,14 @@ func (f *FaultSource) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
 			if r == lo {
 				return nil, err
 			}
-			span, perr := f.entries(lo, r)
+			span, perr := f.in.Try.TryEntries(lo, r)
 			if perr != nil {
 				return span, perr
 			}
 			return span, err
 		}
 	}
-	return f.entries(lo, hi)
-}
-
-// entries reads the wrapped source through its fallible face when it
-// has one: a remote parent's plain face panics on a transport failure.
-func (f *FaultSource) entries(lo, hi int) ([]gradedset.Entry, error) {
-	if f.fs != nil {
-		return f.fs.TryEntries(lo, hi)
-	}
-	return f.src.Entries(lo, hi), nil
+	return f.in.Try.TryEntries(lo, hi)
 }
 
 // TryGrade implements FallibleSource.
@@ -270,10 +232,7 @@ func (f *FaultSource) TryGrade(obj int) (float64, error) {
 			return 0, err
 		}
 	}
-	if f.fs != nil {
-		return f.fs.TryGrade(obj)
-	}
-	return f.src.Grade(obj), nil
+	return f.in.Try.TryGrade(obj)
 }
 
 // TryGrades implements BatchGrader: the batch is one physical access
@@ -293,13 +252,13 @@ func (f *FaultSource) TryGrades(objs []int, out []float64) (int, error) {
 			if i == 0 {
 				return 0, err
 			}
-			if n, perr := f.bg.TryGrades(objs[:i], out); perr != nil {
+			if n, perr := f.in.Batch.TryGrades(objs[:i], out); perr != nil {
 				return n, perr
 			}
 			return i, err
 		}
 	}
-	return f.bg.TryGrades(objs, out)
+	return f.in.Batch.TryGrades(objs, out)
 }
 
 // FaultSubsystem wraps a subsystem so every source it produces is
@@ -308,8 +267,7 @@ func (f *FaultSource) TryGrades(objs []int, out []float64) (int, error) {
 // lists fail at different sites while the whole ensemble stays
 // reproducible.
 type FaultSubsystem struct {
-	sub  Subsystem
-	plan FaultPlan
+	wrapped
 
 	mu   sync.Mutex
 	srcs []*FaultSource
@@ -317,39 +275,17 @@ type FaultSubsystem struct {
 
 // WithFaults wraps sub with the given fault plan.
 func WithFaults(sub Subsystem, plan FaultPlan) *FaultSubsystem {
-	return &FaultSubsystem{sub: sub, plan: plan}
-}
-
-// Attribute implements Subsystem.
-func (f *FaultSubsystem) Attribute() string { return f.sub.Attribute() }
-
-// Size implements Subsystem.
-func (f *FaultSubsystem) Size() int { return f.sub.Size() }
-
-// Query implements Subsystem, wrapping the result in a FaultSource.
-func (f *FaultSubsystem) Query(target string) (Source, error) {
-	src, err := f.sub.Query(target)
-	if err != nil {
-		return nil, err
-	}
-	plan := f.plan
-	plan.Seed = splitmix64(plan.Seed ^ hashString(f.sub.Attribute()+"\x00"+target))
-	fs := NewFaultSource(src, plan)
-	f.mu.Lock()
-	f.srcs = append(f.srcs, fs)
-	f.mu.Unlock()
-	return fs, nil
-}
-
-// GradeSketch forwards GradeSketcher: fault injection does not move
-// grade mass, so weighted shard plans — and the tallies that depend on
-// the cut boundaries — are identical with and without the fault layer,
-// and sketching never trips an injected fault site.
-func (f *FaultSubsystem) GradeSketch(target string) *Sketch {
-	if gs, ok := f.sub.(GradeSketcher); ok {
-		return gs.GradeSketch(target)
-	}
-	return nil
+	f := &FaultSubsystem{}
+	f.wrapped = wrapped{sub, func(target string, src Source) Source {
+		p := plan
+		p.Seed = f.listSeed(plan.Seed, target)
+		fs := NewFaultSource(src, p)
+		f.mu.Lock()
+		f.srcs = append(f.srcs, fs)
+		f.mu.Unlock()
+		return fs
+	}}
+	return f
 }
 
 // Injected sums the faults injected across every source this subsystem

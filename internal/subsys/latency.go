@@ -31,15 +31,12 @@ import (
 // Try* methods simply never fail, so latency simulation composes with
 // the resilience stack in either nesting order.
 type LatencySource struct {
-	src     Source
-	fs      FallibleSource // non-nil when src exposes the fallible face
+	inner
 	perCall time.Duration
 	perItem time.Duration
 	jit     *jitterer
 	calls   atomic.Int64
 	items   atomic.Int64
-
-	batchFace // bg non-nil when src batches random access
 }
 
 // LatencyOption configures optional latency-simulation behavior.
@@ -88,11 +85,7 @@ func NewLatencySource(src Source, perCall, perItem time.Duration, opts ...Latenc
 	for _, o := range opts {
 		o(&cfg)
 	}
-	s := &LatencySource{src: src, perCall: perCall, perItem: perItem}
-	if fs, ok := src.(FallibleSource); ok {
-		s.fs = fs
-	}
-	s.batchFace = batchOf(src)
+	s := &LatencySource{inner: wrapping(src), perCall: perCall, perItem: perItem}
 	if cfg.jitterFrac > 0 {
 		s.jit = &jitterer{frac: cfg.jitterFrac, rng: rand.New(rand.NewSource(int64(cfg.jitterSeed)))}
 	}
@@ -120,45 +113,34 @@ func (s *LatencySource) Calls() int64 { return s.calls.Load() }
 // across all calls.
 func (s *LatencySource) Items() int64 { return s.items.Load() }
 
-// Len implements Source.
-func (s *LatencySource) Len() int { return s.src.Len() }
-
 // Entry implements Source: one call delivering one entry.
 func (s *LatencySource) Entry(rank int) gradedset.Entry {
 	s.pay(1)
-	return s.src.Entry(rank)
+	return s.in.Src.Entry(rank)
 }
 
 // Entries implements Source: one call delivering hi-lo entries — the
 // batch amortization a remote cursor protocol provides.
 func (s *LatencySource) Entries(lo, hi int) []gradedset.Entry {
 	s.pay(hi - lo)
-	return s.src.Entries(lo, hi)
+	return s.in.Src.Entries(lo, hi)
 }
 
 // Grade implements Source: one call delivering one grade.
 func (s *LatencySource) Grade(obj int) float64 {
 	s.pay(1)
-	return s.src.Grade(obj)
+	return s.in.Src.Grade(obj)
 }
 
 // TryEntry implements FallibleSource.
 func (s *LatencySource) TryEntry(rank int) (gradedset.Entry, error) {
-	span, err := s.TryEntries(rank, rank+1)
-	if len(span) == 1 {
-		return span[0], err
-	}
-	return gradedset.Entry{}, err
+	return oneEntry(s.TryEntries(rank, rank+1))
 }
 
 // TryEntries implements FallibleSource: the call's latency covers the
 // entries actually delivered.
 func (s *LatencySource) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
-	if s.fs == nil {
-		s.pay(hi - lo)
-		return s.src.Entries(lo, hi), nil
-	}
-	span, err := s.fs.TryEntries(lo, hi)
+	span, err := s.in.Try.TryEntries(lo, hi)
 	s.pay(len(span))
 	return span, err
 }
@@ -166,71 +148,27 @@ func (s *LatencySource) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
 // TryGrade implements FallibleSource.
 func (s *LatencySource) TryGrade(obj int) (float64, error) {
 	s.pay(1)
-	if s.fs == nil {
-		return s.src.Grade(obj), nil
-	}
-	return s.fs.TryGrade(obj)
+	return s.in.Try.TryGrade(obj)
 }
 
 // TryGrades implements BatchGrader: one call's latency for the whole
 // batch, covering the grades actually delivered.
 func (s *LatencySource) TryGrades(objs []int, out []float64) (int, error) {
-	n, err := s.bg.TryGrades(objs, out)
+	n, err := s.in.Batch.TryGrades(objs, out)
 	s.pay(n)
 	return n, err
 }
 
-// Universe forwards the wrapped source's dense-universe hint, so latency
-// simulation does not knock an evaluation off the flat-array fast path.
-func (s *LatencySource) Universe() (int, bool) {
-	if h, ok := s.src.(UniverseHinter); ok {
-		return h.Universe()
-	}
-	return 0, false
-}
-
 // LatencySubsystem wraps a subsystem so that every Source it produces is
 // latency-wrapped — the way to run an engine against simulated remote
-// backends (cmd/fuzzyquery's -latency flag). Planner statistics of the
-// wrapped subsystem (SelectivityEstimator) are not forwarded: a remote
-// backend's optimizer hints are a separate protocol concern.
-type LatencySubsystem struct {
-	sub     Subsystem
-	perCall time.Duration
-	perItem time.Duration
-	opts    []LatencyOption
-}
+// backends (cmd/fuzzyquery's -latency flag).
+type LatencySubsystem struct{ wrapped }
 
 // WithLatency wraps sub so its query results simulate remote-backend
 // latency (see LatencySource); options such as WithLatencyJitter apply
 // to every source the subsystem produces.
 func WithLatency(sub Subsystem, perCall, perItem time.Duration, opts ...LatencyOption) *LatencySubsystem {
-	return &LatencySubsystem{sub: sub, perCall: perCall, perItem: perItem, opts: opts}
-}
-
-// Attribute implements Subsystem.
-func (l *LatencySubsystem) Attribute() string { return l.sub.Attribute() }
-
-// Size implements Subsystem.
-func (l *LatencySubsystem) Size() int { return l.sub.Size() }
-
-// Query implements Subsystem, wrapping the result in a LatencySource.
-func (l *LatencySubsystem) Query(target string) (Source, error) {
-	src, err := l.sub.Query(target)
-	if err != nil {
-		return nil, err
-	}
-	return NewLatencySource(src, l.perCall, l.perItem, l.opts...), nil
-}
-
-// GradeSketch forwards GradeSketcher: simulated latency does not move
-// grade mass, so the shard planner must see the same distribution it
-// would see against the unwrapped subsystem — weighted plans (and with
-// them the Section 5 tallies) stay transport-invariant, and sketching
-// never pays the simulated round trips.
-func (l *LatencySubsystem) GradeSketch(target string) *Sketch {
-	if gs, ok := l.sub.(GradeSketcher); ok {
-		return gs.GradeSketch(target)
-	}
-	return nil
+	return &LatencySubsystem{wrapped{sub, func(_ string, src Source) Source {
+		return NewLatencySource(src, perCall, perItem, opts...)
+	}}}
 }

@@ -126,6 +126,15 @@ type ResilienceStats struct {
 	FastFails int64
 }
 
+// Add sums two stat sets: how the counters of several sources combine.
+func (s ResilienceStats) Add(o ResilienceStats) ResilienceStats {
+	s.Retries += o.Retries
+	s.Timeouts += o.Timeouts
+	s.BreakerTrips += o.BreakerTrips
+	s.FastFails += o.FastFails
+	return s
+}
+
 // ResilientSource wraps a (possibly fallible) Source with retries,
 // exponential backoff with full jitter, a per-access timeout, and a
 // circuit breaker. Transient faults are retried invisibly: the caller
@@ -143,12 +152,9 @@ type ResilienceStats struct {
 // Try* methods are safe for concurrent use when the wrapped source is
 // (the breaker and jitter state are internally synchronized).
 type ResilientSource struct {
-	src Source
-	fs  FallibleSource // nil when src is infallible
+	inner
 	pol Policy
 	now func() time.Time // test hook
-
-	batchFace // bg nil when src does not batch random access
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -183,17 +189,12 @@ func Resilient(src Source, pol Policy) *ResilientSource {
 	if seed == 0 {
 		seed = 0x5eed5eed5eed5eed
 	}
-	r := &ResilientSource{
-		src: src,
-		pol: pol,
-		now: time.Now,
-		rng: rand.New(rand.NewSource(int64(seed))),
+	return &ResilientSource{
+		inner: wrapping(src),
+		pol:   pol,
+		now:   time.Now,
+		rng:   rand.New(rand.NewSource(int64(seed))),
 	}
-	if fs, ok := src.(FallibleSource); ok {
-		r.fs = fs
-	}
-	r.batchFace = batchOf(src)
-	return r
 }
 
 // Stats returns the counters accumulated so far.
@@ -346,52 +347,9 @@ func (r *ResilientSource) call(f func() tryResult) tryResult {
 	}
 }
 
-// entriesOnce is one physical batched sorted access.
-func (r *ResilientSource) entriesOnce(lo, hi int) tryResult {
-	if r.fs != nil {
-		span, err := r.fs.TryEntries(lo, hi)
-		return tryResult{span: span, err: err}
-	}
-	return tryResult{span: r.src.Entries(lo, hi)}
-}
-
-// gradeOnce is one physical random access.
-func (r *ResilientSource) gradeOnce(obj int) tryResult {
-	if r.fs != nil {
-		g, err := r.fs.TryGrade(obj)
-		return tryResult{g: g, err: err}
-	}
-	return tryResult{g: r.src.Grade(obj)}
-}
-
-// Len implements Source.
-func (r *ResilientSource) Len() int { return r.src.Len() }
-
-// Entry implements Source, forwarding without the resilience machinery
-// (see the type comment).
-func (r *ResilientSource) Entry(rank int) gradedset.Entry { return r.src.Entry(rank) }
-
-// Entries implements Source, forwarding without the resilience machinery.
-func (r *ResilientSource) Entries(lo, hi int) []gradedset.Entry { return r.src.Entries(lo, hi) }
-
-// Grade implements Source, forwarding without the resilience machinery.
-func (r *ResilientSource) Grade(obj int) float64 { return r.src.Grade(obj) }
-
-// Universe implements UniverseHinter when the wrapped source does.
-func (r *ResilientSource) Universe() (int, bool) {
-	if h, ok := r.src.(UniverseHinter); ok {
-		return h.Universe()
-	}
-	return 0, false
-}
-
 // TryEntry implements FallibleSource.
 func (r *ResilientSource) TryEntry(rank int) (gradedset.Entry, error) {
-	span, err := r.TryEntries(rank, rank+1)
-	if len(span) == 1 {
-		return span[0], err
-	}
-	return gradedset.Entry{}, err
+	return oneEntry(r.TryEntries(rank, rank+1))
 }
 
 // TryEntries implements FallibleSource with partial-progress retries:
@@ -408,7 +366,10 @@ func (r *ResilientSource) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
 			return out, berr
 		}
 		p := pos
-		res := r.call(func() tryResult { return r.entriesOnce(p, hi) })
+		res := r.call(func() tryResult {
+			span, err := r.in.Try.TryEntries(p, hi)
+			return tryResult{span: span, err: err}
+		})
 		if len(res.span) > 0 {
 			out = append(out, res.span...)
 			pos += len(res.span)
@@ -439,7 +400,10 @@ func (r *ResilientSource) TryGrade(obj int) (float64, error) {
 			r.fastFails.Add(1)
 			return 0, berr
 		}
-		res := r.call(func() tryResult { return r.gradeOnce(obj) })
+		res := r.call(func() tryResult {
+			g, err := r.in.Try.TryGrade(obj)
+			return tryResult{g: g, err: err}
+		})
 		if res.err == nil {
 			r.onSuccess()
 			return res.g, nil
@@ -466,7 +430,7 @@ func (r *ResilientSource) TryGrades(objs []int, out []float64) (int, error) {
 		rest := objs[pos:]
 		res := r.call(func() tryResult {
 			gs := make([]float64, len(rest))
-			n, err := r.bg.TryGrades(rest, gs)
+			n, err := r.in.Batch.TryGrades(rest, gs)
 			return tryResult{gs: gs[:n], err: err}
 		})
 		if len(res.gs) > 0 {
@@ -508,49 +472,29 @@ func (r *ResilientSource) failed(attempts int, err error) error {
 // ResilientSubsystem wraps a subsystem so every source it produces is
 // wrapped in the resilience layer (see Resilient).
 type ResilientSubsystem struct {
-	sub Subsystem
-	pol Policy
+	wrapped
 
 	mu   sync.Mutex
 	srcs []*ResilientSource
 }
 
-// WithResilience wraps sub with the given resilience policy.
+// WithResilience wraps sub with the given resilience policy. Each
+// produced source derives its own jitter seed from the policy's, unless
+// that is 0 (the fixed default).
 func WithResilience(sub Subsystem, pol Policy) *ResilientSubsystem {
-	return &ResilientSubsystem{sub: sub, pol: pol}
-}
-
-// Attribute implements Subsystem.
-func (w *ResilientSubsystem) Attribute() string { return w.sub.Attribute() }
-
-// Size implements Subsystem.
-func (w *ResilientSubsystem) Size() int { return w.sub.Size() }
-
-// Query implements Subsystem, wrapping the result in a ResilientSource.
-func (w *ResilientSubsystem) Query(target string) (Source, error) {
-	src, err := w.sub.Query(target)
-	if err != nil {
-		return nil, err
-	}
-	pol := w.pol
-	if pol.Seed != 0 {
-		pol.Seed = splitmix64(pol.Seed ^ hashString(w.sub.Attribute()+"\x00"+target))
-	}
-	rs := Resilient(src, pol)
-	w.mu.Lock()
-	w.srcs = append(w.srcs, rs)
-	w.mu.Unlock()
-	return rs, nil
-}
-
-// GradeSketch forwards GradeSketcher: the resilience layer is transport,
-// not data, so the shard planner sees the wrapped subsystem's exact
-// distribution and weighted plans stay invariant under it.
-func (w *ResilientSubsystem) GradeSketch(target string) *Sketch {
-	if gs, ok := w.sub.(GradeSketcher); ok {
-		return gs.GradeSketch(target)
-	}
-	return nil
+	w := &ResilientSubsystem{}
+	w.wrapped = wrapped{sub, func(target string, src Source) Source {
+		p := pol
+		if p.Seed != 0 {
+			p.Seed = w.listSeed(pol.Seed, target)
+		}
+		rs := Resilient(src, p)
+		w.mu.Lock()
+		w.srcs = append(w.srcs, rs)
+		w.mu.Unlock()
+		return rs
+	}}
+	return w
 }
 
 // Stats sums the resilience counters across every source this subsystem
@@ -560,11 +504,7 @@ func (w *ResilientSubsystem) Stats() ResilienceStats {
 	defer w.mu.Unlock()
 	var total ResilienceStats
 	for _, s := range w.srcs {
-		st := s.Stats()
-		total.Retries += st.Retries
-		total.Timeouts += st.Timeouts
-		total.BreakerTrips += st.BreakerTrips
-		total.FastFails += st.FastFails
+		total = total.Add(s.Stats())
 	}
 	return total
 }

@@ -66,10 +66,11 @@ func PlanShards(n, p int) []ShardRange {
 // renumbering subtracts a constant, the parent's tie order restricted to
 // the shard is exactly the canonical tie order on local ids.
 //
-// A view performs read-only operations on the parent (Entries, Grade),
-// so the P views of one parent may be driven from P shard workers
-// concurrently provided the parent is immutable under reads — true of
-// ListSource and every built-in subsystem. The lazy re-ranking scan is
+// A view performs read-only operations on the parent (sorted and random
+// reads through its resolved fallible face, see FacesOf), so the P views
+// of one parent may be driven from P shard workers concurrently provided
+// the parent is immutable under reads — true of ListSource and every
+// built-in subsystem. The lazy re-ranking scan is
 // internally synchronized, so a view tolerates concurrent reads itself:
 // a background prefetch pipeline (Counted.StartPrefetch) may extend the
 // view's sorted prefix from its worker goroutine while the shard's
@@ -82,8 +83,7 @@ func PlanShards(n, p int) []ShardRange {
 // to no shard and silently vanish from every view. Wrap untrusted
 // sources with Validated before sharding them.
 type ShardView struct {
-	parent    Source
-	fparent   FallibleSource // non-nil when parent exposes the fallible face
+	inner     // the parent
 	r         ShardRange
 	parentLen int
 
@@ -91,34 +91,22 @@ type ShardView struct {
 	entries []gradedset.Entry // local-id entries in shard rank order
 	scanned int               // parent ranks examined so far
 	cut     int               // future fills keep only local ids < cut (work stealing)
-
-	batchFace // bg non-nil when parent batches random access
 }
 
 // NewShardView builds the shard's re-ranked view of parent.
 func NewShardView(parent Source, r ShardRange) *ShardView {
-	v := &ShardView{parent: parent, r: r, parentLen: parent.Len(), cut: r.Len()}
-	if fp, ok := parent.(FallibleSource); ok {
-		v.fparent = fp
-	}
-	v.batchFace = batchOf(parent)
-	return v
+	return &ShardView{inner: wrapping(parent), r: r, parentLen: parent.Len(), cut: r.Len()}
 }
 
 // ShardSources builds one view per parent source for the given range.
-// A view over a fallible parent exposes the fallible face itself, so a
-// per-shard Counted detects and routes around failures the same way an
-// unsharded one does; fault sites stay keyed on the parent's global
-// ranks and object ids.
+// Like every wrapper a view always exposes the fallible face (and never
+// fails over a parent that cannot), so a per-shard Counted detects and
+// routes around failures the same way an unsharded one does; fault
+// sites stay keyed on the parent's global ranks and object ids.
 func ShardSources(parents []Source, r ShardRange) []Source {
 	out := make([]Source, len(parents))
 	for i, p := range parents {
-		v := NewShardView(p, r)
-		if v.fparent != nil {
-			out[i] = fallibleShardView{v}
-		} else {
-			out[i] = v
-		}
+		out[i] = NewShardView(p, r)
 	}
 	return out
 }
@@ -132,9 +120,11 @@ func (s *ShardView) Universe() (int, bool) { return s.r.Len(), true }
 
 // fill extends the re-ranked prefix to at least n local entries (or the
 // shard's end), scanning the parent's sorted entries forward in chunks
-// sized to the expected stride between in-range objects. Callers hold
-// s.mu.
-func (s *ShardView) fill(n int) {
+// sized to the expected stride between in-range objects. Whatever
+// partial span arrives before a parent failure is absorbed, so the
+// prefix ends exactly at the re-ranked entries the parent managed to
+// deliver. Callers hold s.mu.
+func (s *ShardView) fill(n int) error {
 	if n > s.r.Len() {
 		n = s.r.Len()
 	}
@@ -152,113 +142,57 @@ func (s *ShardView) fill(n int) {
 		if hi > s.parentLen {
 			hi = s.parentLen
 		}
-		for _, e := range s.parent.Entries(s.scanned, hi) {
-			if local := e.Object - s.r.Lo; local >= 0 && local < s.cut {
-				s.entries = append(s.entries, gradedset.Entry{Object: local, Grade: e.Grade})
-			}
-		}
-		s.scanned = hi
-	}
-}
-
-// Entry implements Source: the shard's entry at the given local rank.
-func (s *ShardView) Entry(rank int) gradedset.Entry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fill(rank + 1)
-	return s.entries[rank]
-}
-
-// Entries implements Source: the shard's entries at local ranks
-// [lo, hi). The returned slice must not be mutated. It remains valid
-// under concurrent calls: growth only appends (within capacity it
-// writes indices past every previously returned span; on reallocation
-// the old backing array is left untouched).
-func (s *ShardView) Entries(lo, hi int) []gradedset.Entry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fill(hi)
-	// A truncated view (see Truncate) holds fewer than r.Len() entries
-	// once its parent is fully scanned: clamp instead of overrunning, so
-	// the consumer sees a short span — the dry-stream signal.
-	if n := len(s.entries); hi > n {
-		hi = n
-		if lo > hi {
-			lo = hi
-		}
-	}
-	return s.entries[lo:hi]
-}
-
-// Grade implements Source: random access by local id, translated to the
-// parent's global id.
-func (s *ShardView) Grade(obj int) float64 {
-	return s.parent.Grade(obj + s.r.Lo)
-}
-
-// TryGrades implements BatchGrader when the parent does: batched random
-// access by local id, translated to the parent's global ids like Grade.
-func (s *ShardView) TryGrades(objs []int, out []float64) (int, error) {
-	global := make([]int, len(objs))
-	for i, obj := range objs {
-		global[i] = obj + s.r.Lo
-	}
-	return s.bg.TryGrades(global, out)
-}
-
-// tryFill is the fallible twin of fill: it scans through the fallible
-// parent, absorbing whatever partial spans arrive before a terminal
-// failure, so the view's prefix ends exactly at the re-ranked entries
-// the parent managed to deliver. Callers hold s.mu.
-func (s *ShardView) tryFill(n int) error {
-	if n > s.r.Len() {
-		n = s.r.Len()
-	}
-	for len(s.entries) < n && s.scanned < s.parentLen {
-		deficit := n - len(s.entries)
-		stride := (s.parentLen + s.r.Len() - 1) / s.r.Len()
-		chunk := deficit * stride
-		if chunk < 64 {
-			chunk = 64
-		}
-		hi := s.scanned + chunk
-		if hi > s.parentLen {
-			hi = s.parentLen
-		}
-		span, err := s.fparent.TryEntries(s.scanned, hi)
+		span, err := s.in.Try.TryEntries(s.scanned, hi)
 		for _, e := range span {
 			if local := e.Object - s.r.Lo; local >= 0 && local < s.cut {
 				s.entries = append(s.entries, gradedset.Entry{Object: local, Grade: e.Grade})
 			}
 		}
 		s.scanned += len(span)
-		if err != nil {
+		if err != nil || len(span) == 0 {
+			// An empty span without an error is a parent whose own stream
+			// ran dry (a truncated view below): stop instead of spinning.
 			return err
 		}
 	}
 	return nil
 }
 
-// fallibleShardView is the fallible face of a ShardView over a fallible
-// parent: ShardSources returns it so the per-shard Counted's capability
-// check sees exactly what the parent offers.
-type fallibleShardView struct{ *ShardView }
-
-// TryEntry implements FallibleSource.
-func (s fallibleShardView) TryEntry(rank int) (gradedset.Entry, error) {
-	span, err := s.TryEntries(rank, rank+1)
-	if len(span) == 1 {
-		return span[0], err
-	}
-	return gradedset.Entry{}, err
+// Entry implements Source: the shard's entry at the given local rank,
+// the zero entry when the view's stream ends before it.
+func (s *ShardView) Entry(rank int) gradedset.Entry {
+	e, _ := s.TryEntry(rank)
+	return e
 }
 
-// TryEntries implements FallibleSource: on a terminal parent failure it
-// returns the local ranks obtained before the failure plus the error.
-func (s fallibleShardView) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
+// Entries implements Source: TryEntries without the error.
+func (s *ShardView) Entries(lo, hi int) []gradedset.Entry {
+	span, _ := s.TryEntries(lo, hi)
+	return span
+}
+
+// Grade implements Source: random access by local id, translated to the
+// parent's global id.
+func (s *ShardView) Grade(obj int) float64 { return s.in.Src.Grade(obj + s.r.Lo) }
+
+// TryEntry implements FallibleSource.
+func (s *ShardView) TryEntry(rank int) (gradedset.Entry, error) {
+	return oneEntry(s.TryEntries(rank, rank+1))
+}
+
+// TryEntries implements FallibleSource: the shard's entries at local
+// ranks [lo, hi), and on a terminal parent failure the local ranks
+// obtained before it plus the error. The returned slice must not be
+// mutated. It remains valid under concurrent calls: growth only appends
+// (within capacity it writes indices past every previously returned
+// span; on reallocation the old backing array is left untouched).
+func (s *ShardView) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.tryFill(hi)
+	err := s.fill(hi)
+	// A truncated view (see Truncate) holds fewer than r.Len() entries
+	// once its parent is fully scanned: clamp instead of overrunning, so
+	// the consumer sees a short span — the dry-stream signal.
 	if n := len(s.entries); hi > n {
 		hi = n
 		if lo > hi {
@@ -270,8 +204,18 @@ func (s fallibleShardView) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
 
 // TryGrade implements FallibleSource, translated to the parent's global
 // id (so random fault sites are shard-independent).
-func (s fallibleShardView) TryGrade(obj int) (float64, error) {
-	return s.fparent.TryGrade(obj + s.r.Lo)
+func (s *ShardView) TryGrade(obj int) (float64, error) {
+	return s.in.Try.TryGrade(obj + s.r.Lo)
+}
+
+// TryGrades implements BatchGrader when the parent does: batched random
+// access by local id, translated to the parent's global ids like Grade.
+func (s *ShardView) TryGrades(objs []int, out []float64) (int, error) {
+	global := make([]int, len(objs))
+	for i, obj := range objs {
+		global[i] = obj + s.r.Lo
+	}
+	return s.in.Batch.TryGrades(global, out)
 }
 
 // Scanned reports how many parent ranks the lazy re-ranking has
@@ -325,18 +269,12 @@ func (s *ShardView) Filled() int {
 	return len(s.entries)
 }
 
-// ViewsOf extracts the underlying *ShardView from sources built by
-// ShardSources (plain views and their fallible faces alike); other
-// source kinds yield nil at their index.
+// ViewsOf extracts the *ShardView from sources built by ShardSources;
+// other source kinds yield nil at their index.
 func ViewsOf(srcs []Source) []*ShardView {
 	out := make([]*ShardView, len(srcs))
 	for i, s := range srcs {
-		switch v := s.(type) {
-		case *ShardView:
-			out[i] = v
-		case fallibleShardView:
-			out[i] = v.ShardView
-		}
+		out[i], _ = s.(*ShardView)
 	}
 	return out
 }

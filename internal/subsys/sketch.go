@@ -154,8 +154,10 @@ func SketchList(l *gradedset.List) *Sketch {
 // DefaultSketchProbes. The probes go straight to the source — never
 // through a Counted — so the Section 5 tallies of any evaluation over
 // the same source are untouched; remote sources pay the probe burst in
-// wall-clock only. Deterministic: the same source yields the same
-// sketch.
+// wall-clock only — and through its fallible face, since the plain face
+// of a remote source panics on a transport failure: a failed probe
+// yields a nil sketch, which the planners skip (the even split).
+// Deterministic: the same source yields the same sketch.
 func SampleSketch(src Source, probes int) *Sketch {
 	n := src.Len()
 	if probes <= 0 {
@@ -171,6 +173,7 @@ func SampleSketch(src Source, probes int) *Sketch {
 	// its stride: g approximates the per-id mass profile at probe
 	// resolution.
 	g := make([]float64, n)
+	try := FacesOf(src).Try
 	for i := 0; i < probes; i++ {
 		lo := i * n / probes
 		hi := (i + 1) * n / probes
@@ -178,7 +181,10 @@ func SampleSketch(src Source, probes int) *Sketch {
 			continue
 		}
 		mid := lo + (hi-lo)/2
-		v := src.Grade(mid)
+		v, err := try.TryGrade(mid)
+		if err != nil {
+			return nil
+		}
 		for id := lo; id < hi; id++ {
 			g[id] = v
 		}

@@ -115,9 +115,15 @@ type Counted struct {
 // Count wraps src for metered access. When src reports a dense universe
 // the memo is array-backed; otherwise a map is used.
 func Count(src Source) *Counted {
-	c := &Counted{src: src, length: src.Len(), bg: batchOf(src).bg}
+	// Probed, not resolved with FacesOf: whether the source can fail at
+	// all decides Fallible(), and an adapter per list per query is an
+	// allocation the in-process path does not pay.
+	c := &Counted{src: src, length: src.Len()}
 	if f, ok := src.(FallibleSource); ok {
 		c.fs = f
+	}
+	if bg, ok := src.(BatchGrader); ok && bg.MaxGrades() > 0 {
+		c.bg = bg
 	}
 	if ls, ok := src.(ListSource); ok {
 		// Only the bare adapter: behind a wrapper (latency, faults, a

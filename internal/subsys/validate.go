@@ -14,16 +14,17 @@ import (
 // algorithms' correctness proofs all assume sorted order — so violations
 // panic with a diagnostic rather than propagate bad grades.
 //
-// Validated deliberately does not forward BatchGrader: its checks are
-// per access against unsynchronized state, so it must stay off the
-// concurrent batched gather, and a batch handed to the wrapped source
-// whole would bypass them.
+// Validated deliberately forwards neither BatchGrader nor
+// FallibleSource: its checks are per access on the plain face, against
+// unsynchronized state, so it must stay off the concurrent batched
+// gather, and a batch handed to the wrapped source whole would bypass
+// them.
 //
 // Use it when integrating an untrusted or freshly written subsystem:
 //
 //	src := subsys.Validated(mySubsystemResult)
 type validatedSource struct {
-	src       Source
+	inner
 	lastRank  int
 	lastGrade float64
 	seenAt    map[int]int     // object -> first rank delivered
@@ -33,7 +34,7 @@ type validatedSource struct {
 // Validated wraps src with contract checking.
 func Validated(src Source) Source {
 	return &validatedSource{
-		src:       src,
+		inner:     wrapping(src),
 		lastRank:  -1,
 		lastGrade: 1,
 		seenAt:    make(map[int]int),
@@ -41,22 +42,9 @@ func Validated(src Source) Source {
 	}
 }
 
-// Len implements Source.
-func (v *validatedSource) Len() int { return v.src.Len() }
-
-// Universe forwards the wrapped source's dense-universe hint, so
-// validation does not silently knock an evaluation off the dense fast
-// path (core requires every list to report dense).
-func (v *validatedSource) Universe() (int, bool) {
-	if h, ok := v.src.(UniverseHinter); ok {
-		return h.Universe()
-	}
-	return 0, false
-}
-
 // Entry implements Source, checking the sorted-access contract.
 func (v *validatedSource) Entry(rank int) gradedset.Entry {
-	e := v.src.Entry(rank)
+	e := v.in.Src.Entry(rank)
 	if !gradedset.ValidGrade(e.Grade) {
 		panic(fmt.Sprintf("subsys: source delivered invalid grade %v at rank %d", e.Grade, rank))
 	}
@@ -92,7 +80,7 @@ func (v *validatedSource) Entries(lo, hi int) []gradedset.Entry {
 
 // Grade implements Source, checking consistency with sorted access.
 func (v *validatedSource) Grade(obj int) float64 {
-	g := v.src.Grade(obj)
+	g := v.in.Src.Grade(obj)
 	if !gradedset.ValidGrade(g) {
 		panic(fmt.Sprintf("subsys: source delivered invalid grade %v for object %d", g, obj))
 	}

@@ -1,0 +1,249 @@
+package subsys
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+
+	"fuzzydb/internal/gradedset"
+)
+
+// Every wrapper × the faces it has through the embedded bases (see
+// "Writing a wrapper" in doc.go): losing one is a compile error here.
+var (
+	_ FallibleSource = (*LatencySource)(nil)
+	_ BatchGrader    = (*LatencySource)(nil)
+	_ UniverseHinter = (*LatencySource)(nil)
+	_ ContextSource  = (*LatencySource)(nil)
+
+	_ FallibleSource = (*FaultSource)(nil)
+	_ BatchGrader    = (*FaultSource)(nil)
+	_ UniverseHinter = (*FaultSource)(nil)
+	_ ContextSource  = (*FaultSource)(nil)
+
+	_ FallibleSource = (*ResilientSource)(nil)
+	_ BatchGrader    = (*ResilientSource)(nil)
+	_ UniverseHinter = (*ResilientSource)(nil)
+	_ ContextSource  = (*ResilientSource)(nil)
+
+	_ FallibleSource = (*ShardView)(nil)
+	_ BatchGrader    = (*ShardView)(nil)
+	_ UniverseHinter = (*ShardView)(nil)
+	_ ContextSource  = (*ShardView)(nil)
+
+	_ Source         = (*validatedSource)(nil)
+	_ UniverseHinter = (*validatedSource)(nil)
+	_ ContextSource  = (*validatedSource)(nil)
+
+	_ Subsystem     = (*LatencySubsystem)(nil)
+	_ GradeSketcher = (*LatencySubsystem)(nil)
+	_ Versioned     = (*LatencySubsystem)(nil)
+
+	_ Subsystem     = (*FaultSubsystem)(nil)
+	_ GradeSketcher = (*FaultSubsystem)(nil)
+	_ Versioned     = (*FaultSubsystem)(nil)
+
+	_ Subsystem     = (*ResilientSubsystem)(nil)
+	_ GradeSketcher = (*ResilientSubsystem)(nil)
+	_ Versioned     = (*ResilientSubsystem)(nil)
+)
+
+// TestSubsystemWrappersPreserveCapabilities is the Subsystem half of
+// TestWrappersPreserveCapabilities, one row per wrapper. Over a Mutable
+// each serves the inner sketch and tracks the inner epoch and journal
+// across an update, so weighted planning and cache invalidation see
+// through it; over subsystems without versions it reads as immutable;
+// and a backend's optimizer hints — Relational's Selectivity, Vector's
+// QueryConjunction — are pinned as not forwarded.
+func TestSubsystemWrappersPreserveCapabilities(t *testing.T) {
+	const n = 64
+	list := descendingList(t, n)
+	wrappers := []struct {
+		name string
+		wrap func(Subsystem) Subsystem
+	}{
+		{"WithLatency", func(s Subsystem) Subsystem { return WithLatency(s, 0, 0) }},
+		{"WithFaults", func(s Subsystem) Subsystem { return WithFaults(s, FaultPlan{}) }},
+		{"WithResilience", func(s Subsystem) Subsystem { return WithResilience(s, Policy{}) }},
+		{"WithResilience(WithLatency(WithFaults))", func(s Subsystem) Subsystem {
+			return WithResilience(WithLatency(WithFaults(s, FaultPlan{}), 0, 0), Policy{})
+		}},
+	}
+	for _, w := range wrappers {
+		t.Run(w.name, func(t *testing.T) {
+			mut := NewMutable("A", n, 0)
+			mut.Set("*", list)
+			sub := w.wrap(mut)
+			if sub.Attribute() != "A" || sub.Size() != n {
+				t.Errorf("Attribute, Size = %q, %d", sub.Attribute(), sub.Size())
+			}
+			if _, err := sub.Query("nope"); !errors.Is(err, ErrUnknownTarget) {
+				t.Errorf("Query of an unknown target: %v, want the inner subsystem's error", err)
+			}
+			gs, ok := sub.(GradeSketcher)
+			if !ok || gs.GradeSketch("*") != mut.GradeSketch("*") || gs.GradeSketch("nope") != nil {
+				t.Errorf("GradeSketcher lost (implements: %t), or not the inner subsystem's cached sketch", ok)
+			}
+			v, ok := sub.(Versioned)
+			if !ok {
+				t.Fatal("Versioned lost")
+			}
+			before := v.Epoch()
+			if before != mut.Epoch() {
+				t.Errorf("Epoch = %d, inner %d", before, mut.Epoch())
+			}
+			if err := mut.UpdateGrade("*", 5, 0.25); err != nil {
+				t.Fatal(err)
+			}
+			if v.Epoch() != before+1 {
+				t.Errorf("Epoch = %d after an update at %d", v.Epoch(), before)
+			}
+			got, ok := v.UpdatesSince(before)
+			want, _ := mut.UpdatesSince(before)
+			if !ok || len(want) != 1 || !reflect.DeepEqual(got, want) {
+				t.Errorf("UpdatesSince(%d) = %v, %t; inner %v", before, got, ok, want)
+			}
+			if _, ok := v.UpdatesSince(0); ok {
+				t.Error("UpdatesSince(0) ok across the Set that poisoned the journal")
+			}
+			if gs.GradeSketch("*") != mut.GradeSketch("*") {
+				t.Error("sketch not refreshed with the inner subsystem's after an update")
+			}
+
+			static := NewStatic("A", n)
+			static.Set("*", list)
+			rel := NewRelational("A", []string{"x", "y"})
+			vec := NewVector("A", [][]float64{{0}, {1}}, map[string][]float64{"t": {0}})
+			for _, inner := range []Subsystem{static, rel, vec} {
+				sub := w.wrap(inner)
+				v := sub.(Versioned)
+				if ups, ok := v.UpdatesSince(0); v.Epoch() != 0 || !ok || len(ups) != 0 {
+					t.Errorf("over %T: epoch %d, UpdatesSince(0) = %v, %t; want an immutable subsystem", inner, v.Epoch(), ups, ok)
+				}
+				if _, ok := v.UpdatesSince(1); ok {
+					t.Errorf("over %T: UpdatesSince(1) ok at epoch 0", inner)
+				}
+				if _, ok := sub.(interface{ Selectivity(string) float64 }); ok {
+					t.Errorf("over %T: SelectivityEstimator forwarded", inner)
+				}
+				if _, ok := sub.(interface {
+					QueryConjunction([]string) (Source, error)
+				}); ok {
+					t.Errorf("over %T: ConjunctionEvaluator forwarded", inner)
+				}
+			}
+			if sk := w.wrap(static).(GradeSketcher).GradeSketch("*"); sk != static.GradeSketch("*") {
+				t.Error("GradeSketch over Static is not its cached sketch")
+			}
+			if sk := w.wrap(rel).(GradeSketcher).GradeSketch("x"); sk != nil {
+				t.Errorf("GradeSketch over a subsystem that serves none = %v", sk)
+			}
+		})
+	}
+}
+
+// TestShardViewOverInfallibleParent: a view always has the fallible
+// face; over a parent that cannot fail TryEntries never errors, a
+// truncated view signals its dry stream by a short span with a nil
+// error, and the plain Entry past that end returns the zero entry.
+func TestShardViewOverInfallibleParent(t *testing.T) {
+	const n = 256
+	parent := FromList(randomList(t, n, 9))
+	r := ShardRange{Lo: 64, Hi: 192}
+	src := ShardSources([]Source{parent}, r)[0]
+	view := ViewsOf([]Source{src})[0]
+	if view == nil {
+		t.Fatal("ViewsOf does not see the view ShardSources built")
+	}
+	if c := Count(src); !c.Fallible() {
+		t.Error("Counted over a view does not read through the fallible face")
+	}
+	span, err := view.TryEntries(0, 16)
+	if len(span) != 16 || err != nil {
+		t.Fatalf("TryEntries(0, 16) = %d entries, %v", len(span), err)
+	}
+	for i, e := range span {
+		if g, err := view.TryGrade(e.Object); err != nil || g != e.Grade || g != parent.Grade(e.Object+r.Lo) {
+			t.Fatalf("rank %d: TryGrade(%d) = %v, %v; sorted access said %v", i, e.Object, g, err, e.Grade)
+		}
+		if i > 0 && e.Grade > span[i-1].Grade {
+			t.Fatalf("rank %d out of order", i)
+		}
+	}
+
+	view.Truncate(32) // cede local ids 32…127
+	span, err = view.TryEntries(0, r.Len())
+	if err != nil {
+		t.Fatalf("TryEntries on a truncated view: %v", err)
+	}
+	if len(span) >= r.Len() || len(span) < 32 {
+		t.Fatalf("truncated view delivered %d of %d ranks; want a short span holding the 32 kept ids", len(span), r.Len())
+	}
+	dry := len(span)
+	if tail, err := view.TryEntries(dry, r.Len()); len(tail) != 0 || err != nil {
+		t.Errorf("past the dry end: %d entries, %v", len(tail), err)
+	}
+	if e, err := view.TryEntry(dry); e != (gradedset.Entry{}) || err != nil {
+		t.Errorf("TryEntry(%d) past the dry end = %v, %v", dry, e, err)
+	}
+	if e := view.Entry(r.Len() - 1); e != (gradedset.Entry{}) {
+		t.Errorf("Entry past the dry end = %v, want the zero entry", e)
+	}
+	if e := view.Entry(r.Len() + 5); e != (gradedset.Entry{}) {
+		t.Errorf("Entry past Len = %v, want the zero entry", e)
+	}
+	if got := view.Entries(0, r.Len()); len(got) != dry {
+		t.Errorf("plain Entries = %d ranks, TryEntries %d", len(got), dry)
+	}
+
+	// A view of a view whose stream ran dry stops scanning instead of
+	// spinning on empty spans.
+	outer := NewShardView(view, ShardRange{Lo: 0, Hi: r.Len()})
+	if span, err := outer.TryEntries(0, r.Len()); len(span) != dry || err != nil {
+		t.Errorf("view over a dry view: %d ranks, %v; want %d", len(span), err, dry)
+	}
+}
+
+// droppedProbe is a remote list during planning: its plain Grade
+// panics, as wire.RemoteSource's does on a transport failure, and its
+// failAt-th TryGrade fails.
+type droppedProbe struct {
+	ListSource
+	failAt, probes int
+}
+
+func (d *droppedProbe) Grade(int) float64 { panic("plain face of a remote list read") }
+
+func (d *droppedProbe) TryEntry(rank int) (gradedset.Entry, error) { return d.Entry(rank), nil }
+
+func (d *droppedProbe) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
+	return d.Entries(lo, hi), nil
+}
+
+func (d *droppedProbe) TryGrade(obj int) (float64, error) {
+	if d.probes++; d.probes == d.failAt {
+		return 0, errors.New("connection dropped")
+	}
+	return d.ListSource.Grade(obj), nil
+}
+
+// TestSampleSketchReadsTheFallibleFace: sampling probes through Try*,
+// so a transport failure is a nil sketch (the planners' even-split
+// fallback), never the plain face's panic; without a failure the
+// sketch is the one sampled from the list itself.
+func TestSampleSketchReadsTheFallibleFace(t *testing.T) {
+	list := randomList(t, 2000, 4)
+	if sk := SampleSketch(&droppedProbe{ListSource: FromList(list), failAt: 40}, 0); sk != nil {
+		t.Errorf("sketch after a failed probe = %+v, want nil", sk)
+	}
+	healthy := &droppedProbe{ListSource: FromList(list)}
+	if got, want := SampleSketch(healthy, 0), SampleSketch(FromList(list), 0); !reflect.DeepEqual(got, want) {
+		t.Error("sketch through the fallible face differs from the plain one")
+	}
+	if healthy.probes != DefaultSketchProbes {
+		t.Errorf("%d probes, want %d", healthy.probes, DefaultSketchProbes)
+	}
+	if cuts := MergedCuts(2000, []*Sketch{nil}); !reflect.DeepEqual(cuts, []int{0, 2000}) {
+		t.Errorf("MergedCuts over a nil sketch = %v", cuts)
+	}
+}

@@ -35,34 +35,22 @@ type SourceServer struct {
 	mux    *http.ServeMux
 }
 
-// serverList is one served list with its capability probes resolved.
-type serverList struct {
-	src subsys.Source
-	fs  subsys.FallibleSource // non-nil when src exposes the fallible face
-	bg  subsys.BatchGrader    // non-nil when src batches random access
-}
-
-// grade is one random access through the best face the list has.
-func (sl serverList) grade(obj int) (float64, error) {
-	if sl.fs != nil {
-		return sl.fs.TryGrade(obj)
-	}
-	return sl.src.Grade(obj), nil
-}
+// serverList is one served list with its faces resolved: every read
+// goes through Try (which cannot fail over a source without the
+// fallible face) or Batch.
+type serverList struct{ subsys.Faces }
 
 // grades is one batched random access with the subsys.BatchGrader
 // contract: handed to the source whole when it batches that many,
 // probed object by object otherwise.
-func (sl serverList) grades(objs []int, out []float64) (int, error) {
-	if sl.bg != nil && len(objs) <= sl.bg.MaxGrades() {
-		return sl.bg.TryGrades(objs, out)
+func (sl serverList) grades(objs []int, out []float64) (n int, err error) {
+	if sl.Batch != nil && len(objs) <= sl.Batch.MaxGrades() {
+		return sl.Batch.TryGrades(objs, out)
 	}
 	for i, obj := range objs {
-		g, err := sl.grade(obj)
-		if err != nil {
+		if out[i], err = sl.Try.TryGrade(obj); err != nil {
 			return i, err
 		}
-		out[i] = g
 	}
 	return len(objs), nil
 }
@@ -113,14 +101,7 @@ func NewSourceServer(lists map[string]subsys.Source, opts ...ServerOption) (*Sou
 		} else {
 			dense = false
 		}
-		sl := serverList{src: src}
-		if fs, ok := src.(subsys.FallibleSource); ok {
-			sl.fs = fs
-		}
-		if bg, ok := src.(subsys.BatchGrader); ok && bg.MaxGrades() > 0 {
-			sl.bg = bg
-		}
-		s.lists[name] = sl
+		s.lists[name] = serverList{subsys.FacesOf(src)}
 	}
 	sort.Strings(names)
 	s.meta = Meta{N: n, Dense: dense, Lists: names, Page: s.page, Grades: true, Engine: s.engine}
@@ -160,7 +141,7 @@ func (s *SourceServer) handleEntries(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, http.StatusNotFound, &Fault{Message: fmt.Sprintf("unknown list %q", req.List)})
 		return
 	}
-	n := sl.src.Len()
+	n := sl.Src.Len()
 	if req.Lo < 0 || req.Lo > req.Hi || req.Hi > n {
 		writeFault(w, http.StatusBadRequest, &Fault{Message: fmt.Sprintf("bad span [%d, %d) over %d ranks", req.Lo, req.Hi, n)})
 		return
@@ -169,22 +150,15 @@ func (s *SourceServer) handleEntries(w http.ResponseWriter, r *http.Request) {
 	if hi > req.Lo+s.page {
 		hi = req.Lo + s.page
 	}
-	resp, ok := serveBound(r, sl.src, func() EntriesResponse {
+	resp, ok := serveBound(r, sl.Src, func() EntriesResponse {
 		resp := EntriesResponse{Objects: []int{}, Grades: []float64{}}
-		if sl.fs != nil {
-			span, err := sl.fs.TryEntries(req.Lo, hi)
-			for _, e := range span {
-				resp.Objects = append(resp.Objects, e.Object)
-				resp.Grades = append(resp.Grades, e.Grade)
-			}
-			if err != nil {
-				resp.Err = faultOf(err)
-			}
-		} else {
-			for _, e := range sl.src.Entries(req.Lo, hi) {
-				resp.Objects = append(resp.Objects, e.Object)
-				resp.Grades = append(resp.Grades, e.Grade)
-			}
+		span, err := sl.Try.TryEntries(req.Lo, hi)
+		for _, e := range span {
+			resp.Objects = append(resp.Objects, e.Object)
+			resp.Grades = append(resp.Grades, e.Grade)
+		}
+		if err != nil {
+			resp.Err = faultOf(err)
 		}
 		return resp
 	})
@@ -204,8 +178,8 @@ func (s *SourceServer) handleGrade(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, http.StatusNotFound, &Fault{Message: fmt.Sprintf("unknown list %q", req.List)})
 		return
 	}
-	resp, ok := serveBound(r, sl.src, func() GradeResponse {
-		g, err := sl.grade(req.Object)
+	resp, ok := serveBound(r, sl.Src, func() GradeResponse {
+		g, err := sl.Try.TryGrade(req.Object)
 		if err != nil {
 			return GradeResponse{Err: faultOf(err)}
 		}
@@ -239,7 +213,7 @@ func (s *SourceServer) handleGrades(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	resp, ok := serveBound(r, sl.src, func() GradesResponse {
+	resp, ok := serveBound(r, sl.Src, func() GradesResponse {
 		out := make([]float64, len(req.Objects))
 		n, err := sl.grades(req.Objects, out)
 		resp := GradesResponse{Grades: out[:n]}
