@@ -917,7 +917,7 @@ func BenchmarkEngineEndToEnd(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.TopKString(`Artist = "Beatles" AND AlbumColor ~ "red"`, 10); err != nil {
+		if _, err := eng.QueryString(context.Background(), `Artist = "Beatles" AND AlbumColor ~ "red"`, fuzzydb.TopN(10)); err != nil {
 			b.Fatal(err)
 		}
 	}

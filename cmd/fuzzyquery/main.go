@@ -92,6 +92,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"os"
 	"time"
@@ -149,7 +150,7 @@ func main() {
 				os.Exit(2)
 			}
 		}
-		os.Exit(runRemote(*connect, *q, remoteFlags{
+		os.Exit(runRemote(os.Stdout, *connect, *q, remoteFlags{
 			k: *k, parallel: *parallel, shards: *shards,
 			budget: *budget, timeout: *timeout, prefetch: *prefetch, degrade: *degrade,
 			repeat: *repeat, shardPlan: *shardPlan, steal: *steal, tenant: *tenant,
@@ -220,122 +221,75 @@ func main() {
 		os.Exit(1)
 	}
 
-	view := reportView{
-		query:     *q,
-		algorithm: rep.Plan.Algorithm.Name(),
-		reason:    rep.Plan.Reason,
-		cost:      fmt.Sprint(rep.Cost),
-		naive:     len(rep.Plan.Atoms) * eng.N(),
-		elapsed:   elapsed,
-		shards:    rep.Shards,
-		repeat:    runs,
-	}
-	if rep.Cache != nil {
-		if rep.Cache.Hit {
-			view.cache = fmt.Sprintf("result cache: hit (saved %v, data epoch %d)", rep.Cache.SavedCost, rep.Cache.Epoch)
-		} else {
-			view.cache = "result cache: miss"
-		}
-	}
+	printReport(os.Stdout, wire.ResponseOf(rep, elapsed), eng.Name, run{
+		query: *q, universe: eng.N(), repeat: runs, elapsed: elapsed, steal: *steal,
+	})
 	if st, ok := eng.CacheStats(); ok {
-		view.cacheStats = fmt.Sprintf("result cache counters: %d hits, %d misses, %d stores, %d evictions, %d invalidations (%d live)",
+		fmt.Printf("result cache counters: %d hits, %d misses, %d stores, %d evictions, %d invalidations (%d live)\n",
 			st.Hits, st.Misses, st.Stores, st.Evictions, st.Invalidations, eng.CacheLen())
 	}
-	for _, r := range rep.Results {
-		view.names = append(view.names, eng.Name(r.Object))
-		view.grades = append(view.grades, r.Grade)
-	}
-	if rep.Prefetch != nil {
-		view.prefetch = &prefetchView{rep.Prefetch.MaxDepth, rep.Prefetch.Stalls, rep.Prefetch.Batches}
-	}
-	for _, c := range rep.PerShard {
-		view.perShard = append(view.perShard, fmt.Sprint(c))
-	}
-	for _, d := range rep.ShardDetails {
-		view.perShardDetail = append(view.perShardDetail, fmt.Sprintf(
-			"range [%d,%d) planned %.1f actual %.1f steals %d",
-			d.Range.Lo, d.Range.Hi, d.Planned, d.Actual, d.Steals))
-	}
-	view.steal = *steal
-	view.stolen = rep.Stolen
-	printReport(view)
-	tol.print(rep)
+	tol.print()
 }
 
-// reportView is the transport-neutral cost report: the local path fills
-// it from the middleware Report, the -connect path from the wire
-// QueryResponse, and both print identically.
-type reportView struct {
-	query     string
-	algorithm string
-	reason    string
-	names     []string
-	grades    []float64
-	cost      string
-	naive     int
-	elapsed   time.Duration
-	prefetch  *prefetchView
-	shards    int
-	perShard  []string
-	// perShardDetail lines up with perShard: the planner's view of each
-	// shard (range, planned vs. actual work, steal count), empty without
-	// shard details.
-	perShardDetail []string
-	// steal reports whether work stealing was requested; stolen is the
-	// total number of splits performed.
-	steal    bool
-	stolen   int
-	degraded []string
-	// repeat is the number of evaluations elapsed covers; cache is the
-	// last run's cache outcome and cacheStats the engine's counters
-	// (both empty without a result cache).
-	repeat     int
-	cache      string
-	cacheStats string
+// run is what the printed report needs beyond the response: the request
+// as typed and the caller's side of the clock.
+type run struct {
+	query    string
+	universe int           // N, for the naive-cost comparison
+	repeat   int           // evaluations elapsed covers; the response is the last one's
+	elapsed  time.Duration // caller-side wall-clock
+	steal    bool          // work stealing was requested
 }
 
-type prefetchView struct{ maxDepth, stalls, batches int }
-
-// printReport renders the cost report shared by local and remote runs.
-func printReport(v reportView) {
-	fmt.Printf("query: %s\nplan:  %s — %s\n\n", v.query, v.algorithm, v.reason)
-	fmt.Printf("%-5s %-30s %s\n", "rank", "object", "grade")
-	for i, name := range v.names {
-		fmt.Printf("%-5d %-30s %.4f\n", i+1, name, v.grades[i])
+// printReport renders the cost report from the one shape both paths
+// have — a local Report lowered by wire.ResponseOf, or the response a
+// fuzzyserve sent — so the two print identically up to how name spells
+// an object (display names live with the data: eng.Name locally, #id
+// over -connect).
+func printReport(w io.Writer, resp wire.QueryResponse, name func(int) string, r run) {
+	fmt.Fprintf(w, "query: %s\nplan:  %s — %s\n\n", r.query, resp.Algorithm, resp.Reason)
+	fmt.Fprintf(w, "%-5s %-30s %s\n", "rank", "object", "grade")
+	for i, res := range resp.Results {
+		fmt.Fprintf(w, "%-5d %-30s %.4f\n", i+1, name(res.Object), res.Grade)
 	}
-	if v.repeat > 1 {
-		fmt.Printf("\nmiddleware cost: %s (of a naive %d), wall-clock %v over %d runs (%v/run)\n",
-			v.cost, v.naive, v.elapsed.Round(time.Microsecond), v.repeat,
-			(v.elapsed / time.Duration(v.repeat)).Round(time.Microsecond))
+	naive := len(resp.PerList) * r.universe
+	if r.repeat > 1 {
+		fmt.Fprintf(w, "\nmiddleware cost: %s (of a naive %d), wall-clock %v over %d runs (%v/run)\n",
+			costString(resp.Cost), naive, r.elapsed.Round(time.Microsecond), r.repeat,
+			(r.elapsed / time.Duration(r.repeat)).Round(time.Microsecond))
 	} else {
-		fmt.Printf("\nmiddleware cost: %s (of a naive %d), wall-clock %v\n",
-			v.cost, v.naive, v.elapsed.Round(time.Microsecond))
+		fmt.Fprintf(w, "\nmiddleware cost: %s (of a naive %d), wall-clock %v\n",
+			costString(resp.Cost), naive, r.elapsed.Round(time.Microsecond))
 	}
-	if v.cache != "" {
-		fmt.Println(v.cache)
+	if c := resp.Cache; c != nil && c.Hit {
+		saved := ""
+		if c.SavedCost != nil {
+			saved = fmt.Sprintf("saved %s, ", costString(*c.SavedCost))
+		}
+		fmt.Fprintf(w, "result cache: hit (%sdata epoch %d)\n", saved, c.Epoch)
+	} else if c != nil {
+		fmt.Fprintln(w, "result cache: miss")
 	}
-	if v.cacheStats != "" {
-		fmt.Println(v.cacheStats)
+	if p := resp.Prefetch; p != nil {
+		fmt.Fprintf(w, "prefetch pipeline: max depth %d, stalls %d, batched calls %d\n", p.MaxDepth, p.Stalls, p.Batches)
 	}
-	if v.prefetch != nil {
-		fmt.Printf("prefetch pipeline: max depth %d, stalls %d, batched calls %d\n",
-			v.prefetch.maxDepth, v.prefetch.stalls, v.prefetch.batches)
-	}
-	if v.shards > 1 {
-		fmt.Printf("sharded over %d universe slices:\n", v.shards)
-		for s, c := range v.perShard {
-			if s < len(v.perShardDetail) {
-				fmt.Printf("  shard %-3d %s  %s\n", s, c, v.perShardDetail[s])
-			} else {
-				fmt.Printf("  shard %-3d %s\n", s, c)
+	if resp.Shards > 1 {
+		fmt.Fprintf(w, "sharded over %d universe slices:\n", resp.Shards)
+		for s, c := range resp.PerShard {
+			fmt.Fprintf(w, "  shard %-3d %s", s, costString(c))
+			if s < len(resp.ShardDetails) {
+				d := resp.ShardDetails[s]
+				fmt.Fprintf(w, "  range [%d,%d) planned %.1f actual %.1f steals %d", d.Lo, d.Hi, d.Planned, d.Actual, d.Steals)
 			}
+			fmt.Fprintln(w)
 		}
-		if v.steal {
-			fmt.Printf("work stealing: %d splits\n", v.stolen)
+		if r.steal {
+			fmt.Fprintf(w, "work stealing: %d splits\n", resp.Stolen)
 		}
 	}
-	for _, d := range v.degraded {
-		fmt.Println(d)
+	for _, d := range resp.Degraded {
+		fmt.Fprintf(w, "degraded: dropped %s = %q after %d attempts (%s sunk): %s\n",
+			d.Attr, d.Target, d.Attempts, costString(d.Cost), d.Error)
 	}
 }
 
@@ -356,7 +310,7 @@ func costString(c wire.Cost) string {
 // runRemote evaluates the query on a fuzzyserve instance and prints the
 // same report a local evaluation would. Objects print by id (#i): names
 // live with the data, on the other side of the wire.
-func runRemote(base, q string, rf remoteFlags) int {
+func runRemote(w io.Writer, base, q string, rf remoteFlags) int {
 	client, err := wire.Dial(base)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fuzzyquery: %v\n", err)
@@ -406,51 +360,10 @@ func runRemote(base, q string, rf remoteFlags) int {
 	}
 	elapsed := time.Since(start)
 
-	view := reportView{
-		query:     q,
-		algorithm: resp.Algorithm,
-		reason:    resp.Reason,
-		cost:      costString(resp.Cost),
-		naive:     len(resp.PerList) * client.Meta().N,
-		elapsed:   elapsed,
-		shards:    resp.Shards,
-		repeat:    runs,
-	}
-	if resp.Cache != nil {
-		if resp.Cache.Hit {
-			saved := ""
-			if resp.Cache.SavedCost != nil {
-				saved = fmt.Sprintf("saved %s, ", costString(*resp.Cache.SavedCost))
-			}
-			view.cache = fmt.Sprintf("result cache: hit (%sdata epoch %d)", saved, resp.Cache.Epoch)
-		} else {
-			view.cache = "result cache: miss"
-		}
-	}
-	for _, r := range resp.Results {
-		view.names = append(view.names, fmt.Sprintf("#%d", r.Object))
-		view.grades = append(view.grades, r.Grade)
-	}
-	if resp.Prefetch != nil {
-		view.prefetch = &prefetchView{resp.Prefetch.MaxDepth, resp.Prefetch.Stalls, resp.Prefetch.Batches}
-	}
-	for _, c := range resp.PerShard {
-		view.perShard = append(view.perShard, costString(c))
-	}
-	for _, d := range resp.ShardDetails {
-		view.perShardDetail = append(view.perShardDetail, fmt.Sprintf(
-			"range [%d,%d) planned %.1f actual %.1f steals %d",
-			d.Lo, d.Hi, d.Planned, d.Actual, d.Steals))
-	}
-	view.steal = rf.steal
-	view.stolen = resp.Stolen
-	for _, d := range resp.Degraded {
-		view.degraded = append(view.degraded, fmt.Sprintf(
-			"degraded: dropped %s = %q after %d attempts (%s sunk): %s",
-			d.Attr, d.Target, d.Attempts, costString(d.Cost), d.Error))
-	}
-	printReport(view)
-	fmt.Printf("server-side evaluation: %v\n", time.Duration(resp.ElapsedNS).Round(time.Microsecond))
+	printReport(w, *resp, func(obj int) string { return fmt.Sprintf("#%d", obj) }, run{
+		query: q, universe: client.Meta().N, repeat: runs, elapsed: elapsed, steal: rf.steal,
+	})
+	fmt.Fprintf(w, "server-side evaluation: %v\n", time.Duration(resp.ElapsedNS).Round(time.Microsecond))
 	return 0
 }
 
@@ -471,7 +384,7 @@ type tolerance struct {
 }
 
 // print reports what the fault-tolerance machinery did during the query.
-func (t *tolerance) print(rep *fuzzydb.Report) {
+func (t *tolerance) print() {
 	if len(t.faulty) > 0 {
 		var injected int64
 		for _, f := range t.faulty {
@@ -486,10 +399,6 @@ func (t *tolerance) print(rep *fuzzydb.Report) {
 		}
 		fmt.Printf("resilience: %d retries, %d timeouts, %d breaker trips, %d fast-fails\n",
 			st.Retries, st.Timeouts, st.BreakerTrips, st.FastFails)
-	}
-	for _, d := range rep.Degraded {
-		fmt.Printf("degraded: dropped %s = %q after %d attempts (%v sunk): %v\n",
-			d.Attr, d.Target, d.Attempts, d.Cost, d.Err)
 	}
 }
 

@@ -29,7 +29,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	rep, err := eng.TopKString(`Artist = "Beatles" AND AlbumColor ~ "red"`, 2)
+	rep, err := eng.QueryString(context.Background(), `Artist = "Beatles" AND AlbumColor ~ "red"`, fuzzydb.TopN(2))
 	if err != nil {
 		panic(err)
 	}
@@ -44,14 +44,14 @@ func Example() {
 }
 
 // Running Fagin's Algorithm directly over two graded lists.
-func ExampleTopK() {
+func ExampleEvaluate() {
 	colors, _ := fuzzydb.NewList([]fuzzydb.Entry{
 		{Object: 0, Grade: 0.9}, {Object: 1, Grade: 0.8}, {Object: 2, Grade: 0.3},
 	})
 	shapes, _ := fuzzydb.NewList([]fuzzydb.Entry{
 		{Object: 2, Grade: 1.0}, {Object: 0, Grade: 0.7}, {Object: 1, Grade: 0.2},
 	})
-	results, cost, err := fuzzydb.TopK(
+	results, cost, err := fuzzydb.Evaluate(context.Background(), fuzzydb.FaginsAlgorithm,
 		[]fuzzydb.Source{fuzzydb.SourceFromList(colors), fuzzydb.SourceFromList(shapes)},
 		fuzzydb.Min, 1)
 	if err != nil {

@@ -41,10 +41,6 @@
 //		fmt.Println(r.Object, r.Grade)
 //	}
 //
-// The context-free entry points (TopK, TopKWith, eng.TopK,
-// eng.TopKString) remain as deprecated wrappers over the request API and
-// keep old callers compiling.
-//
 // # Sharded evaluation: partitioned universes
 //
 // WithShards(P) evaluates a request over P disjoint contiguous slices of
@@ -152,7 +148,8 @@
 // The engine deploys as a network service. cmd/fuzzyserve serves a
 // scoring database over a JSON/HTTP protocol (internal/wire) in two
 // layers: the raw sorted lists as paged source RPCs (GET /v1/meta,
-// POST /v1/entries, POST /v1/grade), and the full engine on the same
+// POST /v1/entries, POST /v1/grade, POST /v1/grades for random access
+// in batches), and the full engine on the same
 // mux (POST /v1/query for one-shot evaluation with the complete cost
 // report, GET /v1/results for an NDJSON answer cursor that streams the
 // continuation iterator and cancels the server-side evaluation when
@@ -674,27 +671,11 @@ func EvaluateSharded(ctx context.Context, alg Algorithm, sources []Source, t Agg
 	return core.EvaluateSharded(ctx, alg, sources, t, k, cfg)
 }
 
-// TopK finds the top k answers of F_t(sources...) with Fagin's Algorithm
-// and reports the exact middleware cost.
-//
-// Deprecated: use Evaluate with a context.
-func TopK(sources []Source, t AggFunc, k int) ([]Result, Cost, error) {
-	return core.Evaluate(context.Background(), core.A0{}, sources, t, k)
-}
-
-// TopKWith runs a specific algorithm from the family.
-//
-// Deprecated: use Evaluate with a context.
-func TopKWith(alg Algorithm, sources []Source, t AggFunc, k int) ([]Result, Cost, error) {
-	return core.Evaluate(context.Background(), alg, sources, t, k)
-}
-
 // Engine: the Garlic-style middleware.
 type (
 	// Engine routes queries to subsystems, plans, and evaluates. Its
 	// request API is Query / QueryString / Results (context plus
-	// QueryOptions); the context-free TopK forms are deprecated
-	// wrappers.
+	// QueryOptions).
 	Engine = middleware.Middleware
 	// Report is a query outcome: results, exact cost, and the plan. On
 	// cancellation or budget exhaustion it carries the partial cost with

@@ -41,7 +41,7 @@ func buildCDStore(t *testing.T) *fuzzydb.Engine {
 
 func TestEndToEndRunningExample(t *testing.T) {
 	eng := buildCDStore(t)
-	rep, err := eng.TopKString(`Artist = "Beatles" AND AlbumColor ~ "red"`, 3)
+	rep, err := eng.QueryString(context.Background(), `Artist = "Beatles" AND AlbumColor ~ "red"`, fuzzydb.TopN(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestEndToEndRunningExample(t *testing.T) {
 
 func TestEndToEndThreeSubsystems(t *testing.T) {
 	eng := buildCDStore(t)
-	rep, err := eng.TopKString(`Artist = "Beatles" AND AlbumColor ~ "red" AND Title = "remaster"`, 2)
+	rep, err := eng.QueryString(context.Background(), `Artist = "Beatles" AND AlbumColor ~ "red" AND Title = "remaster"`, fuzzydb.TopN(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestDirectAlgorithmAccess(t *testing.T) {
 	// and run the algorithm family directly.
 	db := fuzzydb.DatabaseGenerator{N: 2000, M: 2, Law: fuzzydb.UniformLaw{}, Seed: 7}.MustGenerate()
 	srcs := fuzzydb.DatabaseSources(db)
-	res, c, err := fuzzydb.TopK(srcs, fuzzydb.Min, 5)
+	res, c, err := fuzzydb.Evaluate(context.Background(), fuzzydb.FaginsAlgorithm, srcs, fuzzydb.Min, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestDirectAlgorithmAccess(t *testing.T) {
 		t.Errorf("A0 cost %v not sublinear", c)
 	}
 	// Same answers from the naive baseline.
-	want, _, err := fuzzydb.TopKWith(fuzzydb.NaiveAlgorithm, fuzzydb.DatabaseSources(db), fuzzydb.Min, 5)
+	want, _, err := fuzzydb.Evaluate(context.Background(), fuzzydb.NaiveAlgorithm, fuzzydb.DatabaseSources(db), fuzzydb.Min, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestAlgorithmFamilyExported(t *testing.T) {
 	}
 	var ref []fuzzydb.Result
 	for i, alg := range algs {
-		res, _, err := fuzzydb.TopKWith(alg, fuzzydb.DatabaseSources(db), fuzzydb.Min, 4)
+		res, _, err := fuzzydb.Evaluate(context.Background(), alg, fuzzydb.DatabaseSources(db), fuzzydb.Min, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
@@ -132,11 +132,11 @@ func TestWeightedQueryThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := fuzzydb.TopK(fuzzydb.DatabaseSources(db), w, 3)
+	res, _, err := fuzzydb.Evaluate(context.Background(), fuzzydb.FaginsAlgorithm, fuzzydb.DatabaseSources(db), w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := fuzzydb.TopKWith(fuzzydb.NaiveAlgorithm, fuzzydb.DatabaseSources(db), w, 3)
+	want, _, err := fuzzydb.Evaluate(context.Background(), fuzzydb.NaiveAlgorithm, fuzzydb.DatabaseSources(db), w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestNonStandardSemanticsThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := eng.TopKString(`Artist = "X" AND Color ~ "red"`, 1)
+	rep, err := eng.QueryString(context.Background(), `Artist = "X" AND Color ~ "red"`, fuzzydb.TopN(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +246,11 @@ func TestOWAThroughPublicAPI(t *testing.T) {
 		t.Error("bad OWA weights accepted")
 	}
 	db := fuzzydb.DatabaseGenerator{N: 200, M: 3, Seed: 10}.MustGenerate()
-	res, _, err := fuzzydb.TopK(fuzzydb.DatabaseSources(db), owa, 3)
+	res, _, err := fuzzydb.Evaluate(context.Background(), fuzzydb.FaginsAlgorithm, fuzzydb.DatabaseSources(db), owa, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := fuzzydb.TopKWith(fuzzydb.NaiveAlgorithm, fuzzydb.DatabaseSources(db), fuzzydb.Median, 3)
+	want, _, err := fuzzydb.Evaluate(context.Background(), fuzzydb.NaiveAlgorithm, fuzzydb.DatabaseSources(db), fuzzydb.Median, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestCostModelPublicAPI(t *testing.T) {
 func TestRequestAPIThroughFacade(t *testing.T) {
 	eng := buildCDStore(t)
 	ctx := context.Background()
-	old, err := eng.TopKString(`Artist = "Beatles" AND AlbumColor ~ "red"`, 3)
+	old, err := eng.QueryString(ctx, `Artist = "Beatles" AND AlbumColor ~ "red"`, fuzzydb.TopN(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestRequestAPIThroughFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rep.Cost != old.Cost || len(rep.Results) != len(old.Results) {
-			t.Fatalf("Query disagrees with deprecated TopKString: %v %v vs %v %v",
+			t.Fatalf("Query under %d options disagrees with the plain request: %v %v vs %v %v", len(opts),
 				rep.Results, rep.Cost, old.Results, old.Cost)
 		}
 		for i := range rep.Results {

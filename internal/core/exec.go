@@ -96,7 +96,7 @@ func (e *BudgetError) Unwrap() error { return ErrBudgetExceeded }
 // ExecContext carries the per-request execution state of one evaluation:
 // the caller's context, the access executor, the cost model, and the
 // optional access budget. Every algorithm takes one; Background() is the
-// zero-configuration form the deprecated context-free entry points use.
+// zero-configuration form for callers driving an algorithm directly.
 //
 // An ExecContext is bound to at most one evaluation at a time (it tracks
 // that evaluation's lists for budget accounting and abandonment
@@ -207,7 +207,7 @@ func NewExecContext(ctx context.Context, lists []*subsys.Counted, opts ...EvalOp
 
 // Background returns an ExecContext with the defaults — background
 // context, serial executor, unweighted model, no budget — for callers
-// that predate the request API.
+// driving an algorithm directly, outside any request.
 func Background() *ExecContext { return NewExecContext(context.Background(), nil) }
 
 // Ctx returns the caller's context.

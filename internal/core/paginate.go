@@ -19,39 +19,33 @@ import (
 // already paid for, and previously fetched grades are served from the
 // cache — then returns only the new answers.
 //
-// A paginator comes in two execution shapes. The unsharded one
-// (NewPaginator) widens a single evaluation. The sharded one
-// (NewShardedPaginator) keeps one set of counted shard views per
-// universe slice alive across pages: each page widens every shard's
-// top-r computation over its own lists — resuming from that shard's
-// paid prefixes — and merges the per-shard answers into the global top r
-// under the canonical tie order. The sharded pages match the unsharded
-// ones exactly on tie-free data (and up to a correct maximal choice
-// within a tie class at page boundaries otherwise), because per-shard
-// top-r sets are prefixes of each shard's total order, so their merge is
-// the global prefix. Unlike EvaluateSharded, pagination never fences a
-// shard: a shard that looks hopeless for page one may own all of page
-// three, so every shard stays resumable.
+// A paginator is one or more universe slices, each with its own counted
+// lists and ExecContext kept alive across pages. NewPaginator builds the
+// single slice that is the whole universe over the caller's lists;
+// NewShardedPaginator builds one slice of re-ranked shard views per
+// planned range: each page widens every slice's top-r computation over
+// its own lists — resuming from that slice's paid prefixes — and merges
+// the per-slice answers into the global top r under the canonical tie
+// order. The sharded pages match the unsharded ones exactly on tie-free
+// data (and up to a correct maximal choice within a tie class at page
+// boundaries otherwise), because per-shard top-r sets are prefixes of
+// each shard's total order, so their merge is the global prefix. Unlike
+// EvaluateSharded, pagination never fences a shard: a shard that looks
+// hopeless for page one may own all of page three, so every shard stays
+// resumable.
 type Paginator struct {
 	alg      Algorithm
 	t        agg.Func
 	n        int
 	returned map[int]bool
 	count    int
-
-	// Unsharded shape.
-	ec    *ExecContext
-	lists []*subsys.Counted
-
-	// Sharded shape (nil when unsharded).
-	shards  []pageShard
-	workers int
-	pool    *budgetPool
+	shards   []pageShard
+	workers  int
 }
 
-// pageShard is one universe slice of a sharded paginator: its range, its
-// counted re-ranked views (kept alive across pages, so deeper pages
-// resume from paid prefixes), and its own serial ExecContext.
+// pageShard is one universe slice of a paginator: its range, its counted
+// lists (kept alive across pages, so deeper pages resume from paid
+// prefixes), and its own ExecContext.
 type pageShard struct {
 	r     subsys.ShardRange
 	ec    *ExecContext
@@ -67,10 +61,12 @@ func NewPaginator(ec *ExecContext, alg Algorithm, lists []*subsys.Counted, t agg
 	if ec == nil {
 		ec = Background()
 	}
+	n := lists[0].Len()
 	return &Paginator{
-		ec: ec, alg: alg, lists: lists, t: t,
-		n:        lists[0].Len(),
+		alg: alg, t: t, n: n,
 		returned: make(map[int]bool),
+		shards:   []pageShard{{r: subsys.ShardRange{Lo: 0, Hi: n}, ec: ec, lists: lists}},
+		workers:  1,
 	}
 }
 
@@ -84,14 +80,11 @@ func NewPaginator(ec *ExecContext, alg Algorithm, lists []*subsys.Counted, t agg
 // width and pipeline depth budgeted across the shard workers, as in
 // EvaluateSharded); the per-shard pipelines live as long as the shard
 // lists — across pages — so a prefetching paginator must be Released.
-// cfg.Shards ≤ 1 (after clamping to N) degenerates to the unsharded
-// paginator. Non-exact algorithms are the caller's responsibility to
-// exclude, as with NewPaginator.
+// cfg.Shards ≤ 1 (after clamping to N) is NewPaginator's single slice
+// over the raw sources, with cfg.Parallel and cfg.Budget in their
+// executor-level meaning (as in Run). Non-exact algorithms are the
+// caller's responsibility to exclude, as with NewPaginator.
 func NewShardedPaginator(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.Func, cfg ShardConfig) (*Paginator, error) {
-	model := cost.Unweighted
-	if cfg.Model.Valid() {
-		model = cfg.Model
-	}
 	if len(srcs) == 0 {
 		return nil, ErrNoLists
 	}
@@ -106,17 +99,8 @@ func NewShardedPaginator(ctx context.Context, alg Algorithm, srcs []subsys.Sourc
 		p = n
 	}
 	if p <= 1 {
-		opts := []EvalOption{WithCostModel(model)}
-		if cfg.Prefetch {
-			opts = append(opts, WithExecutor(cfg.pipelineExecutor(1, 1)))
-		} else if cfg.Parallel > 1 {
-			opts = append(opts, WithExecutor(Concurrent{P: cfg.Parallel}))
-		}
-		if cfg.Budget > 0 {
-			opts = append(opts, WithAccessBudget(cfg.Budget))
-		}
 		counted := subsys.CountAll(srcs)
-		return NewPaginator(NewExecContext(ctx, counted, opts...), alg, counted, t), nil
+		return NewPaginator(NewExecContext(ctx, counted, cfg.evalOptions(1, 1, true)...), alg, counted, t), nil
 	}
 
 	var pool *budgetPool
@@ -131,25 +115,22 @@ func NewShardedPaginator(ctx context.Context, alg Algorithm, srcs []subsys.Sourc
 	if workers > len(plan) {
 		workers = len(plan)
 	}
-	var opt []EvalOption
-	if cfg.Prefetch {
-		// The per-shard pipelines stay alive across pages (the lists do),
-		// on EVERY shard at once — unlike one-shot sharded evaluation,
-		// which releases each shard as its worker finishes it. The gather
-		// width still splits by the worker cap (only that many shards
-		// probe at once), but the readahead depth budget splits by the
-		// full shard count, so a parked pagination never buffers more
-		// speculative ranks than one unsharded pipelined paginator.
-		// Release stops every pipeline.
-		opt = append(opt, WithExecutor(cfg.pipelineExecutor(workers, len(plan))))
-	}
+	// The per-shard pipelines stay alive across pages (the lists do), on
+	// EVERY shard at once — unlike one-shot sharded evaluation, which
+	// releases each shard as its worker finishes it. The gather width
+	// still splits by the worker cap (only that many shards probe at
+	// once), but the readahead depth budget splits by the full shard
+	// count, so a parked pagination never buffers more speculative ranks
+	// than one unsharded pipelined paginator. Release stops every
+	// pipeline.
+	opts := cfg.evalOptions(workers, len(plan), false)
 	shards := make([]pageShard, 0, len(plan))
 	for _, r := range plan {
 		if r.Len() == 0 {
 			continue
 		}
 		counted := subsys.CountAll(subsys.ShardSources(srcs, r))
-		ec := NewExecContext(ctx, counted, append([]EvalOption{WithCostModel(model)}, opt...)...)
+		ec := NewExecContext(ctx, counted, opts...)
 		if pool != nil {
 			ec.budget = pool.limit
 			ec.pool = pool
@@ -161,7 +142,6 @@ func NewShardedPaginator(ctx context.Context, alg Algorithm, srcs []subsys.Sourc
 		returned: make(map[int]bool),
 		shards:   shards,
 		workers:  workers,
-		pool:     pool,
 	}, nil
 }
 
@@ -170,14 +150,11 @@ func (p *Paginator) Delivered() int { return p.count }
 
 // Sharded reports whether the paginator evaluates over partitioned
 // universe slices.
-func (p *Paginator) Sharded() bool { return p.shards != nil }
+func (p *Paginator) Sharded() bool { return len(p.shards) > 1 }
 
 // Cost returns the exact Section 5 access cost the pagination has
 // incurred so far, across all pages (and, when sharded, all shards).
 func (p *Paginator) Cost() cost.Cost {
-	if p.shards == nil {
-		return subsys.TotalCost(p.lists)
-	}
 	var total cost.Cost
 	for i := range p.shards {
 		total = total.Add(subsys.TotalCost(p.shards[i].lists))
@@ -195,17 +172,10 @@ func (p *Paginator) Cost() cost.Cost {
 // executor must be Released — its per-list worker goroutines otherwise
 // park forever.
 func (p *Paginator) Release() {
-	if p.shards == nil {
-		if !p.ec.Abandoned() {
-			subsys.ReleaseAll(p.lists)
-		}
-		return
-	}
 	for i := range p.shards {
-		// A pipelined shard can abandon mid-gather on cancellation; its
-		// lists are then left to the GC like the unsharded case (its
-		// pipeline workers exit on their own once their in-flight source
-		// call returns).
+		// A parallel executor can abandon mid-gather on cancellation; that
+		// slice's lists are then left to the GC (its workers exit on their
+		// own once their in-flight source call returns).
 		if p.shards[i].ec.Abandoned() {
 			continue
 		}
@@ -245,41 +215,19 @@ func (p *Paginator) NextPage(pageSize int) ([]Result, error) {
 
 // topR widens the underlying evaluation to the top r answers.
 func (p *Paginator) topR(r int) ([]Result, error) {
-	if p.shards == nil {
-		res, err := p.alg.TopK(p.ec, p.lists, p.t, r)
-		if err == nil {
-			// Final net for fallible sources, as in Evaluate: no page may
-			// be built over a truncated list.
-			if serr := p.ec.SourceFailure(); serr != nil {
-				return nil, serr
-			}
-		}
-		return res, err
-	}
-
 	outs := make([][]Result, len(p.shards))
 	errs := make([]error, len(p.shards))
 	runShard := func(i int) {
 		s := &p.shards[i]
-		ks := r
-		if ks > s.r.Len() {
-			ks = s.r.Len()
+		outs[i], errs[i] = p.alg.TopK(s.ec, s.lists, p.t, min(r, s.r.Len()))
+		if errs[i] == nil {
+			// Final net for fallible sources, as in evalOne: no page may be
+			// built over a truncated list.
+			errs[i] = s.ec.SourceFailure()
 		}
-		res, err := p.alg.TopK(s.ec, s.lists, p.t, ks)
-		if err == nil {
-			// Final net for fallible sources, as in evalShard.
-			if serr := s.ec.SourceFailure(); serr != nil {
-				res, err = nil, serr
-			}
+		if s.ec.pool != nil {
+			s.ec.pool.finish(s.ec)
 		}
-		if p.pool != nil {
-			p.pool.finish(s.ec)
-		}
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		outs[i] = res
 	}
 	if p.workers <= 1 || len(p.shards) == 1 {
 		for i := range p.shards {
@@ -293,6 +241,11 @@ func (p *Paginator) topR(r int) ([]Result, error) {
 			return nil, err
 		}
 	}
+	if len(p.shards) == 1 {
+		// One slice is the whole universe in the caller's own ids: its
+		// answer is the page source as it stands, with no re-merge.
+		return outs[0], nil
+	}
 	// Merge: per-shard top-r sets are prefixes of each shard's total
 	// order, so the canonical top-r of their union is the global top-r.
 	var entries []gradedset.Entry
@@ -302,10 +255,5 @@ func (p *Paginator) topR(r int) ([]Result, error) {
 			entries = append(entries, gradedset.Entry{Object: res.Object + lo, Grade: res.Grade})
 		}
 	}
-	top := gradedset.TopK(entries, r)
-	results := make([]Result, len(top))
-	for i, e := range top {
-		results[i] = Result{Object: e.Object, Grade: e.Grade}
-	}
-	return results, nil
+	return topKResults(entries, r), nil
 }

@@ -92,24 +92,6 @@ func topKResults(entries []gradedset.Entry, k int) []Result {
 // (pagination, multi-phase plans) should wrap sources with
 // subsys.CountAll and drive the algorithm themselves.
 func Evaluate(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.Func, k int, opts ...EvalOption) ([]Result, cost.Cost, error) {
-	counted := subsys.CountAll(srcs)
-	ec := NewExecContext(ctx, counted, opts...)
-	res, err := alg.TopK(ec, counted, t, k)
-	if err == nil {
-		// Final net for fallible sources: an algorithm that saw a failed
-		// list merely as an exhausted stream would otherwise return
-		// results computed over truncated data. No path may hand such
-		// results out without the typed error.
-		if serr := ec.SourceFailure(); serr != nil {
-			res, err = nil, serr
-		}
-	}
-	if ec.Abandoned() {
-		// Workers may still be touching the lists: report the cost as of
-		// the last quiescent point and let the GC reclaim the state.
-		return res, ec.SafeCost(), err
-	}
-	c := subsys.TotalCost(counted)
-	subsys.ReleaseAll(counted)
-	return res, c, err
+	out := evalOne(ctx, srcs, opts, nil, topK(alg, t, k))
+	return out.res, out.total, out.err
 }

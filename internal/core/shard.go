@@ -131,6 +131,30 @@ func (cfg ShardConfig) pipelineExecutor(widthShare, depthShare int) Executor {
 	return Pipelined{P: width, Depth: depth, MaxDepth: maxDepth}
 }
 
+// evalOptions is the one place a ShardConfig becomes the options of an
+// ExecContext, and so the one place an executor is chosen: the cost
+// model; under Prefetch the pipelined executor at this evaluation's
+// share of the width and depth budgets (see pipelineExecutor); otherwise,
+// when the evaluation is the whole request rather than one slice of it,
+// Parallel keeps its executor-level meaning (Concurrent above 1, serial
+// at or below) and Budget is the evaluation's own limit. A slice of a
+// sharded run is serial inside unless pipelined — Parallel counts shard
+// workers there — and its budget is the shared pool its caller installs.
+func (cfg ShardConfig) evalOptions(widthShare, depthShare int, whole bool) []EvalOption {
+	opts := make([]EvalOption, 1, 3)
+	opts[0] = WithCostModel(cfg.Model)
+	switch {
+	case cfg.Prefetch:
+		opts = append(opts, WithExecutor(cfg.pipelineExecutor(widthShare, depthShare)))
+	case whole && cfg.Parallel > 1:
+		opts = append(opts, WithExecutor(Concurrent{P: cfg.Parallel}))
+	}
+	if whole && cfg.Budget > 0 {
+		opts = append(opts, WithAccessBudget(cfg.Budget))
+	}
+	return opts
+}
+
 // ShardReport is the outcome of a sharded evaluation.
 type ShardReport struct {
 	// Results is the global top k in descending grade order (ties by
@@ -211,7 +235,9 @@ type ShardDetail struct {
 //
 // For cfg.Shards ≤ 1 — and for non-exact algorithms such as NRA, whose
 // reported lower-bound grades cannot be merged across shards — the
-// evaluation degenerates to the plain unsharded path, byte for byte.
+// evaluation is Run: alg once over the raw sources (no shard view, so no
+// re-ranking scan), cfg.Parallel and cfg.Budget in their executor-level
+// meaning, reported as one shard.
 //
 // On cancellation or budget exhaustion every shard worker stops
 // promptly (serial execution polls between accesses; a pipelined shard
@@ -222,10 +248,6 @@ type ShardDetail struct {
 // report carries the partial cost with nil results and the first error
 // in shard order.
 func EvaluateSharded(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.Func, k int, cfg ShardConfig) (*ShardReport, error) {
-	model := cost.Unweighted
-	if cfg.Model.Valid() {
-		model = cfg.Model
-	}
 	if len(srcs) == 0 {
 		return &ShardReport{Shards: 1}, ErrNoLists
 	}
@@ -235,7 +257,7 @@ func EvaluateSharded(ctx context.Context, alg Algorithm, srcs []subsys.Source, t
 		p = n
 	}
 	if p <= 1 || !alg.Exact() {
-		return evaluateUnsharded(ctx, alg, srcs, t, k, cfg, model)
+		return Run(ctx, srcs, cfg, topK(alg, t, k))
 	}
 	// The per-shard runs see only their slice, so the global argument
 	// contract must be enforced here, exactly as checkArgs states it.
@@ -269,12 +291,9 @@ func EvaluateSharded(ctx context.Context, alg Algorithm, srcs []subsys.Source, t
 	if workers > len(plan) {
 		workers = len(plan)
 	}
-	var exec Executor
-	if cfg.Prefetch {
-		// A finished shard releases its pipelines before its worker takes
-		// the next one, so at most `workers` shards hold buffers at once.
-		exec = cfg.pipelineExecutor(workers, workers)
-	}
+	// A finished shard releases its pipelines before its worker takes
+	// the next one, so at most `workers` shards hold buffers at once.
+	opts := cfg.evalOptions(workers, workers, false)
 
 	// taskOut attributes one evaluated range's outcome to the planned
 	// shard it descends from; without stealing there is exactly one task
@@ -301,7 +320,7 @@ func EvaluateSharded(ctx context.Context, alg Algorithm, srcs []subsys.Source, t
 						return
 					}
 					st := &stealState{task: tk}
-					out := evalShard(ctx, alg, srcs, t, k, tk.r, model, pool, board, exec, ctrl, st)
+					out := evalShard(ctx, alg, srcs, t, k, tk.r, opts, pool, board, ctrl, st)
 					if out.err == nil {
 						board.publish(out.res)
 					}
@@ -316,7 +335,7 @@ func EvaluateSharded(ctx context.Context, alg Algorithm, srcs []subsys.Source, t
 	} else {
 		outs := make([]shardOut, len(plan))
 		runShard := func(i int) {
-			outs[i] = evalShard(ctx, alg, srcs, t, k, plan[i], model, pool, board, exec, nil, nil)
+			outs[i] = evalShard(ctx, alg, srcs, t, k, plan[i], opts, pool, board, nil, nil)
 			if board != nil && outs[i].err == nil {
 				board.publish(outs[i].res)
 			}
@@ -370,6 +389,10 @@ func EvaluateSharded(ctx context.Context, alg Algorithm, srcs []subsys.Source, t
 		}
 		total += len(to.out.res)
 	}
+	model := cost.Unweighted
+	if cfg.Model.Valid() {
+		model = cfg.Model
+	}
 	for i := range rep.Details {
 		rep.Details[i].Actual = model.Of(rep.PerShard[i])
 	}
@@ -422,9 +445,9 @@ func runIndexed(workers, n int, f func(int)) {
 	wg.Wait()
 }
 
-// shardOut is one shard worker's outcome.
+// shardOut is the outcome of one run of evalOne.
 type shardOut struct {
-	res    []Result // global ids, exact grades
+	res    []Result // exact grades; global ids once evalShard has translated them
 	per    []cost.Cost
 	total  cost.Cost
 	pstats subsys.PipelineStats // prefetch-pipeline stats summed over lists
@@ -432,93 +455,48 @@ type shardOut struct {
 	err    error
 }
 
-// evalShard runs one shard of a partitioned evaluation: re-ranked views
-// over the range, a fresh ExecContext (wired to the shared budget pool,
-// the threshold scoreboard, and the per-shard pipelined executor when
-// configured), the algorithm at k clamped to the shard size, and
-// local→global id translation of the answers. An empty range evaluates
-// to nothing at zero cost.
-//
-// Under work stealing (ctrl and st non-nil) the run is additionally a
-// steal victim: it registers its views with the controller, honors
-// split requests between sorted rounds (truncating its views, so its
-// streams run dry over the ceded tail — safe for exactly the fenceSafe
-// algorithms, which is why the caller gates stealing on the board), and
-// filters its answers to the final retained range before returning,
-// since the ceded ids are re-evaluated exactly by a thief.
-func evalShard(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.Func, k int, r subsys.ShardRange, model cost.Model, pool *budgetPool, board *shardBoard, exec Executor, ctrl *stealController, st *stealState) shardOut {
+// topK is the body of a top-k evaluation: alg at k under the law t.
+func topK(alg Algorithm, t agg.Func, k int) func(*ExecContext, []*subsys.Counted) ([]Result, error) {
+	return func(ec *ExecContext, lists []*subsys.Counted) ([]Result, error) {
+		return alg.TopK(ec, lists, t, k)
+	}
+}
+
+// evalOne is the only place an algorithm meets a set of sources: it
+// wraps them in counters, builds the ExecContext, lets setup wire it (a
+// shard installs its budget pool, scoreboard stop-check and steal hook
+// there), runs body, and accounts for the run — whole evaluations and
+// the slices of a sharded one alike.
+func evalOne(ctx context.Context, srcs []subsys.Source, opts []EvalOption, setup func(*ExecContext), body func(*ExecContext, []*subsys.Counted) ([]Result, error)) shardOut {
 	var out shardOut
-	if r.Len() == 0 {
-		return out
-	}
-	shards := subsys.ShardSources(srcs, r)
-	counted := subsys.CountAll(shards)
-	opts := []EvalOption{WithCostModel(model)}
-	if exec != nil {
-		opts = append(opts, WithExecutor(exec))
-	}
+	counted := subsys.CountAll(srcs)
 	ec := NewExecContext(ctx, counted, opts...)
-	if pool != nil {
-		ec.budget = pool.limit
-		ec.pool = pool
+	if setup != nil {
+		setup(ec)
 	}
-	if board != nil {
-		ec.stop = board.stopFunc(t, len(srcs))
+	out.res, out.err = body(ec, counted)
+	if out.err == nil {
+		// Final net for fallible sources: a failed list reads as
+		// exhausted, so an algorithm that saw it merely as a dry stream
+		// may return cleanly over truncated data. No path may hand such
+		// results out (or publish or merge them) without the typed error.
+		// The budget pool is still settled below, and the lists released:
+		// the failure was orderly (no accesses in flight), unlike an
+		// abandonment.
+		out.err = ec.SourceFailure()
 	}
-	if ctrl != nil && st != nil {
-		st.views = subsys.ViewsOf(shards)
-		st.cut = r.Len()
-		ctrl.begin(st)
-		ec.onStage = func() {
-			// A fenced shard (stop consumed itself) finishes in a few
-			// rounds over what it has seen: nothing worth ceding.
-			if ec.stop != nil {
-				ctrl.honor(st)
-			}
-		}
+	if out.err != nil {
+		out.res = nil
 	}
-	ks := k
-	if ks > r.Len() {
-		ks = r.Len()
-	}
-	res, err := alg.TopK(ec, counted, t, ks)
-	if ctrl != nil && st != nil {
-		if final := ctrl.freeze(st); final < r.Len() && err == nil {
-			// Drop the answers in the ceded tail: a thief owns [final,
-			// r.Len()) now, and whatever this run materialized there early
-			// would duplicate the thief's exact results in the merge (and
-			// inflate the scoreboard's k-th-grade bound, which has no
-			// dedup).
-			kept := res[:0]
-			for _, rr := range res {
-				if rr.Object < final {
-					kept = append(kept, rr)
-				}
-			}
-			res = kept
-		}
-	}
-	if err == nil {
-		// Final net for fallible sources (see Evaluate): a failed list
-		// reads as exhausted, so the algorithm may return cleanly over
-		// truncated data — surface the typed error instead, before the
-		// shard can publish or merge those results. The budget pool is
-		// still settled below, and the lists released: the failure was
-		// orderly (no accesses in flight), unlike an abandonment.
-		if serr := ec.SourceFailure(); serr != nil {
-			res, err = nil, serr
-		}
-	}
-	if pool != nil {
-		pool.finish(ec)
+	if ec.pool != nil {
+		ec.pool.finish(ec)
 	}
 	if ec.Abandoned() {
-		// A pipelined shard canceled with accesses in flight: report the
-		// last quiescent tallies and leave the shard state to the GC —
-		// abandoned gather workers may still read the raw sources, so the
-		// pooled memos must not be recycled.
+		// Canceled with accesses in flight: workers may still be touching
+		// the lists, so report the tallies of the last quiescent point and
+		// leave the state to the GC — the pooled memos must not be recycled
+		// under them.
 		out.total = ec.SafeCost()
-		out.err = err
 		return out
 	}
 	out.total = subsys.TotalCost(counted)
@@ -533,66 +511,86 @@ func evalShard(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.F
 			out.piped = true
 		}
 	}
-	if err != nil {
-		out.err = err
-		return out
-	}
-	out.res = make([]Result, len(res))
-	for j, rr := range res {
-		out.res[j] = Result{Object: rr.Object + r.Lo, Grade: rr.Grade}
-	}
 	return out
 }
 
-// evaluateUnsharded is the degenerate path of EvaluateSharded: the plain
-// single-evaluation pipeline (identical to Evaluate), packaged as a
-// one-shard report. cfg.Parallel keeps its executor-level meaning here.
-func evaluateUnsharded(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.Func, k int, cfg ShardConfig, model cost.Model) (*ShardReport, error) {
-	opts := []EvalOption{WithCostModel(model)}
-	if cfg.Prefetch {
-		// One "shard": the whole budget in one executor.
-		opts = append(opts, WithExecutor(cfg.pipelineExecutor(1, 1)))
-	} else if cfg.Parallel > 1 {
-		opts = append(opts, WithExecutor(Concurrent{P: cfg.Parallel}))
+// Run evaluates body once over the raw sources under cfg — the cost
+// model, the executor (Prefetch pipelines with the whole width and depth
+// budget, otherwise Parallel > 1 overlaps accesses across lists), and
+// Budget as the evaluation's own limit — and reports it as one shard:
+// the unsharded case of EvaluateSharded, and the route for bodies that
+// are not a top-k at all (a threshold filter). On cancellation, budget
+// exhaustion or a source failure the report carries the partial cost
+// and nil results, with the error.
+func Run(ctx context.Context, srcs []subsys.Source, cfg ShardConfig, body func(*ExecContext, []*subsys.Counted) ([]Result, error)) (*ShardReport, error) {
+	out := evalOne(ctx, srcs, cfg.evalOptions(1, 1, true), nil, body)
+	rep := &ShardReport{Results: out.res, Cost: out.total, PerList: out.per, PerShard: []cost.Cost{out.total}, Shards: 1}
+	if out.piped {
+		stats := out.pstats
+		rep.Prefetch = &stats
 	}
-	if cfg.Budget > 0 {
-		opts = append(opts, WithAccessBudget(cfg.Budget))
+	return rep, out.err
+}
+
+// evalShard runs one shard of a partitioned evaluation: re-ranked views
+// over the range, an ExecContext wired to the shared budget pool and the
+// threshold scoreboard, the algorithm at k clamped to the shard size,
+// and local→global id translation of the answers. An empty range
+// evaluates to nothing at zero cost.
+//
+// Under work stealing (ctrl and st non-nil) the run is additionally a
+// steal victim: it registers its views with the controller, honors
+// split requests between sorted rounds (truncating its views, so its
+// streams run dry over the ceded tail — safe for exactly the fenceSafe
+// algorithms, which is why the caller gates stealing on the board), and
+// filters its answers to the final retained range before returning,
+// since the ceded ids are re-evaluated exactly by a thief.
+func evalShard(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.Func, k int, r subsys.ShardRange, opts []EvalOption, pool *budgetPool, board *shardBoard, ctrl *stealController, st *stealState) shardOut {
+	if r.Len() == 0 {
+		return shardOut{}
 	}
-	counted := subsys.CountAll(srcs)
-	ec := NewExecContext(ctx, counted, opts...)
-	res, err := alg.TopK(ec, counted, t, k)
-	if err == nil {
-		// Final net for fallible sources, as in Evaluate.
-		if serr := ec.SourceFailure(); serr != nil {
-			res, err = nil, serr
+	shards := subsys.ShardSources(srcs, r)
+	out := evalOne(ctx, shards, opts, func(ec *ExecContext) {
+		if pool != nil {
+			ec.budget = pool.limit
+			ec.pool = pool
 		}
-	}
-	rep := &ShardReport{Shards: 1}
-	if ec.Abandoned() {
-		rep.Cost = ec.SafeCost()
-		rep.PerShard = []cost.Cost{rep.Cost}
-		return rep, err
-	}
-	rep.Cost = subsys.TotalCost(counted)
-	rep.PerShard = []cost.Cost{rep.Cost}
-	rep.PerList = make([]cost.Cost, len(counted))
-	for j, c := range counted {
-		rep.PerList[j] = c.Cost()
-	}
-	subsys.ReleaseAll(counted)
-	for _, c := range counted {
-		if s, ok := c.PrefetchStats(); ok {
-			if rep.Prefetch == nil {
-				rep.Prefetch = &subsys.PipelineStats{}
+		if board != nil {
+			ec.stop = board.stopFunc(t, len(srcs))
+		}
+		if ctrl != nil && st != nil {
+			st.views = subsys.ViewsOf(shards)
+			st.cut = r.Len()
+			ctrl.begin(st)
+			ec.onStage = func() {
+				// A fenced shard (stop consumed itself) finishes in a few
+				// rounds over what it has seen: nothing worth ceding.
+				if ec.stop != nil {
+					ctrl.honor(st)
+				}
 			}
-			*rep.Prefetch = rep.Prefetch.Add(s)
+		}
+	}, topK(alg, t, min(k, r.Len())))
+	if ctrl != nil && st != nil {
+		if final := ctrl.freeze(st); final < r.Len() {
+			// Drop the answers in the ceded tail: a thief owns [final,
+			// r.Len()) now, and whatever this run materialized there early
+			// would duplicate the thief's exact results in the merge (and
+			// inflate the scoreboard's k-th-grade bound, which has no
+			// dedup).
+			kept := out.res[:0]
+			for _, rr := range out.res {
+				if rr.Object < final {
+					kept = append(kept, rr)
+				}
+			}
+			out.res = kept
 		}
 	}
-	if err != nil {
-		return rep, err
+	for j := range out.res {
+		out.res[j].Object += r.Lo
 	}
-	rep.Results = res
-	return rep, nil
+	return out
 }
 
 // fenceSafe reports whether the algorithm tolerates a threshold fence:

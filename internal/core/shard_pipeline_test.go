@@ -408,6 +408,61 @@ func TestShardedPrefetchCancellationWedgedBatch(t *testing.T) {
 	t.Logf("abandoned after %v", time.Since(start))
 }
 
+// callGauge meters the physical calls into a set of sources: how many
+// have started and how many are in flight right now.
+type callGauge struct{ calls, inflight atomic.Int64 }
+
+// gaugedSource passes every physical call on src through a callGauge.
+type gaugedSource struct {
+	src subsys.Source
+	g   *callGauge
+}
+
+func (s gaugedSource) enter() func() {
+	s.g.calls.Add(1)
+	s.g.inflight.Add(1)
+	return func() { s.g.inflight.Add(-1) }
+}
+func (s gaugedSource) Len() int { return s.src.Len() }
+func (s gaugedSource) Entry(rank int) gradedset.Entry {
+	defer s.enter()()
+	return s.src.Entry(rank)
+}
+func (s gaugedSource) Entries(lo, hi int) []gradedset.Entry {
+	defer s.enter()()
+	return s.src.Entries(lo, hi)
+}
+func (s gaugedSource) Grade(obj int) float64 {
+	defer s.enter()()
+	return s.src.Grade(obj)
+}
+
+// quiet reports whether no call is in flight and none has started since
+// the count `since` was read.
+func (g *callGauge) quiet(since int64) bool {
+	return g.inflight.Load() == 0 && g.calls.Load() == since
+}
+
+// settle waits for the sources to go quiet — nothing in flight and the
+// call count unchanged across two consecutive polls — and returns that
+// count. A condition, not a guess at how long in-flight batches take to
+// land on a loaded box; it gives up only after seconds.
+func (g *callGauge) settle(t *testing.T) int64 {
+	t.Helper()
+	last, held := int64(-1), 0
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if n := g.calls.Load(); g.quiet(last) {
+			if held++; held == 2 {
+				return n
+			}
+		} else {
+			last, held = n, 0
+		}
+	}
+	t.Fatalf("sources never went quiet: %d calls started, %d in flight", g.calls.Load(), g.inflight.Load())
+	return 0
+}
+
 // TestShardedPrefetchBudgetExhaustion races budget exhaustion against
 // shard fencing in the composed mode, repeatedly and with parallel
 // shard workers (the CI suite runs it under -race): the stop must
@@ -424,7 +479,11 @@ func TestShardedPrefetchBudgetExhaustion(t *testing.T) {
 	}
 	budget := float64(full.Cost.Sum()) / 8
 	for round := 0; round < 8; round++ {
-		srcs, lat := latencySourcesOf(db, 50*time.Microsecond)
+		srcs, _ := latencySourcesOf(db, 50*time.Microsecond)
+		var gauge callGauge
+		for i := range srcs {
+			srcs[i] = gaugedSource{src: srcs[i], g: &gauge}
+		}
 		cfg := shardedPrefetchConfig(4, 4, 0)
 		cfg.Budget = budget
 		rep, err := EvaluateSharded(context.Background(), A0{}, srcs, agg.Min, 10, cfg)
@@ -444,14 +503,16 @@ func TestShardedPrefetchBudgetExhaustion(t *testing.T) {
 		if rep.Results != nil {
 			t.Errorf("round %d: results on budget-stopped evaluation", round)
 		}
-		// All pipelines closed: once in-flight batches land, the call
-		// count must stop moving.
-		time.Sleep(30 * time.Millisecond)
-		before := totalCalls(lat)
-		time.Sleep(30 * time.Millisecond)
-		if after := totalCalls(lat); after != before {
-			t.Errorf("round %d: pipelines still fetching after budget stop: %d -> %d calls",
-				round, before, after)
+		// All pipelines closed: once the in-flight batches have landed, no
+		// further call may start.
+		before := gauge.settle(t)
+		for poll := 0; poll < 20; poll++ {
+			time.Sleep(time.Millisecond)
+			if !gauge.quiet(before) {
+				t.Errorf("round %d: pipelines still fetching after budget stop: %d -> %d calls, %d in flight",
+					round, before, gauge.calls.Load(), gauge.inflight.Load())
+				break
+			}
 		}
 	}
 }

@@ -18,7 +18,6 @@ package middleware
 // a cursor's pages are computed over live source snapshots.
 
 import (
-	"context"
 	"fmt"
 
 	"fuzzydb/internal/cache"
@@ -86,20 +85,20 @@ func (m *Middleware) CacheLen() int {
 	return m.resultCache.Len()
 }
 
-// cacheable reports whether the request shape may touch the cache at
-// all; the algorithm-dependent half of the decision lives in
-// queryCached.
-func (c queryConfig) cacheable() bool {
-	return c.k >= 1 && c.budget <= 0 && c.maxDrop == 0
-}
-
-// cacheKey builds the lookup key: the canonical string of the
-// normalized AST (rewrite is idempotent and String is deterministic,
-// so equivalent spellings of a query share an entry), the clamped k,
-// the algorithm (name plus configuration — FilterFirst's drive list is
-// not in its name), the aggregation law, and the execution shape.
-func (m *Middleware) cacheKey(q query.Node, alg core.Algorithm, cfg queryConfig) cache.Key {
-	qn := query.Rewrite(q, query.RulesFor(m.sem))
+// cacheKey decides whether the request may touch the cache at all and,
+// if so, builds its lookup key. Not cacheable: an engine without a
+// cache, and a budgeted, degradable, non-exact or non-monotone request
+// (see the file comment for why each). The key is the canonical string
+// of the normalized AST the plan was compiled from (rewrite is
+// idempotent and String is deterministic, so equivalent spellings of a
+// query share an entry), the clamped k, the algorithm (name plus
+// configuration — FilterFirst's drive list is not in its name), the
+// aggregation law, and the execution shape.
+func (m *Middleware) cacheKey(plan *Plan, cfg queryConfig) (cache.Key, bool) {
+	if m.resultCache == nil || cfg.k < 1 || cfg.budget > 0 || cfg.maxDrop != 0 ||
+		!plan.Algorithm.Exact() || !plan.Agg.Monotone() {
+		return cache.Key{}, false
+	}
 	prefetch := -1
 	if cfg.prefetchOn {
 		prefetch = cfg.prefetch
@@ -112,22 +111,22 @@ func (m *Middleware) cacheKey(q query.Node, alg core.Algorithm, cfg queryConfig)
 	if par <= 1 {
 		par = 0
 	}
-	plan, steal := 0, false
+	shardPlan, steal := 0, false
 	if shards > 0 {
-		plan = int(cfg.shardPlan)
+		shardPlan = int(cfg.shardPlan)
 		steal = cfg.steal
 	}
 	return cache.Key{
-		Query:       qn.String(),
+		Query:       plan.norm.String(),
 		K:           m.clampK(cfg.k),
-		Algorithm:   algID(alg),
+		Algorithm:   algID(plan.Algorithm),
 		Law:         m.sem.And.Name() + "/" + m.sem.Or.Name(),
 		Shards:      shards,
 		Parallelism: par,
 		Prefetch:    prefetch,
-		Plan:        plan,
+		Plan:        shardPlan,
 		Steal:       steal,
-	}
+	}, true
 }
 
 // algID identifies an algorithm including its configuration fields
@@ -146,11 +145,8 @@ func (m *Middleware) subsystemEpoch(attr string) uint64 {
 	return 0
 }
 
-// atomEpochs snapshots the per-atom source epochs. Callers read them
-// BEFORE materializing sources: an update racing the computation then
-// leaves the entry stamped strictly behind the data it may contain,
-// so the next lookup revalidates (at worst spuriously) instead of
-// serving a stale answer.
+// atomEpochs snapshots the per-atom source epochs; query says when, and
+// why the order matters.
 func (m *Middleware) atomEpochs(atoms []query.Atomic) []uint64 {
 	out := make([]uint64, len(atoms))
 	for i, a := range atoms {
@@ -184,34 +180,26 @@ func (m *Middleware) cacheValidator(plan *Plan) func(*cache.Entry) bool {
 	}
 }
 
-// queryCached is Query's path when the engine has a cache and the
-// request shape is cacheable: plan (to learn the algorithm and atoms),
-// decide final cacheability, look up, revalidate, and either serve the
-// cloned original report or compute-and-store.
-func (m *Middleware) queryCached(ctx context.Context, q query.Node, cfg queryConfig) (*Report, error) {
-	plan, err := m.PlanQuery(q)
-	if err != nil {
-		return m.queryUncached(ctx, q, cfg)
+// cacheHit looks the key up, revalidating a stale entry against the
+// journals of the plan's subsystems, and serves a hit as a clone of the
+// original report.
+func (m *Middleware) cacheHit(key cache.Key, plan *Plan) (*Report, bool) {
+	e, ok := m.resultCache.Get(key, m.cacheValidator(plan))
+	if !ok {
+		return nil, false
 	}
-	alg := plan.Algorithm
-	if cfg.alg != nil {
-		alg = cfg.alg
-	}
-	if !alg.Exact() || !plan.Agg.Monotone() {
-		return m.queryUncached(ctx, q, cfg)
-	}
-	key := m.cacheKey(q, alg, cfg)
-	if e, ok := m.resultCache.Get(key, m.cacheValidator(plan)); ok {
-		rep := cloneReport(e.Payload.(*Report))
-		rep.Cache = &CacheInfo{Hit: true, Epoch: e.EpochSum(), SavedCost: e.SavedCost}
-		return rep, nil
-	}
-	// Miss: snapshot the source epochs before anything is materialized,
-	// then compute as usual.
-	epochs := m.atomEpochs(plan.Atoms)
-	rep, err := m.queryUncached(ctx, q, cfg)
-	if err != nil || rep == nil || rep.Degraded != nil || len(rep.Results) == 0 {
-		return rep, err
+	rep := cloneReport(e.Payload.(*Report))
+	rep.Cache = &CacheInfo{Hit: true, Epoch: e.EpochSum(), SavedCost: e.SavedCost}
+	return rep, true
+}
+
+// cacheStore publishes what a cacheable miss computed, stamped with the
+// epochs snapshotted before its sources were materialized, and marks the
+// report as the miss it was. An empty answer has no k-th grade for the
+// survival test to hold on to and is not stored.
+func (m *Middleware) cacheStore(key cache.Key, plan *Plan, rep *Report, epochs []uint64) {
+	if len(rep.Results) == 0 {
+		return
 	}
 	members := make([]int, len(rep.Results))
 	for i, r := range rep.Results {
@@ -228,7 +216,6 @@ func (m *Middleware) queryCached(ctx context.Context, q query.Node, cfg queryCon
 	// concurrent hit's Revalidate writes them: read the sum first.
 	rep.Cache = &CacheInfo{Hit: false, Epoch: entry.EpochSum()}
 	m.resultCache.Put(key, entry)
-	return rep, nil
 }
 
 // cloneReport deep-copies the report sections a caller could mutate,

@@ -111,31 +111,20 @@ func pruneChildren(children []query.Node, victim query.Atomic) []query.Node {
 // degradeTarget decides whether a failed evaluation may degrade: the
 // request must have drop headroom left, the error must be a terminal
 // typed source failure identifying a known atom, and at least one atom
-// must survive. It returns the condemned atom and its record.
-func degradeTarget(plan *Plan, rep *Report, err error, headroom int) (query.Atomic, DegradedList, bool) {
+// must survive. It returns the condemned list's index in plan.Atoms and
+// its record.
+func degradeTarget(plan *Plan, rep *Report, err error, headroom int) (int, DegradedList, bool) {
 	if headroom <= 0 || len(plan.Atoms) <= 1 {
-		return query.Atomic{}, DegradedList{}, false
+		return 0, DegradedList{}, false
 	}
 	var se *subsys.SourceError
 	if !errors.As(err, &se) || se.List < 0 || se.List >= len(plan.Atoms) {
-		return query.Atomic{}, DegradedList{}, false
+		return 0, DegradedList{}, false
 	}
 	atom := plan.Atoms[se.List]
 	dl := DegradedList{Attr: atom.Attr, Target: atom.Target, Attempts: se.Attempts, Err: err}
 	if rep != nil {
 		dl.Cost = rep.Cost
 	}
-	return atom, dl, true
-}
-
-// attachDegraded folds the degradation history into the final report:
-// the dropped-list records and the cost sunk into the failed attempts
-// (so the total Cost accounts for everything the whole request spent).
-func attachDegraded(rep *Report, degraded []DegradedList, sunk cost.Cost) *Report {
-	if rep == nil || len(degraded) == 0 {
-		return rep
-	}
-	rep.Degraded = degraded
-	rep.Cost = rep.Cost.Add(sunk)
-	return rep
+	return se.List, dl, true
 }

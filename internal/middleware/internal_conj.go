@@ -54,17 +54,17 @@ func (m *Middleware) TopKInternal(ctx context.Context, atoms []query.Atomic, k i
 		return nil, err
 	}
 	cfg := newQueryConfig(opts)
-	counted := subsys.CountAll([]subsys.Source{src})
-	ec := core.NewExecContext(ctx, counted, cfg.evalOptions()...)
-	alg := core.B0{} // single list: the prefix is the answer
+	cfg.shards = 0 // one pushed-down list: nothing to shard
 	plan := &Plan{
-		Algorithm: alg,
+		Algorithm: core.B0{}, // single list: the prefix is the answer
 		Atoms:     atoms,
 		Agg:       m.sem.And,
 		Reason:    fmt.Sprintf("internal conjunction pushed down to subsystem %q (Section 8)", attr),
 	}
 	// k is passed through unclamped: like the other explicit-k entry
 	// points, out-of-range values surface core.ErrBadK.
-	res, err := alg.TopK(ec, counted, m.sem.And, k)
-	return finishReport(ec, counted, plan, res, err)
+	sr, err := core.Run(ctx, []subsys.Source{src}, cfg.lower(), func(ec *core.ExecContext, counted []*subsys.Counted) ([]core.Result, error) {
+		return plan.Algorithm.TopK(ec, counted, plan.Agg, k)
+	})
+	return newReport(plan, cfg, sr, err)
 }

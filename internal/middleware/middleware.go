@@ -32,9 +32,26 @@
 // budget exhaustion Query returns the partial-cost report together with
 // the error (errors.Is context.Canceled / core.ErrBudgetExceeded).
 //
-// TopK and TopKString remain as deprecated context-free wrappers over
-// Query; the specialist entry points (Filter, TopKMedian, TopKInternal,
-// Paginate) changed signature to take the request context directly.
+// # One path
+//
+// Every entry point lowers its request once and evaluates through one of
+// three core calls. queryConfig.lower turns the options into a
+// core.ShardConfig (the only place parallelism, prefetch and the
+// scheduler's width grant are given a meaning for execution); bind adds
+// the plan's materialized sources.
+// Query and TopKMedian then run core.EvaluateSharded, Results and
+// Paginate core.NewShardedPaginator, and Filter and TopKInternal — whose
+// bodies are not a planned top-k — core.Run. Inside core one routine
+// counts the sources, builds the ExecContext, runs the algorithm, applies
+// the final net for failed sources and tallies the result, for a whole
+// evaluation and for each slice of a sharded one alike.
+//
+// The features layered on top are degenerate cases, not branches:
+// WithShards(p ≤ 1) is core's one-slice case over the raw sources (the
+// report then carries no shard sections); an engine without WithCache,
+// or a request that may not be cached, skips the lookup-and-store steps
+// around the same evaluation; WithDegradedLists(0) is the degradation
+// loop's first iteration; a nil scheduler admits with a nil grant.
 //
 // # Failure: typed errors and graceful degradation
 //
@@ -215,6 +232,9 @@ type Plan struct {
 	Agg agg.Func
 	// Reason is a one-line justification referencing the paper.
 	Reason string
+	// norm is the normalized query the plan was compiled from: what the
+	// result cache spells its key with (nil for hand-built plans).
+	norm query.Node
 }
 
 // PlanQuery normalizes and compiles q, then chooses the algorithm per
@@ -234,7 +254,7 @@ func (m *Middleware) PlanQuery(q query.Node) (*Plan, error) {
 			return nil, &UnknownAttributeError{Attr: a.Attr}
 		}
 	}
-	p := &Plan{Atoms: c.Atoms, Agg: c.Func}
+	p := &Plan{Atoms: c.Atoms, Agg: c.Func, norm: q}
 	switch {
 	case !c.Func.Monotone():
 		p.Algorithm = core.NaiveSorted{}
@@ -510,18 +530,24 @@ func newQueryConfig(opts []QueryOption) queryConfig {
 	return cfg
 }
 
-// shardConfig lowers the request configuration onto the partitioned
-// evaluator. WithPrefetch gives every shard its own pipelined executor
-// (the gather/depth budget is divided across shard workers by core);
-// WithParallelism keeps its shard-worker-cap meaning, so the width
-// budget stays at the executor default under sharding.
-// A scheduler width grant (sched.go) caps both the shard-worker count
-// and the total gather budget, so admitted queries divide the global
+// lower is the one place a request configuration becomes a core
+// configuration, and so the one place parallelism, prefetch and the
+// scheduler's width grant (sched.go) are given a meaning for execution.
+//
+// Under WithShards(p > 1), WithParallelism caps the shard workers (0 =
+// GOMAXPROCS) and the gather width budget stays at the executor default;
+// a width grant caps both, so admitted queries divide the global
 // envelope instead of each claiming the executor default.
-func (c queryConfig) shardConfig() core.ShardConfig {
-	return core.ShardConfig{
+//
+// Unsharded, WithParallelism keeps its executor-level meaning: p > 1,
+// clamped by the grant, is the concurrent executor's width — or, under
+// WithPrefetch, the cap on in-flight probes — while p ≤ 1 (the "serial"
+// default) stays serial even under a grant, and a pipelined request
+// (concurrent by nature) keeps the executor's wider default, capped by
+// the grant alone.
+func (c queryConfig) lower() core.ShardConfig {
+	sc := core.ShardConfig{
 		Shards:        c.shards,
-		Parallel:      c.clampParallel(c.parallelism),
 		Budget:        c.budget,
 		Model:         c.model,
 		Prefetch:      c.prefetchOn,
@@ -530,15 +556,16 @@ func (c queryConfig) shardConfig() core.ShardConfig {
 		Plan:          c.shardPlan,
 		Steal:         c.steal,
 	}
-}
-
-// clampParallel bounds a worker count by the scheduler's width grant
-// (no-op without one).
-func (c queryConfig) clampParallel(p int) int {
-	if c.widthCap > 0 && (p == 0 || p > c.widthCap) {
-		return c.widthCap
+	if c.shards > 1 || c.parallelism > 1 {
+		sc.Parallel = c.parallelism
+		if c.widthCap > 0 && (sc.Parallel == 0 || sc.Parallel > c.widthCap) {
+			sc.Parallel = c.widthCap
+		}
+		if c.shards <= 1 {
+			sc.PrefetchWidth = sc.Parallel
+		}
 	}
-	return p
+	return sc
 }
 
 // gradeSketches assembles the per-atom grade-distribution sketches the
@@ -560,37 +587,6 @@ func (m *Middleware) gradeSketches(atoms []query.Atomic, lists []subsys.Source) 
 		}
 	}
 	return out
-}
-
-// evalOptions lowers the request configuration onto the core evaluation
-// options. WithPrefetch selects the pipelined executor (WithParallelism
-// then caps its in-flight probes); plain WithParallelism selects the
-// concurrent one.
-func (c queryConfig) evalOptions() []core.EvalOption {
-	opts := []core.EvalOption{core.WithCostModel(c.model)}
-	if c.prefetchOn {
-		// WithParallelism(p>1) caps the in-flight probes; p ≤ 1 (the
-		// "serial" default) keeps the executor's wider default — a
-		// pipelined request is concurrent by nature. A scheduler width
-		// grant overrides both: the grant is the request's share of
-		// the global goroutine/buffer envelope.
-		width := 0
-		if c.parallelism > 1 {
-			width = c.parallelism
-		}
-		if c.widthCap > 0 && (width == 0 || width > c.widthCap) {
-			width = c.widthCap
-		}
-		opts = append(opts, core.WithExecutor(core.Pipelined{P: width, Depth: c.prefetch}))
-	} else if c.parallelism > 1 {
-		if p := c.clampParallel(c.parallelism); p > 1 {
-			opts = append(opts, core.WithExecutor(core.Concurrent{P: p}))
-		}
-	}
-	if c.budget > 0 {
-		opts = append(opts, core.WithAccessBudget(c.budget))
-	}
-	return opts
 }
 
 // clampK caps k at the universe size ("the best ten of seven" means all
@@ -631,48 +627,84 @@ func (m *Middleware) Query(ctx context.Context, q query.Node, opts ...QueryOptio
 	if err != nil {
 		return nil, err
 	}
-	rep, err := m.queryDispatch(ctx, q, cfg)
+	rep, err := m.query(ctx, q, cfg)
 	grant.Settle(settledCost(cfg, rep))
 	return rep, err
 }
 
-// queryDispatch routes an admitted request to the cache path or the
-// compute-from-scratch path.
-func (m *Middleware) queryDispatch(ctx context.Context, q query.Node, cfg queryConfig) (*Report, error) {
-	if m.resultCache != nil && cfg.cacheable() {
-		return m.queryCached(ctx, q, cfg)
+// query is the path of every admitted Query: plan once, consult the
+// result cache when the request is cacheable (cache.go), evaluate —
+// degrading by pruning the failed atom from q and re-planning — and
+// store what a cacheable miss computed.
+func (m *Middleware) query(ctx context.Context, q query.Node, cfg queryConfig) (*Report, error) {
+	plan, err := m.plan(q, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return m.queryUncached(ctx, q, cfg)
+	key, cacheable := m.cacheKey(plan, cfg)
+	var epochs []uint64
+	if cacheable {
+		if rep, ok := m.cacheHit(key, plan); ok {
+			return rep, nil
+		}
+		// Miss: snapshot the source epochs BEFORE anything is materialized.
+		// An update racing the computation then leaves the entry stamped
+		// strictly behind the data it may contain, so the next lookup
+		// revalidates (at worst spuriously) instead of serving a stale
+		// answer.
+		epochs = m.atomEpochs(plan.Atoms)
+	}
+	rep, err := m.evaluate(ctx, plan, cfg, func(failed *Plan, victim int) (*Plan, error) {
+		if q = pruneAtom(q, failed.Atoms[victim]); q == nil {
+			return nil, nil
+		}
+		return m.plan(q, cfg)
+	})
+	if cacheable && err == nil {
+		m.cacheStore(key, plan, rep, epochs)
+	}
+	return rep, err
 }
 
-// queryUncached is the compute-from-scratch path: the planning,
-// degradation, and execution loop every request ultimately runs
-// through (the cache path calls it on a miss).
-func (m *Middleware) queryUncached(ctx context.Context, q query.Node, cfg queryConfig) (*Report, error) {
+// plan is PlanQuery plus the request's WithAlgorithm pin.
+func (m *Middleware) plan(q query.Node, cfg queryConfig) (*Plan, error) {
+	plan, err := m.PlanQuery(q)
+	if err == nil && cfg.alg != nil {
+		plan.Algorithm = cfg.alg
+		plan.Reason = fmt.Sprintf("algorithm pinned to %s by WithAlgorithm", cfg.alg.Name())
+	}
+	return plan, err
+}
+
+// evaluate executes plan, and is the one degradation loop: when the
+// evaluation dies of a degradable source failure (see degradeTarget) it
+// asks replan for the plan without the failed list — nil means nothing
+// can survive, and the request fails with the original error and
+// report — records the loss and the cost sunk into the failed attempt,
+// and goes again.
+func (m *Middleware) evaluate(ctx context.Context, plan *Plan, cfg queryConfig, replan func(failed *Plan, victim int) (*Plan, error)) (*Report, error) {
 	var degraded []DegradedList
 	var sunk cost.Cost
 	for {
-		plan, err := m.PlanQuery(q)
-		if err != nil {
-			return attachDegraded(nil, degraded, sunk), err
-		}
-		if cfg.alg != nil {
-			plan.Algorithm = cfg.alg
-			plan.Reason = fmt.Sprintf("algorithm pinned to %s by WithAlgorithm", cfg.alg.Name())
-		}
 		rep, err := m.execute(ctx, plan, cfg)
-		if err != nil {
-			atom, dl, ok := degradeTarget(plan, rep, err, cfg.maxDrop-len(degraded))
-			if ok {
-				if pruned := pruneAtom(q, atom); pruned != nil {
-					degraded = append(degraded, dl)
-					sunk = sunk.Add(dl.Cost)
-					q = pruned
-					continue
-				}
+		if victim, dl, ok := degradeTarget(plan, rep, err, cfg.maxDrop-len(degraded)); ok {
+			next, perr := replan(plan, victim)
+			if perr != nil {
+				return nil, perr
+			}
+			if next != nil {
+				degraded = append(degraded, dl)
+				sunk = sunk.Add(dl.Cost)
+				plan = next
+				continue
 			}
 		}
-		return attachDegraded(rep, degraded, sunk), err
+		if rep != nil && len(degraded) > 0 {
+			// The total accounts for everything the whole request spent.
+			rep.Degraded = degraded
+			rep.Cost = rep.Cost.Add(sunk)
+		}
+		return rep, err
 	}
 }
 
@@ -715,11 +747,11 @@ func (m *Middleware) Results(ctx context.Context, q query.Node, opts ...QueryOpt
 		}
 		// LIFO deferral order: the settle closure runs before Release,
 		// while the paginator's cumulative tallies are still readable.
-		defer pag.p.Release()
-		defer func() { grant.Settle(cfg.model.Of(pag.p.Cost())) }()
-		pageSize := m.clampK(pag.pageSize)
+		defer pag.Release()
+		defer func() { grant.Settle(cfg.model.Of(pag.Cost())) }()
+		pageSize := m.clampK(cfg.k)
 		for {
-			page, err := pag.p.NextPage(pageSize)
+			page, err := pag.NextPage(pageSize)
 			if err != nil {
 				yield(core.Result{}, err)
 				return
@@ -748,51 +780,24 @@ func (m *Middleware) ResultsString(ctx context.Context, q string, opts ...QueryO
 	return m.Results(ctx, n, opts...)
 }
 
-// pagination bundles a prepared paginator with the page size the request
-// asked for.
-type pagination struct {
-	p        *core.Paginator
-	pageSize int
-}
-
-// preparePagination is the shared front half of Paginate and Results:
-// plan, apply a WithAlgorithm pin, validate paginability, evaluate the
-// atoms, and bind the execution state — sharded (per-shard counted views
-// kept alive across pages, see core.NewShardedPaginator) when the
-// request asked for WithShards, the single shared-list evaluation
-// otherwise.
-func (m *Middleware) preparePagination(ctx context.Context, q query.Node, cfg queryConfig) (pagination, error) {
-	plan, err := m.PlanQuery(q)
+// preparePagination binds the paginator behind Paginate and Results:
+// plan (with any WithAlgorithm pin), validate paginability, and hand the
+// bound sources to core.NewShardedPaginator, whose one-slice case is the
+// unsharded pagination.
+func (m *Middleware) preparePagination(ctx context.Context, q query.Node, cfg queryConfig) (*core.Paginator, error) {
+	plan, err := m.plan(q, cfg)
 	if err != nil {
-		return pagination{}, err
+		return nil, err
 	}
-	pinned := cfg.alg != nil
-	if pinned {
-		plan.Algorithm = cfg.alg
-		plan.Reason = fmt.Sprintf("algorithm pinned to %s by WithAlgorithm", cfg.alg.Name())
-	}
-	alg, err := paginableAlgorithm(plan, pinned)
+	alg, err := paginableAlgorithm(plan, cfg.alg != nil)
 	if err != nil {
-		return pagination{}, err
+		return nil, err
 	}
-	lists, err := m.sources(plan.Atoms)
+	lists, scfg, err := m.bind(plan, cfg)
 	if err != nil {
-		return pagination{}, err
+		return nil, err
 	}
-	if cfg.shards > 1 {
-		scfg := cfg.shardConfig()
-		if scfg.Plan == core.ShardPlanWeighted {
-			scfg.Sketches = m.gradeSketches(plan.Atoms, lists)
-		}
-		sp, err := core.NewShardedPaginator(ctx, alg, lists, plan.Agg, scfg)
-		if err != nil {
-			return pagination{}, err
-		}
-		return pagination{p: sp, pageSize: cfg.k}, nil
-	}
-	counted := subsys.CountAll(lists)
-	ec := core.NewExecContext(ctx, counted, cfg.evalOptions()...)
-	return pagination{p: core.NewPaginator(ec, alg, counted, plan.Agg), pageSize: cfg.k}, nil
+	return core.NewShardedPaginator(ctx, alg, lists, plan.Agg, scfg)
 }
 
 // paginableAlgorithm adapts a plan's algorithm for incremental widening.
@@ -815,29 +820,6 @@ func paginableAlgorithm(plan *Plan, pinned bool) (core.Algorithm, error) {
 	return plan.Algorithm, nil
 }
 
-// TopK evaluates q and returns the top k answers with cost accounting.
-// Unlike Query (which clamps), it preserves the historical contract of
-// rejecting k outside [1, N].
-//
-// Deprecated: use Query with a context and TopN.
-func (m *Middleware) TopK(q query.Node, k int) (*Report, error) {
-	if k > m.n {
-		return nil, fmt.Errorf("%w: k=%d, N=%d", core.ErrBadK, k, m.n)
-	}
-	return m.Query(context.Background(), q, TopN(k))
-}
-
-// TopKString parses and evaluates a query in concrete syntax.
-//
-// Deprecated: use QueryString with a context and TopN.
-func (m *Middleware) TopKString(q string, k int) (*Report, error) {
-	n, err := query.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	return m.TopK(n, k)
-}
-
 // TopKMedian evaluates the median of the given atoms with the subset
 // decomposition of Remark 6.1 — the O(√(Nk)) route that beats the strict
 // lower bound.
@@ -849,30 +831,21 @@ func (m *Middleware) TopKMedian(ctx context.Context, atoms []query.Atomic, k int
 	}
 	cfg := newQueryConfig(opts)
 	cfg.k = k
-	var degraded []DegradedList
-	var sunk cost.Cost
-	for {
-		plan := &Plan{
-			Algorithm: core.OrderStat{},
-			Atoms:     atoms,
-			Agg:       agg.Median,
-			Reason:    "median via max-of-subset-mins (Rem 6.1): O(√(Nk)), beats the strict bound",
-		}
-		rep, err := m.execute(ctx, plan, cfg)
-		if err != nil {
-			// Degradation drops the failed atom from the flat list: the
-			// result is the median of the survivors, as a fresh
-			// TopKMedian call over them would compute.
-			if _, dl, ok := degradeTarget(plan, rep, err, cfg.maxDrop-len(degraded)); ok {
-				var se *subsys.SourceError
-				errors.As(err, &se)
-				degraded = append(degraded, dl)
-				sunk = sunk.Add(dl.Cost)
-				atoms = append(append([]query.Atomic{}, atoms[:se.List]...), atoms[se.List+1:]...)
-				continue
-			}
-		}
-		return attachDegraded(rep, degraded, sunk), err
+	return m.evaluate(ctx, medianPlan(atoms), cfg, func(failed *Plan, victim int) (*Plan, error) {
+		// Degradation drops the failed atom from the flat list: the result
+		// is the median of the survivors, as a fresh TopKMedian call over
+		// them would compute.
+		rest := append(append([]query.Atomic{}, failed.Atoms[:victim]...), failed.Atoms[victim+1:]...)
+		return medianPlan(rest), nil
+	})
+}
+
+func medianPlan(atoms []query.Atomic) *Plan {
+	return &Plan{
+		Algorithm: core.OrderStat{},
+		Atoms:     atoms,
+		Agg:       agg.Median,
+		Reason:    "median via max-of-subset-mins (Rem 6.1): O(√(Nk)), beats the strict bound",
 	}
 }
 
@@ -897,10 +870,11 @@ func (m *Middleware) Filter(ctx context.Context, q query.Node, theta float64, op
 		Agg:    c.Func,
 		Reason: fmt.Sprintf("filter condition: all objects with grade >= %g [CG96]", theta),
 	}
-	counted := subsys.CountAll(lists)
-	ec := core.NewExecContext(ctx, counted, cfg.evalOptions()...)
-	res, err := core.Filter(ec, counted, c.Func, theta)
-	return finishReport(ec, counted, plan, res, err)
+	cfg.shards = 0 // a threshold condition has no top-k merge to shard
+	sr, err := core.Run(ctx, lists, cfg.lower(), func(ec *core.ExecContext, counted []*subsys.Counted) ([]core.Result, error) {
+		return core.Filter(ec, counted, c.Func, theta)
+	})
+	return newReport(plan, cfg, sr, err)
 }
 
 // Paginate prepares paginated evaluation of q ("give me the next k"),
@@ -914,91 +888,53 @@ func (m *Middleware) Filter(ctx context.Context, q query.Node, theta float64, op
 // whose background prefetcher goroutines otherwise outlive the
 // pagination.
 func (m *Middleware) Paginate(ctx context.Context, q query.Node, opts ...QueryOption) (*core.Paginator, error) {
-	pag, err := m.preparePagination(ctx, q, newQueryConfig(opts))
+	return m.preparePagination(ctx, q, newQueryConfig(opts))
+}
+
+// bind materializes a plan's sources and lowers the request onto the
+// core configuration they will be evaluated under, for one-shot and
+// paginated evaluation alike. Sketches are drawn only for the planner
+// that reads them.
+func (m *Middleware) bind(plan *Plan, cfg queryConfig) ([]subsys.Source, core.ShardConfig, error) {
+	lists, err := m.sources(plan.Atoms)
 	if err != nil {
-		return nil, err
+		return nil, core.ShardConfig{}, err
 	}
-	return pag.p, nil
+	scfg := cfg.lower()
+	if scfg.Shards > 1 && scfg.Plan == core.ShardPlanWeighted {
+		scfg.Sketches = m.gradeSketches(plan.Atoms, lists)
+	}
+	return lists, scfg, nil
 }
 
 // execute runs a plan under the request configuration. Errors mid-
-// evaluation (cancellation, budget) come back with a partial-cost
-// report.
+// evaluation (cancellation, budget, a source failure) come back with a
+// partial-cost report.
 func (m *Middleware) execute(ctx context.Context, plan *Plan, cfg queryConfig) (*Report, error) {
-	lists, err := m.sources(plan.Atoms)
+	lists, scfg, err := m.bind(plan, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.shards > 1 {
-		return m.executeSharded(ctx, plan, cfg, lists)
-	}
-	counted := subsys.CountAll(lists)
-	ec := core.NewExecContext(ctx, counted, cfg.evalOptions()...)
-	res, err := plan.Algorithm.TopK(ec, counted, plan.Agg, m.clampK(cfg.k))
-	return finishReport(ec, counted, plan, res, err)
+	sr, err := core.EvaluateSharded(ctx, plan.Algorithm, lists, plan.Agg, m.clampK(cfg.k), scfg)
+	return newReport(plan, cfg, sr, err)
 }
 
-// executeSharded runs a plan through the partitioned evaluator: the
-// algorithm per universe shard (pipelined inside when the request asked
-// for WithPrefetch), a threshold-aware merge, and the usual Section 5
-// tallies summed across shards (total, per atom, and — new with
-// sharding — per shard), plus the aggregated prefetch-pipeline stats.
-func (m *Middleware) executeSharded(ctx context.Context, plan *Plan, cfg queryConfig, lists []subsys.Source) (*Report, error) {
-	scfg := cfg.shardConfig()
-	if scfg.Plan == core.ShardPlanWeighted {
-		scfg.Sketches = m.gradeSketches(plan.Atoms, lists)
-	}
-	sr, err := core.EvaluateSharded(ctx, plan.Algorithm, lists, plan.Agg, m.clampK(cfg.k), scfg)
-	rep := &Report{Cost: sr.Cost, PerShard: sr.PerShard, Shards: sr.Shards, Prefetch: sr.Prefetch,
-		ShardDetails: sr.Details, Stolen: sr.Stolen, Plan: plan}
+// newReport turns core's outcome into the request's report: the tallies
+// (with the per-atom breakdown when the lists align with the plan's
+// atoms), the prefetch stats, the shard sections only when the request
+// asked for WithShards, and the results only on success.
+func newReport(plan *Plan, cfg queryConfig, sr *core.ShardReport, err error) (*Report, error) {
+	rep := &Report{Cost: sr.Cost, Prefetch: sr.Prefetch, Plan: plan}
 	if len(sr.PerList) == len(plan.Atoms) {
 		rep.PerList = sr.PerList
 	}
-	if err != nil {
-		return rep, err
+	if cfg.shards > 1 {
+		rep.PerShard, rep.Shards, rep.ShardDetails, rep.Stolen = sr.PerShard, sr.Shards, sr.Details, sr.Stolen
 	}
-	rep.Results = sr.Results
-	return rep, nil
-}
-
-// finishReport is the shared evaluation epilogue: it assembles the
-// report (full tallies plus the per-atom breakdown when the lists align
-// with the plan's atoms), releases the pooled lists, and attaches the
-// results only on success. An abandoned evaluation — workers possibly
-// still touching the lists — gets the last quiescent cost instead, and
-// its state is left for the GC.
-func finishReport(ec *core.ExecContext, counted []*subsys.Counted, plan *Plan, res []core.Result, err error) (*Report, error) {
 	if err == nil {
-		// Final net for fallible sources, as in core.Evaluate: no report
-		// may carry results computed over a truncated list.
-		if serr := ec.SourceFailure(); serr != nil {
-			res, err = nil, serr
-		}
+		rep.Results = sr.Results
 	}
-	if ec.Abandoned() {
-		return &Report{Cost: ec.SafeCost(), Plan: plan}, err
-	}
-	rep := &Report{Cost: subsys.TotalCost(counted), Plan: plan}
-	if len(counted) == len(plan.Atoms) {
-		rep.PerList = make([]cost.Cost, len(counted))
-		for i, c := range counted {
-			rep.PerList[i] = c.Cost()
-		}
-	}
-	for _, c := range counted {
-		if s, ok := c.PrefetchStats(); ok {
-			if rep.Prefetch == nil {
-				rep.Prefetch = &subsys.PipelineStats{}
-			}
-			*rep.Prefetch = rep.Prefetch.Add(s)
-		}
-	}
-	subsys.ReleaseAll(counted)
-	if err != nil {
-		return rep, err
-	}
-	rep.Results = res
-	return rep, nil
+	return rep, err
 }
 
 // sources evaluates each atom against its subsystem.

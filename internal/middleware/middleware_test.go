@@ -52,7 +52,7 @@ func cdStore(t *testing.T) (*Middleware, []string) {
 
 func TestRunningExampleBeatlesRed(t *testing.T) {
 	mw, names := cdStore(t)
-	rep, err := mw.TopKString(`Artist = "Beatles" AND AlbumColor ~ "red"`, 3)
+	rep, err := mw.QueryString(context.Background(), `Artist = "Beatles" AND AlbumColor ~ "red"`, TopN(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +140,11 @@ func TestPlannerNormalizationUpgradesPlan(t *testing.T) {
 		t.Errorf("flattened plan = %s, want A0'", plan2.Algorithm.Name())
 	}
 	// And the answers still match a naive evaluation of the original.
-	rep, err := mw.TopKString(`NOT NOT (Artist = "Beatles" AND AlbumColor ~ "red")`, 3)
+	rep, err := mw.QueryString(context.Background(), `NOT NOT (Artist = "Beatles" AND AlbumColor ~ "red")`, TopN(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := mw.TopKString(`Artist = "Beatles" AND AlbumColor ~ "red"`, 3)
+	plain, err := mw.QueryString(context.Background(), `Artist = "Beatles" AND AlbumColor ~ "red"`, TopN(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestPlansMatchNaive(t *testing.T) {
 	}
 	for _, qs := range queries {
 		q := query.MustParse(qs)
-		rep, err := mw.TopK(q, 4)
+		rep, err := mw.Query(context.Background(), q, TopN(4))
 		if err != nil {
 			t.Errorf("%q: %v", qs, err)
 			continue
@@ -255,7 +255,7 @@ func sameGrades(a, b []core.Result) bool {
 
 func TestUnknownAttribute(t *testing.T) {
 	mw, _ := cdStore(t)
-	if _, err := mw.TopKString(`Genre = "rock"`, 2); !errors.Is(err, ErrUnknownAttribute) {
+	if _, err := mw.QueryString(context.Background(), `Genre = "rock"`, TopN(2)); !errors.Is(err, ErrUnknownAttribute) {
 		t.Errorf("unknown attribute error = %v", err)
 	}
 	if _, err := mw.PlanQuery(query.Atomic{Attr: "Genre", Target: "rock"}); !errors.Is(err, ErrUnknownAttribute) {
@@ -265,7 +265,7 @@ func TestUnknownAttribute(t *testing.T) {
 
 func TestUnknownTargetPropagates(t *testing.T) {
 	mw, _ := cdStore(t)
-	if _, err := mw.TopKString(`AlbumColor ~ "plaid"`, 2); !errors.Is(err, subsys.ErrUnknownTarget) {
+	if _, err := mw.QueryString(context.Background(), `AlbumColor ~ "plaid"`, TopN(2)); !errors.Is(err, subsys.ErrUnknownTarget) {
 		t.Errorf("unknown target error = %v", err)
 	}
 }
@@ -389,7 +389,7 @@ func TestInternalVsExternalConjunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	external, err := mw.TopK(query.Conj(atoms...), 3)
+	external, err := mw.Query(context.Background(), query.Conj(atoms...), TopN(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestPlannerSelectiveFilterFirst(t *testing.T) {
 	if plan.Algorithm.Name() != "filter-first" {
 		t.Fatalf("plan = %s, want filter-first", plan.Algorithm.Name())
 	}
-	rep, err := mw.TopK(q, 5)
+	rep, err := mw.Query(context.Background(), q, TopN(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +500,7 @@ func TestPlannerSelectiveFilterFirst(t *testing.T) {
 func TestWeightedQueryThroughEngine(t *testing.T) {
 	mw, _ := cdStore(t)
 	// Color twice as important as artist (FW97 via query syntax).
-	rep, err := mw.TopKString(`Artist = "Beatles" ^ 1 AND AlbumColor ~ "red" ^ 2`, 3)
+	rep, err := mw.QueryString(context.Background(), `Artist = "Beatles" ^ 1 AND AlbumColor ~ "red" ^ 2`, TopN(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +527,7 @@ func TestWeightedQueryThroughEngine(t *testing.T) {
 	}
 	// Weights must actually matter: an extreme color weight promotes the
 	// reddest album regardless of artist.
-	repColor, err := mw.TopKString(`Artist = "Beatles" ^ 0 AND AlbumColor ~ "red" ^ 1`, 1)
+	repColor, err := mw.QueryString(context.Background(), `Artist = "Beatles" ^ 0 AND AlbumColor ~ "red" ^ 1`, TopN(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +554,7 @@ func TestRelationalSelectivity(t *testing.T) {
 func TestHardQueryThroughMiddleware(t *testing.T) {
 	// Q ∧ ¬Q: planned as naive, graded max 1/2, cost linear (= mN here).
 	mw, _ := cdStore(t)
-	rep, err := mw.TopKString(`AlbumColor ~ "red" AND NOT AlbumColor ~ "red"`, 1)
+	rep, err := mw.QueryString(context.Background(), `AlbumColor ~ "red" AND NOT AlbumColor ~ "red"`, TopN(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,12 +76,12 @@ func (s slowSubsystem) Query(target string) (subsys.Source, error) {
 	return slowTestSource{src: src, delay: s.delay}, nil
 }
 
-// TestQueryMatchesDeprecatedTopK: the request API and the deprecated
-// wrappers are the same evaluation.
-func TestQueryMatchesDeprecatedTopK(t *testing.T) {
+// TestQueryStringMatchesQuery: the concrete-syntax and parsed-tree
+// entry points are the same evaluation.
+func TestQueryStringMatchesQuery(t *testing.T) {
 	mw, _ := cdStore(t)
 	q := query.MustParse(`Artist = "Beatles" AND AlbumColor ~ "red"`)
-	want, err := mw.TopK(q, 3)
+	want, err := mw.QueryString(context.Background(), `Artist = "Beatles" AND AlbumColor ~ "red"`, TopN(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestQueryMatchesDeprecatedTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got.Results) != len(want.Results) || got.Cost != want.Cost {
-		t.Fatalf("Query = %v %v, TopK = %v %v", got.Results, got.Cost, want.Results, want.Cost)
+		t.Fatalf("Query = %v %v, QueryString = %v %v", got.Results, got.Cost, want.Results, want.Cost)
 	}
 	for i := range got.Results {
 		if got.Results[i] != want.Results[i] {
@@ -377,18 +377,6 @@ func TestTypedErrors(t *testing.T) {
 	}
 	if sme.Attr != "Genre" || sme.Got != 2 || sme.Want != 3 {
 		t.Errorf("SizeMismatchError = %+v, want Genre/2/3", sme)
-	}
-}
-
-// TestDeprecatedTopKKeepsErrBadK: the compatibility wrappers preserve
-// the historical rejection of k > N (Query clamps; TopK must not).
-func TestDeprecatedTopKKeepsErrBadK(t *testing.T) {
-	mw, _ := cdStore(t)
-	if _, err := mw.TopK(query.MustParse(`Artist = "Beatles"`), mw.N()+1); !errors.Is(err, core.ErrBadK) {
-		t.Fatalf("TopK(k>N) err = %v, want core.ErrBadK", err)
-	}
-	if _, err := mw.TopKString(`Artist = "Beatles"`, mw.N()+1); !errors.Is(err, core.ErrBadK) {
-		t.Fatalf("TopKString(k>N) err = %v, want core.ErrBadK", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -71,6 +72,24 @@ func (e *TransportError) RetryAfter() time.Duration { return e.RetryAfterHint }
 
 // Unwrap exposes the underlying cause to errors.Is/As.
 func (e *TransportError) Unwrap() error { return e.Err }
+
+const (
+	// maxResponseBody caps the 200 body the client decodes, as the server
+	// caps request bodies (decodeRequest, 1 MiB): what arrives from the
+	// network must not make an engine allocate without limit. Responses
+	// are the larger direction — a full Meta.Page span at the default page
+	// is ≈200 kB — so the cap leaves room for pages some fifty times that.
+	maxResponseBody = 16 << 20
+	// maxResultsRow caps one NDJSON row of GET /v1/results: a Result or a
+	// terminating Fault envelope.
+	maxResultsRow = 64 << 10
+)
+
+// tooLong is the permanent failure for a response over the client's cap:
+// the body is dropped whole, never decoded as far as it went.
+func tooLong(op string, limit int) *TransportError {
+	return &TransportError{Op: op, Msg: fmt.Sprintf("response exceeds the client's %d-byte cap", limit)}
+}
 
 // Client speaks the wire protocol to one server. It is safe for
 // concurrent use: the pipelined executor's wide random-access gather
@@ -195,8 +214,9 @@ func (c *Client) Results(ctx context.Context, req QueryRequest) func(yield func(
 			yield(Result{}, envelopeError("results", hresp))
 			return
 		}
-		dec := json.NewDecoder(hresp.Body)
-		for {
+		rows := bufio.NewScanner(hresp.Body)
+		rows.Buffer(nil, maxResultsRow)
+		for rows.Scan() {
 			// A row is either a Result or a terminating Fault envelope;
 			// decode the superset and dispatch on which fields are set.
 			var row struct {
@@ -205,10 +225,7 @@ func (c *Client) Results(ctx context.Context, req QueryRequest) func(yield func(
 				Transient    bool    `json:"transient"`
 				RetryAfterMS int64   `json:"retry_after_ms"`
 			}
-			if err := dec.Decode(&row); err != nil {
-				if err == io.EOF {
-					return
-				}
+			if err := json.Unmarshal(rows.Bytes(), &row); err != nil {
 				yield(Result{}, c.transportFailure(ctx, "results", err))
 				return
 			}
@@ -222,6 +239,12 @@ func (c *Client) Results(ctx context.Context, req QueryRequest) func(yield func(
 			if !yield(row.Result, nil) {
 				return
 			}
+		}
+		switch err := rows.Err(); {
+		case errors.Is(err, bufio.ErrTooLong):
+			yield(Result{}, tooLong("results", maxResultsRow))
+		case err != nil:
+			yield(Result{}, c.transportFailure(ctx, "results", err))
 		}
 	}
 }
@@ -241,6 +264,12 @@ func resultsParams(req QueryRequest) string {
 	add("parallelism", req.Parallelism)
 	add("shards", req.Shards)
 	add("degrade", req.Degrade)
+	if req.ShardPlan != "" {
+		fmt.Fprintf(&b, "&shard_plan=%s", url.QueryEscape(req.ShardPlan))
+	}
+	if req.Steal {
+		b.WriteString("&steal=true")
+	}
 	if req.Budget > 0 {
 		fmt.Fprintf(&b, "&budget=%s", strconv.FormatFloat(req.Budget, 'g', -1, 64))
 	}
@@ -288,7 +317,11 @@ func (c *Client) round(ctx context.Context, op string, req *http.Request, out an
 	if resp.StatusCode != http.StatusOK {
 		return envelopeError(op, resp)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	body := &io.LimitedReader{R: resp.Body, N: maxResponseBody + 1}
+	if err := json.NewDecoder(body).Decode(out); err != nil {
+		if body.N <= 0 {
+			return tooLong(op, maxResponseBody)
+		}
 		return c.transportFailure(ctx, op, err)
 	}
 	return nil

@@ -131,11 +131,13 @@ func (s *QueryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, status, f)
 		return
 	}
-	writeJSON(w, http.StatusOK, responseOf(rep, time.Since(start)))
+	writeJSON(w, http.StatusOK, ResponseOf(rep, time.Since(start)))
 }
 
-// responseOf lowers a middleware report onto the wire form.
-func responseOf(rep *middleware.Report, elapsed time.Duration) QueryResponse {
+// ResponseOf lowers a middleware report onto the wire form: what POST
+// /v1/query answers with, and the shape fuzzyquery prints from whether
+// the evaluation was local or remote.
+func ResponseOf(rep *middleware.Report, elapsed time.Duration) QueryResponse {
 	resp := QueryResponse{
 		Results:   make([]Result, 0, len(rep.Results)),
 		Cost:      costOf(rep.Cost),
