@@ -116,7 +116,7 @@ func main() {
 		budget    = flag.Float64("budget", 0, "access budget (sorted + random); 0 = unlimited")
 		timeout   = flag.Duration("timeout", 0, "evaluation deadline; 0 = none")
 		latency   = flag.Duration("latency", 0, "simulated per-call subsystem latency (e.g. 1ms); 0 = none")
-		prefetch  = flag.Int("prefetch", -1, "evaluate through the pipelined executor with this readahead depth (0 = adaptive); -1 = off")
+		prefetch  = flag.Int("prefetch", -1, "evaluate through the pipelined executor with this readahead depth (0 = adaptive: open at the depth the algorithm expects to reach, else at 1 and double on stall); -1 = off")
 		faults    = flag.Float64("faults", 0, "inject transient faults into every subsystem at this per-access rate (e.g. 0.05); 0 = none")
 		faultSeed = flag.Uint64("fault-seed", 1, "seed selecting which accesses fail under -faults")
 		retries   = flag.Int("retries", 0, "wrap every source in the resilience layer with this many retries (plus backoff and a circuit breaker); 0 = off")
@@ -271,7 +271,7 @@ func printReport(w io.Writer, resp wire.QueryResponse, name func(int) string, r 
 		fmt.Fprintln(w, "result cache: miss")
 	}
 	if p := resp.Prefetch; p != nil {
-		fmt.Fprintf(w, "prefetch pipeline: max depth %d, stalls %d, batched calls %d\n", p.MaxDepth, p.Stalls, p.Batches)
+		fmt.Fprintf(w, "prefetch pipeline: max depth %d, stalls %d, batched calls %d, ranks fetched %d\n", p.MaxDepth, p.Stalls, p.Batches, p.Fetched)
 	}
 	if resp.Shards > 1 {
 		fmt.Fprintf(w, "sharded over %d universe slices:\n", resp.Shards)

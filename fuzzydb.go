@@ -79,8 +79,11 @@
 // evaluates the request through the pipelined executor: a background
 // prefetcher per subsystem keeps each sorted stream ahead of the
 // algorithm by issuing batched sorted accesses whose depth adapts to the
-// source (start at 1, double on every stall up to a cap, shrink when
-// the algorithm falls behind; d > 0 pins the depth instead), while the
+// query and the source (open at the depth the algorithm expects to read
+// to — A₀'s N^((m−1)/m)·k^(1/m) of Theorem 5.3, so a remote list is
+// usually read in one round trip — or at 1 when it states none, then
+// double on every stall up to a cap and shrink when the algorithm falls
+// behind; d > 0 pins the depth instead), while the
 // random-access phase overlaps across subsystems AND objects —
 // WithParallelism(p>1) caps the probes in flight, a wider-than-CPU
 // default applies otherwise. Payment stays strictly on delivery,
@@ -89,7 +92,8 @@
 // delivery and a failed reservation closes the pipelines, fencing
 // drains them, and cancellation abandons even a wedged batch promptly.
 // The report's Prefetch field carries the pipeline stats (deepest
-// batch, stalls, physical calls). NewLatencySource / WithSubsystemLatency
+// batch, stalls, physical calls, ranks fetched — the last minus the
+// sorted tally is the readahead nobody consumed). NewLatencySource / WithSubsystemLatency
 // simulate such backends for benchmarking; on the E2/m=5 workload with
 // 1 ms/call sources the pipelined executor is over an order of
 // magnitude faster than the per-subsystem concurrent executor.
@@ -595,7 +599,8 @@ func ConcurrentExecutor(p int) Executor { return core.Concurrent{P: p} }
 
 // PipelinedExecutor returns the latency-hiding executor for slow or
 // remote subsystems: a background prefetcher per list issues batched
-// sorted accesses with adaptive depth (depth 0: start at 1, double on
+// sorted accesses with adaptive depth (depth 0: open at the depth the
+// algorithm expects to reach, or at 1 when it states none, double on
 // stall, shrink when the algorithm falls behind; depth > 0 pins it), and
 // the random-access phase overlaps across subsystems and objects with up
 // to width probes in flight (width ≤ 0 selects a wider-than-CPU

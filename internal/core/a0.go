@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"fuzzydb/internal/agg"
 	"fuzzydb/internal/subsys"
 )
@@ -80,6 +82,7 @@ func (a A0) TopK(ec *ExecContext, lists []*subsys.Counted, t agg.Func, k int) ([
 func (a A0) sortedPhase(ec *ExecContext, sc *scratch, lists []*subsys.Counted, k int) error {
 	m := int32(len(lists))
 	cursors := subsys.Cursors(lists)
+	ec.expectDepth(lists, k)
 	matches := 0
 	for matches < k {
 		if err := ec.Stage(cursors, 1); err != nil {
@@ -107,6 +110,35 @@ func (a A0) sortedPhase(ec *ExecContext, sc *scratch, lists []*subsys.Counted, k
 		}
 	}
 	return nil
+}
+
+// expectDepth tells every list how deep the A₀ sorted phase expects to
+// read it (subsys.Counted.Expect), so a pipelined executor opens each
+// list's readahead window at that depth instead of discovering it one
+// doubling — one round trip — at a time. Over independent lists the phase
+// stops at T ≈ N^((m−1)/m)·k^(1/m) in every list (Theorem 5.3: the planner's
+// own reason for choosing A₀); the statement is T plus a quarter, because
+// the relative spread of the measured stopping depth is ≈16 % at m = 2
+// and ≈10 % at m = 3 (bench/README.md, k = 10), so +25 % is ≥ 1.5σ and the
+// opening batch serves all but a few lists in one call. Never below k —
+// k matches need k ranks of every list, so those are never over-read —
+// and, applied last, never past what an access budget could pay for in
+// whole rounds. Transport only: correlated or skewed lists that stop
+// elsewhere cost over-read or further round trips, never a tallied access.
+// The serial executor has no window to open and pays one branch.
+func (ec *ExecContext) expectDepth(lists []*subsys.Counted, k int) {
+	if !ec.par {
+		return
+	}
+	m := float64(len(lists))
+	kRoot := math.Pow(float64(k), 1/m)
+	for _, l := range lists {
+		e := max(int(math.Ceil(1.25*math.Pow(float64(l.Len()), (m-1)/m)*kRoot)), k)
+		if rounds := ec.budget / (ec.model.C1 * m); ec.budget > 0 && rounds < float64(e) {
+			e = int(rounds) + 1
+		}
+		l.Expect(e)
+	}
 }
 
 // liveCursors counts the cursors that will deliver on the next round —
@@ -155,6 +187,7 @@ func (a A0Prime) TopK(ec *ExecContext, lists []*subsys.Counted, t agg.Func, k in
 	sc := acquireScratch(lists)
 	defer ec.releaseScratch(sc)
 	cursors := subsys.Cursors(lists)
+	ec.expectDepth(lists, k)
 	var matches []int
 	for len(matches) < k {
 		if err := ec.Stage(cursors, 1); err != nil {

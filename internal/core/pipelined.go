@@ -27,11 +27,16 @@ const (
 //
 // Sorted access runs through a background prefetch pipeline per list
 // (subsys.Counted.StartPrefetch): a worker goroutine issues batched
-// Entries calls ahead of the algorithm's demand with adaptive depth —
-// start at 1, double every time the algorithm stalls on the pipeline,
-// shrink when the algorithm falls behind, capped at MaxDepth — so the
-// per-call latency is amortized over ever-larger spans exactly when the
-// source is slow enough to warrant it. Stage registers every needy
+// Entries calls ahead of the algorithm's demand with adaptive depth. An
+// algorithm that knows how deep it will read says so first (the A₀
+// family, ExecContext.expectDepth) and the window opens there; a demand
+// stated up front (B₀'s k ranks) is covered by one call; otherwise the
+// depth starts at 1. From there it doubles every time the algorithm
+// stalls on the pipeline and shrinks when the algorithm falls behind,
+// capped at MaxDepth — so an A₀ query usually reads a remote list in one
+// round trip, and the per-call latency is amortized over larger spans
+// exactly when the source is slow enough to warrant it (the pipeline
+// type in subsys states the whole policy). Stage registers every needy
 // cursor's demand before blocking on any of them, so the m refills of a
 // round proceed concurrently across lists.
 //
@@ -61,7 +66,8 @@ type Pipelined struct {
 	// values exceed the CPU count: the workers overlap waiting.
 	P int
 	// Depth fixes the prefetch batch depth per list; 0 selects the
-	// adaptive policy (start 1, double on stall, shrink when ahead).
+	// adaptive policy (open at the expected depth, or at 1 without one;
+	// double on stall, shrink when ahead).
 	Depth int
 	// MaxDepth caps the adaptive depth; 0 means
 	// subsys.DefaultPrefetchCap.

@@ -11,23 +11,12 @@ import (
 	"fuzzydb/internal/subsys"
 )
 
-func latencySourcesOf(db *scoredb.Database, perCall time.Duration) ([]subsys.Source, []*subsys.LatencySource) {
+func latencySourcesOf(db *scoredb.Database, perCall time.Duration) []subsys.Source {
 	srcs := sourcesOf(db)
-	lat := make([]*subsys.LatencySource, len(srcs))
 	for i := range srcs {
-		lat[i] = subsys.NewLatencySource(srcs[i], perCall, 0)
-		srcs[i] = lat[i]
+		srcs[i] = subsys.NewLatencySource(srcs[i], perCall, 0)
 	}
-	return srcs, lat
-}
-
-// totalCalls sums the physical source calls across wrappers.
-func totalCalls(lat []*subsys.LatencySource) int64 {
-	var n int64
-	for _, l := range lat {
-		n += l.Calls()
-	}
-	return n
+	return srcs
 }
 
 // TestPipelinedBudgetMidBatch runs the pipelined executor under a budget
@@ -43,7 +32,9 @@ func TestPipelinedBudgetMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := float64(full.Sum()) / 10
-	srcs, lat := latencySourcesOf(db, 100*time.Microsecond)
+	srcs := latencySourcesOf(db, 100*time.Microsecond)
+	var gauge callGauge
+	srcs = gauged(srcs, &gauge)
 	res, partial, err := Evaluate(context.Background(), A0{}, srcs, agg.Min, 20,
 		WithAccessBudget(budget), WithExecutor(Pipelined{P: 4, MaxDepth: 32}))
 	if !errors.Is(err, ErrBudgetExceeded) {
@@ -65,14 +56,8 @@ func TestPipelinedBudgetMidBatch(t *testing.T) {
 	if partial.Sum() == 0 {
 		t.Error("partial cost is zero; budget stopped before any access")
 	}
-	// Never prefetch past a reservation failure: once in-flight batches
-	// land, the call count must stop moving.
-	time.Sleep(50 * time.Millisecond)
-	before := totalCalls(lat)
-	time.Sleep(50 * time.Millisecond)
-	if after := totalCalls(lat); after != before {
-		t.Errorf("pipelines still fetching after budget stop: %d -> %d calls", before, after)
-	}
+	// Never prefetch past a reservation failure.
+	gauge.requireDrained(t, "budget stop")
 }
 
 // TestPipelinedFenceWhileStreaming fences every list mid-evaluation —
@@ -82,7 +67,9 @@ func TestPipelinedBudgetMidBatch(t *testing.T) {
 // must complete cleanly over the objects seen before the fence.
 func TestPipelinedFenceWhileStreaming(t *testing.T) {
 	db := scoredb.Generator{N: 4096, M: 2, Seed: 62}.MustGenerate()
-	srcs, lat := latencySourcesOf(db, 50*time.Microsecond)
+	srcs := latencySourcesOf(db, 50*time.Microsecond)
+	var gauge callGauge
+	srcs = gauged(srcs, &gauge)
 	counted := subsys.CountAll(srcs)
 	ec := NewExecContext(context.Background(), counted, WithExecutor(Pipelined{P: 4, MaxDepth: 16}))
 	rounds := 0
@@ -102,12 +89,7 @@ func TestPipelinedFenceWhileStreaming(t *testing.T) {
 			t.Errorf("list %d not fenced", i)
 		}
 	}
-	time.Sleep(30 * time.Millisecond)
-	before := totalCalls(lat)
-	time.Sleep(30 * time.Millisecond)
-	if after := totalCalls(lat); after != before {
-		t.Errorf("pipelines still fetching after fence: %d -> %d calls", before, after)
-	}
+	gauge.requireDrained(t, "fence")
 	subsys.ReleaseAll(counted)
 }
 
@@ -157,7 +139,7 @@ func TestPipelinedCancellationAbandonsWedgedBatch(t *testing.T) {
 // witness both the stalls and the batching.
 func TestPipelinedDepthCapHonored(t *testing.T) {
 	db := scoredb.Generator{N: 8192, M: 2, Seed: 64}.MustGenerate()
-	srcs, _ := latencySourcesOf(db, 200*time.Microsecond)
+	srcs := latencySourcesOf(db, 200*time.Microsecond)
 	counted := subsys.CountAll(srcs)
 	const depthCap = 8
 	ec := NewExecContext(context.Background(), counted, WithExecutor(Pipelined{P: 4, MaxDepth: depthCap}))
@@ -194,7 +176,7 @@ func TestPipelinedHidesLatency(t *testing.T) {
 	db := scoredb.Generator{N: 2048, M: 3, Seed: 65}.MustGenerate()
 	const perCall = 200 * time.Microsecond
 
-	srcs, _ := latencySourcesOf(db, perCall)
+	srcs := latencySourcesOf(db, perCall)
 	start := time.Now()
 	want, wantCost, err := Evaluate(context.Background(), A0{}, srcs, agg.Min, 10,
 		WithExecutor(Concurrent{P: 3}))
@@ -203,7 +185,7 @@ func TestPipelinedHidesLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srcs, _ = latencySourcesOf(db, perCall)
+	srcs = latencySourcesOf(db, perCall)
 	start = time.Now()
 	got, gotCost, err := Evaluate(context.Background(), A0{}, srcs, agg.Min, 10,
 		WithExecutor(Pipelined{P: 64}))

@@ -59,8 +59,10 @@ type ShardConfig struct {
 	// were never reserved or paid.
 	Prefetch bool
 	// PrefetchDepth pins the per-list prefetch batch depth (> 0) or
-	// selects the adaptive policy (0: start at 1, double on stall,
-	// shrink when the algorithm falls behind). Meaningful only with
+	// selects the adaptive policy (0: open at the depth the shard's
+	// algorithm expects to reach — over the shard view's own length — or
+	// at 1 when it states none, double on stall, shrink when the
+	// algorithm falls behind). Meaningful only with
 	// Prefetch. A pinned depth is part of the global budget too: like
 	// the adaptive cap it is divided across the shards holding pipeline
 	// buffers at once (floored at 1), so pinning a deep batch on a

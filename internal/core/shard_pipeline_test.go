@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -219,11 +220,11 @@ func TestShardedPrefetchFenceDrainsStreamingPipelines(t *testing.T) {
 		t.Fatal(err)
 	}
 	srcs := pollutedSkewSources(t, n, shards)
-	lat := make([]*subsys.LatencySource, len(srcs))
 	for i := range srcs {
-		lat[i] = subsys.NewLatencySource(srcs[i], 100*time.Microsecond, 0)
-		srcs[i] = lat[i]
+		srcs[i] = subsys.NewLatencySource(srcs[i], 100*time.Microsecond, 0)
 	}
+	var gauge callGauge
+	srcs = gauged(srcs, &gauge)
 	got, err := EvaluateSharded(context.Background(), A0{}, srcs, agg.Min, 10,
 		shardedPrefetchConfig(shards, 1, 0))
 	if err != nil {
@@ -258,31 +259,38 @@ func TestShardedPrefetchFenceDrainsStreamingPipelines(t *testing.T) {
 	if got.Cost.Sum() >= wantUnshardedCost {
 		t.Errorf("fencing did not engage: sharded cost %d, unsharded %d", got.Cost.Sum(), wantUnshardedCost)
 	}
-	// Drained: once in-flight batches land, no further physical calls.
-	time.Sleep(30 * time.Millisecond)
-	before := totalCalls(lat)
-	time.Sleep(30 * time.Millisecond)
-	if after := totalCalls(lat); after != before {
-		t.Errorf("pipelines still fetching after fenced evaluation returned: %d -> %d calls", before, after)
-	}
+	gauge.requireDrained(t, "the fenced evaluation returned")
 }
 
 // deepBlockSource parks every batched sorted access that reaches past
 // minLo until released: the wedged-subsystem case scoped to the deep
 // scans only — a cold shard's re-ranking scan (which must wade past the
 // hot prefix to find its objects) wedges, while the hot shard's shallow
-// scans proceed.
+// scans proceed. The first deep scan to park closes parked; a gated
+// source holds its shallow scans back until then, so a test can make
+// "the cold shard is wedged" happen before "the hot shard finished"
+// instead of hoping the scheduler orders them that way.
 type deepBlockSource struct {
 	src     subsys.Source
 	release chan struct{}
 	minLo   int
+	parked  chan struct{}
+	once    *sync.Once
+	gated   bool
 }
 
 func (s deepBlockSource) Len() int                       { return s.src.Len() }
 func (s deepBlockSource) Entry(rank int) gradedset.Entry { return s.src.Entry(rank) }
 func (s deepBlockSource) Entries(lo, hi int) []gradedset.Entry {
-	if lo >= s.minLo {
+	switch {
+	case hi > s.minLo:
+		s.once.Do(func() { close(s.parked) })
 		<-s.release
+	case s.gated:
+		select {
+		case <-s.parked:
+		case <-s.release:
+		}
 	}
 	return s.src.Entries(lo, hi)
 }
@@ -316,19 +324,30 @@ func (s atomicBlockSource) Grade(obj int) float64 { return s.src.Grade(obj) }
 // abandon the wedged shard promptly (*AbandonedError wrapping
 // context.Canceled) and report consistent partial tallies; the wedged
 // worker is released only after the evaluation has returned.
+//
+// The order is forced, not raced: a hot shard that finished first would
+// fence the cold one before it ever started a pipeline, and the
+// evaluation would (correctly) complete. So list 1 serves no shallow scan
+// until a deep scan has parked, which only the cold shard's list-0
+// pipeline can do (its own list-1 scans are held back like the hot
+// shard's): the hot shard cannot complete a round before the cold shard
+// is wedged, and the cancellation clock starts there.
 func TestShardedPrefetchCancellationWedgedFencedShard(t *testing.T) {
 	const n, shards = 2048, 2
 	srcs := skewedShardSources(t, n, shards)
-	release := make(chan struct{})
+	release, parked := make(chan struct{}), make(chan struct{})
+	var once sync.Once
 	for i := range srcs {
-		// Block any scan past the hot shard's half of the parent order:
-		// only the cold shard's view reaches that deep.
-		srcs[i] = deepBlockSource{src: srcs[i], release: release, minLo: n / 2}
+		// Block any scan reaching past the hot shard's half of the parent
+		// order: only the cold shard's view reaches that deep.
+		srcs[i] = deepBlockSource{src: srcs[i], release: release, minLo: n / 2,
+			parked: parked, once: &once, gated: i == 1}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		time.Sleep(30 * time.Millisecond)
+		<-parked
+		time.Sleep(30 * time.Millisecond) // room for the hot shard to finish and publish
 		cancel()
 	}()
 	done := make(chan struct{})
@@ -437,6 +456,15 @@ func (s gaugedSource) Grade(obj int) float64 {
 	return s.src.Grade(obj)
 }
 
+// gauged passes every source's physical calls through g.
+func gauged(srcs []subsys.Source, g *callGauge) []subsys.Source {
+	out := make([]subsys.Source, len(srcs))
+	for i, src := range srcs {
+		out[i] = gaugedSource{src: src, g: g}
+	}
+	return out
+}
+
 // quiet reports whether no call is in flight and none has started since
 // the count `since` was read.
 func (g *callGauge) quiet(since int64) bool {
@@ -463,6 +491,22 @@ func (g *callGauge) settle(t *testing.T) int64 {
 	return 0
 }
 
+// requireDrained asserts the pipelines over the gauged sources are
+// closed: once the in-flight batches have landed (settle), no further
+// call may start.
+func (g *callGauge) requireDrained(t *testing.T, after string) {
+	t.Helper()
+	before := g.settle(t)
+	for poll := 0; poll < 20; poll++ {
+		time.Sleep(time.Millisecond)
+		if !g.quiet(before) {
+			t.Errorf("pipelines still fetching after %s: %d -> %d calls, %d in flight",
+				after, before, g.calls.Load(), g.inflight.Load())
+			return
+		}
+	}
+}
+
 // TestShardedPrefetchBudgetExhaustion races budget exhaustion against
 // shard fencing in the composed mode, repeatedly and with parallel
 // shard workers (the CI suite runs it under -race): the stop must
@@ -479,11 +523,9 @@ func TestShardedPrefetchBudgetExhaustion(t *testing.T) {
 	}
 	budget := float64(full.Cost.Sum()) / 8
 	for round := 0; round < 8; round++ {
-		srcs, _ := latencySourcesOf(db, 50*time.Microsecond)
+		srcs := latencySourcesOf(db, 50*time.Microsecond)
 		var gauge callGauge
-		for i := range srcs {
-			srcs[i] = gaugedSource{src: srcs[i], g: &gauge}
-		}
+		srcs = gauged(srcs, &gauge)
 		cfg := shardedPrefetchConfig(4, 4, 0)
 		cfg.Budget = budget
 		rep, err := EvaluateSharded(context.Background(), A0{}, srcs, agg.Min, 10, cfg)
@@ -503,17 +545,7 @@ func TestShardedPrefetchBudgetExhaustion(t *testing.T) {
 		if rep.Results != nil {
 			t.Errorf("round %d: results on budget-stopped evaluation", round)
 		}
-		// All pipelines closed: once the in-flight batches have landed, no
-		// further call may start.
-		before := gauge.settle(t)
-		for poll := 0; poll < 20; poll++ {
-			time.Sleep(time.Millisecond)
-			if !gauge.quiet(before) {
-				t.Errorf("round %d: pipelines still fetching after budget stop: %d -> %d calls, %d in flight",
-					round, before, gauge.calls.Load(), gauge.inflight.Load())
-				break
-			}
-		}
+		gauge.requireDrained(t, fmt.Sprintf("budget stop (round %d)", round))
 	}
 }
 
@@ -560,7 +592,9 @@ func TestShardedPaginatorPrefetchMatchesUnsharded(t *testing.T) {
 // physical call counters settle — without hanging on in-flight batches.
 func TestShardedPaginatorReleaseWithLivePipelines(t *testing.T) {
 	db := scoredb.Generator{N: 4096, M: 2, Seed: 76}.MustGenerate()
-	srcs, lat := latencySourcesOf(db, 100*time.Microsecond)
+	srcs := latencySourcesOf(db, 100*time.Microsecond)
+	var gauge callGauge
+	srcs = gauged(srcs, &gauge)
 	sp, err := NewShardedPaginator(context.Background(), A0{}, srcs, agg.Min,
 		shardedPrefetchConfig(4, 1, 0))
 	if err != nil {
@@ -569,7 +603,7 @@ func TestShardedPaginatorReleaseWithLivePipelines(t *testing.T) {
 	if _, err := sp.NextPage(5); err != nil {
 		t.Fatal(err)
 	}
-	if totalCalls(lat) == 0 {
+	if gauge.calls.Load() == 0 {
 		t.Fatal("no physical calls after a page; pipelines never engaged")
 	}
 	done := make(chan struct{})
@@ -582,10 +616,5 @@ func TestShardedPaginatorReleaseWithLivePipelines(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Release hung on live per-shard pipelines")
 	}
-	time.Sleep(30 * time.Millisecond)
-	before := totalCalls(lat)
-	time.Sleep(30 * time.Millisecond)
-	if after := totalCalls(lat); after != before {
-		t.Errorf("pipelines still fetching after Release: %d -> %d calls", before, after)
-	}
+	gauge.requireDrained(t, "Release")
 }

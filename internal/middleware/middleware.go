@@ -362,10 +362,11 @@ type Report struct {
 	Degraded []DegradedList
 	// Prefetch reports what the pipelined executor's background
 	// prefetchers did (deepest adaptive batch, stalls, physical batched
-	// calls), summed over the subsystem lists — and, under WithShards,
-	// aggregated across shards (MaxDepth is the deepest any shard grew;
-	// Stalls and Batches sum). Nil unless the request asked for
-	// WithPrefetch and the pipelines engaged.
+	// calls and the ranks they read), summed over the subsystem lists —
+	// and, under WithShards, aggregated across shards (MaxDepth is the
+	// deepest any shard grew; Stalls, Batches and Fetched sum). Fetched
+	// minus Cost.Sorted is the readahead the query never consumed. Nil
+	// unless the request asked for WithPrefetch and the pipelines engaged.
 	Prefetch *subsys.PipelineStats
 	// Cache records how the result cache handled this request — hit or
 	// miss, the source-epoch fingerprint the answer reflects, and (on a
@@ -484,8 +485,10 @@ func WithWorkStealing(on bool) QueryOption {
 // latency-hiding transport for slow or remote subsystems: a background
 // prefetcher per subsystem list keeps sorted streams ahead of the
 // algorithm by issuing batched sorted accesses — depth 0 selects the
-// adaptive policy (start at 1, double on stall, shrink when the
-// algorithm falls behind), depth > 0 pins the batch depth — and the
+// adaptive policy (open at the depth the algorithm expects to read to —
+// the A₀ family states Theorem 5.3's N^((m−1)/m)·k^(1/m) — or at 1 when it
+// states none, double on stall, shrink when the algorithm falls
+// behind), depth > 0 pins the batch depth — and the
 // random-access phase overlaps across subsystems and objects
 // (WithParallelism(p>1) caps the probes in flight; otherwise a
 // wider-than-CPU default applies, since a pipelined request is

@@ -46,12 +46,16 @@
 //
 // StartPrefetch extends the readahead buffer into a background per-list
 // pipeline: a worker goroutine issues batched sorted accesses
-// (src.Entries) ahead of the algorithm's demand, with adaptive depth —
-// start at 1, double every time the consumer stalls on the pipeline,
-// shrink when the consumer falls behind, capped at DefaultPrefetchCap —
-// so the per-call latency of a slow or remote source is amortized over
-// ever-larger spans exactly when the source is slow enough to warrant
-// it. The pay-on-delivery invariant is unchanged: the worker fills a
+// (src.Entries) ahead of the algorithm's demand, with adaptive depth:
+// the window opens at the rank the consumer said it expects to reach
+// (Counted.Expect; the A₀ family knows it in closed form) and covers a
+// demand stated up front in one call, so a list is usually read in one
+// or two calls; a consumer that states nothing starts at 1, and either
+// way the depth doubles every time the consumer stalls on the pipeline
+// and shrinks when it falls behind, capped at DefaultPrefetchCap — the
+// per-call latency of a slow or remote source is amortized over larger
+// spans exactly when the source is slow enough to warrant it (the
+// pipeline type states the whole policy). The pay-on-delivery invariant is unchanged: the worker fills a
 // spool the consumer absorbs into the (still uncounted) prefix buffer,
 // and only consumption meters and memoizes, so tallies stay
 // bit-identical however deep the pipeline ran. The random-access twins

@@ -14,11 +14,11 @@ const DefaultPrefetchCap = 512
 
 // PipelineStats reports what a list's background prefetch pipeline did:
 // how deep the adaptive readahead grew, how often the consumer caught up
-// with it (stalls are what drive the depth doubling), and how many
-// physical batched sorted calls it issued against the source. Counters
-// reflect batches that completed; a batch still in flight when the
-// pipeline shuts down (shutdown never waits on the source) is not
-// counted.
+// with it (stalls after the first are what drive the depth doubling), how
+// many physical batched sorted calls it issued against the source and how
+// many ranks they brought back. Counters reflect batches that completed;
+// a batch still in flight when the pipeline shuts down (shutdown never
+// waits on the source) is not counted.
 type PipelineStats struct {
 	// MaxDepth is the largest batch depth any single refill used.
 	MaxDepth int
@@ -26,6 +26,10 @@ type PipelineStats struct {
 	Stalls int
 	// Batches counts the physical Entries calls issued to the source.
 	Batches int
+	// Fetched counts the ranks those calls read. The Section 5 sorted
+	// tally counts the ranks the algorithm consumed, so Fetched minus
+	// that tally is the readahead the query never used.
+	Fetched int
 }
 
 // Add merges two stat sets: counters sum, MaxDepth takes the maximum.
@@ -35,6 +39,7 @@ func (s PipelineStats) Add(o PipelineStats) PipelineStats {
 	}
 	s.Stalls += o.Stalls
 	s.Batches += o.Batches
+	s.Fetched += o.Fetched
 	return s
 }
 
@@ -46,15 +51,36 @@ func (s PipelineStats) Add(o PipelineStats) PipelineStats {
 // memo advance only when the algorithm consumes a rank — so the pipeline
 // is pure transport: it changes wall-clock, never cost.
 //
-// The batch depth adapts to the consumer: it starts at 1 (or a fixed
-// configured depth), doubles every time a refill completes while the
-// consumer is waiting (a stall: the pipeline is too shallow for the
-// source's latency), up to maxDepth, and halves when a refill completes
-// that the consumer has not even asked for yet (the algorithm fell
-// behind; deep readahead would only be waste if the query stops early).
-// The worker never runs more than depth ranks past the consumer's demand
-// watermark, so a fenced or abandoned evaluation strands at most one
-// batch.
+// The worker keeps the window [need, need+depth) past the consumer's
+// demand watermark fetched, one batch of depth ranks at a time. A fixed
+// configured depth is exactly that and nothing else. The adaptive policy
+// chooses the depth, by five rules:
+//
+//  1. The expectation. A consumer that knows how deep it will read — the
+//     A₀ family, from Theorem 5.3's closed form — says so before the
+//     first access (Counted.Expect).
+//  2. The opening depth is that expectation (less what the list already
+//     buffers), clamped to [1, maxDepth]: without one the window opens at
+//     1 and has to find the depth by the doubling below.
+//  3. The depth doubles, up to maxDepth, every time a refill completes
+//     while the consumer is waiting (a stall: the window is too shallow
+//     for the source's latency) and halves when a refill completes that
+//     the consumer has not even asked for yet (the algorithm fell behind;
+//     deep readahead would only be waste if the query stops early) —
+//     except on the first batch: nothing can be buffered before it lands,
+//     so the consumer's wait for it says nothing about the depth.
+//  4. One batch covers the demand already stated: a consumer that asks
+//     for its next n ranks up front (B₀'s top-k prefixes, the naive
+//     drain, a page) gets min(n, maxDepth) of them per call instead of
+//     climbing 1, 2, 4, … toward a number it announced.
+//  5. No slivers: with the demand met and less than half a depth of room
+//     left in the window, the worker parks until the demand grows
+//     instead of issuing a call for a handful of ranks (unless they are
+//     the list's last).
+//
+// Under every rule the worker never runs more than depth ≤ maxDepth ranks
+// past the demand watermark, so a fenced, budget-stopped or abandoned
+// evaluation strands at most one batch of at most maxDepth ranks.
 //
 // Exactly one goroutine consumes (the one driving the evaluation); the
 // worker is the only other toucher. All shared state is guarded by mu;
@@ -83,17 +109,19 @@ type pipeline struct {
 }
 
 // newPipeline starts the worker for src, resuming after the `buffered`
-// ranks the list already holds. depth <= 0 selects the adaptive policy
-// (start at 1, double on stall); maxDepth <= 0 selects DefaultPrefetchCap.
-func newPipeline(src Source, fs FallibleSource, length, buffered, depth, maxDepth int) *pipeline {
+// ranks the list already holds. depth <= 0 selects the adaptive policy,
+// opening at the rank the consumer expects to reach (expect; 0 when it
+// stated nothing, which opens at 1); maxDepth <= 0 selects
+// DefaultPrefetchCap.
+func newPipeline(src Source, fs FallibleSource, length, buffered, depth, maxDepth, expect int) *pipeline {
 	if maxDepth <= 0 {
 		maxDepth = DefaultPrefetchCap
 	}
 	adapt := depth <= 0
 	if adapt {
-		depth = 1
-	}
-	if maxDepth < depth {
+		depth = min(max(expect-buffered, 1), maxDepth)
+	} else {
+		// A fixed depth is also the largest batch (rule 4 never exceeds it).
 		maxDepth = depth
 	}
 	p := &pipeline{
@@ -123,30 +151,33 @@ func notify(ch chan struct{}) {
 	}
 }
 
-// run is the worker loop: fetch batches of the current depth until the
-// demand-plus-depth target is covered, park until kicked, repeat.
+// run is the worker loop: fetch batches of the current depth (or of the
+// stated demand, rule 4) until the demand-plus-depth target is covered,
+// park until kicked, repeat.
 func (p *pipeline) run() {
 	defer close(p.done)
+	// Nothing is worth fetching before the consumer's first demand (or a
+	// close): what it asks for decides the first batch (rule 4).
+	<-p.kick
 	for {
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
 			return
 		}
-		target := p.need + p.depth
-		if target > p.length {
-			target = p.length
+		target := min(p.need+p.depth, p.length)
+		lo, d := p.fetched, p.depth
+		if short := p.need - lo; short > d {
+			d = min(short, p.maxDepth)
 		}
-		if p.fetched >= target {
+		hi := min(lo+d, target)
+		sliver := p.adapt && lo >= p.need && 2*(hi-lo) < p.depth && hi < p.length
+		if lo >= target || sliver {
 			p.mu.Unlock()
 			<-p.kick
 			continue
 		}
-		lo, d := p.fetched, p.depth
-		hi := lo + d
-		if hi > target {
-			hi = target
-		}
+		first := p.stats.Batches == 0
 		p.mu.Unlock()
 
 		// The slow call, outside the lock: one batched sorted access.
@@ -182,6 +213,7 @@ func (p *pipeline) run() {
 			p.spool = append(p.spool, span...)
 			p.fetched = lo + len(span)
 			p.stats.Batches++
+			p.stats.Fetched += len(span)
 			p.err = ferr
 			p.closed = true
 			p.mu.Unlock()
@@ -191,10 +223,11 @@ func (p *pipeline) run() {
 		p.spool = append(p.spool, span...)
 		p.fetched = hi
 		p.stats.Batches++
+		p.stats.Fetched += len(span)
 		if d > p.stats.MaxDepth {
 			p.stats.MaxDepth = d
 		}
-		if p.adapt {
+		if p.adapt && !first {
 			if p.waiting {
 				// The consumer is stalled on us: the batch was too small
 				// for the source's latency. Double it.
@@ -232,7 +265,7 @@ func (p *pipeline) demand(n int) {
 // await blocks until at least n ranks are fetched, the pipeline closes,
 // or stop fires; it reports whether the n ranks are available. A wait
 // counts as one stall (and, via the waiting flag, drives the worker's
-// depth doubling). stop may be nil.
+// depth doubling after the first batch). stop may be nil.
 func (p *pipeline) await(n int, stop <-chan struct{}) bool {
 	if n > p.length {
 		n = p.length

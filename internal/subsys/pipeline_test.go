@@ -1,6 +1,8 @@
 package subsys
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -184,5 +186,106 @@ func TestReleaseDoesNotWaitOutWedgedBatch(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Release blocked on a wedged in-flight batch")
+	}
+}
+
+// spanLog records the [lo, hi) of every batched sorted access on its way
+// to the wrapped source, after a small per-call latency (so a consumer
+// that runs its buffer dry genuinely stalls on the refill).
+type spanLog struct {
+	Source
+	mu    sync.Mutex
+	spans [][2]int
+}
+
+func (s *spanLog) Entries(lo, hi int) []gradedset.Entry {
+	s.mu.Lock()
+	s.spans = append(s.spans, [2]int{lo, hi})
+	s.mu.Unlock()
+	time.Sleep(100 * time.Microsecond)
+	return s.Source.Entries(lo, hi)
+}
+
+// TestPipelinePolicyCallByCall pins the readahead policy to the physical
+// calls it issues: where the window opens (the stated expectation, less
+// what is buffered, under the cap), that the cold-start wait does not
+// fire a second speculative batch, that a stated demand is covered by
+// one call, that no sliver follows a batch, and that a pinned depth is
+// exactly that depth. Each case reads the list the way the algorithms
+// do — Next until `consume` ranks are delivered, demanding only when the
+// buffer is dry — or states a demand of `stage` ranks up front. The
+// worker is joined before the calls are compared, so `want` (the calls
+// the sequence must open with) and `calls` (how many there may be in
+// all) are exact, not sampled; where `calls` exceeds len(want) the rest
+// depends on whether a refill or the consumer got there first, and only
+// contiguity and the cap are asserted of it.
+func TestPipelinePolicyCallByCall(t *testing.T) {
+	type span = [2]int
+	cases := []struct {
+		name                string
+		n, buffered, expect int
+		depth, maxDepth     int
+		stage, consume      int
+		want                []span
+		calls               int
+	}{
+		{name: "expectation covers the run", n: 4096, expect: 253, consume: 214,
+			want: []span{{0, 253}}, calls: 1},
+		{name: "expectation short of the run", n: 4096, expect: 253, consume: 300,
+			want: []span{{0, 253}}, calls: 3},
+		{name: "expectation above the cap", n: 4096, expect: 1000, maxDepth: 64, consume: 10,
+			want: []span{{0, 64}}, calls: 1},
+		{name: "no expectation", n: 4096, maxDepth: 32, consume: 600,
+			want: []span{{0, 1}}, calls: 600},
+		{name: "pinned depth", n: 64, expect: 253, depth: 16, stage: 64, consume: 64,
+			want: []span{{0, 16}, {16, 32}, {32, 48}, {48, 64}}, calls: 4},
+		{name: "stated demand", n: 4096, stage: 10, consume: 10,
+			want: []span{{0, 10}}, calls: 2},
+		{name: "list shorter than the expectation", n: 100, expect: 253, consume: 100,
+			want: []span{{0, 100}}, calls: 1},
+		{name: "window opens past the buffered prefix", n: 4096, buffered: 50, expect: 253, consume: 214,
+			want: []span{{0, 50}, {50, 253}}, calls: 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			log := &spanLog{Source: FromList(pipelineList(t, tc.n))}
+			c := Count(log)
+			defer c.Release()
+			c.Prefetch(tc.buffered)
+			c.Expect(tc.expect)
+			c.StartPrefetch(tc.depth, tc.maxDepth)
+			cu := NewCursor(c)
+			if tc.stage > 0 {
+				cu.DemandAhead(tc.stage)
+				if !cu.AwaitAhead(tc.stage, nil) {
+					t.Fatalf("pipeline did not stage %d ranks", tc.stage)
+				}
+			}
+			for i := 0; i < tc.consume; i++ {
+				if _, ok := cu.Next(); !ok {
+					t.Fatalf("cursor dry at rank %d", i)
+				}
+			}
+			c.StopPrefetch()
+			got := log.spans
+			if len(got) < len(tc.want) || len(got) > tc.calls || !reflect.DeepEqual(got[:len(tc.want)], tc.want) {
+				t.Fatalf("calls %v: want %v first and at most %d in all", got, tc.want, tc.calls)
+			}
+			longest := tc.maxDepth
+			if longest == 0 {
+				longest = DefaultPrefetchCap
+			}
+			for i, s := range got[1:] {
+				if s[0] != got[i][1] || s[1]-s[0] > longest {
+					t.Errorf("call %v after %v: not contiguous, or longer than the cap %d", s, got[i], longest)
+				}
+			}
+			if got[len(got)-1][1] < tc.consume {
+				t.Errorf("calls %v stop short of the %d ranks consumed: a read bypassed the pipeline", got, tc.consume)
+			}
+			if s, _ := c.PrefetchStats(); tc.expect == 0 && tc.stage == 0 && s.MaxDepth < 2 {
+				t.Errorf("unseeded depth never grew on a stalling source: max %d", s.MaxDepth)
+			}
+		})
 	}
 }

@@ -108,6 +108,7 @@ type Counted struct {
 	known  map[int]float64   // map fallback memo (also overflow for out-of-universe probes)
 	list   *gradedset.List   // the list itself when src is a bare in-memory ListSource
 	pipe   *pipeline         // background prefetcher; nil until StartPrefetch
+	expect int               // rank the evaluation expects to read to (see Expect); 0 = unstated
 	pstats PipelineStats     // stats snapshot kept past Release
 	piped  bool              // a pipeline ran at some point (pstats is meaningful)
 }
@@ -368,13 +369,25 @@ func (c *Counted) Err() error {
 // mid-query.
 func (c *Counted) Fallible() bool { return c.fs != nil || c.bg != nil }
 
+// Expect states how many ranks of the list the evaluation expects its
+// sorted phase to read, before it reads any: an algorithm whose stopping
+// depth has a closed form (the A₀ family, Theorem 5.3) says so, and an
+// adaptive prefetch pipeline started afterwards opens its window there
+// instead of finding the depth one doubling — one round trip — at a time.
+// Transport only, like the pipeline itself: an expectation that turns out
+// wrong costs over-read or extra round trips, never an access in the
+// tally. It does not reach a pipeline that is already running.
+func (c *Counted) Expect(rank int) { c.expect = rank }
+
 // StartPrefetch attaches a background prefetch pipeline to the list: a
 // worker goroutine keeps the uncounted readahead buffer ahead of
-// consumption by issuing batched sorted accesses with adaptive depth
-// (depth <= 0: start at 1, double on stall, halve when the consumer
-// falls behind, capped at maxDepth or DefaultPrefetchCap). Payment stays
-// strictly on delivery — the pipeline never advances the sorted tally or
-// the grade memo — so tallies are bit-identical to an unpipelined run.
+// consumption by issuing batched sorted accesses, depth ranks at a time
+// (depth <= 0: adaptive — open at the rank stated with Expect, or at 1
+// without one, double on stall, halve when the consumer falls behind,
+// capped at maxDepth or DefaultPrefetchCap; see pipeline for the whole
+// policy). Payment stays strictly on delivery — the pipeline never
+// advances the sorted tally or the grade memo — so tallies are
+// bit-identical to an unpipelined run.
 //
 // The worker reads the source concurrently with the evaluation's random
 // accesses, so the source must tolerate concurrent reads (every built-in
@@ -385,7 +398,7 @@ func (c *Counted) StartPrefetch(depth, maxDepth int) {
 	if c.pipe != nil || c.fenced || c.src == nil || c.serr != nil {
 		return
 	}
-	c.pipe = newPipeline(c.src, c.fs, c.length, len(c.prefix), depth, maxDepth)
+	c.pipe = newPipeline(c.src, c.fs, c.length, len(c.prefix), depth, maxDepth, c.expect)
 	c.piped = true
 }
 

@@ -436,6 +436,10 @@ func (s *RemoteSource) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
 		return nil, nil
 	}
 	ctx := s.boundCtx()
+	universe := 0
+	if s.c.meta.Dense {
+		universe = s.c.meta.N
+	}
 	var out []gradedset.Entry
 	pos := lo
 	for pos < hi {
@@ -443,11 +447,17 @@ func (s *RemoteSource) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
 		if err := s.c.post(ctx, "entries", "/v1/entries", EntriesRequest{List: s.list, Lo: pos, Hi: hi}, &resp); err != nil {
 			return out, err
 		}
-		span, err := resp.entries(hi - pos)
+		span, err := resp.entries(hi-pos, universe)
 		if err != nil {
 			return out, err
 		}
-		out = append(out, span...)
+		if out == nil {
+			// The usual case, one page completing the request, returns the
+			// page's own slice; only a paged span is copied together.
+			out = span
+		} else {
+			out = append(out, span...)
+		}
 		pos += len(span)
 		if resp.Err != nil {
 			return out, &TransportError{Op: "entries", Msg: resp.Err.Message, Temporary: resp.Err.Transient}

@@ -138,7 +138,14 @@
 //
 // TryEntries(lo, hi) coalesces one logical span into sequential paged
 // fetches and, on failure, returns the partial span alongside the
-// error. Client.Query and Client.Results evaluate remotely instead,
+// error. Under the pipelined executor the spans are long — its readahead
+// opens at the depth the algorithm expects to reach, so an A₀ query
+// reads a list in one or two /v1/entries calls of a few hundred ranks
+// rather than a doubling ramp of small ones — and every one is checked
+// before the engine sees it: a span that is malformed, out of [0, 1],
+// not in descending grade order, or (on a dense universe) names an
+// object outside it is a permanent *TransportError delivering nothing.
+// Client.Query and Client.Results evaluate remotely instead,
 // for deployments where the data and the engine live together and only
 // answers cross the wire (cmd/fuzzyquery -connect).
 package wire

@@ -210,6 +210,53 @@ func TestGatherIssuesOneBatchPerList(t *testing.T) {
 	}
 }
 
+// TestSortedPhaseRoundTripBudget is the sorted side's twin of the test
+// above, a count a later change cannot quietly lose: the pipelined
+// executor opens each list's readahead at the depth A₀ expects to reach
+// (≈253 ranks for N = 4096, m = 2, k = 10), so a two-list conjunction
+// reads its lists in one /v1/entries call each — two more per list when
+// the run outlasts the opening batch — where a window opening at 1 and
+// doubling took ≈29. The tally and the answers are the serial
+// executor's, and Report.Prefetch.Fetched accounts for the over-read:
+// never less than the ranks paid for, never more than one window per
+// list past them, and on this seed, where the opening batches cover the
+// run, well under twice.
+func TestSortedPhaseRoundTripBudget(t *testing.T) {
+	const m, k = 2, 10
+	for i, seed := range []uint64{26, 27, 28, 29} {
+		db := testDB(t, 4096, m, seed)
+		ss, err := wire.NewSourceServer(dbSources(db))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(ss)
+		t.Cleanup(ts.Close)
+		ct := &countingTransport{}
+		client, err := wire.Dial(ts.URL, wire.WithHTTPClient(&http.Client{Transport: ct}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := mustQuery(t, localEngine(t, db), queryOf(m), middleware.TopN(k))
+		got := mustQuery(t, wireEngine(t, client), queryOf(m), middleware.TopN(k), middleware.WithPrefetch(0))
+		assertReportsEqual(t, want, got)
+		if n := ct.count("/v1/entries"); n > 6 {
+			t.Errorf("seed %d: %d /v1/entries calls for %d sorted accesses, want at most 6", seed, n, got.Cost.Sorted)
+		}
+		if got.Prefetch == nil {
+			t.Fatalf("seed %d: no prefetch stats on a pipelined query", seed)
+		}
+		fetched, paid := got.Prefetch.Fetched, got.Cost.Sorted
+		if fetched < paid || fetched > paid+m*subsys.DefaultPrefetchCap {
+			t.Errorf("seed %d: %d ranks fetched for %d paid, want within [paid, paid + %d·%d]",
+				seed, fetched, paid, m, subsys.DefaultPrefetchCap)
+		}
+		if i == 0 && (ct.count("/v1/entries") != m || fetched >= 2*paid) {
+			t.Errorf("seed %d: %d /v1/entries calls, %d ranks fetched for %d paid; want one call per list and under twice the ranks",
+				seed, ct.count("/v1/entries"), fetched, paid)
+		}
+	}
+}
+
 // TestOldServerFallback: a client dialled to a server that predates
 // /v1/grades (no "grades" in its meta, no such route) keeps probing
 // through /v1/grade and answers identically.
@@ -333,6 +380,9 @@ func TestHostileSpanResponses(t *testing.T) {
 		{"entries: negative grade", "/v1/entries", `{"objects":[1,2],"grades":[0.9,-0.1]}`},
 		{"entries: NaN", "/v1/entries", `{"objects":[1],"grades":[NaN]}`},
 		{"entries: infinity", "/v1/entries", `{"objects":[1],"grades":[1e999]}`},
+		{"entries: grades increase", "/v1/entries", `{"objects":[1,2,3],"grades":[0.9,0.5,0.7]}`},
+		{"entries: object outside the dense universe", "/v1/entries", `{"objects":[1,100],"grades":[0.9,0.8]}`},
+		{"entries: negative object", "/v1/entries", `{"objects":[-1],"grades":[0.9]}`},
 		{"grades: longer than requested", "/v1/grades", `{"grades":[0.9,0.8,0.7,0.6]}`},
 		{"grades: shorter without err", "/v1/grades", `{"grades":[0.9,0.8]}`},
 		{"grades: complete with err", "/v1/grades", `{"grades":[0.9,0.8,0.7],"err":{"error":"x","transient":true}}`},

@@ -74,9 +74,12 @@ type EntriesResponse struct {
 
 // entries converts the parallel arrays to graded entries, rejecting
 // what only a broken or hostile server sends: arrays of different
-// lengths, more entries than the max asked for, and grades outside
-// [0, 1] (NaN and infinities never survive JSON decoding).
-func (r *EntriesResponse) entries(max int) ([]gradedset.Entry, error) {
+// lengths, more entries than the max asked for, grades outside [0, 1]
+// (NaN and infinities never survive JSON decoding), grades that increase
+// along the span — sorted order is what A₀'s stopping rule rests on — and,
+// when universe > 0 (the server declared the dense universe {0,…,N−1}),
+// an object outside it.
+func (r *EntriesResponse) entries(max, universe int) ([]gradedset.Entry, error) {
 	if len(r.Objects) != len(r.Grades) || len(r.Objects) > max {
 		return nil, &TransportError{Op: "entries", Msg: fmt.Sprintf(
 			"malformed span: %d objects, %d grades, %d requested", len(r.Objects), len(r.Grades), max)}
@@ -86,6 +89,14 @@ func (r *EntriesResponse) entries(max int) ([]gradedset.Entry, error) {
 	}
 	out := make([]gradedset.Entry, len(r.Objects))
 	for i, obj := range r.Objects {
+		if i > 0 && r.Grades[i] > r.Grades[i-1] {
+			return nil, &TransportError{Op: "entries", Msg: fmt.Sprintf(
+				"unsorted span: grade %v at position %d follows %v", r.Grades[i], i, r.Grades[i-1])}
+		}
+		if universe > 0 && (obj < 0 || obj >= universe) {
+			return nil, &TransportError{Op: "entries", Msg: fmt.Sprintf(
+				"object %d at position %d is outside the dense universe of %d", obj, i, universe)}
+		}
 		out[i] = gradedset.Entry{Object: obj, Grade: r.Grades[i]}
 	}
 	return out, nil
@@ -191,11 +202,13 @@ func costsOf(cs []cost.Cost) []Cost {
 	return out
 }
 
-// PrefetchStats is the JSON form of subsys.PipelineStats.
+// PrefetchStats is the JSON form of subsys.PipelineStats, field for
+// field (ResponseOf converts one into the other).
 type PrefetchStats struct {
 	MaxDepth int `json:"max_depth"`
 	Stalls   int `json:"stalls"`
 	Batches  int `json:"batches"`
+	Fetched  int `json:"fetched"`
 }
 
 // CacheInfo is the JSON form of middleware.CacheInfo: how the engine's

@@ -163,11 +163,8 @@ func ResponseOf(rep *middleware.Report, elapsed time.Duration) QueryResponse {
 		resp.Reason = rep.Plan.Reason
 	}
 	if rep.Prefetch != nil {
-		resp.Prefetch = &PrefetchStats{
-			MaxDepth: rep.Prefetch.MaxDepth,
-			Stalls:   rep.Prefetch.Stalls,
-			Batches:  rep.Prefetch.Batches,
-		}
+		p := PrefetchStats(*rep.Prefetch)
+		resp.Prefetch = &p
 	}
 	if rep.Cache != nil {
 		ci := &CacheInfo{Hit: rep.Cache.Hit, Epoch: rep.Cache.Epoch}

@@ -151,11 +151,12 @@ func (s *SourceServer) handleEntries(w http.ResponseWriter, r *http.Request) {
 		hi = req.Lo + s.page
 	}
 	resp, ok := serveBound(r, sl.Src, func() EntriesResponse {
-		resp := EntriesResponse{Objects: []int{}, Grades: []float64{}}
 		span, err := sl.Try.TryEntries(req.Lo, hi)
-		for _, e := range span {
-			resp.Objects = append(resp.Objects, e.Object)
-			resp.Grades = append(resp.Grades, e.Grade)
+		// Sized, not grown: a pipelined client asks for hundreds of ranks
+		// per call. Never nil, so an empty span still encodes as [].
+		resp := EntriesResponse{Objects: make([]int, len(span)), Grades: make([]float64, len(span))}
+		for i, e := range span {
+			resp.Objects[i], resp.Grades[i] = e.Object, e.Grade
 		}
 		if err != nil {
 			resp.Err = faultOf(err)
