@@ -1,13 +1,12 @@
-// Command faginbench regenerates the experiment tables of EXPERIMENTS.md:
-// one table per claim in the paper's analysis (Theorems 5.3–7.1 and the
-// numbered remarks), measured over synthetic workloads drawn from the
-// Section 5 probabilistic model.
+// Command faginbench writes EXPERIMENTS.md: one table per claim in the
+// paper's analysis (Theorems 5.3–7.1 and the numbered remarks), measured
+// over synthetic workloads drawn from the Section 5 probabilistic model.
 //
 // Usage:
 //
-//	faginbench              # run all experiments at full size
+//	faginbench              # the whole document at full size
 //	faginbench -quick       # scaled-down sizes/trials (seconds, not minutes)
-//	faginbench -run E9      # one experiment
+//	faginbench -run E9      # one experiment's section
 //	faginbench -list        # list the experiment index
 //	faginbench -seed 42     # change the master seed
 package main
@@ -15,25 +14,32 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"fuzzydb/internal/sim"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("faginbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		quick = flag.Bool("quick", false, "run scaled-down sizes and trial counts")
-		runID = flag.String("run", "", "run a single experiment by id (e.g. E3)")
-		list  = flag.Bool("list", false, "list the experiment index and exit")
-		seed  = flag.Uint64("seed", 1, "master seed for all workloads")
+		quick = fs.Bool("quick", false, "run scaled-down sizes and trial counts")
+		runID = fs.String("run", "", "run a single experiment by id (e.g. E3)")
+		list  = fs.Bool("list", false, "list the experiment index and exit")
+		seed  = fs.Uint64("seed", 1, "master seed for all workloads")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, e := range sim.All() {
-			fmt.Printf("%-4s %s\n     %s\n", e.ID, e.Title, e.Claim)
+			fmt.Fprintf(stdout, "%-4s %s\n     %s\n", e.ID, e.Title, e.Claim)
 		}
-		return
+		return 0
 	}
 
 	cfg := sim.DefaultConfig()
@@ -42,25 +48,17 @@ func main() {
 	}
 	cfg.Seed = *seed
 
-	experiments := sim.All()
-	if *runID != "" {
-		e, ok := sim.ByID(*runID)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "faginbench: unknown experiment %q (try -list)\n", *runID)
-			os.Exit(1)
-		}
-		experiments = []sim.Experiment{e}
+	var err error
+	if *runID == "" {
+		err = sim.WriteDocument(stdout, cfg, func(e sim.Experiment) *sim.Table { return e.Table(cfg) })
+	} else if e, ok := sim.ByID(*runID); ok {
+		err = e.Table(cfg).Render(stdout)
+	} else {
+		err = fmt.Errorf("unknown experiment %q (try -list)", *runID)
 	}
-
-	for i, e := range experiments {
-		if i > 0 {
-			fmt.Println()
-		}
-		tab := e.Run(cfg)
-		tab.ID, tab.Title, tab.Claim = e.ID, e.Title, e.Claim
-		if err := tab.Render(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "faginbench: %v\n", err)
-			os.Exit(1)
-		}
+	if err != nil {
+		fmt.Fprintf(stderr, "faginbench: %v\n", err)
+		return 1
 	}
+	return 0
 }

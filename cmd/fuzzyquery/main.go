@@ -104,6 +104,24 @@ import (
 	"fuzzydb/internal/wire"
 )
 
+// connectConflict names the first flag, in declaration order, that was
+// given a value and shapes a local engine (so it cannot travel with
+// -connect), or "" when there is none.
+func connectConflict(dbFile string, latency time.Duration, faults float64, faultSeed uint64, retries, cacheSize int) string {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"-db", dbFile != ""}, {"-latency", latency != 0}, {"-faults", faults != 0},
+		{"-fault-seed", faultSeed != 1}, {"-retries", retries != 0}, {"-cache", cacheSize != 0},
+	} {
+		if f.set {
+			return f.name
+		}
+	}
+	return ""
+}
+
 func main() {
 	var (
 		q         = flag.String("q", "", "query, e.g. 'Artist = \"Beatles\" AND AlbumColor ~ \"red\"'")
@@ -141,14 +159,9 @@ func main() {
 		// fuzzyserve process; only the request and the report cross the
 		// wire. The simulation and assembly flags shape a local engine
 		// and cannot apply.
-		for flagName, set := range map[string]bool{
-			"-db": *dbFile != "", "-latency": *latency != 0, "-faults": *faults != 0,
-			"-fault-seed": *faultSeed != 1, "-retries": *retries != 0, "-cache": *cacheSize != 0,
-		} {
-			if set {
-				fmt.Fprintf(os.Stderr, "fuzzyquery: %s applies to a local engine; it cannot combine with -connect\n", flagName)
-				os.Exit(2)
-			}
+		if name := connectConflict(*dbFile, *latency, *faults, *faultSeed, *retries, *cacheSize); name != "" {
+			fmt.Fprintf(os.Stderr, "fuzzyquery: %s applies to a local engine; it cannot combine with -connect\n", name)
+			os.Exit(2)
 		}
 		os.Exit(runRemote(os.Stdout, *connect, *q, remoteFlags{
 			k: *k, parallel: *parallel, shards: *shards,

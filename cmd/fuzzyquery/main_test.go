@@ -84,3 +84,24 @@ func TestLocalAndRemoteReportsPrintAlike(t *testing.T) {
 		t.Errorf("reports differ beyond names, clocks and the server-side line:\n--- remote\n%s--- local\n%s", got, want)
 	}
 }
+
+// TestConnectConflictNamesFirstFlagInDeclarationOrder: with several
+// local-only flags set beside -connect, the one named is the first as
+// the flags are declared, on every run — it used to follow a map's
+// iteration order.
+func TestConnectConflictNamesFirstFlagInDeclarationOrder(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		if got := connectConflict("db.json", time.Millisecond, 0.05, 7, 2, 8); got != "-db" {
+			t.Fatalf("run %d: all six set: named %q, want -db", i, got)
+		}
+		if got := connectConflict("", time.Millisecond, 0, 1, 0, 8); got != "-latency" {
+			t.Fatalf("run %d: -latency and -cache set: named %q, want -latency", i, got)
+		}
+		if got := connectConflict("", 0, 0, 7, 2, 0); got != "-fault-seed" {
+			t.Fatalf("run %d: -fault-seed and -retries set: named %q, want -fault-seed", i, got)
+		}
+	}
+	if got := connectConflict("", 0, 0, 1, 0, 0); got != "" {
+		t.Errorf("defaults: named %q, want none", got)
+	}
+}

@@ -7,9 +7,10 @@
 // middleware costs through the metered access layer, and reports the
 // quantity the theorem bounds.
 //
-// The experiment index (IDs E1–E16) is documented in DESIGN.md and
-// EXPERIMENTS.md; each experiment also has a corresponding benchmark in
-// the repository root's bench_test.go.
+// The experiments (All, in index order) are the only spelling of the
+// claims: WriteDocument renders them as EXPERIMENTS.md, whose index names
+// per claim the theorem, the quantity reported and the asserting test.
 //
-// All experiments are deterministic given Config.Seed.
+// All experiments are deterministic given Config: the document is
+// committed at DefaultConfig and pinned byte for byte at QuickConfig.
 package sim

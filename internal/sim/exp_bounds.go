@@ -19,6 +19,7 @@ func e4() Experiment {
 		ID:    "E4",
 		Title: "Tail of the per-list sorted depth vs c*sqrt(Nk) (m=2)",
 		Claim: "[Wi98b]: Pr[depth > c sqrt(Nk)] < 2e-8 (c=2), < 4e-27 (c=3); empirically zero exceedances",
+		Test:  "TestE4NoExceedancesAtC3",
 		Run: func(cfg Config) *Table {
 			t := &Table{Header: []string{"c", "trials", "exceedances", "empirical Pr", "paper bound"}}
 			const m, k = 2, 10
@@ -57,6 +58,7 @@ func e5() Experiment {
 		ID:    "E5",
 		Title: "Lower-bound envelope: empirical CDF vs theta^m",
 		Claim: "Thm 6.4: Pr[cost <= theta * N^((m-1)/m) k^(1/m)] <= theta^m for every correct algorithm",
+		Test:  "TestE5EnvelopeHolds",
 		Run: func(cfg Config) *Table {
 			t := &Table{Header: []string{"m", "theta", "empirical CDF (A0)", "empirical CDF (TA)", "envelope theta^m"}}
 			const k = 5

@@ -20,6 +20,7 @@ func e15() Experiment {
 		ID:    "E15",
 		Title: "Weighted cost model invariance (A0, m=2, k=10)",
 		Claim: "Sec 5 ineq (1)/(2): for any positive (c1, c2) the weighted cost has the same Theta shape as S+R",
+		Test:  "TestE15WeightedCostInvariance",
 		Run: func(cfg Config) *Table {
 			t := &Table{Header: []string{"c1", "c2", "fitted exponent", "weighted/unweighted @ largest N"}}
 			const m, k = 2, 10
@@ -59,6 +60,7 @@ func e16() Experiment {
 		ID:    "E16",
 		Title: "Filter-first vs A0' across predicate selectivity (m=2, k=5)",
 		Claim: "Sec 4: 'first determine all objects that satisfy the first conjunct' wins for selective predicates; the crossover sits near sqrt(k/N)",
+		Test:  "TestE16FilterFirstCrossover",
 		Run: func(cfg Config) *Table {
 			t := &Table{Header: []string{"selectivity", "filter-first cost", "A0' cost", "winner"}}
 			const m, k = 2, 5

@@ -18,6 +18,7 @@ func e7() Experiment {
 		ID:    "E7",
 		Title: "B0 disjunction cost vs N (m=3, k=10)",
 		Claim: "Rem 6.1/Thm 4.5: max is not strict; B0 costs exactly mk regardless of N",
+		Test:  "TestE7B0Flat",
 		Run: func(cfg Config) *Table {
 			t := &Table{Header: []string{"N", "mean cost", "max cost", "mk", "strict-bound cost would be"}}
 			const m, k = 3, 10
@@ -44,6 +45,7 @@ func e8() Experiment {
 		ID:    "E8",
 		Title: "Median via subset decomposition vs generic A0 (m=3, k=5)",
 		Claim: "Rem 6.1: median evaluable in O(sqrt(Nk)); the strict bound N^(2/3) does not apply",
+		Test:  "TestE8MedianBeatsA0",
 		Run: func(cfg Config) *Table {
 			t := &Table{Header: []string{"N", "median-alg mean cost", "A0 mean cost", "sqrt(Nk)", "N^(2/3)k^(1/3)"}}
 			const m, k = 3, 5
@@ -77,6 +79,7 @@ func e10() Experiment {
 		ID:    "E10",
 		Title: "Ullman's algorithm: bounded-above vs uniform grades (m=2, k=1)",
 		Claim: "Sec 9: expected constant cost when one list's grades are <= 0.9; Theta(sqrt(N)) when both uniform",
+		Test:  "TestE10UllmanRegimes",
 		Run: func(cfg Config) *Table {
 			t := &Table{Header: []string{"N", "bounded: mean cost", "uniform: mean cost", "uniform/sqrt(N)", "A0 mean cost"}}
 			const k = 1

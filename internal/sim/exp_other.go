@@ -15,6 +15,7 @@ func e9() Experiment {
 		ID:    "E9",
 		Title: "Hard query Q AND NOT Q: cost vs N (k=1)",
 		Claim: "Thm 7.1: middleware cost is Theta(N); sublinearity is impossible, the naive algorithm is essentially optimal",
+		Test:  "TestE9HardQueryLinear",
 		Run: func(cfg Config) *Table {
 			t := &Table{Header: []string{"N", "A0 cost", "TA cost", "naive cost", "A0 cost / N"}}
 			hard := func(n int) genFunc {
@@ -54,6 +55,7 @@ func e11() Experiment {
 		ID:    "E11",
 		Title: "A0' candidate pruning vs A0 (min conjunction, k=10)",
 		Claim: "Sec 4 (Thm 4.4): A0' does the same sorted work but fewer random accesses, a constant-factor saving",
+		Test:  "TestE11A0PrimeSavings",
 		Run: func(cfg Config) *Table {
 			t := &Table{Header: []string{"m", "N", "A0 S", "A0 R", "A0' S", "A0' R", "R saving"}}
 			const k = 10
@@ -91,6 +93,7 @@ func e12() Experiment {
 		ID:    "E12",
 		Title: "Robustness across aggregation functions (m=2, k=10, TA)",
 		Claim: "Secs 3/5/6: upper and lower bounds hold for every monotone strict t (t-norms and means alike); strictness is what matters",
+		Test:  "TestE12StrictnessDichotomy",
 		Run: func(cfg Config) *Table {
 			t := &Table{Header: []string{"aggregation", "strict", "fitted exponent", "mean cost @ largest N"}}
 			const m, k = 2, 10
@@ -128,6 +131,7 @@ func e13() Experiment {
 		ID:    "E13",
 		Title: "A0 cost vs rank correlation of the two lists (m=2, k=10)",
 		Claim: "Sec 7: positive correlation can only help; the extreme negative case forces linear cost",
+		Test:  "TestE13CorrelationMonotone",
 		Run: func(cfg Config) *Table {
 			t := &Table{Header: []string{"correlation", "mean cost", "cost / sqrt(Nk)", "cost / N"}}
 			const m, k = 2, 10
@@ -154,6 +158,7 @@ func e14() Experiment {
 		ID:    "E14",
 		Title: "Algorithm family ablation (min conjunction, k=10)",
 		Claim: "Extension: TA never scans deeper than A0; NRA trades random accesses for deeper sorted scans; Ullman is competitive at m=2",
+		Test:  "TestE14TABeatsOrMatchesA0",
 		Run: func(cfg Config) *Table {
 			t := &Table{Header: []string{"m", "N", "A0", "A0'", "TA", "NRA", "Ullman"}}
 			const k = 10

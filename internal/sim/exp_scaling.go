@@ -13,6 +13,7 @@ func e1() Experiment {
 		ID:    "E1",
 		Title: "A0 cost scaling with N (m=2, k=10)",
 		Claim: "Thm 5.3: with two independent atomic queries, cost = O(sqrt(N)) w.h.p.; fitted exponent ~ 0.5",
+		Test:  "TestE1SqrtScaling",
 		Run: func(cfg Config) *Table {
 			t := &Table{Header: []string{"N", "trials", "mean cost", "p99 cost", "cost/sqrt(Nk)"}}
 			const m, k = 2, 10
@@ -40,6 +41,7 @@ func e2() Experiment {
 		ID:    "E2",
 		Title: "A0 cost scaling with N across m (k=10)",
 		Claim: "Thm 5.3: fitted exponent ~ (m-1)/m for m = 2..5",
+		Test:  "TestE2ExponentRisesWithM",
 		Run: func(cfg Config) *Table {
 			t := &Table{Header: []string{"m", "fitted exponent", "(m-1)/m", "mean cost @ largest N"}}
 			const k = 10
@@ -68,6 +70,7 @@ func e3() Experiment {
 		ID:    "E3",
 		Title: "A0 cost scaling with k (m=2)",
 		Claim: "Thm 5.3: at fixed N, cost grows as k^(1/m) = k^0.5",
+		Test:  "TestE3KScaling",
 		Run: func(cfg Config) *Table {
 			t := &Table{Header: []string{"k", "trials", "mean cost", "cost/sqrt(Nk)"}}
 			const m = 2
@@ -102,6 +105,7 @@ func e6() Experiment {
 		ID:    "E6",
 		Title: "Theta-bound constants: cost / (N^((m-1)/m) k^(1/m))",
 		Claim: "Thm 6.5: the normalized cost is bounded above and below by constants independent of N",
+		Test:  "TestE6RatiosBounded",
 		Run: func(cfg Config) *Table {
 			t := &Table{Header: []string{"m", "N", "min ratio", "mean ratio", "max ratio"}}
 			const k = 10

@@ -12,8 +12,8 @@ import (
 	"fuzzydb/internal/subsys"
 )
 
-// Config scales the experiments. Quick configurations are used by the
-// test suite; Default by the faginbench binary and EXPERIMENTS.md.
+// Config scales the experiments: QuickConfig is what the test suite and
+// testdata/quick.golden run, DefaultConfig what EXPERIMENTS.md holds.
 type Config struct {
 	// SizeFactor scales every N used by the experiments (1 = full size).
 	SizeFactor float64
@@ -48,12 +48,22 @@ func (c Config) scaleTrials(t int) int {
 	return v
 }
 
-// Experiment couples an index entry with its runner.
+// Experiment couples an index entry with its runner. Claim reads
+// "<theorem or section>: <statement>"; Test names the function in
+// sim_test.go that asserts the shape of the result.
 type Experiment struct {
 	ID    string
 	Title string
 	Claim string
+	Test  string
 	Run   func(cfg Config) *Table
+}
+
+// Table runs the experiment and labels the result with its index entry.
+func (e Experiment) Table(cfg Config) *Table {
+	t := e.Run(cfg)
+	t.ID, t.Title, t.Claim = e.ID, e.Title, e.Claim
+	return t
 }
 
 // All returns the experiment registry in index order.

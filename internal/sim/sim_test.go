@@ -2,7 +2,10 @@ package sim
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"math"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,6 +14,21 @@ import (
 // The sim tests run every experiment at quick scale and assert the
 // qualitative shape the paper predicts. They double as integration tests
 // of the whole stack (generators → subsystems → algorithms → statistics).
+// TestQuickGolden pins the same tables byte for byte, so each experiment
+// runs once per test binary.
+
+var update = flag.Bool("update", false, "rewrite testdata/quick.golden from this run")
+
+// quickTables holds each experiment's table at QuickConfig, computed on
+// first use (no test here runs in parallel).
+var quickTables = map[string]*Table{}
+
+func quickTable(e Experiment) *Table {
+	if quickTables[e.ID] == nil {
+		quickTables[e.ID] = e.Table(QuickConfig())
+	}
+	return quickTables[e.ID]
+}
 
 func runExperiment(t *testing.T, id string) *Table {
 	t.Helper()
@@ -18,11 +36,44 @@ func runExperiment(t *testing.T, id string) *Table {
 	if !ok {
 		t.Fatalf("experiment %s not registered", id)
 	}
-	tab := e.Run(QuickConfig())
-	tab.ID = e.ID
-	tab.Title = e.Title
-	tab.Claim = e.Claim
-	return tab
+	return quickTable(e)
+}
+
+// TestQuickGolden: the document faginbench -quick writes is
+// testdata/quick.golden, byte for byte — every tally of every algorithm
+// the experiments run (A0, A0', B0, TA, NRA, Ullman, OrderStat,
+// FilterFirst, the naive drain) as its mean over the quick trials. A
+// difference is a changed access count, a changed workload or a changed
+// renderer; rerun with -update only once you know which.
+func TestQuickGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteDocument(&buf, QuickConfig(), quickTable); err != nil {
+		t.Fatal(err)
+	}
+	const path = "testdata/quick.golden"
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(want) {
+		t.Fatalf("%s is not what this run writes: %s", path, firstDiff(got, string(want)))
+	}
+}
+
+// firstDiff names the first line at which got and want part.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d\n got %q\nwant %q", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
 }
 
 // noteFloat extracts the i-th float embedded in the first note matching
@@ -50,19 +101,26 @@ func noteFloat(t *testing.T, tab *Table, substr string, idx int) float64 {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	all := All()
-	if len(all) != 16 {
-		t.Fatalf("registry has %d experiments, want 16", len(all))
-	}
 	seen := map[string]bool{}
-	for _, e := range all {
+	for i, e := range All() {
 		if e.ID == "" || e.Title == "" || e.Claim == "" || e.Run == nil {
 			t.Errorf("experiment %+v incomplete", e.ID)
+		}
+		if want := "E" + strconv.Itoa(i+1); e.ID != want {
+			t.Errorf("experiment %d has id %s, want %s (index order)", i, e.ID, want)
 		}
 		if seen[e.ID] {
 			t.Errorf("duplicate id %s", e.ID)
 		}
 		seen[e.ID] = true
+		if ref, claim, ok := strings.Cut(e.Claim, ": "); !ok || ref == "" || claim == "" {
+			t.Errorf("%s: claim %q is not \"<theorem or section>: <statement>\"", e.ID, e.Claim)
+		}
+		// That the function exists is checked where the index is printed
+		// (cmd/faginbench's TestQuickDocument).
+		if !strings.HasPrefix(e.Test, "Test"+e.ID) {
+			t.Errorf("%s: shape test %q is not named Test%s…", e.ID, e.Test, e.ID)
+		}
 	}
 	if _, ok := ByID("E1"); !ok {
 		t.Error("ByID(E1) failed")
@@ -293,17 +351,29 @@ func TestTableRendering(t *testing.T) {
 		Header: []string{"a", "long-header"},
 	}
 	tab.AddRow(1, 2.5)
-	tab.AddRow("x", 12345.678)
+	tab.AddRow("x", 12345.678, "beyond the header")
+	tab.AddRow("short")
 	tab.Note("note %d", 7)
 	var buf bytes.Buffer
 	if err := tab.Render(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"EX — demo", "claim: demo claim", "long-header", "note: note 7", "12346"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("rendered table missing %q:\n%s", want, out)
-		}
+	// A row wider than the header widens the grid instead of indexing
+	// past it, a narrower one is filled, and no line ends in a blank.
+	const want = `## EX — demo
+
+Claim — demo claim
+
+| a     | long-header |                   |
+| ----- | ----------- | ----------------- |
+| 1     | 2.50        |                   |
+| x     | 12346       | beyond the header |
+| short |             |                   |
+
+- note 7
+`
+	if got := buf.String(); got != want {
+		t.Errorf("rendered table:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -3,12 +3,14 @@ package sim
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
+	"unicode/utf8"
 )
 
-// Table is a rendered experiment result: a titled grid with a caption
-// tying it back to the paper's claim, plus free-form notes (fitted
-// exponents, verdicts).
+// Table is one experiment's result: a titled grid with a caption tying
+// it back to the paper's claim, plus free-form notes (fitted exponents,
+// verdicts).
 type Table struct {
 	ID     string
 	Title  string
@@ -54,45 +56,44 @@ func formatFloat(v float64) string {
 	}
 }
 
-// Render writes the table as aligned text.
+// Render writes the table as one section of GitHub-flavoured Markdown:
+// heading, claim, a pipe table padded so a terminal shows it aligned, one
+// bullet per note. The grid is as wide as its widest row; others are filled.
 func (t *Table) Render(w io.Writer) error {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", t.ID, t.Title)
+	fmt.Fprintf(&b, "## %s — %s\n\n", t.ID, t.Title)
 	if t.Claim != "" {
-		fmt.Fprintf(&b, "claim: %s\n", t.Claim)
+		fmt.Fprintf(&b, "Claim — %s\n\n", t.Claim)
 	}
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
+	grid := append([][]string{t.Header}, t.Rows...)
+	var widths []int
+	for _, row := range grid {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if i == len(widths) {
+				widths = append(widths, 3) // the shortest delimiter cell
 			}
+			widths[i] = max(widths[i], utf8.RuneCountInString(cell))
 		}
 	}
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
+	delim := make([]string, len(widths))
+	for i, wd := range widths {
+		delim[i] = strings.Repeat("-", wd)
+	}
+	for _, row := range slices.Insert(grid, 1, delim) {
+		for i, wd := range widths {
+			cell := ""
+			if i < len(row) {
+				cell = row[i]
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
+			fmt.Fprintf(&b, "| %-*s ", wd, cell)
 		}
+		b.WriteString("|\n")
+	}
+	if len(t.Notes) > 0 {
 		b.WriteByte('\n')
 	}
-	writeRow(t.Header)
-	total := 0
-	for _, wd := range widths {
-		total += wd + 2
-	}
-	b.WriteString(strings.Repeat("-", total))
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
 	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "note: %s\n", n)
+		fmt.Fprintf(&b, "- %s\n", n)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -3,6 +3,7 @@ package wire
 import (
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -52,4 +53,24 @@ func TestResultsParamsRoundTripEveryField(t *testing.T) {
 		set(t, reflect.ValueOf(&all).Elem().Field(i), name)
 	}
 	roundTrip(t, all)
+}
+
+// TestResultsParamsFirstErrorIsStable: with several malformed parameters
+// the server reports the first in declaration order (k, parallelism,
+// shards, degrade, budget, prefetch, steal), the same one on every
+// request — the answer used to follow a map's iteration order.
+func TestResultsParamsFirstErrorIsStable(t *testing.T) {
+	for _, tc := range []struct{ params, want string }{
+		{"q=x&k=bad&shards=bad", "bad k"},
+		{"q=x&shards=bad&k=bad", "bad k"},
+		{"q=x&degrade=bad&parallelism=bad&steal=bad", "bad parallelism"},
+		{"q=x&prefetch=bad&degrade=bad", "bad degrade"},
+	} {
+		for i := 0; i < 20; i++ {
+			_, err := resultsRequest(httptest.NewRequest("GET", "/v1/results?"+tc.params, nil))
+			if err == nil || !strings.HasPrefix(err.Error(), tc.want+":") {
+				t.Fatalf("%s, request %d: error %v, want %q", tc.params, i, err, tc.want)
+			}
+		}
+	}
 }

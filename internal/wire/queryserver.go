@@ -239,11 +239,16 @@ func resultsRequest(r *http.Request) (QueryRequest, error) {
 		}
 		return nil
 	}
-	for name, into := range map[string]*int{
-		"k": &req.K, "parallelism": &req.Parallelism,
-		"shards": &req.Shards, "degrade": &req.Degrade,
+	// A slice, not a map: with several malformed parameters the one
+	// reported must not depend on map iteration order.
+	for _, p := range []struct {
+		name string
+		into *int
+	}{
+		{"k", &req.K}, {"parallelism", &req.Parallelism},
+		{"shards", &req.Shards}, {"degrade", &req.Degrade},
 	} {
-		if err := intParam(name, into); err != nil {
+		if err := intParam(p.name, p.into); err != nil {
 			return req, err
 		}
 	}
