@@ -76,12 +76,14 @@
 //	fuzzyquery -q 'A1 = "*" AND A2 = "*"' -db db.json -cache 64 -repeat 100
 //
 // With -connect, the query evaluates on a remote fuzzyserve instance
-// instead: the request-shaping flags (-k, -p, -shards, -budget,
-// -prefetch, -degrade, -timeout, -repeat) travel with the request and
-// the same report prints from the wire response — only the
-// engine-assembly and simulation flags (-db, -latency, -faults,
-// -retries, -cache; a fuzzyserve started with -cache reports its cache
-// handling in every response) are local-only:
+// instead. The flags that are fields of the request (fuzzydb.Request:
+// -q, -k, -p, -shards, -shard-plan, -steal, -budget, -prefetch, -degrade,
+// -tenant) bind onto one value that is evaluated locally or sent as it
+// stands, -timeout and -repeat apply to either, and the same report
+// prints from the wire response — only the engine-assembly and
+// simulation flags (-db, -latency, -faults, -retries, -cache; a
+// fuzzyserve started with -cache reports its cache handling in every
+// response) are local-only:
 //
 //	fuzzyserve -db db.json -addr :8080 &
 //	fuzzyquery -connect http://127.0.0.1:8080 -q 'A1 = "*" AND A2 = "*"' -k 5
@@ -104,154 +106,163 @@ import (
 	"fuzzydb/internal/wire"
 )
 
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// flags is what the command line says: the request — one value, bound
+// field by field, evaluated here or sent to -connect as it stands — and
+// the flags that shape the run around it.
+type flags struct {
+	req     fuzzydb.Request
+	connect string
+	timeout time.Duration
+	repeat  int
+
+	// Local-only: engine assembly and simulation.
+	dbFile    string
+	latency   time.Duration
+	faults    faultConfig
+	cacheSize int
+}
+
 // connectConflict names the first flag, in declaration order, that was
 // given a value and shapes a local engine (so it cannot travel with
 // -connect), or "" when there is none.
-func connectConflict(dbFile string, latency time.Duration, faults float64, faultSeed uint64, retries, cacheSize int) string {
-	for _, f := range []struct {
+func (f *flags) connectConflict() string {
+	for _, c := range []struct {
 		name string
 		set  bool
 	}{
-		{"-db", dbFile != ""}, {"-latency", latency != 0}, {"-faults", faults != 0},
-		{"-fault-seed", faultSeed != 1}, {"-retries", retries != 0}, {"-cache", cacheSize != 0},
+		{"-db", f.dbFile != ""}, {"-latency", f.latency != 0}, {"-faults", f.faults.rate != 0},
+		{"-fault-seed", f.faults.seed != 1}, {"-retries", f.faults.retries != 0}, {"-cache", f.cacheSize != 0},
 	} {
-		if f.set {
-			return f.name
+		if c.set {
+			return c.name
 		}
 	}
 	return ""
 }
 
-func main() {
-	var (
-		q         = flag.String("q", "", "query, e.g. 'Artist = \"Beatles\" AND AlbumColor ~ \"red\"'")
-		k         = flag.Int("k", 10, "number of answers")
-		dbFile    = flag.String("db", "", "scoring database JSON (from fuzzygen); default: built-in demo store")
-		parallel  = flag.Int("p", 1, "subsystem accesses in flight at once (1 = serial); with -shards, the shard worker cap; with -prefetch, the gather width")
-		shards    = flag.Int("shards", 1, "partition the universe into this many shards (1 = unsharded)")
-		shardPlan = flag.String("shard-plan", "even", "shard-boundary policy: even (equal widths) or weighted (equal expected work from grade sketches)")
-		steal     = flag.Bool("steal", false, "let shard workers that finish early steal the remaining range of the most-behind shard")
-		budget    = flag.Float64("budget", 0, "access budget (sorted + random); 0 = unlimited")
-		timeout   = flag.Duration("timeout", 0, "evaluation deadline; 0 = none")
-		latency   = flag.Duration("latency", 0, "simulated per-call subsystem latency (e.g. 1ms); 0 = none")
-		prefetch  = flag.Int("prefetch", -1, "evaluate through the pipelined executor with this readahead depth (0 = adaptive: open at the depth the algorithm expects to reach, else at 1 and double on stall); -1 = off")
-		faults    = flag.Float64("faults", 0, "inject transient faults into every subsystem at this per-access rate (e.g. 0.05); 0 = none")
-		faultSeed = flag.Uint64("fault-seed", 1, "seed selecting which accesses fail under -faults")
-		retries   = flag.Int("retries", 0, "wrap every source in the resilience layer with this many retries (plus backoff and a circuit breaker); 0 = off")
-		degrade   = flag.Int("degrade", 0, "drop up to this many permanently failed lists and re-evaluate over the survivors; 0 = fail fast")
-		connect   = flag.String("connect", "", "evaluate on a remote fuzzyserve at this base URL (e.g. http://127.0.0.1:8080) instead of locally")
-		repeat    = flag.Int("repeat", 1, "evaluate the query this many times (with -cache, repeats after the first are served from the result cache)")
-		cacheSize = flag.Int("cache", 0, "equip the local engine with a result cache of this many entries (0 = off)")
-		tenant    = flag.String("tenant", "", "admission tenant this query bills to on a scheduled server (travels with -connect; needs an engine built with a scheduler to matter)")
-	)
-	flag.Parse()
-	if *q == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *shardPlan != "even" && *shardPlan != "weighted" {
-		fmt.Fprintf(os.Stderr, "fuzzyquery: -shard-plan must be even or weighted, got %q\n", *shardPlan)
-		os.Exit(2)
-	}
-
-	if *connect != "" {
-		// Remote evaluation: the engine (and its data) live in the
-		// fuzzyserve process; only the request and the report cross the
-		// wire. The simulation and assembly flags shape a local engine
-		// and cannot apply.
-		if name := connectConflict(*dbFile, *latency, *faults, *faultSeed, *retries, *cacheSize); name != "" {
-			fmt.Fprintf(os.Stderr, "fuzzyquery: %s applies to a local engine; it cannot combine with -connect\n", name)
-			os.Exit(2)
+// parseFlags binds the command line onto a flags value. A nil result
+// means stop with the returned exit code (usage has been printed).
+func parseFlags(args []string, stderr io.Writer) (*flags, int) {
+	fs := flag.NewFlagSet("fuzzyquery", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var f flags
+	req := &f.req
+	// The request. -shard-plan and -prefetch are parsed below: the plan
+	// through ShardPlanPolicy's text form, and -1 (off) is no depth.
+	fs.StringVar(&req.Query, "q", "", "query, e.g. 'Artist = \"Beatles\" AND AlbumColor ~ \"red\"'")
+	fs.IntVar(&req.K, "k", 10, "number of answers")
+	fs.IntVar(&req.Parallelism, "p", 1, "subsystem accesses in flight at once (1 = serial); with -shards, the shard worker cap; with -prefetch, the gather width")
+	fs.IntVar(&req.Shards, "shards", 1, "partition the universe into this many shards (1 = unsharded)")
+	plan := fs.String("shard-plan", "even", "shard-boundary policy: even (equal widths) or weighted (equal expected work from grade sketches)")
+	fs.BoolVar(&req.Steal, "steal", false, "let shard workers that finish early steal the remaining range of the most-behind shard")
+	fs.Float64Var(&req.Budget, "budget", 0, "access budget (sorted + random); 0 = unlimited")
+	prefetch := fs.Int("prefetch", -1, "evaluate through the pipelined executor with this readahead depth (0 = adaptive: open at the depth the algorithm expects to reach, else at 1 and double on stall); -1 = off")
+	fs.IntVar(&req.Degrade, "degrade", 0, "drop up to this many permanently failed lists and re-evaluate over the survivors; 0 = fail fast")
+	fs.StringVar(&req.Tenant, "tenant", "", "admission tenant this query bills to on a scheduled server (travels with -connect; needs an engine built with a scheduler to matter)")
+	// The run around it.
+	fs.StringVar(&f.connect, "connect", "", "evaluate on a remote fuzzyserve at this base URL (e.g. http://127.0.0.1:8080) instead of locally")
+	fs.DurationVar(&f.timeout, "timeout", 0, "evaluation deadline; 0 = none")
+	fs.IntVar(&f.repeat, "repeat", 1, "evaluate the query this many times (with -cache, repeats after the first are served from the result cache)")
+	fs.StringVar(&f.dbFile, "db", "", "scoring database JSON (from fuzzygen); default: built-in demo store")
+	fs.DurationVar(&f.latency, "latency", 0, "simulated per-call subsystem latency (e.g. 1ms); 0 = none")
+	fs.Float64Var(&f.faults.rate, "faults", 0, "inject transient faults into every subsystem at this per-access rate (e.g. 0.05); 0 = none")
+	fs.Uint64Var(&f.faults.seed, "fault-seed", 1, "seed selecting which accesses fail under -faults")
+	fs.IntVar(&f.faults.retries, "retries", 0, "wrap every source in the resilience layer with this many retries (plus backoff and a circuit breaker); 0 = off")
+	fs.IntVar(&f.cacheSize, "cache", 0, "equip the local engine with a result cache of this many entries (0 = off)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, 0
 		}
-		os.Exit(runRemote(os.Stdout, *connect, *q, remoteFlags{
-			k: *k, parallel: *parallel, shards: *shards,
-			budget: *budget, timeout: *timeout, prefetch: *prefetch, degrade: *degrade,
-			repeat: *repeat, shardPlan: *shardPlan, steal: *steal, tenant: *tenant,
-		}))
+		return nil, 2
 	}
-
-	eng, tol, err := buildEngine(*dbFile, *latency, faultConfig{
-		rate:    *faults,
-		seed:    *faultSeed,
-		retries: *retries,
-	}, *cacheSize)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fuzzyquery: %v\n", err)
-		os.Exit(1)
+	if req.Query == "" {
+		fs.Usage()
+		return nil, 2
 	}
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	opts := []fuzzydb.QueryOption{
-		fuzzydb.TopN(*k),
-		fuzzydb.WithParallelism(*parallel),
-		fuzzydb.WithShards(*shards),
-		fuzzydb.WithAccessBudget(*budget),
+	if err := req.ShardPlan.UnmarshalText([]byte(*plan)); err != nil {
+		fmt.Fprintf(stderr, "fuzzyquery: -shard-plan: %v\n", err)
+		return nil, 2
 	}
 	if *prefetch >= 0 {
-		opts = append(opts, fuzzydb.WithPrefetch(*prefetch))
+		req.Prefetch = prefetch
 	}
-	if *shardPlan == "weighted" {
-		opts = append(opts, fuzzydb.WithShardPlan(fuzzydb.ShardPlanWeighted))
+	if f.repeat < 1 {
+		f.repeat = 1
 	}
-	if *steal {
-		opts = append(opts, fuzzydb.WithWorkStealing(true))
+	if name := f.connectConflict(); f.connect != "" && name != "" {
+		// The simulation and assembly flags shape a local engine; with
+		// -connect the engine (and its data) live in the fuzzyserve process.
+		fmt.Fprintf(stderr, "fuzzyquery: %s applies to a local engine; it cannot combine with -connect\n", name)
+		return nil, 2
 	}
-	if *degrade > 0 {
-		opts = append(opts, fuzzydb.WithDegradedLists(*degrade))
+	return &f, 0
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	f, code := parseFlags(args, stderr)
+	if f == nil {
+		return code
 	}
-	runs := *repeat
-	if runs < 1 {
-		runs = 1
+	ctx := context.Background()
+	if f.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, f.timeout)
+		defer cancel()
+	}
+	if f.connect != "" {
+		return runRemote(ctx, stdout, stderr, f)
+	}
+	return runLocal(ctx, stdout, stderr, f)
+}
+
+// runLocal assembles the engine the flags describe and evaluates the
+// request on it.
+func runLocal(ctx context.Context, stdout, stderr io.Writer, f *flags) int {
+	eng, tol, err := buildEngine(f.dbFile, f.latency, f.faults, f.cacheSize)
+	if err != nil {
+		fmt.Fprintf(stderr, "fuzzyquery: %v\n", err)
+		return 1
 	}
 	start := time.Now()
 	var rep *fuzzydb.Report
-	var err2 error
-	for i := 0; i < runs; i++ {
-		rep, err2 = eng.QueryString(ctx, *q, opts...)
-		if err2 != nil {
-			break
-		}
+	for i := 0; i < f.repeat && err == nil; i++ {
+		rep, err = eng.Do(ctx, f.req)
 	}
-	err, elapsed := err2, time.Since(start)
+	elapsed := time.Since(start)
 	if err != nil {
 		var se *fuzzydb.SourceError
 		switch {
 		case rep != nil && (errors.Is(err, fuzzydb.ErrBudgetExceeded) || errors.Is(err, context.DeadlineExceeded)):
-			fmt.Fprintf(os.Stderr, "fuzzyquery: stopped early: %v (spent %v)\n", err, rep.Cost)
+			fmt.Fprintf(stderr, "fuzzyquery: stopped early: %v (spent %v)\n", err, rep.Cost)
 		case rep != nil && errors.As(err, &se):
-			fmt.Fprintf(os.Stderr, "fuzzyquery: subsystem failed: %v (spent %v)\n", err, rep.Cost)
-			if *degrade == 0 && *retries == 0 {
-				fmt.Fprintf(os.Stderr, "fuzzyquery: hint: -retries N absorbs transient faults, -degrade N drops failed lists\n")
+			fmt.Fprintf(stderr, "fuzzyquery: subsystem failed: %v (spent %v)\n", err, rep.Cost)
+			if f.req.Degrade == 0 && f.faults.retries == 0 {
+				fmt.Fprintf(stderr, "fuzzyquery: hint: -retries N absorbs transient faults, -degrade N drops failed lists\n")
 			}
 		default:
-			fmt.Fprintf(os.Stderr, "fuzzyquery: %v\n", err)
+			fmt.Fprintf(stderr, "fuzzyquery: %v\n", err)
 		}
-		os.Exit(1)
+		return 1
 	}
 
-	printReport(os.Stdout, wire.ResponseOf(rep, elapsed), eng.Name, run{
-		query: *q, universe: eng.N(), repeat: runs, elapsed: elapsed, steal: *steal,
-	})
+	printReport(stdout, wire.ResponseOf(rep, elapsed), eng.Name, ran{req: f.req, universe: eng.N(), repeat: f.repeat, elapsed: elapsed})
 	if st, ok := eng.CacheStats(); ok {
-		fmt.Printf("result cache counters: %d hits, %d misses, %d stores, %d evictions, %d invalidations (%d live)\n",
+		fmt.Fprintf(stdout, "result cache counters: %d hits, %d misses, %d stores, %d evictions, %d invalidations (%d live)\n",
 			st.Hits, st.Misses, st.Stores, st.Evictions, st.Invalidations, eng.CacheLen())
 	}
-	tol.print()
+	tol.print(stdout)
+	return 0
 }
 
-// run is what the printed report needs beyond the response: the request
-// as typed and the caller's side of the clock.
-type run struct {
-	query    string
+// ran is what the printed report needs beyond the response: the request
+// as evaluated and the caller's side of the clock.
+type ran struct {
+	req      fuzzydb.Request
 	universe int           // N, for the naive-cost comparison
 	repeat   int           // evaluations elapsed covers; the response is the last one's
 	elapsed  time.Duration // caller-side wall-clock
-	steal    bool          // work stealing was requested
 }
 
 // printReport renders the cost report from the one shape both paths
@@ -259,8 +270,8 @@ type run struct {
 // fuzzyserve sent — so the two print identically up to how name spells
 // an object (display names live with the data: eng.Name locally, #id
 // over -connect).
-func printReport(w io.Writer, resp wire.QueryResponse, name func(int) string, r run) {
-	fmt.Fprintf(w, "query: %s\nplan:  %s — %s\n\n", r.query, resp.Algorithm, resp.Reason)
+func printReport(w io.Writer, resp wire.QueryResponse, name func(int) string, r ran) {
+	fmt.Fprintf(w, "query: %s\nplan:  %s — %s\n\n", r.req.Query, resp.Algorithm, resp.Reason)
 	fmt.Fprintf(w, "%-5s %-30s %s\n", "rank", "object", "grade")
 	for i, res := range resp.Results {
 		fmt.Fprintf(w, "%-5d %-30s %.4f\n", i+1, name(res.Object), res.Grade)
@@ -296,7 +307,7 @@ func printReport(w io.Writer, resp wire.QueryResponse, name func(int) string, r 
 			}
 			fmt.Fprintln(w)
 		}
-		if r.steal {
+		if r.req.Steal {
 			fmt.Fprintf(w, "work stealing: %d splits\n", resp.Stolen)
 		}
 	}
@@ -306,77 +317,39 @@ func printReport(w io.Writer, resp wire.QueryResponse, name func(int) string, r 
 	}
 }
 
-// remoteFlags carries the request-shaping flags onto a wire request.
-type remoteFlags struct {
-	k, parallel, shards, prefetch, degrade, repeat int
-	budget                                         float64
-	timeout                                        time.Duration
-	shardPlan, tenant                              string
-	steal                                          bool
-}
-
 // costString renders a wire cost in the cost.Cost format.
 func costString(c wire.Cost) string {
 	return fmt.Sprintf("S=%d R=%d total=%d", c.Sorted, c.Random, c.Sorted+c.Random)
 }
 
-// runRemote evaluates the query on a fuzzyserve instance and prints the
+// runRemote evaluates the request on a fuzzyserve instance and prints the
 // same report a local evaluation would. Objects print by id (#i): names
 // live with the data, on the other side of the wire.
-func runRemote(w io.Writer, base, q string, rf remoteFlags) int {
-	client, err := wire.Dial(base)
+func runRemote(ctx context.Context, stdout, stderr io.Writer, f *flags) int {
+	client, err := wire.Dial(f.connect)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fuzzyquery: %v\n", err)
+		fmt.Fprintf(stderr, "fuzzyquery: %v\n", err)
 		return 1
 	}
 	defer client.Close()
 	if !client.Meta().Engine {
-		fmt.Fprintf(os.Stderr, "fuzzyquery: %s serves raw sources only (no query engine); point -connect at a fuzzyserve instance\n", base)
+		fmt.Fprintf(stderr, "fuzzyquery: %s serves raw sources only (no query engine); point -connect at a fuzzyserve instance\n", f.connect)
 		return 1
-	}
-
-	ctx := context.Background()
-	if rf.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rf.timeout)
-		defer cancel()
-	}
-	req := wire.QueryRequest{
-		Query:       q,
-		K:           rf.k,
-		Parallelism: rf.parallel,
-		Shards:      rf.shards,
-		Budget:      rf.budget,
-		Degrade:     rf.degrade,
-		Steal:       rf.steal,
-		Tenant:      rf.tenant,
-	}
-	if rf.shardPlan == "weighted" {
-		req.ShardPlan = rf.shardPlan
-	}
-	if rf.prefetch >= 0 {
-		depth := rf.prefetch
-		req.Prefetch = &depth
-	}
-	runs := rf.repeat
-	if runs < 1 {
-		runs = 1
 	}
 	start := time.Now()
 	var resp *wire.QueryResponse
-	for i := 0; i < runs; i++ {
-		resp, err = client.Query(ctx, req)
+	for i := 0; i < f.repeat; i++ {
+		resp, err = client.Query(ctx, f.req)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fuzzyquery: %v\n", err)
+			fmt.Fprintf(stderr, "fuzzyquery: %v\n", err)
 			return 1
 		}
 	}
 	elapsed := time.Since(start)
 
-	printReport(w, *resp, func(obj int) string { return fmt.Sprintf("#%d", obj) }, run{
-		query: q, universe: client.Meta().N, repeat: runs, elapsed: elapsed, steal: rf.steal,
-	})
-	fmt.Fprintf(w, "server-side evaluation: %v\n", time.Duration(resp.ElapsedNS).Round(time.Microsecond))
+	printReport(stdout, *resp, func(obj int) string { return fmt.Sprintf("#%d", obj) },
+		ran{req: f.req, universe: client.Meta().N, repeat: f.repeat, elapsed: elapsed})
+	fmt.Fprintf(stdout, "server-side evaluation: %v\n", time.Duration(resp.ElapsedNS).Round(time.Microsecond))
 	return 0
 }
 
@@ -397,20 +370,20 @@ type tolerance struct {
 }
 
 // print reports what the fault-tolerance machinery did during the query.
-func (t *tolerance) print() {
+func (t *tolerance) print(w io.Writer) {
 	if len(t.faulty) > 0 {
 		var injected int64
 		for _, f := range t.faulty {
 			injected += f.Injected()
 		}
-		fmt.Printf("fault injection: %d faults injected (rate %g, seed %d)\n", injected, t.rate, t.seed)
+		fmt.Fprintf(w, "fault injection: %d faults injected (rate %g, seed %d)\n", injected, t.rate, t.seed)
 	}
 	if len(t.resilied) > 0 {
 		var st fuzzydb.ResilienceStats
 		for _, r := range t.resilied {
 			st = st.Add(r.Stats())
 		}
-		fmt.Printf("resilience: %d retries, %d timeouts, %d breaker trips, %d fast-fails\n",
+		fmt.Fprintf(w, "resilience: %d retries, %d timeouts, %d breaker trips, %d fast-fails\n",
 			st.Retries, st.Timeouts, st.BreakerTrips, st.FastFails)
 	}
 }

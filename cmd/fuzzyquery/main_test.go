@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -18,13 +21,11 @@ import (
 	"fuzzydb/internal/wire"
 )
 
-// TestLocalAndRemoteReportsPrintAlike: the local path (Report lowered by
-// wire.ResponseOf) and the -connect path (the response a server sent)
-// print from one shape, so for the same query over the same data the two
-// reports differ only in how objects are named, in the wall-clocks, and
-// in the remote report's final server-side line.
-func TestLocalAndRemoteReportsPrintAlike(t *testing.T) {
-	db := scoredb.Generator{N: 600, M: 2, Seed: 5}.MustGenerate()
+// serveDB is a fuzzyserve-shaped handler over a generated database — the
+// source endpoints and an engine with object names on one mux — plus
+// that engine, for evaluating the same request in process.
+func serveDB(t *testing.T, db *scoredb.Database) (*fuzzydb.Engine, *http.ServeMux) {
+	t.Helper()
 	lists := make(map[string]subsys.Source, db.M())
 	subs := make([]fuzzydb.Subsystem, db.M())
 	names := make([]string, db.N())
@@ -49,23 +50,41 @@ func TestLocalAndRemoteReportsPrintAlike(t *testing.T) {
 	mux := http.NewServeMux()
 	ss.Register(mux)
 	wire.NewQueryServer(eng).Register(mux)
+	return eng, mux
+}
+
+// TestLocalAndRemoteReportsPrintAlike: the local path (Report lowered by
+// wire.ResponseOf) and the -connect path (the response a server sent)
+// print from one shape, so for the same query over the same data the two
+// reports differ only in how objects are named, in the wall-clocks, and
+// in the remote report's final server-side line.
+func TestLocalAndRemoteReportsPrintAlike(t *testing.T) {
+	db := scoredb.Generator{N: 600, M: 2, Seed: 5}.MustGenerate()
+	eng, mux := serveDB(t, db)
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	// Sequential shards: the per-shard lines are then deterministic.
+	// Sequential shards: the per-shard lines are then deterministic. One
+	// parse of one command line feeds both paths.
 	const q = `A1 = "*" AND A2 = "*"`
+	var stderr bytes.Buffer
+	f, code := parseFlags([]string{"-q", q, "-k", "4", "-shards", "3", "-p", "1", "-connect", ts.URL}, &stderr)
+	if f == nil {
+		t.Fatalf("parseFlags exited %d: %s", code, stderr.String())
+	}
+	ctx := context.Background()
 	start := time.Now()
-	rep, err := eng.QueryString(context.Background(), q, fuzzydb.TopN(4), fuzzydb.WithShards(3), fuzzydb.WithParallelism(1))
+	rep, err := eng.Do(ctx, f.req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
 	var local bytes.Buffer
-	printReport(&local, wire.ResponseOf(rep, elapsed), eng.Name, run{query: q, universe: eng.N(), repeat: 1, elapsed: elapsed})
+	printReport(&local, wire.ResponseOf(rep, elapsed), eng.Name, ran{req: f.req, universe: eng.N(), repeat: 1, elapsed: elapsed})
 
 	var remote bytes.Buffer
-	if code := runRemote(&remote, ts.URL, q, remoteFlags{k: 4, shards: 3, parallel: 1, prefetch: -1, repeat: 1, shardPlan: "even"}); code != 0 {
-		t.Fatalf("runRemote exited %d:\n%s", code, remote.String())
+	if code := runRemote(ctx, &remote, &stderr, f); code != 0 {
+		t.Fatalf("runRemote exited %d:\n%s%s", code, remote.String(), stderr.String())
 	}
 
 	if !strings.Contains(local.String(), "album-") || !strings.Contains(local.String(), "sharded over 3 universe slices") {
@@ -90,18 +109,106 @@ func TestLocalAndRemoteReportsPrintAlike(t *testing.T) {
 // the flags are declared, on every run — it used to follow a map's
 // iteration order.
 func TestConnectConflictNamesFirstFlagInDeclarationOrder(t *testing.T) {
+	all := flags{dbFile: "db.json", latency: time.Millisecond, faults: faultConfig{rate: 0.05, seed: 7, retries: 2}, cacheSize: 8}
 	for i := 0; i < 20; i++ {
-		if got := connectConflict("db.json", time.Millisecond, 0.05, 7, 2, 8); got != "-db" {
+		if got := all.connectConflict(); got != "-db" {
 			t.Fatalf("run %d: all six set: named %q, want -db", i, got)
 		}
-		if got := connectConflict("", time.Millisecond, 0, 1, 0, 8); got != "-latency" {
+		if got := (&flags{latency: time.Millisecond, faults: faultConfig{seed: 1}, cacheSize: 8}).connectConflict(); got != "-latency" {
 			t.Fatalf("run %d: -latency and -cache set: named %q, want -latency", i, got)
 		}
-		if got := connectConflict("", 0, 0, 7, 2, 0); got != "-fault-seed" {
+		if got := (&flags{faults: faultConfig{seed: 7, retries: 2}}).connectConflict(); got != "-fault-seed" {
 			t.Fatalf("run %d: -fault-seed and -retries set: named %q, want -fault-seed", i, got)
 		}
 	}
-	if got := connectConflict("", 0, 0, 1, 0, 0); got != "" {
+	if got := (&flags{faults: faultConfig{seed: 1}}).connectConflict(); got != "" {
 		t.Errorf("defaults: named %q, want none", got)
+	}
+}
+
+// TestFlagsBindOneRequest: the command line binds onto one Request, and
+// that value — not a second assembly of the same flags — is what either
+// path evaluates. For six request shapes the parsed Request is the
+// expected one with and without -connect, and the body POSTed to the
+// server is the JSON the previous release's client sent for those flags,
+// byte for byte (field order, omitted zeros, the plan by name).
+func TestFlagsBindOneRequest(t *testing.T) {
+	var posted []byte
+	_, mux := serveDB(t, scoredb.Generator{N: 300, M: 2, Seed: 9}.MustGenerate())
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/query" {
+			posted, _ = io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(posted))
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	const q = `A1 = "*" AND A2 = "*"`
+	const qJSON = `"query":"A1 = \"*\" AND A2 = \"*\""`
+	depth := func(d int) *int { return &d }
+	for _, tc := range []struct {
+		args []string
+		want fuzzydb.Request
+		body string
+	}{
+		{[]string{"-k", "5"},
+			fuzzydb.Request{K: 5, Parallelism: 1, Shards: 1},
+			`{` + qJSON + `,"k":5,"parallelism":1,"shards":1}`},
+		{[]string{"-shards", "4", "-p", "1"},
+			fuzzydb.Request{K: 10, Parallelism: 1, Shards: 4},
+			`{` + qJSON + `,"k":10,"parallelism":1,"shards":4}`},
+		{[]string{"-shards", "4", "-shard-plan", "weighted", "-steal"},
+			fuzzydb.Request{K: 10, Parallelism: 1, Shards: 4, ShardPlan: fuzzydb.ShardPlanWeighted, Steal: true},
+			`{` + qJSON + `,"k":10,"parallelism":1,"shards":4,"shard_plan":"weighted","steal":true}`},
+		{[]string{"-prefetch", "0", "-p", "8"},
+			fuzzydb.Request{K: 10, Parallelism: 8, Shards: 1, Prefetch: depth(0)},
+			`{` + qJSON + `,"k":10,"parallelism":8,"shards":1,"prefetch":0}`},
+		{[]string{"-budget", "5000", "-degrade", "1"},
+			fuzzydb.Request{K: 10, Parallelism: 1, Shards: 1, Budget: 5000, Degrade: 1},
+			`{` + qJSON + `,"k":10,"parallelism":1,"shards":1,"budget":5000,"degrade":1}`},
+		{[]string{"-tenant", "gold", "-k", "3", "-prefetch", "4", "-shard-plan", "even"},
+			fuzzydb.Request{K: 3, Parallelism: 1, Shards: 1, Prefetch: depth(4), Tenant: "gold"},
+			`{` + qJSON + `,"k":3,"parallelism":1,"shards":1,"prefetch":4,"tenant":"gold"}`},
+	} {
+		tc.want.Query = q
+		args := append([]string{"-q", q}, tc.args...)
+		var stdout, stderr bytes.Buffer
+		local, _ := parseFlags(args, &stderr)
+		remote, _ := parseFlags(append(args, "-connect", ts.URL), &stderr)
+		if local == nil || remote == nil {
+			t.Fatalf("%v: flags refused: %s", tc.args, stderr.String())
+		}
+		if !reflect.DeepEqual(local.req, tc.want) || !reflect.DeepEqual(remote.req, tc.want) {
+			t.Errorf("%v:\n local  %+v\n remote %+v\n want   %+v", tc.args, local.req, remote.req, tc.want)
+		}
+		if code := run(append(args, "-connect", ts.URL), &stdout, &stderr); code != 0 {
+			t.Fatalf("%v over -connect exited %d: %s", tc.args, code, stderr.String())
+		}
+		if strings.TrimSpace(string(posted)) != tc.body {
+			t.Errorf("%v: posted\n %s\nwant\n %s", tc.args, posted, tc.body)
+		}
+	}
+}
+
+// TestHelpIsGolden: fuzzyquery -h prints what testdata/help.golden holds
+// — the flag names, defaults and usage strings the command had before its
+// flags were re-bound onto a Request (and the list the wire package's
+// request census looks flags up in). A new flag changes the golden
+// knowingly.
+func TestHelpIsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/help.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 || stdout.Len() != 0 {
+		t.Errorf("-h exited %d and wrote %q to stdout, want 0 and nothing", code, stdout.String())
+	}
+	if stderr.String() != string(want) {
+		t.Errorf("-h differs from testdata/help.golden:\n%s", stderr.String())
+	}
+	stderr.Reset()
+	if code := run(nil, &stdout, &stderr); code != 2 || stderr.String() != string(want) {
+		t.Errorf("no -q: exited %d, want 2 and the usage text; got:\n%s", code, stderr.String())
 	}
 }

@@ -78,8 +78,9 @@ func main() {
 		tenants = flag.String("tenants", "", `named tenants with fair-share weights, e.g. "gold=3,bronze=1" (unlisted tenants get weight 1)`)
 	)
 	flag.Parse()
-	if *shardPlan != "even" && *shardPlan != "weighted" {
-		fmt.Fprintf(os.Stderr, "fuzzyserve: -shard-plan must be even or weighted, got %q\n", *shardPlan)
+	var plan fuzzydb.ShardPlanPolicy
+	if err := plan.UnmarshalText([]byte(*shardPlan)); err != nil {
+		fmt.Fprintf(os.Stderr, "fuzzyserve: -shard-plan: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -95,7 +96,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	mux, err := buildMux(db, *page, *cache, *shardPlan, *steal, sched)
+	mux, err := buildMux(db, *page, *cache, sched, fuzzydb.WithShardPlan(plan), fuzzydb.WithWorkStealing(*steal))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fuzzyserve: %v\n", err)
 		os.Exit(1)
@@ -177,11 +178,11 @@ func loadDB(dbFile string, n, m int, seed uint64) (*scoredb.Database, error) {
 
 // buildMux mounts the source server (lists A1…Am) and the query server
 // (an engine over the same lists, target "*") on one mux; cache > 0
-// gives the engine a result cache of that many entries. shardPlan and
-// steal become the query server's default execution policy for sharded
-// requests (requests may override the plan via shard_plan); a non-nil
-// sched puts the engine behind admission control.
-func buildMux(db *scoredb.Database, page, cache int, shardPlan string, steal bool, sched *fuzzydb.Scheduler) (*http.ServeMux, error) {
+// gives the engine a result cache of that many entries; a non-nil sched
+// puts the engine behind admission control. defaults (-shard-plan,
+// -steal) are the request every evaluation starts from: a request that
+// names shard_plan or steal itself overrides them.
+func buildMux(db *scoredb.Database, page, cache int, sched *fuzzydb.Scheduler, defaults ...fuzzydb.QueryOption) (*http.ServeMux, error) {
 	lists := make(map[string]subsys.Source, db.M())
 	subs := make([]fuzzydb.Subsystem, db.M())
 	for i := 0; i < db.M(); i++ {
@@ -205,13 +206,6 @@ func buildMux(db *scoredb.Database, page, cache int, shardPlan string, steal boo
 	eng, err := fuzzydb.NewEngine(subs, engOpts...)
 	if err != nil {
 		return nil, err
-	}
-	var defaults []fuzzydb.QueryOption
-	if shardPlan == "weighted" {
-		defaults = append(defaults, fuzzydb.WithShardPlan(fuzzydb.ShardPlanWeighted))
-	}
-	if steal {
-		defaults = append(defaults, fuzzydb.WithWorkStealing(true))
 	}
 	qs := wire.NewQueryServer(eng, defaults...)
 

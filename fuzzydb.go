@@ -680,7 +680,7 @@ func EvaluateSharded(ctx context.Context, alg Algorithm, sources []Source, t Agg
 type (
 	// Engine routes queries to subsystems, plans, and evaluates. Its
 	// request API is Query / QueryString / Results (context plus
-	// QueryOptions).
+	// QueryOptions) and Do / Stream (context plus one Request).
 	Engine = middleware.Middleware
 	// Report is a query outcome: results, exact cost, and the plan. On
 	// cancellation or budget exhaustion it carries the partial cost with
@@ -690,8 +690,14 @@ type (
 	Plan = middleware.Plan
 	// EngineOption configures NewEngine.
 	EngineOption = middleware.Option
-	// QueryOption configures one engine request (TopN, WithAlgorithm,
-	// WithParallelism, WithAccessBudget, WithCostModel).
+	// Request is one engine request as a value: the query and every
+	// per-request knob, under the names the wire and the CLIs use.
+	// Engine.Do and Engine.Stream evaluate one; the zero value of a field
+	// means the engine default.
+	Request = middleware.Request
+	// QueryOption sets one field of a Request (TopN, WithAlgorithm,
+	// WithParallelism, WithAccessBudget, WithCostModel, …): the
+	// functional-option form Query, QueryString and Results take.
 	QueryOption = middleware.QueryOption
 	// UnknownAttributeError carries the attribute no subsystem owns
 	// (errors.As; errors.Is ErrUnknownAttribute also matches).

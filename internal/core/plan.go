@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"strings"
+
 	"fuzzydb/internal/agg"
 	"fuzzydb/internal/subsys"
 )
@@ -21,6 +24,31 @@ const (
 	// usable sketch is available.
 	ShardPlanWeighted
 )
+
+// shardPlanNames is the one spelling of the policies outside Go: what a
+// request's JSON body, its URL form and the CLIs' -shard-plan flag say.
+var shardPlanNames = [...]string{ShardPlanEven: "even", ShardPlanWeighted: "weighted"}
+
+// MarshalText implements encoding.TextMarshaler.
+func (p ShardPlanPolicy) MarshalText() ([]byte, error) {
+	if p < 0 || int(p) >= len(shardPlanNames) {
+		return nil, fmt.Errorf("core: unknown shard plan policy %d", int(p))
+	}
+	return []byte(shardPlanNames[p]), nil
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler. An unknown name is
+// an error, never the default: a misspelt "weightd" must not silently
+// evaluate as even.
+func (p *ShardPlanPolicy) UnmarshalText(text []byte) error {
+	for i, name := range shardPlanNames {
+		if string(text) == name {
+			*p = ShardPlanPolicy(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown shard plan %q (want %s)", text, strings.Join(shardPlanNames[:], " or "))
+}
 
 // PlanShardsWeighted splits the dense universe {0,…,n−1} into p
 // contiguous ranges that equalize predicted access work rather than

@@ -94,31 +94,31 @@ func (m *Middleware) CacheLen() int {
 // query share an entry), the clamped k, the algorithm (name plus
 // configuration — FilterFirst's drive list is not in its name), the
 // aggregation law, and the execution shape.
-func (m *Middleware) cacheKey(plan *Plan, cfg queryConfig) (cache.Key, bool) {
-	if m.resultCache == nil || cfg.k < 1 || cfg.budget > 0 || cfg.maxDrop != 0 ||
+func (m *Middleware) cacheKey(plan *Plan, req Request) (cache.Key, bool) {
+	if m.resultCache == nil || req.K < 1 || req.Budget > 0 || req.Degrade > 0 ||
 		!plan.Algorithm.Exact() || !plan.Agg.Monotone() {
 		return cache.Key{}, false
 	}
 	prefetch := -1
-	if cfg.prefetchOn {
-		prefetch = cfg.prefetch
+	if req.Prefetch != nil {
+		prefetch = max(*req.Prefetch, 0) // as lower reads it
 	}
-	shards := cfg.shards
+	shards := req.Shards
 	if shards <= 1 {
 		shards = 0
 	}
-	par := cfg.parallelism
+	par := req.Parallelism
 	if par <= 1 {
 		par = 0
 	}
 	shardPlan, steal := 0, false
 	if shards > 0 {
-		shardPlan = int(cfg.shardPlan)
-		steal = cfg.steal
+		shardPlan = int(req.ShardPlan)
+		steal = req.Steal
 	}
 	return cache.Key{
 		Query:       plan.norm.String(),
-		K:           m.clampK(cfg.k),
+		K:           m.clampK(req.K),
 		Algorithm:   algID(plan.Algorithm),
 		Law:         m.sem.And.Name() + "/" + m.sem.Or.Name(),
 		Shards:      shards,

@@ -43,12 +43,7 @@ type DegradedList struct {
 // would silently change the meaning of an already-streaming answer
 // sequence or of a threshold condition, so they fail fast too.
 func WithDegradedLists(maxDrop int) QueryOption {
-	return func(c *queryConfig) {
-		if maxDrop < 0 {
-			maxDrop = 0
-		}
-		c.maxDrop = maxDrop
-	}
+	return func(r *Request) { r.Degrade = maxDrop }
 }
 
 // pruneAtom removes every occurrence of the given atom from the query

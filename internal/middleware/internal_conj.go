@@ -53,8 +53,8 @@ func (m *Middleware) TopKInternal(ctx context.Context, atoms []query.Atomic, k i
 	if err != nil {
 		return nil, err
 	}
-	cfg := newQueryConfig(opts)
-	cfg.shards = 0 // one pushed-down list: nothing to shard
+	req := newRequest("", opts)
+	req.Shards = 0 // one pushed-down list: nothing to shard
 	plan := &Plan{
 		Algorithm: core.B0{}, // single list: the prefix is the answer
 		Atoms:     atoms,
@@ -63,8 +63,8 @@ func (m *Middleware) TopKInternal(ctx context.Context, atoms []query.Atomic, k i
 	}
 	// k is passed through unclamped: like the other explicit-k entry
 	// points, out-of-range values surface core.ErrBadK.
-	sr, err := core.Run(ctx, []subsys.Source{src}, cfg.lower(), func(ec *core.ExecContext, counted []*subsys.Counted) ([]core.Result, error) {
+	sr, err := core.Run(ctx, []subsys.Source{src}, req.lower(), func(ec *core.ExecContext, counted []*subsys.Counted) ([]core.Result, error) {
 		return plan.Algorithm.TopK(ec, counted, plan.Agg, k)
 	})
-	return newReport(plan, cfg, sr, err)
+	return newReport(plan, req, sr, err)
 }

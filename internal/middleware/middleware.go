@@ -35,7 +35,7 @@
 // # One path
 //
 // Every entry point lowers its request once and evaluates through one of
-// three core calls. queryConfig.lower turns the options into a
+// three core calls. Request.lower turns the request into a
 // core.ShardConfig (the only place parallelism, prefetch and the
 // scheduler's width grant are given a meaning for execution); bind adds
 // the plan's materialized sources.
@@ -386,33 +386,64 @@ type Report struct {
 // given.
 const DefaultTopN = 10
 
-// queryConfig is the per-request configuration assembled from
-// QueryOptions.
-type queryConfig struct {
-	k           int
-	alg         core.Algorithm
-	parallelism int
-	shards      int
-	shardPlan   core.ShardPlanPolicy // boundary policy under WithShards
-	steal       bool                 // WithWorkStealing under WithShards
-	budget      float64
-	model       cost.Model
-	prefetch    int    // pipelined readahead depth; meaningful when prefetchOn
-	prefetchOn  bool   // WithPrefetch given: use the pipelined executor
-	maxDrop     int    // WithDegradedLists: lists the request may lose
-	tenant      string // WithTenant: who the request bills to (sched.go)
-	widthCap    int    // scheduler width grant; 0 = no cap (sched.go)
+// Request is one evaluation request, spelled once: the engine evaluates
+// it (Do, Stream), the wire carries it (wire.QueryRequest is this type:
+// the JSON body of POST /v1/query and, by the same names, the URL form
+// of GET /v1/results) and the CLIs bind their flags onto its fields.
+//
+// One rule covers every field: the zero value means the engine default.
+// A server decodes a body or URL onto its own defaults, so an absent
+// name keeps the default and a present one wins. Prefetch is a pointer
+// because depth 0 (adaptive) is meaningful and distinct from "off".
+// Algorithm and Model are in-process only and never cross the wire.
+type Request struct {
+	// Query in the engine's concrete syntax, e.g. `A1 = "*" AND A2 = "*"`.
+	// Do and Stream parse it; the query.Node entry points ignore it.
+	Query string `json:"query"`
+	// K is the number of answers (TopN); 0 means DefaultTopN.
+	K int `json:"k,omitempty"`
+	// Parallelism overlaps subsystem accesses (WithParallelism).
+	Parallelism int `json:"parallelism,omitempty"`
+	// Shards partitions the universe (WithShards); 0/1 means unsharded.
+	Shards int `json:"shards,omitempty"`
+	// ShardPlan is the shard-boundary policy of a sharded request
+	// (WithShardPlan), by the names core.ShardPlanPolicy marshals to.
+	ShardPlan core.ShardPlanPolicy `json:"shard_plan,omitempty"`
+	// Steal enables work stealing between shard workers
+	// (WithWorkStealing).
+	Steal bool `json:"steal,omitempty"`
+	// Budget caps the weighted access cost (WithAccessBudget); 0 = none.
+	Budget float64 `json:"budget,omitempty"`
+	// Prefetch selects the pipelined executor with this readahead depth
+	// (WithPrefetch; 0 = adaptive); nil = off.
+	Prefetch *int `json:"prefetch,omitempty"`
+	// Degrade allows dropping up to this many permanently failed lists
+	// (WithDegradedLists); 0 = fail fast.
+	Degrade int `json:"degrade,omitempty"`
+	// Tenant names the admission-control tenant this request bills to
+	// under a scheduler (WithTenant); over the wire the X-Fuzzydb-Tenant
+	// header is an equivalent out-of-band form (this field wins). Empty
+	// selects the anonymous tenant.
+	Tenant string `json:"tenant,omitempty"`
+	// Algorithm overrides the planner's choice (WithAlgorithm); nil lets
+	// the planner choose.
+	Algorithm core.Algorithm `json:"-"`
+	// Model prices accesses for budget accounting (WithCostModel); the
+	// zero model means cost.Unweighted.
+	Model cost.Model `json:"-"`
+
+	widthCap int // scheduler width grant; 0 = no cap (sched.go)
 }
 
-// QueryOption configures one evaluation (see Query and Results).
-type QueryOption func(*queryConfig)
+// QueryOption sets one field of a Request (see Query and Results).
+type QueryOption func(*Request)
 
-// TopN asks for the k best answers (default DefaultTopN). A k beyond the
-// universe size is clamped to it — "the best ten of seven" means all
-// seven — while k < 1 is still an error. For Results it is also the page
-// size of the underlying incremental widening.
+// TopN asks for the k best answers (0, like not asking, means
+// DefaultTopN). A k beyond the universe size is clamped to it — "the best
+// ten of seven" means all seven — while k < 0 is still an error. For
+// Results it is also the page size of the underlying incremental widening.
 func TopN(k int) QueryOption {
-	return func(c *queryConfig) { c.k = k }
+	return func(r *Request) { r.K = k }
 }
 
 // WithAlgorithm overrides the planner's choice. The caller takes on the
@@ -420,7 +451,7 @@ func TopN(k int) QueryOption {
 // correct under max, A₀′ under min); correctness guarantees are the
 // algorithm's own.
 func WithAlgorithm(alg core.Algorithm) QueryOption {
-	return func(c *queryConfig) { c.alg = alg }
+	return func(r *Request) { r.Algorithm = alg }
 }
 
 // WithParallelism evaluates the request with the concurrent executor: up
@@ -428,7 +459,7 @@ func WithAlgorithm(alg core.Algorithm) QueryOption {
 // (see core.Concurrent). p ≤ 1 means serial. Access tallies are
 // bit-identical to the serial executor's; only wall-clock changes.
 func WithParallelism(p int) QueryOption {
-	return func(c *queryConfig) { c.parallelism = p }
+	return func(r *Request) { r.Parallelism = p }
 }
 
 // WithShards evaluates the request over p disjoint contiguous slices of
@@ -455,7 +486,7 @@ func WithParallelism(p int) QueryOption {
 // matches the unsharded pagination. Non-exact algorithms (NRA) evaluate
 // unsharded regardless of this option.
 func WithShards(p int) QueryOption {
-	return func(c *queryConfig) { c.shards = p }
+	return func(r *Request) { r.Shards = p }
 }
 
 // WithShardPlan selects how WithShards cuts the universe into shard
@@ -468,7 +499,7 @@ func WithShards(p int) QueryOption {
 // instead of concentrating in one. Sketching and planning are invisible
 // to the Section 5 tallies. No-op without WithShards.
 func WithShardPlan(p core.ShardPlanPolicy) QueryOption {
-	return func(c *queryConfig) { c.shardPlan = p }
+	return func(r *Request) { r.ShardPlan = p }
 }
 
 // WithWorkStealing lets a shard worker that finishes early split the
@@ -478,7 +509,7 @@ func WithShardPlan(p core.ShardPlanPolicy) QueryOption {
 // algorithm; answers are unchanged, per-shard tallies are not
 // deterministic. No-op otherwise.
 func WithWorkStealing(on bool) QueryOption {
-	return func(c *queryConfig) { c.steal = on }
+	return func(r *Request) { r.Steal = on }
 }
 
 // WithPrefetch evaluates the request with the pipelined executor, the
@@ -502,13 +533,10 @@ func WithWorkStealing(on bool) QueryOption {
 // WithParallelism keeps its shard-worker-cap meaning there, and the
 // report's Prefetch stats aggregate across shards.
 func WithPrefetch(depth int) QueryOption {
-	return func(c *queryConfig) {
-		if depth < 0 {
-			depth = 0
-		}
-		c.prefetch = depth
-		c.prefetchOn = true
-	}
+	// The option owns one depth for its whole life: applying it to a
+	// request stores that address and allocates nothing per query.
+	depth = max(depth, 0)
+	return func(r *Request) { r.Prefetch = &depth }
 }
 
 // WithAccessBudget bounds the weighted middleware cost of the request:
@@ -516,21 +544,35 @@ func WithPrefetch(depth int) QueryOption {
 // report — before it would cross the limit (see core.WithAccessBudget).
 // Non-positive means unlimited.
 func WithAccessBudget(limit float64) QueryOption {
-	return func(c *queryConfig) { c.budget = limit }
+	return func(r *Request) { r.Budget = limit }
 }
 
 // WithCostModel prices sorted and random accesses for budget accounting
 // (default cost.Unweighted).
 func WithCostModel(model cost.Model) QueryOption {
-	return func(c *queryConfig) { c.model = model }
+	return func(r *Request) { r.Model = model }
 }
 
-func newQueryConfig(opts []QueryOption) queryConfig {
-	cfg := queryConfig{k: DefaultTopN, model: cost.Unweighted}
+// newRequest is the request the options describe, engine defaults
+// filled in.
+func newRequest(q string, opts []QueryOption) Request {
+	r := Request{Query: q}
 	for _, opt := range opts {
-		opt(&cfg)
+		opt(&r)
 	}
-	return cfg
+	return r.withDefaults()
+}
+
+// withDefaults gives the zero K and Model their meaning; every other
+// field's zero value is already what the code below reads as "default".
+func (r Request) withDefaults() Request {
+	if r.K == 0 {
+		r.K = DefaultTopN
+	}
+	if r.Model == (cost.Model{}) {
+		r.Model = cost.Unweighted
+	}
+	return r
 }
 
 // lower is the one place a request configuration becomes a core
@@ -548,23 +590,26 @@ func newQueryConfig(opts []QueryOption) queryConfig {
 // default) stays serial even under a grant, and a pipelined request
 // (concurrent by nature) keeps the executor's wider default, capped by
 // the grant alone.
-func (c queryConfig) lower() core.ShardConfig {
+func (r Request) lower() core.ShardConfig {
 	sc := core.ShardConfig{
-		Shards:        c.shards,
-		Budget:        c.budget,
-		Model:         c.model,
-		Prefetch:      c.prefetchOn,
-		PrefetchDepth: c.prefetch,
-		PrefetchWidth: c.widthCap,
-		Plan:          c.shardPlan,
-		Steal:         c.steal,
+		Shards:        r.Shards,
+		Budget:        r.Budget,
+		Model:         r.Model,
+		PrefetchWidth: r.widthCap,
+		Plan:          r.ShardPlan,
+		Steal:         r.Steal,
 	}
-	if c.shards > 1 || c.parallelism > 1 {
-		sc.Parallel = c.parallelism
-		if c.widthCap > 0 && (sc.Parallel == 0 || sc.Parallel > c.widthCap) {
-			sc.Parallel = c.widthCap
+	if r.Prefetch != nil {
+		// A negative depth, which only a hand-built Request can carry,
+		// reads as adaptive, like WithPrefetch makes it.
+		sc.Prefetch, sc.PrefetchDepth = true, max(*r.Prefetch, 0)
+	}
+	if r.Shards > 1 || r.Parallelism > 1 {
+		sc.Parallel = r.Parallelism
+		if r.widthCap > 0 && (sc.Parallel == 0 || sc.Parallel > r.widthCap) {
+			sc.Parallel = r.widthCap
 		}
-		if c.shards <= 1 {
+		if r.Shards <= 1 {
 			sc.PrefetchWidth = sc.Parallel
 		}
 	}
@@ -625,13 +670,29 @@ func (m *Middleware) clampK(k int) int {
 // *sched.OverloadError before any planning work, and the admitted
 // request's exact cost settles its reservation afterwards.
 func (m *Middleware) Query(ctx context.Context, q query.Node, opts ...QueryOption) (*Report, error) {
-	cfg := newQueryConfig(opts)
-	grant, err := m.admit(ctx, &cfg)
+	return m.do(ctx, q, newRequest("", opts))
+}
+
+// Do evaluates one Request: Query with the request as a value instead of
+// as options. It is what QueryString and the wire's POST /v1/query call,
+// so a request means the same thing however it arrived.
+func (m *Middleware) Do(ctx context.Context, req Request) (*Report, error) {
+	q, err := query.Parse(req.Query)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := m.query(ctx, q, cfg)
-	grant.Settle(settledCost(cfg, rep))
+	return m.do(ctx, q, req.withDefaults())
+}
+
+// do admits the request, evaluates it, and settles the grant with the
+// exact cost.
+func (m *Middleware) do(ctx context.Context, q query.Node, req Request) (*Report, error) {
+	grant, err := m.admit(ctx, &req)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := m.query(ctx, q, req)
+	grant.Settle(settledCost(req, rep))
 	return rep, err
 }
 
@@ -639,12 +700,12 @@ func (m *Middleware) Query(ctx context.Context, q query.Node, opts ...QueryOptio
 // result cache when the request is cacheable (cache.go), evaluate —
 // degrading by pruning the failed atom from q and re-planning — and
 // store what a cacheable miss computed.
-func (m *Middleware) query(ctx context.Context, q query.Node, cfg queryConfig) (*Report, error) {
-	plan, err := m.plan(q, cfg)
+func (m *Middleware) query(ctx context.Context, q query.Node, req Request) (*Report, error) {
+	plan, err := m.plan(q, req)
 	if err != nil {
 		return nil, err
 	}
-	key, cacheable := m.cacheKey(plan, cfg)
+	key, cacheable := m.cacheKey(plan, req)
 	var epochs []uint64
 	if cacheable {
 		if rep, ok := m.cacheHit(key, plan); ok {
@@ -657,11 +718,11 @@ func (m *Middleware) query(ctx context.Context, q query.Node, cfg queryConfig) (
 		// answer.
 		epochs = m.atomEpochs(plan.Atoms)
 	}
-	rep, err := m.evaluate(ctx, plan, cfg, func(failed *Plan, victim int) (*Plan, error) {
+	rep, err := m.evaluate(ctx, plan, req, func(failed *Plan, victim int) (*Plan, error) {
 		if q = pruneAtom(q, failed.Atoms[victim]); q == nil {
 			return nil, nil
 		}
-		return m.plan(q, cfg)
+		return m.plan(q, req)
 	})
 	if cacheable && err == nil {
 		m.cacheStore(key, plan, rep, epochs)
@@ -670,11 +731,11 @@ func (m *Middleware) query(ctx context.Context, q query.Node, cfg queryConfig) (
 }
 
 // plan is PlanQuery plus the request's WithAlgorithm pin.
-func (m *Middleware) plan(q query.Node, cfg queryConfig) (*Plan, error) {
+func (m *Middleware) plan(q query.Node, req Request) (*Plan, error) {
 	plan, err := m.PlanQuery(q)
-	if err == nil && cfg.alg != nil {
-		plan.Algorithm = cfg.alg
-		plan.Reason = fmt.Sprintf("algorithm pinned to %s by WithAlgorithm", cfg.alg.Name())
+	if err == nil && req.Algorithm != nil {
+		plan.Algorithm = req.Algorithm
+		plan.Reason = fmt.Sprintf("algorithm pinned to %s by WithAlgorithm", req.Algorithm.Name())
 	}
 	return plan, err
 }
@@ -685,12 +746,12 @@ func (m *Middleware) plan(q query.Node, cfg queryConfig) (*Plan, error) {
 // can survive, and the request fails with the original error and
 // report — records the loss and the cost sunk into the failed attempt,
 // and goes again.
-func (m *Middleware) evaluate(ctx context.Context, plan *Plan, cfg queryConfig, replan func(failed *Plan, victim int) (*Plan, error)) (*Report, error) {
+func (m *Middleware) evaluate(ctx context.Context, plan *Plan, req Request, replan func(failed *Plan, victim int) (*Plan, error)) (*Report, error) {
 	var degraded []DegradedList
 	var sunk cost.Cost
 	for {
-		rep, err := m.execute(ctx, plan, cfg)
-		if victim, dl, ok := degradeTarget(plan, rep, err, cfg.maxDrop-len(degraded)); ok {
+		rep, err := m.execute(ctx, plan, req)
+		if victim, dl, ok := degradeTarget(plan, rep, err, req.Degrade-len(degraded)); ok {
 			next, perr := replan(plan, victim)
 			if perr != nil {
 				return nil, perr
@@ -711,13 +772,9 @@ func (m *Middleware) evaluate(ctx context.Context, plan *Plan, cfg queryConfig, 
 	}
 }
 
-// QueryString parses q from concrete syntax and evaluates it via Query.
+// QueryString is Do over the request the options describe for q.
 func (m *Middleware) QueryString(ctx context.Context, q string, opts ...QueryOption) (*Report, error) {
-	n, err := query.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	return m.Query(ctx, n, opts...)
+	return m.Do(ctx, newRequest(q, opts))
 }
 
 // Results evaluates q incrementally: a push iterator over answers in
@@ -735,14 +792,31 @@ func (m *Middleware) QueryString(ctx context.Context, q string, opts ...QueryOpt
 // failure, or a non-paginable algorithm pinned via WithAlgorithm) the
 // iterator yields one (zero Result, err) pair and stops.
 func (m *Middleware) Results(ctx context.Context, q query.Node, opts ...QueryOption) iter.Seq2[core.Result, error] {
+	return m.stream(ctx, q, newRequest("", opts))
+}
+
+// Stream is Results with the request as a value: what ResultsString and
+// the wire's GET /v1/results call. A parse failure yields one (zero
+// Result, err) pair.
+func (m *Middleware) Stream(ctx context.Context, req Request) iter.Seq2[core.Result, error] {
+	q, err := query.Parse(req.Query)
+	if err != nil {
+		return func(yield func(core.Result, error) bool) {
+			yield(core.Result{}, err)
+		}
+	}
+	return m.stream(ctx, q, req.withDefaults())
+}
+
+func (m *Middleware) stream(ctx context.Context, q query.Node, req Request) iter.Seq2[core.Result, error] {
 	return func(yield func(core.Result, error) bool) {
-		cfg := newQueryConfig(opts)
-		grant, err := m.admit(ctx, &cfg)
+		req := req // each run of the iterator is admitted afresh
+		grant, err := m.admit(ctx, &req)
 		if err != nil {
 			yield(core.Result{}, err)
 			return
 		}
-		pag, err := m.preparePagination(ctx, q, cfg)
+		pag, err := m.preparePagination(ctx, q, req)
 		if err != nil {
 			grant.Settle(0)
 			yield(core.Result{}, err)
@@ -751,8 +825,8 @@ func (m *Middleware) Results(ctx context.Context, q query.Node, opts ...QueryOpt
 		// LIFO deferral order: the settle closure runs before Release,
 		// while the paginator's cumulative tallies are still readable.
 		defer pag.Release()
-		defer func() { grant.Settle(cfg.model.Of(pag.Cost())) }()
-		pageSize := m.clampK(cfg.k)
+		defer func() { grant.Settle(req.Model.Of(pag.Cost())) }()
+		pageSize := m.clampK(req.K)
 		for {
 			page, err := pag.NextPage(pageSize)
 			if err != nil {
@@ -771,32 +845,25 @@ func (m *Middleware) Results(ctx context.Context, q query.Node, opts ...QueryOpt
 	}
 }
 
-// ResultsString parses q from concrete syntax and streams answers via
-// Results. A parse failure yields one (zero Result, err) pair.
+// ResultsString is Stream over the request the options describe for q.
 func (m *Middleware) ResultsString(ctx context.Context, q string, opts ...QueryOption) iter.Seq2[core.Result, error] {
-	n, err := query.Parse(q)
-	if err != nil {
-		return func(yield func(core.Result, error) bool) {
-			yield(core.Result{}, err)
-		}
-	}
-	return m.Results(ctx, n, opts...)
+	return m.Stream(ctx, newRequest(q, opts))
 }
 
 // preparePagination binds the paginator behind Paginate and Results:
 // plan (with any WithAlgorithm pin), validate paginability, and hand the
 // bound sources to core.NewShardedPaginator, whose one-slice case is the
 // unsharded pagination.
-func (m *Middleware) preparePagination(ctx context.Context, q query.Node, cfg queryConfig) (*core.Paginator, error) {
-	plan, err := m.plan(q, cfg)
+func (m *Middleware) preparePagination(ctx context.Context, q query.Node, req Request) (*core.Paginator, error) {
+	plan, err := m.plan(q, req)
 	if err != nil {
 		return nil, err
 	}
-	alg, err := paginableAlgorithm(plan, cfg.alg != nil)
+	alg, err := paginableAlgorithm(plan, req.Algorithm != nil)
 	if err != nil {
 		return nil, err
 	}
-	lists, scfg, err := m.bind(plan, cfg)
+	lists, scfg, err := m.bind(plan, req)
 	if err != nil {
 		return nil, err
 	}
@@ -832,9 +899,9 @@ func (m *Middleware) TopKMedian(ctx context.Context, atoms []query.Atomic, k int
 	if k > m.n {
 		return nil, fmt.Errorf("%w: k=%d, N=%d", core.ErrBadK, k, m.n)
 	}
-	cfg := newQueryConfig(opts)
-	cfg.k = k
-	return m.evaluate(ctx, medianPlan(atoms), cfg, func(failed *Plan, victim int) (*Plan, error) {
+	req := newRequest("", opts)
+	req.K = k
+	return m.evaluate(ctx, medianPlan(atoms), req, func(failed *Plan, victim int) (*Plan, error) {
 		// Degradation drops the failed atom from the flat list: the result
 		// is the median of the survivors, as a fresh TopKMedian call over
 		// them would compute.
@@ -855,7 +922,7 @@ func medianPlan(atoms []query.Atomic) *Plan {
 // Filter evaluates the threshold query "overall grade ≥ theta" for a
 // monotone q, in the Chaudhuri–Gravano style.
 func (m *Middleware) Filter(ctx context.Context, q query.Node, theta float64, opts ...QueryOption) (*Report, error) {
-	cfg := newQueryConfig(opts)
+	req := newRequest("", opts)
 	q = query.Rewrite(q, query.RulesFor(m.sem))
 	c, err := query.Compile(q, m.sem)
 	if err != nil {
@@ -873,11 +940,11 @@ func (m *Middleware) Filter(ctx context.Context, q query.Node, theta float64, op
 		Agg:    c.Func,
 		Reason: fmt.Sprintf("filter condition: all objects with grade >= %g [CG96]", theta),
 	}
-	cfg.shards = 0 // a threshold condition has no top-k merge to shard
-	sr, err := core.Run(ctx, lists, cfg.lower(), func(ec *core.ExecContext, counted []*subsys.Counted) ([]core.Result, error) {
+	req.Shards = 0 // a threshold condition has no top-k merge to shard
+	sr, err := core.Run(ctx, lists, req.lower(), func(ec *core.ExecContext, counted []*subsys.Counted) ([]core.Result, error) {
 		return core.Filter(ec, counted, c.Func, theta)
 	})
-	return newReport(plan, cfg, sr, err)
+	return newReport(plan, req, sr, err)
 }
 
 // Paginate prepares paginated evaluation of q ("give me the next k"),
@@ -891,19 +958,19 @@ func (m *Middleware) Filter(ctx context.Context, q query.Node, theta float64, op
 // whose background prefetcher goroutines otherwise outlive the
 // pagination.
 func (m *Middleware) Paginate(ctx context.Context, q query.Node, opts ...QueryOption) (*core.Paginator, error) {
-	return m.preparePagination(ctx, q, newQueryConfig(opts))
+	return m.preparePagination(ctx, q, newRequest("", opts))
 }
 
 // bind materializes a plan's sources and lowers the request onto the
 // core configuration they will be evaluated under, for one-shot and
 // paginated evaluation alike. Sketches are drawn only for the planner
 // that reads them.
-func (m *Middleware) bind(plan *Plan, cfg queryConfig) ([]subsys.Source, core.ShardConfig, error) {
+func (m *Middleware) bind(plan *Plan, req Request) ([]subsys.Source, core.ShardConfig, error) {
 	lists, err := m.sources(plan.Atoms)
 	if err != nil {
 		return nil, core.ShardConfig{}, err
 	}
-	scfg := cfg.lower()
+	scfg := req.lower()
 	if scfg.Shards > 1 && scfg.Plan == core.ShardPlanWeighted {
 		scfg.Sketches = m.gradeSketches(plan.Atoms, lists)
 	}
@@ -913,25 +980,25 @@ func (m *Middleware) bind(plan *Plan, cfg queryConfig) ([]subsys.Source, core.Sh
 // execute runs a plan under the request configuration. Errors mid-
 // evaluation (cancellation, budget, a source failure) come back with a
 // partial-cost report.
-func (m *Middleware) execute(ctx context.Context, plan *Plan, cfg queryConfig) (*Report, error) {
-	lists, scfg, err := m.bind(plan, cfg)
+func (m *Middleware) execute(ctx context.Context, plan *Plan, req Request) (*Report, error) {
+	lists, scfg, err := m.bind(plan, req)
 	if err != nil {
 		return nil, err
 	}
-	sr, err := core.EvaluateSharded(ctx, plan.Algorithm, lists, plan.Agg, m.clampK(cfg.k), scfg)
-	return newReport(plan, cfg, sr, err)
+	sr, err := core.EvaluateSharded(ctx, plan.Algorithm, lists, plan.Agg, m.clampK(req.K), scfg)
+	return newReport(plan, req, sr, err)
 }
 
 // newReport turns core's outcome into the request's report: the tallies
 // (with the per-atom breakdown when the lists align with the plan's
 // atoms), the prefetch stats, the shard sections only when the request
 // asked for WithShards, and the results only on success.
-func newReport(plan *Plan, cfg queryConfig, sr *core.ShardReport, err error) (*Report, error) {
+func newReport(plan *Plan, req Request, sr *core.ShardReport, err error) (*Report, error) {
 	rep := &Report{Cost: sr.Cost, Prefetch: sr.Prefetch, Plan: plan}
 	if len(sr.PerList) == len(plan.Atoms) {
 		rep.PerList = sr.PerList
 	}
-	if cfg.shards > 1 {
+	if req.Shards > 1 {
 		rep.PerShard, rep.Shards, rep.ShardDetails, rep.Stolen = sr.PerShard, sr.Shards, sr.Details, sr.Stolen
 	}
 	if err == nil {

@@ -34,20 +34,20 @@ func WithScheduler(s *sched.Scheduler) Option {
 // queue orders the admission, its stats record the settle. Without a
 // scheduler the option is inert.
 func WithTenant(name string) QueryOption {
-	return func(c *queryConfig) { c.tenant = name }
+	return func(r *Request) { r.Tenant = name }
 }
 
 // admit asks the scheduler (if any) to admit the request, recording the
 // granted prefetch/gather width cap on the config. A nil scheduler
 // admits everything with a nil grant, so the unscheduled path stays a
 // strict no-op.
-func (m *Middleware) admit(ctx context.Context, cfg *queryConfig) (*sched.Grant, error) {
-	g, err := m.sched.Acquire(ctx, cfg.tenant)
+func (m *Middleware) admit(ctx context.Context, req *Request) (*sched.Grant, error) {
+	g, err := m.sched.Acquire(ctx, req.Tenant)
 	if err != nil {
 		return nil, err
 	}
 	if w := g.Width(); w > 0 {
-		cfg.widthCap = w
+		req.widthCap = w
 	}
 	return g, nil
 }
@@ -58,9 +58,9 @@ func (m *Middleware) admit(ctx context.Context, cfg *queryConfig) (*sched.Grant,
 // accesses (the report's cost records what the cached computation once
 // spent, not what this request spent). A nil report (planning failed
 // before any access) also settles at zero.
-func settledCost(cfg queryConfig, rep *Report) float64 {
+func settledCost(req Request, rep *Report) float64 {
 	if rep == nil || (rep.Cache != nil && rep.Cache.Hit) {
 		return 0
 	}
-	return cfg.model.Of(rep.Cost)
+	return req.Model.Of(rep.Cost)
 }

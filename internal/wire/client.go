@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -198,8 +197,12 @@ func (c *Client) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 // server fault or transport failure yields one (zero Result, err) pair.
 func (c *Client) Results(ctx context.Context, req QueryRequest) func(yield func(Result, error) bool) {
 	return func(yield func(Result, error) bool) {
-		u := c.base + "/v1/results?" + resultsParams(req)
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+		params, err := encodeParams(req)
+		if err != nil {
+			yield(Result{}, &TransportError{Op: "results", Err: err})
+			return
+		}
+		hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/results?"+params.Encode(), nil)
 		if err != nil {
 			yield(Result{}, &TransportError{Op: "results", Err: err})
 			return
@@ -247,39 +250,6 @@ func (c *Client) Results(ctx context.Context, req QueryRequest) func(yield func(
 			yield(Result{}, c.transportFailure(ctx, "results", err))
 		}
 	}
-}
-
-// resultsParams flattens a QueryRequest onto the /v1/results URL
-// parameter form.
-func resultsParams(req QueryRequest) string {
-	var b bytes.Buffer
-	b.WriteString("q=")
-	b.WriteString(url.QueryEscape(req.Query))
-	add := func(name string, v int) {
-		if v > 0 {
-			fmt.Fprintf(&b, "&%s=%d", name, v)
-		}
-	}
-	add("k", req.K)
-	add("parallelism", req.Parallelism)
-	add("shards", req.Shards)
-	add("degrade", req.Degrade)
-	if req.ShardPlan != "" {
-		fmt.Fprintf(&b, "&shard_plan=%s", url.QueryEscape(req.ShardPlan))
-	}
-	if req.Steal {
-		b.WriteString("&steal=true")
-	}
-	if req.Budget > 0 {
-		fmt.Fprintf(&b, "&budget=%s", strconv.FormatFloat(req.Budget, 'g', -1, 64))
-	}
-	if req.Prefetch != nil {
-		fmt.Fprintf(&b, "&prefetch=%d", *req.Prefetch)
-	}
-	if req.Tenant != "" {
-		fmt.Fprintf(&b, "&tenant=%s", url.QueryEscape(req.Tenant))
-	}
-	return b.String()
 }
 
 // get performs one GET round trip and decodes the 200 body into out.

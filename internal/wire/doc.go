@@ -23,7 +23,13 @@
 //	POST /v1/grade    GradeRequest{list, object}   → GradeResponse{grade, err?}
 //	POST /v1/grades   GradesRequest{list, objects} → GradesResponse{grades, err?}
 //	POST /v1/query    QueryRequest                 → QueryResponse
-//	GET  /v1/results  ?q=…&k=…&…                  → NDJSON stream of Result rows
+//	GET  /v1/results  QueryRequest as URL params   → NDJSON stream of Result rows
+//
+// QueryRequest is the engine's own request type (middleware.Request),
+// whose doc comment names every field once; the URL form carries the same
+// fields under the same JSON names (the query as q; see params.go). The
+// server decodes either form onto its defaults and refuses a malformed,
+// unknown or negative value with a 400 naming the field.
 //
 // /v1/entries is sorted access: the entries at ranks [lo, hi) of one
 // list, paged — the server delivers at most Meta.Page entries per
@@ -87,11 +93,10 @@
 // 429 with the scheduler's pacing advice in two forms: a standard
 // Retry-After header (whole seconds, rounded up) and the envelope's
 // retry_after_ms field (exact milliseconds; it wins when both are
-// present). Requests name their admission tenant in the query body
-// ("tenant"), the X-Fuzzydb-Tenant header, or the results cursor's
-// tenant URL parameter. The client lifts the advice into
-// TransportError.RetryAfterHint, exposed through the optional
-// RetryAfter() capability that subsys.Resilient consults: a retry
+// present). Requests name their admission tenant in the request's tenant
+// field or, when it has none, the X-Fuzzydb-Tenant header. The client
+// lifts the advice into TransportError.RetryAfterHint, exposed through
+// the optional RetryAfter() capability that subsys.Resilient consults: a retry
 // after a 429 sleeps the server's advised interval instead of the
 // client's own exponential backoff, so a fleet of resilient clients
 // drains at the pace the shedding server asked for rather than

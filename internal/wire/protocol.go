@@ -5,6 +5,7 @@ import (
 
 	"fuzzydb/internal/cost"
 	"fuzzydb/internal/gradedset"
+	"fuzzydb/internal/middleware"
 )
 
 // Meta is the server's self-description, served at GET /v1/meta. Every
@@ -142,40 +143,11 @@ type GradesResponse struct {
 	Err    *Fault    `json:"err,omitempty"`
 }
 
-// QueryRequest is one engine evaluation: POST /v1/query, and (flattened
-// into URL parameters) GET /v1/results. Zero values mean the engine
-// defaults; Prefetch is a pointer because depth 0 (adaptive) is
-// meaningful and distinct from "no prefetch".
-type QueryRequest struct {
-	// Query in the engine's concrete syntax, e.g. `A1 = "*" AND A2 = "*"`.
-	Query string `json:"query"`
-	// K is the number of answers (TopN); 0 means the engine default.
-	K int `json:"k,omitempty"`
-	// Parallelism overlaps subsystem accesses (WithParallelism).
-	Parallelism int `json:"parallelism,omitempty"`
-	// Shards partitions the universe (WithShards); 0/1 means unsharded.
-	Shards int `json:"shards,omitempty"`
-	// ShardPlan selects the shard-boundary policy for sharded requests:
-	// "even" (or empty) for equal-width ranges, "weighted" for
-	// sketch-driven skew-aware cuts (WithShardPlan).
-	ShardPlan string `json:"shard_plan,omitempty"`
-	// Steal enables work stealing between shard workers
-	// (WithWorkStealing).
-	Steal bool `json:"steal,omitempty"`
-	// Budget caps the weighted access cost (WithAccessBudget); 0 = none.
-	Budget float64 `json:"budget,omitempty"`
-	// Prefetch selects the pipelined executor with this readahead depth
-	// (0 = adaptive); nil = off.
-	Prefetch *int `json:"prefetch,omitempty"`
-	// Degrade allows dropping up to this many permanently failed lists
-	// (WithDegradedLists); 0 = fail fast.
-	Degrade int `json:"degrade,omitempty"`
-	// Tenant names the admission-control tenant this request bills to
-	// on a scheduled server (WithTenant); the X-Fuzzydb-Tenant header
-	// is an equivalent out-of-band form (the body field wins). Empty
-	// selects the anonymous tenant.
-	Tenant string `json:"tenant,omitempty"`
-}
+// QueryRequest is one engine evaluation: the JSON body of POST
+// /v1/query and, under the same names, the URL form of GET /v1/results
+// (params.go). It is the engine's own request type — the fields, their
+// JSON names and the zero-value rule are documented there, once.
+type QueryRequest = middleware.Request
 
 // Result is one answer row: the JSON form of core.Result, and the
 // NDJSON row format of the GET /v1/results stream.

@@ -4,9 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -24,27 +22,23 @@ import (
 // poll, budget reservations settle, and pooled state is released.
 type QueryServer struct {
 	eng      *middleware.Middleware
-	defaults []middleware.QueryOption
+	defaults QueryRequest
 	active   atomic.Int64
 	mux      *http.ServeMux
 }
 
-// NewQueryServer builds a query server over the engine. defaults are
-// request options applied to every evaluation before the request's own
-// (so a request field that maps to the same option overrides the
-// server default) — the hook for server-side execution policy like
-// a default shard plan or work stealing.
+// NewQueryServer builds a query server over the engine. defaults set the
+// request every evaluation starts from — the hook for server-side
+// execution policy like a default shard plan or work stealing; the
+// request's body or URL is then decoded onto it (see decode).
 func NewQueryServer(eng *middleware.Middleware, defaults ...middleware.QueryOption) *QueryServer {
-	s := &QueryServer{eng: eng, defaults: defaults}
+	s := &QueryServer{eng: eng}
+	for _, opt := range defaults {
+		opt(&s.defaults)
+	}
 	s.mux = http.NewServeMux()
 	s.Register(s.mux)
 	return s
-}
-
-// options combines the server defaults with the request's own options,
-// request last so it wins where both speak.
-func (s *QueryServer) options(req QueryRequest) []middleware.QueryOption {
-	return append(append([]middleware.QueryOption(nil), s.defaults...), req.options()...)
 }
 
 // Register mounts the query endpoints on mux, so callers can combine
@@ -64,64 +58,52 @@ func (s *QueryServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // drain the server promptly.
 func (s *QueryServer) Active() int64 { return s.active.Load() }
 
-// options lowers the wire request onto the engine's request options.
-func (q QueryRequest) options() []middleware.QueryOption {
-	var opts []middleware.QueryOption
-	if q.K > 0 {
-		opts = append(opts, middleware.TopN(q.K))
-	}
-	if q.Parallelism > 1 {
-		opts = append(opts, middleware.WithParallelism(q.Parallelism))
-	}
-	if q.Shards > 1 {
-		opts = append(opts, middleware.WithShards(q.Shards))
-	}
-	switch q.ShardPlan {
-	case "weighted":
-		opts = append(opts, middleware.WithShardPlan(core.ShardPlanWeighted))
-	case "even":
-		// Explicit, so a request can override a weighted server default.
-		opts = append(opts, middleware.WithShardPlan(core.ShardPlanEven))
-	}
-	if q.Steal {
-		opts = append(opts, middleware.WithWorkStealing(true))
-	}
-	if q.Budget > 0 {
-		opts = append(opts, middleware.WithAccessBudget(q.Budget))
-	}
-	if q.Prefetch != nil {
-		opts = append(opts, middleware.WithPrefetch(*q.Prefetch))
-	}
-	if q.Degrade > 0 {
-		opts = append(opts, middleware.WithDegradedLists(q.Degrade))
-	}
-	if q.Tenant != "" {
-		opts = append(opts, middleware.WithTenant(q.Tenant))
-	}
-	return opts
-}
-
 // TenantHeader is the out-of-band form of QueryRequest.Tenant: requests
 // that cannot carry the body field (or proxies injecting identity) name
 // the admission tenant here. The body field wins when both are set.
 const TenantHeader = "X-Fuzzydb-Tenant"
 
-func (s *QueryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	if !decodeRequest(w, r, &req) {
-		return
+// decode reads the request of either endpoint — the JSON body of a POST,
+// the URL form of a GET — onto a copy of the server's defaults, so a name
+// the request leaves out keeps the default and one it gives wins, and
+// checks the outcome at the boundary: a malformed, unknown or negative
+// value is a 400 naming the field, never a silent default. ok is false
+// when the fault has been written.
+func (s *QueryServer) decode(w http.ResponseWriter, r *http.Request) (req QueryRequest, ok bool) {
+	req = s.defaults
+	if req.Prefetch != nil {
+		// The JSON decoder writes through a non-nil pointer.
+		depth := *req.Prefetch
+		req.Prefetch = &depth
 	}
-	if req.Query == "" {
-		writeFault(w, http.StatusBadRequest, &Fault{Message: "empty query"})
-		return
+	var err error
+	if r.Method == http.MethodGet {
+		err = decodeParams(r.URL.Query(), &req)
+	} else if !decodeRequest(w, r, &req) {
+		return req, false
+	}
+	if err == nil {
+		err = checkRequest(&req)
+	}
+	if err != nil {
+		writeFault(w, http.StatusBadRequest, &Fault{Message: err.Error()})
+		return req, false
 	}
 	if req.Tenant == "" {
 		req.Tenant = r.Header.Get(TenantHeader)
 	}
+	return req, true
+}
+
+func (s *QueryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
+	req, ok := s.decode(w, r)
+	if !ok {
+		return
+	}
 	s.active.Add(1)
 	defer s.active.Add(-1)
 	start := time.Now()
-	rep, err := s.eng.QueryString(r.Context(), req.Query, s.options(req)...)
+	rep, err := s.eng.Do(r.Context(), req)
 	if err != nil {
 		status, f := queryFault(err)
 		if rep != nil {
@@ -220,64 +202,6 @@ func queryFault(err error) (int, *Fault) {
 	}
 }
 
-// resultsRequest parses the GET /v1/results URL parameters (the
-// QueryRequest fields flattened: q, k, parallelism, shards, budget,
-// prefetch, degrade, shard_plan, steal, tenant).
-func resultsRequest(r *http.Request) (QueryRequest, error) {
-	q := r.URL.Query()
-	req := QueryRequest{Query: q.Get("q")}
-	if req.Query == "" {
-		return req, errors.New("missing q parameter")
-	}
-	intParam := func(name string, into *int) error {
-		if v := q.Get(name); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return fmt.Errorf("bad %s: %v", name, err)
-			}
-			*into = n
-		}
-		return nil
-	}
-	// A slice, not a map: with several malformed parameters the one
-	// reported must not depend on map iteration order.
-	for _, p := range []struct {
-		name string
-		into *int
-	}{
-		{"k", &req.K}, {"parallelism", &req.Parallelism},
-		{"shards", &req.Shards}, {"degrade", &req.Degrade},
-	} {
-		if err := intParam(p.name, p.into); err != nil {
-			return req, err
-		}
-	}
-	if v := q.Get("budget"); v != "" {
-		b, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return req, fmt.Errorf("bad budget: %v", err)
-		}
-		req.Budget = b
-	}
-	if v := q.Get("prefetch"); v != "" {
-		d, err := strconv.Atoi(v)
-		if err != nil {
-			return req, fmt.Errorf("bad prefetch: %v", err)
-		}
-		req.Prefetch = &d
-	}
-	req.ShardPlan = q.Get("shard_plan")
-	req.Tenant = q.Get("tenant")
-	if v := q.Get("steal"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return req, fmt.Errorf("bad steal: %v", err)
-		}
-		req.Steal = b
-	}
-	return req, nil
-}
-
 // handleResults streams the engine's Results iterator as NDJSON: one
 // Result row per line, in descending grade order, flushed per row so a
 // slow consumer sees answers as they are computed. A mid-stream engine
@@ -285,13 +209,9 @@ func resultsRequest(r *http.Request) (QueryRequest, error) {
 // under the request context: when the client disconnects, the iterator
 // is cancelled at its next poll and the underlying paginator releases.
 func (s *QueryServer) handleResults(w http.ResponseWriter, r *http.Request) {
-	req, err := resultsRequest(r)
-	if err != nil {
-		writeFault(w, http.StatusBadRequest, &Fault{Message: err.Error()})
+	req, ok := s.decode(w, r)
+	if !ok {
 		return
-	}
-	if req.Tenant == "" {
-		req.Tenant = r.Header.Get(TenantHeader)
 	}
 	s.active.Add(1)
 	defer s.active.Add(-1)
@@ -304,7 +224,7 @@ func (s *QueryServer) handleResults(w http.ResponseWriter, r *http.Request) {
 	streaming := false
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	for res, err := range s.eng.ResultsString(r.Context(), req.Query, s.options(req)...) {
+	for res, err := range s.eng.Stream(r.Context(), req) {
 		if err != nil {
 			status, f := queryFault(err)
 			if !streaming {
