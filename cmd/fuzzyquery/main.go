@@ -153,7 +153,7 @@ func parseFlags(args []string, stderr io.Writer) (*flags, int) {
 	// through ShardPlanPolicy's text form, and -1 (off) is no depth.
 	fs.StringVar(&req.Query, "q", "", "query, e.g. 'Artist = \"Beatles\" AND AlbumColor ~ \"red\"'")
 	fs.IntVar(&req.K, "k", 10, "number of answers")
-	fs.IntVar(&req.Parallelism, "p", 1, "subsystem accesses in flight at once (1 = serial); with -shards, the shard worker cap; with -prefetch, the gather width")
+	fs.IntVar(&req.Parallelism, "p", 1, "subsystem accesses in flight at once, on the pipelined executor (1 = serial; for slow subsystems, see -latency); with -shards, the shard worker cap instead")
 	fs.IntVar(&req.Shards, "shards", 1, "partition the universe into this many shards (1 = unsharded)")
 	plan := fs.String("shard-plan", "even", "shard-boundary policy: even (equal widths) or weighted (equal expected work from grade sketches)")
 	fs.BoolVar(&req.Steal, "steal", false, "let shard workers that finish early steal the remaining range of the most-behind shard")

@@ -128,7 +128,7 @@ func TestConnectConflictNamesFirstFlagInDeclarationOrder(t *testing.T) {
 
 // TestFlagsBindOneRequest: the command line binds onto one Request, and
 // that value — not a second assembly of the same flags — is what either
-// path evaluates. For six request shapes the parsed Request is the
+// path evaluates. For seven request shapes the parsed Request is the
 // expected one with and without -connect, and the body POSTed to the
 // server is the JSON the previous release's client sent for those flags,
 // byte for byte (field order, omitted zeros, the plan by name).
@@ -147,28 +147,34 @@ func TestFlagsBindOneRequest(t *testing.T) {
 	const qJSON = `"query":"A1 = \"*\" AND A2 = \"*\""`
 	depth := func(d int) *int { return &d }
 	for _, tc := range []struct {
-		args []string
-		want fuzzydb.Request
-		body string
+		args  []string
+		want  fuzzydb.Request
+		body  string
+		print string // a line the report must carry, if any
 	}{
-		{[]string{"-k", "5"},
-			fuzzydb.Request{K: 5, Parallelism: 1, Shards: 1},
-			`{` + qJSON + `,"k":5,"parallelism":1,"shards":1}`},
-		{[]string{"-shards", "4", "-p", "1"},
-			fuzzydb.Request{K: 10, Parallelism: 1, Shards: 4},
-			`{` + qJSON + `,"k":10,"parallelism":1,"shards":4}`},
-		{[]string{"-shards", "4", "-shard-plan", "weighted", "-steal"},
-			fuzzydb.Request{K: 10, Parallelism: 1, Shards: 4, ShardPlan: fuzzydb.ShardPlanWeighted, Steal: true},
-			`{` + qJSON + `,"k":10,"parallelism":1,"shards":4,"shard_plan":"weighted","steal":true}`},
-		{[]string{"-prefetch", "0", "-p", "8"},
-			fuzzydb.Request{K: 10, Parallelism: 8, Shards: 1, Prefetch: depth(0)},
-			`{` + qJSON + `,"k":10,"parallelism":8,"shards":1,"prefetch":0}`},
-		{[]string{"-budget", "5000", "-degrade", "1"},
-			fuzzydb.Request{K: 10, Parallelism: 1, Shards: 1, Budget: 5000, Degrade: 1},
-			`{` + qJSON + `,"k":10,"parallelism":1,"shards":1,"budget":5000,"degrade":1}`},
-		{[]string{"-tenant", "gold", "-k", "3", "-prefetch", "4", "-shard-plan", "even"},
-			fuzzydb.Request{K: 3, Parallelism: 1, Shards: 1, Prefetch: depth(4), Tenant: "gold"},
-			`{` + qJSON + `,"k":3,"parallelism":1,"shards":1,"prefetch":4,"tenant":"gold"}`},
+		{args: []string{"-k", "5"},
+			want: fuzzydb.Request{K: 5, Parallelism: 1, Shards: 1},
+			body: `{` + qJSON + `,"k":5,"parallelism":1,"shards":1}`},
+		// -p alone is the pipelined executor, and says so.
+		{args: []string{"-p", "3"},
+			want:  fuzzydb.Request{K: 10, Parallelism: 3, Shards: 1},
+			body:  `{` + qJSON + `,"k":10,"parallelism":3,"shards":1}`,
+			print: "prefetch pipeline:"},
+		{args: []string{"-shards", "4", "-p", "1"},
+			want: fuzzydb.Request{K: 10, Parallelism: 1, Shards: 4},
+			body: `{` + qJSON + `,"k":10,"parallelism":1,"shards":4}`},
+		{args: []string{"-shards", "4", "-shard-plan", "weighted", "-steal"},
+			want: fuzzydb.Request{K: 10, Parallelism: 1, Shards: 4, ShardPlan: fuzzydb.ShardPlanWeighted, Steal: true},
+			body: `{` + qJSON + `,"k":10,"parallelism":1,"shards":4,"shard_plan":"weighted","steal":true}`},
+		{args: []string{"-prefetch", "0", "-p", "8"},
+			want: fuzzydb.Request{K: 10, Parallelism: 8, Shards: 1, Prefetch: depth(0)},
+			body: `{` + qJSON + `,"k":10,"parallelism":8,"shards":1,"prefetch":0}`},
+		{args: []string{"-budget", "5000", "-degrade", "1"},
+			want: fuzzydb.Request{K: 10, Parallelism: 1, Shards: 1, Budget: 5000, Degrade: 1},
+			body: `{` + qJSON + `,"k":10,"parallelism":1,"shards":1,"budget":5000,"degrade":1}`},
+		{args: []string{"-tenant", "gold", "-k", "3", "-prefetch", "4", "-shard-plan", "even"},
+			want: fuzzydb.Request{K: 3, Parallelism: 1, Shards: 1, Prefetch: depth(4), Tenant: "gold"},
+			body: `{` + qJSON + `,"k":3,"parallelism":1,"shards":1,"prefetch":4,"tenant":"gold"}`},
 	} {
 		tc.want.Query = q
 		args := append([]string{"-q", q}, tc.args...)
@@ -186,6 +192,9 @@ func TestFlagsBindOneRequest(t *testing.T) {
 		}
 		if strings.TrimSpace(string(posted)) != tc.body {
 			t.Errorf("%v: posted\n %s\nwant\n %s", tc.args, posted, tc.body)
+		}
+		if !strings.Contains(stdout.String(), tc.print) {
+			t.Errorf("%v: report lacks %q:\n%s", tc.args, tc.print, stdout.String())
 		}
 	}
 }

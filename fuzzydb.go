@@ -30,11 +30,11 @@
 // stops an evaluation promptly, mid-phase; TopN bounds the answer count;
 // WithAccessBudget caps the Section 5 spend (the evaluation stops with
 // ErrBudgetExceeded and a partial-cost report rather than overshooting);
-// WithParallelism(p) issues each round's sorted accesses concurrently —
-// one worker per subsystem — with access tallies bit-identical to the
-// serial execution, since readahead is buffered and only consumption is
-// metered. For incremental consumption, Results streams answers in
-// descending grade order:
+// WithParallelism(p) keeps up to p subsystem accesses in flight at once
+// (the pipelined executor below, at width p) with access tallies
+// bit-identical to the serial execution, since readahead is buffered and
+// only consumption is metered. For incremental consumption, Results
+// streams answers in descending grade order:
 //
 //	for r, err := range eng.Results(ctx, q, fuzzydb.TopN(5)) {
 //		if err != nil { ... }
@@ -95,8 +95,8 @@
 // batch, stalls, physical calls, ranks fetched — the last minus the
 // sorted tally is the readahead nobody consumed). NewLatencySource / WithSubsystemLatency
 // simulate such backends for benchmarking; on the E2/m=5 workload with
-// 1 ms/call sources the pipelined executor is over an order of
-// magnitude faster than the per-subsystem concurrent executor.
+// 1 ms/call sources the pipelined executor at its default width is over
+// an order of magnitude faster than at one probe per subsystem.
 //
 // Prefetch composes with sharding: WithShards(P) together with
 // WithPrefetch(d) runs every shard under its own pipelined executor —
@@ -446,7 +446,7 @@ type LatencyOption = subsys.LatencyOption
 
 // WithLatencyJitter makes a simulated-latency wrapper sleep a randomized
 // duration: each delay is scaled by a seeded uniform factor in
-// [1−frac, 1+frac], so concurrent executors see realistically uneven
+// [1−frac, 1+frac], so the pipelined executor sees realistically uneven
 // backends while access tallies stay untouched (jitter, like latency,
 // moves wall-clock only).
 func WithLatencyJitter(frac float64, seed uint64) LatencyOption {
@@ -590,12 +590,6 @@ var ErrBudgetExceeded = core.ErrBudgetExceeded
 // SerialExecutor returns the inline executor: every subsystem access on
 // the calling goroutine, exactly as the paper's cost analysis narrates.
 func SerialExecutor() Executor { return core.Serial{} }
-
-// ConcurrentExecutor returns the overlapping executor: up to p source
-// operations in flight at once, one worker per subsystem, with sorted
-// readahead buffered so the Section 5 tallies stay bit-identical to the
-// serial execution. p ≤ 0 means GOMAXPROCS.
-func ConcurrentExecutor(p int) Executor { return core.Concurrent{P: p} }
 
 // PipelinedExecutor returns the latency-hiding executor for slow or
 // remote subsystems: a background prefetcher per list issues batched
@@ -801,10 +795,12 @@ func TopN(k int) QueryOption { return middleware.TopN(k) }
 // to query shape.
 func WithAlgorithm(alg Algorithm) QueryOption { return middleware.WithAlgorithm(alg) }
 
-// WithParallelism evaluates one request with up to p subsystem accesses
-// in flight at once (one worker per subsystem); tallies stay
-// bit-identical to serial evaluation. Combined with WithShards it caps
-// the number of shard workers instead.
+// WithParallelism evaluates one request on the pipelined executor with up
+// to p subsystem accesses in flight at once (p ≤ 1: serial); tallies stay
+// bit-identical to serial evaluation. It is for slow subsystems — over
+// in-memory lists the serial default is faster — and, like WithPrefetch,
+// needs sources that tolerate concurrent reads. Combined with WithShards
+// it caps the number of shard workers instead.
 func WithParallelism(p int) QueryOption { return middleware.WithParallelism(p) }
 
 // WithShards evaluates one request over p disjoint contiguous slices of

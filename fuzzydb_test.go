@@ -323,7 +323,7 @@ func TestRequestAPIThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	concRes, concCost, err := fuzzydb.Evaluate(ctx, fuzzydb.FaginsAlgorithm, fuzzydb.DatabaseSources(db), fuzzydb.Min, 6,
-		fuzzydb.WithEvalExecutor(fuzzydb.ConcurrentExecutor(3)))
+		fuzzydb.WithEvalExecutor(fuzzydb.PipelinedExecutor(3, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func (B0) TopK(ec *ExecContext, lists []*subsys.Counted, t agg.Func, k int) ([]R
 	defer ec.releaseScratch(sc)
 	cursors := subsys.Cursors(lists)
 	// Every list's top-k prefix is wanted unconditionally: stage them all
-	// (in parallel under a concurrent executor) before consuming.
+	// (in parallel under the pipelined executor) before consuming.
 	if err := ec.Stage(cursors, k); err != nil {
 		return nil, err
 	}

@@ -34,6 +34,17 @@ func opaqueSourcesOf(db *scoredb.Database) []subsys.Source {
 	return srcs
 }
 
+// validatedSourcesOf is db's lists behind the contract-checking wrapper,
+// whose record of sorted access a pipelined evaluation reads and writes
+// from several goroutines at once.
+func validatedSourcesOf(db *scoredb.Database) []subsys.Source {
+	srcs := sourcesOf(db)
+	for i := range srcs {
+		srcs[i] = subsys.Validated(srcs[i])
+	}
+	return srcs
+}
+
 // requireIdentical asserts two evaluations agree exactly: same objects,
 // same grades (==, not within epsilon), same access tallies.
 func requireIdentical(t *testing.T, label string, rDense, rMap []Result, cDense, cMap cost.Cost) {
@@ -167,15 +178,17 @@ func TestDenseFastPathFilter(t *testing.T) {
 }
 
 // TestSerialVsConcurrentExecutors is the executor-equivalence invariant:
-// the concurrent and pipelined executors are transport changes only.
-// Across the algorithm family, grade laws, arities, parallelism degrees,
-// and randomized k — and on both the dense fast path and the map
-// fallback — each must return byte-identical results and identical
-// cost.Cost tallies to the serial executor. The pipelined executor runs
-// in both its adaptive-depth and fixed-depth configurations, with small
-// caps so the background pipelines churn through many refills even at
-// these sizes. (The CI suite runs this under -race, which also exercises
-// the staging, pipeline, and gather fan-outs for data races.)
+// the pipelined executor is a transport change only. Across the
+// algorithm family, grade laws, arities, widths, and randomized k — on
+// the dense fast path, the map fallback, and behind the stateful
+// Validated wrapper — it must return byte-identical results and
+// identical cost.Cost tallies to the serial executor. It runs at the
+// width WithParallelism lowers to and in both its adaptive-depth and
+// fixed-depth configurations, with small caps so the background
+// pipelines churn through many refills even at these sizes. (The CI
+// suite runs this under -race, which also exercises the pipeline and
+// gather fan-outs — and the wrappers they read through — for data
+// races.)
 func TestSerialVsConcurrentExecutors(t *testing.T) {
 	laws := map[string]scoredb.GradeLaw{
 		"Uniform":      scoredb.Uniform{},
@@ -206,12 +219,10 @@ func TestSerialVsConcurrentExecutors(t *testing.T) {
 			db := scoredb.Generator{N: n, M: m, Law: law, Seed: uint64(300*m) + 11}.MustGenerate()
 			for _, tc := range algs {
 				k := 1 + rng.Intn(n)
-				// Small staging batches force many refill fan-outs even at
-				// these sizes; p sweeps below, at, and above one worker per
-				// list.
+				// p sweeps below, at, and above one probe in flight per list.
 				p := 1 + rng.Intn(m+2)
 				execs := []Executor{
-					Concurrent{P: p, Batch: 16},
+					Pipelined{P: p},                         // what WithParallelism(p) lowers to
 					Pipelined{P: 4, MaxDepth: 16},           // adaptive depth
 					Pipelined{P: p, Depth: 1 + rng.Intn(8)}, // fixed depth
 				}
@@ -222,6 +233,7 @@ func TestSerialVsConcurrentExecutors(t *testing.T) {
 				}{
 					{"dense", sourcesOf},
 					{"map", opaqueSourcesOf},
+					{"validated", validatedSourcesOf},
 				} {
 					rSerial, cSerial, err := Evaluate(context.Background(), tc.alg, mode.srcs(db), tc.f, k)
 					if err != nil {
@@ -238,49 +250,6 @@ func TestSerialVsConcurrentExecutors(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestConcurrentExecutorUnderConcurrentQueries layers the two axes of
-// concurrency: many goroutines each running parallel-executor
-// evaluations over shared pools (run with -race in CI). Answers and
-// costs must match the serial single-threaded reference.
-func TestConcurrentExecutorUnderConcurrentQueries(t *testing.T) {
-	db := scoredb.Generator{N: 400, M: 3, Seed: 44}.MustGenerate()
-	want, wantCost, err := Evaluate(context.Background(), A0{}, sourcesOf(db), agg.Min, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan string, 32)
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				res, c, err := Evaluate(context.Background(), A0{}, sourcesOf(db), agg.Min, 9,
-					WithExecutor(Concurrent{P: 3, Batch: 32}))
-				if err != nil {
-					errs <- err.Error()
-					return
-				}
-				if c != wantCost || len(res) != len(want) {
-					errs <- fmt.Sprintf("goroutine %d: diverged", g)
-					return
-				}
-				for j := range res {
-					if res[j] != want[j] {
-						errs <- fmt.Sprintf("goroutine %d: result %d diverged", g, j)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
 	}
 }
 

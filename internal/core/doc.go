@@ -45,14 +45,14 @@
 // per-request options, and every algorithm takes an *ExecContext
 // carrying that context, the cost model, an optional access budget, and
 // an Executor. The executor is the transport between algorithms and
-// subsystems: Serial issues every access inline; Concurrent overlaps
-// them across lists (one worker per subsystem), staging sorted ranks
-// into uncounted readahead buffers and fanning the random-access phase
-// out per list. Executors never change semantics — the Section 5
-// tallies meter what the algorithm consumes, which is identical under
-// either executor, and the equivalence tests pin that bit for bit.
+// subsystems: Serial issues every access inline; Pipelined overlaps
+// them, a background prefetcher per list staging sorted ranks into
+// uncounted readahead buffers and the random-access phase fanned out up
+// to the executor's width. Executors never change semantics — the
+// Section 5 tallies meter what the algorithm consumes, which is identical
+// under either executor, and the equivalence tests pin that bit for bit.
 // Cancellation is honored between accesses (Serial) or by abandoning
-// in-flight workers (Concurrent); budgets are enforced by reservation
+// in-flight workers (Pipelined); budgets are enforced by reservation
 // before each step, so a budgeted evaluation stops with ErrBudgetExceeded
 // and a partial cost that never overshoots the limit.
 //

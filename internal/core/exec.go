@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"fuzzydb/internal/agg"
@@ -16,14 +15,14 @@ import (
 // Executor is the transport between the algorithms and the subsystems:
 // it decides how the physical source operations behind a query are
 // issued. Two implementations ship — Serial, which performs every access
-// inline, and Concurrent, which overlaps accesses across lists (one
-// worker per subsystem), modeling a middleware whose subsystems are
-// remote and independently slow.
+// inline, and Pipelined, which overlaps them (a background prefetcher per
+// list, a width-capped fan-out for random access), modeling a middleware
+// whose subsystems are remote and independently slow.
 //
 // Executors change wall-clock only, never semantics: the Section 5
 // access tallies meter what the algorithm consumes, and consumption is
 // identical under every executor (the equivalence tests pin this bit for
-// bit). Concurrent achieves that by staging — prefetching sorted ranks
+// bit). Pipelined achieves that by staging — prefetching sorted ranks
 // into the lists' uncounted buffers — rather than by consuming on the
 // algorithm's behalf.
 type Executor interface {
@@ -39,9 +38,9 @@ type Executor interface {
 	// flight.
 	Stage(ctx context.Context, cursors []*subsys.Cursor, ahead int) error
 	// Gather performs the random-access phase: cols[j][i] =
-	// lists[j].Grade(objs[i]) for every list j and object i. Each list's
-	// column is filled by at most one worker and paid for in ascending
-	// object-index order (subsys.Counted.Grades), so per-list tallies and
+	// lists[j].Grade(objs[i]) for every list j and object i. However the
+	// reads are overlapped, each list's column is paid for on the calling
+	// goroutine in ascending object-index order, so per-list tallies and
 	// memo state are the same under every executor.
 	Gather(ctx context.Context, lists []*subsys.Counted, objs []int, cols [][]float64) error
 }
@@ -482,23 +481,12 @@ func (ec *ExecContext) releaseScratch(s *scratch) {
 	}
 }
 
-const (
-	// defaultStageBatch is the readahead span the concurrent executor
-	// prefetches per list when a round-robin consumer (ahead == 1) runs a
-	// buffer dry: large enough to amortize the fan-out synchronization
-	// over hundreds of rounds, small enough to keep readahead waste
-	// bounded on early-stopping queries.
-	defaultStageBatch = 512
-	// gatherSerialCutoff is the probe count below which Concurrent.Gather
-	// runs inline: the work is too small to pay a goroutine fan-out for.
-	gatherSerialCutoff = 4096
-	// ctxCheckEvery paces cancellation polls inside long serial probe
-	// loops: frequent enough that even a shard-sized sweep (a few hundred
-	// objects) notices cancellation mid-phase, cheap enough (one channel
-	// poll per 256 probes) to vanish in the noise of the probes
-	// themselves. Polls never touch the tallies.
-	ctxCheckEvery = 256
-)
+// ctxCheckEvery paces cancellation polls inside long serial probe
+// loops: frequent enough that even a shard-sized sweep (a few hundred
+// objects) notices cancellation mid-phase, cheap enough (one channel
+// poll per 256 probes) to vanish in the noise of the probes
+// themselves. Polls never touch the tallies.
+const ctxCheckEvery = 256
 
 // Serial is the inline executor: every access happens on the calling
 // goroutine, exactly as the paper's cost analysis narrates it.
@@ -517,8 +505,8 @@ func (Serial) Parallel() bool { return false }
 func (Serial) Stage(ctx context.Context, cursors []*subsys.Cursor, ahead int) error { return nil }
 
 // Gather implements Executor: list-major and inline, one column after
-// another — the order Concurrent and Pipelined pay in too, so all three
-// leave the same tallies and report the same first SourceError.
+// another — the order Pipelined pays in too, so both leave the same
+// tallies and report the same first SourceError.
 func (Serial) Gather(ctx context.Context, lists []*subsys.Counted, objs []int, cols [][]float64) error {
 	for j, l := range lists {
 		if !fillColumn(ctx, l, objs, cols[j]) {
@@ -548,101 +536,13 @@ func fillColumn(ctx context.Context, l *subsys.Counted, objs []int, col []float6
 	return true
 }
 
-// Concurrent is the overlapping executor: it issues the physical source
-// operations of an evaluation on up to P goroutines, one list per
-// worker, so the m per-round sorted accesses (and the whole
-// random-access phase) proceed in parallel across subsystems. Staged
-// sorted ranks land in the lists' uncounted readahead buffers in spans
-// of Batch, which both hides subsystem latency and amortizes the fan-out
-// synchronization; the algorithm pays per rank as it consumes, so
-// Section 5 tallies are bit-identical to Serial's.
+// Concurrent names the executor that ran one worker per list; Pipelined
+// at the same width matched or beat it wherever there was latency to
+// hide, so it is gone.
 //
-// On cancellation mid-fan-out the executor abandons its workers (each
-// finishes its in-flight source call and exits) and returns an
-// *AbandonedError promptly instead of waiting out a slow or wedged
-// subsystem.
-type Concurrent struct {
-	// P caps the number of concurrently executing source operations;
-	// 0 means GOMAXPROCS. Useful values are 2…m — one worker per list.
-	P int
-	// Batch is the readahead span per staging refill; 0 means the
-	// defaultStageBatch (512-rank) default.
-	Batch int
-}
-
-// Name implements Executor.
-func (c Concurrent) Name() string { return fmt.Sprintf("concurrent(p=%d)", c.p()) }
-
-// Parallel implements Executor.
-func (Concurrent) Parallel() bool { return true }
-
-func (c Concurrent) p() int {
-	if c.P > 0 {
-		return c.P
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func (c Concurrent) batch() int {
-	if c.Batch > 0 {
-		return c.Batch
-	}
-	return defaultStageBatch
-}
-
-// Stage implements Executor: refill every cursor whose readahead buffer
-// is shy of `ahead` entries, in parallel. Round-robin consumers
-// (ahead == 1) get a Batch-deep refill so the fan-out happens once per
-// Batch rounds; bulk consumers (B₀'s top-k prefixes, the naive drain)
-// state their exact need and get exactly that.
-func (c Concurrent) Stage(ctx context.Context, cursors []*subsys.Cursor, ahead int) error {
-	if ahead < 1 {
-		ahead = 1
-	}
-	target := ahead
-	if ahead == 1 {
-		target = c.batch()
-	}
-	var needy []*subsys.Cursor
-	for _, cu := range cursors {
-		// Buffer check first: it is a plain compare, while Exhausted costs
-		// a length lookup, and a warm buffer is the common case.
-		if cu.Buffered() < ahead && !cu.Exhausted() {
-			needy = append(needy, cu)
-		}
-	}
-	if len(needy) == 0 {
-		return nil
-	}
-	return fanOut(ctx, c.p(), len(needy), func(ctx context.Context, i int) bool {
-		needy[i].Prefetch(target)
-		return true
-	})
-}
-
-// gatherFansOut reports whether a random-access phase of the given
-// shape is worth a goroutine fan-out: enough probes to amortize the
-// synchronization, and more than one CPU to overlap compute-bound
-// probes on. (Sorted staging still fans out on one CPU — its workers
-// overlap waiting, not compute.)
-func gatherFansOut(m, nObjs int) bool {
-	return nObjs*m >= gatherSerialCutoff && runtime.GOMAXPROCS(0) > 1
-}
-
-// Gather implements Executor: one worker per list, each filling its
-// list's column with the routine Serial uses (so memo state and tallies
-// agree exactly).
-func (c Concurrent) Gather(ctx context.Context, lists []*subsys.Counted, objs []int, cols [][]float64) error {
-	if !gatherFansOut(len(lists), len(objs)) {
-		// Inline keeps the same per-list order; cancellation is honored
-		// between spans rather than by abandonment.
-		return Serial{}.Gather(ctx, lists, objs, cols)
-	}
-	return fanOut(ctx, c.p(), len(lists), func(ctx context.Context, j int) bool {
-		// A false return is an abandonment: stop burning the subsystem.
-		return fillColumn(ctx, lists[j], objs, cols[j])
-	})
-}
+// Deprecated: bench/ladder.go, which a PR may not edit, still writes
+// core.Concurrent{P: arity}; the alias goes with that ladder rung.
+type Concurrent = Pipelined
 
 // fanOut runs f(ctx, 0..n-1) on up to the given number of workers and
 // waits for all of them — unless ctx is canceled first, in which case it

@@ -91,43 +91,6 @@ func TestSerialCancellationIsPrompt(t *testing.T) {
 	t.Logf("canceled after %v with partial cost %v", elapsed, c)
 }
 
-// TestConcurrentCancellationAbandonsWedgedSource wedges one source
-// (sorted access blocks forever) under the concurrent executor: the
-// evaluation must abandon the in-flight staging and return the context
-// error promptly, rather than waiting the subsystem out.
-func TestConcurrentCancellationAbandonsWedgedSource(t *testing.T) {
-	db := scoredb.Generator{N: 2048, M: 2, Seed: 6}.MustGenerate()
-	release := make(chan struct{})
-	defer close(release) // let the abandoned worker finish
-	calls := 0
-	srcs := sourcesOf(db)
-	srcs[1] = blockSource{src: srcs[1], release: release, first: true, calls: &calls}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	done := make(chan struct{})
-	var evalErr error
-	var partial cost.Cost
-	start := time.Now()
-	go func() {
-		_, partial, evalErr = Evaluate(ctx, A0{}, srcs, agg.Min, 10,
-			WithExecutor(Concurrent{P: 2, Batch: 64}))
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("evaluation did not return after cancellation; wedged source was not abandoned")
-	}
-	if !errors.Is(evalErr, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", evalErr)
-	}
-	t.Logf("abandoned after %v with partial cost %v", time.Since(start), partial)
-}
-
 // TestAccessBudgetStopsWithoutOvershooting runs A₀ under a budget far
 // below its natural cost: the evaluation must stop with a BudgetError
 // and a partial cost within the budget — never overshooting.
@@ -252,7 +215,7 @@ func TestBudgetedPaginationIsCumulative(t *testing.T) {
 }
 
 // TestCancelledGatherNeverReturnsSilentlyWrongResults races cancellation
-// against the concurrent gather fan-out: each trial must end either with
+// against the staging and gather fan-outs: each trial must end either with
 // a context error or with results identical to the serial reference —
 // never a nil error over partially gathered (stale-arena) grades.
 func TestCancelledGatherNeverReturnsSilentlyWrongResults(t *testing.T) {
@@ -265,7 +228,7 @@ func TestCancelledGatherNeverReturnsSilentlyWrongResults(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		go cancel() // race the cancellation against the whole evaluation
 		res, c, err := Evaluate(ctx, A0{}, sourcesOf(db), agg.Min, 8,
-			WithExecutor(Concurrent{P: 2, Batch: 32}))
+			WithExecutor(Pipelined{P: 2}))
 		if err != nil {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("trial %d: unexpected error %v", trial, err)

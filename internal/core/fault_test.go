@@ -59,8 +59,8 @@ func failSourcesOf(db *scoredb.Database, victim, failRank, failObj int) []subsys
 // faultExecs is the parallel-executor palette the fault tests sweep.
 func faultExecs() []Executor {
 	return []Executor{
-		Concurrent{P: 2, Batch: 4},
-		Concurrent{P: 3},
+		Pipelined{P: 2},
+		Pipelined{P: 3},
 		Pipelined{P: 2, MaxDepth: 8},
 		Pipelined{P: 3, Depth: 2},
 	}
@@ -146,8 +146,7 @@ func TestPermanentRandomFaultIdenticalAcrossExecutors(t *testing.T) {
 
 func TestPermanentFaultBeyondDemandIsInvisible(t *testing.T) {
 	// A fault site no executor ever demands must not surface — even
-	// though Concurrent's 512-rank staging refill and Pipelined's
-	// readahead physically reach it. Readahead swallows the failure the
+	// though Pipelined's readahead physically reaches it. Readahead swallows the failure the
 	// way it skips the meter: only delivery pays, only demand fails.
 	db := scoredb.Generator{N: 200, M: 3, Law: scoredb.Uniform{}, Seed: 9}.MustGenerate()
 	const victim = 0
@@ -351,7 +350,7 @@ func TestBreakerTripRacingBudgetExhaustion(t *testing.T) {
 		}
 		const budget = 25
 		res, c, err := Evaluate(context.Background(), TA{}, srcs, agg.Min, 20,
-			WithExecutor(Concurrent{P: 3, Batch: 4}), WithAccessBudget(budget))
+			WithExecutor(Pipelined{P: 3}), WithAccessBudget(budget))
 		if err == nil {
 			t.Fatalf("iteration %d: evaluation beat both the faults and the budget: %v", it, res)
 		}

@@ -150,7 +150,7 @@ func TestPooledPrefixUnderConcurrentQueries(t *testing.T) {
 				ai, k := (g+i)%len(algs), ks[(g*3+i)%len(ks)]
 				var opts []EvalOption
 				if i%3 == 2 {
-					opts = append(opts, WithExecutor(Concurrent{P: 2}))
+					opts = append(opts, WithExecutor(Pipelined{P: 2}))
 				}
 				res, c, err := Evaluate(context.Background(), algs[ai], srcs, agg.Min, k, opts...)
 				if err != nil || c != wantCost[key{ai, k}] || !gradedset.SameGradeMultiset(entriesOf(res), oracle[k], 0) {

@@ -27,7 +27,7 @@ func (NaiveSorted) TopK(ec *ExecContext, lists []*subsys.Counted, t agg.Func, k 
 	}
 	cursors := subsys.Cursors(lists)
 	// Every list is drained in full by definition: stage the complete
-	// prefixes (in parallel under a concurrent executor) up front.
+	// prefixes (in parallel under the pipelined executor) up front.
 	if err := ec.Stage(cursors, n); err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 
 	"fuzzydb/internal/agg"
 	"fuzzydb/internal/cost"
@@ -229,13 +230,7 @@ func (p *Paginator) topR(r int) ([]Result, error) {
 			s.ec.pool.finish(s.ec)
 		}
 	}
-	if p.workers <= 1 || len(p.shards) == 1 {
-		for i := range p.shards {
-			runShard(i)
-		}
-	} else {
-		runIndexed(p.workers, len(p.shards), runShard)
-	}
+	runIndexed(p.workers, len(p.shards), runShard)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -256,4 +251,18 @@ func (p *Paginator) topR(r int) ([]Result, error) {
 		}
 	}
 	return topKResults(entries, r), nil
+}
+
+// runIndexed runs f(0..n-1) on the given number of workers (see
+// runWorkers): the sharded paginator's per-page fan-out over its fixed
+// set of live shards. One worker (or one shard) is the caller alone, in
+// index order — the deterministic-cost mode. Cancellation is honored
+// inside f (every shard polls its own context), not here.
+func runIndexed(workers, n int, f func(int)) {
+	var next atomic.Int64
+	runWorkers(min(workers, n), func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			f(i)
+		}
+	})
 }

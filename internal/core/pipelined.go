@@ -53,8 +53,8 @@ const (
 // evaluation never prefetches past a reservation failure.
 //
 // Sources must tolerate concurrent reads (pipeline refills overlap the
-// gather probes): true of every built-in source and of
-// subsys.LatencySource, not of subsys.Validated.
+// gather probes, and gather probes each other): every built-in source
+// and wrapper does.
 //
 // On cancellation mid-wait the executor closes the pipelines (workers
 // stop after their in-flight batch, which is never waited out) and
@@ -62,8 +62,8 @@ const (
 // flight.
 type Pipelined struct {
 	// P caps the number of gather chunks in flight during the gather
-	// phase; 0 means defaultGatherWidth. Unlike Concurrent, useful
-	// values exceed the CPU count: the workers overlap waiting.
+	// phase; 0 means defaultGatherWidth. Useful values exceed the CPU
+	// count: the workers overlap waiting.
 	P int
 	// Depth fixes the prefetch batch depth per list; 0 selects the
 	// adaptive policy (open at the expected depth, or at 1 without one;

@@ -29,9 +29,9 @@ type ShardConfig struct {
 	// deterministic mode, where the threshold merge stops later shards
 	// against the exact results of earlier ones and the per-shard cost
 	// tallies are reproducible bit for bit. Each worker evaluates its
-	// shard serially inside unless Prefetch is set (the executor-level
-	// overlap of WithParallelism applies to unsharded evaluation;
-	// sharding fans out across shards instead).
+	// shard serially inside unless Prefetch is set. Unsharded there are no
+	// shard workers to cap, and Parallel > 1 is instead the width of the
+	// pipelined executor: the cap on source operations in flight.
 	Parallel int
 	// Budget bounds the weighted middleware cost of the whole evaluation
 	// across all shards, through a shared reservation pool: every shard
@@ -62,15 +62,16 @@ type ShardConfig struct {
 	// selects the adaptive policy (0: open at the depth the shard's
 	// algorithm expects to reach — over the shard view's own length — or
 	// at 1 when it states none, double on stall, shrink when the
-	// algorithm falls behind). Meaningful only with
-	// Prefetch. A pinned depth is part of the global budget too: like
+	// algorithm falls behind). Meaningful only where the pipelined
+	// executor runs. A pinned depth is part of the global budget too: like
 	// the adaptive cap it is divided across the shards holding pipeline
 	// buffers at once (floored at 1), so pinning a deep batch on a
 	// many-shard evaluation cannot multiply the buffer footprint.
 	PrefetchDepth int
 	// PrefetchWidth is the total random-access gather budget shared by
-	// the concurrently running shards (0 means the Pipelined default);
-	// each shard worker gets an equal slice, floored at 1.
+	// the concurrently running shards (0 means the Pipelined default;
+	// unsharded, Parallel above 1 caps it too); each shard worker gets an
+	// equal slice, floored at 1.
 	PrefetchWidth int
 	// Plan selects how the universe is cut into shard ranges: the
 	// zero value ShardPlanEven splits by object count (the historical
@@ -135,21 +136,23 @@ func (cfg ShardConfig) pipelineExecutor(widthShare, depthShare int) Executor {
 
 // evalOptions is the one place a ShardConfig becomes the options of an
 // ExecContext, and so the one place an executor is chosen: the cost
-// model; under Prefetch the pipelined executor at this evaluation's
-// share of the width and depth budgets (see pipelineExecutor); otherwise,
+// model, and the pipelined executor at this evaluation's share of the
+// width and depth budgets (see pipelineExecutor) under Prefetch — or,
 // when the evaluation is the whole request rather than one slice of it,
-// Parallel keeps its executor-level meaning (Concurrent above 1, serial
-// at or below) and Budget is the evaluation's own limit. A slice of a
-// sharded run is serial inside unless pipelined — Parallel counts shard
-// workers there — and its budget is the shared pool its caller installs.
+// under Parallel > 1, which is then that executor's width unless
+// PrefetchWidth states a narrower one. Everything else is serial: a
+// slice of a sharded run without Prefetch in particular, where Parallel
+// counts shard workers. Budget is the evaluation's own limit for a whole
+// request; a slice draws on the shared pool its caller installs.
 func (cfg ShardConfig) evalOptions(widthShare, depthShare int, whole bool) []EvalOption {
 	opts := make([]EvalOption, 1, 3)
 	opts[0] = WithCostModel(cfg.Model)
-	switch {
-	case cfg.Prefetch:
+	overlap := whole && cfg.Parallel > 1
+	if cfg.Prefetch || overlap {
+		if overlap && (cfg.PrefetchWidth <= 0 || cfg.PrefetchWidth > cfg.Parallel) {
+			cfg.PrefetchWidth = cfg.Parallel
+		}
 		opts = append(opts, WithExecutor(cfg.pipelineExecutor(widthShare, depthShare)))
-	case whole && cfg.Parallel > 1:
-		opts = append(opts, WithExecutor(Concurrent{P: cfg.Parallel}))
 	}
 	if whole && cfg.Budget > 0 {
 		opts = append(opts, WithAccessBudget(cfg.Budget))
@@ -297,66 +300,36 @@ func EvaluateSharded(ctx context.Context, alg Algorithm, srcs []subsys.Source, t
 	// the next one, so at most `workers` shards hold buffers at once.
 	opts := cfg.evalOptions(workers, workers, false)
 
-	// taskOut attributes one evaluated range's outcome to the planned
-	// shard it descends from; without stealing there is exactly one task
-	// per planned shard.
-	type taskOut struct {
-		origin int
-		out    shardOut
-	}
-	var touts []taskOut
-	var ctrl *stealController
-	if cfg.Steal && workers > 1 && board != nil {
-		// Work-stealing fan-out: workers drain a dynamic task queue that
-		// starts as the plan and grows as running shards cede tails.
-		ctrl = newStealController(plan)
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					tk, ok := ctrl.next()
-					if !ok {
-						return
-					}
-					st := &stealState{task: tk}
-					out := evalShard(ctx, alg, srcs, t, k, tk.r, opts, pool, board, ctrl, st)
-					if out.err == nil {
-						board.publish(out.res)
-					}
-					ctrl.finish(st)
-					mu.Lock()
-					touts = append(touts, taskOut{origin: tk.origin, out: out})
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		outs := make([]shardOut, len(plan))
-		runShard := func(i int) {
-			outs[i] = evalShard(ctx, alg, srcs, t, k, plan[i], opts, pool, board, nil, nil)
-			if board != nil && outs[i].err == nil {
-				board.publish(outs[i].res)
+	var (
+		mu   sync.Mutex
+		outs []shardOut // one per evaluated range; without stealing, per planned shard
+	)
+	// One fan-out: workers drain a task queue that starts as the plan, in
+	// index order, and — under stealing — grows as running shards cede
+	// tails. The calling goroutine is the first worker, so with one worker
+	// the shards run inline, in order: the threshold scoreboard a shard
+	// stops against is then a deterministic function of the data, and so
+	// are the per-shard tallies.
+	ctrl := newStealController(plan, cfg.Steal && workers > 1 && board != nil)
+	drain := func() {
+		for {
+			tk, ok := ctrl.next()
+			if !ok {
+				return
 			}
-		}
-		if workers <= 1 {
-			// Sequential mode: shards run in index order, so the threshold
-			// scoreboard a shard stops against is a deterministic function of
-			// the data — and so are the per-shard tallies.
-			for i := range plan {
-				runShard(i)
+			st := &stealState{task: tk}
+			out := evalShard(ctx, alg, srcs, t, k, tk.r, opts, pool, board, ctrl, st)
+			if board != nil && out.err == nil {
+				board.publish(out.res)
 			}
-		} else {
-			runIndexed(workers, len(plan), runShard)
-		}
-		touts = make([]taskOut, len(outs))
-		for i := range outs {
-			touts[i] = taskOut{origin: i, out: outs[i]}
+			ctrl.finish(st)
+			out.origin = tk.origin
+			mu.Lock()
+			outs = append(outs, out)
+			mu.Unlock()
 		}
 	}
+	runWorkers(workers, drain)
 
 	rep := &ShardReport{
 		PerList:  make([]cost.Cost, len(srcs)),
@@ -373,23 +346,23 @@ func EvaluateSharded(ctx context.Context, alg Algorithm, srcs []subsys.Source, t
 	var firstErr error
 	firstOrigin := len(plan)
 	total := 0
-	for _, to := range touts {
-		rep.PerShard[to.origin] = rep.PerShard[to.origin].Add(to.out.total)
-		rep.Cost = rep.Cost.Add(to.out.total)
-		for j, c := range to.out.per {
+	for _, out := range outs {
+		rep.PerShard[out.origin] = rep.PerShard[out.origin].Add(out.total)
+		rep.Cost = rep.Cost.Add(out.total)
+		for j, c := range out.per {
 			rep.PerList[j] = rep.PerList[j].Add(c)
 		}
-		if to.out.piped {
+		if out.piped {
 			if rep.Prefetch == nil {
 				rep.Prefetch = &subsys.PipelineStats{}
 			}
-			*rep.Prefetch = rep.Prefetch.Add(to.out.pstats)
+			*rep.Prefetch = rep.Prefetch.Add(out.pstats)
 		}
-		if to.out.err != nil && to.origin < firstOrigin {
-			firstErr = to.out.err
-			firstOrigin = to.origin
+		if out.err != nil && out.origin < firstOrigin {
+			firstErr = out.err
+			firstOrigin = out.origin
 		}
-		total += len(to.out.res)
+		total += len(out.res)
 	}
 	model := cost.Unweighted
 	if cfg.Model.Valid() {
@@ -397,19 +370,15 @@ func EvaluateSharded(ctx context.Context, alg Algorithm, srcs []subsys.Source, t
 	}
 	for i := range rep.Details {
 		rep.Details[i].Actual = model.Of(rep.PerShard[i])
+		rep.Details[i].Steals = ctrl.steals[i]
 	}
-	if ctrl != nil {
-		for i := range rep.Details {
-			rep.Details[i].Steals = ctrl.steals[i]
-		}
-		rep.Stolen = ctrl.stolen
-	}
+	rep.Stolen = ctrl.stolen
 	if firstErr != nil {
 		return rep, firstErr
 	}
 	entries := make([]gradedset.Entry, 0, total)
-	for _, to := range touts {
-		for _, r := range to.out.res {
+	for _, out := range outs {
+		for _, r := range out.res {
 			entries = append(entries, gradedset.Entry{Object: r.Object, Grade: r.Grade})
 		}
 	}
@@ -421,29 +390,19 @@ func EvaluateSharded(ctx context.Context, alg Algorithm, srcs []subsys.Source, t
 	return rep, nil
 }
 
-// runIndexed runs f(0..n-1) on the given number of workers and joins
-// them all: the blocking shard fan-out, shared by EvaluateSharded and
-// the sharded paginator. Workers poll their serial contexts between
-// accesses, so cancellation is honored inside f, not here.
-func runIndexed(workers, n int, f func(int)) {
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
+// runWorkers runs work on the given number of workers, the calling
+// goroutine among them, and joins them all; one worker is the caller
+// alone.
+func runWorkers(workers int, work func()) {
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 }
 
@@ -455,6 +414,7 @@ type shardOut struct {
 	pstats subsys.PipelineStats // prefetch-pipeline stats summed over lists
 	piped  bool                 // pipelines engaged; pstats is meaningful
 	err    error
+	origin int // planned shard the range descends from: cost follows the plan, not the worker
 }
 
 // topK is the body of a top-k evaluation: alg at k under the law t.
@@ -517,9 +477,9 @@ func evalOne(ctx context.Context, srcs []subsys.Source, opts []EvalOption, setup
 }
 
 // Run evaluates body once over the raw sources under cfg — the cost
-// model, the executor (Prefetch pipelines with the whole width and depth
-// budget, otherwise Parallel > 1 overlaps accesses across lists), and
-// Budget as the evaluation's own limit — and reports it as one shard:
+// model, the executor (pipelined with the whole width and depth budget
+// under Prefetch or Parallel > 1, serial otherwise), and Budget as the
+// evaluation's own limit — and reports it as one shard:
 // the unsharded case of EvaluateSharded, and the route for bodies that
 // are not a top-k at all (a threshold filter). On cancellation, budget
 // exhaustion or a source failure the report carries the partial cost
@@ -540,8 +500,9 @@ func Run(ctx context.Context, srcs []subsys.Source, cfg ShardConfig, body func(*
 // and local→global id translation of the answers. An empty range
 // evaluates to nothing at zero cost.
 //
-// Under work stealing (ctrl and st non-nil) the run is additionally a
-// steal victim: it registers its views with the controller, honors
+// ctrl is the run's task controller and st this task's handle on it.
+// Under work stealing (ctrl.stealing) the run is additionally a steal
+// victim: it registers its views with the controller, honors
 // split requests between sorted rounds (truncating its views, so its
 // streams run dry over the ceded tail — safe for exactly the fenceSafe
 // algorithms, which is why the caller gates stealing on the board), and
@@ -560,7 +521,7 @@ func evalShard(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.F
 		if board != nil {
 			ec.stop = board.stopFunc(t, len(srcs))
 		}
-		if ctrl != nil && st != nil {
+		if ctrl.stealing {
 			st.views = subsys.ViewsOf(shards)
 			st.cut = r.Len()
 			ctrl.begin(st)
@@ -573,7 +534,7 @@ func evalShard(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.F
 			}
 		}
 	}, topK(alg, t, min(k, r.Len())))
-	if ctrl != nil && st != nil {
+	if ctrl.stealing {
 		if final := ctrl.freeze(st); final < r.Len() {
 			// Drop the answers in the ceded tail: a thief owns [final,
 			// r.Len()) now, and whatever this run materialized there early

@@ -38,30 +38,36 @@ type stealState struct {
 	done  bool // evaluation returned; no further split possible
 }
 
-// stealController coordinates work stealing across the shard workers of
-// one evaluation. The protocol is cooperative: a thief that runs out of
+// stealController is the task queue the shard workers of one evaluation
+// drain, and — when stealing is on — the coordinator of work stealing
+// between them. The protocol is cooperative: a thief that runs out of
 // queued tasks flags the most-behind eligible running task, and that
 // task's own evaluation goroutine honors the flag at its next sorted
 // round (ExecContext.onStage) by truncating its views at a safe id
-// boundary and enqueueing the ceded tail as a fresh task. Thieves block
-// on the condition variable between attempts; every enqueue, decline,
-// and task completion broadcasts, and the queue drains exactly when the
-// active count hits zero, so no worker can wait forever.
+// boundary and enqueueing the ceded tail as a fresh task. Idle workers
+// block on the condition variable between attempts; every enqueue,
+// decline, and task completion broadcasts, and the queue drains exactly
+// when the active count hits zero, so no worker can wait forever. With
+// stealing off nobody is ever flagged, so the queue is the plan and
+// nothing else.
 type stealController struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []stealTask
-	run    map[*stealState]struct{}
-	active int   // queued + running tasks
-	steals []int // honored splits per planned shard
-	stolen int   // total honored splits
+	mu       sync.Mutex
+	cond     *sync.Cond
+	queue    []stealTask
+	stealing bool // idle workers rob running tasks; fixed at construction
+	run      map[*stealState]struct{}
+	active   int   // queued + running tasks
+	steals   []int // honored splits per planned shard
+	stolen   int   // total honored splits
 }
 
-// newStealController seeds the queue with the planned shards.
-func newStealController(plan []subsys.ShardRange) *stealController {
+// newStealController seeds the queue with the planned shards, in index
+// order.
+func newStealController(plan []subsys.ShardRange, stealing bool) *stealController {
 	c := &stealController{
-		run:    make(map[*stealState]struct{}),
-		steals: make([]int, len(plan)),
+		stealing: stealing,
+		run:      make(map[*stealState]struct{}),
+		steals:   make([]int, len(plan)),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	for i, r := range plan {
@@ -72,9 +78,9 @@ func newStealController(plan []subsys.ShardRange) *stealController {
 }
 
 // next returns the next task to evaluate, blocking while the queue is
-// empty but tasks are still running (and flagging a victim for a split
-// each time it is about to block). It returns false once every task has
-// finished.
+// empty but tasks are still running (and, under stealing, flagging a
+// victim for a split each time it is about to block). It returns false
+// once every task has finished.
 func (c *stealController) next() (stealTask, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -87,7 +93,9 @@ func (c *stealController) next() (stealTask, bool) {
 		if c.active == 0 {
 			return stealTask{}, false
 		}
-		c.request()
+		if c.stealing {
+			c.request()
+		}
 		c.cond.Wait()
 	}
 }

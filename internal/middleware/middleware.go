@@ -366,7 +366,8 @@ type Report struct {
 	// and, under WithShards, aggregated across shards (MaxDepth is the
 	// deepest any shard grew; Stalls, Batches and Fetched sum). Fetched
 	// minus Cost.Sorted is the readahead the query never consumed. Nil
-	// unless the request asked for WithPrefetch and the pipelines engaged.
+	// unless the request ran on the pipelined executor (WithPrefetch, or
+	// WithParallelism(p>1) unsharded) and the pipelines engaged.
 	Prefetch *subsys.PipelineStats
 	// Cache records how the result cache handled this request — hit or
 	// miss, the source-epoch fingerprint the answer reflects, and (on a
@@ -402,7 +403,8 @@ type Request struct {
 	Query string `json:"query"`
 	// K is the number of answers (TopN); 0 means DefaultTopN.
 	K int `json:"k,omitempty"`
-	// Parallelism overlaps subsystem accesses (WithParallelism).
+	// Parallelism caps the source operations in flight
+	// (WithParallelism); under Shards, the shard workers.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Shards partitions the universe (WithShards); 0/1 means unsharded.
 	Shards int `json:"shards,omitempty"`
@@ -454,10 +456,14 @@ func WithAlgorithm(alg core.Algorithm) QueryOption {
 	return func(r *Request) { r.Algorithm = alg }
 }
 
-// WithParallelism evaluates the request with the concurrent executor: up
-// to p source operations in flight at once, one worker per subsystem
-// (see core.Concurrent). p ≤ 1 means serial. Access tallies are
-// bit-identical to the serial executor's; only wall-clock changes.
+// WithParallelism evaluates the request with the pipelined executor at
+// width p: up to p source operations in flight at once (see
+// core.Pipelined), so — as under WithPrefetch — the sources must tolerate
+// concurrent reads, and the report carries Prefetch stats. p ≤ 1 means
+// serial. Access tallies are bit-identical to the serial executor's;
+// only wall-clock changes, and only for the better over slow subsystems
+// (over in-memory lists serial is faster). Under WithShards it caps the
+// shard workers instead.
 func WithParallelism(p int) QueryOption {
 	return func(r *Request) { r.Parallelism = p }
 }
@@ -520,10 +526,10 @@ func WithWorkStealing(on bool) QueryOption {
 // the A₀ family states Theorem 5.3's N^((m−1)/m)·k^(1/m) — or at 1 when it
 // states none, double on stall, shrink when the algorithm falls
 // behind), depth > 0 pins the batch depth — and the
-// random-access phase overlaps across subsystems and objects
-// (WithParallelism(p>1) caps the probes in flight; otherwise a
-// wider-than-CPU default applies, since a pipelined request is
-// concurrent by nature).
+// random-access phase overlaps across subsystems and objects, up to
+// WithParallelism(p>1) probes in flight or, without it, a wider-than-CPU
+// default. WithParallelism(p>1) alone is this executor too, at adaptive
+// depth.
 // Access tallies are bit-identical to the serial executor's; only
 // wall-clock changes. Combined with WithShards every shard runs under
 // its own pipelined executor — background pipelines stream the shard's
@@ -584,12 +590,12 @@ func (r Request) withDefaults() Request {
 // a width grant caps both, so admitted queries divide the global
 // envelope instead of each claiming the executor default.
 //
-// Unsharded, WithParallelism keeps its executor-level meaning: p > 1,
-// clamped by the grant, is the concurrent executor's width — or, under
-// WithPrefetch, the cap on in-flight probes — while p ≤ 1 (the "serial"
-// default) stays serial even under a grant, and a pipelined request
-// (concurrent by nature) keeps the executor's wider default, capped by
-// the grant alone.
+// Unsharded, WithParallelism has one meaning: p > 1, clamped by the
+// grant, is the pipelined executor's width — the cap on source operations
+// in flight — with or without WithPrefetch, while p ≤ 1 (the "serial"
+// default) stays serial even under a grant, and a WithPrefetch request
+// without it keeps the executor's wider default, capped by the grant
+// alone.
 func (r Request) lower() core.ShardConfig {
 	sc := core.ShardConfig{
 		Shards:        r.Shards,
@@ -608,9 +614,6 @@ func (r Request) lower() core.ShardConfig {
 		sc.Parallel = r.Parallelism
 		if r.widthCap > 0 && (sc.Parallel == 0 || sc.Parallel > r.widthCap) {
 			sc.Parallel = r.widthCap
-		}
-		if r.Shards <= 1 {
-			sc.PrefetchWidth = sc.Parallel
 		}
 	}
 	return sc
@@ -954,9 +957,9 @@ func (m *Middleware) Filter(ctx context.Context, q query.Node, theta float64, op
 // globally. Results is the iterator-shaped form of the same machinery
 // (and releases the underlying state itself when the stream ends);
 // callers driving the paginator directly should call its Release method
-// when done to recycle pooled state — mandatory under WithPrefetch,
-// whose background prefetcher goroutines otherwise outlive the
-// pagination.
+// when done to recycle pooled state — mandatory on the pipelined executor
+// (WithPrefetch, or WithParallelism(p>1) unsharded), whose background
+// prefetcher goroutines otherwise outlive the pagination.
 func (m *Middleware) Paginate(ctx context.Context, q query.Node, opts ...QueryOption) (*core.Paginator, error) {
 	return m.preparePagination(ctx, q, newRequest("", opts))
 }

@@ -65,7 +65,7 @@ func TestDegenerateCasesAreTheSamePath(t *testing.T) {
 		prefetch bool
 	}{
 		{"serial", nil, false},
-		{"parallel4", []QueryOption{WithParallelism(4)}, false},
+		{"parallel4", []QueryOption{WithParallelism(4)}, true},
 		{"prefetch", []QueryOption{WithPrefetch(0)}, true},
 		{"prefetch+parallel4", []QueryOption{WithPrefetch(0), WithParallelism(4)}, true},
 	}

@@ -3,6 +3,8 @@ package middleware
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -122,33 +124,67 @@ func TestQueryDefaultTopN(t *testing.T) {
 
 // TestQueryParallelismIsCostNeutral: WithParallelism changes wall-clock
 // machinery only — answers, total cost, and the per-list breakdown are
-// bit-identical to the serial request.
+// bit-identical to the serial request — and means one thing per shape of
+// request: unsharded, the width of the pipelined executor, with or
+// without WithPrefetch and clamped by a scheduler's width grant (p ≤ 1
+// stays serial even under one); sharded, the cap on shard workers, each
+// serial inside.
 func TestQueryParallelismIsCostNeutral(t *testing.T) {
+	ctx := context.Background()
 	for _, m := range []int{2, 3, 4} {
 		mw := genStore(t, 600, m, uint64(30+m))
 		q := genConj(m)
-		serial, err := mw.Query(context.Background(), q, TopN(7))
+		serial, err := mw.Query(ctx, q, TopN(7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := mw.Query(context.Background(), q, TopN(7), WithParallelism(m))
-		if err != nil {
-			t.Fatal(err)
+		if serial.Prefetch != nil {
+			t.Errorf("m=%d: serial request reports pipelines: %+v", m, serial.Prefetch)
 		}
-		if par.Cost != serial.Cost {
-			t.Errorf("m=%d: parallel cost %v != serial %v", m, par.Cost, serial.Cost)
-		}
-		if len(par.PerList) != len(serial.PerList) {
-			t.Fatalf("m=%d: per-list breakdown lengths differ", m)
-		}
-		for i := range par.PerList {
-			if par.PerList[i] != serial.PerList[i] {
-				t.Errorf("m=%d: list %d cost %v != %v", m, i, par.PerList[i], serial.PerList[i])
+		for _, tc := range []struct {
+			name  string
+			opts  []QueryOption
+			grant int    // scheduler width grant; 0 = none
+			exec  string // executor of the unsharded request
+			piped bool   // Report.Prefetch is present
+		}{
+			{"p=3", []QueryOption{WithParallelism(3)}, 0, "pipelined(p=3)", true},
+			{"p=3 prefetch=0", []QueryOption{WithParallelism(3), WithPrefetch(0)}, 0, "pipelined(p=3)", true},
+			{"p=8 granted 2", []QueryOption{WithParallelism(8)}, 2, "pipelined(p=2)", true},
+			{"p=1 granted 8", []QueryOption{WithParallelism(1)}, 8, "serial", false},
+			{"p=3 shards=4", []QueryOption{WithParallelism(3), WithShards(4)}, 0, "", false},
+		} {
+			label := fmt.Sprintf("m=%d/%s", m, tc.name)
+			req := newRequest("", append([]QueryOption{TopN(7)}, tc.opts...))
+			req.widthCap = tc.grant
+			par, err := mw.query(ctx, q, req)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
-		}
-		for i := range par.Results {
-			if par.Results[i] != serial.Results[i] {
-				t.Errorf("m=%d: result %d differs", m, i)
+			if !reflect.DeepEqual(par.Results, serial.Results) {
+				t.Errorf("%s: results %v, serial %v", label, par.Results, serial.Results)
+			}
+			if (par.Prefetch != nil) != tc.piped {
+				t.Errorf("%s: Prefetch = %+v, want presence %v", label, par.Prefetch, tc.piped)
+			}
+			cfg := req.lower()
+			if req.Shards > 1 {
+				// Sharding pays its own tallies; what the option means here is
+				// the worker cap, with no executor overlap inside a shard.
+				if par.Shards != 4 || cfg.Parallel != 3 || cfg.Prefetch {
+					t.Errorf("%s: %d shards under %+v, want 4 shards on 3 serial workers", label, par.Shards, cfg)
+				}
+				continue
+			}
+			if par.Cost != serial.Cost || !reflect.DeepEqual(par.PerList, serial.PerList) {
+				t.Errorf("%s: cost %v %v, serial %v %v", label, par.Cost, par.PerList, serial.Cost, serial.PerList)
+			}
+			var exec string
+			if _, err := core.Run(ctx, nil, cfg, func(ec *core.ExecContext, _ []*subsys.Counted) ([]core.Result, error) {
+				exec = ec.Executor().Name()
+				return nil, nil
+			}); err != nil || exec != tc.exec {
+				t.Errorf("%s: lowers to executor %q (err %v), want %q", label, exec, err, tc.exec)
 			}
 		}
 	}

@@ -33,11 +33,11 @@
 //
 // # Readahead vs delivery: the pay-on-delivery invariant
 //
-// Counted distinguishes buffering from paying: Prefetch reads sorted
+// Counted distinguishes buffering from paying: readahead reads sorted
 // ranks from the source into the prefix buffer without advancing the
 // sorted-access tally or the grade memo, and consumption (EntryAt, the
 // cursors) delivers buffered ranks, at which point they are metered and
-// memoized. A concurrent executor exploits this to overlap the per-round
+// memoized. The pipelined executor exploits this to overlap the per-round
 // sorted accesses of all m lists — readahead is a latency-hiding detail
 // of the transport, while the Section 5 tallies record exactly what the
 // algorithm consumed, bit-identical to a serial evaluation.
@@ -101,8 +101,7 @@
 // closes it without waiting (cancellation with a wedged batch in
 // flight, budget-reservation failure — an exhausted budget must stop
 // even uncounted readahead). A pipelined source must tolerate
-// concurrent reads: every built-in source does, the stateful Validated
-// wrapper does not.
+// concurrent reads: every built-in source and wrapper does.
 //
 // # Partitioned universes (sharding)
 //
@@ -174,13 +173,13 @@
 // sorted requests, the failure lands on the first undelivered rank.
 //
 // Second, failure surfacing is demand-gated, mirroring pay-on-delivery.
-// Readahead — Prefetch, the background pipelines, a concurrent
-// executor's staging — swallows source failures: the partial span is
+// Readahead — the background pipelines, the pipelined executor's
+// staging — swallows source failures: the partial span is
 // kept, nothing is recorded, and the fault site re-fires if and when
 // the algorithm actually demands the missing rank. Only consumption
 // records a failure, so which faults surface is a property of what the
-// algorithm consumed, invariant across Serial, Concurrent, Pipelined,
-// and sharded execution — the executor-equivalence fuzz pins a
+// algorithm consumed, invariant across Serial, Pipelined and sharded
+// execution — the executor-equivalence fuzz pins a
 // permanent fault to the identical *SourceError under every executor,
 // and a fault past the last demanded rank to no error at all.
 //

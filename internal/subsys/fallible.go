@@ -44,9 +44,9 @@ type FallibleSource interface {
 // trip. It is a capability, not part of Source, so existing sources
 // and wrappers stay valid; a wrapper whose parent lacks it reports
 // MaxGrades 0 and its TryGrades must not be called. Every gather reads
-// through it — Counted.Grades, the column routine of the serial and
-// concurrent executors, in MaxGrades chunks; the pipelined executor the
-// same chunks in parallel — and payment stays per delivered grade, so
+// through it — Counted.Grades, the column routine of the serial
+// executor, in MaxGrades chunks; the pipelined executor the same chunks
+// in parallel — and payment stays per delivered grade, so
 // batching never moves a Section 5 tally.
 type BatchGrader interface {
 	// TryGrades performs up to MaxGrades random accesses in one call:

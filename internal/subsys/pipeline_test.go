@@ -251,7 +251,7 @@ func TestPipelinePolicyCallByCall(t *testing.T) {
 			log := &spanLog{Source: FromList(pipelineList(t, tc.n))}
 			c := Count(log)
 			defer c.Release()
-			c.Prefetch(tc.buffered)
+			c.bufferAhead(tc.buffered)
 			c.Expect(tc.expect)
 			c.StartPrefetch(tc.depth, tc.maxDepth)
 			cu := NewCursor(c)

@@ -76,12 +76,13 @@ func (s ListSource) Universe() (int, bool) { return s.list.DenseUniverse() }
 // nothing. The sorted cost of a list is therefore its high-water mark:
 // the deepest prefix ever delivered to an algorithm.
 //
-// The buffered prefix can run ahead of the paid high-water mark: Prefetch
-// reads ranks from the source into the buffer without delivering them.
-// That is how a concurrent executor overlaps the m per-round sorted
-// accesses across subsystems — readahead is a latency-hiding detail of
-// the transport, while the Section 5 tallies meter exactly what the
-// algorithm consumed, so they are bit-identical to a serial evaluation.
+// The buffered prefix can run ahead of the paid high-water mark: a
+// prefetch pipeline (StartPrefetch) reads ranks from the source into the
+// buffer without delivering them. That is how the pipelined executor
+// overlaps the m per-round sorted accesses across subsystems — readahead
+// is a latency-hiding detail of the transport, while the Section 5
+// tallies meter exactly what the algorithm consumed, so they are
+// bit-identical to a serial evaluation.
 // The grade memo (which decides whether a later random access is free)
 // is likewise updated only at delivery time, never by readahead.
 //
@@ -257,7 +258,7 @@ func (c *Counted) record(obj int, g float64) {
 func (c *Counted) ensureBuffered(n int) { c.buffer(n, true) }
 
 // bufferAhead is ensureBuffered's speculative twin, used by readahead
-// (Prefetch, executor staging): a source failure is swallowed — the
+// (executor staging): a source failure is swallowed — the
 // partial span is kept and the fault site is left to re-fire if and
 // when a consumer actually demands the rank. Recording it here would
 // make failure surfacing depend on how far an executor happens to read
@@ -391,9 +392,8 @@ func (c *Counted) Expect(rank int) { c.expect = rank }
 //
 // The worker reads the source concurrently with the evaluation's random
 // accesses, so the source must tolerate concurrent reads (every built-in
-// source does; Validated does not). Idempotent; no-op on fenced or
-// released lists. Stop with StopPrefetch/AbortPrefetch, or let Release
-// do it.
+// source and wrapper does). Idempotent; no-op on fenced or released
+// lists. Stop with StopPrefetch/AbortPrefetch, or let Release do it.
 func (c *Counted) StartPrefetch(depth, maxDepth int) {
 	if c.pipe != nil || c.fenced || c.src == nil || c.serr != nil {
 		return
@@ -449,20 +449,6 @@ func (c *Counted) deliver(hi int) {
 		c.record(got.Object, got.Grade)
 	}
 	c.fetched = hi
-}
-
-// Prefetch buffers the first n ranks of the list (clamped to its length)
-// without delivering them: no sorted-access cost is incurred and the
-// grade memo is unchanged. An executor uses it to overlap subsystem reads
-// across lists; the algorithm still pays per rank as it consumes them.
-// Prefetch must not race with any other access to the same Counted —
-// executors hand each list to exactly one worker and rejoin before the
-// algorithm resumes.
-func (c *Counted) Prefetch(n int) {
-	if n > c.length {
-		n = c.length
-	}
-	c.bufferAhead(n)
 }
 
 // Buffered returns how many ranks are buffered (paid or prefetched).
@@ -801,10 +787,6 @@ func (cu *Cursor) Consumed() []gradedset.Entry { return cu.list.prefix[:cu.pos:c
 // guaranteed not to touch the source.
 func (cu *Cursor) Buffered() int { return cu.list.Buffered() - cu.pos }
 
-// Prefetch buffers the next n entries past the cursor's position (see
-// Counted.Prefetch): free readahead, paid only on consumption.
-func (cu *Cursor) Prefetch(n int) { cu.list.Prefetch(cu.pos + n) }
-
 // StartPrefetch attaches a background prefetch pipeline to the cursor's
 // list (see Counted.StartPrefetch); idempotent.
 func (cu *Cursor) StartPrefetch(depth, maxDepth int) { cu.list.StartPrefetch(depth, maxDepth) }
@@ -826,7 +808,7 @@ func (cu *Cursor) DemandAhead(n int) {
 // AwaitAhead blocks until the next n entries past the cursor are
 // buffered on the list (clamped to the list end), the list is fenced,
 // the pipeline closes, or stop fires; it reports whether the entries are
-// buffered. Without a pipeline it stages synchronously, like Prefetch.
+// buffered. Without a pipeline it stages synchronously (bufferAhead).
 // The wait itself never touches the tallies: everything readied here is
 // paid for only when the cursor consumes it.
 func (cu *Cursor) AwaitAhead(n int, stop <-chan struct{}) bool {

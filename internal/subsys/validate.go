@@ -2,6 +2,7 @@ package subsys
 
 import (
 	"fmt"
+	"sync"
 
 	"fuzzydb/internal/gradedset"
 )
@@ -15,16 +16,17 @@ import (
 // panic with a diagnostic rather than propagate bad grades.
 //
 // Validated deliberately forwards neither BatchGrader nor
-// FallibleSource: its checks are per access on the plain face, against
-// unsynchronized state, so it must stay off the concurrent batched
-// gather, and a batch handed to the wrapped source whole would bypass
-// them.
+// FallibleSource: its checks are per access on the plain face, and a
+// batch handed to the wrapped source whole would bypass them. What it
+// remembers of sorted access is mutex-guarded, so it is safe under the
+// pipelined executor, which reads one list from several goroutines.
 //
 // Use it when integrating an untrusted or freshly written subsystem:
 //
 //	src := subsys.Validated(mySubsystemResult)
 type validatedSource struct {
 	inner
+	mu        sync.Mutex // guards the fields below
 	lastRank  int
 	lastGrade float64
 	seenAt    map[int]int     // object -> first rank delivered
@@ -44,6 +46,13 @@ func Validated(src Source) Source {
 
 // Entry implements Source, checking the sorted-access contract.
 func (v *validatedSource) Entry(rank int) gradedset.Entry {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.entry(rank)
+}
+
+// entry is Entry with v.mu held.
+func (v *validatedSource) entry(rank int) gradedset.Entry {
 	e := v.in.Src.Entry(rank)
 	if !gradedset.ValidGrade(e.Grade) {
 		panic(fmt.Sprintf("subsys: source delivered invalid grade %v at rank %d", e.Grade, rank))
@@ -72,8 +81,10 @@ func (v *validatedSource) Entry(rank int) gradedset.Entry {
 // source's zero-copy bulk path — Validated is a debugging wrapper).
 func (v *validatedSource) Entries(lo, hi int) []gradedset.Entry {
 	out := make([]gradedset.Entry, 0, hi-lo)
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	for r := lo; r < hi; r++ {
-		out = append(out, v.Entry(r))
+		out = append(out, v.entry(r))
 	}
 	return out
 }
@@ -84,7 +95,10 @@ func (v *validatedSource) Grade(obj int) float64 {
 	if !gradedset.ValidGrade(g) {
 		panic(fmt.Sprintf("subsys: source delivered invalid grade %v for object %d", g, obj))
 	}
-	if sg, ok := v.grades[obj]; ok && sg != g {
+	v.mu.Lock()
+	sg, ok := v.grades[obj]
+	v.mu.Unlock()
+	if ok && sg != g {
 		panic(fmt.Sprintf("subsys: source grades object %d as %v under random access but %v under sorted access",
 			obj, g, sg))
 	}

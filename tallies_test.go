@@ -14,8 +14,8 @@ package fuzzydb_test
 //   - 8 were the serial tallies of E1/N=4096…262144 and E2/m=2…5: the
 //     "serial" rows (a row is the sum over four databases, so 4× the old
 //     mean, exactly).
-//   - 16 were the same workloads under Concurrent{P: m} (_Parallel) and
-//     through the zero-rate fault stack (_Faulty). They must equal the
+//   - 16 were the same workloads under an overlapping executor at P = m
+//     (_Parallel) and through the zero-rate fault stack (_Faulty). They must equal the
 //     serial tally: asserted per database below, no rows.
 //   - 16 were the even and the weighted 4-shard totals (_Sharded,
 //     _WeightedShard): the "sharded4-even" and "sharded4-weighted" rows.
@@ -222,8 +222,8 @@ func TestTalliesGolden(t *testing.T) {
 		var serial, even, weighted int
 		for d, db := range dbs {
 			base := a0(listSources(db))
-			if got := a0(listSources(db), core.WithExecutor(core.Concurrent{P: db.M()})); got != base {
-				t.Errorf("%s db %d: Concurrent{P: %d} tallies %d, serial %d", name, d, db.M(), got, base)
+			if got := a0(listSources(db), core.WithExecutor(core.Pipelined{P: db.M()})); got != base {
+				t.Errorf("%s db %d: Pipelined{P: %d} tallies %d, serial %d", name, d, db.M(), got, base)
 			}
 			// The whole fault-tolerance stack with no fault firing: a
 			// seeded FaultSource at rate 0 under a retry/breaker policy.
