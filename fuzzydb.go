@@ -185,8 +185,8 @@
 // bit-identical to recomputation (results and Section 5 tallies), with
 // Report.Cache recording the hit, the data-version fingerprint, and
 // the access cost saved. Only pure computations are cached — budgeted,
-// degraded, non-exact (NRA), and non-monotone evaluations recompute
-// every time, as do the streaming entry points.
+// degraded, and non-monotone evaluations recompute every time, as do the
+// streaming entry points.
 //
 // Data may change under the cache. NewMutableSubsystem serves graded
 // lists that support in-place grade updates: UpdateGrade replaces one
@@ -625,16 +625,11 @@ var (
 	MedianAlgorithm Algorithm = core.OrderStat{}
 	// UllmanAlgorithm is the Section 9 sequential-probe algorithm (m=2).
 	UllmanAlgorithm Algorithm = core.Ullman{}
-	// AdaptiveAlgorithm is A₀ with per-list depths chosen by frontier
-	// grade (the Section 4 "Tᵢ ≤ T" refinement direction).
-	AdaptiveAlgorithm Algorithm = core.A0Adaptive{}
 	// FilterFirstAlgorithm evaluates a selective binary conjunct first
 	// (Section 4's opening strategy); list 0 must be 0/1-graded.
 	FilterFirstAlgorithm Algorithm = core.FilterFirst{}
 	// ThresholdAlgorithm is TA, the successor of A₀ (extension).
 	ThresholdAlgorithm Algorithm = core.TA{}
-	// NoRandomAccessAlgorithm is NRA (extension; grades are lower bounds).
-	NoRandomAccessAlgorithm Algorithm = core.NRA{}
 	// NaiveAlgorithm is the linear baseline.
 	NaiveAlgorithm Algorithm = core.NaiveSorted{}
 )

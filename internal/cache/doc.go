@@ -58,7 +58,6 @@
 // fresh recompute might pay a different access pattern for the same
 // answer, and the cache deliberately reports what was actually paid
 // when the answer was computed (SavedCost is exactly that spend).
-// Budgeted, degraded, and non-exact (bound-grade) evaluations are
-// never cached: their reports depend on how the computation went, not
-// only on what the data was.
+// Budgeted and degraded evaluations are never cached: their reports
+// depend on how the computation went, not only on what the data was.
 package cache

@@ -22,40 +22,18 @@ import (
 //
 // Correctness for monotone t is Theorem 4.2: the prefixes X^i_T are
 // upward closed, so by Proposition 4.1 any object beating a member of the
-// match set L must itself have been seen in every list.
-type A0 struct {
-	// MidRoundStop stops the sorted phase the moment the k-th match
-	// appears, rather than at the end of the full round, giving the
-	// per-list depths Tᵢ ≤ T refinement mentioned in Section 4 (after the
-	// Ait-Bouziad–Kassel improvement). Correctness is unaffected: every
-	// X^i_{Tᵢ} is still upward closed and the intersection still has k
-	// members. The paper's plain A₀ uses a uniform depth; leave this
-	// false to reproduce it exactly.
-	MidRoundStop bool
-	// StrictMonotoneCheck rejects aggregation functions whose Monotone()
-	// metadata is false instead of running anyway (the run would risk
-	// wrong answers; Theorem 4.2 needs monotonicity).
-	StrictMonotoneCheck bool
-}
+// match set L must itself have been seen in every list. A₀ does not check
+// that t is monotone: the middleware's planner sends a non-monotone law
+// to the naive drain instead.
+type A0 struct{}
 
 // Name implements Algorithm.
-func (a A0) Name() string {
-	if a.MidRoundStop {
-		return "A0-midround"
-	}
-	return "A0"
-}
-
-// Exact implements Algorithm.
-func (A0) Exact() bool { return true }
+func (A0) Name() string { return "A0" }
 
 // TopK implements Algorithm.
 func (a A0) TopK(ec *ExecContext, lists []*subsys.Counted, t agg.Func, k int) ([]Result, error) {
 	if _, err := checkArgs(lists, k); err != nil {
 		return nil, err
-	}
-	if a.StrictMonotoneCheck && !t.Monotone() {
-		return nil, ErrNotMonotone
 	}
 
 	sc := acquireScratch(lists)
@@ -79,7 +57,7 @@ func (a A0) TopK(ec *ExecContext, lists []*subsys.Counted, t agg.Func, k int) ([
 // the per-list prefixes holds at least k objects (or the lists are
 // exhausted, which by k ≤ N also yields k matches). Afterwards sc's
 // touched set holds every object seen under sorted access in any list.
-func (a A0) sortedPhase(ec *ExecContext, sc *scratch, lists []*subsys.Counted, k int) error {
+func (A0) sortedPhase(ec *ExecContext, sc *scratch, lists []*subsys.Counted, k int) error {
 	m := int32(len(lists))
 	cursors := subsys.Cursors(lists)
 	ec.expectDepth(lists, k)
@@ -100,9 +78,6 @@ func (a A0) sortedPhase(ec *ExecContext, sc *scratch, lists []*subsys.Counted, k
 			exhausted = false
 			if sc.visit(e.Object) == m {
 				matches++
-				if a.MidRoundStop && matches >= k {
-					return nil
-				}
 			}
 		}
 		if exhausted {
@@ -161,16 +136,10 @@ func liveCursors(cursors []*subsys.Cursor) int {
 // list i₀ is at least g₀. By Proposition 4.3, any object beating a match
 // must lie in X^{i₀}_T, so the candidates suffice (Theorem 4.4). The
 // saving over A₀ is a constant factor of random accesses.
-type A0Prime struct {
-	// MidRoundStop as in A0.
-	MidRoundStop bool
-}
+type A0Prime struct{}
 
 // Name implements Algorithm.
-func (a A0Prime) Name() string { return "A0'" }
-
-// Exact implements Algorithm.
-func (A0Prime) Exact() bool { return true }
+func (A0Prime) Name() string { return "A0'" }
 
 // TopK implements Algorithm. The aggregation function must behave as min;
 // it is applied to compute overall grades, but the candidate pruning is
@@ -197,7 +166,6 @@ func (a A0Prime) TopK(ec *ExecContext, lists []*subsys.Counted, t agg.Func, k in
 			return nil, err
 		}
 		exhausted := true
-		stop := false
 		for _, cu := range cursors {
 			e, ok := cu.Next()
 			if !ok {
@@ -206,13 +174,9 @@ func (a A0Prime) TopK(ec *ExecContext, lists []*subsys.Counted, t agg.Func, k in
 			exhausted = false
 			if sc.visit(e.Object) == int32(m) {
 				matches = append(matches, e.Object)
-				if a.MidRoundStop && len(matches) >= k {
-					stop = true
-					break
-				}
 			}
 		}
-		if exhausted || stop {
+		if exhausted {
 			break
 		}
 	}

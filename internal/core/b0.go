@@ -15,16 +15,15 @@ import (
 // Its middleware cost is mk, independent of N — the demonstration that
 // the Θ(N^((m−1)/m)k^(1/m)) lower bound genuinely needs strictness, which
 // max lacks (Remark 6.1).
+//
+// The grades it returns are exact: for every object B₀ outputs, h(x)
+// equals the true max grade. Had the list attaining x's max ranked x
+// below its top k, the k objects above x there would all beat x's
+// h-value, and x would not have been output.
 type B0 struct{}
 
 // Name implements Algorithm.
 func (B0) Name() string { return "B0" }
-
-// Exact implements Algorithm. For every object B₀ outputs, h(x) equals
-// the true max grade: if the list attaining x's max had ranked x below
-// its top k, the k objects above x there would all beat x's h-value, and
-// x would not have been output.
-func (B0) Exact() bool { return true }
 
 // TopK implements Algorithm. The aggregation function must behave as max;
 // the middleware's planner selects B0 only in that case.

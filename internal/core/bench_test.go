@@ -35,7 +35,7 @@ func benchAlgorithm(b *testing.B, alg Algorithm, n, m, k int) {
 }
 
 func BenchmarkAlgorithms(b *testing.B) {
-	algs := []Algorithm{A0{}, A0Adaptive{}, A0Prime{}, TA{}, NRA{}, Ullman{}, NaiveSorted{}}
+	algs := []Algorithm{A0{}, A0Prime{}, TA{}, Ullman{}, NaiveSorted{}}
 	for _, alg := range algs {
 		for _, n := range []int{1024, 16384} {
 			if alg.Name() == "ullman" {

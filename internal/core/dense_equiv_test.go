@@ -78,14 +78,10 @@ func TestDenseFastPathMatchesMapFallback(t *testing.T) {
 		f   agg.Func
 	}{
 		{A0{}, agg.Min},
-		{A0{MidRoundStop: true}, agg.Min},
 		{A0{}, agg.ArithmeticMean},
 		{A0Prime{}, agg.Min},
-		{A0Prime{MidRoundStop: true}, agg.Min},
-		{A0Adaptive{}, agg.Min},
 		{TA{}, agg.Min},
 		{TA{}, agg.AlgebraicProduct},
-		{NRA{}, agg.Min},
 		{B0{}, agg.Max},
 		{NaiveSorted{}, agg.Min},
 		{NaiveRandom{}, agg.Min},
@@ -200,13 +196,9 @@ func TestSerialVsConcurrentExecutors(t *testing.T) {
 		f   agg.Func
 	}{
 		{A0{}, agg.Min},
-		{A0{MidRoundStop: true}, agg.Min},
 		{A0{}, agg.ArithmeticMean},
 		{A0Prime{}, agg.Min},
-		{A0Prime{MidRoundStop: true}, agg.Min},
-		{A0Adaptive{}, agg.Min},
 		{TA{}, agg.Min},
-		{NRA{}, agg.Min},
 		{B0{}, agg.Max},
 		{NaiveSorted{}, agg.Min},
 		{NaiveRandom{}, agg.Min},
@@ -334,14 +326,10 @@ func TestShardedVsUnsharded(t *testing.T) {
 		f   agg.Func
 	}{
 		{A0{}, agg.Min},
-		{A0{MidRoundStop: true}, agg.Min},
 		{A0{}, agg.ArithmeticMean},
 		{A0Prime{}, agg.Min},
-		{A0Prime{MidRoundStop: true}, agg.Min},
-		{A0Adaptive{}, agg.Min},
 		{TA{}, agg.Min},
 		{TA{}, agg.AlgebraicProduct},
-		{NRA{}, agg.Min}, // non-exact: must degenerate to the unsharded path
 		{B0{}, agg.Max},
 		{NaiveSorted{}, agg.Min},
 		{NaiveRandom{}, agg.Min},
@@ -377,12 +365,10 @@ func TestShardedVsUnsharded(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: sharded: %v", label, err)
 						}
-						if tc.alg.Exact() {
-							requireShardEquiv(t, label, want, sr.Results, truth)
-						}
-						if continuous || !tc.alg.Exact() {
-							// Tie-free data (and the NRA degenerate path):
-							// full byte identity, including tie order.
+						requireShardEquiv(t, label, want, sr.Results, truth)
+						if continuous {
+							// Tie-free data: full byte identity, including
+							// tie order.
 							if len(sr.Results) != len(want) {
 								t.Fatalf("%s: sharded returned %d results, unsharded %d", label, len(sr.Results), len(want))
 							}
@@ -461,9 +447,7 @@ func TestPooledScratchUnderConcurrentQueries(t *testing.T) {
 		{A0{}, agg.Min},
 		{A0Prime{}, agg.Min},
 		{TA{}, agg.Min},
-		{NRA{}, agg.Min},
 		{B0{}, agg.Max},
-		{A0Adaptive{}, agg.Min},
 		{OrderStat{}, agg.Median},
 	}
 	type key struct{ db, alg int }

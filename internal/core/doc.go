@@ -29,10 +29,12 @@
 //     last sorted grade. Expected constant cost when one list's grades
 //     are bounded away from 1; Θ(√N) when both are uniform (Landau).
 //   - NaiveSorted and NaiveRandom: the two linear baselines of Section 4.
-//   - TA and NRA: the successor algorithms of the FA lineage (the
-//     threshold algorithm with immediate random access, and the no-random-
-//     access algorithm with lower/upper bound bookkeeping), implemented as
-//     documented extensions for the ablation experiments.
+//   - TA: the threshold algorithm, A₀'s successor in the FA lineage —
+//     immediate random access on first sight, stopping once the k-th best
+//     grade reaches t of the last sorted grades. A documented extension;
+//     off min it costs less than A₀ (experiment E18).
+//
+// Every algorithm returns exact overall grades (see Algorithm).
 //
 // Package core also provides threshold (filter-condition) evaluation in
 // the style of Chaudhuri–Gravano, and a Paginator implementing the "find

@@ -154,11 +154,8 @@ func TestBudgetAcrossAlgorithms(t *testing.T) {
 		f   agg.Func
 	}{
 		{A0{}, agg.Min},
-		{A0{MidRoundStop: true}, agg.Min},
 		{A0Prime{}, agg.Min},
-		{A0Adaptive{}, agg.Min},
 		{TA{}, agg.Min},
-		{NRA{}, agg.Min},
 		{B0{}, agg.Max},
 		{Ullman{}, agg.Min},
 		{OrderStat{J: 1}, agg.Max},

@@ -35,9 +35,6 @@ var ErrNotBinary = fmt.Errorf("core: filter-first driving list is not binary")
 // Name implements Algorithm.
 func (f FilterFirst) Name() string { return "filter-first" }
 
-// Exact implements Algorithm.
-func (FilterFirst) Exact() bool { return true }
-
 // TopK implements Algorithm. The aggregation function must behave as min.
 func (f FilterFirst) TopK(ec *ExecContext, lists []*subsys.Counted, t agg.Func, k int) ([]Result, error) {
 	n, err := checkArgs(lists, k)

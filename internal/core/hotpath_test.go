@@ -125,7 +125,7 @@ func TestPooledPrefixUnderConcurrentQueries(t *testing.T) {
 	db := scoredb.Generator{N: 600, M: 3, Seed: 14}.MustGenerate()
 	srcs := sourcesOf(db)
 	ks := []int{1, 150, 4, 60, 2, 25, 100, 9}
-	algs := []Algorithm{A0Prime{}, A0{}, A0Adaptive{}}
+	algs := []Algorithm{A0Prime{}, A0{}}
 	type key struct{ alg, k int }
 	oracle := make(map[int][]gradedset.Entry)
 	wantCost := make(map[key]cost.Cost)

@@ -15,9 +15,6 @@ type NaiveSorted struct{}
 // Name implements Algorithm.
 func (NaiveSorted) Name() string { return "naive-sorted" }
 
-// Exact implements Algorithm.
-func (NaiveSorted) Exact() bool { return true }
-
 // TopK implements Algorithm. It is correct for every aggregation
 // function, monotone or not, since it sees every grade.
 func (NaiveSorted) TopK(ec *ExecContext, lists []*subsys.Counted, t agg.Func, k int) ([]Result, error) {
@@ -62,9 +59,6 @@ type NaiveRandom struct{}
 
 // Name implements Algorithm.
 func (NaiveRandom) Name() string { return "naive-random" }
-
-// Exact implements Algorithm.
-func (NaiveRandom) Exact() bool { return true }
 
 // TopK implements Algorithm. The probe sweep stays object-major and
 // unbuffered even under a parallel executor: a didactic O(mN) baseline

@@ -39,9 +39,6 @@ func (o OrderStat) Name() string {
 	return fmt.Sprintf("orderstat-%d-via-subsets", o.J)
 }
 
-// Exact implements Algorithm.
-func (OrderStat) Exact() bool { return true }
-
 // TopK implements Algorithm. The aggregation function t must be the
 // matching order statistic (or median); it is used to compute the final
 // grades.

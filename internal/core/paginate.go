@@ -54,8 +54,8 @@ type pageShard struct {
 }
 
 // NewPaginator prepares paginated evaluation of F_t(A₁,…,Aₘ) with the
-// given algorithm (A0, A0Prime, or TA — any exact monotone-query
-// algorithm works) under the given execution state. The ExecContext's
+// given algorithm (A0, A0Prime, or TA — any monotone-query algorithm
+// works) under the given execution state. The ExecContext's
 // cancellation, budget, and executor apply across all pages: a budget
 // bounds the cumulative cost of the whole pagination.
 func NewPaginator(ec *ExecContext, alg Algorithm, lists []*subsys.Counted, t agg.Func) *Paginator {
@@ -83,8 +83,7 @@ func NewPaginator(ec *ExecContext, alg Algorithm, lists []*subsys.Counted, t agg
 // lists — across pages — so a prefetching paginator must be Released.
 // cfg.Shards ≤ 1 (after clamping to N) is NewPaginator's single slice
 // over the raw sources, with cfg.Parallel and cfg.Budget in their
-// executor-level meaning (as in Run). Non-exact algorithms are the
-// caller's responsibility to exclude, as with NewPaginator.
+// executor-level meaning (as in Run).
 func NewShardedPaginator(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.Func, cfg ShardConfig) (*Paginator, error) {
 	if len(srcs) == 0 {
 		return nil, ErrNoLists

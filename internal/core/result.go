@@ -27,13 +27,14 @@ func (r Result) String() string { return fmt.Sprintf("(%d, %.4f)", r.Object, r.G
 // (Stage before each sorted round, Gather for bulk random access,
 // Reserve before paying), which is how cancellation, access budgets, and
 // the pluggable executor reach every member of the family uniformly.
+//
+// Every returned grade is the object's exact overall grade t(μ₁,…,μₘ),
+// not a bound on it. The sharded merge (EvaluateSharded), the paginator
+// and the middleware's result cache compare and store grades across
+// evaluations, and rely on that.
 type Algorithm interface {
 	// Name identifies the algorithm in experiment tables.
 	Name() string
-	// Exact reports whether returned grades are exact overall grades. It
-	// is true for every algorithm except NRA, whose grades are lower
-	// bounds (the returned objects are still a correct top-k set).
-	Exact() bool
 	// TopK returns k results in descending grade order. On cancellation
 	// or budget exhaustion it returns nil results and an error that
 	// wraps the context error or ErrBudgetExceeded respectively; the
@@ -50,9 +51,6 @@ var (
 	ErrNoLists = errors.New("core: no lists")
 	// ErrArity reports an algorithm applied at an unsupported arity.
 	ErrArity = errors.New("core: unsupported number of lists")
-	// ErrNotMonotone reports an aggregation function without the
-	// monotonicity guarantee A₀-family correctness requires.
-	ErrNotMonotone = errors.New("core: aggregation function is not monotone")
 )
 
 // checkArgs validates the common preconditions and returns N.

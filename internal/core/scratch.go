@@ -25,12 +25,12 @@ import (
 // allocate Θ(N) state per evaluation; acquire with acquireScratch and
 // return with release (after which the scratch must not be used).
 //
-// The per-object state families share storage (count doubles as the
-// slot index, and one stamp guards count and val together), so they are
-// MUTUALLY EXCLUSIVE per acquire: within one acquire/release window use
-// exactly one of visit/countOf, offerMax/valOf, or indexOf/addIndex.
-// Mixing them silently misreads — visit counts would be taken for slot
-// indexes — with no panic to catch it.
+// The two per-object state families share storage (one stamp guards
+// count and val together), so they are MUTUALLY EXCLUSIVE per acquire:
+// within one acquire/release window use either visit/countOf or
+// offerMax/valOf. Mixing them silently misreads — offerMax would take an
+// object visit had stamped for one already offered, and compare against
+// a stale val — with no panic to catch it.
 type scratch struct {
 	dense bool
 	n     int // universe size when dense
@@ -47,8 +47,6 @@ type scratch struct {
 
 	entries []gradedset.Entry // shared output staging buffer
 	grades  []float64         // shared grade-vector buffer
-	f64s    []float64         // reusable flat arena (NRA's partial grade vectors)
-	bools   []bool            // reusable flat arena (NRA's known flags)
 	cols    []float64         // reusable flat arena (Gather's m×n grade columns)
 	colv    [][]float64       // column views into cols
 }
@@ -173,34 +171,6 @@ func (s *scratch) valOf(obj int) float64 {
 	return s.sval[obj]
 }
 
-// indexOf returns the slot recorded by addIndex for obj, or -1.
-func (s *scratch) indexOf(obj int) int {
-	if s.dense {
-		if s.stamp[obj] != s.gen {
-			return -1
-		}
-		return int(s.count[obj])
-	}
-	if c, ok := s.scount[obj]; ok {
-		return int(c)
-	}
-	return -1
-}
-
-// addIndex assigns obj the next slot (its position in the touch order)
-// and returns it. Call only when indexOf reported -1.
-func (s *scratch) addIndex(obj int) int {
-	idx := len(s.touched)
-	if s.dense {
-		s.stamp[obj] = s.gen
-		s.count[obj] = int32(idx)
-	} else {
-		s.scount[obj] = int32(idx)
-	}
-	s.touched = append(s.touched, obj)
-	return idx
-}
-
 // objects returns every touched object in first-touch order. The slice
 // aliases the scratch and is valid until release.
 func (s *scratch) objects() []int { return s.touched }
@@ -222,22 +192,6 @@ func (s *scratch) gradesBuf(m int) []float64 {
 	}
 	return s.grades[:m]
 }
-
-// f64Arena returns the reusable float64 arena, emptied.
-func (s *scratch) f64Arena() []float64 {
-	return s.f64s[:0]
-}
-
-// keepF64Arena stores the grown arena back for reuse.
-func (s *scratch) keepF64Arena(a []float64) { s.f64s = a }
-
-// boolArena returns the reusable bool arena, emptied.
-func (s *scratch) boolArena() []bool {
-	return s.bools[:0]
-}
-
-// keepBoolArena stores the grown arena back for reuse.
-func (s *scratch) keepBoolArena(a []bool) { s.bools = a }
 
 // colsBuf returns m reusable grade columns of length n (one flat backing
 // array, sliced), the staging area of the executor's Gather phase. The

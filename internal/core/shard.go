@@ -20,9 +20,8 @@ import (
 // sources, and the per-shard top answers are merged into the global
 // top k under the package tie policy (descending grade, ascending id).
 type ShardConfig struct {
-	// Shards is the number of universe partitions. Values ≤ 1 (and
-	// non-exact algorithms, whose reported grades are not comparable
-	// across shards) evaluate unsharded; values above N are clamped to N.
+	// Shards is the number of universe partitions. Values ≤ 1 evaluate
+	// unsharded; values above N are clamped to N.
 	Shards int
 	// Parallel caps the number of shard workers running at once: 0 means
 	// GOMAXPROCS, 1 runs the shards sequentially in index order — the
@@ -234,15 +233,12 @@ type ShardDetail struct {
 // cannot contribute stop after a handful of rounds, so the sharded
 // evaluation does less total access work than the unsharded one.
 // Fencing engages for the algorithms whose completion phase computes
-// exact grades for every seen object (A0, A0Adaptive, TA) under a
-// monotone t; other exact algorithms simply run each shard to its own
-// natural stop.
+// exact grades for every seen object (A0, TA) under a monotone t; the
+// others simply run each shard to its own natural stop.
 //
-// For cfg.Shards ≤ 1 — and for non-exact algorithms such as NRA, whose
-// reported lower-bound grades cannot be merged across shards — the
-// evaluation is Run: alg once over the raw sources (no shard view, so no
-// re-ranking scan), cfg.Parallel and cfg.Budget in their executor-level
-// meaning, reported as one shard.
+// For cfg.Shards ≤ 1 the evaluation is Run: alg once over the raw
+// sources (no shard view, so no re-ranking scan), cfg.Parallel and
+// cfg.Budget in their executor-level meaning, reported as one shard.
 //
 // On cancellation or budget exhaustion every shard worker stops
 // promptly (serial execution polls between accesses; a pipelined shard
@@ -261,7 +257,7 @@ func EvaluateSharded(ctx context.Context, alg Algorithm, srcs []subsys.Source, t
 	if p > n {
 		p = n
 	}
-	if p <= 1 || !alg.Exact() {
+	if p <= 1 {
 		return Run(ctx, srcs, cfg, topK(alg, t, k))
 	}
 	// The per-shard runs see only their slice, so the global argument
@@ -558,16 +554,16 @@ func evalShard(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.F
 
 // fenceSafe reports whether the algorithm tolerates a threshold fence:
 // its sorted loop treats fenced cursors as exhausted and its completion
-// phase computes exact grades for every object seen so far. A0 and
-// A0Adaptive complete every seen object by random access; TA scores
-// eagerly on first sight. A0Prime is excluded (its candidate pruning
+// phase computes exact grades for every object seen so far. A0 completes
+// every seen object by random access; TA scores eagerly on first sight.
+// A0Prime is excluded (its candidate pruning
 // needs the full k matches), FilterFirst is excluded (a truncated drive
 // scan would drop perfect matches), B0 and the naive algorithms consume
 // in one batch before any threshold exists, and OrderStat's inner runs
 // use subset arity the threshold check cannot price.
 func fenceSafe(alg Algorithm) bool {
 	switch alg.(type) {
-	case A0, A0Adaptive, TA:
+	case A0, TA:
 		return true
 	}
 	return false

@@ -16,7 +16,7 @@ import (
 
 // TestShardedP1ByteForByte: Shards ≤ 1 must degenerate to the plain
 // unsharded pipeline byte for byte — identical results AND identical
-// cost tallies — as must non-exact algorithms at any shard count.
+// cost tallies.
 func TestShardedP1ByteForByte(t *testing.T) {
 	db := scoredb.Generator{N: 700, M: 3, Seed: 61}.MustGenerate()
 	cases := []struct {
@@ -28,7 +28,6 @@ func TestShardedP1ByteForByte(t *testing.T) {
 		{A0{}, agg.Min, 0},
 		{A0Prime{}, agg.Min, 1},
 		{TA{}, agg.Min, -3},
-		{NRA{}, agg.Min, 6}, // non-exact: degenerates at any shard count
 	}
 	for _, tc := range cases {
 		want, wantCost, err := Evaluate(context.Background(), tc.alg, sourcesOf(db), tc.f, 12)
@@ -147,7 +146,6 @@ func TestShardedTiesAtGlobalKth(t *testing.T) {
 	}{
 		{A0{}, agg.Min},
 		{A0Prime{}, agg.Min},
-		{A0Adaptive{}, agg.Min},
 		{TA{}, agg.Min},
 		{B0{}, agg.Max},
 		{NaiveSorted{}, agg.Min},

@@ -35,7 +35,6 @@ func TestStealEquivalence(t *testing.T) {
 		f   agg.Func
 	}{
 		{A0{}, agg.Min},
-		{A0Adaptive{}, agg.Min},
 		{TA{}, agg.Min},
 	}
 	for _, sc := range scens {

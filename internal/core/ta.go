@@ -20,24 +20,15 @@ import (
 //
 // TA is instance optimal for monotone t, and never scans deeper than A₀:
 // its stopping rule fires at the latest when A₀'s does.
-type TA struct {
-	// StrictMonotoneCheck as in A0.
-	StrictMonotoneCheck bool
-}
+type TA struct{}
 
 // Name implements Algorithm.
 func (TA) Name() string { return "TA" }
 
-// Exact implements Algorithm.
-func (TA) Exact() bool { return true }
-
 // TopK implements Algorithm.
-func (ta TA) TopK(ec *ExecContext, lists []*subsys.Counted, t agg.Func, k int) ([]Result, error) {
+func (TA) TopK(ec *ExecContext, lists []*subsys.Counted, t agg.Func, k int) ([]Result, error) {
 	if _, err := checkArgs(lists, k); err != nil {
 		return nil, err
-	}
-	if ta.StrictMonotoneCheck && !t.Monotone() {
-		return nil, ErrNotMonotone
 	}
 	cursors := subsys.Cursors(lists)
 	sc := acquireScratch(lists)

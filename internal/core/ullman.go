@@ -31,9 +31,6 @@ type Ullman struct {
 // Name implements Algorithm.
 func (u Ullman) Name() string { return "ullman" }
 
-// Exact implements Algorithm.
-func (Ullman) Exact() bool { return true }
-
 // TopK implements Algorithm. It requires exactly two lists and min
 // semantics for t.
 func (u Ullman) TopK(ec *ExecContext, lists []*subsys.Counted, t agg.Func, k int) ([]Result, error) {

@@ -9,11 +9,12 @@ package middleware
 //
 // Cacheable means: the report is a pure function of the query and the
 // data. Budgeted requests (their reports depend on where the budget
-// struck), degraded requests (on which lists failed), and non-exact
-// algorithms (NRA's grades are bounds that depend on when it stopped)
-// are computed fresh every time. Non-monotone queries are exact but
-// their aggregates move unpredictably under updates, so the threshold
-// survival argument does not apply; they are not cached either. The
+// struck) and degraded requests (on which lists failed) are computed
+// fresh every time. Every algorithm returns exact grades (see
+// core.Algorithm), so a stored k-th grade is the true one, which the
+// threshold survival test needs. Non-monotone queries are exact too, but
+// their aggregates move unpredictably under updates, so the survival
+// argument does not apply; they are not cached either. The
 // streaming entry points (Results, Paginate) never consult the cache:
 // a cursor's pages are computed over live source snapshots.
 
@@ -87,16 +88,15 @@ func (m *Middleware) CacheLen() int {
 
 // cacheKey decides whether the request may touch the cache at all and,
 // if so, builds its lookup key. Not cacheable: an engine without a
-// cache, and a budgeted, degradable, non-exact or non-monotone request
-// (see the file comment for why each). The key is the canonical string
+// cache, and a budgeted, degradable or non-monotone request (see the
+// file comment for why each). The key is the canonical string
 // of the normalized AST the plan was compiled from (rewrite is
 // idempotent and String is deterministic, so equivalent spellings of a
 // query share an entry), the clamped k, the algorithm (name plus
 // configuration — FilterFirst's drive list is not in its name), the
 // aggregation law, and the execution shape.
 func (m *Middleware) cacheKey(plan *Plan, req Request) (cache.Key, bool) {
-	if m.resultCache == nil || req.K < 1 || req.Budget > 0 || req.Degrade > 0 ||
-		!plan.Algorithm.Exact() || !plan.Agg.Monotone() {
+	if m.resultCache == nil || req.K < 1 || req.Budget > 0 || req.Degrade > 0 || !plan.Agg.Monotone() {
 		return cache.Key{}, false
 	}
 	prefetch := -1

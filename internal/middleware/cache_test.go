@@ -234,9 +234,9 @@ func TestCacheUpdateSurvival(t *testing.T) {
 	}
 }
 
-// TestCacheSkipsUncacheableRequests: budgeted, degradable, non-exact,
-// and non-monotone evaluations bypass the cache entirely — no stores,
-// no Report.Cache.
+// TestCacheSkipsUncacheableRequests: budgeted, degradable, and
+// non-monotone evaluations bypass the cache entirely — no stores, no
+// Report.Cache.
 func TestCacheSkipsUncacheableRequests(t *testing.T) {
 	eng, _, _, _ := genMutableStore(t, 400, 2, 53, 0)
 	ctx := context.Background()
@@ -247,7 +247,6 @@ func TestCacheSkipsUncacheableRequests(t *testing.T) {
 	}{
 		{"budgeted", genConj(2), []QueryOption{TopN(5), WithAccessBudget(1e6)}},
 		{"degradable", genConj(2), []QueryOption{TopN(5), WithDegradedLists(1)}},
-		{"non-exact algorithm", genConj(2), []QueryOption{TopN(5), WithAlgorithm(core.NRA{})}},
 		{"non-monotone query", query.Not{Child: query.Atomic{Attr: attrName(0), Target: "*"}}, []QueryOption{TopN(5)}},
 	}
 	for _, tc := range cases {

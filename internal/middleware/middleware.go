@@ -372,8 +372,8 @@ type Report struct {
 	// Cache records how the result cache handled this request — hit or
 	// miss, the source-epoch fingerprint the answer reflects, and (on a
 	// hit) the access cost the cache saved. Nil when the engine has no
-	// cache or the request was not cacheable (budgeted, degraded,
-	// non-exact or non-monotone evaluation). A hit carries the original
+	// cache or the request was not cacheable (budgeted, degraded or
+	// non-monotone evaluation). A hit carries the original
 	// computation's Results, Cost, PerList, PerShard, and Prefetch
 	// sections verbatim: bit-identical to what recomputing would return
 	// (results provably so even after surviving grade updates; tallies
@@ -489,8 +489,7 @@ func WithParallelism(p int) QueryOption {
 // WithShards too: each page widens every shard's top-r computation over
 // shard state kept alive across pages and merges the per-shard answers
 // (no fencing — later pages may need any shard), so the page sequence
-// matches the unsharded pagination. Non-exact algorithms (NRA) evaluate
-// unsharded regardless of this option.
+// matches the unsharded pagination.
 func WithShards(p int) QueryOption {
 	return func(r *Request) { r.Shards = p }
 }
@@ -878,17 +877,13 @@ func (m *Middleware) preparePagination(ctx context.Context, q query.Node, req Re
 // over a multi-list disjunction silently falls back to A₀ (same
 // answers, graded-prefix semantics), while an explicit pin is refused
 // loudly — the caller asked for a specific access pattern the paginator
-// cannot honor. Inexact algorithms (NRA) are refused either way, since
-// their bound-grades make pages unstable.
+// cannot honor.
 func paginableAlgorithm(plan *Plan, pinned bool) (core.Algorithm, error) {
 	if _, isB0 := plan.Algorithm.(core.B0); isB0 && len(plan.Atoms) > 1 {
 		if pinned {
 			return nil, fmt.Errorf("middleware: cannot paginate with B0 over %d lists; it is exact only for the first page", len(plan.Atoms))
 		}
 		return core.A0{}, nil
-	}
-	if !plan.Algorithm.Exact() {
-		return nil, fmt.Errorf("middleware: cannot paginate with %s: its grades are bounds, so pages are not stable", plan.Algorithm.Name())
 	}
 	return plan.Algorithm, nil
 }

@@ -109,33 +109,6 @@ func TestQueryWithShardsBudget(t *testing.T) {
 	}
 }
 
-// TestQueryWithShardsPinnedNRA: pinning the non-exact NRA alongside
-// WithShards degenerates to the unsharded path rather than merging
-// incomparable bound grades.
-func TestQueryWithShardsPinnedNRA(t *testing.T) {
-	mw := genStore(t, 600, 2, 74)
-	q := genConj(2)
-	want, err := mw.Query(context.Background(), q, TopN(8), WithAlgorithm(core.NRA{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := mw.Query(context.Background(), q, TopN(8), WithAlgorithm(core.NRA{}), WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Shards != 1 {
-		t.Errorf("Shards = %d, want 1 (degenerate)", rep.Shards)
-	}
-	if rep.Cost != want.Cost {
-		t.Errorf("cost %v, want unsharded %v", rep.Cost, want.Cost)
-	}
-	for i := range want.Results {
-		if rep.Results[i] != want.Results[i] {
-			t.Errorf("result %d differs from unsharded NRA", i)
-		}
-	}
-}
-
 // TestResultsHonorsShards: the streaming iterator routes through the
 // sharded paginator under WithShards — per-shard widening with a global
 // merge per page — and the answer stream is identical to the unsharded

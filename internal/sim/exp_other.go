@@ -168,7 +168,7 @@ func e14() Experiment {
 					trials := cfg.scaleTrials(6)
 					gen := independent(n, m, scoredb.Uniform{})
 					row := []interface{}{m, n}
-					algs := []core.Algorithm{core.A0{}, core.A0Prime{}, core.TA{}, core.NRA{}}
+					algs := []core.Algorithm{core.A0{}, core.A0Prime{}, core.TA{}, nra{}}
 					for _, alg := range algs {
 						s, _ := stats.Summarize(sums(measure(alg, gen, agg.Min, k, trials, cfg.Seed)))
 						row = append(row, s.Mean)
@@ -183,6 +183,39 @@ func e14() Experiment {
 				}
 			}
 			t.Note("all costs are unweighted middleware costs S+R, averaged over trials")
+			return t
+		},
+	}
+}
+
+// E18 — E14's comparison off min. The planner's default branch runs A₀
+// for every monotone law that is neither min (A₀′) nor max (B₀); under
+// the two laws of that branch that differ in access pattern, product and
+// mean, TA's threshold stop reads less than A₀'s k-matches rule.
+// (Geometric mean orders objects as product does, so it would repeat
+// product's row.)
+func e18() Experiment {
+	return Experiment{
+		ID:    "E18",
+		Title: "A0 vs TA under the default branch's laws (k=10)",
+		Claim: "Extension: off min, where A0' does not apply, TA reads less than A0 on independent lists",
+		Test:  "TestE18TABeatsA0OffMin",
+		Run: func(cfg Config) *Table {
+			t := &Table{Header: []string{"aggregation", "m", "N", "A0", "TA", "TA saving"}}
+			const k = 10
+			for _, f := range []agg.Func{agg.AlgebraicProduct, agg.ArithmeticMean} {
+				for _, m := range []int{2, 3} {
+					for _, n0 := range []int{8192, 65536} {
+						n := cfg.scaleN(n0)
+						trials := cfg.scaleTrials(6)
+						gen := independent(n, m, scoredb.Uniform{})
+						a0, _ := stats.Summarize(sums(measure(core.A0{}, gen, f, k, trials, cfg.Seed)))
+						ta, _ := stats.Summarize(sums(measure(core.TA{}, gen, f, k, trials, cfg.Seed)))
+						t.AddRow(f.Name(), m, n, a0.Mean, ta.Mean, 1-ta.Mean/a0.Mean)
+					}
+				}
+			}
+			t.Note("all costs are unweighted middleware costs S+R, averaged over trials; A0's equal E14's, its stop being t-independent")
 			return t
 		},
 	}

@@ -71,7 +71,7 @@ func All() []Experiment {
 	return []Experiment{
 		e1(), e2(), e3(), e4(), e5(), e6(), e7(),
 		e8(), e9(), e10(), e11(), e12(), e13(), e14(),
-		e15(), e16(),
+		e15(), e16(), e18(),
 	}
 }
 

@@ -41,10 +41,10 @@ func runExperiment(t *testing.T, id string) *Table {
 
 // TestQuickGolden: the document faginbench -quick writes is
 // testdata/quick.golden, byte for byte — every tally of every algorithm
-// the experiments run (A0, A0', B0, TA, NRA, Ullman, OrderStat,
-// FilterFirst, the naive drain) as its mean over the quick trials. A
-// difference is a changed access count, a changed workload or a changed
-// renderer; rerun with -update only once you know which.
+// the experiments run (A0, A0', B0, TA, Ullman, OrderStat, FilterFirst,
+// the naive drain, and this package's NRA) as its mean over the quick
+// trials. A difference is a changed access count, a changed workload or
+// a changed renderer; rerun with -update only once you know which.
 func TestQuickGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteDocument(&buf, QuickConfig(), quickTable); err != nil {
@@ -101,18 +101,18 @@ func noteFloat(t *testing.T, tab *Table, substr string, idx int) float64 {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	seen := map[string]bool{}
+	// IDs ascend in index order. E17 is not an experiment: it names the
+	// skewed workload of testdata/tallies.golden (tallies_test.go).
+	prev := 0
 	for i, e := range All() {
 		if e.ID == "" || e.Title == "" || e.Claim == "" || e.Run == nil {
 			t.Errorf("experiment %+v incomplete", e.ID)
 		}
-		if want := "E" + strconv.Itoa(i+1); e.ID != want {
-			t.Errorf("experiment %d has id %s, want %s (index order)", i, e.ID, want)
+		num, err := strconv.Atoi(strings.TrimPrefix(e.ID, "E"))
+		if err != nil || !strings.HasPrefix(e.ID, "E") || num <= prev || num == 17 {
+			t.Errorf("experiment %d has id %s, want E<n> with n > %d, n ≠ 17 (index order)", i, e.ID, prev)
 		}
-		if seen[e.ID] {
-			t.Errorf("duplicate id %s", e.ID)
-		}
-		seen[e.ID] = true
+		prev = num
 		if ref, claim, ok := strings.Cut(e.Claim, ": "); !ok || ref == "" || claim == "" {
 			t.Errorf("%s: claim %q is not \"<theorem or section>: <statement>\"", e.ID, e.Claim)
 		}
@@ -340,6 +340,23 @@ func TestE16FilterFirstCrossover(t *testing.T) {
 	}
 	if last[3] != "A0'" {
 		t.Errorf("selectivity %s won by %s, want A0'", last[0], last[3])
+	}
+}
+
+// TestE18TABeatsA0OffMin: under every law of the planner's default
+// branch the table covers, TA reads strictly less than A₀ — the reason TA
+// stays in core.
+func TestE18TABeatsA0OffMin(t *testing.T) {
+	tab := runExperiment(t, "E18")
+	if len(tab.Rows) != 8 {
+		t.Fatalf("rows = %d, want 2 laws × 2 m × 2 N", len(tab.Rows))
+	}
+	for _, row := range tab.Rows {
+		a0, _ := strconv.ParseFloat(row[3], 64)
+		ta, _ := strconv.ParseFloat(row[4], 64)
+		if ta >= a0 {
+			t.Errorf("TA (%v) not below A0 (%v): %v", ta, a0, row)
+		}
 	}
 }
 
