@@ -20,16 +20,13 @@
 // independently and combined by the threshold-aware top-k merge — the
 // report then breaks the cost down per shard.
 //
-// Sharded evaluations accept two more knobs: -shard-plan weighted cuts
+// Sharded evaluations accept one more knob: -shard-plan weighted cuts
 // the shard boundaries at quantiles of sketched grade mass instead of
-// equal widths (so a skewed universe still divides into equal expected
-// work), and -steal lets a shard worker that finishes early split the
-// most-behind shard's remaining range and evaluate the stolen half
-// itself. The per-shard cost lines then show each shard's planned
-// range and expected work next to the cost it actually paid, plus how
-// often work was stolen from it:
+// equal widths, so a skewed universe still divides into equal expected
+// work. The per-shard cost lines show each shard's planned range and
+// expected work next to the cost it actually paid:
 //
-//	fuzzyquery -q 'A1 = "*" AND A2 = "*"' -db db.json -shards 4 -shard-plan weighted -steal
+//	fuzzyquery -q 'A1 = "*" AND A2 = "*"' -db db.json -shards 4 -shard-plan weighted
 //
 // To exercise the latency-hiding pipeline against simulated remote
 // backends, -latency adds a per-call delay to every subsystem source and
@@ -77,7 +74,7 @@
 //
 // With -connect, the query evaluates on a remote fuzzyserve instance
 // instead. The flags that are fields of the request (fuzzydb.Request:
-// -q, -k, -p, -shards, -shard-plan, -steal, -budget, -prefetch, -degrade,
+// -q, -k, -p, -shards, -shard-plan, -budget, -prefetch, -degrade,
 // -tenant) bind onto one value that is evaluated locally or sent as it
 // stands, -timeout and -repeat apply to either, and the same report
 // prints from the wire response — only the engine-assembly and
@@ -156,7 +153,6 @@ func parseFlags(args []string, stderr io.Writer) (*flags, int) {
 	fs.IntVar(&req.Parallelism, "p", 1, "subsystem accesses in flight at once, on the pipelined executor (1 = serial; for slow subsystems, see -latency); with -shards, the shard worker cap instead")
 	fs.IntVar(&req.Shards, "shards", 1, "partition the universe into this many shards (1 = unsharded)")
 	plan := fs.String("shard-plan", "even", "shard-boundary policy: even (equal widths) or weighted (equal expected work from grade sketches)")
-	fs.BoolVar(&req.Steal, "steal", false, "let shard workers that finish early steal the remaining range of the most-behind shard")
 	fs.Float64Var(&req.Budget, "budget", 0, "access budget (sorted + random); 0 = unlimited")
 	prefetch := fs.Int("prefetch", -1, "evaluate through the pipelined executor with this readahead depth (0 = adaptive: open at the depth the algorithm expects to reach, else at 1 and double on stall); -1 = off")
 	fs.IntVar(&req.Degrade, "degrade", 0, "drop up to this many permanently failed lists and re-evaluate over the survivors; 0 = fail fast")
@@ -303,12 +299,9 @@ func printReport(w io.Writer, resp wire.QueryResponse, name func(int) string, r 
 			fmt.Fprintf(w, "  shard %-3d %s", s, costString(c))
 			if s < len(resp.ShardDetails) {
 				d := resp.ShardDetails[s]
-				fmt.Fprintf(w, "  range [%d,%d) planned %.1f actual %.1f steals %d", d.Lo, d.Hi, d.Planned, d.Actual, d.Steals)
+				fmt.Fprintf(w, "  range [%d,%d) planned %.1f actual %.1f", d.Lo, d.Hi, d.Planned, d.Actual)
 			}
 			fmt.Fprintln(w)
-		}
-		if r.req.Steal {
-			fmt.Fprintf(w, "work stealing: %d splits\n", resp.Stolen)
 		}
 	}
 	for _, d := range resp.Degraded {

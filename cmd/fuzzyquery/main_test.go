@@ -163,9 +163,9 @@ func TestFlagsBindOneRequest(t *testing.T) {
 		{args: []string{"-shards", "4", "-p", "1"},
 			want: fuzzydb.Request{K: 10, Parallelism: 1, Shards: 4},
 			body: `{` + qJSON + `,"k":10,"parallelism":1,"shards":4}`},
-		{args: []string{"-shards", "4", "-shard-plan", "weighted", "-steal"},
-			want: fuzzydb.Request{K: 10, Parallelism: 1, Shards: 4, ShardPlan: fuzzydb.ShardPlanWeighted, Steal: true},
-			body: `{` + qJSON + `,"k":10,"parallelism":1,"shards":4,"shard_plan":"weighted","steal":true}`},
+		{args: []string{"-shards", "4", "-shard-plan", "weighted"},
+			want: fuzzydb.Request{K: 10, Parallelism: 1, Shards: 4, ShardPlan: fuzzydb.ShardPlanWeighted},
+			body: `{` + qJSON + `,"k":10,"parallelism":1,"shards":4,"shard_plan":"weighted"}`},
 		{args: []string{"-prefetch", "0", "-p", "8"},
 			want: fuzzydb.Request{K: 10, Parallelism: 8, Shards: 1, Prefetch: depth(0)},
 			body: `{` + qJSON + `,"k":10,"parallelism":8,"shards":1,"prefetch":0}`},

@@ -68,7 +68,6 @@ func main() {
 		page      = flag.Int("page", wire.DefaultPage, "entries per /v1/entries response")
 		cache     = flag.Int("cache", 0, "equip the query engine with a result cache of this many entries (0 = off); /v1/query responses then report cache handling")
 		shardPlan = flag.String("shard-plan", "even", "default shard-boundary policy for sharded requests: even or weighted (requests may override via shard_plan)")
-		steal     = flag.Bool("steal", false, "enable work stealing between shard workers by default for sharded requests")
 
 		readTimeout = flag.Duration("read-timeout", 10*time.Second, "full-request read deadline (slowloris guard); header deadline is min(5s, this)")
 
@@ -96,7 +95,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	mux, err := buildMux(db, *page, *cache, sched, fuzzydb.WithShardPlan(plan), fuzzydb.WithWorkStealing(*steal))
+	mux, err := buildMux(db, *page, *cache, sched, fuzzydb.WithShardPlan(plan))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fuzzyserve: %v\n", err)
 		os.Exit(1)
@@ -179,9 +178,9 @@ func loadDB(dbFile string, n, m int, seed uint64) (*scoredb.Database, error) {
 // buildMux mounts the source server (lists A1…Am) and the query server
 // (an engine over the same lists, target "*") on one mux; cache > 0
 // gives the engine a result cache of that many entries; a non-nil sched
-// puts the engine behind admission control. defaults (-shard-plan,
-// -steal) are the request every evaluation starts from: a request that
-// names shard_plan or steal itself overrides them.
+// puts the engine behind admission control. defaults (-shard-plan) are
+// the request every evaluation starts from: a request that names
+// shard_plan itself overrides them.
 func buildMux(db *scoredb.Database, page, cache int, sched *fuzzydb.Scheduler, defaults ...fuzzydb.QueryOption) (*http.ServeMux, error) {
 	lists := make(map[string]subsys.Source, db.M())
 	subs := make([]fuzzydb.Subsystem, db.M())

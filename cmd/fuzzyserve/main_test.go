@@ -17,12 +17,12 @@ import (
 )
 
 // TestServerDefaultsAndTenantHeader drives the handler fuzzyserve serves
-// (buildMux) as started with -shard-plan weighted -steal -cache 16 and a
-// scheduler. The request policy flags are defaults, not overrides: a
-// body that names neither gets them, a body that names one wins. Which
-// plan and steal setting a request ran under is read off the result
-// cache — both are part of an answer's cache key — and off the response's
-// planned work, which only the weighted plan fills in. The tenant header
+// (buildMux) as started with -shard-plan weighted -cache 16 and a
+// scheduler. The request policy flag is a default, not an override: a
+// body that does not name it gets it, a body that names it wins. Which
+// plan a request ran under is read off the result cache — it is part of
+// an answer's cache key — and off the response's planned work, which
+// only the weighted plan fills in. The tenant header
 // bills a request only when the body or URL names no tenant, on both
 // endpoints; that is read off the scheduler's per-tenant counters.
 func TestServerDefaultsAndTenantHeader(t *testing.T) {
@@ -32,7 +32,7 @@ func TestServerDefaultsAndTenantHeader(t *testing.T) {
 	}
 	sched := fuzzydb.NewScheduler(fuzzydb.SchedulerConfig{MaxConcurrent: 4})
 	mux, err := buildMux(db, wire.DefaultPage, 16, sched,
-		fuzzydb.WithShardPlan(fuzzydb.ShardPlanWeighted), fuzzydb.WithWorkStealing(true))
+		fuzzydb.WithShardPlan(fuzzydb.ShardPlanWeighted))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +77,11 @@ func TestServerDefaultsAndTenantHeader(t *testing.T) {
 	if first.Cache == nil || first.Cache.Hit || planned(first) == 0 {
 		t.Fatalf("a body naming no plan: cache %+v, planned work %v; want a miss under the weighted default", first.Cache, planned(first))
 	}
-	if same := query(`,"shard_plan":"weighted","steal":true`, ""); !same.Cache.Hit {
-		t.Errorf("spelling the defaults out missed the cache: the body naming neither did not run weighted + steal")
+	if same := query(`,"shard_plan":"weighted"`, ""); !same.Cache.Hit {
+		t.Errorf("spelling the default out missed the cache: the body naming no plan did not run weighted")
 	}
 	if even := query(`,"shard_plan":"even"`, ""); even.Cache.Hit || planned(even) != 0 {
 		t.Errorf(`"shard_plan":"even" did not override the weighted default: cache hit %t, planned work %v`, even.Cache.Hit, planned(even))
-	}
-	if calm := query(`,"steal":false`, ""); calm.Cache.Hit {
-		t.Errorf(`"steal":false did not override the -steal default (it hit the stealing entry)`)
 	}
 
 	results := "/v1/results?q=" + url.QueryEscape(`A1 = "*"`) + "&k=2"
@@ -96,7 +93,7 @@ func TestServerDefaultsAndTenantHeader(t *testing.T) {
 	for _, st := range sched.Stats() {
 		admitted[st.Tenant] = st.Admitted
 	}
-	want := map[string]int64{"": 4, "hdr-post": 1, "body": 1, "hdr-get": 1, "url": 1}
+	want := map[string]int64{"": 3, "hdr-post": 1, "body": 1, "hdr-get": 1, "url": 1}
 	if fmt.Sprint(admitted) != fmt.Sprint(want) {
 		t.Errorf("admissions by tenant: %v, want %v", admitted, want)
 	}

@@ -807,10 +807,12 @@ func WithParallelism(p int) QueryOption { return middleware.WithParallelism(p) }
 // ties AT the k-th grade resolve to a correct maximal choice that
 // coincides byte-for-byte whenever that grade is untied (see the
 // package notes on sharded evaluation). The report adds a per-shard
-// cost breakdown. Composes with WithParallelism (shard worker cap; 1 =
-// deterministic sequential shards), WithAccessBudget (one reservation
-// pool shared by all shards), and WithPrefetch (per-shard latency-hiding
-// pipelines; see WithPrefetch).
+// cost breakdown. Shards balance by plan: each runs to its own stop on
+// one worker, so a skewed universe is WithShardPlan's job. Composes with
+// WithParallelism (shard worker cap; 1 = deterministic sequential
+// shards), WithAccessBudget (one reservation pool shared by all shards),
+// and WithPrefetch (per-shard latency-hiding pipelines; see
+// WithPrefetch).
 func WithShards(p int) QueryOption { return middleware.WithShards(p) }
 
 // ShardPlanPolicy selects how WithShards cuts the universe into shard
@@ -840,17 +842,6 @@ const (
 // ShardDetails carries each shard's planned and actual cost. No-op
 // without WithShards.
 func WithShardPlan(p ShardPlanPolicy) QueryOption { return middleware.WithShardPlan(p) }
-
-// WithWorkStealing lets shard workers that finish early split the
-// remaining range of the most-behind running shard and evaluate the
-// ceded tail themselves, under the same shared budget pool and
-// threshold scoreboard. Answers are unchanged (the sharded-vs-unsharded
-// equivalence contract holds); per-shard tallies become timing-
-// dependent, so leave it off when reproducible cost breakdowns matter.
-// Engages only under WithShards with more than one shard worker and a
-// fence-safe algorithm; Report.Stolen and ShardDetails count the
-// splits. No-op otherwise.
-func WithWorkStealing(on bool) QueryOption { return middleware.WithWorkStealing(on) }
 
 // WithPrefetch evaluates one request with the pipelined latency-hiding
 // executor: background per-subsystem prefetchers keep sorted streams

@@ -119,14 +119,6 @@ type ExecContext struct {
 	// completion phase over the objects seen so far.
 	stop func([]*subsys.Cursor) bool
 
-	// onStage is an optional per-round hook a work-stealing sharded
-	// evaluation installs: called once per Stage on the evaluation's own
-	// goroutine, it is where a victim shard honors a pending split
-	// request (truncating its views at a safe rank boundary). Runs after
-	// the stop check and before any staging, so a fenced shard never
-	// cedes a range a thief would then re-evaluate for nothing.
-	onStage func()
-
 	// pool is the shared budget reservation pool of a sharded
 	// evaluation; nil for the single-evaluation budget path. synced and
 	// outstanding are this ExecContext's bookkeeping inside the pool.
@@ -300,9 +292,6 @@ func (ec *ExecContext) Stage(cursors []*subsys.Cursor, ahead int) error {
 			l.Fence()
 		}
 		ec.stop = nil
-	}
-	if ec.onStage != nil {
-		ec.onStage()
 	}
 	if !ec.par {
 		return nil

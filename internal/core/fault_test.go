@@ -364,3 +364,67 @@ func TestBreakerTripRacingBudgetExhaustion(t *testing.T) {
 		}
 	}
 }
+
+// shortSpan is a plain Source that breaks the sorted contract: its
+// stream ends at rank end, short of Len(), without an error to say so.
+type shortSpan struct {
+	subsys.Source
+	end int
+}
+
+func (s shortSpan) Entry(rank int) gradedset.Entry {
+	if rank >= s.end {
+		return gradedset.Entry{}
+	}
+	return s.Source.Entry(rank)
+}
+
+func (s shortSpan) Entries(lo, hi int) []gradedset.Entry {
+	return s.Source.Entries(min(lo, s.end), min(hi, s.end))
+}
+
+// TestShortSpanIsSourceError: a source whose sorted span comes back
+// short without an error has failed, not ended. Under the serial and
+// pipelined executors and a 2-shard evaluation alike the run returns a
+// *SourceError on that list, never a top k over a truncated stream.
+func TestShortSpanIsSourceError(t *testing.T) {
+	db := scoredb.Generator{N: 200, M: 3, Law: scoredb.Uniform{}, Seed: 4}.MustGenerate()
+	const victim, k = 1, 20
+	srcs := func() []subsys.Source {
+		s := sourcesOf(db)
+		s[victim] = shortSpan{Source: s[victim], end: 5}
+		return s
+	}
+	ctx := context.Background()
+	sharded := func(cfg ShardConfig) func() ([]Result, error) {
+		return func() ([]Result, error) {
+			sr, err := EvaluateSharded(ctx, A0{}, srcs(), agg.Min, k, cfg)
+			return sr.Results, err
+		}
+	}
+	for _, run := range []struct {
+		name string
+		eval func() ([]Result, error)
+	}{
+		{"serial", func() ([]Result, error) {
+			res, _, err := Evaluate(ctx, A0{}, srcs(), agg.Min, k)
+			return res, err
+		}},
+		{"pipelined", func() ([]Result, error) {
+			res, _, err := Evaluate(ctx, A0{}, srcs(), agg.Min, k, WithExecutor(Pipelined{P: 2}))
+			return res, err
+		}},
+		{"2 shards", sharded(ShardConfig{Shards: 2, Parallel: 1})},
+		{"2 shards, 2 workers", sharded(ShardConfig{Shards: 2, Parallel: 2})},
+		{"2 shards, prefetch", sharded(ShardConfig{Shards: 2, Parallel: 2, Prefetch: true})},
+	} {
+		res, err := run.eval()
+		var se *subsys.SourceError
+		if !errors.As(err, &se) || se.List != victim || se.Random {
+			t.Errorf("%s: err = %v, want a sorted *subsys.SourceError on list %d", run.name, err, victim)
+		}
+		if res != nil {
+			t.Errorf("%s: %d results alongside the error", run.name, len(res))
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"fuzzydb/internal/agg"
@@ -252,16 +253,28 @@ func (p *Paginator) topR(r int) ([]Result, error) {
 	return topKResults(entries, r), nil
 }
 
-// runIndexed runs f(0..n-1) on the given number of workers (see
-// runWorkers): the sharded paginator's per-page fan-out over its fixed
-// set of live shards. One worker (or one shard) is the caller alone, in
-// index order — the deterministic-cost mode. Cancellation is honored
-// inside f (every shard polls its own context), not here.
+// runIndexed runs f(0..n-1) on up to the given number of workers, the
+// calling goroutine among them, and joins them all: the one sharded
+// fan-out, per evaluation in EvaluateSharded and per page in the
+// paginator. Workers claim indices in order, so one worker (or one
+// shard) is the caller alone, in index order — the deterministic-cost
+// mode. Cancellation is honored inside f (every shard polls its own
+// context), not here.
 func runIndexed(workers, n int, f func(int)) {
 	var next atomic.Int64
-	runWorkers(min(workers, n), func() {
+	work := func() {
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			f(i)
 		}
-	})
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }

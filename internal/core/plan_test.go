@@ -187,14 +187,8 @@ func TestPlanShardsWeightedEndToEnd(t *testing.T) {
 		if d.Planned <= 0 {
 			t.Errorf("detail %d planned %v, want > 0", s, d.Planned)
 		}
-		if d.Steals != 0 {
-			t.Errorf("detail %d reports %d steals without stealing enabled", s, d.Steals)
-		}
 	}
 	if prev != n {
 		t.Errorf("details end at %d, want %d", prev, n)
-	}
-	if sr.Stolen != 0 {
-		t.Errorf("Stolen = %d without stealing enabled", sr.Stolen)
 	}
 }

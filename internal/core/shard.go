@@ -83,15 +83,6 @@ type ShardConfig struct {
 	// the wrong universe) are tolerated — a list without a sketch is
 	// assumed indifferent. Ignored under ShardPlanEven.
 	Sketches []*subsys.Sketch
-	// Steal lets a shard worker that runs out of planned work split the
-	// remaining range of the most-behind running shard and evaluate the
-	// ceded tail itself (see stealController). Engages only when more
-	// than one worker runs and the algorithm supports threshold fencing
-	// (the same exactness property that makes a truncated stream safe);
-	// otherwise it is silently inert. Stealing changes which worker does
-	// the work, never the merged answers — but it does perturb per-shard
-	// tallies, so deterministic-cost callers leave it off.
-	Steal bool
 }
 
 // pipelineExecutor builds the per-shard pipelined executor under the
@@ -180,13 +171,9 @@ type ShardReport struct {
 	Prefetch *subsys.PipelineStats
 	// Details is the planning/measurement breakdown per planned shard:
 	// the range the planner drew, its predicted work (weighted plan
-	// only), the model-weighted cost actually spent inside it (stolen
-	// sub-ranges included — cost follows the plan, not the worker), and
-	// how many times it was robbed. Nil on the degenerate unsharded
-	// path.
+	// only) and the model-weighted cost actually spent inside it. Nil on
+	// the degenerate unsharded path.
 	Details []ShardDetail
-	// Stolen is the total number of honored steal splits.
-	Stolen int
 }
 
 // ShardDetail is one planned shard's entry in ShardReport.Details.
@@ -197,10 +184,8 @@ type ShardDetail struct {
 	// work proxy's unitless scale; zero under the even plan.
 	Planned float64
 	// Actual is the model-weighted access cost spent evaluating the
-	// range, including any stolen sub-ranges.
+	// range.
 	Actual float64
-	// Steals counts the splits honored by this shard's tasks.
-	Steals int
 }
 
 // EvaluateSharded finds the top k answers of F_t(srcs…) by partitioned
@@ -296,36 +281,18 @@ func EvaluateSharded(ctx context.Context, alg Algorithm, srcs []subsys.Source, t
 	// the next one, so at most `workers` shards hold buffers at once.
 	opts := cfg.evalOptions(workers, workers, false)
 
-	var (
-		mu   sync.Mutex
-		outs []shardOut // one per evaluated range; without stealing, per planned shard
-	)
-	// One fan-out: workers drain a task queue that starts as the plan, in
-	// index order, and — under stealing — grows as running shards cede
-	// tails. The calling goroutine is the first worker, so with one worker
-	// the shards run inline, in order: the threshold scoreboard a shard
-	// stops against is then a deterministic function of the data, and so
-	// are the per-shard tallies.
-	ctrl := newStealController(plan, cfg.Steal && workers > 1 && board != nil)
-	drain := func() {
-		for {
-			tk, ok := ctrl.next()
-			if !ok {
-				return
-			}
-			st := &stealState{task: tk}
-			out := evalShard(ctx, alg, srcs, t, k, tk.r, opts, pool, board, ctrl, st)
-			if board != nil && out.err == nil {
-				board.publish(out.res)
-			}
-			ctrl.finish(st)
-			out.origin = tk.origin
-			mu.Lock()
-			outs = append(outs, out)
-			mu.Unlock()
+	// The fan-out the paginator uses too: workers claim planned shards in
+	// index order. The calling goroutine is the first worker, so with one
+	// worker the shards run inline, in order: the threshold scoreboard a
+	// shard stops against is then a deterministic function of the data,
+	// and so are the per-shard tallies.
+	outs := make([]shardOut, len(plan))
+	runIndexed(workers, len(plan), func(i int) {
+		outs[i] = evalShard(ctx, alg, srcs, t, k, plan[i], opts, pool, board)
+		if board != nil && outs[i].err == nil {
+			board.publish(outs[i].res)
 		}
-	}
-	runWorkers(workers, drain)
+	})
 
 	rep := &ShardReport{
 		PerList:  make([]cost.Cost, len(srcs)),
@@ -333,17 +300,18 @@ func EvaluateSharded(ctx context.Context, alg Algorithm, srcs []subsys.Source, t
 		Details:  make([]ShardDetail, len(plan)),
 		Shards:   len(plan),
 	}
-	for i, r := range plan {
-		rep.Details[i].Range = r
+	model := cost.Unweighted
+	if cfg.Model.Valid() {
+		model = cfg.Model
+	}
+	var firstErr error
+	total := 0
+	for i, out := range outs {
+		rep.Details[i] = ShardDetail{Range: plan[i], Actual: model.Of(out.total)}
 		if planned != nil {
 			rep.Details[i].Planned = planned[i]
 		}
-	}
-	var firstErr error
-	firstOrigin := len(plan)
-	total := 0
-	for _, out := range outs {
-		rep.PerShard[out.origin] = rep.PerShard[out.origin].Add(out.total)
+		rep.PerShard[i] = out.total
 		rep.Cost = rep.Cost.Add(out.total)
 		for j, c := range out.per {
 			rep.PerList[j] = rep.PerList[j].Add(c)
@@ -354,21 +322,11 @@ func EvaluateSharded(ctx context.Context, alg Algorithm, srcs []subsys.Source, t
 			}
 			*rep.Prefetch = rep.Prefetch.Add(out.pstats)
 		}
-		if out.err != nil && out.origin < firstOrigin {
+		if out.err != nil && firstErr == nil {
 			firstErr = out.err
-			firstOrigin = out.origin
 		}
 		total += len(out.res)
 	}
-	model := cost.Unweighted
-	if cfg.Model.Valid() {
-		model = cfg.Model
-	}
-	for i := range rep.Details {
-		rep.Details[i].Actual = model.Of(rep.PerShard[i])
-		rep.Details[i].Steals = ctrl.steals[i]
-	}
-	rep.Stolen = ctrl.stolen
 	if firstErr != nil {
 		return rep, firstErr
 	}
@@ -386,22 +344,6 @@ func EvaluateSharded(ctx context.Context, alg Algorithm, srcs []subsys.Source, t
 	return rep, nil
 }
 
-// runWorkers runs work on the given number of workers, the calling
-// goroutine among them, and joins them all; one worker is the caller
-// alone.
-func runWorkers(workers int, work func()) {
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-}
-
 // shardOut is the outcome of one run of evalOne.
 type shardOut struct {
 	res    []Result // exact grades; global ids once evalShard has translated them
@@ -410,7 +352,6 @@ type shardOut struct {
 	pstats subsys.PipelineStats // prefetch-pipeline stats summed over lists
 	piped  bool                 // pipelines engaged; pstats is meaningful
 	err    error
-	origin int // planned shard the range descends from: cost follows the plan, not the worker
 }
 
 // topK is the body of a top-k evaluation: alg at k under the law t.
@@ -422,8 +363,7 @@ func topK(alg Algorithm, t agg.Func, k int) func(*ExecContext, []*subsys.Counted
 
 // evalOne is the only place an algorithm meets a set of sources: it
 // wraps them in counters, builds the ExecContext, lets setup wire it (a
-// shard installs its budget pool, scoreboard stop-check and steal hook
-// there), runs body, and accounts for the run — whole evaluations and
+// shard installs its budget pool and scoreboard stop-check there), runs body, and accounts for the run — whole evaluations and
 // the slices of a sharded one alike.
 func evalOne(ctx context.Context, srcs []subsys.Source, opts []EvalOption, setup func(*ExecContext), body func(*ExecContext, []*subsys.Counted) ([]Result, error)) shardOut {
 	var out shardOut
@@ -495,21 +435,11 @@ func Run(ctx context.Context, srcs []subsys.Source, cfg ShardConfig, body func(*
 // threshold scoreboard, the algorithm at k clamped to the shard size,
 // and local→global id translation of the answers. An empty range
 // evaluates to nothing at zero cost.
-//
-// ctrl is the run's task controller and st this task's handle on it.
-// Under work stealing (ctrl.stealing) the run is additionally a steal
-// victim: it registers its views with the controller, honors
-// split requests between sorted rounds (truncating its views, so its
-// streams run dry over the ceded tail — safe for exactly the fenceSafe
-// algorithms, which is why the caller gates stealing on the board), and
-// filters its answers to the final retained range before returning,
-// since the ceded ids are re-evaluated exactly by a thief.
-func evalShard(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.Func, k int, r subsys.ShardRange, opts []EvalOption, pool *budgetPool, board *shardBoard, ctrl *stealController, st *stealState) shardOut {
+func evalShard(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.Func, k int, r subsys.ShardRange, opts []EvalOption, pool *budgetPool, board *shardBoard) shardOut {
 	if r.Len() == 0 {
 		return shardOut{}
 	}
-	shards := subsys.ShardSources(srcs, r)
-	out := evalOne(ctx, shards, opts, func(ec *ExecContext) {
+	out := evalOne(ctx, subsys.ShardSources(srcs, r), opts, func(ec *ExecContext) {
 		if pool != nil {
 			ec.budget = pool.limit
 			ec.pool = pool
@@ -517,35 +447,7 @@ func evalShard(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.F
 		if board != nil {
 			ec.stop = board.stopFunc(t, len(srcs))
 		}
-		if ctrl.stealing {
-			st.views = subsys.ViewsOf(shards)
-			st.cut = r.Len()
-			ctrl.begin(st)
-			ec.onStage = func() {
-				// A fenced shard (stop consumed itself) finishes in a few
-				// rounds over what it has seen: nothing worth ceding.
-				if ec.stop != nil {
-					ctrl.honor(st)
-				}
-			}
-		}
 	}, topK(alg, t, min(k, r.Len())))
-	if ctrl.stealing {
-		if final := ctrl.freeze(st); final < r.Len() {
-			// Drop the answers in the ceded tail: a thief owns [final,
-			// r.Len()) now, and whatever this run materialized there early
-			// would duplicate the thief's exact results in the merge (and
-			// inflate the scoreboard's k-th-grade bound, which has no
-			// dedup).
-			kept := out.res[:0]
-			for _, rr := range out.res {
-				if rr.Object < final {
-					kept = append(kept, rr)
-				}
-			}
-			out.res = kept
-		}
-	}
 	for j := range out.res {
 		out.res[j].Object += r.Lo
 	}

@@ -87,7 +87,7 @@ func TestShardedMoreShardsThanObjects(t *testing.T) {
 func TestShardedEmptyShardSlice(t *testing.T) {
 	db := scoredb.Generator{N: 100, M: 2, Seed: 63}.MustGenerate()
 	out := evalShard(context.Background(), A0{}, sourcesOf(db), agg.Min, 5,
-		subsys.ShardRange{Lo: 40, Hi: 40}, nil, nil, nil, nil, nil)
+		subsys.ShardRange{Lo: 40, Hi: 40}, nil, nil, nil)
 	if out.err != nil {
 		t.Fatalf("empty shard errored: %v", out.err)
 	}

@@ -111,10 +111,9 @@ func (m *Middleware) cacheKey(plan *Plan, req Request) (cache.Key, bool) {
 	if par <= 1 {
 		par = 0
 	}
-	shardPlan, steal := 0, false
+	shardPlan := 0
 	if shards > 0 {
 		shardPlan = int(req.ShardPlan)
-		steal = req.Steal
 	}
 	return cache.Key{
 		Query:       plan.norm.String(),
@@ -125,7 +124,6 @@ func (m *Middleware) cacheKey(plan *Plan, req Request) (cache.Key, bool) {
 		Parallelism: par,
 		Prefetch:    prefetch,
 		Plan:        shardPlan,
-		Steal:       steal,
 	}, true
 }
 

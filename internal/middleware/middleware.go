@@ -346,13 +346,9 @@ type Report struct {
 	Shards int
 	// ShardDetails is the planning/measurement breakdown per planned
 	// shard under WithShards: the planned range, its predicted work
-	// (weighted plan only), the model-weighted cost actually spent in
-	// it, and how many times it was robbed by work stealing. Nil for
-	// unsharded evaluations.
+	// (weighted plan only) and the model-weighted cost actually spent
+	// in it. Nil for unsharded evaluations.
 	ShardDetails []core.ShardDetail
-	// Stolen is the total number of honored work-stealing splits
-	// (WithWorkStealing); 0 otherwise.
-	Stolen int
 	// Degraded lists the subsystem lists a degraded evaluation dropped
 	// (WithDegradedLists), in drop order: which atom, how many attempts,
 	// the terminal error, and the cost sunk into the failed attempt. Nil
@@ -411,9 +407,6 @@ type Request struct {
 	// ShardPlan is the shard-boundary policy of a sharded request
 	// (WithShardPlan), by the names core.ShardPlanPolicy marshals to.
 	ShardPlan core.ShardPlanPolicy `json:"shard_plan,omitempty"`
-	// Steal enables work stealing between shard workers
-	// (WithWorkStealing).
-	Steal bool `json:"steal,omitempty"`
 	// Budget caps the weighted access cost (WithAccessBudget); 0 = none.
 	Budget float64 `json:"budget,omitempty"`
 	// Prefetch selects the pipelined executor with this readahead depth
@@ -507,16 +500,6 @@ func WithShardPlan(p core.ShardPlanPolicy) QueryOption {
 	return func(r *Request) { r.ShardPlan = p }
 }
 
-// WithWorkStealing lets a shard worker that finishes early split the
-// remaining range of the most-behind running shard and evaluate the
-// ceded tail itself (see core.ShardConfig.Steal). Engages only under
-// WithShards with more than one shard worker and a fence-safe
-// algorithm; answers are unchanged, per-shard tallies are not
-// deterministic. No-op otherwise.
-func WithWorkStealing(on bool) QueryOption {
-	return func(r *Request) { r.Steal = on }
-}
-
 // WithPrefetch evaluates the request with the pipelined executor, the
 // latency-hiding transport for slow or remote subsystems: a background
 // prefetcher per subsystem list keeps sorted streams ahead of the
@@ -559,7 +542,8 @@ func WithCostModel(model cost.Model) QueryOption {
 }
 
 // newRequest is the request the options describe, engine defaults
-// filled in.
+// filled in: the one point an option-built request gets them, as Do and
+// Stream are for a request passed as a value.
 func newRequest(q string, opts []QueryOption) Request {
 	r := Request{Query: q}
 	for _, opt := range opts {
@@ -602,7 +586,6 @@ func (r Request) lower() core.ShardConfig {
 		Model:         r.Model,
 		PrefetchWidth: r.widthCap,
 		Plan:          r.ShardPlan,
-		Steal:         r.Steal,
 	}
 	if r.Prefetch != nil {
 		// A negative depth, which only a hand-built Request can carry,
@@ -679,11 +662,17 @@ func (m *Middleware) Query(ctx context.Context, q query.Node, opts ...QueryOptio
 // as options. It is what QueryString and the wire's POST /v1/query call,
 // so a request means the same thing however it arrived.
 func (m *Middleware) Do(ctx context.Context, req Request) (*Report, error) {
+	return m.doText(ctx, req.withDefaults())
+}
+
+// doText parses the query of a request whose defaults are filled in and
+// evaluates it.
+func (m *Middleware) doText(ctx context.Context, req Request) (*Report, error) {
 	q, err := query.Parse(req.Query)
 	if err != nil {
 		return nil, err
 	}
-	return m.do(ctx, q, req.withDefaults())
+	return m.do(ctx, q, req)
 }
 
 // do admits the request, evaluates it, and settles the grant with the
@@ -776,7 +765,7 @@ func (m *Middleware) evaluate(ctx context.Context, plan *Plan, req Request, repl
 
 // QueryString is Do over the request the options describe for q.
 func (m *Middleware) QueryString(ctx context.Context, q string, opts ...QueryOption) (*Report, error) {
-	return m.Do(ctx, newRequest(q, opts))
+	return m.doText(ctx, newRequest(q, opts))
 }
 
 // Results evaluates q incrementally: a push iterator over answers in
@@ -801,13 +790,18 @@ func (m *Middleware) Results(ctx context.Context, q query.Node, opts ...QueryOpt
 // the wire's GET /v1/results call. A parse failure yields one (zero
 // Result, err) pair.
 func (m *Middleware) Stream(ctx context.Context, req Request) iter.Seq2[core.Result, error] {
+	return m.streamText(ctx, req.withDefaults())
+}
+
+// streamText is doText's twin for Stream.
+func (m *Middleware) streamText(ctx context.Context, req Request) iter.Seq2[core.Result, error] {
 	q, err := query.Parse(req.Query)
 	if err != nil {
 		return func(yield func(core.Result, error) bool) {
 			yield(core.Result{}, err)
 		}
 	}
-	return m.stream(ctx, q, req.withDefaults())
+	return m.stream(ctx, q, req)
 }
 
 func (m *Middleware) stream(ctx context.Context, q query.Node, req Request) iter.Seq2[core.Result, error] {
@@ -849,7 +843,7 @@ func (m *Middleware) stream(ctx context.Context, q query.Node, req Request) iter
 
 // ResultsString is Stream over the request the options describe for q.
 func (m *Middleware) ResultsString(ctx context.Context, q string, opts ...QueryOption) iter.Seq2[core.Result, error] {
-	return m.Stream(ctx, newRequest(q, opts))
+	return m.streamText(ctx, newRequest(q, opts))
 }
 
 // preparePagination binds the paginator behind Paginate and Results:
@@ -997,7 +991,7 @@ func newReport(plan *Plan, req Request, sr *core.ShardReport, err error) (*Repor
 		rep.PerList = sr.PerList
 	}
 	if req.Shards > 1 {
-		rep.PerShard, rep.Shards, rep.ShardDetails, rep.Stolen = sr.PerShard, sr.Shards, sr.Details, sr.Stolen
+		rep.PerShard, rep.Shards, rep.ShardDetails = sr.PerShard, sr.Shards, sr.Details
 	}
 	if err == nil {
 		rep.Results = sr.Results

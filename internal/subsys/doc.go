@@ -170,7 +170,11 @@
 // list reports the same error, and the executors propagate it unchanged
 // to the engine, so callers select on it with errors.As. Partial spans
 // are absorbed before the error is pinned: however a caller batched its
-// sorted requests, the failure lands on the first undelivered rank.
+// sorted requests, the failure lands on the first undelivered rank. A
+// span that comes back short without an error is a failure too, of any
+// Source: sorted access delivers the whole graded set (Section 4), so a
+// stream that stops early is a broken source, never an early end of
+// data, and it pins a *SourceError like any other fault.
 //
 // Second, failure surfacing is demand-gated, mirroring pay-on-delivery.
 // Readahead — the background pipelines, the pipelined executor's

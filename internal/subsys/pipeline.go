@@ -198,18 +198,20 @@ func (p *pipeline) run() {
 		}
 		if len(span) < hi-lo {
 			// The batch came back short: a terminal source failure inside
-			// it, or — with no error — a stream that genuinely ended early
-			// (a shard view truncated by work stealing). Either way absorb
-			// the partial span (the consumer still drains it; a failure
-			// pins to the first missing rank), record the cause if any,
-			// and shut down: fetched advances only by what arrived, so
-			// await never over-promises and the consumer falls through to
-			// a direct read that settles the stream as failed or dry. An
-			// error alongside a COMPLETE span is not a failure of this
-			// batch — a source that scans beyond the request internally
-			// (a shard view's chunked re-ranking) hit a fault past it —
-			// and is dropped: the site re-fires if a later batch actually
-			// needs the faulty rank.
+			// it, or — with no error — a broken sorted contract, which is
+			// a failure too (errShortSpan). Absorb the partial span (the
+			// consumer still drains it; the failure pins to the first
+			// missing rank), record the cause and shut down: fetched
+			// advances only by what arrived, so await never over-promises,
+			// and only a consumer's unmet demand turns the cause into the
+			// list's error. An error alongside a COMPLETE span is not a
+			// failure of this batch — a source that scans beyond the
+			// request internally (a shard view's chunked re-ranking) hit a
+			// fault past it — and is dropped: the site re-fires if a later
+			// batch actually needs the faulty rank.
+			if ferr == nil {
+				ferr = errShortSpan
+			}
 			p.spool = append(p.spool, span...)
 			p.fetched = lo + len(span)
 			p.stats.Batches++

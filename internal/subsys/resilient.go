@@ -378,9 +378,9 @@ func (r *ResilientSource) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
 		if res.err == nil {
 			r.onSuccess()
 			if pos < hi && len(res.span) == 0 {
-				// Defensive: a short span without an error would
-				// otherwise spin; treat it as end of data.
-				return out, nil
+				// No progress and no error: a broken sorted contract, not
+				// a fault a retry could absorb.
+				return out, errShortSpan
 			}
 			continue
 		}

@@ -80,27 +80,27 @@ func PlanShards(n, p int) []ShardRange {
 //
 // The view assumes the parent honors the dense-universe contract
 // (objects are exactly {0,…,N−1}); an out-of-range object would belong
-// to no shard and silently vanish from every view. Wrap untrusted
-// sources with Validated before sharding them.
+// to no shard, leaving some view short of its range, which the consumer
+// then records as a failure. Wrap untrusted sources with Validated
+// before sharding them.
 type ShardView struct {
 	inner     // the parent
 	r         ShardRange
 	parentLen int
 
-	mu      sync.Mutex        // guards entries/scanned/cut (lazy re-ranking)
+	mu      sync.Mutex        // guards entries/scanned (lazy re-ranking)
 	entries []gradedset.Entry // local-id entries in shard rank order
 	scanned int               // parent ranks examined so far
-	cut     int               // future fills keep only local ids < cut (work stealing)
 }
 
 // NewShardView builds the shard's re-ranked view of parent.
 func NewShardView(parent Source, r ShardRange) *ShardView {
-	return &ShardView{inner: wrapping(parent), r: r, parentLen: parent.Len(), cut: r.Len()}
+	return &ShardView{inner: wrapping(parent), r: r, parentLen: parent.Len()}
 }
 
 // ShardSources builds one view per parent source for the given range.
-// Like every wrapper a view always exposes the fallible face (and never
-// fails over a parent that cannot), so a per-shard Counted detects and
+// Like every wrapper a view always exposes the fallible face (and fails
+// only where its parent does), so a per-shard Counted detects and
 // routes around failures the same way an unsharded one does; fault
 // sites stay keyed on the parent's global ranks and object ids.
 func ShardSources(parents []Source, r ShardRange) []Source {
@@ -123,7 +123,8 @@ func (s *ShardView) Universe() (int, bool) { return s.r.Len(), true }
 // sized to the expected stride between in-range objects. Whatever
 // partial span arrives before a parent failure is absorbed, so the
 // prefix ends exactly at the re-ranked entries the parent managed to
-// deliver. Callers hold s.mu.
+// deliver; a parent span short of the chunk without an error is the
+// failure errShortSpan. Callers hold s.mu.
 func (s *ShardView) fill(n int) error {
 	if n > s.r.Len() {
 		n = s.r.Len()
@@ -143,15 +144,16 @@ func (s *ShardView) fill(n int) error {
 			hi = s.parentLen
 		}
 		span, err := s.in.Try.TryEntries(s.scanned, hi)
+		if err == nil && len(span) < hi-s.scanned {
+			err = errShortSpan
+		}
 		for _, e := range span {
-			if local := e.Object - s.r.Lo; local >= 0 && local < s.cut {
-				s.entries = append(s.entries, gradedset.Entry{Object: local, Grade: e.Grade})
+			if e.Object >= s.r.Lo && e.Object < s.r.Hi {
+				s.entries = append(s.entries, gradedset.Entry{Object: e.Object - s.r.Lo, Grade: e.Grade})
 			}
 		}
 		s.scanned += len(span)
-		if err != nil || len(span) == 0 {
-			// An empty span without an error is a parent whose own stream
-			// ran dry (a truncated view below): stop instead of spinning.
+		if err != nil {
 			return err
 		}
 	}
@@ -190,9 +192,9 @@ func (s *ShardView) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	err := s.fill(hi)
-	// A truncated view (see Truncate) holds fewer than r.Len() entries
-	// once its parent is fully scanned: clamp instead of overrunning, so
-	// the consumer sees a short span — the dry-stream signal.
+	// A parent that breaks the dense-universe contract leaves the view
+	// short of r.Len() entries once fully scanned: clamp instead of
+	// overrunning, and the consumer records the short span as a failure.
 	if n := len(s.entries); hi > n {
 		hi = n
 		if lo > hi {
@@ -225,56 +227,4 @@ func (s *ShardView) Scanned() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.scanned
-}
-
-// Truncate narrows the view's future responsibility to the local ids
-// below cut: entries already materialized are kept (removing them would
-// re-rank a stream a consumer may have buffered), but every future fill
-// delivers only ids < cut, so the view's sorted stream eventually runs
-// dry instead of covering the ceded tail. The stream stays a valid
-// descending-grade sequence: a subsequence of the parent's canonical
-// order containing every id < cut, plus whatever ceded ids happened to
-// be materialized already — a thief re-evaluates the ceded range
-// [cut, Len()) in full, so the work-stealing driver filters this view's
-// shard results to ids < cut before merging.
-//
-// cut only ever shrinks; a larger value is a no-op. Safe to call while
-// other goroutines read the view (a prefetch pipeline mid-fill observes
-// the new cut on its next chunk at the latest).
-func (s *ShardView) Truncate(cut int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cut < 0 {
-		cut = 0
-	}
-	if cut < s.cut {
-		s.cut = cut
-	}
-}
-
-// Cut reports the view's current local responsibility bound: r.Len()
-// until Truncate shrinks it.
-func (s *ShardView) Cut() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cut
-}
-
-// Filled reports how many re-ranked entries the view has materialized —
-// the progress proxy a work-stealing driver uses to find the
-// most-behind shard.
-func (s *ShardView) Filled() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
-// ViewsOf extracts the *ShardView from sources built by ShardSources;
-// other source kinds yield nil at their index.
-func ViewsOf(srcs []Source) []*ShardView {
-	out := make([]*ShardView, len(srcs))
-	for i, s := range srcs {
-		out[i], _ = s.(*ShardView)
-	}
-	return out
 }

@@ -93,25 +93,22 @@ func (s ListSource) Universe() (int, bool) { return s.list.DenseUniverse() }
 // order, so re-reads never touch the source again.
 type Counted struct {
 	src     Source
-	fs      FallibleSource // non-nil when src exposes the fallible face
-	bg      BatchGrader    // non-nil when src batches random access
-	idx     int            // list index within the evaluation (SourceError.List)
-	serr    *SourceError   // sticky first failure; the stream then reads as exhausted
-	length  int            // src.Len(), cached off the interface
-	fetched int            // paid high-water mark: entries delivered by sorted access
-	random  int            // R for this list
-	fenced  bool           // sorted stream closed early (threshold stop); see Fence
-	dry     bool           // source delivered short of a demand without error: the
-	// stream ended before Len() ranks (a work-stealing truncated shard
-	// view); cursors past the buffered prefix read as exhausted
-	prefix []gradedset.Entry // buffered prefix, prefix[r] = entry at rank r; may exceed fetched
-	dc     *denseCache       // dense-universe memo; nil → map fallback
-	known  map[int]float64   // map fallback memo (also overflow for out-of-universe probes)
-	list   *gradedset.List   // the list itself when src is a bare in-memory ListSource
-	pipe   *pipeline         // background prefetcher; nil until StartPrefetch
-	expect int               // rank the evaluation expects to read to (see Expect); 0 = unstated
-	pstats PipelineStats     // stats snapshot kept past Release
-	piped  bool              // a pipeline ran at some point (pstats is meaningful)
+	fs      FallibleSource    // non-nil when src exposes the fallible face
+	bg      BatchGrader       // non-nil when src batches random access
+	idx     int               // list index within the evaluation (SourceError.List)
+	serr    *SourceError      // sticky first failure; the stream then reads as exhausted
+	length  int               // src.Len(), cached off the interface
+	fetched int               // paid high-water mark: entries delivered by sorted access
+	random  int               // R for this list
+	fenced  bool              // sorted stream closed early (threshold stop); see Fence
+	prefix  []gradedset.Entry // buffered prefix, prefix[r] = entry at rank r; may exceed fetched
+	dc      *denseCache       // dense-universe memo; nil → map fallback
+	known   map[int]float64   // map fallback memo (also overflow for out-of-universe probes)
+	list    *gradedset.List   // the list itself when src is a bare in-memory ListSource
+	pipe    *pipeline         // background prefetcher; nil until StartPrefetch
+	expect  int               // rank the evaluation expects to read to (see Expect); 0 = unstated
+	pstats  PipelineStats     // stats snapshot kept past Release
+	piped   bool              // a pipeline ran at some point (pstats is meaningful)
 }
 
 // Count wraps src for metered access. When src reports a dense universe
@@ -273,8 +270,8 @@ func (c *Counted) buffer(n int, demand bool) {
 	if n <= len(c.prefix) {
 		return
 	}
-	if c.serr != nil || c.dry {
-		// Failed or dry list: the sorted stream reads as exhausted at the
+	if c.serr != nil {
+		// Failed list: the sorted stream reads as exhausted at the
 		// already-buffered prefix; no further source accesses.
 		return
 	}
@@ -306,34 +303,25 @@ func (c *Counted) buffer(n int, demand bool) {
 		// Pipeline closed early (fence, abort): fall through to a direct
 		// read for whatever the consumer still insists on delivering.
 	}
+	var span []gradedset.Entry
+	var err error
 	if c.fs != nil {
-		span, err := c.fs.TryEntries(len(c.prefix), n)
-		c.prefix = append(c.prefix, span...)
-		if err != nil && demand && len(c.prefix) < n {
-			// Record the failure only when it left the demand unmet: an
-			// error alongside a complete span means a source that reads
-			// beyond the request internally (a shard view's chunked
-			// re-ranking) hit a fault past the demanded ranks, and the
-			// site must stay invisible — it re-fires if a later demand
-			// actually needs it.
-			c.failSorted(len(c.prefix), err)
-		}
-		if err == nil && len(c.prefix) < n {
-			// Short without error: the stream genuinely ended before Len()
-			// ranks — a shard view truncated by work stealing. Unlike a
-			// swallowed fault this is permanent, so mark the stream dry
-			// whether the read was demand or readahead.
-			c.dry = true
-		}
-		return
+		span, err = c.fs.TryEntries(len(c.prefix), n)
+	} else {
+		span = c.src.Entries(len(c.prefix), n)
 	}
-	span := c.src.Entries(len(c.prefix), n)
 	c.prefix = append(c.prefix, span...)
-	if len(c.prefix) < n {
-		// Infallible sources deliver every requested rank below Len() —
-		// except a shard view truncated by work stealing, whose stream
-		// ends early. Mark it dry so cursors read it as exhausted.
-		c.dry = true
+	if demand && len(c.prefix) < n {
+		// Record a failure only when it left the demand unmet: an error
+		// alongside a complete span means a source that reads beyond the
+		// request internally (a shard view's chunked re-ranking) hit a
+		// fault past the demanded ranks, and the site must stay invisible
+		// — it re-fires if a later demand actually needs it. A short span
+		// without an error is a failure too (see errShortSpan).
+		if err == nil {
+			err = errShortSpan
+		}
+		c.failSorted(len(c.prefix), err)
 	}
 }
 
@@ -365,10 +353,11 @@ func (c *Counted) Err() error {
 	return c.serr
 }
 
-// Fallible reports whether the underlying source exposes a fallible
-// face — FallibleSource or BatchGrader — and can therefore fail
-// mid-query.
-func (c *Counted) Fallible() bool { return c.fs != nil || c.bg != nil }
+// Fallible reports whether the list can fail mid-query: its source
+// exposes a fallible face (FallibleSource or BatchGrader), or it is
+// anything but a bare in-memory list — any other Source can still
+// deliver a short sorted span (see errShortSpan).
+func (c *Counted) Fallible() bool { return c.fs != nil || c.bg != nil || c.list == nil }
 
 // Expect states how many ranks of the list the evaluation expects its
 // sorted phase to read, before it reads any: an algorithm whose stopping
@@ -646,6 +635,13 @@ func (c *Counted) TrySourceGrades(objs []int, out []float64) (n int, err error) 
 // grades than asked, no error) instead of delivering zeros.
 var errShortGrades = errors.New("subsys: batched random access returned short without an error")
 
+// errShortSpan is errShortGrades' twin for sorted access: a source
+// whose span ends before the ranks asked for (all below Len()) without
+// an error has broken the contract that sorted access delivers the
+// whole graded set, so the list fails instead of reading as exhausted
+// over a silently truncated stream.
+var errShortSpan = errors.New("subsys: sorted access returned short without an error")
+
 // FailGrade records a random-access failure observed out of band (see
 // TrySourceGrades) as the list's sticky error. Like DeliverGrade it must
 // be called from the evaluation goroutine, in serial probe order, so the
@@ -850,10 +846,8 @@ func (cu *Cursor) AwaitAhead(n int, stop <-chan struct{}) bool {
 func (cu *Cursor) LastGrade() float64 { return cu.last }
 
 // Exhausted reports whether the cursor has consumed the whole list, the
-// list was fenced, the list's source failed, or the stream ran dry (a
-// work-stealing truncated view delivered its last in-range rank) — in
-// every case a closed stream with nothing further to consume.
+// list was fenced, or the list's source failed — in every case a closed
+// stream with nothing further to consume.
 func (cu *Cursor) Exhausted() bool {
-	return cu.list.fenced || cu.list.serr != nil || cu.pos >= cu.list.Len() ||
-		(cu.list.dry && cu.pos >= len(cu.list.prefix))
+	return cu.list.fenced || cu.list.serr != nil || cu.pos >= cu.list.Len()
 }

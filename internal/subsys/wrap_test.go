@@ -143,17 +143,19 @@ func TestSubsystemWrappersPreserveCapabilities(t *testing.T) {
 }
 
 // TestShardViewOverInfallibleParent: a view always has the fallible
-// face; over a parent that cannot fail TryEntries never errors, a
-// truncated view signals its dry stream by a short span with a nil
-// error, and the plain Entry past that end returns the zero entry.
+// face; over a parent that cannot fail TryEntries delivers the shard's
+// whole re-ranked stream with a nil error and the plain Entry past Len
+// returns the zero entry. A parent whose span comes back short without
+// an error has broken the sorted contract, and the view fails with
+// errShortSpan instead of ending its stream early.
 func TestShardViewOverInfallibleParent(t *testing.T) {
 	const n = 256
 	parent := FromList(randomList(t, n, 9))
 	r := ShardRange{Lo: 64, Hi: 192}
 	src := ShardSources([]Source{parent}, r)[0]
-	view := ViewsOf([]Source{src})[0]
-	if view == nil {
-		t.Fatal("ViewsOf does not see the view ShardSources built")
+	view, ok := src.(*ShardView)
+	if !ok {
+		t.Fatalf("ShardSources built a %T, want *ShardView", src)
 	}
 	if c := Count(src); !c.Fallible() {
 		t.Error("Counted over a view does not read through the fallible face")
@@ -170,37 +172,56 @@ func TestShardViewOverInfallibleParent(t *testing.T) {
 			t.Fatalf("rank %d out of order", i)
 		}
 	}
-
-	view.Truncate(32) // cede local ids 32…127
-	span, err = view.TryEntries(0, r.Len())
-	if err != nil {
-		t.Fatalf("TryEntries on a truncated view: %v", err)
-	}
-	if len(span) >= r.Len() || len(span) < 32 {
-		t.Fatalf("truncated view delivered %d of %d ranks; want a short span holding the 32 kept ids", len(span), r.Len())
-	}
-	dry := len(span)
-	if tail, err := view.TryEntries(dry, r.Len()); len(tail) != 0 || err != nil {
-		t.Errorf("past the dry end: %d entries, %v", len(tail), err)
-	}
-	if e, err := view.TryEntry(dry); e != (gradedset.Entry{}) || err != nil {
-		t.Errorf("TryEntry(%d) past the dry end = %v, %v", dry, e, err)
-	}
-	if e := view.Entry(r.Len() - 1); e != (gradedset.Entry{}) {
-		t.Errorf("Entry past the dry end = %v, want the zero entry", e)
+	if span, err := view.TryEntries(0, r.Len()); len(span) != r.Len() || err != nil {
+		t.Fatalf("TryEntries(0, %d) = %d entries, %v; want the whole shard", r.Len(), len(span), err)
 	}
 	if e := view.Entry(r.Len() + 5); e != (gradedset.Entry{}) {
 		t.Errorf("Entry past Len = %v, want the zero entry", e)
 	}
-	if got := view.Entries(0, r.Len()); len(got) != dry {
-		t.Errorf("plain Entries = %d ranks, TryEntries %d", len(got), dry)
-	}
 
-	// A view of a view whose stream ran dry stops scanning instead of
-	// spinning on empty spans.
-	outer := NewShardView(view, ShardRange{Lo: 0, Hi: r.Len()})
-	if span, err := outer.TryEntries(0, r.Len()); len(span) != dry || err != nil {
-		t.Errorf("view over a dry view: %d ranks, %v; want %d", len(span), err, dry)
+	short := NewShardView(shortParent{Source: parent, end: n / 2}, r)
+	span, err = short.TryEntries(0, r.Len())
+	if !errors.Is(err, errShortSpan) {
+		t.Fatalf("view over a short parent: err = %v, want errShortSpan", err)
+	}
+	if len(span) == 0 || len(span) >= r.Len() {
+		t.Errorf("view over a short parent delivered %d of %d ranks; want the prefix the parent delivered", len(span), r.Len())
+	}
+}
+
+// shortParent is a plain Source whose sorted stream ends at rank end,
+// short of Len(), without an error to say so.
+type shortParent struct {
+	Source
+	end int
+}
+
+func (s shortParent) Entries(lo, hi int) []gradedset.Entry {
+	return s.Source.Entries(min(lo, s.end), min(hi, s.end))
+}
+
+// TestCountedShortSpanFails: a Counted over a plain source whose span
+// comes back short records errShortSpan as the list's *SourceError at
+// the first rank it did not get — only on demand: a readahead shortfall
+// stays invisible until a consumer asks for the missing rank.
+func TestCountedShortSpanFails(t *testing.T) {
+	c := Count(shortParent{Source: FromList(randomList(t, 64, 3)), end: 10})
+	if !c.Fallible() {
+		t.Fatal("a Counted over a plain source that is not a bare list reads as infallible")
+	}
+	c.bufferAhead(20)
+	if err := c.Err(); err != nil {
+		t.Fatalf("readahead recorded %v", err)
+	}
+	if _, ok := c.EntryAt(9); !ok {
+		t.Fatal("rank 9, inside the delivered span, was refused")
+	}
+	if _, ok := c.EntryAt(10); ok {
+		t.Fatal("rank 10, past the short span, was delivered")
+	}
+	var se *SourceError
+	if err := c.Err(); !errors.As(err, &se) || !errors.Is(err, errShortSpan) || se.Rank != 10 || se.Random {
+		t.Fatalf("Err() = %v, want a sorted *SourceError at rank 10 wrapping errShortSpan", err)
 	}
 }
 

@@ -433,9 +433,9 @@ func (s *RemoteSource) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
 			return out, &TransportError{Op: "entries", Msg: resp.Err.Message, Temporary: resp.Err.Transient}
 		}
 		if len(span) == 0 {
-			// Defensive: a short span without an error would otherwise
-			// spin; treat it as end of data (mirrors subsys.Resilient).
-			break
+			// An empty page without an error would otherwise spin, and
+			// ending the span there would truncate the list: fail it.
+			return out, &TransportError{Op: "entries", Msg: fmt.Sprintf("empty page without an error at rank %d of [%d, %d)", pos, lo, hi)}
 		}
 	}
 	return out, nil

@@ -29,7 +29,8 @@
 // whose doc comment names every field once; the URL form carries the same
 // fields under the same JSON names (the query as q; see params.go). The
 // server decodes either form onto its defaults and refuses a malformed,
-// unknown or negative value with a 400 naming the field.
+// unknown or negative value, or a name that is no field, with a 400
+// naming it.
 //
 // /v1/entries is sorted access: the entries at ranks [lo, hi) of one
 // list, paged — the server delivers at most Meta.Page entries per

@@ -383,6 +383,7 @@ func TestHostileSpanResponses(t *testing.T) {
 		{"entries: grades increase", "/v1/entries", `{"objects":[1,2,3],"grades":[0.9,0.5,0.7]}`},
 		{"entries: object outside the dense universe", "/v1/entries", `{"objects":[1,100],"grades":[0.9,0.8]}`},
 		{"entries: negative object", "/v1/entries", `{"objects":[-1],"grades":[0.9]}`},
+		{"entries: empty page without err", "/v1/entries", `{"objects":[],"grades":[]}`},
 		{"grades: longer than requested", "/v1/grades", `{"grades":[0.9,0.8,0.7,0.6]}`},
 		{"grades: shorter without err", "/v1/grades", `{"grades":[0.9,0.8]}`},
 		{"grades: complete with err", "/v1/grades", `{"grades":[0.9,0.8,0.7],"err":{"error":"x","transient":true}}`},

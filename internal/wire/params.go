@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/url"
 	"reflect"
+	"slices"
 	"strings"
 )
 
@@ -73,8 +74,19 @@ func encodeParams(req QueryRequest) (url.Values, error) {
 }
 
 // decodeParams decodes the URL form onto req, which holds the defaults:
-// an absent (or empty) parameter keeps the default, a present one wins.
+// an absent (or empty) parameter keeps the default, a present one wins,
+// and one that names no field is refused (the alphabetically first, so
+// the error is stable).
 func decodeParams(vals url.Values, req *QueryRequest) error {
+	unknown := ""
+	for name := range vals {
+		if !slices.ContainsFunc(params, func(p param) bool { return p.name == name }) && (unknown == "" || name < unknown) {
+			unknown = name
+		}
+	}
+	if unknown != "" {
+		return fmt.Errorf("unknown parameter %q", unknown)
+	}
 	return eachParam(req, func(name string, f reflect.Value) error {
 		raw := []byte(vals.Get(name))
 		if len(raw) == 0 {

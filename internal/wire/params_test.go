@@ -101,7 +101,6 @@ func TestResultsParamsRoundTripEveryField(t *testing.T) {
 		"Parallelism": middleware.WithParallelism(3),
 		"Shards":      middleware.WithShards(4),
 		"ShardPlan":   middleware.WithShardPlan(core.ShardPlanWeighted),
-		"Steal":       middleware.WithWorkStealing(true),
 		"Budget":      middleware.WithAccessBudget(99),
 		"Prefetch":    middleware.WithPrefetch(0),
 		"Degrade":     middleware.WithDegradedLists(1),
@@ -164,8 +163,8 @@ func TestResultsParamsRoundTripEveryField(t *testing.T) {
 	}
 	roundTrip(t, all)
 	// No new knob rode in with the refactor that made knobs cheap.
-	if wireFields != 10 || len(options) != 11 {
-		t.Errorf("%d wire fields and %d request options, want 10 and 11: a new knob needs its own justification (and this line updated)", wireFields, len(options))
+	if wireFields != 9 || len(options) != 10 {
+		t.Errorf("%d wire fields and %d request options, want 9 and 10: a new knob needs its own justification (and this line updated)", wireFields, len(options))
 	}
 }
 
@@ -193,14 +192,17 @@ func decodeOnto(s *QueryServer, params, body string, header http.Header) (QueryR
 // With several bad values the one reported is stable, the same on every
 // request (it used to follow a map's iteration order): the first
 // malformed one in Request's declaration order — k, parallelism, shards,
-// shard_plan, steal, budget, prefetch, degrade — and, when everything
-// parses, the first out-of-range one in the same order.
+// shard_plan, budget, prefetch, degrade — and, when everything parses,
+// the first out-of-range one in the same order. A name that is no field
+// is refused before any value is read.
 func TestResultsParamsFirstErrorIsStable(t *testing.T) {
 	s := NewQueryServer(nil)
 	for _, tc := range []struct{ params, body, want string }{
 		{params: "q=x&k=bad&shards=bad", want: "bad k:"},
 		{params: "q=x&shards=bad&k=bad", want: "bad k:"},
-		{params: "q=x&degrade=bad&parallelism=bad&steal=bad", want: "bad parallelism:"},
+		{params: "q=x&degrade=bad&parallelism=bad", want: "bad parallelism:"},
+		{params: "q=x&steal=true&k=bad", body: `{"query":"x","steal":true}`, want: `"steal"`},
+		{params: "q=x&zz=1&steal=bad", want: `unknown parameter "steal"`},
 		{params: "q=x&prefetch=bad&degrade=bad", want: "bad prefetch:"},
 		{params: "q=x&degrade=bad&budget=bad", want: "bad budget:"},
 		{params: "q=x&k=-1&shards=bad", want: "bad shards:"}, // malformed before out of range
@@ -238,10 +240,9 @@ func TestResultsParamsFirstErrorIsStable(t *testing.T) {
 // fields — absent keeps the server's default, present wins — on both
 // endpoints, and the tenant header standing in only for an absent tenant.
 func TestRequestDecodesOntoServerDefaults(t *testing.T) {
-	s := NewQueryServer(nil, middleware.WithShardPlan(core.ShardPlanWeighted),
-		middleware.WithWorkStealing(true), middleware.WithPrefetch(2))
+	s := NewQueryServer(nil, middleware.WithShardPlan(core.ShardPlanWeighted), middleware.WithPrefetch(2))
 	two := 2
-	defaults := QueryRequest{ShardPlan: core.ShardPlanWeighted, Steal: true, Prefetch: &two}
+	defaults := QueryRequest{ShardPlan: core.ShardPlanWeighted, Prefetch: &two}
 	with := func(edit func(*QueryRequest)) QueryRequest {
 		req := defaults
 		req.Query = "x"
@@ -257,8 +258,8 @@ func TestRequestDecodesOntoServerDefaults(t *testing.T) {
 	}{
 		{"defaults apply", "q=x&shards=4", `{"query":"x","shards":4}`, nil,
 			with(func(r *QueryRequest) { r.Shards = 4 })},
-		{"request overrides", "q=x&shard_plan=even&steal=false&prefetch=9", `{"query":"x","shard_plan":"even","steal":false,"prefetch":9}`, nil,
-			with(func(r *QueryRequest) { r.ShardPlan, r.Steal, r.Prefetch = core.ShardPlanEven, false, &nine })},
+		{"request overrides", "q=x&shard_plan=even&prefetch=9", `{"query":"x","shard_plan":"even","prefetch":9}`, nil,
+			with(func(r *QueryRequest) { r.ShardPlan, r.Prefetch = core.ShardPlanEven, &nine })},
 		{"header names the tenant", "q=x", `{"query":"x"}`, header,
 			with(func(r *QueryRequest) { r.Tenant = "from-header" })},
 		{"request's tenant wins", "q=x&tenant=mine", `{"query":"x","tenant":"mine"}`, header,
@@ -282,11 +283,11 @@ func TestRequestDecodesOntoServerDefaults(t *testing.T) {
 // client can encode — the same requests it can send as a JSON body —
 // decodes to itself.
 func FuzzRequestParams(f *testing.F) {
-	f.Add("q=x&k=bad&shards=bad", "x", 3, 2, 4, true, 2.5, 0, 1, "gold")
-	f.Add("q=x&degrade=bad&parallelism=bad&steal=bad", "a b&c=d", 0, 0, 0, false, 0.0, -1, 0, "")
-	f.Add("q=x&shard_plan=weightd&budget=NaN&prefetch=-1", `A1 = "*" AND A2 = "*"`, 10, 1, 1, false, 5000.0, 7, 2, "a b&c=d")
-	f.Add("q=%zz&k=1e9&steal=T;tenant=%00", "", -1, -2, -3, true, -0.5, 1<<40, -1, "\xff")
-	f.Fuzz(func(t *testing.T, raw, query string, k, parallelism, shards int, steal bool, budget float64, prefetch, degrade int, tenant string) {
+	f.Add("q=x&k=bad&shards=bad", "x", 3, 2, 4, 2.5, 0, 1, "gold")
+	f.Add("q=x&degrade=bad&parallelism=bad&steal=bad", "a b&c=d", 0, 0, 0, 0.0, -1, 0, "")
+	f.Add("q=x&shard_plan=weightd&budget=NaN&prefetch=-1", `A1 = "*" AND A2 = "*"`, 10, 1, 1, 5000.0, 7, 2, "a b&c=d")
+	f.Add("q=%zz&k=1e9&steal=T;tenant=%00", "", -1, -2, -3, -0.5, 1<<40, -1, "\xff")
+	f.Fuzz(func(t *testing.T, raw, query string, k, parallelism, shards int, budget float64, prefetch, degrade int, tenant string) {
 		vals, _ := url.ParseQuery(raw) // like r.URL.Query(): keep what parsed
 		var hostile QueryRequest
 		if err := decodeParams(vals, &hostile); err == nil {
@@ -294,7 +295,7 @@ func FuzzRequestParams(f *testing.F) {
 		}
 
 		req := QueryRequest{Query: query, K: k, Parallelism: parallelism, Shards: shards,
-			ShardPlan: core.ShardPlanPolicy(shards & 1), Steal: steal, Budget: budget, Degrade: degrade, Tenant: tenant}
+			ShardPlan: core.ShardPlanPolicy(shards & 1), Budget: budget, Degrade: degrade, Tenant: tenant}
 		if prefetch >= 0 {
 			req.Prefetch = &prefetch
 		}

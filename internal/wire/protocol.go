@@ -196,15 +196,13 @@ type CacheInfo struct {
 }
 
 // ShardDetail is the JSON form of core.ShardDetail: one planned
-// shard's range [Lo, Hi), the planner's expected work, the weighted
-// cost actually paid by accesses attributed to it, and how many times
-// work was stolen from it.
+// shard's range [Lo, Hi), the planner's expected work and the weighted
+// cost actually paid by accesses attributed to it.
 type ShardDetail struct {
 	Lo      int     `json:"lo"`
 	Hi      int     `json:"hi"`
 	Planned float64 `json:"planned"`
 	Actual  float64 `json:"actual"`
-	Steals  int     `json:"steals,omitempty"`
 }
 
 // DegradedList records one list a degraded evaluation dropped.
@@ -227,12 +225,9 @@ type QueryResponse struct {
 	PerShard []Cost `json:"per_shard,omitempty"`
 	Shards   int    `json:"shards,omitempty"`
 	// ShardDetails carries the planner's view of each shard (planned
-	// range and expected work, actual cost, steal count); present only
-	// on sharded requests.
+	// range and expected work, actual cost); present only on sharded
+	// requests.
 	ShardDetails []ShardDetail `json:"shard_details,omitempty"`
-	// Stolen is the total number of work-stealing splits the evaluation
-	// performed (0 unless the request enabled stealing).
-	Stolen int `json:"stolen,omitempty"`
 	// Algorithm and Reason describe the plan that produced the results.
 	Algorithm string `json:"algorithm"`
 	Reason    string `json:"reason"`

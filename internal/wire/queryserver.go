@@ -29,7 +29,7 @@ type QueryServer struct {
 
 // NewQueryServer builds a query server over the engine. defaults set the
 // request every evaluation starts from — the hook for server-side
-// execution policy like a default shard plan or work stealing; the
+// execution policy like a default shard plan; the
 // request's body or URL is then decoded onto it (see decode).
 func NewQueryServer(eng *middleware.Middleware, defaults ...middleware.QueryOption) *QueryServer {
 	s := &QueryServer{eng: eng}
@@ -67,7 +67,8 @@ const TenantHeader = "X-Fuzzydb-Tenant"
 // the URL form of a GET — onto a copy of the server's defaults, so a name
 // the request leaves out keeps the default and one it gives wins, and
 // checks the outcome at the boundary: a malformed, unknown or negative
-// value is a 400 naming the field, never a silent default. ok is false
+// value, or a name that is no field, is a 400 naming it, never a silent
+// default. ok is false
 // when the fault has been written.
 func (s *QueryServer) decode(w http.ResponseWriter, r *http.Request) (req QueryRequest, ok bool) {
 	req = s.defaults
@@ -126,13 +127,12 @@ func ResponseOf(rep *middleware.Report, elapsed time.Duration) QueryResponse {
 		PerList:   costsOf(rep.PerList),
 		PerShard:  costsOf(rep.PerShard),
 		Shards:    rep.Shards,
-		Stolen:    rep.Stolen,
 		ElapsedNS: elapsed.Nanoseconds(),
 	}
 	for _, d := range rep.ShardDetails {
 		resp.ShardDetails = append(resp.ShardDetails, ShardDetail{
 			Lo: d.Range.Lo, Hi: d.Range.Hi,
-			Planned: d.Planned, Actual: d.Actual, Steals: d.Steals,
+			Planned: d.Planned, Actual: d.Actual,
 		})
 	}
 	for _, r := range rep.Results {

@@ -267,9 +267,10 @@ func faultOf(err error) *Fault {
 }
 
 // decodeRequest parses the JSON request body, answering 400 (permanent)
-// on malformed input. It reports whether the handler should proceed.
+// on malformed input or a field the request does not have. It reports whether the handler should proceed.
 func decodeRequest(w http.ResponseWriter, r *http.Request, into any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		writeFault(w, http.StatusBadRequest, &Fault{Message: fmt.Sprintf("bad request: %v", err)})
 		return false

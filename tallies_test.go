@@ -31,7 +31,7 @@ package fuzzydb_test
 //     key hits is TestCacheHitBitIdentity and TestCacheEngineLRUBound in
 //     internal/middleware). Neither kind has a row; do not restore them.
 //
-// That sharding, stealing, pipelining, the wire and the cache leave the
+// That sharding, pipelining, the wire and the cache leave the
 // unsharded-equivalent tally alone is asserted where those mechanisms
 // live: internal/core's dense_equiv, fuzz, pipelined and shard_pipeline
 // tests, internal/wire, internal/middleware's cache tests.
