@@ -66,11 +66,13 @@
 // reservation pool shared by every shard, so the global spend still
 // never overshoots. The report gains a per-shard cost breakdown.
 //
-// Pagination composes with sharding: Results and Paginate under
-// WithShards(P) keep per-shard state alive across pages, widen every
-// shard's top-r computation in place, and merge each page globally, so
-// the page sequence matches the unsharded pagination while deeper pages
-// resume from each shard's already-paid prefixes.
+// Pagination composes with sharding: Results under WithShards(P) plans
+// the shards as Query does (WithShardPlan included), keeps per-shard
+// state alive across pages, widens every shard's top-r computation in
+// place, and merges each page globally, so the page sequence matches the
+// unsharded pagination while deeper pages resume from each shard's
+// already-paid prefixes. A one-shot query is the first page of the same
+// evaluation.
 //
 // # Latency hiding: the pipelined executor
 //
@@ -567,8 +569,6 @@ type (
 	Cost = cost.Cost
 	// CostModel prices sorted and random accesses (c₁, c₂).
 	CostModel = cost.Model
-	// Paginator delivers "the next k best" incrementally.
-	Paginator = core.Paginator
 	// Executor decides how the physical source operations of an
 	// evaluation are issued (serial or overlapped across subsystems);
 	// access tallies are executor-independent.
@@ -776,7 +776,7 @@ func WithScheduler(s *Scheduler) EngineOption { return middleware.WithScheduler(
 func WithTenant(name string) QueryOption { return middleware.WithTenant(name) }
 
 // Per-request options for Engine.Query, Engine.QueryString,
-// Engine.Results, and Engine.Paginate.
+// Engine.Results, and Engine.Stream.
 
 // DefaultTopN is the answer count a request gets without TopN.
 const DefaultTopN = middleware.DefaultTopN
@@ -869,7 +869,7 @@ func WithCostModel(model CostModel) QueryOption { return middleware.WithCostMode
 // failed atom and re-evaluates the pruned query over the surviving
 // lists — the answer equals a fresh query over the survivors — up to
 // maxDrop times, recording what was lost in Report.Degraded. Without
-// this option (and always for Results, Paginate, and Filter) a source
+// this option (and always for Results, Stream, and Filter) a source
 // failure fails fast with a typed *SourceError and a valid partial-cost
 // report.
 func WithDegradedLists(maxDrop int) QueryOption { return middleware.WithDegradedLists(maxDrop) }

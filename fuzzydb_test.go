@@ -153,20 +153,17 @@ func TestPaginationThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := eng.Paginate(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
+	var got []fuzzydb.Result
+	for r, err := range eng.Results(context.Background(), q, fuzzydb.TopN(2)) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got = append(got, r); len(got) == 4 {
+			break
+		}
 	}
-	page1, err := p.NextPage(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	page2, err := p.NextPage(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(page1) != 2 || len(page2) != 2 {
-		t.Fatalf("pages %v / %v", page1, page2)
+	if len(got) != 4 {
+		t.Fatalf("two pages of 2: %v", got)
 	}
 }
 

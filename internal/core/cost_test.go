@@ -192,8 +192,10 @@ func TestPaginatorMatchesWideTopK(t *testing.T) {
 			return false
 		}
 		want, _ := run(t, NaiveSorted{}, db, agg.Min, 15)
-		lists := subsys.CountAll(sourcesOf(db))
-		p := NewPaginator(Background(), A0{}, lists, agg.Min)
+		p, err := NewPaginator(context.Background(), A0{}, sourcesOf(db), agg.Min, ShardConfig{})
+		if err != nil {
+			return false
+		}
 		var all []Result
 		for len(all) < 15 {
 			page, err := p.NextPage(5)
@@ -205,7 +207,7 @@ func TestPaginatorMatchesWideTopK(t *testing.T) {
 			}
 			all = append(all, page...)
 		}
-		if p.Delivered() != len(all) {
+		if p.count != len(all) {
 			return false
 		}
 		// No duplicates across pages.
@@ -228,16 +230,18 @@ func TestPaginatorCostIsIncremental(t *testing.T) {
 	// lists cost no more than one run of 2k from scratch.
 	db := scoredb.Generator{N: 5000, M: 2, Seed: 43}.MustGenerate()
 
-	lists := subsys.CountAll(sourcesOf(db))
-	p := NewPaginator(Background(), A0{}, lists, agg.Min)
+	p, err := NewPaginator(context.Background(), A0{}, sourcesOf(db), agg.Min, ShardConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := p.NextPage(10); err != nil {
 		t.Fatal(err)
 	}
-	costAfterFirst := subsys.TotalCost(lists).Sum()
+	costAfterFirst := p.Cost().Sum()
 	if _, err := p.NextPage(10); err != nil {
 		t.Fatal(err)
 	}
-	costAfterSecond := subsys.TotalCost(lists).Sum()
+	costAfterSecond := p.Cost().Sum()
 
 	// Reference points: one run of k=10 and one of k=20, each from
 	// scratch (what restarting without the cache would cost).
@@ -269,8 +273,10 @@ func TestPaginatorCostIsIncremental(t *testing.T) {
 
 func TestPaginatorEdges(t *testing.T) {
 	db := scoredb.Generator{N: 7, M: 2, Seed: 44}.MustGenerate()
-	lists := subsys.CountAll(sourcesOf(db))
-	p := NewPaginator(Background(), A0{}, lists, agg.Min)
+	p, err := NewPaginator(context.Background(), A0{}, sourcesOf(db), agg.Min, ShardConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := p.NextPage(0); err == nil {
 		t.Error("page size 0 accepted")
 	}

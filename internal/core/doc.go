@@ -39,7 +39,9 @@
 // Package core also provides threshold (filter-condition) evaluation in
 // the style of Chaudhuri–Gravano, and a Paginator implementing the "find
 // the next k best answers by continuing where we left off" feature noted
-// after Theorem 4.2.
+// after Theorem 4.2. Partitioned evaluation has one driver: a one-shot
+// top k (EvaluateSharded) is the paginator's first page plus fencing,
+// over the same planned slices, and Run is its one whole-universe slice.
 //
 // # Requests and executors
 //

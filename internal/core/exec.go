@@ -201,9 +201,6 @@ func NewExecContext(ctx context.Context, lists []*subsys.Counted, opts ...EvalOp
 // driving an algorithm directly, outside any request.
 func Background() *ExecContext { return NewExecContext(context.Background(), nil) }
 
-// Ctx returns the caller's context.
-func (ec *ExecContext) Ctx() context.Context { return ec.ctx }
-
 // Executor returns the access executor in use.
 func (ec *ExecContext) Executor() Executor { return ec.exec }
 

@@ -185,15 +185,16 @@ func TestBudgetAcrossAlgorithms(t *testing.T) {
 // TestBudgetedPaginationIsCumulative: a paginator's budget spans pages.
 func TestBudgetedPaginationIsCumulative(t *testing.T) {
 	db := scoredb.Generator{N: 2048, M: 2, Seed: 11}.MustGenerate()
-	counted := subsys.CountAll(sourcesOf(db))
-	defer subsys.ReleaseAll(counted)
-	ec := NewExecContext(context.Background(), counted, WithAccessBudget(3000))
-	p := NewPaginator(ec, A0{}, counted, agg.Min)
+	p, err := NewPaginator(context.Background(), A0{}, sourcesOf(db), agg.Min, ShardConfig{Budget: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release()
 	pages := 0
 	for {
 		page, err := p.NextPage(16)
 		if errors.Is(err, ErrBudgetExceeded) {
-			if got := subsys.TotalCost(counted).Sum(); float64(got) > 3000 {
+			if got := p.Cost().Sum(); float64(got) > 3000 {
 				t.Errorf("cumulative spend %d over budget", got)
 			}
 			if pages == 0 {

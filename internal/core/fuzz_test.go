@@ -41,7 +41,9 @@ import (
 //     everywhere — and a single permanent fault site yields the same
 //     outcome under every executor: clean when serial never demands the
 //     site (readahead past it must swallow), the identical typed
-//     *subsys.SourceError when it does.
+//     *subsys.SourceError when it does;
+//   - page one of the paginator is the one-shot answer: identical to
+//     the serial evaluation unsharded, shard-equivalent sharded.
 //
 // Run with `go test -fuzz FuzzExecutorEquivalence ./internal/core`; the
 // committed corpus under testdata/fuzz covers the interesting regimes
@@ -203,6 +205,32 @@ func fuzzExecutorEquivalence(t *testing.T, seed uint64) {
 	if perShard != sWorkers.Cost {
 		t.Errorf("%s: per-shard costs sum to %v, total %v", label, perShard, sWorkers.Cost)
 	}
+
+	// Pagination runs on the same slice driver, so page one is the
+	// one-shot answer: unsharded, the serial results at the serial cost;
+	// sharded on the weighted plan — never fenced — the shard-equivalence
+	// contract. This leg draws nothing from rng.
+	pag, err := NewPaginator(context.Background(), tc.alg, srcs(), tc.f, ShardConfig{})
+	if err != nil {
+		t.Fatalf("%s: paginator: %v", label, err)
+	}
+	page, err := pag.NextPage(k)
+	if err != nil {
+		t.Fatalf("%s: page one: %v", label, err)
+	}
+	requireIdentical(t, label+"/page-one", page, want, pag.Cost(), wantCost)
+	pag.Release()
+	sPag, err := NewPaginator(context.Background(), tc.alg, srcs(), tc.f,
+		ShardConfig{Shards: shards, Parallel: 1, Plan: ShardPlanWeighted, Sketches: sketches})
+	if err != nil {
+		t.Fatalf("%s: sharded paginator: %v", label, err)
+	}
+	page, err = sPag.NextPage(k)
+	if err != nil {
+		t.Fatalf("%s: sharded page one: %v", label, err)
+	}
+	requireShardEquiv(t, label+"/sharded-page-one", want, page, truth)
+	sPag.Release()
 
 	// Budgets: every executor must stop at the same typed *BudgetError
 	// with the same spend — or all complete identically.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"fuzzydb/internal/agg"
@@ -41,18 +42,20 @@ func TestShardedPaginatorMatchesUnsharded(t *testing.T) {
 					db := scoredb.Generator{N: 300, M: m, Seed: uint64(70 + m)}.MustGenerate()
 					label := fmt.Sprintf("m=%d/P=%d/par=%d/page=%d", m, shards, par, pageSize)
 
-					counted := subsys.CountAll(sourcesOf(db))
-					ref := NewPaginator(NewExecContext(context.Background(), counted), A0{}, counted, agg.Min)
+					ref, err := NewPaginator(context.Background(), A0{}, sourcesOf(db), agg.Min, ShardConfig{})
+					if err != nil {
+						t.Fatal(err)
+					}
 					want := drainPages(t, ref, pageSize)
 					ref.Release()
 
-					sp, err := NewShardedPaginator(context.Background(), A0{}, sourcesOf(db), agg.Min,
+					sp, err := NewPaginator(context.Background(), A0{}, sourcesOf(db), agg.Min,
 						ShardConfig{Shards: shards, Parallel: par})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !sp.Sharded() {
-						t.Fatalf("%s: paginator did not shard", label)
+					if len(sp.slices) != shards {
+						t.Fatalf("%s: paginator has %d slices, want %d", label, len(sp.slices), shards)
 					}
 					got := drainPages(t, sp, pageSize)
 					sp.Release()
@@ -78,15 +81,63 @@ func TestShardedPaginatorMatchesUnsharded(t *testing.T) {
 	}
 }
 
+// TestShardedPaginatorHonorsWeightedPlan: a paginator under the weighted
+// plan slices at exactly PlanShardsWeighted's ranges — on a skewed
+// universe, where they differ from the even ones — and its pages still
+// match the unsharded pages.
+func TestShardedPaginatorHonorsWeightedPlan(t *testing.T) {
+	const n, shards = 4096, 4
+	db := skewedDB(t, n, n/shards)
+	sketches := []*subsys.Sketch{subsys.SketchList(db.List(0)), subsys.SketchList(db.List(1))}
+	plan, _ := PlanShardsWeighted(n, shards, sketches, agg.Min)
+	if reflect.DeepEqual(plan, subsys.PlanShards(n, shards)) {
+		t.Fatalf("weighted plan %v is the even one; the universe is not skewed enough to tell", plan)
+	}
+	ref, err := NewPaginator(context.Background(), A0{}, sourcesOf(db), agg.Min, ShardConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Release()
+	sp, err := NewPaginator(context.Background(), A0{}, sourcesOf(db), agg.Min,
+		ShardConfig{Shards: shards, Parallel: 1, Plan: ShardPlanWeighted, Sketches: sketches})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Release()
+	got := make([]subsys.ShardRange, len(sp.slices))
+	for i := range sp.slices {
+		got[i] = sp.slices[i].r
+	}
+	if !reflect.DeepEqual(got, plan) {
+		t.Fatalf("paginator slices %v, want the weighted plan %v", got, plan)
+	}
+	for page := 0; page < 6; page++ {
+		want, err := ref.NextPage(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sp.NextPage(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("page %d: weighted %v, unsharded %v", page, got, want)
+		}
+	}
+}
+
 // TestShardedPaginatorClampsAndDegenerates covers the edges: a shard
 // count above N clamps, a count of one degenerates to the unsharded
 // paginator, and an invalid page size is rejected.
 func TestShardedPaginatorClampsAndDegenerates(t *testing.T) {
 	db := scoredb.Generator{N: 40, M: 2, Seed: 77}.MustGenerate()
-	sp, err := NewShardedPaginator(context.Background(), A0{}, sourcesOf(db), agg.Min,
+	sp, err := NewPaginator(context.Background(), A0{}, sourcesOf(db), agg.Min,
 		ShardConfig{Shards: 1000, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(sp.slices) != 40 {
+		t.Errorf("Shards=1000 over N=40 opened %d slices, want 40", len(sp.slices))
 	}
 	pages := drainPages(t, sp, 7)
 	total := 0
@@ -98,13 +149,13 @@ func TestShardedPaginatorClampsAndDegenerates(t *testing.T) {
 	}
 	sp.Release()
 
-	single, err := NewShardedPaginator(context.Background(), A0{}, sourcesOf(db), agg.Min,
+	single, err := NewPaginator(context.Background(), A0{}, sourcesOf(db), agg.Min,
 		ShardConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if single.Sharded() {
-		t.Error("Shards=1 did not degenerate to the unsharded paginator")
+	if len(single.slices) != 1 || single.slices[0].r != (subsys.ShardRange{}) {
+		t.Error("Shards=1 did not degenerate to one slice over the raw sources")
 	}
 	if _, err := single.NextPage(0); !errors.Is(err, ErrBadK) {
 		t.Errorf("NextPage(0) = %v, want ErrBadK", err)
@@ -117,7 +168,7 @@ func TestShardedPaginatorClampsAndDegenerates(t *testing.T) {
 func TestShardedPaginationBudgetIsCumulative(t *testing.T) {
 	db := scoredb.Generator{N: 2048, M: 2, Seed: 78}.MustGenerate()
 	const budget = 3000.0
-	sp, err := NewShardedPaginator(context.Background(), A0{}, sourcesOf(db), agg.Min,
+	sp, err := NewPaginator(context.Background(), A0{}, sourcesOf(db), agg.Min,
 		ShardConfig{Shards: 4, Parallel: 1, Budget: budget})
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +201,7 @@ func TestShardedPaginationBudgetIsCumulative(t *testing.T) {
 func TestShardedPaginationCancellation(t *testing.T) {
 	db := scoredb.Generator{N: 512, M: 2, Seed: 79}.MustGenerate()
 	ctx, cancel := context.WithCancel(context.Background())
-	sp, err := NewShardedPaginator(ctx, A0{}, sourcesOf(db), agg.Min,
+	sp, err := NewPaginator(ctx, A0{}, sourcesOf(db), agg.Min,
 		ShardConfig{Shards: 4, Parallel: 2})
 	if err != nil {
 		t.Fatal(err)

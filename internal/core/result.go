@@ -87,9 +87,10 @@ func topKResults(entries []gradedset.Entry, k int) []Result {
 // tallies, on cancellation or budget exhaustion the partial cost spent
 // before the stop. The counters' pooled caches are recycled before
 // returning, so callers that need the lists to outlive the evaluation
-// (pagination, multi-phase plans) should wrap sources with
-// subsys.CountAll and drive the algorithm themselves.
+// should use NewPaginator, or wrap sources with subsys.CountAll and
+// drive the algorithm themselves.
 func Evaluate(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.Func, k int, opts ...EvalOption) ([]Result, cost.Cost, error) {
-	out := evalOne(ctx, srcs, opts, nil, topK(alg, t, k))
-	return out.res, out.total, out.err
+	d := partition{ctx: ctx, alg: alg, t: t, srcs: srcs, opts: opts}
+	s := d.whole(k)
+	return s.res, s.total, s.err
 }

@@ -98,30 +98,15 @@ type ShardConfig struct {
 // in flight or more speculative ranks buffered than one unsharded
 // pipelined evaluation would.
 func (cfg ShardConfig) pipelineExecutor(widthShare, depthShare int) Executor {
-	if widthShare < 1 {
-		widthShare = 1
-	}
-	if depthShare < 1 {
-		depthShare = 1
-	}
 	width := cfg.PrefetchWidth
 	if width <= 0 {
 		width = defaultGatherWidth
 	}
-	if width = width / widthShare; width < 1 {
-		width = 1
-	}
-	maxDepth := subsys.DefaultPrefetchCap / depthShare
-	if maxDepth < 1 {
-		maxDepth = 1
-	}
 	depth := cfg.PrefetchDepth
 	if depth > 0 {
-		if depth = depth / depthShare; depth < 1 {
-			depth = 1
-		}
+		depth = max(1, depth/depthShare)
 	}
-	return Pipelined{P: width, Depth: depth, MaxDepth: maxDepth}
+	return Pipelined{P: max(1, width/widthShare), Depth: depth, MaxDepth: max(1, subsys.DefaultPrefetchCap/depthShare)}
 }
 
 // evalOptions is the one place a ShardConfig becomes the options of an
@@ -195,7 +180,8 @@ type ShardDetail struct {
 // executor when cfg.Prefetch is set, with the gather width and pipeline
 // depth budgeted globally across the shard workers — shards fanned out
 // on up to cfg.Parallel workers), and merges the per-shard answers into
-// the global top k.
+// the global top k. It is the first page of the Paginator's evaluation,
+// on the same slice driver, plus fencing.
 //
 // Equivalence contract (pinned by TestShardedVsUnsharded): the merged
 // answers carry the same grade sequence as the unsharded evaluation of
@@ -221,8 +207,8 @@ type ShardDetail struct {
 // exact grades for every seen object (A0, TA) under a monotone t; the
 // others simply run each shard to its own natural stop.
 //
-// For cfg.Shards ≤ 1 the evaluation is Run: alg once over the raw
-// sources (no shard view, so no re-ranking scan), cfg.Parallel and
+// For cfg.Shards ≤ 1 the evaluation is one slice over the raw sources
+// (no shard view, so no re-ranking scan), with cfg.Parallel and
 // cfg.Budget in their executor-level meaning, reported as one shard.
 //
 // On cancellation or budget exhaustion every shard worker stops
@@ -234,224 +220,289 @@ type ShardDetail struct {
 // report carries the partial cost with nil results and the first error
 // in shard order.
 func EvaluateSharded(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.Func, k int, cfg ShardConfig) (*ShardReport, error) {
-	if len(srcs) == 0 {
-		return &ShardReport{Shards: 1}, ErrNoLists
+	d, err := newPartition(ctx, alg, srcs, t, cfg, false)
+	if err == nil && (k < 1 || k > d.n) {
+		err = fmt.Errorf("%w: k=%d, N=%d", ErrBadK, k, d.n)
 	}
-	n := srcs[0].Len()
-	p := cfg.Shards
-	if p > n {
-		p = n
+	if err != nil {
+		return &ShardReport{Shards: 1}, err
 	}
-	if p <= 1 {
-		return Run(ctx, srcs, cfg, topK(alg, t, k))
+	if d.plan == nil {
+		one := [1]slice{d.whole(k)}
+		return d.report(one[:], k)
 	}
-	// The per-shard runs see only their slice, so the global argument
-	// contract must be enforced here, exactly as checkArgs states it.
-	for i, s := range srcs {
-		if s.Len() != n {
-			return &ShardReport{Shards: 1}, fmt.Errorf("%w: list %d has %d objects, want %d", ErrArity, i, s.Len(), n)
-		}
-	}
-	if k < 1 || k > n {
-		return &ShardReport{Shards: 1}, fmt.Errorf("%w: k=%d, N=%d", ErrBadK, k, n)
-	}
-
-	plan := subsys.PlanShards(n, p)
-	var planned []float64
-	if cfg.Plan == ShardPlanWeighted {
-		plan, planned = PlanShardsWeighted(n, p, cfg.Sketches, t)
-	}
-	var board *shardBoard
-	if t.Monotone() && fenceSafe(alg) {
-		board = &shardBoard{top: boundedTopK{k: k}}
-	}
-	var pool *budgetPool
-	if cfg.Budget > 0 {
-		pool = &budgetPool{limit: cfg.Budget}
-	}
-
-	workers := cfg.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(plan) {
-		workers = len(plan)
-	}
-	// A finished shard releases its pipelines before its worker takes
-	// the next one, so at most `workers` shards hold buffers at once.
-	opts := cfg.evalOptions(workers, workers, false)
-
-	// The fan-out the paginator uses too: workers claim planned shards in
-	// index order. The calling goroutine is the first worker, so with one
-	// worker the shards run inline, in order: the threshold scoreboard a
-	// shard stops against is then a deterministic function of the data,
-	// and so are the per-shard tallies.
-	outs := make([]shardOut, len(plan))
-	runIndexed(workers, len(plan), func(i int) {
-		outs[i] = evalShard(ctx, alg, srcs, t, k, plan[i], opts, pool, board)
-		if board != nil && outs[i].err == nil {
-			board.publish(outs[i].res)
-		}
-	})
-
-	rep := &ShardReport{
-		PerList:  make([]cost.Cost, len(srcs)),
-		PerShard: make([]cost.Cost, len(plan)),
-		Details:  make([]ShardDetail, len(plan)),
-		Shards:   len(plan),
-	}
-	model := cost.Unweighted
-	if cfg.Model.Valid() {
-		model = cfg.Model
-	}
-	var firstErr error
-	total := 0
-	for i, out := range outs {
-		rep.Details[i] = ShardDetail{Range: plan[i], Actual: model.Of(out.total)}
-		if planned != nil {
-			rep.Details[i].Planned = planned[i]
-		}
-		rep.PerShard[i] = out.total
-		rep.Cost = rep.Cost.Add(out.total)
-		for j, c := range out.per {
-			rep.PerList[j] = rep.PerList[j].Add(c)
-		}
-		if out.piped {
-			if rep.Prefetch == nil {
-				rep.Prefetch = &subsys.PipelineStats{}
-			}
-			*rep.Prefetch = rep.Prefetch.Add(out.pstats)
-		}
-		if out.err != nil && firstErr == nil {
-			firstErr = out.err
-		}
-		total += len(out.res)
-	}
-	if firstErr != nil {
-		return rep, firstErr
-	}
-	entries := make([]gradedset.Entry, 0, total)
-	for _, out := range outs {
-		for _, r := range out.res {
-			entries = append(entries, gradedset.Entry{Object: r.Object, Grade: r.Grade})
-		}
-	}
-	top := gradedset.TopK(entries, k)
-	rep.Results = make([]Result, len(top))
-	for i, e := range top {
-		rep.Results[i] = Result{Object: e.Object, Grade: e.Grade}
-	}
-	return rep, nil
-}
-
-// shardOut is the outcome of one run of evalOne.
-type shardOut struct {
-	res    []Result // exact grades; global ids once evalShard has translated them
-	per    []cost.Cost
-	total  cost.Cost
-	pstats subsys.PipelineStats // prefetch-pipeline stats summed over lists
-	piped  bool                 // pipelines engaged; pstats is meaningful
-	err    error
-}
-
-// topK is the body of a top-k evaluation: alg at k under the law t.
-func topK(alg Algorithm, t agg.Func, k int) func(*ExecContext, []*subsys.Counted) ([]Result, error) {
-	return func(ec *ExecContext, lists []*subsys.Counted) ([]Result, error) {
-		return alg.TopK(ec, lists, t, k)
-	}
-}
-
-// evalOne is the only place an algorithm meets a set of sources: it
-// wraps them in counters, builds the ExecContext, lets setup wire it (a
-// shard installs its budget pool and scoreboard stop-check there), runs body, and accounts for the run — whole evaluations and
-// the slices of a sharded one alike.
-func evalOne(ctx context.Context, srcs []subsys.Source, opts []EvalOption, setup func(*ExecContext), body func(*ExecContext, []*subsys.Counted) ([]Result, error)) shardOut {
-	var out shardOut
-	counted := subsys.CountAll(srcs)
-	ec := NewExecContext(ctx, counted, opts...)
-	if setup != nil {
-		setup(ec)
-	}
-	out.res, out.err = body(ec, counted)
-	if out.err == nil {
-		// Final net for fallible sources: a failed list reads as
-		// exhausted, so an algorithm that saw it merely as a dry stream
-		// may return cleanly over truncated data. No path may hand such
-		// results out (or publish or merge them) without the typed error.
-		// The budget pool is still settled below, and the lists released:
-		// the failure was orderly (no accesses in flight), unlike an
-		// abandonment.
-		out.err = ec.SourceFailure()
-	}
-	if out.err != nil {
-		out.res = nil
-	}
-	if ec.pool != nil {
-		ec.pool.finish(ec)
-	}
-	if ec.Abandoned() {
-		// Canceled with accesses in flight: workers may still be touching
-		// the lists, so report the tallies of the last quiescent point and
-		// leave the state to the GC — the pooled memos must not be recycled
-		// under them.
-		out.total = ec.SafeCost()
-		return out
-	}
-	out.total = subsys.TotalCost(counted)
-	out.per = make([]cost.Cost, len(counted))
-	for j, c := range counted {
-		out.per[j] = c.Cost()
-	}
-	subsys.ReleaseAll(counted)
-	for _, c := range counted {
-		if s, ok := c.PrefetchStats(); ok {
-			out.pstats = out.pstats.Add(s)
-			out.piped = true
-		}
-	}
-	return out
+	return d.report(d.oneShot(k), k)
 }
 
 // Run evaluates body once over the raw sources under cfg — the cost
 // model, the executor (pipelined with the whole width and depth budget
 // under Prefetch or Parallel > 1, serial otherwise), and Budget as the
-// evaluation's own limit — and reports it as one shard:
-// the unsharded case of EvaluateSharded, and the route for bodies that
-// are not a top-k at all (a threshold filter). On cancellation, budget
-// exhaustion or a source failure the report carries the partial cost
-// and nil results, with the error.
+// evaluation's own limit — and reports it as one shard: the driver's
+// whole-universe slice, for a body that is not a top k (a threshold
+// filter). cfg.Shards is ignored. On cancellation, budget exhaustion or
+// a source failure the report carries the partial cost and nil results,
+// with the error.
 func Run(ctx context.Context, srcs []subsys.Source, cfg ShardConfig, body func(*ExecContext, []*subsys.Counted) ([]Result, error)) (*ShardReport, error) {
-	out := evalOne(ctx, srcs, cfg.evalOptions(1, 1, true), nil, body)
-	rep := &ShardReport{Results: out.res, Cost: out.total, PerList: out.per, PerShard: []cost.Cost{out.total}, Shards: 1}
-	if out.piped {
-		stats := out.pstats
-		rep.Prefetch = &stats
+	cfg.Shards = 0
+	d, err := newPartition(ctx, runBody(body), srcs, nil, cfg, false)
+	if err != nil {
+		return &ShardReport{Shards: 1}, err
 	}
-	return rep, out.err
+	one := [1]slice{d.whole(d.n)}
+	return d.report(one[:], d.n)
 }
 
-// evalShard runs one shard of a partitioned evaluation: re-ranked views
-// over the range, an ExecContext wired to the shared budget pool and the
-// threshold scoreboard, the algorithm at k clamped to the shard size,
-// and local→global id translation of the answers. An empty range
-// evaluates to nothing at zero cost.
-func evalShard(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.Func, k int, r subsys.ShardRange, opts []EvalOption, pool *budgetPool, board *shardBoard) shardOut {
-	if r.Len() == 0 {
-		return shardOut{}
+// runBody puts Run's body in the driver's algorithm slot. It is not a
+// top k, so it ignores the law and k.
+type runBody func(*ExecContext, []*subsys.Counted) ([]Result, error)
+
+func (runBody) Name() string { return "body" }
+
+func (b runBody) TopK(ec *ExecContext, lists []*subsys.Counted, _ agg.Func, _ int) ([]Result, error) {
+	return b(ec, lists)
+}
+
+// partition is the slice driver, the one implementation of partitioned
+// evaluation: EvaluateSharded runs it once at k, the Paginator once per
+// page at a widening r, and Run and Evaluate are its one whole-universe
+// slice. newPartition validates, clamps P and plans; open builds a slice
+// — the raw sources when P ≤ 1, re-ranked shard views otherwise — on the
+// shared budget pool; run evaluates it, applies the failed-list final
+// net and settles the pool; merge combines the per-slice answers. Its
+// callers differ in two things only: a one-shot evaluation fences
+// against a threshold scoreboard and opens and closes each slice inside
+// its worker (oneShot); a paginator never fences — a shard hopeless for
+// page one may own page three — and keeps every slice open across pages.
+type partition struct {
+	ctx     context.Context
+	alg     Algorithm
+	t       agg.Func
+	srcs    []subsys.Source
+	n       int
+	plan    []subsys.ShardRange // nil: one slice, the whole universe
+	planned []float64           // the weighted plan's predicted work per range
+	opts    []EvalOption
+	pool    *budgetPool // shared by the shards; nil unsharded or unbudgeted
+	workers int
+}
+
+// newPartition validates the sources (a shard sees only its own views),
+// clamps cfg.Shards to the universe and plans the ranges. kept says the
+// slices stay open across pages, each holding its pipeline buffers, so
+// the readahead depth budget splits by the shard count, not the workers.
+func newPartition(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.Func, cfg ShardConfig, kept bool) (partition, error) {
+	if len(srcs) == 0 {
+		return partition{}, ErrNoLists
 	}
-	out := evalOne(ctx, subsys.ShardSources(srcs, r), opts, func(ec *ExecContext) {
-		if pool != nil {
-			ec.budget = pool.limit
-			ec.pool = pool
+	d := partition{ctx: ctx, alg: alg, t: t, srcs: srcs, n: srcs[0].Len(), workers: 1}
+	for i, s := range srcs {
+		if s.Len() != d.n {
+			return partition{}, fmt.Errorf("%w: list %d has %d objects, want %d", ErrArity, i, s.Len(), d.n)
 		}
+	}
+	p := min(cfg.Shards, d.n)
+	if p <= 1 {
+		d.opts = cfg.evalOptions(1, 1, true)
+		return d, nil
+	}
+	if cfg.Plan == ShardPlanWeighted {
+		d.plan, d.planned = PlanShardsWeighted(d.n, p, cfg.Sketches, t)
+	} else {
+		d.plan = subsys.PlanShards(d.n, p)
+	}
+	if cfg.Budget > 0 {
+		d.pool = &budgetPool{limit: cfg.Budget}
+	}
+	if d.workers = cfg.Parallel; d.workers <= 0 {
+		d.workers = runtime.GOMAXPROCS(0)
+	}
+	d.workers = min(d.workers, p)
+	depthShare := d.workers
+	if kept {
+		depthShare = p
+	}
+	d.opts = cfg.evalOptions(d.workers, depthShare, false)
+	return d, nil
+}
+
+// slice is one universe slice: its range (the zero range for the whole
+// universe, in the caller's own ids), its counted lists and ExecContext,
+// the answers and error of its last run, and — once closed — its
+// tallies.
+type slice struct {
+	r      subsys.ShardRange
+	ec     *ExecContext
+	lists  []*subsys.Counted
+	res    []Result // exact grades, global ids
+	err    error
+	total  cost.Cost
+	per    []cost.Cost
+	pstats subsys.PipelineStats // prefetch-pipeline stats summed over lists
+	piped  bool                 // pipelines engaged; pstats is meaningful
+}
+
+// open builds slice i: counted lists over the raw sources (unsharded) or
+// over re-ranked views of the planned range, and their ExecContext,
+// drawing on the shared budget pool.
+func (d *partition) open(i int) slice {
+	var s slice
+	srcs := d.srcs
+	if d.plan != nil {
+		s.r = d.plan[i]
+		srcs = subsys.ShardSources(srcs, s.r)
+	}
+	s.lists = subsys.CountAll(srcs)
+	s.ec = NewExecContext(d.ctx, s.lists, d.opts...)
+	if d.pool != nil {
+		s.ec.budget = d.pool.limit
+		s.ec.pool = d.pool
+	}
+	return s
+}
+
+// run evaluates the slice at k (clamped to a shard's size), then applies
+// the final net for fallible sources: a failed list reads as exhausted,
+// so an algorithm that saw it merely as a dry stream may return cleanly
+// over truncated data, and no caller may hand such results out (or
+// publish or merge them) without the typed error. The budget pool is
+// settled either way — the failure was orderly, with no accesses in
+// flight. Answers come back in global ids.
+func (d *partition) run(s *slice, k int) {
+	if d.plan != nil {
+		k = min(k, s.r.Len())
+	}
+	s.res, s.err = d.alg.TopK(s.ec, s.lists, d.t, k)
+	if s.err == nil {
+		s.err = s.ec.SourceFailure()
+	}
+	if s.ec.pool != nil {
+		s.ec.pool.finish(s.ec)
+	}
+	if s.err != nil {
+		s.res = nil
+	}
+	for j := range s.res {
+		s.res[j].Object += s.r.Lo
+	}
+}
+
+// close tallies the slice and releases its lists. An evaluation
+// abandoned with accesses in flight keeps the tallies of its last
+// quiescent point and leaves its state to the GC: workers may still be
+// touching the lists, so the pooled memos must not be recycled under
+// them.
+func (s *slice) close() {
+	if s.ec.Abandoned() {
+		s.total = s.ec.SafeCost()
+		return
+	}
+	s.total = subsys.TotalCost(s.lists)
+	s.per = make([]cost.Cost, len(s.lists))
+	for j, c := range s.lists {
+		s.per[j] = c.Cost()
+	}
+	subsys.ReleaseAll(s.lists)
+	for _, c := range s.lists {
+		if st, ok := c.PrefetchStats(); ok {
+			s.pstats = s.pstats.Add(st)
+			s.piped = true
+		}
+	}
+}
+
+// whole runs the one slice that is the whole universe at k, and closes
+// it.
+func (d *partition) whole(k int) slice {
+	s := d.open(0)
+	d.run(&s, k)
+	s.close()
+	return s
+}
+
+// oneShot runs every shard at k on the indexed fan-out, each opened and
+// closed inside its worker, fencing against the threshold scoreboard
+// where the algorithm tolerates it. With one worker the shards run
+// inline, in order: the scoreboard a shard stops against is then a
+// deterministic function of the data, and so are the per-shard tallies.
+// Its receiver is a copy, so that only a sharded evaluation puts the
+// driver on the heap.
+func (d partition) oneShot(k int) []slice {
+	var board *shardBoard
+	if d.t.Monotone() && fenceSafe(d.alg) {
+		board = &shardBoard{top: boundedTopK{k: k}}
+	}
+	slices := make([]slice, len(d.plan))
+	runIndexed(d.workers, len(slices), func(i int) {
+		s := d.open(i)
 		if board != nil {
-			ec.stop = board.stopFunc(t, len(srcs))
+			s.ec.stop = board.stopFunc(d.t, len(d.srcs))
 		}
-	}, topK(alg, t, min(k, r.Len())))
-	for j := range out.res {
-		out.res[j].Object += r.Lo
+		d.run(&s, k)
+		s.close()
+		if board != nil && s.err == nil {
+			board.publish(s.res)
+		}
+		slices[i] = s
+	})
+	return slices
+}
+
+// report sums the closed slices' tallies into a ShardReport and, when
+// every slice succeeded, merges their answers at k; otherwise it carries
+// the first error in slice order and nil results.
+func (d *partition) report(slices []slice, k int) (*ShardReport, error) {
+	rep := &ShardReport{PerShard: make([]cost.Cost, len(slices)), Shards: len(slices)}
+	if d.plan == nil {
+		rep.PerList = slices[0].per
+	} else {
+		rep.PerList = make([]cost.Cost, len(d.srcs))
+		rep.Details = make([]ShardDetail, len(slices))
 	}
-	return out
+	var err error
+	for i := range slices {
+		s := &slices[i]
+		rep.PerShard[i] = s.total
+		rep.Cost = rep.Cost.Add(s.total)
+		if rep.Details != nil {
+			rep.Details[i] = ShardDetail{Range: s.r, Actual: s.ec.model.Of(s.total)}
+			if d.planned != nil {
+				rep.Details[i].Planned = d.planned[i]
+			}
+			for j, c := range s.per {
+				rep.PerList[j] = rep.PerList[j].Add(c)
+			}
+		}
+		if s.piped {
+			if rep.Prefetch == nil {
+				rep.Prefetch = &subsys.PipelineStats{}
+			}
+			*rep.Prefetch = rep.Prefetch.Add(s.pstats)
+		}
+		if err == nil {
+			err = s.err
+		}
+	}
+	if err == nil {
+		rep.Results = merge(slices, k)
+	}
+	return rep, err
+}
+
+// merge is the one place per-slice answers meet: the canonical top k of
+// their union. Each slice's answer is a prefix of that slice's total
+// order, so the merge is the global prefix. The whole universe's one
+// slice is its own answer, as it stands.
+func merge(slices []slice, k int) []Result {
+	if len(slices) == 1 {
+		return slices[0].res
+	}
+	var entries []gradedset.Entry
+	for i := range slices {
+		for _, r := range slices[i].res {
+			entries = append(entries, gradedset.Entry{Object: r.Object, Grade: r.Grade})
+		}
+	}
+	return topKResults(entries, k)
 }
 
 // fenceSafe reports whether the algorithm tolerates a threshold fence:

@@ -550,16 +550,19 @@ func TestShardedPrefetchBudgetExhaustion(t *testing.T) {
 // its page sequence to the plain unsharded paginator's.
 func TestShardedPaginatorPrefetchMatchesUnsharded(t *testing.T) {
 	db := scoredb.Generator{N: 1200, M: 2, Seed: 75}.MustGenerate()
-	counted := subsys.CountAll(sourcesOf(db))
-	ref := NewPaginator(NewExecContext(context.Background(), counted), A0{}, counted, agg.Min)
-	sp, err := NewShardedPaginator(context.Background(), A0{}, sourcesOf(db), agg.Min,
+	ref, err := NewPaginator(context.Background(), A0{}, sourcesOf(db), agg.Min, ShardConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Release()
+	sp, err := NewPaginator(context.Background(), A0{}, sourcesOf(db), agg.Min,
 		shardedPrefetchConfig(3, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sp.Release()
-	if !sp.Sharded() {
-		t.Fatal("paginator did not shard")
+	if len(sp.slices) != 3 {
+		t.Fatalf("paginator has %d slices, want 3", len(sp.slices))
 	}
 	for page := 0; page < 5; page++ {
 		want, err := ref.NextPage(7)
@@ -579,7 +582,6 @@ func TestShardedPaginatorPrefetchMatchesUnsharded(t *testing.T) {
 			}
 		}
 	}
-	subsys.ReleaseAll(counted)
 }
 
 // TestShardedPaginatorReleaseWithLivePipelines releases a composed
@@ -591,7 +593,7 @@ func TestShardedPaginatorReleaseWithLivePipelines(t *testing.T) {
 	srcs := latencySourcesOf(db, 100*time.Microsecond)
 	var gauge callGauge
 	srcs = gauged(srcs, &gauge)
-	sp, err := NewShardedPaginator(context.Background(), A0{}, srcs, agg.Min,
+	sp, err := NewPaginator(context.Background(), A0{}, srcs, agg.Min,
 		shardedPrefetchConfig(4, 1, 0))
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"fuzzydb/internal/cost"
 	"fuzzydb/internal/gradedset"
 	"fuzzydb/internal/scoredb"
-	"fuzzydb/internal/subsys"
 )
 
 // TestShardedP1ByteForByte: Shards ≤ 1 must degenerate to the plain
@@ -79,23 +78,6 @@ func TestShardedMoreShardsThanObjects(t *testing.T) {
 				t.Errorf("k=%d: result %d = %v, want %v", k, i, sr.Results[i], want[i])
 			}
 		}
-	}
-}
-
-// TestShardedEmptyShardSlice: a shard over an empty universe slice
-// evaluates to nothing at zero cost, and the surrounding merge skips it.
-func TestShardedEmptyShardSlice(t *testing.T) {
-	db := scoredb.Generator{N: 100, M: 2, Seed: 63}.MustGenerate()
-	out := evalShard(context.Background(), A0{}, sourcesOf(db), agg.Min, 5,
-		subsys.ShardRange{Lo: 40, Hi: 40}, nil, nil, nil)
-	if out.err != nil {
-		t.Fatalf("empty shard errored: %v", out.err)
-	}
-	if len(out.res) != 0 {
-		t.Errorf("empty shard returned results: %v", out.res)
-	}
-	if out.total.Sum() != 0 {
-		t.Errorf("empty shard cost %v, want zero", out.total)
 	}
 }
 

@@ -15,7 +15,7 @@ package middleware
 // threshold survival test needs. Non-monotone queries are exact too, but
 // their aggregates move unpredictably under updates, so the survival
 // argument does not apply; they are not cached either. The
-// streaming entry points (Results, Paginate) never consult the cache:
+// streaming entry points (Results, Stream) never consult the cache:
 // a cursor's pages are computed over live source snapshots.
 
 import (

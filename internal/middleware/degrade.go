@@ -39,7 +39,7 @@ type DegradedList struct {
 // A query cannot degrade below one atom, and a single-atom query never
 // degrades; in those cases (and always without this option) the
 // evaluation fails fast with the typed error and a valid partial-cost
-// report. Results, Paginate, and Filter do not degrade: a pruned query
+// report. Results, Stream and Filter do not degrade: a pruned query
 // would silently change the meaning of an already-streaming answer
 // sequence or of a threshold condition, so they fail fast too.
 func WithDegradedLists(maxDrop int) QueryOption {

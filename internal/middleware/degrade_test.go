@@ -280,7 +280,7 @@ func TestTopKMedianDegrades(t *testing.T) {
 }
 
 func TestStreamingEntryPointsFailFastDespiteDegradeOption(t *testing.T) {
-	// Results, Paginate, and Filter never degrade — a pruned query would
+	// Results and Filter never degrade — a pruned query would
 	// change the meaning of an in-flight answer stream or threshold — so
 	// the typed error surfaces even with WithDegradedLists.
 	faulty := degradeStore(t, 13, "B")
@@ -299,15 +299,6 @@ func TestStreamingEntryPointsFailFastDespiteDegradeOption(t *testing.T) {
 	}
 	if !sawErr {
 		t.Fatal("Results streamed to completion over a broken list")
-	}
-
-	p, err := faulty.Paginate(context.Background(), tree, WithDegradedLists(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Release()
-	if _, err := p.NextPage(3); !errors.As(err, &se) {
-		t.Fatalf("NextPage err = %v, want *subsys.SourceError", err)
 	}
 
 	if _, err := faulty.Filter(context.Background(), tree, 0.25, WithDegradedLists(2)); !errors.As(err, &se) {

@@ -63,8 +63,6 @@ func (m *Middleware) TopKInternal(ctx context.Context, atoms []query.Atomic, k i
 	}
 	// k is passed through unclamped: like the other explicit-k entry
 	// points, out-of-range values surface core.ErrBadK.
-	sr, err := core.Run(ctx, []subsys.Source{src}, req.lower(), func(ec *core.ExecContext, counted []*subsys.Counted) ([]core.Result, error) {
-		return plan.Algorithm.TopK(ec, counted, plan.Agg, k)
-	})
+	sr, err := core.EvaluateSharded(ctx, plan.Algorithm, []subsys.Source{src}, plan.Agg, k, req.lower())
 	return newReport(plan, req, sr, err)
 }

@@ -38,13 +38,15 @@
 // three core calls. Request.lower turns the request into a
 // core.ShardConfig (the only place parallelism, prefetch and the
 // scheduler's width grant are given a meaning for execution); bind adds
-// the plan's materialized sources.
-// Query and TopKMedian then run core.EvaluateSharded, Results and
-// Paginate core.NewShardedPaginator, and Filter and TopKInternal — whose
-// bodies are not a planned top-k — core.Run. Inside core one routine
-// counts the sources, builds the ExecContext, runs the algorithm, applies
-// the final net for failed sources and tallies the result, for a whole
-// evaluation and for each slice of a sharded one alike.
+// the plan's materialized sources and, for the weighted shard plan,
+// their sketches. Query, TopKMedian and TopKInternal then run
+// core.EvaluateSharded, Results and Stream core.NewPaginator, and Filter —
+// whose body is not a top k — core.Run. All three run on core's one slice
+// driver: it validates the sources, plans the shards (honoring the shard
+// plan for pagination too), opens each slice, runs the algorithm, applies
+// the final net for failed sources, tallies, and merges the per-slice
+// answers. A one-shot top k is the first page of a paginator's
+// evaluation plus fencing.
 //
 // The features layered on top are degenerate cases, not branches:
 // WithShards(p ≤ 1) is core's one-slice case over the raw sources (the
@@ -67,8 +69,8 @@
 // the survivors — up to maxDrop times, with Report.Degraded recording
 // each dropped list (atom, attempts, cause, spend sunk into the failed
 // evaluation, included in the report's total cost). Only Query and
-// TopKMedian degrade; the streaming and paginating entry points always
-// fail fast, since their already-yielded answers cannot be revised.
+// TopKMedian degrade; the streaming entry points always fail fast, since
+// their already-yielded answers cannot be revised.
 // Resilience (retries, timeouts, breakers) lives below this layer: wrap
 // subsystems with subsys.WithResilience so transient faults never reach
 // the middleware at all.
@@ -478,11 +480,11 @@ func WithParallelism(p int) QueryOption {
 // shards, the deterministic-cost mode; default GOMAXPROCS), and
 // WithAccessBudget becomes a single reservation pool shared by all
 // shards, so the global spend still never overshoots. p ≤ 1 means
-// unsharded. The paginating entry points (Results, Paginate) honor
-// WithShards too: each page widens every shard's top-r computation over
-// shard state kept alive across pages and merges the per-shard answers
-// (no fencing — later pages may need any shard), so the page sequence
-// matches the unsharded pagination.
+// unsharded. The streaming entry points (Results, Stream) honor
+// WithShards too, with the same plan: each page widens every shard's
+// top-r computation over shard state kept alive across pages and merges
+// the per-shard answers (no fencing — later pages may need any shard),
+// so the page sequence matches the unsharded pagination.
 func WithShards(p int) QueryOption {
 	return func(r *Request) { r.Shards = p }
 }
@@ -494,8 +496,9 @@ func WithShards(p int) QueryOption {
 // exposing subsys.GradeSketcher (Static, Mutable) serve exact cached
 // sketches, any other source is sketched once by bounded unmetered
 // sampling — so a skewed workload's hot region is spread across shards
-// instead of concentrating in one. Sketching and planning are invisible
-// to the Section 5 tallies. No-op without WithShards.
+// instead of concentrating in one. Query and the streaming entry points
+// (Results, Stream) cut at the same ranges. Sketching and planning are
+// invisible to the Section 5 tallies. No-op without WithShards.
 func WithShardPlan(p core.ShardPlanPolicy) QueryOption {
 	return func(r *Request) { r.ShardPlan = p }
 }
@@ -777,11 +780,13 @@ func (m *Middleware) QueryString(ctx context.Context, q string, opts ...QueryOpt
 //
 // The options of Query apply per request; a budget bounds the cumulative
 // cost across all pages. With WithShards the widening runs per universe
-// shard over shard state kept alive across pages, each page merged
-// globally (see core.NewShardedPaginator) — the page sequence matches
-// the unsharded one. On an error (cancellation, budget, a planning
-// failure, or a non-paginable algorithm pinned via WithAlgorithm) the
-// iterator yields one (zero Result, err) pair and stops.
+// shard, planned as Query plans it (WithShardPlan included), over shard
+// state kept alive across pages, each page merged globally (see
+// core.NewPaginator) — the page sequence matches the unsharded one. The
+// stream releases that state when it ends. On an error (cancellation,
+// budget, a planning failure, or a non-paginable algorithm pinned via
+// WithAlgorithm) the iterator yields one (zero Result, err) pair and
+// stops.
 func (m *Middleware) Results(ctx context.Context, q query.Node, opts ...QueryOption) iter.Seq2[core.Result, error] {
 	return m.stream(ctx, q, newRequest("", opts))
 }
@@ -846,9 +851,9 @@ func (m *Middleware) ResultsString(ctx context.Context, q string, opts ...QueryO
 	return m.streamText(ctx, newRequest(q, opts))
 }
 
-// preparePagination binds the paginator behind Paginate and Results:
-// plan (with any WithAlgorithm pin), validate paginability, and hand the
-// bound sources to core.NewShardedPaginator, whose one-slice case is the
+// preparePagination binds the paginator behind Results and Stream: plan
+// (with any WithAlgorithm pin), validate paginability, and hand the
+// bound sources to core.NewPaginator, whose one-slice case is the
 // unsharded pagination.
 func (m *Middleware) preparePagination(ctx context.Context, q query.Node, req Request) (*core.Paginator, error) {
 	plan, err := m.plan(q, req)
@@ -863,7 +868,7 @@ func (m *Middleware) preparePagination(ctx context.Context, q query.Node, req Re
 	if err != nil {
 		return nil, err
 	}
-	return core.NewShardedPaginator(ctx, alg, lists, plan.Agg, scfg)
+	return core.NewPaginator(ctx, alg, lists, plan.Agg, scfg)
 }
 
 // paginableAlgorithm adapts a plan's algorithm for incremental widening.
@@ -939,24 +944,10 @@ func (m *Middleware) Filter(ctx context.Context, q query.Node, theta float64, op
 	return newReport(plan, req, sr, err)
 }
 
-// Paginate prepares paginated evaluation of q ("give me the next k"),
-// per the continuation feature noted after Theorem 4.2. The context and
-// options govern every subsequent NextPage call — including WithShards,
-// which keeps per-shard state alive across pages and merges each page
-// globally. Results is the iterator-shaped form of the same machinery
-// (and releases the underlying state itself when the stream ends);
-// callers driving the paginator directly should call its Release method
-// when done to recycle pooled state — mandatory on the pipelined executor
-// (WithPrefetch, or WithParallelism(p>1) unsharded), whose background
-// prefetcher goroutines otherwise outlive the pagination.
-func (m *Middleware) Paginate(ctx context.Context, q query.Node, opts ...QueryOption) (*core.Paginator, error) {
-	return m.preparePagination(ctx, q, newRequest("", opts))
-}
-
 // bind materializes a plan's sources and lowers the request onto the
 // core configuration they will be evaluated under, for one-shot and
-// paginated evaluation alike. Sketches are drawn only for the planner
-// that reads them.
+// paginated evaluation alike. Sketches are drawn only for the weighted
+// shard planner, which both read.
 func (m *Middleware) bind(plan *Plan, req Request) ([]subsys.Source, core.ShardConfig, error) {
 	lists, err := m.sources(plan.Atoms)
 	if err != nil {

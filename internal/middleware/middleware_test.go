@@ -352,26 +352,23 @@ func TestMedianThroughMiddleware(t *testing.T) {
 
 func TestPaginateThroughMiddleware(t *testing.T) {
 	mw, _ := cdStore(t)
-	p, err := mw.Paginate(context.Background(), query.MustParse(`Artist = "Beatles" AND AlbumColor ~ "red"`))
-	if err != nil {
-		t.Fatal(err)
+	var got []core.Result
+	for r, err := range mw.Results(context.Background(), query.MustParse(`Artist = "Beatles" AND AlbumColor ~ "red"`), TopN(2)) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got = append(got, r); len(got) == 4 {
+			break
+		}
 	}
-	page1, err := p.NextPage(2)
-	if err != nil {
-		t.Fatal(err)
+	if len(got) != 4 {
+		t.Fatalf("two pages of 2: %v", got)
 	}
-	page2, err := p.NextPage(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(page1) != 2 || len(page2) != 2 {
-		t.Fatalf("pages: %v / %v", page1, page2)
-	}
-	if page2[0].Grade > page1[1].Grade {
-		t.Errorf("page 2 starts above page 1's tail: %v vs %v", page2[0], page1[1])
+	if got[2].Grade > got[1].Grade {
+		t.Errorf("page 2 starts above page 1's tail: %v vs %v", got[2], got[1])
 	}
 	seen := map[int]bool{}
-	for _, r := range append(page1, page2...) {
+	for _, r := range got {
 		if seen[r.Object] {
 			t.Errorf("object %d delivered twice", r.Object)
 		}

@@ -179,8 +179,12 @@ func TestQueryParallelismIsCostNeutral(t *testing.T) {
 			if par.Cost != serial.Cost || !reflect.DeepEqual(par.PerList, serial.PerList) {
 				t.Errorf("%s: cost %v %v, serial %v %v", label, par.Cost, par.PerList, serial.Cost, serial.PerList)
 			}
+			lists, err := mw.sources(par.Plan.Atoms)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var exec string
-			if _, err := core.Run(ctx, nil, cfg, func(ec *core.ExecContext, _ []*subsys.Counted) ([]core.Result, error) {
+			if _, err := core.Run(ctx, lists, cfg, func(ec *core.ExecContext, _ []*subsys.Counted) ([]core.Result, error) {
 				exec = ec.Executor().Name()
 				return nil, nil
 			}); err != nil || exec != tc.exec {
@@ -422,12 +426,18 @@ func TestTypedErrors(t *testing.T) {
 func TestPinnedB0RefusedForMultiListPagination(t *testing.T) {
 	mw, _ := cdStore(t)
 	q := query.MustParse(`Artist = "Beatles" OR AlbumColor ~ "red"`)
+	first := func(opts ...QueryOption) error {
+		for _, err := range mw.Results(context.Background(), q, opts...) {
+			return err
+		}
+		return nil
+	}
 	// Planner-chosen B0: streams fine via the A0 fallback.
-	if _, err := mw.Paginate(context.Background(), q); err != nil {
+	if err := first(); err != nil {
 		t.Fatalf("planner-chosen B0 should fall back: %v", err)
 	}
 	// Explicit pin: refused.
-	if _, err := mw.Paginate(context.Background(), q, WithAlgorithm(core.B0{})); err == nil {
+	if err := first(WithAlgorithm(core.B0{})); err == nil {
 		t.Fatal("pinned B0 over 2 lists paginated silently; want a loud refusal")
 	}
 }

@@ -111,86 +111,38 @@ func TestQueryWithShardsBudget(t *testing.T) {
 
 // TestResultsHonorsShards: the streaming iterator routes through the
 // sharded paginator under WithShards — per-shard widening with a global
-// merge per page — and the answer stream is identical to the unsharded
-// one.
+// merge per page, on the even or the weighted plan, on one worker or
+// several — and the answer stream, drained to the end of the universe,
+// is the unsharded one.
 func TestResultsHonorsShards(t *testing.T) {
 	mw := genStore(t, 300, 2, 75)
 	q := genConj(2)
-	var plain []core.Result
-	for r, err := range mw.Results(context.Background(), q, TopN(7)) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain = append(plain, r)
-		if len(plain) == 21 {
-			break
-		}
-	}
-	var sharded []core.Result
-	for r, err := range mw.Results(context.Background(), q, TopN(7), WithShards(4)) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharded = append(sharded, r)
-		if len(sharded) == 21 {
-			break
-		}
-	}
-	if len(sharded) != len(plain) {
-		t.Fatalf("sharded stream yielded %d, plain %d", len(sharded), len(plain))
-	}
-	for i := range plain {
-		if sharded[i] != plain[i] {
-			t.Errorf("stream result %d = %v, want %v", i, sharded[i], plain[i])
-		}
-	}
-}
-
-// TestPaginateHonorsShards: the explicit paginator under WithShards
-// delivers the same pages as the unsharded one, end to end, and drains
-// the whole universe.
-func TestPaginateHonorsShards(t *testing.T) {
-	mw := genStore(t, 260, 2, 76)
-	q := genConj(2)
-	plain, err := mw.Paginate(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := mw.Paginate(context.Background(), q, WithShards(5), WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sharded.Sharded() {
-		t.Fatal("WithShards(5) paginator is not sharded")
-	}
-	total := 0
-	for {
-		want, err := plain.NextPage(9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sharded.NextPage(9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("page sized %d sharded, %d unsharded", len(got), len(want))
-		}
-		if len(want) == 0 {
-			break
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("page entry %d = %v, want %v", i, got[i], want[i])
+	stream := func(opts ...QueryOption) []core.Result {
+		var out []core.Result
+		for r, err := range mw.Results(context.Background(), q, append([]QueryOption{TopN(7)}, opts...)...) {
+			if err != nil {
+				t.Fatal(err)
 			}
+			out = append(out, r)
 		}
-		total += len(want)
+		return out
 	}
-	if total != 260 {
-		t.Errorf("pagination delivered %d results, want the whole universe (260)", total)
+	plain := stream()
+	if len(plain) != 300 {
+		t.Fatalf("plain stream yielded %d results, want the whole universe (300)", len(plain))
 	}
-	plain.Release()
-	sharded.Release()
+	for _, tc := range []struct {
+		name string
+		opts []QueryOption
+	}{
+		{"shards=4", []QueryOption{WithShards(4)}},
+		{"shards=5 p=1", []QueryOption{WithShards(5), WithParallelism(1)}},
+		{"shards=4 weighted", []QueryOption{WithShards(4), WithShardPlan(core.ShardPlanWeighted)}},
+	} {
+		if got := stream(tc.opts...); !reflect.DeepEqual(got, plain) {
+			t.Errorf("%s: stream diverged from the unsharded one:\n got %v\nwant %v", tc.name, got, plain)
+		}
+	}
 }
 
 // TestQueryWithShardsAndPrefetch: the composed mode — WithShards(P)

@@ -104,9 +104,14 @@ type Client struct {
 type ClientOption func(*clientConfig)
 
 type clientConfig struct {
-	hc       *http.Client
-	maxConns int
+	hc *http.Client
 }
+
+// maxConns sizes the default transport's connection pool
+// (MaxIdleConnsPerHost): it covers the pipelined executor's widest
+// default gather fan-out plus the per-list prefetchers without
+// handshaking per request.
+const maxConns = 128
 
 // WithHTTPClient substitutes the underlying HTTP client (tests,
 // custom transports). The caller owns its pooling configuration.
@@ -114,22 +119,10 @@ func WithHTTPClient(hc *http.Client) ClientOption {
 	return func(c *clientConfig) { c.hc = hc }
 }
 
-// WithMaxConns tunes the connection pool (MaxIdleConnsPerHost) of the
-// default transport; ignored with WithHTTPClient. The default, 128,
-// covers the pipelined executor's widest default gather fan-out plus
-// the per-list prefetchers without handshaking per request.
-func WithMaxConns(n int) ClientOption {
-	return func(c *clientConfig) {
-		if n > 0 {
-			c.maxConns = n
-		}
-	}
-}
-
 // Dial connects to the server at baseURL (e.g. "http://127.0.0.1:8080"),
 // fetches its /v1/meta self-description, and returns a client over it.
 func Dial(baseURL string, opts ...ClientOption) (*Client, error) {
-	cfg := clientConfig{maxConns: 128}
+	var cfg clientConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -140,8 +133,8 @@ func Dial(baseURL string, opts ...ClientOption) (*Client, error) {
 		// steady-state accesses reuse warm connections instead of paying
 		// a TCP handshake per probe.
 		hc = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        cfg.maxConns * 2,
-			MaxIdleConnsPerHost: cfg.maxConns,
+			MaxIdleConns:        maxConns * 2,
+			MaxIdleConnsPerHost: maxConns,
 			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
