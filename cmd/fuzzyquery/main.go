@@ -245,8 +245,8 @@ func runLocal(ctx context.Context, stdout, stderr io.Writer, f *flags) int {
 
 	printReport(stdout, wire.ResponseOf(rep, elapsed), eng.Name, ran{req: f.req, universe: eng.N(), repeat: f.repeat, elapsed: elapsed})
 	if st, ok := eng.CacheStats(); ok {
-		fmt.Fprintf(stdout, "result cache counters: %d hits, %d misses, %d stores, %d evictions, %d invalidations (%d live)\n",
-			st.Hits, st.Misses, st.Stores, st.Evictions, st.Invalidations, eng.CacheLen())
+		fmt.Fprintf(stdout, "result cache counters: %d hits, %d misses, %d repairs, %d stores, %d evictions, %d invalidations (%d live)\n",
+			st.Hits, st.Misses, st.Repairs, st.Stores, st.Evictions, st.Invalidations, eng.CacheLen())
 	}
 	tol.print(stdout)
 	return 0
@@ -287,6 +287,8 @@ func printReport(w io.Writer, resp wire.QueryResponse, name func(int) string, r 
 			saved = fmt.Sprintf("saved %s, ", costString(*c.SavedCost))
 		}
 		fmt.Fprintf(w, "result cache: hit (%sdata epoch %d)\n", saved, c.Epoch)
+	} else if c != nil && c.Repaired {
+		fmt.Fprintf(w, "result cache: repaired (raised grades read by random access, data epoch %d)\n", c.Epoch)
 	} else if c != nil {
 		fmt.Fprintln(w, "result cache: miss")
 	}

@@ -221,3 +221,23 @@ func TestHelpIsGolden(t *testing.T) {
 		t.Errorf("no -q: exited %d, want 2 and the usage text; got:\n%s", code, stderr.String())
 	}
 }
+
+// TestReportPrintsCacheHandling: the result-cache line names a hit with
+// what it saved, a repair, and a plain miss.
+func TestReportPrintsCacheHandling(t *testing.T) {
+	saved := wire.Cost{Sorted: 30, Random: 20}
+	for _, tc := range []struct {
+		cache *wire.CacheInfo
+		want  string
+	}{
+		{&wire.CacheInfo{Hit: true, Epoch: 7, SavedCost: &saved}, "result cache: hit (saved S=30 R=20 total=50, data epoch 7)\n"},
+		{&wire.CacheInfo{Repaired: true, Epoch: 7}, "result cache: repaired (raised grades read by random access, data epoch 7)\n"},
+		{&wire.CacheInfo{Epoch: 7}, "result cache: miss\n"},
+	} {
+		var out bytes.Buffer
+		printReport(&out, wire.QueryResponse{Cache: tc.cache}, func(o int) string { return fmt.Sprint(o) }, ran{repeat: 1})
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("Cache %+v printed\n%s\nwant a line %q", *tc.cache, out.String(), tc.want)
+		}
+	}
+}

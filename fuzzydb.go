@@ -198,15 +198,21 @@
 // epochs replays the missed updates through a threshold test against
 // the entry's stored k-th grade: updates that provably cannot disturb
 // the cached top k (lowered non-members; raises whose aggregate bound
-// stays below the k-th grade) leave the entry serving hits, and only
-// updates that could actually change the answer evict it — instead of
-// the evict-all a version-tag cache would do. Wholesale list
-// replacement (Set) and journal overflow evict conservatively, and
-// eng.Invalidate drops everything. The equivalence contract — hit or
-// miss, answers equal an always-recompute oracle — is pinned across
+// stays below the k-th grade) leave the entry serving hits. A raise
+// that could enter or reorder the answer is repaired instead of
+// evicted: under a monotone law only the raised object moved, so the
+// new top k is the top k of the cached answer and that object, found by
+// reading its grades the journal does not state — m−1 random accesses
+// for one raise on an m-atom query, where a recompute pays thousands.
+// The repaired report has Report.Cache.Repaired set and that probe as
+// its cost; the entry then serves hits again. Only a lowered member,
+// wholesale list replacement (Set) and journal overflow evict, and
+// eng.Invalidate drops everything — instead of the evict-all a
+// version-tag cache would do. The equivalence contract — hit, repair
+// or miss, answers equal an always-recompute oracle — is pinned across
 // executors, sharding, and random update interleavings by the
 // middleware fuzz harness; see package internal/cache for the
-// invalidation argument and the staleness contract.
+// revalidation argument and the staleness contract.
 //
 // # Admission control: tenants, fair scheduling, load shedding
 //

@@ -239,7 +239,8 @@ func EvaluateSharded(ctx context.Context, alg Algorithm, srcs []subsys.Source, t
 // under Prefetch or Parallel > 1, serial otherwise), and Budget as the
 // evaluation's own limit — and reports it as one shard: the driver's
 // whole-universe slice, for a body that is not a top k (a threshold
-// filter). cfg.Shards is ignored. On cancellation, budget exhaustion or
+// filter, or the random accesses that repair a cached answer).
+// cfg.Shards is ignored. On cancellation, budget exhaustion or
 // a source failure the report carries the partial cost and nil results,
 // with the error.
 func Run(ctx context.Context, srcs []subsys.Source, cfg ShardConfig, body func(*ExecContext, []*subsys.Counted) ([]Result, error)) (*ShardReport, error) {

@@ -3,27 +3,30 @@ package middleware
 // The engine half of the result cache: WithCache wires an
 // internal/cache LRU into Query, serving repeat requests in O(k) with
 // zero source accesses. The cache package owns the bound, the stats,
-// and the threshold survival test; this file owns the key (normalized
-// query AST + request shape), the epoch plumbing to the registered
-// subsystems, and the rule for what is cacheable at all.
+// and the revalidation rules (fresh, repair, dead); this file owns the
+// key (normalized query AST + request shape), the epoch plumbing to the
+// registered subsystems, the repair's one core.Run body, and the rule
+// for what is cacheable at all.
 //
 // Cacheable means: the report is a pure function of the query and the
 // data. Budgeted requests (their reports depend on where the budget
 // struck) and degraded requests (on which lists failed) are computed
 // fresh every time. Every algorithm returns exact grades (see
-// core.Algorithm), so a stored k-th grade is the true one, which the
-// threshold survival test needs. Non-monotone queries are exact too, but
-// their aggregates move unpredictably under updates, so the survival
-// argument does not apply; they are not cached either. The
-// streaming entry points (Results, Stream) never consult the cache:
-// a cursor's pages are computed over live source snapshots.
+// core.Algorithm), so a stored answer carries the true grades, which the
+// revalidation rules and the repair's merge need. Non-monotone queries
+// are exact too, but their aggregates move unpredictably under updates,
+// so the revalidation argument does not apply; they are not cached
+// either. The streaming entry points (Results, Stream) never consult
+// the cache: a cursor's pages are computed over live source snapshots.
 
 import (
+	"context"
 	"fmt"
 
 	"fuzzydb/internal/cache"
 	"fuzzydb/internal/core"
 	"fuzzydb/internal/cost"
+	"fuzzydb/internal/gradedset"
 	"fuzzydb/internal/query"
 	"fuzzydb/internal/subsys"
 )
@@ -33,13 +36,17 @@ import (
 type CacheInfo struct {
 	// Hit reports whether the request was served from the cache.
 	Hit bool
+	// Repaired reports a miss that a repair answered: raised grades had
+	// left the cached answer stale, and the report's Cost is what
+	// reading the raised objects' missing grades took.
+	Repaired bool
 	// Epoch is the data version the answer reflects: the sum of the
 	// per-atom source epochs the entry is valid at (0 when every source
 	// is immutable).
 	Epoch uint64
 	// SavedCost is, on a hit, the Section 5 spend of the original
 	// computation — the access cost this request did not pay. Zero on a
-	// miss.
+	// miss, a repair included.
 	SavedCost cost.Cost
 }
 
@@ -52,8 +59,12 @@ type CacheStats = cache.Stats
 // queries with identical normalized form and request shape are then
 // served from the cache in O(k), with zero source accesses, the
 // original computation's results and Section 5 tallies, and
-// Report.Cache filled in. Grade updates on Versioned subsystems
-// invalidate only the entries they could disturb (see package cache).
+// Report.Cache filled in. Grade updates on Versioned subsystems leave
+// alone the entries they cannot disturb; a raised grade that could
+// enter or reorder an answer is repaired by reading the raised object's
+// grades that the journal does not state — m−1 random accesses for one
+// raise on an m-atom query — and only a lowered member or an
+// unreplayable journal forces a recompute (see package cache).
 func WithCache(capacity int) Option {
 	return func(m *Middleware) { m.resultCache = cache.New(capacity) }
 }
@@ -153,63 +164,108 @@ func (m *Middleware) atomEpochs(atoms []query.Atomic) []uint64 {
 	return out
 }
 
-// cacheValidator builds the revalidation callbacks for an entry whose
-// atoms align with plan.Atoms (same normalized query, so same compiled
-// atom order).
-func (m *Middleware) cacheValidator(plan *Plan) func(*cache.Entry) bool {
-	return func(e *cache.Entry) bool {
-		if len(e.Atoms) != len(plan.Atoms) {
-			return false
-		}
-		return e.Revalidate(
-			func(i int) uint64 { return m.subsystemEpoch(plan.Atoms[i].Attr) },
-			func(i int, since uint64) ([]subsys.Update, bool) {
-				v, ok := m.subsystems[plan.Atoms[i].Attr].(subsys.Versioned)
-				if !ok {
-					// Immutable subsystem: its epoch is constant 0, so a
-					// stamp mismatch is impossible and this is unreached;
-					// answer conservatively anyway.
-					return nil, since == 0
-				}
-				return v.UpdatesSince(since)
-			},
-			func(i int, u subsys.Update) bool { return u.Target == plan.Atoms[i].Target },
-		)
+// revalidate replays the updates an entry missed from the journals of
+// the plan's subsystems. The entry's atoms align with plan.Atoms (same
+// normalized query, so same compiled atom order).
+func (m *Middleware) revalidate(plan *Plan, e *cache.Entry) (cache.Verdict, *cache.Probe) {
+	if len(e.Atoms) != len(plan.Atoms) {
+		return cache.Dead, nil
 	}
+	return e.Revalidate(
+		func(i int) uint64 { return m.subsystemEpoch(plan.Atoms[i].Attr) },
+		func(i int, since uint64) ([]subsys.Update, bool) {
+			v, ok := m.subsystems[plan.Atoms[i].Attr].(subsys.Versioned)
+			if !ok {
+				// Immutable subsystem: its epoch is constant 0, so a
+				// stamp mismatch is impossible and this is unreached;
+				// answer conservatively anyway.
+				return nil, since == 0
+			}
+			return v.UpdatesSince(since)
+		},
+		func(i int, u subsys.Update) bool { return u.Target == plan.Atoms[i].Target },
+	)
 }
 
-// cacheHit looks the key up, revalidating a stale entry against the
-// journals of the plan's subsystems, and serves a hit as a clone of the
-// original report.
-func (m *Middleware) cacheHit(key cache.Key, plan *Plan) (*Report, bool) {
-	e, ok := m.resultCache.Get(key, m.cacheValidator(plan))
-	if !ok {
-		return nil, false
+// cacheLookup looks the key up and revalidates the entry: a fresh one is
+// served as a hit, a clone of the original report; a repair verdict is
+// answered by cacheRepair. A nil report means the request recomputes;
+// the cost is then what a repair that failed spent first.
+func (m *Middleware) cacheLookup(ctx context.Context, key cache.Key, plan *Plan, req Request) (*Report, cost.Cost) {
+	var probe *cache.Probe
+	e, v := m.resultCache.Get(key, func(e *cache.Entry) cache.Verdict {
+		var v cache.Verdict
+		v, probe = m.revalidate(plan, e)
+		return v
+	})
+	switch v {
+	case cache.Fresh:
+		rep := cloneReport(e.Payload.(*Report))
+		rep.Cache = &CacheInfo{Hit: true, Epoch: e.EpochSum(), SavedCost: e.SavedCost}
+		return rep, cost.Cost{}
+	case cache.Repair:
+		return m.cacheRepair(ctx, key, plan, req, e, probe)
 	}
-	rep := cloneReport(e.Payload.(*Report))
-	rep.Cache = &CacheInfo{Hit: true, Epoch: e.EpochSum(), SavedCost: e.SavedCost}
-	return rep, true
+	return nil, cost.Cost{}
+}
+
+// cacheRepair mends an entry that raised grades left stale, in one
+// core.Run body: the probe reads the grades the replayed journal does
+// not state — through Counted.Grades, batched per list — and merges the
+// probed objects with the cached answer; the repaired entry replaces the
+// old one, stamped at the epochs the replay reached, so an update racing
+// the probe is replayed by the next lookup. The report carries the
+// repaired answer and exactly the probe's tally. A repair that fails (a
+// source error, or a tie the recompute might break another way) drops
+// the entry and returns nil with what it spent.
+func (m *Middleware) cacheRepair(ctx context.Context, key cache.Key, plan *Plan, req Request, e *cache.Entry, p *cache.Probe) (*Report, cost.Cost) {
+	var top []gradedset.Entry
+	sr := &core.ShardReport{}
+	lists, err := m.sources(plan.Atoms)
+	if err == nil {
+		sr, err = core.Run(ctx, lists, core.ShardConfig{Model: req.Model}, func(_ *core.ExecContext, counted []*subsys.Counted) ([]core.Result, error) {
+			var err error
+			top, err = p.Run(func(i int, objs []int, col []float64) error {
+				counted[i].Grades(objs, col)
+				return counted[i].Err()
+			})
+			return nil, err
+		})
+	}
+	if err != nil {
+		m.resultCache.Drop(key, e)
+		return nil, sr.Cost
+	}
+	results := make([]core.Result, len(top))
+	for i, r := range top {
+		results[i] = core.Result(r)
+	}
+	payload := *e.Payload.(*Report)
+	payload.Results = results
+	repaired := p.Entry(cloneReport(&payload), top)
+	rep := &Report{Results: results, Cost: sr.Cost, PerList: sr.PerList, Plan: plan,
+		Cache: &CacheInfo{Repaired: true, Epoch: repaired.EpochSum()}}
+	m.resultCache.Repaired(key, repaired)
+	return rep, cost.Cost{}
 }
 
 // cacheStore publishes what a cacheable miss computed, stamped with the
 // epochs snapshotted before its sources were materialized, and marks the
 // report as the miss it was. An empty answer has no k-th grade for the
-// survival test to hold on to and is not stored.
+// revalidation rules to hold on to and is not stored.
 func (m *Middleware) cacheStore(key cache.Key, plan *Plan, rep *Report, epochs []uint64) {
 	if len(rep.Results) == 0 {
 		return
 	}
-	members := make([]int, len(rep.Results))
+	top := make([]gradedset.Entry, len(rep.Results))
 	for i, r := range rep.Results {
-		members[i] = r.Object
+		top[i] = gradedset.Entry(r)
 	}
 	atoms := make([]cache.AtomRef, len(plan.Atoms))
 	for i, a := range plan.Atoms {
 		atoms[i] = cache.AtomRef{Attr: a.Attr, Target: a.Target}
 	}
-	kth := rep.Results[len(rep.Results)-1].Grade
-	entry := cache.NewEntry(
-		cloneReport(rep), rep.Cost, atoms, plan.Agg, members, kth, epochs)
+	entry := cache.NewEntry(cloneReport(rep), rep.Cost, atoms, plan.Agg, top, epochs)
 	// The entry owns epochs from here on, and once Put publishes it a
 	// concurrent hit's Revalidate writes them: read the sum first.
 	rep.Cache = &CacheInfo{Hit: false, Epoch: entry.EpochSum()}

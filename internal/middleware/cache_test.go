@@ -2,12 +2,15 @@ package middleware
 
 import (
 	"context"
+	"errors"
 	"math/rand/v2"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fuzzydb/internal/core"
+	"fuzzydb/internal/cost"
 	"fuzzydb/internal/query"
 	"fuzzydb/internal/scoredb"
 	"fuzzydb/internal/subsys"
@@ -135,11 +138,11 @@ func TestCacheHitBitIdentity(t *testing.T) {
 	}
 }
 
-// TestCacheUpdateSurvival drives the threshold invalidation rules
-// end-to-end through mutable subsystems: updates that provably cannot
-// disturb the cached top k leave it serving hits, updates that could
-// evict it, and in every case the served answer equals a fresh
-// recompute over the live data.
+// TestCacheUpdateSurvival drives the revalidation rules end-to-end
+// through mutable subsystems: updates that provably cannot disturb the
+// cached top k leave it serving hits, a raise that could is repaired,
+// updates that leave nothing to repair from evict it, and in every case
+// the served answer equals a fresh recompute over the live data.
 func TestCacheUpdateSurvival(t *testing.T) {
 	eng, oracle, muts, db := genMutableStore(t, 600, 2, 47, 0)
 	q := genConj(2)
@@ -204,11 +207,14 @@ func TestCacheUpdateSurvival(t *testing.T) {
 	}
 	requery(true, "non-member raise below kth")
 
-	// Raising it past the k-th grade could displace a member: miss.
+	// Raising it past the k-th grade could displace a member: a miss,
+	// answered by a repair.
 	if err := muts[0].UpdateGrade("*", nonMember, (kth+1)/2); err != nil {
 		t.Fatal(err)
 	}
-	requery(false, "non-member raise above kth")
+	if rep := requery(false, "non-member raise above kth"); !rep.Cache.Repaired || rep.Cost.Sorted != 0 {
+		t.Fatalf("non-member raise above kth: Cache = %+v, cost %+v; want a repair with no sorted access", rep.Cache, rep.Cost)
+	}
 
 	// A member's grade moving always evicts.
 	warm()
@@ -531,5 +537,335 @@ func TestCacheBehindWrappers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// hookedMutable is a mutable subsystem that counts the sources asked of
+// it and, once armed, runs a hook inside its next Query or hands out
+// sources that fail every access.
+type hookedMutable struct {
+	*subsys.Mutable
+	queries atomic.Int64
+	mu      sync.Mutex
+	hook    func()
+	faulty  bool
+}
+
+func (h *hookedMutable) Query(target string) (subsys.Source, error) {
+	h.queries.Add(1)
+	h.mu.Lock()
+	hook, faulty := h.hook, h.faulty
+	h.hook = nil
+	h.mu.Unlock()
+	if hook != nil {
+		hook()
+	}
+	src, err := h.Mutable.Query(target)
+	if err != nil || !faulty {
+		return src, err
+	}
+	return subsys.NewFaultSource(src, subsys.FaultPlan{Rate: 1, Phase: subsys.FaultBoth}), nil
+}
+
+// hookedStore is genMutableStore over hookedMutable subsystems; the
+// oracle reads the same lists without the hooks.
+func hookedStore(t *testing.T, n, m int, seed uint64) (*Middleware, *Middleware, []*hookedMutable) {
+	t.Helper()
+	_, _, muts, _ := genMutableStore(t, n, m, seed, 0)
+	hs := make([]*hookedMutable, m)
+	hooked := make([]subsys.Subsystem, m)
+	bare := make([]subsys.Subsystem, m)
+	for i, mu := range muts {
+		hs[i] = &hookedMutable{Mutable: mu}
+		hooked[i], bare[i] = hs[i], mu
+	}
+	eng, err := New(hooked, WithCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := New(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, oracle, hs
+}
+
+// sourceCalls is how many sources the engine has asked of hs.
+func sourceCalls(hs []*hookedMutable) int64 {
+	var n int64
+	for _, h := range hs {
+		n += h.queries.Load()
+	}
+	return n
+}
+
+// gradeOf reads obj's current grade in h's list.
+func gradeOf(t *testing.T, h *hookedMutable, obj int) float64 {
+	t.Helper()
+	src, err := h.Mutable.Query("*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src.Grade(obj)
+}
+
+// firstOutsider is the smallest object id not in the answer.
+func firstOutsider(rep *Report) int {
+	in := make(map[int]bool, len(rep.Results))
+	for _, r := range rep.Results {
+		in[r.Object] = true
+	}
+	o := 0
+	for in[o] {
+		o++
+	}
+	return o
+}
+
+// askBoth runs q on the cached engine and the oracle under the same
+// options and checks the answers agree.
+func askBoth(t *testing.T, label string, eng, oracle *Middleware, q query.Node, opts ...QueryOption) *Report {
+	t.Helper()
+	ctx := context.Background()
+	rep, err := eng.Query(ctx, q, opts...)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	fresh, err := oracle.Query(ctx, q, opts...)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", label, err)
+	}
+	sameResults(t, label+" vs recompute", rep, fresh)
+	if rep.Cache == nil {
+		t.Fatalf("%s: no Report.Cache on a cacheable query", label)
+	}
+	return rep
+}
+
+// TestCacheRepairSingleRaise: raising one grade of an outsider past the
+// k-th grade of an m = 3 conjunction is repaired by reading its other
+// two grades — Cost{0, 2}, one random access on each of the lists the
+// journal did not speak for — with the answer of a recompute; the next
+// lookup is a hit that asks no source for anything, serving the
+// repaired answer with the original computation's tallies.
+func TestCacheRepairSingleRaise(t *testing.T) {
+	const k = 10
+	eng, oracle, hs := hookedStore(t, 900, 3, 71)
+	q := genConj(3)
+	first := askBoth(t, "warm", eng, oracle, q, TopN(k))
+
+	// The outsider with the best grades on lists 1 and 2 enters the
+	// answer once its grade on list 0 is 1.
+	best, bestGrade := -1, -1.0
+	in := make(map[int]bool, k)
+	for _, r := range first.Results {
+		in[r.Object] = true
+	}
+	for o := 0; o < 900; o++ {
+		if g := min(gradeOf(t, hs[1], o), gradeOf(t, hs[2], o)); !in[o] && g > bestGrade {
+			best, bestGrade = o, g
+		}
+	}
+	if bestGrade <= first.Results[k-1].Grade {
+		t.Fatalf("no outsider can enter the answer (best %v)", bestGrade)
+	}
+	if err := hs[0].UpdateGrade("*", best, 1); err != nil {
+		t.Fatal(err)
+	}
+	rep := askBoth(t, "single raise", eng, oracle, q, TopN(k))
+	if !rep.Cache.Repaired || rep.Cache.Hit {
+		t.Fatalf("Cache = %+v, want a repair", rep.Cache)
+	}
+	if want := (cost.Cost{Sorted: 0, Random: 2}); rep.Cost != want {
+		t.Fatalf("repair cost %+v, want %+v", rep.Cost, want)
+	}
+	if want := []cost.Cost{{}, {Random: 1}, {Random: 1}}; !reflect.DeepEqual(rep.PerList, want) {
+		t.Fatalf("repair per-list cost %+v, want %+v", rep.PerList, want)
+	}
+	if reflect.DeepEqual(rep.Results, first.Results) {
+		t.Fatal("the raise did not change the answer")
+	}
+
+	before := sourceCalls(hs)
+	hit := askBoth(t, "after the repair", eng, oracle, q, TopN(k))
+	if !hit.Cache.Hit || hit.Cache.Repaired {
+		t.Fatalf("Cache = %+v, want a plain hit", hit.Cache)
+	}
+	if n := sourceCalls(hs) - before; n != 0 {
+		t.Fatalf("the hit asked for %d sources", n)
+	}
+	if hit.Cost != first.Cost || hit.Cache.SavedCost != first.Cost {
+		t.Fatalf("hit cost %+v, saved %+v; want the original computation's %+v", hit.Cost, hit.Cache.SavedCost, first.Cost)
+	}
+	st, _ := eng.CacheStats()
+	if st.Hits != 1 || st.Misses != 2 || st.Repairs != 1 || st.Stores != 1 || st.Invalidations != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestCacheRepairMovesMember: a raised member is re-graded in place and
+// moves up the answer.
+func TestCacheRepairMovesMember(t *testing.T) {
+	const k = 10
+	eng, oracle, hs := hookedStore(t, 900, 3, 73)
+	q := genConj(3)
+	first := askBoth(t, "warm", eng, oracle, q, TopN(k))
+
+	// Find a member whose grade, with its lowest list raised to 1,
+	// passes the member ranked just above it.
+	rank, list := -1, -1
+	for i := 1; i < k && rank < 0; i++ {
+		obj := first.Results[i].Object
+		gs := []float64{gradeOf(t, hs[0], obj), gradeOf(t, hs[1], obj), gradeOf(t, hs[2], obj)}
+		low := 0
+		for l := range gs {
+			if gs[l] < gs[low] {
+				low = l
+			}
+		}
+		gs[low] = 1
+		if min(gs[0], gs[1], gs[2]) > first.Results[i-1].Grade {
+			rank, list = i, low
+		}
+	}
+	if rank < 0 {
+		t.Fatal("no member can move up")
+	}
+	obj := first.Results[rank].Object
+	if err := hs[list].UpdateGrade("*", obj, 1); err != nil {
+		t.Fatal(err)
+	}
+	rep := askBoth(t, "member raise", eng, oracle, q, TopN(k))
+	if !rep.Cache.Repaired || rep.Cost != (cost.Cost{Random: 2}) {
+		t.Fatalf("Cache = %+v, cost %+v; want a repair at Cost{0, 2}", rep.Cache, rep.Cost)
+	}
+	if rep.Results[rank-1].Object != obj {
+		t.Fatalf("member %d did not move up from rank %d: %v", obj, rank, rep.Results)
+	}
+}
+
+// TestCacheRepairFaultFallsBack: a probe that fails drops the entry and
+// the request recomputes; the caller sees the recompute's typed error —
+// a sorted access, where the probe only reads by random access — never
+// the probe's.
+func TestCacheRepairFaultFallsBack(t *testing.T) {
+	eng, oracle, hs := hookedStore(t, 600, 3, 79)
+	q := genConj(3)
+	first := askBoth(t, "warm", eng, oracle, q, TopN(10))
+	if err := hs[0].UpdateGrade("*", firstOutsider(first), 1); err != nil {
+		t.Fatal(err)
+	}
+	hs[2].mu.Lock()
+	hs[2].faulty = true
+	hs[2].mu.Unlock()
+	rep, err := eng.Query(context.Background(), q, TopN(10))
+	var se *subsys.SourceError
+	if !errors.As(err, &se) {
+		t.Fatalf("error %v, want a *subsys.SourceError", err)
+	}
+	if se.Random || se.List != 2 {
+		t.Fatalf("error %v is not the recompute's sorted access on list 2", err)
+	}
+	if rep == nil || rep.Results != nil || rep.Cache != nil {
+		t.Fatalf("report %+v, want the recompute's partial report", rep)
+	}
+	st, _ := eng.CacheStats()
+	if st.Repairs != 0 || st.Invalidations != 1 || eng.CacheLen() != 0 {
+		t.Fatalf("stats = %+v, %d live; want the entry dropped and no repair", st, eng.CacheLen())
+	}
+}
+
+// TestCacheRepairUnderShapes: a repair runs the same under a sharded or
+// pipelined request shape, and its report has no shard or pipeline
+// sections — the probe reads no sorted list and ran over no shard.
+func TestCacheRepairUnderShapes(t *testing.T) {
+	for _, sh := range []struct {
+		name string
+		opts []QueryOption
+	}{
+		{"sharded", []QueryOption{WithShards(4)}},
+		{"pipelined", []QueryOption{WithPrefetch(8)}},
+		{"sharded-pipelined", []QueryOption{WithShards(4), WithPrefetch(8)}},
+	} {
+		t.Run(sh.name, func(t *testing.T) {
+			eng, oracle, hs := hookedStore(t, 900, 3, 83)
+			q := genConj(3)
+			opts := append([]QueryOption{TopN(12)}, sh.opts...)
+			first := askBoth(t, "warm", eng, oracle, q, opts...)
+			if err := hs[1].UpdateGrade("*", firstOutsider(first), 1); err != nil {
+				t.Fatal(err)
+			}
+			rep := askBoth(t, "raise", eng, oracle, q, opts...)
+			if !rep.Cache.Repaired || rep.Cost != (cost.Cost{Random: 2}) {
+				t.Fatalf("Cache = %+v, cost %+v; want a repair at Cost{0, 2}", rep.Cache, rep.Cost)
+			}
+			if rep.PerShard != nil || rep.ShardDetails != nil || rep.Shards != 0 || rep.Prefetch != nil {
+				t.Fatalf("repaired report carries shard or pipeline sections: %+v", rep)
+			}
+			hit := askBoth(t, "after the repair", eng, oracle, q, opts...)
+			if !hit.Cache.Hit {
+				t.Fatalf("Cache = %+v, want a hit", hit.Cache)
+			}
+			sameReport(t, "hit vs the original computation's tallies", &Report{Results: hit.Results, Cost: first.Cost, PerList: first.PerList, PerShard: first.PerShard, Shards: first.Shards}, hit)
+		})
+	}
+}
+
+// TestCacheRepairRacesUpdate: an update that lands between a repair's
+// epoch snapshot and its probe — applied by the subsystem inside the
+// Query the repair materializes its sources with — leaves the repaired
+// entry stamped behind it, so the next lookup replays it and agrees with
+// a recompute.
+func TestCacheRepairRacesUpdate(t *testing.T) {
+	const k = 10
+	eng, oracle, hs := hookedStore(t, 600, 3, 89)
+	q := genConj(3)
+	first := askBoth(t, "warm", eng, oracle, q, TopN(k))
+	x := firstOutsider(first)
+	// x's grades on lists 0 and 2 are journaled; list 1 is probed, and
+	// the update racing the probe lifts it there, into the answer's top.
+	if err := hs[0].UpdateGrade("*", x, 0.9995); err != nil {
+		t.Fatal(err)
+	}
+	if err := hs[2].UpdateGrade("*", x, 0.998); err != nil {
+		t.Fatal(err)
+	}
+	epochs := func() uint64 {
+		var sum uint64
+		for _, h := range hs {
+			sum += h.Epoch()
+		}
+		return sum
+	}
+	stamp := epochs()
+	hs[1].mu.Lock()
+	hs[1].hook = func() {
+		if err := hs[1].UpdateGrade("*", x, 0.997); err != nil {
+			t.Error(err)
+		}
+	}
+	hs[1].mu.Unlock()
+
+	rep, err := eng.Query(context.Background(), q, TopN(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Cache.Repaired || rep.Cost != (cost.Cost{Random: 1}) {
+		t.Fatalf("Cache = %+v, cost %+v; want a repair reading one grade", rep.Cache, rep.Cost)
+	}
+	if rep.Cache.Epoch != stamp || epochs() != stamp+1 {
+		t.Fatalf("repaired entry stamped at %d, data at %d; want it behind the racing update, at %d", rep.Cache.Epoch, epochs(), stamp)
+	}
+	if rep.Results[0].Object != x {
+		t.Fatalf("the probe did not read the raced grade: %v", rep.Results)
+	}
+	// x is a member now, and the replayed update raised it: a repair
+	// again, reading x's two grades the new entry's journal lacks.
+	next := askBoth(t, "after the race", eng, oracle, q, TopN(k))
+	if !next.Cache.Repaired || next.Cache.Epoch != stamp+1 || next.Cost != (cost.Cost{Random: 2}) {
+		t.Fatalf("Cache = %+v, cost %+v; want a repair at the current epochs", next.Cache, next.Cost)
+	}
+	if hit := askBoth(t, "settled", eng, oracle, q, TopN(k)); !hit.Cache.Hit {
+		t.Fatalf("Cache = %+v, want a hit", hit.Cache)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"fuzzydb/internal/cost"
 	"fuzzydb/internal/query"
 	"fuzzydb/internal/scoredb"
 	"fuzzydb/internal/subsys"
@@ -15,11 +16,14 @@ import (
 // executor shapes, explicit invalidations, and wholesale list
 // replacements (journal poison) on a cached engine, checking every
 // answer against an uncached oracle engine over the SAME mutable
-// subsystems. Grades are continuous (generator and updates), so ties —
-// the one case where the cache conservatively recomputes rather than
-// serving a still-bit-identical answer — have probability zero, and
-// hit or miss the results must match the recompute exactly. On a miss
-// both engines pay the same tallies, so costs are compared too.
+// subsystems. Half the queries repeat the previous one, so entries are
+// revisited after the updates in between. Grades are continuous
+// (generator and updates), so ties — the one case where the cache
+// conservatively recomputes rather than serving a still-bit-identical
+// answer — have probability zero, and hit, repair or recompute, the
+// results must match the recompute exactly. A recompute pays the
+// oracle's tallies; a repair pays no sorted access and at most j−1
+// random ones per raised object of a j-atom query.
 func FuzzCacheEquivalence(f *testing.F) {
 	for _, seed := range []uint64{1, 7, 42, 1996, 0xfa61} {
 		f.Add(seed)
@@ -56,7 +60,10 @@ func FuzzCacheEquivalence(f *testing.F) {
 			{WithPrefetch(4)},
 		}
 		ctx := context.Background()
-		queries, hits := 0, 0
+		queries, hits, repairs, updates := 0, 0, 0, 0
+		var q query.Node
+		var j int
+		var opts []QueryOption
 		for step := 0; step < 60; step++ {
 			switch rng.IntN(10) {
 			case 0:
@@ -69,15 +76,17 @@ func FuzzCacheEquivalence(f *testing.F) {
 				if err := muts[l].UpdateGrade("*", rng.IntN(n), rng.Float64()); err != nil {
 					t.Fatalf("step %d: update: %v", step, err)
 				}
+				updates++
 			default:
-				j := 1 + rng.IntN(m)
-				atoms := make([]query.Atomic, j)
-				for i := range atoms {
-					atoms[i] = query.Atomic{Attr: attrName(i), Target: "*"}
+				if q == nil || rng.IntN(2) == 0 {
+					j = 1 + rng.IntN(m)
+					atoms := make([]query.Atomic, j)
+					for i := range atoms {
+						atoms[i] = query.Atomic{Attr: attrName(i), Target: "*"}
+					}
+					q = query.Conj(atoms...)
+					opts = append([]QueryOption{TopN(1 + rng.IntN(16))}, shapes[rng.IntN(len(shapes))]...)
 				}
-				q := query.Conj(atoms...)
-				k := 1 + rng.IntN(16)
-				opts := append([]QueryOption{TopN(k)}, shapes[rng.IntN(len(shapes))]...)
 
 				got, err := eng.Query(ctx, q, opts...)
 				if err != nil {
@@ -87,27 +96,39 @@ func FuzzCacheEquivalence(f *testing.F) {
 				if err != nil {
 					t.Fatalf("step %d: oracle query: %v", step, err)
 				}
-				if !reflect.DeepEqual(got.Results, want.Results) {
-					t.Fatalf("step %d (k=%d, hit=%v): results diverged from recompute:\n got %v\nwant %v",
-						step, k, got.Cache != nil && got.Cache.Hit, got.Results, want.Results)
-				}
 				if got.Cache == nil {
 					t.Fatalf("step %d: cacheable query carried no Cache info", step)
 				}
+				if !reflect.DeepEqual(got.Results, want.Results) {
+					t.Fatalf("step %d (%+v): results diverged from recompute:\n got %v\nwant %v",
+						step, *got.Cache, got.Results, want.Results)
+				}
 				queries++
-				if got.Cache.Hit {
+				switch {
+				case got.Cache.Hit && got.Cache.Repaired:
+					t.Fatalf("step %d: Cache = %+v, a hit and a repair", step, *got.Cache)
+				case got.Cache.Hit:
 					hits++
-				} else if got.Cost != want.Cost {
-					t.Fatalf("step %d: miss cost %+v != recompute cost %+v", step, got.Cost, want.Cost)
+				case got.Cache.Repaired:
+					repairs++
+					var sum cost.Cost
+					for _, c := range got.PerList {
+						sum = sum.Add(c)
+					}
+					if got.Cost.Sorted != 0 || got.Cost.Random > (j-1)*updates || sum != got.Cost {
+						t.Fatalf("step %d: repair cost %+v (per list %+v) after %d updates of a %d-atom query", step, got.Cost, got.PerList, updates, j)
+					}
+				case got.Cost != want.Cost:
+					t.Fatalf("step %d: recompute cost %+v != oracle cost %+v", step, got.Cost, want.Cost)
 				}
 			}
 		}
 		st, ok := eng.CacheStats()
-		if !ok || st.Hits+st.Misses != uint64(queries) {
+		if !ok || st.Hits+st.Misses != uint64(queries) || st.Repairs > st.Misses {
 			t.Fatalf("stats %+v incoherent with %d lookups", st, queries)
 		}
-		if st.Hits != uint64(hits) {
-			t.Fatalf("stats count %d hits, reports said %d", st.Hits, hits)
+		if st.Hits != uint64(hits) || st.Repairs != uint64(repairs) {
+			t.Fatalf("stats count %d hits and %d repairs, reports said %d and %d", st.Hits, st.Repairs, hits, repairs)
 		}
 	})
 }

@@ -41,11 +41,12 @@
 // the plan's materialized sources and, for the weighted shard plan,
 // their sketches. Query, TopKMedian and TopKInternal then run
 // core.EvaluateSharded, Results and Stream core.NewPaginator, and Filter —
-// whose body is not a top k — core.Run. All three run on core's one slice
-// driver: it validates the sources, plans the shards (honoring the shard
-// plan for pagination too), opens each slice, runs the algorithm, applies
-// the final net for failed sources, tallies, and merges the per-slice
-// answers. A one-shot top k is the first page of a paginator's
+// whose body is not a top k — core.Run, as does a result-cache repair
+// (cache.go), whose body reads a few grades. All three run on core's one
+// slice driver: it validates the sources, plans the shards (honoring the
+// shard plan for pagination too), opens each slice, runs the algorithm,
+// applies the final net for failed sources, tallies, and merges the
+// per-slice answers. A one-shot top k is the first page of a paginator's
 // evaluation plus fencing.
 //
 // The features layered on top are degenerate cases, not branches:
@@ -367,15 +368,21 @@ type Report struct {
 	// unless the request ran on the pipelined executor (WithPrefetch, or
 	// WithParallelism(p>1) unsharded) and the pipelines engaged.
 	Prefetch *subsys.PipelineStats
-	// Cache records how the result cache handled this request — hit or
-	// miss, the source-epoch fingerprint the answer reflects, and (on a
-	// hit) the access cost the cache saved. Nil when the engine has no
-	// cache or the request was not cacheable (budgeted, degraded or
-	// non-monotone evaluation). A hit carries the original
-	// computation's Results, Cost, PerList, PerShard, and Prefetch
-	// sections verbatim: bit-identical to what recomputing would return
-	// (results provably so even after surviving grade updates; tallies
-	// describe the original computation — see package cache).
+	// Cache records how the result cache handled this request — hit,
+	// repair or miss, the source-epoch fingerprint the answer reflects,
+	// and (on a hit) the access cost the cache saved. Nil when the engine
+	// has no cache or the request was not cacheable (budgeted, degraded
+	// or non-monotone evaluation). A hit carries the cached Results and
+	// the original computation's Cost, PerList, PerShard, and Prefetch
+	// sections verbatim: results bit-identical to what recomputing would
+	// return (provably so even after grade updates the entry survived or
+	// was repaired for); tallies describe the original computation — see
+	// package cache. A repair (Cache.Repaired) carries the repaired
+	// Results, and Cost and PerList of the random accesses it read, with
+	// no sorted access; whatever the request shape, it ran unsharded and
+	// unpipelined, so PerShard, ShardDetails and Prefetch are nil and
+	// Shards is 0. A repair that fails falls back to the recompute, whose
+	// report then also counts the reads the repair spent in Cost.
 	Cache *CacheInfo
 	// Plan that produced the results.
 	Plan *Plan
@@ -701,8 +708,10 @@ func (m *Middleware) query(ctx context.Context, q query.Node, req Request) (*Rep
 	}
 	key, cacheable := m.cacheKey(plan, req)
 	var epochs []uint64
+	var sunk cost.Cost // what a repair that failed spent
 	if cacheable {
-		if rep, ok := m.cacheHit(key, plan); ok {
+		var rep *Report
+		if rep, sunk = m.cacheLookup(ctx, key, plan, req); rep != nil {
 			return rep, nil
 		}
 		// Miss: snapshot the source epochs BEFORE anything is materialized.
@@ -720,6 +729,10 @@ func (m *Middleware) query(ctx context.Context, q query.Node, req Request) (*Rep
 	})
 	if cacheable && err == nil {
 		m.cacheStore(key, plan, rep, epochs)
+	}
+	if rep != nil {
+		// After the store: the entry saves what the recompute cost.
+		rep.Cost = rep.Cost.Add(sunk)
 	}
 	return rep, err
 }

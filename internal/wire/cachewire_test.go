@@ -77,6 +77,77 @@ func TestQueryCacheOverWire(t *testing.T) {
 	}
 }
 
+// TestQueryCacheOverWireMutable: over mutable lists, a grade raised
+// past the cached k-th grade between two requests comes back repaired —
+// a miss whose cost is the raised object's m−1 other grades — and a
+// third request is a hit on the repaired answer.
+func TestQueryCacheOverWireMutable(t *testing.T) {
+	const m = 3
+	db := testDB(t, 600, m, 93)
+	subs := make([]subsys.Subsystem, m)
+	muts := make([]*subsys.Mutable, m)
+	for i := range muts {
+		muts[i] = subsys.NewMutable(listName(i), db.N(), 0)
+		muts[i].Set("*", db.List(i))
+		subs[i] = muts[i]
+	}
+	eng, err := middleware.New(subs, middleware.WithCache(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(wire.NewQueryServer(eng))
+	t.Cleanup(ts.Close)
+
+	req := wire.QueryRequest{Query: queryOf(m), K: 10}
+	var first, second, third wire.QueryResponse
+	postJSON(t, ts.URL+"/v1/query", req, &first)
+	in := make(map[int]bool, len(first.Results))
+	for _, r := range first.Results {
+		in[r.Object] = true
+	}
+	outsider := 0
+	for in[outsider] {
+		outsider++
+	}
+	if err := muts[0].UpdateGrade("*", outsider, 1); err != nil {
+		t.Fatal(err)
+	}
+	postJSON(t, ts.URL+"/v1/query", req, &second)
+	postJSON(t, ts.URL+"/v1/query", req, &third)
+
+	if second.Cache == nil || second.Cache.Hit || !second.Cache.Repaired {
+		t.Fatalf("second response cache = %+v, want a repair", second.Cache)
+	}
+	if want := (wire.Cost{Sorted: 0, Random: m - 1}); second.Cost != want {
+		t.Fatalf("repair cost %v, want %v", second.Cost, want)
+	}
+	if second.Cache.SavedCost != nil {
+		t.Fatalf("a repair reports a saved cost: %v", *second.Cache.SavedCost)
+	}
+	if third.Cache == nil || !third.Cache.Hit || third.Cache.Repaired {
+		t.Fatalf("third response cache = %+v, want a hit", third.Cache)
+	}
+	if !reflect.DeepEqual(third.Results, second.Results) {
+		t.Fatalf("hit results diverge from the repaired ones:\nrepaired: %v\nhit:      %v", second.Results, third.Results)
+	}
+	oracle, err := middleware.New(subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracle.QueryString(context.Background(), req.Query, middleware.TopN(req.K))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Results) != len(second.Results) {
+		t.Fatalf("repaired answer %v, recompute %v", second.Results, want.Results)
+	}
+	for i, r := range want.Results {
+		if second.Results[i].Object != r.Object || second.Results[i].Grade != r.Grade {
+			t.Fatalf("repaired answer %v, recompute %v", second.Results, want.Results)
+		}
+	}
+}
+
 // wedgedSource wedges sorted and random access until the bound request
 // context is canceled — a stand-in for a hung backend that only the
 // per-request context can unstick.

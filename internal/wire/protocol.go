@@ -189,6 +189,9 @@ type PrefetchStats struct {
 type CacheInfo struct {
 	// Hit reports whether the answer was served from the cache.
 	Hit bool `json:"hit"`
+	// Repaired reports a miss answered by repairing a cached answer that
+	// raised grades had left stale; Cost is then what the repair read.
+	Repaired bool `json:"repaired,omitempty"`
 	// Epoch is the source-data version fingerprint the answer reflects.
 	Epoch uint64 `json:"epoch"`
 	// SavedCost is, on a hit, the Section 5 spend the cache saved.

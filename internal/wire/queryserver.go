@@ -149,7 +149,7 @@ func ResponseOf(rep *middleware.Report, elapsed time.Duration) QueryResponse {
 		resp.Prefetch = &p
 	}
 	if rep.Cache != nil {
-		ci := &CacheInfo{Hit: rep.Cache.Hit, Epoch: rep.Cache.Epoch}
+		ci := &CacheInfo{Hit: rep.Cache.Hit, Repaired: rep.Cache.Repaired, Epoch: rep.Cache.Epoch}
 		if rep.Cache.Hit {
 			c := costOf(rep.Cache.SavedCost)
 			ci.SavedCost = &c

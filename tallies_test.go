@@ -149,9 +149,12 @@ func skewedPlanDB(t *testing.T, n int) *scoredb.Database {
 // subsystems through 256 write-then-query steps and counts the queries
 // still served from the cache. Seven writes in eight land a low grade
 // strictly below any top-k threshold (τ-survivable: the entry's
-// threshold test proves it cannot disturb the cached answer); the eighth
-// raises an object above the threshold and must evict. UpdateGrade
-// copies on write, so the generator's lists are never touched.
+// threshold test proves it cannot disturb the cached answer, unless the
+// write lowered a member); the eighth raises an object above the
+// threshold, and its query must be answered by a repair that reads the
+// raised object's other grades and no sorted list — a miss, not a hit.
+// UpdateGrade copies on write, so the generator's lists are never
+// touched.
 func writeMixHits(t *testing.T, dbs []*scoredb.Database) (hits int) {
 	t.Helper()
 	ctx := context.Background()
@@ -198,6 +201,9 @@ func writeMixHits(t *testing.T, dbs []*scoredb.Database) (hits int) {
 		}
 		if rep.Cache != nil && rep.Cache.Hit {
 			hits++
+		}
+		if s%8 == 7 && (rep.Cache == nil || !rep.Cache.Repaired || rep.Cost.Sorted != 0) {
+			t.Fatalf("write-mix step %d raised a grade: Cache = %+v, cost %+v; want a repair with no sorted access", s, rep.Cache, rep.Cost)
 		}
 	}
 	return hits
