@@ -627,7 +627,8 @@ var (
 	FaginsAlgorithmPrime Algorithm = core.A0Prime{}
 	// DisjunctionAlgorithm is B₀ for max queries: cost mk.
 	DisjunctionAlgorithm Algorithm = core.B0{}
-	// MedianAlgorithm evaluates the median by subset decomposition.
+	// MedianAlgorithm evaluates the median by subset decomposition, which
+	// an Engine plans for (A AND B) OR (A AND C) OR (B AND C) on its own.
 	MedianAlgorithm Algorithm = core.OrderStat{}
 	// UllmanAlgorithm is the Section 9 sequential-probe algorithm (m=2).
 	UllmanAlgorithm Algorithm = core.Ullman{}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"fuzzydb"
@@ -71,6 +72,28 @@ func TestEndToEndThreeSubsystems(t *testing.T) {
 	}
 	if rep.Results[0].Grade <= rep.Results[1].Grade {
 		t.Errorf("grades not separated: %v", rep.Results)
+	}
+}
+
+func TestMedianQueryThroughFacade(t *testing.T) {
+	// The median of three atoms, spelled as the OR of their pairwise ANDs,
+	// plans the subset decomposition; MedianAlgorithm pins the same
+	// algorithm, so the answers and their cost agree.
+	eng := buildCDStore(t)
+	q := `(Artist = "Beatles" AND AlbumColor ~ "red") OR (Artist = "Beatles" AND AlbumColor ~ "blue") OR (AlbumColor ~ "red" AND AlbumColor ~ "blue")`
+	planned, err := eng.QueryString(context.Background(), q, fuzzydb.TopN(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := eng.QueryString(context.Background(), q, fuzzydb.TopN(3), fuzzydb.WithAlgorithm(fuzzydb.MedianAlgorithm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if planned.Plan.Algorithm.Name() != "orderstat-2-via-subsets" || pinned.Plan.Algorithm.Name() != "median-via-subsets" {
+		t.Errorf("planned %s, pinned %s", planned.Plan.Algorithm.Name(), pinned.Plan.Algorithm.Name())
+	}
+	if !reflect.DeepEqual(planned.Results, pinned.Results) || planned.Cost != pinned.Cost {
+		t.Errorf("planned %v at %v, pinned %v at %v", planned.Results, planned.Cost, pinned.Results, pinned.Cost)
 	}
 }
 

@@ -298,9 +298,6 @@ func TestSubsets(t *testing.T) {
 	if Subsets(3, 4) != nil {
 		t.Error("Subsets(3,4) should be nil")
 	}
-	if len(MedianDecomposition(3)) != 3 {
-		t.Errorf("MedianDecomposition(3) size = %d, want 3", len(MedianDecomposition(3)))
-	}
 }
 
 func TestConstant(t *testing.T) {

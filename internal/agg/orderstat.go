@@ -116,19 +116,6 @@ func (gymnasticsFunc) Apply(gs []float64) float64 {
 func (gymnasticsFunc) Monotone() bool { return true }
 func (gymnasticsFunc) Strict() bool   { return false }
 
-// MedianDecomposition returns, for arity m, the subsets of {0,…,m−1} of
-// size ⌈(m+1)/2⌉. By the order-statistic identity
-//
-//	j-th largest(a₁,…,aₘ) = max over all j-subsets S of min over S,
-//
-// the median equals the max of the per-subset mins, which lets a
-// middleware evaluate a median query by running the min-algorithm A₀ on
-// each subset and merging with B₀-style max (Remark 6.1 generalized).
-func MedianDecomposition(m int) [][]int {
-	j := (m + 2) / 2
-	return Subsets(m, j)
-}
-
 // Subsets enumerates the size-j subsets of {0,…,m−1} in lexicographic
 // order.
 func Subsets(m, j int) [][]int {

@@ -22,7 +22,8 @@
 //     largest of m grades is the max over j-subsets of the min over the
 //     subset, so a median query runs one A0Prime per subset and merges
 //     B0-style. For m = 3 this is exactly the paper's median algorithm
-//     with cost O(√(Nk)).
+//     with cost O(√(Nk)). The middleware plans it for the identity
+//     spelled as a query: the OR of the ANDs of every j-subset.
 //   - Ullman: the Section 9 sequential probe algorithm for binary min
 //     conjunctions — sorted access on one list, an immediate random probe
 //     on the other, stopping when the k-th best candidate is at least the

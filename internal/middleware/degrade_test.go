@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"fuzzydb/internal/gradedset"
@@ -109,6 +110,11 @@ func TestDegradedQueryEqualsFreshQueryOverSurvivors(t *testing.T) {
 				degradeAtom("A"),
 				query.Or{Children: []query.Node{degradeAtom("B"), degradeAtom("C")}},
 			}}
+		}},
+		// The median, planned OrderStat (TestTopKMedianDegrades pins
+		// what its pruned form plans and answers).
+		{"median3", func() query.Node {
+			return query.MustParse(orderStatForm([]string{`A = "x"`, `B = "x"`, `C = "x"`}, 2, 0))
 		}},
 	}
 	for _, shape := range shapes {
@@ -257,25 +263,29 @@ func TestFailFastWithoutDegradeOption(t *testing.T) {
 }
 
 func TestTopKMedianDegrades(t *testing.T) {
+	// The median is a query like any other, so losing a list prunes its
+	// atom and re-plans: A OR (A AND C) OR C absorbs to A OR C, the
+	// survivors' max, planned B₀ — not their median.
 	faulty := degradeStore(t, 11, "B")
 	clean := degradeStore(t, 11)
-	atoms := []query.Atomic{degradeAtom("A"), degradeAtom("B"), degradeAtom("C")}
+	median := query.MustParse(orderStatForm([]string{`A = "x"`, `B = "x"`, `C = "x"`}, 2, 0))
 
-	rep, err := faulty.TopKMedian(context.Background(), atoms, 4, WithDegradedLists(1))
+	rep, err := faulty.Query(context.Background(), median, TopN(4), WithDegradedLists(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Degraded) != 1 || rep.Degraded[0].Attr != "B" {
 		t.Fatalf("Degraded = %+v, want one drop of B", rep.Degraded)
 	}
-	want, err := clean.TopKMedian(context.Background(), []query.Atomic{degradeAtom("A"), degradeAtom("C")}, 4)
+	if rep.Plan.Algorithm.Name() != "B0" {
+		t.Errorf("degraded plan %s, want B0", rep.Plan.Algorithm.Name())
+	}
+	want, err := clean.Query(context.Background(), query.Or{Children: []query.Node{degradeAtom("A"), degradeAtom("C")}}, TopN(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Results {
-		if rep.Results[i] != want.Results[i] {
-			t.Errorf("result %d: %v, survivors give %v", i, rep.Results[i], want.Results[i])
-		}
+	if !reflect.DeepEqual(rep.Results, want.Results) {
+		t.Errorf("degraded median %v, want the survivors' max %v", rep.Results, want.Results)
 	}
 }
 

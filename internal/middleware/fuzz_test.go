@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"fuzzydb/internal/core"
 	"fuzzydb/internal/cost"
 	"fuzzydb/internal/query"
 	"fuzzydb/internal/scoredb"
@@ -22,8 +23,11 @@ import (
 // conservatively recomputes rather than serving a still-bit-identical
 // answer — have probability zero, and hit, repair or recompute, the
 // results must match the recompute exactly. A recompute pays the
-// oracle's tallies; a repair pays no sorted access and at most j−1
-// random ones per raised object of a j-atom query.
+// oracle's tallies; a repair pays no sorted access and at most a−1
+// random ones per raised object of an a-atom query. Over three or more
+// lists, some queries are the order-statistic form (the OR of the ANDs
+// of every j-subset of the lists), so OrderStat runs under hit, repair
+// and recompute too.
 func FuzzCacheEquivalence(f *testing.F) {
 	for _, seed := range []uint64{1, 7, 42, 1996, 0xfa61} {
 		f.Add(seed)
@@ -38,7 +42,9 @@ func FuzzCacheEquivalence(f *testing.F) {
 
 		muts := make([]*subsys.Mutable, m)
 		subsystems := make([]subsys.Subsystem, m)
+		names := make([]string, m) // the atoms, as the query syntax spells them
 		for i := 0; i < m; i++ {
+			names[i] = attrName(i) + ` = "*"`
 			mu := subsys.NewMutable(attrName(i), n, depth)
 			mu.Set("*", db.List(i))
 			muts[i] = mu
@@ -62,7 +68,7 @@ func FuzzCacheEquivalence(f *testing.F) {
 		ctx := context.Background()
 		queries, hits, repairs, updates := 0, 0, 0, 0
 		var q query.Node
-		var j int
+		var atoms int // in q
 		var opts []QueryOption
 		for step := 0; step < 60; step++ {
 			switch rng.IntN(10) {
@@ -79,12 +85,13 @@ func FuzzCacheEquivalence(f *testing.F) {
 				updates++
 			default:
 				if q == nil || rng.IntN(2) == 0 {
-					j = 1 + rng.IntN(m)
-					atoms := make([]query.Atomic, j)
-					for i := range atoms {
-						atoms[i] = query.Atomic{Attr: attrName(i), Target: "*"}
+					if m >= 3 && rng.IntN(3) == 0 {
+						atoms = m
+						q = query.MustParse(orderStatForm(names, 2+rng.IntN(m-2), 0))
+					} else {
+						atoms = 1 + rng.IntN(m)
+						q = query.MustParse(orderStatForm(names[:atoms], atoms, 0)) // their conjunction
 					}
-					q = query.Conj(atoms...)
 					opts = append([]QueryOption{TopN(1 + rng.IntN(16))}, shapes[rng.IntN(len(shapes))]...)
 				}
 
@@ -98,6 +105,10 @@ func FuzzCacheEquivalence(f *testing.F) {
 				}
 				if got.Cache == nil {
 					t.Fatalf("step %d: cacheable query carried no Cache info", step)
+				}
+				_, form := q.(query.Or)
+				if _, plan := want.Plan.Algorithm.(core.OrderStat); plan != form {
+					t.Fatalf("step %d: %v planned %s", step, q, want.Plan.Algorithm.Name())
 				}
 				if !reflect.DeepEqual(got.Results, want.Results) {
 					t.Fatalf("step %d (%+v): results diverged from recompute:\n got %v\nwant %v",
@@ -115,8 +126,8 @@ func FuzzCacheEquivalence(f *testing.F) {
 					for _, c := range got.PerList {
 						sum = sum.Add(c)
 					}
-					if got.Cost.Sorted != 0 || got.Cost.Random > (j-1)*updates || sum != got.Cost {
-						t.Fatalf("step %d: repair cost %+v (per list %+v) after %d updates of a %d-atom query", step, got.Cost, got.PerList, updates, j)
+					if got.Cost.Sorted != 0 || got.Cost.Random > (atoms-1)*updates || sum != got.Cost {
+						t.Fatalf("step %d: repair cost %+v (per list %+v) after %d updates of a %d-atom query", step, got.Cost, got.PerList, updates, atoms)
 					}
 				case got.Cost != want.Cost:
 					t.Fatalf("step %d: recompute cost %+v != oracle cost %+v", step, got.Cost, want.Cost)

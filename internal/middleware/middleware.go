@@ -39,7 +39,7 @@
 // core.ShardConfig (the only place parallelism, prefetch and the
 // scheduler's width grant are given a meaning for execution); bind adds
 // the plan's materialized sources and, for the weighted shard plan,
-// their sketches. Query, TopKMedian and TopKInternal then run
+// their sketches. Query and TopKInternal then run
 // core.EvaluateSharded, Results and Stream core.NewPaginator, and Filter —
 // whose body is not a top k — core.Run, as does a result-cache repair
 // (cache.go), whose body reads a few grades. All three run on core's one
@@ -69,9 +69,9 @@
 // semantics are pinned: the degraded answer equals a fresh query over
 // the survivors — up to maxDrop times, with Report.Degraded recording
 // each dropped list (atom, attempts, cause, spend sunk into the failed
-// evaluation, included in the report's total cost). Only Query and
-// TopKMedian degrade; the streaming entry points always fail fast, since
-// their already-yielded answers cannot be revised.
+// evaluation, included in the report's total cost). Only Query
+// degrades; the streaming entry points always fail fast, since their
+// already-yielded answers cannot be revised.
 // Resilience (retries, timeouts, breakers) lives below this layer: wrap
 // subsystems with subsys.WithResilience so transient faults never reach
 // the middleware at all.
@@ -83,8 +83,8 @@
 //   - conjunction of atoms under min            → A₀′ (Theorem 4.4)
 //   - other monotone queries                    → A₀ (Theorem 4.2)
 //   - disjunction of atoms under max            → B₀ (Theorem 4.5)
-//   - median / order-statistic combinations     → subset decomposition
-//     (Remark 6.1), selected explicitly via TopKMedian
+//   - under min/max, the OR of the ANDs of all  → subset decomposition
+//     j-subsets of m atoms (the j-th largest)     (Remark 6.1)
 //   - non-monotone queries (any negation)       → naive, the only safe
 //     choice; by Theorem 7.1 queries like Q ∧ ¬Q genuinely require
 //     linear cost, so this is not pessimism
@@ -103,6 +103,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"slices"
 
 	"fuzzydb/internal/agg"
 	"fuzzydb/internal/cache"
@@ -258,6 +259,7 @@ func (m *Middleware) PlanQuery(q query.Node) (*Plan, error) {
 		}
 	}
 	p := &Plan{Atoms: c.Atoms, Agg: c.Func, norm: q}
+	j := m.orderStatJ(q, c.Atoms)
 	switch {
 	case !c.Func.Monotone():
 		p.Algorithm = core.NaiveSorted{}
@@ -265,6 +267,9 @@ func (m *Middleware) PlanQuery(q query.Node) (*Plan, error) {
 	case len(c.Atoms) == 1:
 		p.Algorithm = core.B0{}
 		p.Reason = "single list: top-k is the sorted prefix (B0 degenerate case)"
+	case j > 0:
+		p.Algorithm = core.OrderStat{J: j}
+		p.Reason = fmt.Sprintf("OR of the ANDs of every %d-subset under min/max is order statistic %d: subset decomposition, O(√(Nk)) for the median (Rem 6.1)", j, j)
 	case c.Shape == query.ShapeDisjunction && m.sem.Or.Name() == agg.Max.Name():
 		p.Algorithm = core.B0{}
 		p.Reason = "disjunction under max: B0, cost mk independent of N (Thm 4.5, Rem 6.1)"
@@ -282,6 +287,45 @@ func (m *Middleware) PlanQuery(q query.Node) (*Plan, error) {
 		p.Reason = "monotone query: A0, cost O(N^((m-1)/m) k^(1/m)) w.h.p. (Thms 4.2, 5.3)"
 	}
 	return p, nil
+}
+
+// orderStatJ recognizes Remark 6.1's order-statistic form under min/max:
+// a normalized query that is the OR of plain ANDs of atoms whose atom sets
+// are exactly the j-subsets of all m compiled atoms, 2 ≤ j ≤ m−1. Atom
+// order and repeated disjuncts do not matter (max is idempotent), and
+// normalization has deduplicated the atoms of each AND. It returns j, or 0.
+func (m *Middleware) orderStatJ(q query.Node, atoms []query.Atomic) int {
+	or, ok := q.(query.Or)
+	if !ok || len(or.Children) < 3 || len(atoms) > 64 || m.sem.And.Name() != agg.Min.Name() || m.sem.Or.Name() != agg.Max.Name() {
+		return 0
+	}
+	j, sets := 0, make(map[uint64]bool, len(or.Children))
+	for _, d := range or.Children {
+		and, ok := d.(query.And)
+		if !ok || (j != 0 && len(and.Children) != j) {
+			return 0
+		}
+		j = len(and.Children)
+		var set uint64
+		for _, n := range and.Children {
+			a, ok := n.(query.Atomic)
+			if !ok {
+				return 0
+			}
+			set |= 1 << slices.Index(atoms, a)
+		}
+		sets[set] = true
+	}
+	// All j-subsets are there when the distinct sets number C(m, j) =
+	// C(m, m−j); C(m, i) grows up to i = m/2, so stop once past len(sets).
+	subsets := 1
+	for i := 0; i < min(j, len(atoms)-j) && subsets <= len(sets); i++ {
+		subsets = subsets * (len(atoms) - i) / (i + 1)
+	}
+	if j < 2 || j >= len(atoms) || subsets != len(sets) {
+		return 0
+	}
+	return j
 }
 
 // SelectivityEstimator is the optional statistics interface a subsystem
@@ -721,12 +765,7 @@ func (m *Middleware) query(ctx context.Context, q query.Node, req Request) (*Rep
 		// answer.
 		epochs = m.atomEpochs(plan.Atoms)
 	}
-	rep, err := m.evaluate(ctx, plan, req, func(failed *Plan, victim int) (*Plan, error) {
-		if q = pruneAtom(q, failed.Atoms[victim]); q == nil {
-			return nil, nil
-		}
-		return m.plan(q, req)
-	})
+	rep, err := m.evaluate(ctx, q, plan, req)
 	if cacheable && err == nil {
 		m.cacheStore(key, plan, rep, epochs)
 	}
@@ -747,26 +786,23 @@ func (m *Middleware) plan(q query.Node, req Request) (*Plan, error) {
 	return plan, err
 }
 
-// evaluate executes plan, and is the one degradation loop: when the
-// evaluation dies of a degradable source failure (see degradeTarget) it
-// asks replan for the plan without the failed list — nil means nothing
-// can survive, and the request fails with the original error and
-// report — records the loss and the cost sunk into the failed attempt,
-// and goes again.
-func (m *Middleware) evaluate(ctx context.Context, plan *Plan, req Request, replan func(failed *Plan, victim int) (*Plan, error)) (*Report, error) {
+// evaluate executes plan, q's plan, and is the one degradation loop: when
+// the evaluation dies of a degradable source failure (see degradeTarget)
+// it prunes the failed atom from q and re-plans — if nothing survives,
+// the request fails with the original error and report — records the
+// loss and the cost sunk into the failed attempt, and goes again.
+func (m *Middleware) evaluate(ctx context.Context, q query.Node, plan *Plan, req Request) (*Report, error) {
 	var degraded []DegradedList
 	var sunk cost.Cost
 	for {
 		rep, err := m.execute(ctx, plan, req)
 		if victim, dl, ok := degradeTarget(plan, rep, err, req.Degrade-len(degraded)); ok {
-			next, perr := replan(plan, victim)
-			if perr != nil {
-				return nil, perr
-			}
-			if next != nil {
+			if q = pruneAtom(q, plan.Atoms[victim]); q != nil {
+				if plan, err = m.plan(q, req); err != nil {
+					return nil, err
+				}
 				degraded = append(degraded, dl)
 				sunk = sunk.Add(dl.Cost)
-				plan = next
 				continue
 			}
 		}
@@ -898,35 +934,6 @@ func paginableAlgorithm(plan *Plan, pinned bool) (core.Algorithm, error) {
 		return core.A0{}, nil
 	}
 	return plan.Algorithm, nil
-}
-
-// TopKMedian evaluates the median of the given atoms with the subset
-// decomposition of Remark 6.1 — the O(√(Nk)) route that beats the strict
-// lower bound.
-func (m *Middleware) TopKMedian(ctx context.Context, atoms []query.Atomic, k int, opts ...QueryOption) (*Report, error) {
-	// Like the other explicit-k entry points, out-of-range k surfaces
-	// core.ErrBadK rather than being clamped.
-	if k > m.n {
-		return nil, fmt.Errorf("%w: k=%d, N=%d", core.ErrBadK, k, m.n)
-	}
-	req := newRequest("", opts)
-	req.K = k
-	return m.evaluate(ctx, medianPlan(atoms), req, func(failed *Plan, victim int) (*Plan, error) {
-		// Degradation drops the failed atom from the flat list: the result
-		// is the median of the survivors, as a fresh TopKMedian call over
-		// them would compute.
-		rest := append(append([]query.Atomic{}, failed.Atoms[:victim]...), failed.Atoms[victim+1:]...)
-		return medianPlan(rest), nil
-	})
-}
-
-func medianPlan(atoms []query.Atomic) *Plan {
-	return &Plan{
-		Algorithm: core.OrderStat{},
-		Atoms:     atoms,
-		Agg:       agg.Median,
-		Reason:    "median via max-of-subset-mins (Rem 6.1): O(√(Nk)), beats the strict bound",
-	}
 }
 
 // Filter evaluates the threshold query "overall grade ≥ theta" for a

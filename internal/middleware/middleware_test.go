@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"fuzzydb/internal/agg"
@@ -93,6 +94,33 @@ func TestRunningExampleBeatlesRed(t *testing.T) {
 	}
 }
 
+// orderStatForm spells Remark 6.1's order-statistic form over the given
+// atoms: the OR of the ANDs of every j-subset, the j-th largest grade
+// under min/max. skip > 0 leaves out the skip-th subset.
+func orderStatForm(atoms []string, j, skip int) string {
+	var ors []string
+	for i, s := range agg.Subsets(len(atoms), j) {
+		if i+1 == skip {
+			continue
+		}
+		ands := make([]string, len(s))
+		for x, a := range s {
+			ands[x] = atoms[a]
+		}
+		ors = append(ors, "("+strings.Join(ands, " AND ")+")")
+	}
+	return strings.Join(ors, " OR ")
+}
+
+// The atoms of the median rows over cdStore.
+var (
+	cdBeatles = `Artist = "Beatles"`
+	cdRed     = `AlbumColor ~ "red"`
+	cdBlue    = `AlbumColor ~ "blue"`
+	cdMedian  = orderStatForm([]string{cdBeatles, cdRed, cdBlue}, 2, 0)
+	cdFive    = []string{cdBeatles, cdRed, cdBlue, `Artist = "Stones"`, `Artist = "Dylan"`}
+)
+
 func TestPlannerChoices(t *testing.T) {
 	mw, _ := cdStore(t)
 	cases := []struct {
@@ -104,6 +132,21 @@ func TestPlannerChoices(t *testing.T) {
 		{`Artist = "Beatles"`, "B0"}, // single list
 		{`Artist = "Beatles" AND NOT AlbumColor ~ "red"`, "naive-sorted"},
 		{`(Artist = "Beatles" AND AlbumColor ~ "red") OR AlbumColor ~ "blue"`, "A0"},
+		// The order-statistic form plans the subset decomposition.
+		{cdMedian, "orderstat-2-via-subsets"},
+		{orderStatForm(cdFive, 3, 0), "orderstat-3-via-subsets"},
+		{orderStatForm(cdFive, 2, 0), "orderstat-2-via-subsets"},
+		{orderStatForm(cdFive[:4], 3, 0), "orderstat-3-via-subsets"}, // j > m/2
+		// Nested, reordered and repeated disjuncts normalize to the form.
+		{"((" + cdBeatles + " AND " + cdRed + ") OR (" + cdBlue + " AND " + cdBeatles + ")) OR (" +
+			cdRed + " AND (" + cdBlue + " AND " + cdRed + ")) OR (" + cdRed + " AND " + cdBeatles + ")", "orderstat-2-via-subsets"},
+		// Anything short of it stays A₀: a missing subset, a weighted
+		// disjunct, mixed subset sizes (the last with as many disjuncts
+		// as there are 3-subsets of five).
+		{orderStatForm(cdFive, 2, 4), "A0"},
+		{"(" + cdBeatles + " AND " + cdRed + ") ^ 2 OR (" + cdBeatles + " AND " + cdBlue + ") OR (" + cdRed + " AND " + cdBlue + ")", "A0"},
+		{cdMedian + " OR (" + cdBeatles + " AND " + cdRed + " AND " + cdBlue + ")", "A0"},
+		{orderStatForm(cdFive, 2, 1) + " OR (" + cdBeatles + " AND " + cdRed + " AND " + cdBlue + ")", "A0"},
 	}
 	for _, c := range cases {
 		plan, err := mw.PlanQuery(query.MustParse(c.q))
@@ -178,6 +221,15 @@ func TestPlannerWithProductSemanticsAvoidsA0Prime(t *testing.T) {
 		t.Errorf("min plans %s, product plans %s; want A0' and A0",
 			planMin.Algorithm.Name(), planProd.Algorithm.Name())
 	}
+	// The order-statistic form is the j-th largest grade only under
+	// min/max: under the product it is another monotone query.
+	planMedian, err := mwProd.PlanQuery(query.MustParse(cdMedian))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if planMedian.Algorithm.Name() != "A0" {
+		t.Errorf("median form under product plans %s, want A0", planMedian.Algorithm.Name())
+	}
 }
 
 func mustVector(t *testing.T) *subsys.Vector {
@@ -202,6 +254,7 @@ func TestPlansMatchNaive(t *testing.T) {
 		`Artist = "Stones" AND NOT AlbumColor ~ "blue"`,
 		`(Artist = "Dylan" OR Artist = "Stones") AND AlbumColor ~ "red"`,
 		`NOT Artist = "Beatles" AND NOT AlbumColor ~ "blue"`,
+		cdMedian,
 	}
 	for _, qs := range queries {
 		q := query.MustParse(qs)
@@ -326,18 +379,21 @@ func TestFilterThroughMiddleware(t *testing.T) {
 }
 
 func TestMedianThroughMiddleware(t *testing.T) {
+	// The median of three lists is the query string of its 2-subsets,
+	// planned as the order statistic and equal to the naive median.
 	mw, _ := cdStore(t)
-	atoms := []query.Atomic{
-		{Attr: "Artist", Target: "Beatles"},
-		{Attr: "AlbumColor", Target: "red"},
-		{Attr: "AlbumColor", Target: "blue"},
-	}
-	rep, err := mw.TopKMedian(context.Background(), atoms, 2)
+	rep, err := mw.Query(context.Background(), query.MustParse(cdMedian), TopN(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference: naive median over the same three sources.
-	srcs, err := mw.sources(atoms)
+	if rep.Plan.Algorithm.Name() != "orderstat-2-via-subsets" {
+		t.Errorf("median planned %s, want orderstat-2-via-subsets", rep.Plan.Algorithm.Name())
+	}
+	srcs, err := mw.sources([]query.Atomic{
+		{Attr: "Artist", Target: "Beatles"},
+		{Attr: "AlbumColor", Target: "red"},
+		{Attr: "AlbumColor", Target: "blue"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

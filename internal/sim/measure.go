@@ -2,11 +2,13 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"fuzzydb/internal/agg"
 	"fuzzydb/internal/core"
 	"fuzzydb/internal/cost"
+	"fuzzydb/internal/middleware"
 	"fuzzydb/internal/scoredb"
 	"fuzzydb/internal/stats"
 	"fuzzydb/internal/subsys"
@@ -111,6 +113,32 @@ func measure(alg core.Algorithm, gen genFunc, f agg.Func, k, trials int, seedBas
 			panic(err) // experiment misconfiguration is a programming error
 		}
 		out[i] = c
+	}
+	return out
+}
+
+// measureQuery is measure through the engine: each trial database's
+// lists become the subsystems A1…Am (target "*"), and the engine parses,
+// plans and evaluates q for the top k.
+func measureQuery(q string, gen genFunc, k, trials int, seedBase uint64) []cost.Cost {
+	out := make([]cost.Cost, trials)
+	for i := 0; i < trials; i++ {
+		db := gen(seedBase + uint64(i)*7919)
+		subs := make([]subsys.Subsystem, db.M())
+		for j := range subs {
+			st := subsys.NewStatic(fmt.Sprintf("A%d", j+1), db.N())
+			st.Set("*", db.List(j))
+			subs[j] = st
+		}
+		eng, err := middleware.New(subs)
+		if err != nil {
+			panic(err)
+		}
+		rep, err := eng.QueryString(context.Background(), q, middleware.TopN(k))
+		if err != nil {
+			panic(err) // experiment misconfiguration is a programming error
+		}
+		out[i] = rep.Cost
 	}
 	return out
 }

@@ -157,64 +157,77 @@ func TestLoopbackEquivalence(t *testing.T) {
 
 // TestRemoteQueryEquivalence pins the thin-client path: a query POSTed
 // to a full fuzzyserve-style server (sources + engine on one mux)
-// returns the same answers and tallies the local engine computes.
+// returns the same plan, answers and tallies the local engine computes,
+// and the /v1/results cursor yields the same prefix. The median, spelled
+// as the OR of the pairwise ANDs of three lists, crosses the wire like
+// any query and is planned as the subset decomposition.
 func TestRemoteQueryEquivalence(t *testing.T) {
-	db := testDB(t, 2000, 2, 12)
-	local := localEngine(t, db)
+	for _, tc := range []struct {
+		name, q, alg string
+		m            int
+	}{
+		{"conjunction", queryOf(2), "A0'", 2},
+		{"median", `(A1 = "*" AND A2 = "*") OR (A1 = "*" AND A3 = "*") OR (A2 = "*" AND A3 = "*")`, "orderstat-2-via-subsets", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := testDB(t, 2000, tc.m, 12)
+			local := localEngine(t, db)
 
-	ss, err := wire.NewSourceServer(dbSources(db), wire.WithEngine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := wire.NewQueryServer(local)
-	mux := http.NewServeMux()
-	ss.Register(mux)
-	qs.Register(mux)
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
+			ss, err := wire.NewSourceServer(dbSources(db), wire.WithEngine())
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs := wire.NewQueryServer(local)
+			mux := http.NewServeMux()
+			ss.Register(mux)
+			qs.Register(mux)
+			ts := httptest.NewServer(mux)
+			defer ts.Close()
 
-	client, err := wire.Dial(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if !client.Meta().Engine {
-		t.Fatal("meta does not advertise the engine")
-	}
+			client, err := wire.Dial(ts.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			if !client.Meta().Engine {
+				t.Fatal("meta does not advertise the engine")
+			}
 
-	want := mustQuery(t, local, queryOf(db.M()), middleware.TopN(7))
-	resp, err := client.Query(context.Background(), wire.QueryRequest{Query: queryOf(db.M()), K: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) != len(want.Results) {
-		t.Fatalf("got %d results, want %d", len(resp.Results), len(want.Results))
-	}
-	for i, r := range resp.Results {
-		if r.Object != want.Results[i].Object || r.Grade != want.Results[i].Grade {
-			t.Errorf("result %d diverges: got %+v, want %+v", i, r, want.Results[i])
-		}
-	}
-	if resp.Cost.Sorted != want.Cost.Sorted || resp.Cost.Random != want.Cost.Random {
-		t.Errorf("cost diverges: got %+v, want %v", resp.Cost, want.Cost)
-	}
-	if resp.Algorithm != want.Plan.Algorithm.Name() {
-		t.Errorf("algorithm diverges: got %q, want %q", resp.Algorithm, want.Plan.Algorithm.Name())
-	}
+			want := mustQuery(t, local, tc.q, middleware.TopN(7))
+			resp, err := client.Query(context.Background(), wire.QueryRequest{Query: tc.q, K: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Algorithm != tc.alg || want.Plan.Algorithm.Name() != tc.alg {
+				t.Errorf("algorithm: wire %q, local %q, want %q", resp.Algorithm, want.Plan.Algorithm.Name(), tc.alg)
+			}
+			if len(resp.Results) != len(want.Results) {
+				t.Fatalf("got %d results, want %d", len(resp.Results), len(want.Results))
+			}
+			for i, r := range resp.Results {
+				if r.Object != want.Results[i].Object || r.Grade != want.Results[i].Grade {
+					t.Errorf("result %d diverges: got %+v, want %+v", i, r, want.Results[i])
+				}
+			}
+			if resp.Cost.Sorted != want.Cost.Sorted || resp.Cost.Random != want.Cost.Random {
+				t.Errorf("cost diverges: got %+v, want %v", resp.Cost, want.Cost)
+			}
 
-	// The streaming cursor yields the same prefix in the same order.
-	var streamed []wire.Result
-	for r, err := range client.Results(context.Background(), wire.QueryRequest{Query: queryOf(db.M()), K: 7}) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed = append(streamed, r)
-		if len(streamed) == 7 {
-			break
-		}
-	}
-	if !reflect.DeepEqual(streamed, resp.Results) {
-		t.Errorf("stream prefix diverges from one-shot results:\nstream: %v\nquery:  %v", streamed, resp.Results)
+			// The streaming cursor yields the same prefix in the same order.
+			var streamed []wire.Result
+			for r, err := range client.Results(context.Background(), wire.QueryRequest{Query: tc.q, K: 7}) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				streamed = append(streamed, r)
+				if len(streamed) == 7 {
+					break
+				}
+			}
+			if !reflect.DeepEqual(streamed, resp.Results) {
+				t.Errorf("stream prefix diverges from one-shot results:\nstream: %v\nquery:  %v", streamed, resp.Results)
+			}
+		})
 	}
 }
 
