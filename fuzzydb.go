@@ -192,9 +192,10 @@
 //
 // Data may change under the cache. NewMutableSubsystem serves graded
 // lists that support in-place grade updates: UpdateGrade replaces one
-// object's grade by copy-on-write (snapshots already handed to running
-// evaluations or cursors are immutable), bumps the subsystem's epoch,
-// and journals the change. A cache lookup whose entry lags the current
+// object's grade with a new list version that shares the old one's flat
+// base and carries a small overlay of moved entries (snapshots already
+// handed to running evaluations or cursors are immutable), bumps the
+// subsystem's epoch, and journals the change. A cache lookup whose entry lags the current
 // epochs replays the missed updates through a threshold test against
 // the entry's stored k-th grade: updates that provably cannot disturb
 // the cached top k (lowered non-members; raises whose aggregate bound
@@ -421,10 +422,11 @@ func NewStaticSubsystem(attr string, n int) *StaticSubsystem {
 // Mutable sources: versioned grade updates under the result cache.
 type (
 	// MutableSubsystem serves graded lists that support in-place grade
-	// updates: UpdateGrade replaces one object's grade by copy-on-write
-	// (snapshots handed to running evaluations stay immutable), bumps
-	// the subsystem's epoch, and journals the change so a result cache
-	// can invalidate selectively (see WithCache).
+	// updates: UpdateGrade replaces one object's grade with a list
+	// version sharing the old one's base plus an overlay of at most ⌈√N⌉
+	// moved entries (snapshots handed to running evaluations stay
+	// immutable), bumps the subsystem's epoch, and journals the change
+	// so a result cache can invalidate selectively (see WithCache).
 	MutableSubsystem = subsys.Mutable
 	// VersionedSubsystem is the optional capability a result cache uses
 	// to revalidate entries: a current epoch plus a bounded journal of

@@ -112,6 +112,22 @@ func orderStatForm(atoms []string, j, skip int) string {
 	return strings.Join(ors, " OR ")
 }
 
+// prunedForm is orderStatForm(atoms, j, 0) with atoms[drop] pruned from
+// every disjunct, as degradation prunes a failed atom.
+func prunedForm(atoms []string, j, drop int) string {
+	var ors []string
+	for _, s := range agg.Subsets(len(atoms), j) {
+		var ands []string
+		for _, a := range s {
+			if a != drop {
+				ands = append(ands, atoms[a])
+			}
+		}
+		ors = append(ors, "("+strings.Join(ands, " AND ")+")")
+	}
+	return strings.Join(ors, " OR ")
+}
+
 // The atoms of the median rows over cdStore.
 var (
 	cdBeatles = `Artist = "Beatles"`
@@ -140,13 +156,19 @@ func TestPlannerChoices(t *testing.T) {
 		// Nested, reordered and repeated disjuncts normalize to the form.
 		{"((" + cdBeatles + " AND " + cdRed + ") OR (" + cdBlue + " AND " + cdBeatles + ")) OR (" +
 			cdRed + " AND (" + cdBlue + " AND " + cdRed + ")) OR (" + cdRed + " AND " + cdBeatles + ")", "orderstat-2-via-subsets"},
+		// So does a redundant disjunct that a subset absorbs.
+		{cdMedian + " OR (" + cdBeatles + " AND " + cdRed + " AND " + cdBlue + ")", "orderstat-2-via-subsets"},
+		// The degraded five-atom j = 3 median: with one atom pruned it is
+		// the six 2-subsets and the four 3-subsets of the survivors, and
+		// absorption leaves order statistic 2 of 4.
+		{prunedForm(cdFive, 3, 4), "orderstat-2-via-subsets"},
 		// Anything short of it stays A₀: a missing subset, a weighted
-		// disjunct, mixed subset sizes (the last with as many disjuncts
-		// as there are 3-subsets of five).
+		// disjunct, a missing subset whose superset absorption drops,
+		// mixed subset sizes that absorption cannot reduce.
 		{orderStatForm(cdFive, 2, 4), "A0"},
 		{"(" + cdBeatles + " AND " + cdRed + ") ^ 2 OR (" + cdBeatles + " AND " + cdBlue + ") OR (" + cdRed + " AND " + cdBlue + ")", "A0"},
-		{cdMedian + " OR (" + cdBeatles + " AND " + cdRed + " AND " + cdBlue + ")", "A0"},
 		{orderStatForm(cdFive, 2, 1) + " OR (" + cdBeatles + " AND " + cdRed + " AND " + cdBlue + ")", "A0"},
+		{cdMedian + " OR (" + cdBlue + " AND " + cdFive[3] + " AND " + cdFive[4] + ")", "A0"},
 	}
 	for _, c := range cases {
 		plan, err := mw.PlanQuery(query.MustParse(c.q))

@@ -1,5 +1,7 @@
 package query
 
+import "slices"
+
 // Query normalization. Theorem 3.1 is exactly the license an optimizer
 // needs: under the standard rules (min, max, 1−x), logically equivalent
 // queries built from ∧ and ∨ receive identical grades, so equivalence
@@ -24,7 +26,9 @@ type RewriteRules struct {
 	// Idempotent deduplicates identical children of a connective
 	// (A ∧ A → A). Sound only for min/max (Theorem 3.1).
 	Idempotent bool
-	// Absorption applies A ∨ (A ∧ B) → A and A ∧ (A ∨ B) → A. Sound only
+	// Absorption applies A ∨ (A ∧ B) → A and A ∧ (A ∨ B) → A, and more
+	// generally drops a disjunct whose conjuncts include all of a
+	// sibling's ((A ∧ B) ∨ (A ∧ B ∧ C) → A ∧ B), and dually. Sound only
 	// for min/max.
 	Absorption bool
 }
@@ -193,27 +197,28 @@ func normalizeNary(children []Node, r RewriteRules, isAndOp bool) ([]Node, bool)
 		children = dedup
 	}
 
-	if r.Absorption {
-		// Inside a conjunction, a child A absorbs a sibling (A ∨ …);
-		// inside a disjunction, A absorbs (A ∧ …).
+	if r.Absorption && slices.ContainsFunc(children, func(c Node) bool { return innerChildren(c, isAndOp) != nil }) {
+		// Each child stands for the set of its opposite-connective
+		// children (a child of any other kind for the set of itself).
+		// Inside a disjunction a child whose set holds all of a
+		// sibling's is absorbed by it — A ∨ (A ∧ B) → A and
+		// (A ∧ B) ∨ (A ∧ B ∧ C) → A ∧ B — and dually inside a
+		// conjunction. Of siblings with equal sets the first stays.
+		// Without a child of the opposite connective every set is a
+		// singleton and only duplicates could go: that is Idempotent's.
+		sets := make([][]Node, len(children))
+		for i, c := range children {
+			if sets[i] = innerChildren(c, isAndOp); sets[i] == nil {
+				sets[i] = children[i : i+1]
+			}
+		}
 		var kept []Node
-		for _, c := range children {
+		for i, c := range children {
 			absorbed := false
-			inner := innerChildren(c, isAndOp)
-			if inner != nil {
-				for _, other := range children {
-					if equalNodes(other, c) {
-						continue
-					}
-					for _, ic := range inner {
-						if equalNodes(other, ic) {
-							absorbed = true
-							break
-						}
-					}
-					if absorbed {
-						break
-					}
+			for k := range children {
+				if k != i && subsetOf(sets[k], sets[i]) && (k < i || !subsetOf(sets[i], sets[k])) {
+					absorbed = true
+					break
 				}
 			}
 			if absorbed {
@@ -241,6 +246,16 @@ func innerChildren(c Node, wantOr bool) []Node {
 		return a.Children
 	}
 	return nil
+}
+
+// subsetOf reports whether every node of a has an equal in b.
+func subsetOf(a, b []Node) bool {
+	for _, x := range a {
+		if !slices.ContainsFunc(b, func(y Node) bool { return equalNodes(x, y) }) {
+			return false
+		}
+	}
+	return true
 }
 
 // collapse removes degenerate connectives with a single child.

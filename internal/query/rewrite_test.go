@@ -71,6 +71,40 @@ func TestRewriteAbsorption(t *testing.T) {
 	}
 }
 
+// TestRewriteAbsorbsSupersets pins absorption between siblings of the
+// same connective: a disjunct whose conjuncts include all of a sibling's
+// goes, dually for conjunctions, and of equal sets in any order the
+// first stays.
+func TestRewriteAbsorbsSupersets(t *testing.T) {
+	a, b, c, d := Atomic{"A", "x"}, Atomic{"B", "y"}, Atomic{"C", "z"}, Atomic{"D", "w"}
+	and := func(ns ...Node) Node { return And{Children: ns} }
+	or := func(ns ...Node) Node { return Or{Children: ns} }
+	cases := []struct {
+		name    string
+		in, out Node
+	}{
+		{"superset conjunct", or(and(a, b), and(a, b, c)), and(a, b)},
+		{"superset first", or(and(a, b, c), and(a, b)), and(a, b)},
+		{"superset disjunct", and(or(a, b), or(c, a, b)), or(a, b)},
+		{"equal sets, reordered", or(and(a, b), and(b, a)), and(a, b)},
+		{"equal sets, after deduplication", or(and(a, b, a), and(b, a)), and(a, b)},
+		{"atom absorbs", or(and(b, c, a), c, and(a, b)), or(c, and(a, b))},
+		{"chain", or(and(a, b, c, d), and(a, b, c), and(a, b)), and(a, b)},
+		{"overlap only", or(and(a, b), and(a, c)), or(and(a, b), and(a, c))},
+		{"median with a redundant disjunct", or(and(a, b), and(a, c), and(b, c), and(a, b, c)), or(and(a, b), and(a, c), and(b, c))},
+	}
+	for _, tc := range cases {
+		if got := Rewrite(tc.in, StandardRules()); !equalNodes(got, tc.out) {
+			t.Errorf("%s: %s rewrote to %s, want %s", tc.name, tc.in, got, tc.out)
+		}
+	}
+	// Not sound without min/max: the product keeps every disjunct.
+	q := or(and(a, b), and(a, b, c))
+	if got := Rewrite(q, RewriteRules{Flatten: true}); !equalNodes(got, q) {
+		t.Errorf("without absorption %s rewrote to %s", q, got)
+	}
+}
+
 func TestRewriteNilAndNoRules(t *testing.T) {
 	if Rewrite(nil, StandardRules()) != nil {
 		t.Error("Rewrite(nil) != nil")

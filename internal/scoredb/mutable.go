@@ -9,7 +9,8 @@ import (
 
 // Mutable is a scoring database whose grades can change after
 // construction: the live-data twin of Database. Each UpdateGrade swaps
-// in a copy-on-write updated list (gradedset.List.Updated) and bumps
+// in the updated list (gradedset.List.Updated: the old list's flat base
+// shared, plus an overlay of at most ⌈√N⌉ moved entries) and bumps
 // that list's epoch — a monotone per-source version counter — so
 // consumers holding derived state (cached top-k answers, materialized
 // snapshots) can detect exactly which source moved and revalidate
@@ -54,8 +55,8 @@ func (d *Mutable) Epoch(i int) uint64 {
 	return d.epochs[i]
 }
 
-// UpdateGrade changes the grade of obj in the given list to g,
-// copy-on-write: previously returned snapshots are untouched, the next
+// UpdateGrade changes the grade of obj in the given list to g:
+// previously returned snapshots are untouched, the next
 // List call sees the new data, and the list's epoch advances. A no-op
 // update (the grade already is g) changes nothing, not even the epoch.
 func (d *Mutable) UpdateGrade(list, obj int, g float64) error {

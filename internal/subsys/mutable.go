@@ -51,12 +51,13 @@ type Versioned interface {
 const DefaultJournalDepth = 1024
 
 // Mutable serves precomputed graded lists per target, like Static, but
-// its grades can change after construction: UpdateGrade swaps in a
-// copy-on-write updated list (gradedset.List.Updated) under a write
-// lock, bumps the subsystem epoch, and journals the change for
-// Versioned replay. Query returns an immutable snapshot — evaluations
-// and streaming cursors in flight keep reading the list they started
-// on, untouched by later updates.
+// its grades can change after construction: UpdateGrade swaps in the
+// updated list (gradedset.List.Updated: the parent's flat base shared,
+// plus an overlay of at most ⌈√N⌉ moved entries) under a write lock,
+// bumps the subsystem epoch, and journals the change for Versioned
+// replay. Query returns an immutable snapshot — evaluations and
+// streaming cursors in flight keep reading the list they started on,
+// untouched by later updates.
 type Mutable struct {
 	attr       string
 	n          int
@@ -65,8 +66,8 @@ type Mutable struct {
 	mu       sync.RWMutex
 	lists    map[string]*gradedset.List
 	epoch    uint64
-	floor    uint64 // UpdatesSince(since) with since < floor is unanswerable
-	journal  []Update
+	floor    uint64             // UpdatesSince(since) with since < floor is unanswerable
+	journal  []Update           // ring of journalCap slots: Seq s lives at s % journalCap
 	sketches map[string]*Sketch // lazily built; dropped when the target's grades move
 }
 
@@ -101,13 +102,12 @@ func (m *Mutable) Set(target string, l *gradedset.List) {
 	defer m.mu.Unlock()
 	m.lists[target] = l
 	m.epoch++
-	m.journal = m.journal[:0]
 	m.floor = m.epoch
 	delete(m.sketches, target)
 }
 
-// UpdateGrade changes the grade of obj under target to g, copy-on-write:
-// the previously served snapshots are untouched, the next Query sees the
+// UpdateGrade changes the grade of obj under target to g: the
+// previously served snapshots are untouched, the next Query sees the
 // new list, the epoch advances, and the change is journaled. A no-op
 // update (the grade already is g) changes nothing, not even the epoch.
 func (m *Mutable) UpdateGrade(target string, obj int, g float64) error {
@@ -131,11 +131,13 @@ func (m *Mutable) UpdateGrade(target string, obj int, g float64) error {
 	m.lists[target] = nl
 	m.epoch++
 	delete(m.sketches, target)
-	m.journal = append(m.journal, Update{Seq: m.epoch, Target: target, Object: obj, Old: old, New: g})
-	if len(m.journal) > m.journalCap {
-		drop := len(m.journal) - m.journalCap
-		m.journal = append(m.journal[:0], m.journal[drop:]...)
-		m.floor = m.journal[0].Seq - 1
+	if m.journal == nil {
+		m.journal = make([]Update, m.journalCap)
+	}
+	m.journal[m.epoch%uint64(m.journalCap)] = Update{Seq: m.epoch, Target: target, Object: obj, Old: old, New: g}
+	if m.epoch-m.floor > uint64(m.journalCap) {
+		// The slot just written held the oldest update.
+		m.floor = m.epoch - uint64(m.journalCap)
 	}
 	return nil
 }
@@ -200,8 +202,10 @@ func (m *Mutable) UpdatesSince(since uint64) ([]Update, bool) {
 	if since < m.floor {
 		return nil, false
 	}
-	span := m.journal[since-m.floor:]
-	out := make([]Update, len(span))
-	copy(out, span)
+	// Seqs since+1 … epoch, at most two runs of the ring.
+	out := make([]Update, m.epoch-since)
+	c := uint64(m.journalCap)
+	n := copy(out, m.journal[(since+1)%c:])
+	copy(out[n:], m.journal)
 	return out, true
 }

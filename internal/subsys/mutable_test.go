@@ -2,7 +2,10 @@ package subsys
 
 import (
 	"errors"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fuzzydb/internal/gradedset"
@@ -99,6 +102,36 @@ func TestMutableJournalOverflow(t *testing.T) {
 	}
 }
 
+// TestMutableJournalRing pins the ring's replay window: after three
+// times its depth of writes, UpdatesSince replays exactly the last depth
+// updates in order, and one epoch earlier it answers ok=false.
+func TestMutableJournalRing(t *testing.T) {
+	const depth = 4
+	m := mutableFixture(t) // journal depth 4
+	var all []Update
+	for i := 0; i < 3*depth; i++ {
+		obj, g := i%3, float64(i+1)/16
+		old, _ := m.lists["*"].Grade(obj)
+		if err := m.UpdateGrade("*", obj, g); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, Update{Seq: m.Epoch(), Target: "*", Object: obj, Old: old, New: g})
+	}
+	ups, ok := m.UpdatesSince(m.Epoch() - depth)
+	if !ok || !slices.Equal(ups, all[len(all)-depth:]) {
+		t.Fatalf("UpdatesSince(epoch−%d) = %+v, %v; want %+v", depth, ups, ok, all[len(all)-depth:])
+	}
+	for since := m.Epoch() - depth; since < m.Epoch(); since++ {
+		ups, ok := m.UpdatesSince(since)
+		if want := all[len(all)-int(m.Epoch()-since):]; !ok || !slices.Equal(ups, want) {
+			t.Fatalf("UpdatesSince(%d) = %+v, %v; want %+v", since, ups, ok, want)
+		}
+	}
+	if _, ok := m.UpdatesSince(m.Epoch() - depth - 1); ok {
+		t.Fatal("UpdatesSince one epoch past the ring still claims full replay")
+	}
+}
+
 func TestMutableSetPoisonsJournal(t *testing.T) {
 	m := mutableFixture(t)
 	base := m.Epoch()
@@ -191,6 +224,84 @@ func TestMutableConcurrentReadersWriters(t *testing.T) {
 			}
 		}(w)
 	}
+	wg.Wait()
+}
+
+// TestMutableSnapshotsAcrossFolds holds snapshots while writers chain
+// updates through several overlay folds (N = 64 folds at ⌈√64⌉ = 8
+// moved objects): run under -race it pins that neither a write nor a
+// fold touches a published list, and each held snapshot must still read
+// exactly as it did when it was taken.
+func TestMutableSnapshotsAcrossFolds(t *testing.T) {
+	const n, writers, readers, writes = 64, 2, 4, 300
+	entries := make([]gradedset.Entry, n)
+	for i := range entries {
+		entries[i] = gradedset.Entry{Object: i, Grade: float64(i%9) / 8}
+	}
+	l, err := gradedset.NewList(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMutable("A", n, 16)
+	m.Set("*", l)
+	// A writer's 9 consecutive writes regrade 9 distinct objects, one
+	// more than an overlay holds, so any 2·9 − 1 writes of the two
+	// writers force a fold.
+	const crossing = writers*9 - 1
+	var taken, wg sync.WaitGroup
+	var done atomic.Bool
+	taken.Add(readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			first := true
+			for i := 0; i < 20; i++ {
+				at := m.Epoch()
+				src, err := m.Query("*")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				was := slices.Clone(src.Entries(0, n))
+				if first {
+					taken.Done()
+					first = false
+				}
+				for m.Epoch() < at+crossing && !done.Load() {
+					runtime.Gosched()
+				}
+				now := src.Entries(0, n)
+				if !slices.Equal(now, was) {
+					t.Errorf("snapshot taken at epoch %d moved under writes", at)
+					return
+				}
+				for r, e := range now {
+					if src.Entry(r) != e || src.Grade(e.Object) != e.Grade || (r > 0 && e.Grade > now[r-1].Grade) {
+						t.Errorf("snapshot taken at epoch %d inconsistent at rank %d", at, r)
+						return
+					}
+				}
+			}
+		}()
+	}
+	taken.Wait() // every reader holds a snapshot before the first write
+	var ww sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		ww.Add(1)
+		go func(w int) {
+			defer ww.Done()
+			for i := 0; i < writes; i++ {
+				obj := (w*n/writers + i) % n
+				if err := m.UpdateGrade("*", obj, float64((i+w)%11)/10); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	ww.Wait()
+	done.Store(true)
 	wg.Wait()
 }
 
