@@ -115,15 +115,15 @@ func latencySources(db *scoredb.Database) []subsys.Source {
 	return srcs
 }
 
-// benchLatencyOver times alg under the given executor over
+// benchLatencyOver times alg under the given options over
 // latency-wrapped sources (1 ms per physical call, batch-amortized):
 // ns/op is the latency-dominated wall-clock these variants exist to
 // track. Ops here take 10^2–10^5 ms, so run them with -benchtime 1x
 // (each op is deterministic in access count; only scheduling jitters).
-func benchLatencyOver(b *testing.B, alg core.Algorithm, dbs []*scoredb.Database, f agg.Func, k int, x core.Executor) {
+func benchLatencyOver(b *testing.B, alg core.Algorithm, dbs []*scoredb.Database, f agg.Func, k int, opts ...core.EvalOption) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		runCost(b, alg, latencySources(dbs[i%len(dbs)]), f, k, core.WithExecutor(x))
+		runCost(b, alg, latencySources(dbs[i%len(dbs)]), f, k, opts...)
 	}
 }
 
@@ -136,7 +136,7 @@ func BenchmarkE1_A0_SqrtN_Latency(b *testing.B) {
 	for _, n := range []int{4096} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			dbs := genDBs(n, 2, 4, scoredb.Uniform{}, 1)
-			benchLatencyOver(b, core.A0{}, dbs, agg.Min, 10, core.Pipelined{P: 128})
+			benchLatencyOver(b, core.A0{}, dbs, agg.Min, 10, core.WithExecutor(core.Pipelined{P: 128}))
 		})
 	}
 }
@@ -149,7 +149,7 @@ func BenchmarkE2_A0_GeneralM_Latency(b *testing.B) {
 	for _, m := range []int{5} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			dbs := genDBs(32768, m, 4, scoredb.Uniform{}, 2)
-			benchLatencyOver(b, core.A0{}, dbs, agg.Min, 10, core.Pipelined{P: 128})
+			benchLatencyOver(b, core.A0{}, dbs, agg.Min, 10, core.WithExecutor(core.Pipelined{P: 128}))
 		})
 	}
 }
@@ -402,7 +402,7 @@ const benchWireDelay = 250 * time.Microsecond
 // internal/wire's TestLoopbackEquivalence). One server carries
 // all trial databases side by side (lists "db<i>/A<j>"), one shared
 // client dials it, both set up outside the timed loop.
-func benchWireOver(b *testing.B, alg core.Algorithm, dbs []*scoredb.Database, f agg.Func, k int, x core.Executor) {
+func benchWireOver(b *testing.B, alg core.Algorithm, dbs []*scoredb.Database, f agg.Func, k int, opts ...core.EvalOption) {
 	b.Helper()
 	lists := make(map[string]subsys.Source)
 	for d, db := range dbs {
@@ -437,7 +437,7 @@ func benchWireOver(b *testing.B, alg core.Algorithm, dbs []*scoredb.Database, f 
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runCost(b, alg, srcs[i%len(dbs)], f, k, core.WithExecutor(x))
+		runCost(b, alg, srcs[i%len(dbs)], f, k, opts...)
 	}
 }
 
@@ -452,20 +452,20 @@ func BenchmarkE2_A0_GeneralM_Wire(b *testing.B) {
 	for _, m := range []int{5} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			dbs := genDBs(32768, m, 4, scoredb.Uniform{}, 2)
-			benchWireOver(b, core.A0{}, dbs, agg.Min, 10, core.Pipelined{P: 128})
+			benchWireOver(b, core.A0{}, dbs, agg.Min, 10, core.WithExecutor(core.Pipelined{P: 128}))
 		})
 	}
 }
 
 // BenchmarkE2_A0_GeneralM_WireNoPrefetch — the same wire workload under
-// the serial executor: one blocking HTTP round trip per access, the
+// no executor, so serially: one blocking HTTP round trip per access, the
 // reference the pipelined figure is measured against. Run with
 // -benchtime 1x only.
 func BenchmarkE2_A0_GeneralM_WireNoPrefetch(b *testing.B) {
 	for _, m := range []int{5} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			dbs := genDBs(32768, m, 4, scoredb.Uniform{}, 2)
-			benchWireOver(b, core.A0{}, dbs, agg.Min, 10, core.Serial{})
+			benchWireOver(b, core.A0{}, dbs, agg.Min, 10)
 		})
 	}
 }

@@ -30,8 +30,9 @@
 //
 // To exercise the latency-hiding pipeline against simulated remote
 // backends, -latency adds a per-call delay to every subsystem source and
-// -prefetch evaluates through the pipelined executor (0 = adaptive
-// readahead depth, >0 pins it); the cost report then includes the
+// -prefetch evaluates through the pipelined executor, whose readahead
+// depth adapts up to a cap (0 = the default cap, >0 sets it); the cost
+// report then includes the
 // pipeline stats — the deepest batch the adaptive policy reached, how
 // often the algorithm stalled on a source, and how many physical batched
 // calls the prefetchers issued:
@@ -154,7 +155,7 @@ func parseFlags(args []string, stderr io.Writer) (*flags, int) {
 	fs.IntVar(&req.Shards, "shards", 1, "partition the universe into this many shards (1 = unsharded)")
 	plan := fs.String("shard-plan", "even", "shard-boundary policy: even (equal widths) or weighted (equal expected work from grade sketches)")
 	fs.Float64Var(&req.Budget, "budget", 0, "access budget (sorted + random); 0 = unlimited")
-	prefetch := fs.Int("prefetch", -1, "evaluate through the pipelined executor with this readahead depth (0 = adaptive: open at the depth the algorithm expects to reach, else at 1 and double on stall); -1 = off")
+	prefetch := fs.Int("prefetch", -1, "evaluate through the pipelined executor, its adaptive readahead depth (open at the depth the algorithm expects to reach, else at 1, double on stall) capped at this many ranks (0 = the default cap); -1 = off")
 	fs.IntVar(&req.Degrade, "degrade", 0, "drop up to this many permanently failed lists and re-evaluate over the survivors; 0 = fail fast")
 	fs.StringVar(&req.Tenant, "tenant", "", "admission tenant this query bills to on a scheduled server (travels with -connect; needs an engine built with a scheduler to matter)")
 	// The run around it.

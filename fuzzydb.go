@@ -85,7 +85,7 @@
 // to — A₀'s N^((m−1)/m)·k^(1/m) of Theorem 5.3, so a remote list is
 // usually read in one round trip — or at 1 when it states none, then
 // double on every stall up to a cap and shrink when the algorithm falls
-// behind; d > 0 pins the depth instead), while the
+// behind; d > 0 sets that cap, 0 keeps the default), while the
 // random-access phase overlaps across subsystems AND objects —
 // WithParallelism(p>1) caps the probes in flight, a wider-than-CPU
 // default applies otherwise. Payment stays strictly on delivery,
@@ -104,7 +104,7 @@
 // WithPrefetch(d) runs every shard under its own pipelined executor —
 // the background prefetchers stream the shard's re-ranked views, the
 // random-access gather overlaps within each shard, and the total gather
-// width and readahead depth are budgeted globally across the shard
+// width and readahead cap are budgeted globally across the shard
 // workers, so P shards never multiply the goroutine or buffer footprint
 // of one pipelined request. Payment stays on delivery under sharding
 // too (tallies bit-identical to the serial sharded evaluation), shard
@@ -577,10 +577,11 @@ type (
 	Cost = cost.Cost
 	// CostModel prices sorted and random accesses (c₁, c₂).
 	CostModel = cost.Model
-	// Executor decides how the physical source operations of an
-	// evaluation are issued (serial or overlapped across subsystems);
-	// access tallies are executor-independent.
-	Executor = core.Executor
+	// Executor configures the pipelined executor, which overlaps the
+	// physical source operations of an evaluation across subsystems; an
+	// evaluation without one (no WithEvalExecutor) runs them serially.
+	// Access tallies are the same either way.
+	Executor = core.Pipelined
 	// ExecContext carries one evaluation's context, executor, cost
 	// model, and budget; library users driving algorithms directly build
 	// one via core semantics (see Evaluate for the packaged form).
@@ -595,23 +596,21 @@ type (
 // ErrBudgetExceeded classifies evaluations halted by WithAccessBudget.
 var ErrBudgetExceeded = core.ErrBudgetExceeded
 
-// SerialExecutor returns the inline executor: every subsystem access on
-// the calling goroutine, exactly as the paper's cost analysis narrates.
-func SerialExecutor() Executor { return core.Serial{} }
-
 // PipelinedExecutor returns the latency-hiding executor for slow or
 // remote subsystems: a background prefetcher per list issues batched
-// sorted accesses with adaptive depth (depth 0: open at the depth the
-// algorithm expects to reach, or at 1 when it states none, double on
-// stall, shrink when the algorithm falls behind; depth > 0 pins it), and
-// the random-access phase overlaps across subsystems and objects with up
-// to width probes in flight (width ≤ 0 selects a wider-than-CPU
-// default). Payment stays strictly on delivery, so Section 5 tallies are
-// bit-identical to the serial execution. Sources must tolerate
-// concurrent reads (all built-in ones do).
-func PipelinedExecutor(width, depth int) Executor { return core.Pipelined{P: width, Depth: depth} }
+// sorted accesses at an adaptive depth (open at the depth the algorithm
+// expects to reach, or at 1 when it states none, double on stall, shrink
+// when the algorithm falls behind), never more than depth ranks per
+// batch (depth ≤ 0 selects the default cap), and the random-access phase
+// overlaps across subsystems and objects with up to width probes in
+// flight (width ≤ 0 selects a wider-than-CPU default). Payment stays
+// strictly on delivery, so Section 5 tallies are bit-identical to the
+// serial execution. Sources must tolerate concurrent reads (all built-in
+// ones do).
+func PipelinedExecutor(width, depth int) Executor { return core.Pipelined{P: width, MaxDepth: depth} }
 
-// WithEvalExecutor selects the executor for one Evaluate call.
+// WithEvalExecutor runs one Evaluate call on the pipelined executor x;
+// without it the call is serial.
 func WithEvalExecutor(x Executor) EvalOption { return core.WithExecutor(x) }
 
 // WithEvalCostModel prices accesses for Evaluate's budget accounting.
@@ -854,12 +853,13 @@ func WithShardPlan(p ShardPlanPolicy) QueryOption { return middleware.WithShardP
 
 // WithPrefetch evaluates one request with the pipelined latency-hiding
 // executor: background per-subsystem prefetchers keep sorted streams
-// ahead of the algorithm with adaptively batched accesses (depth 0 =
-// adaptive, >0 pins the batch depth), and random accesses overlap across
-// subsystems and objects. Tallies stay bit-identical to serial
-// evaluation; the report's Prefetch field carries the pipeline stats.
+// ahead of the algorithm with adaptively batched accesses, never more
+// than depth ranks per batch (0 = the default cap), and random accesses
+// overlap across subsystems and objects. Tallies stay bit-identical to
+// serial evaluation; the report's Prefetch field carries the pipeline
+// stats.
 // Combined with WithShards(p) every shard pipelines internally against
-// its re-ranked views, with the gather width and readahead depth
+// its re-ranked views, with the gather width and readahead cap
 // budgeted globally across the shard workers; the stats aggregate
 // across shards.
 func WithPrefetch(depth int) QueryOption { return middleware.WithPrefetch(depth) }

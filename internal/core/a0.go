@@ -100,17 +100,19 @@ func (A0) sortedPhase(ec *ExecContext, sc *scratch, lists []*subsys.Counted, k i
 // and, applied last, never past what an access budget could pay for in
 // whole rounds. Transport only: correlated or skewed lists that stop
 // elsewhere cost over-read or further round trips, never a tallied access.
-// The serial executor has no window to open and pays one branch.
+// A serial evaluation has no window to open and pays one branch.
 func (ec *ExecContext) expectDepth(lists []*subsys.Counted, k int) {
-	if !ec.par {
+	if ec.pipe == nil {
 		return
 	}
 	m := float64(len(lists))
 	kRoot := math.Pow(float64(k), 1/m)
 	for _, l := range lists {
 		e := max(int(math.Ceil(1.25*math.Pow(float64(l.Len()), (m-1)/m)*kRoot)), k)
-		if rounds := ec.budget / (ec.model.C1 * m); ec.budget > 0 && rounds < float64(e) {
-			e = int(rounds) + 1
+		if ec.pool != nil {
+			if rounds := ec.pool.limit / (ec.model.C1 * m); rounds < float64(e) {
+				e = int(rounds) + 1
+			}
 		}
 		l.Expect(e)
 	}

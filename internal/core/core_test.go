@@ -68,7 +68,7 @@ func TestArgumentValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algs := []Algorithm{NaiveSorted{}, NaiveRandom{}, A0{}, A0Prime{}, B0{}, TA{}, Ullman{}, OrderStat{J: 1}}
+	algs := []Algorithm{NaiveSorted{}, A0{}, A0Prime{}, B0{}, TA{}, Ullman{}, OrderStat{J: 1}}
 	for _, alg := range algs {
 		lists := subsys.CountAll(sourcesOf(db))
 		if _, err := alg.TopK(Background(), lists, agg.Min, 0); !errors.Is(err, ErrBadK) {
@@ -120,7 +120,6 @@ func TestAlgorithmsAgreeWithNaiveMinProperty(t *testing.T) {
 		}
 		want, _ := run(t, NaiveSorted{}, db, agg.Min, k)
 		algs := []Algorithm{
-			NaiveRandom{},
 			A0{},
 			A0Prime{},
 			TA{},
@@ -326,7 +325,7 @@ func TestKEqualsN(t *testing.T) {
 	// Remark 5.2: k = N must return every object with its exact grade.
 	db := scoredb.Generator{N: 12, M: 2, Seed: 21}.MustGenerate()
 	want, _ := run(t, NaiveSorted{}, db, agg.Min, 12)
-	for _, alg := range []Algorithm{A0{}, A0Prime{}, TA{}, Ullman{}, NaiveRandom{}} {
+	for _, alg := range []Algorithm{A0{}, A0Prime{}, TA{}, Ullman{}} {
 		got, _ := run(t, alg, db, agg.Min, 12)
 		if !gradedset.SameGradeMultiset(entriesOf(got), entriesOf(want), 1e-12) {
 			t.Errorf("%s at k=N: got=%v want=%v", alg.Name(), got, want)

@@ -18,10 +18,6 @@ func TestNaiveCosts(t *testing.T) {
 	if c.Sorted != 90 || c.Random != 0 {
 		t.Errorf("naive-sorted cost = %v, want S=90 R=0", c)
 	}
-	_, c = run(t, NaiveRandom{}, db, agg.Min, 5)
-	if c.Sorted != 0 || c.Random != 90 {
-		t.Errorf("naive-random cost = %v, want S=0 R=90", c)
-	}
 }
 
 func TestB0CostIsMK(t *testing.T) {

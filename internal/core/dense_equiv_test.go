@@ -84,7 +84,6 @@ func TestDenseFastPathMatchesMapFallback(t *testing.T) {
 		{TA{}, agg.AlgebraicProduct},
 		{B0{}, agg.Max},
 		{NaiveSorted{}, agg.Min},
-		{NaiveRandom{}, agg.Min},
 		{OrderStat{}, agg.Median},
 	}
 	rng := rand.New(rand.NewSource(7))
@@ -178,9 +177,9 @@ func TestDenseFastPathFilter(t *testing.T) {
 // algorithm family, grade laws, arities, widths, and randomized k — on
 // the dense fast path, the map fallback, and behind the stateful
 // Validated wrapper — it must return byte-identical results and
-// identical cost.Cost tallies to the serial executor. It runs at the
-// width WithParallelism lowers to and in both its adaptive-depth and
-// fixed-depth configurations, with small caps so the background
+// identical cost.Cost tallies to the serial evaluation. It runs at the
+// width WithParallelism lowers to and under a fixed and a drawn
+// readahead cap, both small, so the background
 // pipelines churn through many refills even at these sizes. (The CI
 // suite runs this under -race, which also exercises the pipeline and
 // gather fan-outs — and the wrappers they read through — for data
@@ -201,7 +200,6 @@ func TestSerialVsConcurrentExecutors(t *testing.T) {
 		{TA{}, agg.Min},
 		{B0{}, agg.Max},
 		{NaiveSorted{}, agg.Min},
-		{NaiveRandom{}, agg.Min},
 		{OrderStat{}, agg.Median},
 	}
 	rng := rand.New(rand.NewSource(13))
@@ -213,10 +211,10 @@ func TestSerialVsConcurrentExecutors(t *testing.T) {
 				k := 1 + rng.Intn(n)
 				// p sweeps below, at, and above one probe in flight per list.
 				p := 1 + rng.Intn(m+2)
-				execs := []Executor{
-					Pipelined{P: p},                         // what WithParallelism(p) lowers to
-					Pipelined{P: 4, MaxDepth: 16},           // adaptive depth
-					Pipelined{P: p, Depth: 1 + rng.Intn(8)}, // fixed depth
+				execs := []*Pipelined{
+					{P: p},                            // what WithParallelism(p) lowers to
+					{P: 4, MaxDepth: 16},              // a shallow cap
+					{P: p, MaxDepth: 1 + rng.Intn(8)}, // a drawn cap, below most stopping depths
 				}
 				label := fmt.Sprintf("%s/m=%d/%s-%s/k=%d/p=%d", lawName, m, tc.alg.Name(), tc.f.Name(), k, p)
 				for _, mode := range []struct {
@@ -233,11 +231,11 @@ func TestSerialVsConcurrentExecutors(t *testing.T) {
 					}
 					for _, x := range execs {
 						rConc, cConc, err := Evaluate(context.Background(), tc.alg, mode.srcs(db), tc.f, k,
-							WithExecutor(x))
+							withExec(x)...)
 						if err != nil {
-							t.Fatalf("%s/%s: %s: %v", label, mode.name, x.Name(), err)
+							t.Fatalf("%s/%s: %s: %v", label, mode.name, execName(x), err)
 						}
-						requireIdentical(t, label+"/"+mode.name+"/"+x.Name(), rConc, rSerial, cConc, cSerial)
+						requireIdentical(t, label+"/"+mode.name+"/"+execName(x), rConc, rSerial, cConc, cSerial)
 					}
 				}
 			}
@@ -332,7 +330,6 @@ func TestShardedVsUnsharded(t *testing.T) {
 		{TA{}, agg.AlgebraicProduct},
 		{B0{}, agg.Max},
 		{NaiveSorted{}, agg.Min},
-		{NaiveRandom{}, agg.Min},
 		{OrderStat{}, agg.Median},
 	}
 	rng := rand.New(rand.NewSource(17))

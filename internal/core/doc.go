@@ -29,7 +29,8 @@
 //     on the other, stopping when the k-th best candidate is at least the
 //     last sorted grade. Expected constant cost when one list's grades
 //     are bounded away from 1; Θ(√N) when both are uniform (Landau).
-//   - NaiveSorted and NaiveRandom: the two linear baselines of Section 4.
+//   - NaiveSorted: the linear baseline of Section 4, and the reference
+//     answer of the equivalence tests.
 //   - TA: the threshold algorithm, A₀'s successor in the FA lineage —
 //     immediate random access on first sight, stopping once the k-th best
 //     grade reaches t of the last sorted grades. A documented extension;
@@ -49,17 +50,20 @@
 // Evaluation is request-scoped: Evaluate takes a context.Context and
 // per-request options, and every algorithm takes an *ExecContext
 // carrying that context, the cost model, an optional access budget, and
-// an Executor. The executor is the transport between algorithms and
-// subsystems: Serial issues every access inline; Pipelined overlaps
-// them, a background prefetcher per list staging sorted ranks into
-// uncounted readahead buffers and the random-access phase fanned out up
-// to the executor's width. Executors never change semantics — the
-// Section 5 tallies meter what the algorithm consumes, which is identical
-// under either executor, and the equivalence tests pin that bit for bit.
-// Cancellation is honored between accesses (Serial) or by abandoning
-// in-flight workers (Pipelined); budgets are enforced by reservation
-// before each step, so a budgeted evaluation stops with ErrBudgetExceeded
-// and a partial cost that never overshoots the limit.
+// optionally a Pipelined configuration (WithExecutor). The executor is
+// the transport between algorithms and subsystems, and a configuration,
+// not a type to implement: without one every access is issued inline;
+// with one they overlap, a background prefetcher per list staging sorted
+// ranks into uncounted readahead buffers at an adaptive depth (up to the
+// configuration's cap) and the random-access phase fanned out up to its
+// width. The executor never changes semantics — the Section 5 tallies
+// meter what the algorithm consumes, which is identical either way, and
+// the equivalence tests pin that bit for bit. Cancellation is honored
+// between accesses (serial) or by abandoning in-flight workers
+// (pipelined). Budgets are enforced by reservation from one ledger, a
+// pool shared by an evaluation's slices (a pool of one unsharded),
+// before each step, so a budgeted evaluation stops with
+// ErrBudgetExceeded and a partial cost that never overshoots the limit.
 //
 // All algorithms interact with data exclusively through subsys.Counted,
 // so reported costs are exactly the S and R of the Section 5 cost model.

@@ -12,39 +12,6 @@ import (
 	"fuzzydb/internal/subsys"
 )
 
-// Executor is the transport between the algorithms and the subsystems:
-// it decides how the physical source operations behind a query are
-// issued. Two implementations ship — Serial, which performs every access
-// inline, and Pipelined, which overlaps them (a background prefetcher per
-// list, a width-capped fan-out for random access), modeling a middleware
-// whose subsystems are remote and independently slow.
-//
-// Executors change wall-clock only, never semantics: the Section 5
-// access tallies meter what the algorithm consumes, and consumption is
-// identical under every executor (the equivalence tests pin this bit for
-// bit). Pipelined achieves that by staging — prefetching sorted ranks
-// into the lists' uncounted buffers — rather than by consuming on the
-// algorithm's behalf.
-type Executor interface {
-	// Name identifies the executor in reports and experiment tables.
-	Name() string
-	// Parallel reports whether the executor overlaps source operations;
-	// false lets hot paths skip staging bookkeeping entirely.
-	Parallel() bool
-	// Stage ensures each non-exhausted cursor can deliver its next
-	// `ahead` entries without touching its source, prefetching in
-	// parallel where the implementation allows. On cancellation it
-	// returns an *AbandonedError if source operations may still be in
-	// flight.
-	Stage(ctx context.Context, cursors []*subsys.Cursor, ahead int) error
-	// Gather performs the random-access phase: cols[j][i] =
-	// lists[j].Grade(objs[i]) for every list j and object i. However the
-	// reads are overlapped, each list's column is paid for on the calling
-	// goroutine in ascending object-index order, so per-list tallies and
-	// memo state are the same under every executor.
-	Gather(ctx context.Context, lists []*subsys.Counted, objs []int, cols [][]float64) error
-}
-
 // AbandonedError reports that an evaluation stopped (on cancellation)
 // while concurrent source operations were still in flight. The lists and
 // scratch state of such an evaluation are poisoned — workers may still
@@ -93,9 +60,17 @@ func (e *BudgetError) Error() string {
 func (e *BudgetError) Unwrap() error { return ErrBudgetExceeded }
 
 // ExecContext carries the per-request execution state of one evaluation:
-// the caller's context, the access executor, the cost model, and the
-// optional access budget. Every algorithm takes one; Background() is the
-// zero-configuration form for callers driving an algorithm directly.
+// the caller's context, the cost model, the optional access budget and,
+// when the accesses are to overlap, a Pipelined configuration. Every
+// algorithm takes one; Background() is the zero-configuration form for
+// callers driving an algorithm directly.
+//
+// Without a Pipelined configuration the evaluation is serial: every
+// access happens on the calling goroutine, exactly as the paper's cost
+// analysis narrates it, and cancellation is honored between accesses.
+// The executor is transport only — the Section 5 tallies meter what the
+// algorithm consumes, and consumption is the same with or without one
+// (the equivalence tests pin this bit for bit).
 //
 // An ExecContext is bound to at most one evaluation at a time (it tracks
 // that evaluation's lists for budget accounting and abandonment
@@ -103,10 +78,8 @@ func (e *BudgetError) Unwrap() error { return ErrBudgetExceeded }
 type ExecContext struct {
 	ctx       context.Context
 	done      <-chan struct{}
-	exec      Executor
-	par       bool // exec.Parallel(), cached off the hot path
+	pipe      *Pipelined // nil: serial
 	model     cost.Model
-	budget    float64 // <= 0 means unlimited
 	lists     []*subsys.Counted
 	safe      cost.Cost // tallies at the last quiescent checkpoint
 	abandoned bool
@@ -119,9 +92,10 @@ type ExecContext struct {
 	// completion phase over the objects seen so far.
 	stop func([]*subsys.Cursor) bool
 
-	// pool is the shared budget reservation pool of a sharded
-	// evaluation; nil for the single-evaluation budget path. synced and
-	// outstanding are this ExecContext's bookkeeping inside the pool.
+	// pool is the budget ledger the evaluation reserves from: its own
+	// pool of one, or the pool its slices share; nil means unlimited.
+	// synced and outstanding are this ExecContext's bookkeeping inside
+	// the pool.
 	pool        *budgetPool
 	synced      float64 // weighted spend already committed to the pool
 	outstanding float64 // worst-case price of the in-flight step
@@ -130,13 +104,10 @@ type ExecContext struct {
 // EvalOption configures an evaluation (see Evaluate and NewExecContext).
 type EvalOption func(*ExecContext)
 
-// WithExecutor selects the access executor (default Serial{}).
-func WithExecutor(x Executor) EvalOption {
-	return func(ec *ExecContext) {
-		if x != nil {
-			ec.exec = x
-		}
-	}
+// WithExecutor runs the evaluation's accesses through the pipelined
+// executor x; without it they run serially.
+func WithExecutor(x Pipelined) EvalOption {
+	return func(ec *ExecContext) { ec.pipe = &x }
 }
 
 // WithCostModel prices the two access modes for budget accounting
@@ -156,10 +127,16 @@ func WithCostModel(m cost.Model) EvalOption {
 // evaluation stops with a *BudgetError and the partial cost spent so
 // far. Reservations are pessimistic (a probe that turns out to be cached
 // is reserved at full price), so a budgeted evaluation never overshoots
-// but may stop slightly before the budget is genuinely exhausted.
-// A non-positive limit means unlimited.
+// but may stop slightly before the budget is genuinely exhausted. The
+// evaluation reserves from a pool of its own, the ledger a sharded
+// evaluation's slices share (see budgetPool). A non-positive limit means
+// unlimited.
 func WithAccessBudget(limit float64) EvalOption {
-	return func(ec *ExecContext) { ec.budget = limit }
+	return func(ec *ExecContext) {
+		if limit > 0 {
+			ec.pool = &budgetPool{limit: limit}
+		}
+	}
 }
 
 // NewExecContext builds the execution state for one evaluation over the
@@ -173,14 +150,12 @@ func NewExecContext(ctx context.Context, lists []*subsys.Counted, opts ...EvalOp
 	ec := &ExecContext{
 		ctx:   ctx,
 		done:  ctx.Done(),
-		exec:  Serial{},
 		model: cost.Unweighted,
 		lists: lists,
 	}
 	for _, opt := range opts {
 		opt(ec)
 	}
-	ec.par = ec.exec.Parallel()
 	for _, l := range lists {
 		if l.Fallible() {
 			ec.fallible = true
@@ -197,12 +172,9 @@ func NewExecContext(ctx context.Context, lists []*subsys.Counted, opts ...EvalOp
 }
 
 // Background returns an ExecContext with the defaults — background
-// context, serial executor, unweighted model, no budget — for callers
+// context, serial accesses, unweighted model, no budget — for callers
 // driving an algorithm directly, outside any request.
 func Background() *ExecContext { return NewExecContext(context.Background(), nil) }
-
-// Executor returns the access executor in use.
-func (ec *ExecContext) Executor() Executor { return ec.exec }
 
 // CostModel returns the access prices used for budget accounting.
 func (ec *ExecContext) CostModel() cost.Model { return ec.model }
@@ -267,15 +239,9 @@ func (ec *ExecContext) snapshot() {
 	}
 }
 
-// spent returns the weighted cost incurred so far.
-func (ec *ExecContext) spent() float64 {
-	ec.snapshot()
-	return ec.model.Of(ec.safe)
-}
-
 // Stage is the per-round staging point of the sorted-access loops: it
-// checks cancellation, and under a parallel executor prefetches the next
-// `ahead` ranks of every live cursor concurrently. The algorithm then
+// checks cancellation, and under the pipelined executor prefetches the
+// next `ahead` ranks of every live cursor concurrently. The algorithm then
 // consumes (and pays for) entries exactly as it would serially.
 func (ec *ExecContext) Stage(cursors []*subsys.Cursor, ahead int) error {
 	if err := ec.err(); err != nil {
@@ -290,11 +256,11 @@ func (ec *ExecContext) Stage(cursors []*subsys.Cursor, ahead int) error {
 		}
 		ec.stop = nil
 	}
-	if !ec.par {
+	if ec.pipe == nil {
 		return nil
 	}
 	ec.snapshot()
-	err := ec.exec.Stage(ec.ctx, cursors, ahead)
+	err := ec.pipe.stage(ec.ctx, cursors, ahead)
 	if err != nil {
 		var ab *AbandonedError
 		if errors.As(err, &ab) {
@@ -320,34 +286,27 @@ func (ec *ExecContext) Stage(cursors []*subsys.Cursor, ahead int) error {
 // per live cursor — against the budget. Free (a single compare) with no
 // budget configured.
 func (ec *ExecContext) ReserveRound(cursors []*subsys.Cursor) error {
-	if ec.budget <= 0 {
+	if ec.pool == nil {
 		return nil
 	}
 	return ec.Reserve(liveCursors(cursors), 0)
 }
 
 // Reserve gates a step that will perform at most nSorted sorted and
-// nRandom random accesses against the budget. With no budget configured
-// it is free. It does not consume anything: the actual spend is whatever
-// the step's accesses tally. A failed reservation additionally closes
-// any background prefetch pipelines on the evaluation's lists — once the
-// budget is exhausted, nothing may keep touching the sources, not even
-// uncounted readahead.
+// nRandom random accesses against the budget pool. With no budget
+// configured it is free. It does not consume anything: the actual spend
+// is whatever the step's accesses tally. A failed reservation
+// additionally closes any background prefetch pipelines on the
+// evaluation's lists — once the budget is exhausted, nothing may keep
+// touching the sources, not even uncounted readahead.
 func (ec *ExecContext) Reserve(nSorted, nRandom int) error {
-	if ec.budget <= 0 {
+	if ec.pool == nil {
 		return nil
 	}
 	need := ec.model.C1*float64(nSorted) + ec.model.C2*float64(nRandom)
-	if ec.pool != nil {
-		if err := ec.pool.reserve(ec, need); err != nil {
-			ec.stopPrefetch()
-			return err
-		}
-		return nil
-	}
-	if spent := ec.spent(); spent+need > ec.budget {
+	if err := ec.pool.reserve(ec, need); err != nil {
 		ec.stopPrefetch()
-		return &BudgetError{Limit: ec.budget, Spent: spent, Need: need}
+		return err
 	}
 	return nil
 }
@@ -363,23 +322,24 @@ func (ec *ExecContext) stopPrefetch() {
 }
 
 // Gather runs the random-access phase — cols[j][i] = lists[j].Grade of
-// objs[i] — through the executor. Every executor, Serial included, fills
-// the columns list-major: a list's misses are then read from its source
-// in one go (subsys.Counted.Grades), where an object-major sweep waits
-// out each probe's cache misses, or its round trip, before issuing the
-// next. Under a budget it is that object-major sweep nonetheless, serial,
-// with an exact per-object reservation, so the budget is never overshot.
+// objs[i] — serially, or overlapped under the pipelined executor. Both
+// fill the columns list-major: a list's misses are then read from its
+// source in one go (subsys.Counted.Grades), where an object-major sweep
+// waits out each probe's cache misses, or its round trip, before issuing
+// the next. Under a budget it is that object-major sweep nonetheless,
+// serial, with an exact per-object reservation, so the budget is never
+// overshot.
 func (ec *ExecContext) Gather(lists []*subsys.Counted, objs []int, cols [][]float64) error {
 	if err := ec.err(); err != nil {
 		return err
 	}
 	var err error
 	switch {
-	case ec.budget > 0:
+	case ec.pool != nil:
 		err = ec.gatherBudgeted(lists, objs, cols)
-	case ec.par:
+	case ec.pipe != nil:
 		ec.snapshot()
-		err = ec.exec.Gather(ec.ctx, lists, objs, cols)
+		err = ec.pipe.gather(ec.ctx, lists, objs, cols)
 		if err != nil {
 			var ab *AbandonedError
 			if errors.As(err, &ab) {
@@ -387,7 +347,7 @@ func (ec *ExecContext) Gather(lists []*subsys.Counted, objs []int, cols [][]floa
 			}
 		}
 	default:
-		err = Serial{}.Gather(ec.ctx, lists, objs, cols)
+		err = gatherInline(ec.ctx, lists, objs, cols)
 	}
 	if err == nil && ec.fallible {
 		// A probe may have hit a terminal source failure (recorded as the
@@ -405,7 +365,7 @@ func (ec *ExecContext) Gather(lists []*subsys.Counted, objs []int, cols [][]floa
 // the A₀ family: complete every object's grade vector across lists, then
 // append (object, t(vector)) to entries, preserving object order. The
 // grades are gathered into one column per list (see Gather) and the
-// aggregation runs over the columns, under every executor: each (list,
+// aggregation runs over the columns, serial or pipelined: each (list,
 // object) grade is paid for at most once, whatever the order.
 func (ec *ExecContext) appendScores(sc *scratch, lists []*subsys.Counted, objs []int, t agg.Func, entries []gradedset.Entry) ([]gradedset.Entry, error) {
 	cols := sc.colsBuf(len(lists), len(objs))
@@ -426,7 +386,7 @@ func (ec *ExecContext) appendScores(sc *scratch, lists []*subsys.Counted, objs [
 // grade vector across lists: exactly the grades not already paid for.
 // Free with no budget configured.
 func (ec *ExecContext) ReserveProbes(lists []*subsys.Counted, obj int) error {
-	if ec.budget <= 0 {
+	if ec.pool == nil {
 		return nil
 	}
 	missing := 0
@@ -474,52 +434,27 @@ func (ec *ExecContext) releaseScratch(s *scratch) {
 // themselves. Polls never touch the tallies.
 const ctxCheckEvery = 256
 
-// Serial is the inline executor: every access happens on the calling
-// goroutine, exactly as the paper's cost analysis narrates it.
-// Cancellation is honored between accesses.
-type Serial struct{}
-
-// Name implements Executor.
-func (Serial) Name() string { return "serial" }
-
-// Parallel implements Executor.
-func (Serial) Parallel() bool { return false }
-
-// Stage implements Executor: nothing to do — consumption fetches on
-// demand. (ExecContext short-circuits before calling this; it exists to
-// satisfy the interface for callers driving an executor directly.)
-func (Serial) Stage(ctx context.Context, cursors []*subsys.Cursor, ahead int) error { return nil }
-
-// Gather implements Executor: list-major and inline, one column after
-// another — the order Pipelined pays in too, so both leave the same
+// gatherInline is the serial random-access phase: list-major, one
+// column after another, each through the batched column routine in spans
+// of ctxCheckEvery objects with a cancellation poll between spans. It is
+// the order the pipelined gather pays in too, so both leave the same
 // tallies and report the same first SourceError.
-func (Serial) Gather(ctx context.Context, lists []*subsys.Counted, objs []int, cols [][]float64) error {
+func gatherInline(ctx context.Context, lists []*subsys.Counted, objs []int, cols [][]float64) error {
+	done := ctx.Done()
 	for j, l := range lists {
-		if !fillColumn(ctx, l, objs, cols[j]) {
-			return fmt.Errorf("core: evaluation canceled: %w", context.Cause(ctx))
+		for lo := 0; lo < len(objs); lo += ctxCheckEvery {
+			if done != nil {
+				select {
+				case <-done:
+					return fmt.Errorf("core: evaluation canceled: %w", context.Cause(ctx))
+				default:
+				}
+			}
+			hi := min(lo+ctxCheckEvery, len(objs))
+			l.Grades(objs[lo:hi], cols[j][lo:hi])
 		}
 	}
 	return nil
-}
-
-// fillColumn is the one place a list's column is filled: col[i] =
-// l.Grade(objs[i]) through the batched column routine, in spans of
-// ctxCheckEvery objects with a cancellation poll between spans. It
-// reports false if ctx was canceled before the column was complete.
-func fillColumn(ctx context.Context, l *subsys.Counted, objs []int, col []float64) bool {
-	done := ctx.Done()
-	for lo := 0; lo < len(objs); lo += ctxCheckEvery {
-		if done != nil {
-			select {
-			case <-done:
-				return false
-			default:
-			}
-		}
-		hi := min(lo+ctxCheckEvery, len(objs))
-		l.Grades(objs[lo:hi], col[lo:hi])
-	}
-	return true
 }
 
 // Concurrent names the executor that ran one worker per list; Pipelined

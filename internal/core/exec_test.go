@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -12,6 +13,23 @@ import (
 	"fuzzydb/internal/scoredb"
 	"fuzzydb/internal/subsys"
 )
+
+// withExec appends the option that selects executor x of a test's
+// palette, in which nil stands for serial: no executor option at all.
+func withExec(x *Pipelined, opts ...EvalOption) []EvalOption {
+	if x != nil {
+		opts = append(opts, WithExecutor(*x))
+	}
+	return opts
+}
+
+// execName labels executor x of a test's palette (nil is serial).
+func execName(x *Pipelined) string {
+	if x == nil {
+		return "serial"
+	}
+	return fmt.Sprintf("pipelined(p=%d,cap=%d)", x.P, x.MaxDepth)
+}
 
 // slowSource delays every physical source operation, modeling a remote
 // subsystem with per-call latency.
@@ -161,7 +179,6 @@ func TestBudgetAcrossAlgorithms(t *testing.T) {
 		{OrderStat{J: 1}, agg.Max},
 		{FilterFirst{}, agg.Min},
 		{NaiveSorted{}, agg.Min},
-		{NaiveRandom{}, agg.Min},
 	}
 	const budget = 40.0
 	for _, tc := range algs {

@@ -116,15 +116,15 @@ func TestFaultInsideOpeningBatchStaysInvisible(t *testing.T) {
 		}
 		// All three read every list to one common depth.
 		failRank := wantCost.Sorted/m + tc.ahead
-		for _, x := range []Executor{Serial{}, Pipelined{}} {
-			label := tc.alg.Name() + "/" + x.Name()
+		for _, x := range []*Pipelined{nil, {}} {
+			label := tc.alg.Name() + "/" + execName(x)
 			srcs, logs := loggedSourcesOf(db, victim, failRank)
-			got, gotCost, err := Evaluate(context.Background(), tc.alg, srcs, tc.f, k, WithExecutor(x))
+			got, gotCost, err := Evaluate(context.Background(), tc.alg, srcs, tc.f, k, withExec(x)...)
 			if err != nil {
 				t.Fatalf("%s: a fault at rank %d, past the consumed depth, surfaced: %v", label, failRank, err)
 			}
 			requireIdentical(t, label, got, want, gotCost, wantCost)
-			if !x.Parallel() || !tc.read {
+			if x == nil || !tc.read {
 				continue
 			}
 			hit := false

@@ -57,12 +57,12 @@ func failSourcesOf(db *scoredb.Database, victim, failRank, failObj int) []subsys
 }
 
 // faultExecs is the parallel-executor palette the fault tests sweep.
-func faultExecs() []Executor {
-	return []Executor{
-		Pipelined{P: 2},
-		Pipelined{P: 3},
-		Pipelined{P: 2, MaxDepth: 8},
-		Pipelined{P: 3, Depth: 2},
+func faultExecs() []*Pipelined {
+	return []*Pipelined{
+		{P: 2},
+		{P: 3},
+		{P: 2, MaxDepth: 8},
+		{P: 3, MaxDepth: 2},
 	}
 }
 
@@ -103,13 +103,13 @@ func TestPermanentSortedFaultIdenticalAcrossExecutors(t *testing.T) {
 		t.Fatal("serial: empty partial-cost report")
 	}
 	for _, x := range faultExecs() {
-		got, c, err := Evaluate(context.Background(), A0{}, srcs(), agg.Min, 40, WithExecutor(x))
-		requireSourceError(t, x.Name(), err, victim, rank, false)
+		got, c, err := Evaluate(context.Background(), A0{}, srcs(), agg.Min, 40, withExec(x)...)
+		requireSourceError(t, execName(x), err, victim, rank, false)
 		if got != nil {
-			t.Errorf("%s: results %v alongside the error", x.Name(), got)
+			t.Errorf("%s: results %v alongside the error", execName(x), got)
 		}
 		if c != wantCost {
-			t.Errorf("%s: partial cost %v, serial %v", x.Name(), c, wantCost)
+			t.Errorf("%s: partial cost %v, serial %v", execName(x), c, wantCost)
 		}
 	}
 }
@@ -136,10 +136,10 @@ func TestPermanentRandomFaultIdenticalAcrossExecutors(t *testing.T) {
 	_, _, serr := Evaluate(context.Background(), A0{}, srcs(), agg.Min, 3)
 	requireSourceError(t, "serial", serr, victim, obj, true)
 	for _, x := range faultExecs() {
-		got, _, err := Evaluate(context.Background(), A0{}, srcs(), agg.Min, 3, WithExecutor(x))
-		requireSourceError(t, x.Name(), err, victim, obj, true)
+		got, _, err := Evaluate(context.Background(), A0{}, srcs(), agg.Min, 3, withExec(x)...)
+		requireSourceError(t, execName(x), err, victim, obj, true)
 		if got != nil {
-			t.Errorf("%s: results %v alongside the error", x.Name(), got)
+			t.Errorf("%s: results %v alongside the error", execName(x), got)
 		}
 	}
 }
@@ -157,12 +157,12 @@ func TestPermanentFaultBeyondDemandIsInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fault-free serial: %v", err)
 	}
-	for _, x := range append([]Executor{Serial{}}, faultExecs()...) {
-		got, c, err := Evaluate(context.Background(), A0{}, srcs(), agg.Min, 2, WithExecutor(x))
+	for _, x := range append([]*Pipelined{nil}, faultExecs()...) {
+		got, c, err := Evaluate(context.Background(), A0{}, srcs(), agg.Min, 2, withExec(x)...)
 		if err != nil {
-			t.Fatalf("%s: undemanded fault surfaced: %v", x.Name(), err)
+			t.Fatalf("%s: undemanded fault surfaced: %v", execName(x), err)
 		}
-		requireIdentical(t, x.Name(), got, want, c, wantCost)
+		requireIdentical(t, execName(x), got, want, c, wantCost)
 	}
 }
 
@@ -176,7 +176,7 @@ func TestShardedPermanentFaultSurfacesAndSettles(t *testing.T) {
 	srcs := func() []subsys.Source { return failSourcesOf(db, victim, rank, -1) }
 
 	serialCfg := ShardConfig{Shards: 4, Parallel: 1}
-	pipedCfg := ShardConfig{Shards: 4, Parallel: 1, Prefetch: true, PrefetchDepth: 2, PrefetchWidth: 2}
+	pipedCfg := ShardConfig{Shards: 4, Parallel: 1, Prefetch: true, PrefetchCap: 2, PrefetchWidth: 2}
 	_, errS := EvaluateSharded(context.Background(), A0{}, srcs(), agg.Min, 30, serialCfg)
 	_, errP := EvaluateSharded(context.Background(), A0{}, srcs(), agg.Min, 30, pipedCfg)
 	var seS, seP *subsys.SourceError
@@ -239,15 +239,15 @@ func TestResilientTransientFaultsInvisibleAcrossExecutors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fault-free serial: %v", err)
 	}
-	for _, x := range append([]Executor{Serial{}}, faultExecs()...) {
-		got, c, err := Evaluate(context.Background(), TA{}, faulty(), agg.Min, 25, WithExecutor(x))
+	for _, x := range append([]*Pipelined{nil}, faultExecs()...) {
+		got, c, err := Evaluate(context.Background(), TA{}, faulty(), agg.Min, 25, withExec(x)...)
 		if err != nil {
-			t.Fatalf("%s: %v", x.Name(), err)
+			t.Fatalf("%s: %v", execName(x), err)
 		}
-		requireIdentical(t, x.Name(), got, want, c, wantCost)
+		requireIdentical(t, execName(x), got, want, c, wantCost)
 	}
 
-	cfg := ShardConfig{Shards: 3, Parallel: 1, Prefetch: true, PrefetchDepth: 2}
+	cfg := ShardConfig{Shards: 3, Parallel: 1, Prefetch: true, PrefetchCap: 2}
 	clean, err := EvaluateSharded(context.Background(), TA{}, sourcesOf(db), agg.Min, 25, cfg)
 	if err != nil {
 		t.Fatalf("fault-free sharded: %v", err)
@@ -282,7 +282,7 @@ func TestFaultRacingShardFence(t *testing.T) {
 	for it := 0; it < 10; it++ {
 		faulty := resilientFaultySources(db, 0xbeef+uint64(it), 0.15, 1, subsys.Policy{MaxRetries: 2})
 		rep, err := EvaluateSharded(context.Background(), TA{}, faulty(), agg.Min, 12,
-			ShardConfig{Shards: 4, Parallel: 3, Prefetch: true, PrefetchDepth: 2, PrefetchWidth: 2})
+			ShardConfig{Shards: 4, Parallel: 3, Prefetch: true, PrefetchCap: 2, PrefetchWidth: 2})
 		if err != nil {
 			t.Fatalf("iteration %d: %v", it, err)
 		}

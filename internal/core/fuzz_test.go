@@ -22,10 +22,9 @@ import (
 // access budget — and the harness then cross-checks, in the spirit of
 // fusion-rule cross-validation, that
 //
-//   - Serial and Pipelined (adaptive at the width WithParallelism
-//     lowers to, adaptive under a depth cap, and fixed depth)
-//     unsharded evaluations return byte-identical results and identical
-//     Section 5 tallies;
+//   - serial and pipelined (at the width WithParallelism lowers to, and
+//     under two drawn readahead caps) unsharded evaluations return
+//     byte-identical results and identical Section 5 tallies;
 //   - the sharded evaluation at Parallel=1, serial or pipelined inside,
 //     is itself byte-identical across the two per-shard executors —
 //     results, total, per-shard, and per-list tallies — and satisfies
@@ -48,7 +47,7 @@ import (
 // Run with `go test -fuzz FuzzExecutorEquivalence ./internal/core`; the
 // committed corpus under testdata/fuzz covers the interesting regimes
 // (heavy Binary/Discrete ties straddling shard boundaries, P clamped by
-// tiny universes, k = N, budget stops, fixed tiny depths).
+// tiny universes, k = N, budget stops, tiny readahead caps).
 func FuzzExecutorEquivalence(f *testing.F) {
 	for _, seed := range []uint64{1, 7, 42, 1996, 0x5eed, 0xfa61, 0xdeadbeef, 1 << 40} {
 		f.Add(seed)
@@ -95,7 +94,7 @@ func fuzzExecutorEquivalence(t *testing.T, seed uint64) {
 	tc := fuzzCases[rng.Intn(len(fuzzCases))]
 	k := 1 + rng.Intn(n)
 	shards := 2 + rng.Intn(6) // may exceed n: exercises the clamp
-	depth := rng.Intn(7)      // 0 = adaptive, else fixed
+	depth := rng.Intn(7)      // a readahead cap; 0 = the default
 	width := 1 + rng.Intn(8)
 	_ = rng.Intn(24) // a retired executor's knob; drawn so committed seeds build the same scenario
 	p := 1 + rng.Intn(m+2)
@@ -116,24 +115,24 @@ func fuzzExecutorEquivalence(t *testing.T, seed uint64) {
 	if err != nil {
 		t.Fatalf("%s: serial: %v", label, err)
 	}
-	execs := []Executor{
-		Pipelined{P: p},
-		Pipelined{P: width, MaxDepth: 1 + rng.Intn(16)},
-		Pipelined{P: width, Depth: 1 + depth},
+	execs := []*Pipelined{
+		{P: p},
+		{P: width, MaxDepth: 1 + rng.Intn(16)},
+		{P: width, MaxDepth: 1 + depth},
 	}
 	for _, x := range execs {
-		got, gotCost, err := Evaluate(context.Background(), tc.alg, srcs(), tc.f, k, WithExecutor(x))
+		got, gotCost, err := Evaluate(context.Background(), tc.alg, srcs(), tc.f, k, withExec(x)...)
 		if err != nil {
-			t.Fatalf("%s: %s: %v", label, x.Name(), err)
+			t.Fatalf("%s: %s: %v", label, execName(x), err)
 		}
-		requireIdentical(t, label+"/"+x.Name(), got, want, gotCost, wantCost)
+		requireIdentical(t, label+"/"+execName(x), got, want, gotCost, wantCost)
 	}
 
 	// Sharded, serial inside vs pipelined inside, at the deterministic
 	// worker cap: byte-identical to each other; both against unsharded
 	// under the shard-equivalence contract.
 	serialCfg := ShardConfig{Shards: shards, Parallel: 1}
-	pipedCfg := ShardConfig{Shards: shards, Parallel: 1, Prefetch: true, PrefetchDepth: depth, PrefetchWidth: width}
+	pipedCfg := ShardConfig{Shards: shards, Parallel: 1, Prefetch: true, PrefetchCap: depth, PrefetchWidth: width}
 	sSerial, err := EvaluateSharded(context.Background(), tc.alg, srcs(), tc.f, k, serialCfg)
 	if err != nil {
 		t.Fatalf("%s: sharded serial: %v", label, err)
@@ -167,7 +166,7 @@ func fuzzExecutorEquivalence(t *testing.T, seed uint64) {
 	requireShardEquiv(t, label+"/sharded", want, sPiped.Results, truth)
 	// Parallel shard workers: same contract, fencing timing free.
 	sPar, err := EvaluateSharded(context.Background(), tc.alg, srcs(), tc.f, k,
-		ShardConfig{Shards: shards, Parallel: 1 + rng.Intn(4), Prefetch: rng.Intn(2) == 1, PrefetchDepth: depth})
+		ShardConfig{Shards: shards, Parallel: 1 + rng.Intn(4), Prefetch: rng.Intn(2) == 1, PrefetchCap: depth})
 	if err != nil {
 		t.Fatalf("%s: sharded parallel: %v", label, err)
 	}
@@ -243,14 +242,14 @@ func fuzzExecutorEquivalence(t *testing.T, seed uint64) {
 		}
 		for _, x := range execs {
 			got, gotCost, err := Evaluate(context.Background(), tc.alg, srcs(), tc.f, k,
-				WithAccessBudget(budget), WithExecutor(x))
+				withExec(x, WithAccessBudget(budget))...)
 			if !sameBudgetOutcome(err, wantErr) {
-				t.Fatalf("%s: %s budget err = %v, serial %v", label, x.Name(), err, wantErr)
+				t.Fatalf("%s: %s budget err = %v, serial %v", label, execName(x), err, wantErr)
 			}
 			if wantErr == nil {
-				requireIdentical(t, label+"/budget/"+x.Name(), got, wantRes, gotCost, wantPartial)
+				requireIdentical(t, label+"/budget/"+execName(x), got, wantRes, gotCost, wantPartial)
 			} else if gotCost != wantPartial {
-				t.Errorf("%s: %s budget partial cost %v, serial %v", label, x.Name(), gotCost, wantPartial)
+				t.Errorf("%s: %s budget partial cost %v, serial %v", label, execName(x), gotCost, wantPartial)
 			}
 		}
 		// Sharded reservation pool at Parallel=1: serial-inside and
@@ -295,12 +294,12 @@ func fuzzExecutorEquivalence(t *testing.T, seed uint64) {
 			}
 			return out
 		}
-		for _, x := range append([]Executor{Serial{}}, execs...) {
-			got, gotCost, err := Evaluate(context.Background(), tc.alg, faulty(), tc.f, k, WithExecutor(x))
+		for _, x := range append([]*Pipelined{nil}, execs...) {
+			got, gotCost, err := Evaluate(context.Background(), tc.alg, faulty(), tc.f, k, withExec(x)...)
 			if err != nil {
-				t.Fatalf("%s: transient faults leaked through %s: %v", label, x.Name(), err)
+				t.Fatalf("%s: transient faults leaked through %s: %v", label, execName(x), err)
 			}
-			requireIdentical(t, label+"/faulty/"+x.Name(), got, want, gotCost, wantCost)
+			requireIdentical(t, label+"/faulty/"+execName(x), got, want, gotCost, wantCost)
 		}
 		fPiped, err := EvaluateSharded(context.Background(), tc.alg, faulty(), tc.f, k, pipedCfg)
 		if err != nil {
@@ -345,26 +344,26 @@ func fuzzExecutorEquivalence(t *testing.T, seed uint64) {
 			t.Fatalf("%s: serial err = %v, want *subsys.SourceError", flabel, wErr)
 		}
 		for _, x := range execs {
-			gRes, gCost, gErr := Evaluate(context.Background(), tc.alg, fsrcs(), tc.f, k, WithExecutor(x))
+			gRes, gCost, gErr := Evaluate(context.Background(), tc.alg, fsrcs(), tc.f, k, withExec(x)...)
 			if (gErr == nil) != (wErr == nil) {
-				t.Fatalf("%s: %s err = %v, serial %v", flabel, x.Name(), gErr, wErr)
+				t.Fatalf("%s: %s err = %v, serial %v", flabel, execName(x), gErr, wErr)
 			}
 			if wErr == nil {
-				requireIdentical(t, flabel+"/"+x.Name(), gRes, wRes, gCost, wCost)
+				requireIdentical(t, flabel+"/"+execName(x), gRes, wRes, gCost, wCost)
 				continue
 			}
 			var gSE *subsys.SourceError
 			if !errors.As(gErr, &gSE) {
-				t.Fatalf("%s: %s err = %v, want *subsys.SourceError", flabel, x.Name(), gErr)
+				t.Fatalf("%s: %s err = %v, want *subsys.SourceError", flabel, execName(x), gErr)
 			}
 			if gSE.List != wSE.List || gSE.Rank != wSE.Rank || gSE.Random != wSE.Random || gSE.Attempts != wSE.Attempts {
-				t.Errorf("%s: %s SourceError %+v, serial %+v", flabel, x.Name(), gSE, wSE)
+				t.Errorf("%s: %s SourceError %+v, serial %+v", flabel, execName(x), gSE, wSE)
 			}
 			if gRes != nil {
-				t.Errorf("%s: %s results alongside the error", flabel, x.Name())
+				t.Errorf("%s: %s results alongside the error", flabel, execName(x))
 			}
 			if !wSE.Random && gCost != wCost {
-				t.Errorf("%s: %s partial cost %v, serial %v", flabel, x.Name(), gCost, wCost)
+				t.Errorf("%s: %s partial cost %v, serial %v", flabel, execName(x), gCost, wCost)
 			}
 		}
 		pSerial, errS := EvaluateSharded(context.Background(), tc.alg, fsrcs(), tc.f, k, serialCfg)

@@ -50,37 +50,3 @@ func (NaiveSorted) TopK(ec *ExecContext, lists []*subsys.Counted, t agg.Func, k 
 	}
 	return topKResults(entries, k), nil
 }
-
-// NaiveRandom is the all-random-access variant noted before Theorem 6.6:
-// probe every object in every list by random access. Sorted cost 0,
-// random cost mN — the reason the sorted-access lower bound must exclude
-// algorithms with linear random cost.
-type NaiveRandom struct{}
-
-// Name implements Algorithm.
-func (NaiveRandom) Name() string { return "naive-random" }
-
-// TopK implements Algorithm. The probe sweep stays object-major and
-// unbuffered even under a parallel executor: a didactic O(mN) baseline
-// is not worth an m×N staging matrix.
-func (NaiveRandom) TopK(ec *ExecContext, lists []*subsys.Counted, t agg.Func, k int) ([]Result, error) {
-	n, err := checkArgs(lists, k)
-	if err != nil {
-		return nil, err
-	}
-	entries := make([]gradedset.Entry, n)
-	buf := make([]float64, len(lists))
-	for obj := 0; obj < n; obj++ {
-		if obj%ctxCheckEvery == 0 {
-			if err := ec.err(); err != nil {
-				return nil, err
-			}
-		}
-		if err := ec.ReserveProbes(lists, obj); err != nil {
-			return nil, err
-		}
-		gradesInto(buf, lists, obj)
-		entries[obj] = gradedset.Entry{Object: obj, Grade: t.Apply(buf)}
-	}
-	return topKResults(entries, k), nil
-}

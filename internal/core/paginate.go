@@ -45,7 +45,7 @@ type Paginator struct {
 // works) under cfg as EvaluateSharded reads it — the plan, cfg.Parallel
 // shard workers per page, cfg.Budget as one pool across every shard and
 // every page — except that the per-shard pipelines live across pages, so
-// the readahead depth budget splits across all the shards. The context
+// the readahead cap splits across all the shards. The context
 // governs every page. A paginator under a pipelined executor must be
 // Released.
 func NewPaginator(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.Func, cfg ShardConfig) (*Paginator, error) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"fuzzydb/internal/subsys"
 )
@@ -21,22 +20,25 @@ const (
 	pipelinedGatherCutoff = 16
 )
 
-// Pipelined is the latency-hiding executor for slow or batched sources:
-// middleware whose subsystems are remote services where the dominant
-// cost of an access is the round trip, not the compute.
+// Pipelined configures the latency-hiding executor for slow or batched
+// sources: middleware whose subsystems are remote services where the
+// dominant cost of an access is the round trip, not the compute. An
+// ExecContext holding one (WithExecutor) overlaps its accesses; one
+// without runs them serially.
 //
 // Sorted access runs through a background prefetch pipeline per list
 // (subsys.Counted.StartPrefetch): a worker goroutine issues batched
-// Entries calls ahead of the algorithm's demand with adaptive depth. An
-// algorithm that knows how deep it will read says so first (the A₀
-// family, ExecContext.expectDepth) and the window opens there; a demand
-// stated up front (B₀'s k ranks) is covered by one call; otherwise the
-// depth starts at 1. From there it doubles every time the algorithm
+// Entries calls ahead of the algorithm's demand with adaptive depth, the
+// pipeline's one policy, which MaxDepth only caps. An algorithm that
+// knows how deep it will read says so first (the A₀ family,
+// ExecContext.expectDepth) and the window opens there; a demand stated
+// up front (B₀'s k ranks) is covered by one call; otherwise the depth
+// starts at 1. From there it doubles every time the algorithm
 // stalls on the pipeline and shrinks when the algorithm falls behind,
 // capped at MaxDepth — so an A₀ query usually reads a remote list in one
 // round trip, and the per-call latency is amortized over larger spans
 // exactly when the source is slow enough to warrant it (the pipeline
-// type in subsys states the whole policy). Stage registers every needy
+// type in subsys states the whole policy). stage registers every needy
 // cursor's demand before blocking on any of them, so the m refills of a
 // round proceed concurrently across lists.
 //
@@ -47,7 +49,7 @@ const (
 // the chunks out on up to P workers against the raw sources, and then
 // delivers the fetched grades in exactly the serial probe order.
 // Payment stays strictly on delivery in both phases, so the Section 5
-// tallies are bit-identical to the Serial executor's (the equivalence
+// tallies are bit-identical to the serial evaluation's (the equivalence
 // tests pin this), and budgets compose: reservations happen before
 // delivery, and a failed reservation closes every pipeline — the
 // evaluation never prefetches past a reservation failure.
@@ -65,40 +67,25 @@ type Pipelined struct {
 	// phase; 0 means defaultGatherWidth. Useful values exceed the CPU
 	// count: the workers overlap waiting.
 	P int
-	// Depth fixes the prefetch batch depth per list; 0 selects the
-	// adaptive policy (open at the expected depth, or at 1 without one;
-	// double on stall, shrink when ahead).
-	Depth int
-	// MaxDepth caps the adaptive depth; 0 means
-	// subsys.DefaultPrefetchCap.
+	// MaxDepth caps the adaptive readahead depth per list (the largest
+	// batch a pipeline issues); 0 means subsys.DefaultPrefetchCap.
 	MaxDepth int
 }
 
-// Name implements Executor.
-func (p Pipelined) Name() string {
-	if p.Depth > 0 {
-		return fmt.Sprintf("pipelined(p=%d,depth=%d)", p.width(), p.Depth)
-	}
-	return fmt.Sprintf("pipelined(p=%d)", p.width())
-}
-
-// Parallel implements Executor.
-func (Pipelined) Parallel() bool { return true }
-
-func (p Pipelined) width() int {
+func (p *Pipelined) width() int {
 	if p.P > 0 {
 		return p.P
 	}
 	return defaultGatherWidth
 }
 
-// Stage implements Executor: start (lazily) a prefetch pipeline on every
-// staged list, register each needy cursor's demand so all refills are in
-// flight at once, then wait until each cursor can deliver its next
+// stage starts (lazily) a prefetch pipeline on every
+// staged list, registers each needy cursor's demand so all refills are
+// in flight at once, then waits until each cursor can deliver its next
 // `ahead` entries without touching its source. On cancellation it closes
 // the pipelines and returns an *AbandonedError without waiting for
 // wedged batches.
-func (p Pipelined) Stage(ctx context.Context, cursors []*subsys.Cursor, ahead int) error {
+func (p *Pipelined) stage(ctx context.Context, cursors []*subsys.Cursor, ahead int) error {
 	if ahead < 1 {
 		ahead = 1
 	}
@@ -107,7 +94,7 @@ func (p Pipelined) Stage(ctx context.Context, cursors []*subsys.Cursor, ahead in
 		if cu.Buffered() >= ahead || cu.Exhausted() {
 			continue
 		}
-		cu.StartPrefetch(p.Depth, p.MaxDepth)
+		cu.StartPrefetch(p.MaxDepth)
 		cu.DemandAhead(ahead)
 		needy = append(needy, cu)
 	}
@@ -137,7 +124,7 @@ func (p Pipelined) Stage(ctx context.Context, cursors []*subsys.Cursor, ahead in
 	return nil
 }
 
-// Gather implements Executor: cols[j][i] = lists[j].Grade(objs[i]),
+// gather fills cols[j][i] = lists[j].Grade(objs[i]),
 // overlapped across every (list, object) pair. Memoized grades are
 // resolved inline first; each list's run of genuinely missing probes is
 // cut into chunks of that list's batch size (subsys.Counted.GradeBatch:
@@ -145,8 +132,8 @@ func (p Pipelined) Stage(ctx context.Context, cursors []*subsys.Cursor, ahead in
 // otherwise), the chunks fan out on up to width() workers against the
 // raw sources — uncounted — and the grades are then delivered in the
 // exact serial order (list-major, ascending object index), so per-list
-// tallies and memo state match Serial bit for bit.
-func (p Pipelined) Gather(ctx context.Context, lists []*subsys.Counted, objs []int, cols [][]float64) error {
+// tallies and memo state match gatherInline's bit for bit.
+func (p *Pipelined) gather(ctx context.Context, lists []*subsys.Counted, objs []int, cols [][]float64) error {
 	// A chunk is the run [lo, hi) of the miss arrays below, all of list j;
 	// its worker leaves the count of grades obtained in n and the source
 	// failure that stopped it, if any, in err.
@@ -180,7 +167,7 @@ func (p Pipelined) Gather(ctx context.Context, lists []*subsys.Counted, objs []i
 	if len(at) < pipelinedGatherCutoff && !batched {
 		// Too few single probes to pay a goroutine handoff for: fill the
 		// columns inline, in the same order.
-		return Serial{}.Gather(ctx, lists, objs, cols)
+		return gatherInline(ctx, lists, objs, cols)
 	}
 	fetched := make([]float64, len(at))
 	err := fanOut(ctx, p.width(), len(chunks), func(ctx context.Context, t int) bool {
@@ -207,7 +194,7 @@ func (p Pipelined) Gather(ctx context.Context, lists []*subsys.Counted, objs []i
 	}
 	// Delivery in serial probe order: each miss pays one random access
 	// (objs are distinct within a phase, so the miss set was fixed at
-	// phase start — exactly the accesses Serial would have paid).
+	// phase start — exactly the accesses gatherInline would have paid).
 	for _, c := range chunks {
 		l, col := lists[c.j], cols[c.j]
 		for t := c.lo; t < c.lo+c.n; t++ {

@@ -115,7 +115,7 @@ func TestPipelinedCancellationAbandonsWedgedBatch(t *testing.T) {
 	start := time.Now()
 	go func() {
 		_, _, evalErr = Evaluate(ctx, A0{}, srcs, agg.Min, 10,
-			WithExecutor(Pipelined{P: 2, Depth: 64}))
+			WithExecutor(Pipelined{P: 2, MaxDepth: 64}))
 		close(done)
 	}()
 	select {

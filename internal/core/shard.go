@@ -29,14 +29,13 @@ type ShardConfig struct {
 	// against the exact results of earlier ones and the per-shard cost
 	// tallies are reproducible bit for bit. Each worker evaluates its
 	// shard serially inside unless Prefetch is set. Unsharded there are no
-	// shard workers to cap, and Parallel > 1 is instead the width of the
-	// pipelined executor: the cap on source operations in flight.
+	// shard workers, and Parallel is ignored.
 	Parallel int
 	// Budget bounds the weighted middleware cost of the whole evaluation
-	// across all shards, through a shared reservation pool: every shard
-	// reserves each step's worst-case price from the same pool before
-	// issuing accesses, so the global spend never overshoots the limit
-	// (the *BudgetError semantics of WithAccessBudget, globally).
+	// across all shards, through one reservation pool: every shard
+	// reserves each step's worst-case price from it before issuing
+	// accesses, so the global spend never overshoots the limit (the
+	// *BudgetError semantics of WithAccessBudget, globally).
 	// Non-positive means unlimited.
 	Budget float64
 	// Model prices sorted and random accesses for budget accounting
@@ -49,28 +48,24 @@ type ShardConfig struct {
 	// pay-on-delivery holds under sharding, so the Section 5 tallies are
 	// unchanged) and whose random-access gather overlaps across lists
 	// and objects. The gather width and the per-list adaptive depth cap
-	// are budgeted globally: the totals (PrefetchWidth, DefaultPrefetchCap
-	// per list) are divided by the number of shard workers running at
-	// once, so P shards × m lists never multiply the goroutine or buffer
-	// count beyond the unsharded pipelined footprint. Shard fencing
+	// are budgeted globally: the totals (PrefetchWidth, PrefetchCap per
+	// list) are divided by the number of shard workers running at once,
+	// so P shards × m lists never multiply the goroutine or buffer count
+	// beyond the unsharded pipelined footprint. Shard fencing
 	// drains that shard's pipelines (Counted.Fence closes them) without
 	// touching the shared budget pool — prefetched-but-undelivered ranks
 	// were never reserved or paid.
 	Prefetch bool
-	// PrefetchDepth pins the per-list prefetch batch depth (> 0) or
-	// selects the adaptive policy (0: open at the depth the shard's
-	// algorithm expects to reach — over the shard view's own length — or
-	// at 1 when it states none, double on stall, shrink when the
-	// algorithm falls behind). Meaningful only where the pipelined
-	// executor runs. A pinned depth is part of the global budget too: like
-	// the adaptive cap it is divided across the shards holding pipeline
-	// buffers at once (floored at 1), so pinning a deep batch on a
-	// many-shard evaluation cannot multiply the buffer footprint.
-	PrefetchDepth int
+	// PrefetchCap caps the per-list adaptive readahead depth (0 means
+	// subsys.DefaultPrefetchCap): the pipeline opens at the depth the
+	// shard's algorithm expects to reach — over the shard view's own
+	// length — or at 1 when it states none, doubles on stall and shrinks
+	// when the algorithm falls behind, never past the cap. Meaningful only
+	// where the pipelined executor runs.
+	PrefetchCap int
 	// PrefetchWidth is the total random-access gather budget shared by
-	// the concurrently running shards (0 means the Pipelined default;
-	// unsharded, Parallel above 1 caps it too); each shard worker gets an
-	// equal slice, floored at 1.
+	// the concurrently running shards (0 means the Pipelined default);
+	// each shard worker gets an equal slice, floored at 1.
 	PrefetchWidth int
 	// Plan selects how the universe is cut into shard ranges: the
 	// zero value ShardPlanEven splits by object count (the historical
@@ -85,52 +80,32 @@ type ShardConfig struct {
 	Sketches []*subsys.Sketch
 }
 
-// pipelineExecutor builds the per-shard pipelined executor under the
-// global resource budget: the total gather width is split across the
-// widthShare shards whose gathers can be in flight at once (the worker
-// cap), and the per-list readahead depth — the adaptive cap AND a
-// pinned PrefetchDepth alike — across the depthShare shards whose
-// pipelines hold buffers at once (the worker cap for one-shot
-// evaluation, where a finished shard releases its pipelines before the
-// next starts; the full shard count for the paginator, whose pipelines
-// stay alive across pages on every shard simultaneously). Everything
-// floors at 1, so the whole sharded evaluation never holds more probes
-// in flight or more speculative ranks buffered than one unsharded
-// pipelined evaluation would.
-func (cfg ShardConfig) pipelineExecutor(widthShare, depthShare int) Executor {
-	width := cfg.PrefetchWidth
-	if width <= 0 {
-		width = defaultGatherWidth
-	}
-	depth := cfg.PrefetchDepth
-	if depth > 0 {
-		depth = max(1, depth/depthShare)
-	}
-	return Pipelined{P: max(1, width/widthShare), Depth: depth, MaxDepth: max(1, subsys.DefaultPrefetchCap/depthShare)}
-}
-
 // evalOptions is the one place a ShardConfig becomes the options of an
 // ExecContext, and so the one place an executor is chosen: the cost
-// model, and the pipelined executor at this evaluation's share of the
-// width and depth budgets (see pipelineExecutor) under Prefetch — or,
-// when the evaluation is the whole request rather than one slice of it,
-// under Parallel > 1, which is then that executor's width unless
-// PrefetchWidth states a narrower one. Everything else is serial: a
-// slice of a sharded run without Prefetch in particular, where Parallel
-// counts shard workers. Budget is the evaluation's own limit for a whole
-// request; a slice draws on the shared pool its caller installs.
-func (cfg ShardConfig) evalOptions(widthShare, depthShare int, whole bool) []EvalOption {
-	opts := make([]EvalOption, 1, 3)
-	opts[0] = WithCostModel(cfg.Model)
-	overlap := whole && cfg.Parallel > 1
-	if cfg.Prefetch || overlap {
-		if overlap && (cfg.PrefetchWidth <= 0 || cfg.PrefetchWidth > cfg.Parallel) {
-			cfg.PrefetchWidth = cfg.Parallel
+// model, and under Prefetch the pipelined executor at this evaluation's
+// share of the global resource budget. The total gather width is split
+// across the widthShare shards whose gathers can be in flight at once
+// (the worker cap), and the per-list readahead cap across the depthShare
+// shards whose pipelines hold buffers at once (the worker cap for
+// one-shot evaluation, where a finished shard releases its pipelines
+// before the next starts; the full shard count for the paginator, whose
+// pipelines stay alive across pages on every shard simultaneously).
+// Both floor at 1, so the whole sharded evaluation never holds more
+// probes in flight or more speculative ranks buffered than one unsharded
+// pipelined evaluation would. Without Prefetch every slice is serial.
+// Budget is not an option here: every slice reserves from the pool its
+// driver installs (see partition.open).
+func (cfg ShardConfig) evalOptions(widthShare, depthShare int) []EvalOption {
+	opts := []EvalOption{WithCostModel(cfg.Model)}
+	if cfg.Prefetch {
+		width, depth := cfg.PrefetchWidth, cfg.PrefetchCap
+		if width <= 0 {
+			width = defaultGatherWidth
 		}
-		opts = append(opts, WithExecutor(cfg.pipelineExecutor(widthShare, depthShare)))
-	}
-	if whole && cfg.Budget > 0 {
-		opts = append(opts, WithAccessBudget(cfg.Budget))
+		if depth <= 0 {
+			depth = subsys.DefaultPrefetchCap
+		}
+		opts = append(opts, WithExecutor(Pipelined{P: max(1, width/widthShare), MaxDepth: max(1, depth/depthShare)}))
 	}
 	return opts
 }
@@ -177,8 +152,8 @@ type ShardDetail struct {
 // evaluation: it plans cfg.Shards contiguous ranges of the universe,
 // runs alg once per shard over re-ranked shard views (each under its
 // own ExecContext — serial inside by default, or a per-shard Pipelined
-// executor when cfg.Prefetch is set, with the gather width and pipeline
-// depth budgeted globally across the shard workers — shards fanned out
+// executor when cfg.Prefetch is set, with the gather width and readahead
+// cap budgeted globally across the shard workers — shards fanned out
 // on up to cfg.Parallel workers), and merges the per-shard answers into
 // the global top k. It is the first page of the Paginator's evaluation,
 // on the same slice driver, plus fencing.
@@ -208,8 +183,8 @@ type ShardDetail struct {
 // others simply run each shard to its own natural stop.
 //
 // For cfg.Shards ≤ 1 the evaluation is one slice over the raw sources
-// (no shard view, so no re-ranking scan), with cfg.Parallel and
-// cfg.Budget in their executor-level meaning, reported as one shard.
+// (no shard view, so no re-ranking scan), on a budget pool of its own,
+// reported as one shard.
 //
 // On cancellation or budget exhaustion every shard worker stops
 // promptly (serial execution polls between accesses; a pipelined shard
@@ -235,9 +210,9 @@ func EvaluateSharded(ctx context.Context, alg Algorithm, srcs []subsys.Source, t
 }
 
 // Run evaluates body once over the raw sources under cfg — the cost
-// model, the executor (pipelined with the whole width and depth budget
-// under Prefetch or Parallel > 1, serial otherwise), and Budget as the
-// evaluation's own limit — and reports it as one shard: the driver's
+// model, the executor (pipelined with the whole width and readahead cap
+// under Prefetch, serial otherwise), and Budget as the evaluation's own
+// pool — and reports it as one shard: the driver's
 // whole-universe slice, for a body that is not a top k (a threshold
 // filter, or the random accesses that repair a cached answer).
 // cfg.Shards is ignored. On cancellation, budget exhaustion or
@@ -268,7 +243,7 @@ func (b runBody) TopK(ec *ExecContext, lists []*subsys.Counted, _ agg.Func, _ in
 // page at a widening r, and Run and Evaluate are its one whole-universe
 // slice. newPartition validates, clamps P and plans; open builds a slice
 // — the raw sources when P ≤ 1, re-ranked shard views otherwise — on the
-// shared budget pool; run evaluates it, applies the failed-list final
+// evaluation's budget pool; run evaluates it, applies the failed-list final
 // net and settles the pool; merge combines the per-slice answers. Its
 // callers differ in two things only: a one-shot evaluation fences
 // against a threshold scoreboard and opens and closes each slice inside
@@ -283,14 +258,14 @@ type partition struct {
 	plan    []subsys.ShardRange // nil: one slice, the whole universe
 	planned []float64           // the weighted plan's predicted work per range
 	opts    []EvalOption
-	pool    *budgetPool // shared by the shards; nil unsharded or unbudgeted
+	pool    *budgetPool // shared by the slices; nil unbudgeted
 	workers int
 }
 
 // newPartition validates the sources (a shard sees only its own views),
 // clamps cfg.Shards to the universe and plans the ranges. kept says the
 // slices stay open across pages, each holding its pipeline buffers, so
-// the readahead depth budget splits by the shard count, not the workers.
+// the readahead cap splits by the shard count, not the workers.
 func newPartition(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.Func, cfg ShardConfig, kept bool) (partition, error) {
 	if len(srcs) == 0 {
 		return partition{}, ErrNoLists
@@ -301,18 +276,18 @@ func newPartition(ctx context.Context, alg Algorithm, srcs []subsys.Source, t ag
 			return partition{}, fmt.Errorf("%w: list %d has %d objects, want %d", ErrArity, i, s.Len(), d.n)
 		}
 	}
+	if cfg.Budget > 0 {
+		d.pool = &budgetPool{limit: cfg.Budget}
+	}
 	p := min(cfg.Shards, d.n)
 	if p <= 1 {
-		d.opts = cfg.evalOptions(1, 1, true)
+		d.opts = cfg.evalOptions(1, 1)
 		return d, nil
 	}
 	if cfg.Plan == ShardPlanWeighted {
 		d.plan, d.planned = PlanShardsWeighted(d.n, p, cfg.Sketches, t)
 	} else {
 		d.plan = subsys.PlanShards(d.n, p)
-	}
-	if cfg.Budget > 0 {
-		d.pool = &budgetPool{limit: cfg.Budget}
 	}
 	if d.workers = cfg.Parallel; d.workers <= 0 {
 		d.workers = runtime.GOMAXPROCS(0)
@@ -322,7 +297,7 @@ func newPartition(ctx context.Context, alg Algorithm, srcs []subsys.Source, t ag
 	if kept {
 		depthShare = p
 	}
-	d.opts = cfg.evalOptions(d.workers, depthShare, false)
+	d.opts = cfg.evalOptions(d.workers, depthShare)
 	return d, nil
 }
 
@@ -344,7 +319,7 @@ type slice struct {
 
 // open builds slice i: counted lists over the raw sources (unsharded) or
 // over re-ranked views of the planned range, and their ExecContext,
-// drawing on the shared budget pool.
+// drawing on the driver's budget pool.
 func (d *partition) open(i int) slice {
 	var s slice
 	srcs := d.srcs
@@ -355,7 +330,6 @@ func (d *partition) open(i int) slice {
 	s.lists = subsys.CountAll(srcs)
 	s.ec = NewExecContext(d.ctx, s.lists, d.opts...)
 	if d.pool != nil {
-		s.ec.budget = d.pool.limit
 		s.ec.pool = d.pool
 	}
 	return s
@@ -581,11 +555,12 @@ func (b *shardBoard) stopFunc(t agg.Func, m int) func([]*subsys.Cursor) bool {
 	}
 }
 
-// budgetPool is the shared access-budget ledger of a sharded
-// evaluation. Each shard synchronizes its own actual weighted spend
-// into the pool and holds at most one outstanding worst-case
-// reservation (steps within a shard are sequential, so reserving a new
-// step settles the previous one). The invariant committed + outstanding
+// budgetPool is the access-budget ledger of a budgeted evaluation: the
+// one pool its slices share, or an evaluation's own pool of one. Each
+// ExecContext synchronizes its own actual weighted spend into the pool
+// and holds at most one outstanding worst-case reservation (steps within
+// a slice are sequential, so reserving a new step settles the previous
+// one). The invariant committed + outstanding
 // ≤ limit holds at every grant, and every access is covered by a
 // reservation, so the global spend can never overshoot the limit.
 type budgetPool struct {
@@ -621,7 +596,7 @@ func (p *budgetPool) reserve(ec *ExecContext, need float64) error {
 }
 
 // finish commits ec's final spend and releases its reservation; called
-// once when the shard's evaluation returns.
+// once when the slice's evaluation returns.
 func (p *budgetPool) finish(ec *ExecContext) {
 	spent := ec.model.Of(subsys.TotalCost(ec.lists))
 	p.mu.Lock()

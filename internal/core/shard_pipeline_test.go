@@ -19,7 +19,7 @@ import (
 // shardedPrefetchConfig is the composed-mode ShardConfig the tests in
 // this file use: P shards, each pipelined inside.
 func shardedPrefetchConfig(shards, par, depth int) ShardConfig {
-	return ShardConfig{Shards: shards, Parallel: par, Prefetch: true, PrefetchDepth: depth}
+	return ShardConfig{Shards: shards, Parallel: par, Prefetch: true, PrefetchCap: depth}
 }
 
 // TestShardedPrefetchMatchesSerialSharded is the composition invariant:

@@ -19,7 +19,7 @@ import (
 // The WithPrefetch(0) row is the same query through the pipelined
 // executor (≈230 objects: prefetchers, their buffers and goroutines,
 // some of it timing-dependent, hence the slack). Its option stores the
-// address of a depth it allocated once, when it was built; the row is
+// address of a cap it allocated once, when it was built; the row is
 // what fails if applying it starts to allocate per query.
 func TestQueryAllocationBudget(t *testing.T) {
 	if raceEnabled {

@@ -21,7 +21,7 @@
 // for requests whose subsystems are genuinely remote; the report then
 // carries the pipeline stats. The two compose: WithShards(P) plus
 // WithPrefetch(d) pipelines inside every shard (prefetchers stream the
-// shard's re-ranked views; the gather width and pipeline depth are
+// shard's re-ranked views; the gather width and readahead cap are
 // budgeted globally across the shard workers), which is the mode for
 // sharded queries against slow multi-backend subsystems.
 //
@@ -444,7 +444,7 @@ const DefaultTopN = 10
 // One rule covers every field: the zero value means the engine default.
 // A server decodes a body or URL onto its own defaults, so an absent
 // name keeps the default and a present one wins. Prefetch is a pointer
-// because depth 0 (adaptive) is meaningful and distinct from "off".
+// because cap 0 (the default cap) is meaningful and distinct from "off".
 // Algorithm and Model are in-process only and never cross the wire.
 type Request struct {
 	// Query in the engine's concrete syntax, e.g. `A1 = "*" AND A2 = "*"`.
@@ -462,8 +462,9 @@ type Request struct {
 	ShardPlan core.ShardPlanPolicy `json:"shard_plan,omitempty"`
 	// Budget caps the weighted access cost (WithAccessBudget); 0 = none.
 	Budget float64 `json:"budget,omitempty"`
-	// Prefetch selects the pipelined executor with this readahead depth
-	// (WithPrefetch; 0 = adaptive); nil = off.
+	// Prefetch selects the pipelined executor with this cap on its
+	// adaptive readahead depth (WithPrefetch; 0 = the default cap);
+	// nil = off.
 	Prefetch *int `json:"prefetch,omitempty"`
 	// Degrade allows dropping up to this many permanently failed lists
 	// (WithDegradedLists); 0 = fail fast.
@@ -506,7 +507,7 @@ func WithAlgorithm(alg core.Algorithm) QueryOption {
 // width p: up to p source operations in flight at once (see
 // core.Pipelined), so — as under WithPrefetch — the sources must tolerate
 // concurrent reads, and the report carries Prefetch stats. p ≤ 1 means
-// serial. Access tallies are bit-identical to the serial executor's;
+// serial. Access tallies are bit-identical to a serial evaluation's;
 // only wall-clock changes, and only for the better over slow subsystems
 // (over in-memory lists serial is faster). Under WithShards it caps the
 // shard workers instead.
@@ -557,25 +558,25 @@ func WithShardPlan(p core.ShardPlanPolicy) QueryOption {
 // WithPrefetch evaluates the request with the pipelined executor, the
 // latency-hiding transport for slow or remote subsystems: a background
 // prefetcher per subsystem list keeps sorted streams ahead of the
-// algorithm by issuing batched sorted accesses — depth 0 selects the
-// adaptive policy (open at the depth the algorithm expects to read to —
-// the A₀ family states Theorem 5.3's N^((m−1)/m)·k^(1/m) — or at 1 when it
-// states none, double on stall, shrink when the algorithm falls
-// behind), depth > 0 pins the batch depth — and the
+// algorithm by issuing batched sorted accesses at an adaptive depth —
+// open at the depth the algorithm expects to read to (the A₀ family
+// states Theorem 5.3's N^((m−1)/m)·k^(1/m)) or at 1 when it states none,
+// double on stall, shrink when the algorithm falls behind — never past
+// depth ranks per batch (0 = subsys.DefaultPrefetchCap); and the
 // random-access phase overlaps across subsystems and objects, up to
 // WithParallelism(p>1) probes in flight or, without it, a wider-than-CPU
-// default. WithParallelism(p>1) alone is this executor too, at adaptive
-// depth.
-// Access tallies are bit-identical to the serial executor's; only
+// default. WithParallelism(p>1) alone is this executor too, at the
+// default cap.
+// Access tallies are bit-identical to a serial evaluation's; only
 // wall-clock changes. Combined with WithShards every shard runs under
 // its own pipelined executor — background pipelines stream the shard's
 // re-ranked views, still pay-on-delivery — with the gather width and
-// pipeline depth budgeted globally across the shard workers, so P
+// readahead cap budgeted globally across the shard workers, so P
 // shards never multiply the goroutine or buffer footprint;
 // WithParallelism keeps its shard-worker-cap meaning there, and the
 // report's Prefetch stats aggregate across shards.
 func WithPrefetch(depth int) QueryOption {
-	// The option owns one depth for its whole life: applying it to a
+	// The option owns one cap for its whole life: applying it to a
 	// request stores that address and allocates nothing per query.
 	depth = max(depth, 0)
 	return func(r *Request) { r.Prefetch = &depth }
@@ -627,12 +628,12 @@ func (r Request) withDefaults() Request {
 // a width grant caps both, so admitted queries divide the global
 // envelope instead of each claiming the executor default.
 //
-// Unsharded, WithParallelism has one meaning: p > 1, clamped by the
-// grant, is the pipelined executor's width — the cap on source operations
-// in flight — with or without WithPrefetch, while p ≤ 1 (the "serial"
-// default) stays serial even under a grant, and a WithPrefetch request
-// without it keeps the executor's wider default, capped by the grant
-// alone.
+// Unsharded, there are no shard workers, and WithParallelism(p > 1) is
+// the pipelined executor at width p, clamped by the grant — the cap on
+// source operations in flight — with or without WithPrefetch, while
+// p ≤ 1 (the "serial" default) stays serial even under a grant, and a
+// WithPrefetch request without it keeps the executor's wider default,
+// capped by the grant alone.
 func (r Request) lower() core.ShardConfig {
 	sc := core.ShardConfig{
 		Shards:        r.Shards,
@@ -642,15 +643,19 @@ func (r Request) lower() core.ShardConfig {
 		Plan:          r.ShardPlan,
 	}
 	if r.Prefetch != nil {
-		// A negative depth, which only a hand-built Request can carry,
-		// reads as adaptive, like WithPrefetch makes it.
-		sc.Prefetch, sc.PrefetchDepth = true, max(*r.Prefetch, 0)
+		// A negative cap, which only a hand-built Request can carry, reads
+		// as the default, like WithPrefetch makes it.
+		sc.Prefetch, sc.PrefetchCap = true, max(*r.Prefetch, 0)
 	}
-	if r.Shards > 1 || r.Parallelism > 1 {
-		sc.Parallel = r.Parallelism
-		if r.widthCap > 0 && (sc.Parallel == 0 || sc.Parallel > r.widthCap) {
-			sc.Parallel = r.widthCap
-		}
+	p := r.Parallelism
+	if r.widthCap > 0 && (p <= 0 || p > r.widthCap) {
+		p = r.widthCap
+	}
+	switch {
+	case r.Shards > 1:
+		sc.Parallel = p
+	case r.Parallelism > 1:
+		sc.Prefetch, sc.PrefetchWidth = true, p
 	}
 	return sc
 }

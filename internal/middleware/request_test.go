@@ -179,16 +179,14 @@ func TestQueryParallelismIsCostNeutral(t *testing.T) {
 			if par.Cost != serial.Cost || !reflect.DeepEqual(par.PerList, serial.PerList) {
 				t.Errorf("%s: cost %v %v, serial %v %v", label, par.Cost, par.PerList, serial.Cost, serial.PerList)
 			}
-			lists, err := mw.sources(par.Plan.Atoms)
-			if err != nil {
-				t.Fatal(err)
+			// Unsharded, the core configuration is the executor: serial
+			// unless Prefetch, and then pipelined at PrefetchWidth.
+			exec := "serial"
+			if cfg.Prefetch {
+				exec = fmt.Sprintf("pipelined(p=%d)", cfg.PrefetchWidth)
 			}
-			var exec string
-			if _, err := core.Run(ctx, lists, cfg, func(ec *core.ExecContext, _ []*subsys.Counted) ([]core.Result, error) {
-				exec = ec.Executor().Name()
-				return nil, nil
-			}); err != nil || exec != tc.exec {
-				t.Errorf("%s: lowers to executor %q (err %v), want %q", label, exec, err, tc.exec)
+			if exec != tc.exec {
+				t.Errorf("%s: lowers to executor %q under %+v, want %q", label, exec, cfg, tc.exec)
 			}
 		}
 	}

@@ -182,7 +182,7 @@
 // kept, nothing is recorded, and the fault site re-fires if and when
 // the algorithm actually demands the missing rank. Only consumption
 // records a failure, so which faults surface is a property of what the
-// algorithm consumed, invariant across Serial, Pipelined and sharded
+// algorithm consumed, invariant across serial, pipelined and sharded
 // execution — the executor-equivalence fuzz pins a
 // permanent fault to the identical *SourceError under every executor,
 // and a fault past the last demanded rank to no error at all.

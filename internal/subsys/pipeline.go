@@ -52,9 +52,9 @@ func (s PipelineStats) Add(o PipelineStats) PipelineStats {
 // is pure transport: it changes wall-clock, never cost.
 //
 // The worker keeps the window [need, need+depth) past the consumer's
-// demand watermark fetched, one batch of depth ranks at a time. A fixed
-// configured depth is exactly that and nothing else. The adaptive policy
-// chooses the depth, by five rules:
+// demand watermark fetched, one batch of depth ranks at a time. One
+// adaptive policy chooses the depth, by five rules; the caller sets only
+// its cap, maxDepth:
 //
 //  1. The expectation. A consumer that knows how deep it will read — the
 //     A₀ family, from Theorem 5.3's closed form — says so before the
@@ -96,8 +96,7 @@ type pipeline struct {
 	absorbed int               // ranks already drained to the Counted's prefix
 	spool    []gradedset.Entry // fetched, not yet absorbed
 	depth    int               // current batch depth
-	adapt    bool              // adaptive depth (false = fixed)
-	maxDepth int               // adaptive cap
+	maxDepth int               // cap on depth and on any one batch
 	waiting  bool              // consumer is blocked in await right now
 	closed   bool
 	err      error // terminal source failure; set once, before closed
@@ -109,20 +108,12 @@ type pipeline struct {
 }
 
 // newPipeline starts the worker for src, resuming after the `buffered`
-// ranks the list already holds. depth <= 0 selects the adaptive policy,
-// opening at the rank the consumer expects to reach (expect; 0 when it
-// stated nothing, which opens at 1); maxDepth <= 0 selects
-// DefaultPrefetchCap.
-func newPipeline(src Source, fs FallibleSource, length, buffered, depth, maxDepth, expect int) *pipeline {
+// ranks the list already holds, its window opening at the rank the
+// consumer expects to reach (expect; 0 when it stated nothing, which
+// opens at 1); maxDepth <= 0 selects DefaultPrefetchCap.
+func newPipeline(src Source, fs FallibleSource, length, buffered, maxDepth, expect int) *pipeline {
 	if maxDepth <= 0 {
 		maxDepth = DefaultPrefetchCap
-	}
-	adapt := depth <= 0
-	if adapt {
-		depth = min(max(expect-buffered, 1), maxDepth)
-	} else {
-		// A fixed depth is also the largest batch (rule 4 never exceeds it).
-		maxDepth = depth
 	}
 	p := &pipeline{
 		src:      src,
@@ -131,8 +122,7 @@ func newPipeline(src Source, fs FallibleSource, length, buffered, depth, maxDept
 		need:     buffered,
 		fetched:  buffered,
 		absorbed: buffered,
-		depth:    depth,
-		adapt:    adapt,
+		depth:    min(max(expect-buffered, 1), maxDepth),
 		maxDepth: maxDepth,
 		kick:     make(chan struct{}, 1),
 		updates:  make(chan struct{}, 1),
@@ -171,7 +161,7 @@ func (p *pipeline) run() {
 			d = min(short, p.maxDepth)
 		}
 		hi := min(lo+d, target)
-		sliver := p.adapt && lo >= p.need && 2*(hi-lo) < p.depth && hi < p.length
+		sliver := lo >= p.need && 2*(hi-lo) < p.depth && hi < p.length
 		if lo >= target || sliver {
 			p.mu.Unlock()
 			<-p.kick
@@ -229,7 +219,7 @@ func (p *pipeline) run() {
 		if d > p.stats.MaxDepth {
 			p.stats.MaxDepth = d
 		}
-		if p.adapt && !first {
+		if !first {
 			if p.waiting {
 				// The consumer is stalled on us: the batch was too small
 				// for the source's latency. Double it.

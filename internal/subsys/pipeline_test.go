@@ -30,7 +30,7 @@ func pipelineList(t *testing.T, n int) *gradedset.List {
 func TestPipelinePaysOnDeliveryOnly(t *testing.T) {
 	c := Count(FromList(pipelineList(t, 256)))
 	defer c.Release()
-	c.StartPrefetch(0, 64)
+	c.StartPrefetch(64)
 	cu := NewCursor(c)
 	cu.DemandAhead(50)
 	if !cu.AwaitAhead(50, nil) {
@@ -62,7 +62,7 @@ func TestPipelineBatchesSortedAccess(t *testing.T) {
 	lat := NewLatencySource(FromList(pipelineList(t, n)), 20*time.Microsecond, 0)
 	c := Count(lat)
 	defer c.Release()
-	c.StartPrefetch(0, 0)
+	c.StartPrefetch(0)
 	cu := NewCursor(c)
 	for {
 		cu.DemandAhead(1)
@@ -99,7 +99,7 @@ func TestPipelineBatchesSortedAccess(t *testing.T) {
 func TestPipelineFenceDrains(t *testing.T) {
 	lat := NewLatencySource(FromList(pipelineList(t, 1024)), 50*time.Microsecond, 0)
 	c := Count(lat)
-	c.StartPrefetch(0, 32)
+	c.StartPrefetch(32)
 	cu := NewCursor(c)
 	cu.DemandAhead(16)
 	cu.AwaitAhead(16, nil)
@@ -171,7 +171,7 @@ func TestReleaseDoesNotWaitOutWedgedBatch(t *testing.T) {
 	w := &wedgeSource{Source: FromList(pipelineList(t, 512)), release: make(chan struct{})}
 	defer close(w.release) // let the abandoned worker finish
 	c := Count(w)
-	c.StartPrefetch(0, 64)
+	c.StartPrefetch(64)
 	cu := NewCursor(c)
 	cu.DemandAhead(1)
 	cu.AwaitAhead(1, nil) // first batch lands
@@ -224,7 +224,7 @@ func TestPipelinePolicyCallByCall(t *testing.T) {
 	cases := []struct {
 		name                string
 		n, buffered, expect int
-		depth, maxDepth     int
+		maxDepth            int
 		stage, consume      int
 		want                []span
 		calls               int
@@ -237,7 +237,7 @@ func TestPipelinePolicyCallByCall(t *testing.T) {
 			want: []span{{0, 64}}, calls: 1},
 		{name: "no expectation", n: 4096, maxDepth: 32, consume: 600,
 			want: []span{{0, 1}}, calls: 600},
-		{name: "pinned depth", n: 64, expect: 253, depth: 16, stage: 64, consume: 64,
+		{name: "stated demand above the cap", n: 64, expect: 253, maxDepth: 16, stage: 64, consume: 64,
 			want: []span{{0, 16}, {16, 32}, {32, 48}, {48, 64}}, calls: 4},
 		{name: "stated demand", n: 4096, stage: 10, consume: 10,
 			want: []span{{0, 10}}, calls: 2},
@@ -253,7 +253,7 @@ func TestPipelinePolicyCallByCall(t *testing.T) {
 			defer c.Release()
 			c.bufferAhead(tc.buffered)
 			c.Expect(tc.expect)
-			c.StartPrefetch(tc.depth, tc.maxDepth)
+			c.StartPrefetch(tc.maxDepth)
 			cu := NewCursor(c)
 			if tc.stage > 0 {
 				cu.DemandAhead(tc.stage)

@@ -371,11 +371,11 @@ func (c *Counted) Expect(rank int) { c.expect = rank }
 
 // StartPrefetch attaches a background prefetch pipeline to the list: a
 // worker goroutine keeps the uncounted readahead buffer ahead of
-// consumption by issuing batched sorted accesses, depth ranks at a time
-// (depth <= 0: adaptive — open at the rank stated with Expect, or at 1
-// without one, double on stall, halve when the consumer falls behind,
-// capped at maxDepth or DefaultPrefetchCap; see pipeline for the whole
-// policy). Payment stays strictly on delivery — the pipeline never
+// consumption by issuing batched sorted accesses at an adaptive depth —
+// open at the rank stated with Expect, or at 1 without one, double on
+// stall, halve when the consumer falls behind, capped at maxDepth or, for
+// maxDepth <= 0, DefaultPrefetchCap; see pipeline for the whole policy.
+// Payment stays strictly on delivery — the pipeline never
 // advances the sorted tally or the grade memo — so tallies are
 // bit-identical to an unpipelined run.
 //
@@ -383,11 +383,11 @@ func (c *Counted) Expect(rank int) { c.expect = rank }
 // accesses, so the source must tolerate concurrent reads (every built-in
 // source and wrapper does). Idempotent; no-op on fenced or released
 // lists. Stop with StopPrefetch/AbortPrefetch, or let Release do it.
-func (c *Counted) StartPrefetch(depth, maxDepth int) {
+func (c *Counted) StartPrefetch(maxDepth int) {
 	if c.pipe != nil || c.fenced || c.src == nil || c.serr != nil {
 		return
 	}
-	c.pipe = newPipeline(c.src, c.fs, c.length, len(c.prefix), depth, maxDepth, c.expect)
+	c.pipe = newPipeline(c.src, c.fs, c.length, len(c.prefix), maxDepth, c.expect)
 	c.piped = true
 }
 
@@ -785,7 +785,7 @@ func (cu *Cursor) Buffered() int { return cu.list.Buffered() - cu.pos }
 
 // StartPrefetch attaches a background prefetch pipeline to the cursor's
 // list (see Counted.StartPrefetch); idempotent.
-func (cu *Cursor) StartPrefetch(depth, maxDepth int) { cu.list.StartPrefetch(depth, maxDepth) }
+func (cu *Cursor) StartPrefetch(maxDepth int) { cu.list.StartPrefetch(maxDepth) }
 
 // AbortPrefetch closes the list's pipeline without waiting for an
 // in-flight batch (see Counted.AbortPrefetch).
