@@ -20,13 +20,12 @@
 // independently and combined by the threshold-aware top-k merge — the
 // report then breaks the cost down per shard.
 //
-// Sharded evaluations accept one more knob: -shard-plan weighted cuts
-// the shard boundaries at quantiles of sketched grade mass instead of
-// equal widths, so a skewed universe still divides into equal expected
-// work. The per-shard cost lines show each shard's planned range and
-// expected work next to the cost it actually paid:
+// The shard boundaries sit at quantiles of the lists' sketched grade
+// mass rather than at equal widths, so a skewed universe still divides
+// into equal expected work. The per-shard cost lines show each shard's
+// planned range and expected work next to the cost it actually paid:
 //
-//	fuzzyquery -q 'A1 = "*" AND A2 = "*"' -db db.json -shards 4 -shard-plan weighted
+//	fuzzyquery -q 'A1 = "*" AND A2 = "*"' -db db.json -shards 4
 //
 // To exercise the latency-hiding pipeline against simulated remote
 // backends, -latency adds a per-call delay to every subsystem source and
@@ -75,7 +74,7 @@
 //
 // With -connect, the query evaluates on a remote fuzzyserve instance
 // instead. The flags that are fields of the request (fuzzydb.Request:
-// -q, -k, -p, -shards, -shard-plan, -budget, -prefetch, -degrade,
+// -q, -k, -p, -shards, -budget, -prefetch, -degrade,
 // -tenant) bind onto one value that is evaluated locally or sent as it
 // stands, -timeout and -repeat apply to either, and the same report
 // prints from the wire response — only the engine-assembly and
@@ -147,13 +146,11 @@ func parseFlags(args []string, stderr io.Writer) (*flags, int) {
 	fs.SetOutput(stderr)
 	var f flags
 	req := &f.req
-	// The request. -shard-plan and -prefetch are parsed below: the plan
-	// through ShardPlanPolicy's text form, and -1 (off) is no depth.
+	// The request. -prefetch is parsed below: -1 (off) is no depth.
 	fs.StringVar(&req.Query, "q", "", "query, e.g. 'Artist = \"Beatles\" AND AlbumColor ~ \"red\"'")
 	fs.IntVar(&req.K, "k", 10, "number of answers")
 	fs.IntVar(&req.Parallelism, "p", 1, "subsystem accesses in flight at once, on the pipelined executor (1 = serial; for slow subsystems, see -latency); with -shards, the shard worker cap instead")
 	fs.IntVar(&req.Shards, "shards", 1, "partition the universe into this many shards (1 = unsharded)")
-	plan := fs.String("shard-plan", "even", "shard-boundary policy: even (equal widths) or weighted (equal expected work from grade sketches)")
 	fs.Float64Var(&req.Budget, "budget", 0, "access budget (sorted + random); 0 = unlimited")
 	prefetch := fs.Int("prefetch", -1, "evaluate through the pipelined executor, its adaptive readahead depth (open at the depth the algorithm expects to reach, else at 1, double on stall) capped at this many ranks (0 = the default cap); -1 = off")
 	fs.IntVar(&req.Degrade, "degrade", 0, "drop up to this many permanently failed lists and re-evaluate over the survivors; 0 = fail fast")
@@ -176,10 +173,6 @@ func parseFlags(args []string, stderr io.Writer) (*flags, int) {
 	}
 	if req.Query == "" {
 		fs.Usage()
-		return nil, 2
-	}
-	if err := req.ShardPlan.UnmarshalText([]byte(*plan)); err != nil {
-		fmt.Fprintf(stderr, "fuzzyquery: -shard-plan: %v\n", err)
 		return nil, 2
 	}
 	if *prefetch >= 0 {

@@ -131,7 +131,7 @@ func TestConnectConflictNamesFirstFlagInDeclarationOrder(t *testing.T) {
 // path evaluates. For seven request shapes the parsed Request is the
 // expected one with and without -connect, and the body POSTed to the
 // server is the JSON the previous release's client sent for those flags,
-// byte for byte (field order, omitted zeros, the plan by name).
+// byte for byte (field order, omitted zeros).
 func TestFlagsBindOneRequest(t *testing.T) {
 	var posted []byte
 	_, mux := serveDB(t, scoredb.Generator{N: 300, M: 2, Seed: 9}.MustGenerate())
@@ -163,16 +163,17 @@ func TestFlagsBindOneRequest(t *testing.T) {
 		{args: []string{"-shards", "4", "-p", "1"},
 			want: fuzzydb.Request{K: 10, Parallelism: 1, Shards: 4},
 			body: `{` + qJSON + `,"k":10,"parallelism":1,"shards":4}`},
-		{args: []string{"-shards", "4", "-shard-plan", "weighted"},
-			want: fuzzydb.Request{K: 10, Parallelism: 1, Shards: 4, ShardPlan: fuzzydb.ShardPlanWeighted},
-			body: `{` + qJSON + `,"k":10,"parallelism":1,"shards":4,"shard_plan":"weighted"}`},
+		{args: []string{"-shards", "4", "-p", "2"},
+			want:  fuzzydb.Request{K: 10, Parallelism: 2, Shards: 4},
+			body:  `{` + qJSON + `,"k":10,"parallelism":2,"shards":4}`,
+			print: "sharded over 4 universe slices:"},
 		{args: []string{"-prefetch", "0", "-p", "8"},
 			want: fuzzydb.Request{K: 10, Parallelism: 8, Shards: 1, Prefetch: depth(0)},
 			body: `{` + qJSON + `,"k":10,"parallelism":8,"shards":1,"prefetch":0}`},
 		{args: []string{"-budget", "5000", "-degrade", "1"},
 			want: fuzzydb.Request{K: 10, Parallelism: 1, Shards: 1, Budget: 5000, Degrade: 1},
 			body: `{` + qJSON + `,"k":10,"parallelism":1,"shards":1,"budget":5000,"degrade":1}`},
-		{args: []string{"-tenant", "gold", "-k", "3", "-prefetch", "4", "-shard-plan", "even"},
+		{args: []string{"-tenant", "gold", "-k", "3", "-prefetch", "4"},
 			want: fuzzydb.Request{K: 3, Parallelism: 1, Shards: 1, Prefetch: depth(4), Tenant: "gold"},
 			body: `{` + qJSON + `,"k":3,"parallelism":1,"shards":1,"prefetch":4,"tenant":"gold"}`},
 	} {

@@ -60,14 +60,13 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		dbFile    = flag.String("db", "", "scoring database JSON (from fuzzygen); default: generate with -n/-m/-seed")
-		n         = flag.Int("n", 10000, "objects to generate when no -db is given")
-		m         = flag.Int("m", 2, "lists to generate when no -db is given")
-		seed      = flag.Uint64("seed", 1, "generation seed when no -db is given")
-		page      = flag.Int("page", wire.DefaultPage, "entries per /v1/entries response")
-		cache     = flag.Int("cache", 0, "equip the query engine with a result cache of this many entries (0 = off); /v1/query responses then report cache handling")
-		shardPlan = flag.String("shard-plan", "even", "default shard-boundary policy for sharded requests: even or weighted (requests may override via shard_plan)")
+		addr   = flag.String("addr", ":8080", "listen address")
+		dbFile = flag.String("db", "", "scoring database JSON (from fuzzygen); default: generate with -n/-m/-seed")
+		n      = flag.Int("n", 10000, "objects to generate when no -db is given")
+		m      = flag.Int("m", 2, "lists to generate when no -db is given")
+		seed   = flag.Uint64("seed", 1, "generation seed when no -db is given")
+		page   = flag.Int("page", wire.DefaultPage, "entries per /v1/entries response")
+		cache  = flag.Int("cache", 0, "equip the query engine with a result cache of this many entries (0 = off); /v1/query responses then report cache handling")
 
 		readTimeout = flag.Duration("read-timeout", 10*time.Second, "full-request read deadline (slowloris guard); header deadline is min(5s, this)")
 
@@ -77,11 +76,6 @@ func main() {
 		tenants = flag.String("tenants", "", `named tenants with fair-share weights, e.g. "gold=3,bronze=1" (unlisted tenants get weight 1)`)
 	)
 	flag.Parse()
-	var plan fuzzydb.ShardPlanPolicy
-	if err := plan.UnmarshalText([]byte(*shardPlan)); err != nil {
-		fmt.Fprintf(os.Stderr, "fuzzyserve: -shard-plan: %v\n", err)
-		os.Exit(2)
-	}
 
 	sched, err := buildScheduler(*rate, *burst, *maxConc, *tenants)
 	if err != nil {
@@ -95,7 +89,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	mux, err := buildMux(db, *page, *cache, sched, fuzzydb.WithShardPlan(plan))
+	mux, err := buildMux(db, *page, *cache, sched)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fuzzyserve: %v\n", err)
 		os.Exit(1)
@@ -178,10 +172,9 @@ func loadDB(dbFile string, n, m int, seed uint64) (*scoredb.Database, error) {
 // buildMux mounts the source server (lists A1…Am) and the query server
 // (an engine over the same lists, target "*") on one mux; cache > 0
 // gives the engine a result cache of that many entries; a non-nil sched
-// puts the engine behind admission control. defaults (-shard-plan) are
-// the request every evaluation starts from: a request that names
-// shard_plan itself overrides them.
-func buildMux(db *scoredb.Database, page, cache int, sched *fuzzydb.Scheduler, defaults ...fuzzydb.QueryOption) (*http.ServeMux, error) {
+// puts the engine behind admission control. The engine's static
+// subsystems serve grade sketches, so a sharded request is cut by them.
+func buildMux(db *scoredb.Database, page, cache int, sched *fuzzydb.Scheduler) (*http.ServeMux, error) {
 	lists := make(map[string]subsys.Source, db.M())
 	subs := make([]fuzzydb.Subsystem, db.M())
 	for i := 0; i < db.M(); i++ {
@@ -206,7 +199,7 @@ func buildMux(db *scoredb.Database, page, cache int, sched *fuzzydb.Scheduler, d
 	if err != nil {
 		return nil, err
 	}
-	qs := wire.NewQueryServer(eng, defaults...)
+	qs := wire.NewQueryServer(eng)
 
 	mux := http.NewServeMux()
 	ss.Register(mux)

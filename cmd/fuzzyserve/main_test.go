@@ -17,31 +17,30 @@ import (
 )
 
 // TestServerDefaultsAndTenantHeader drives the handler fuzzyserve serves
-// (buildMux) as started with -shard-plan weighted -cache 16 and a
-// scheduler. The request policy flag is a default, not an override: a
-// body that does not name it gets it, a body that names it wins. Which
-// plan a request ran under is read off the result cache — it is part of
-// an answer's cache key — and off the response's planned work, which
-// only the weighted plan fills in. The tenant header
-// bills a request only when the body or URL names no tenant, on both
-// endpoints; that is read off the scheduler's per-tenant counters.
+// (buildMux) as started with -cache 16 and a scheduler. A request that
+// names only its shards gets the engine's default cut: the static
+// subsystems serve grade sketches, so the response carries planned work
+// per shard, and the same request again is a cache hit. shard_plan names
+// no field, so a body naming it is a 400 that says so. The
+// tenant header bills a request only when the body or URL names no
+// tenant, on both endpoints; that is read off the scheduler's
+// per-tenant counters.
 func TestServerDefaultsAndTenantHeader(t *testing.T) {
 	db, err := scoredb.Generator{N: 800, M: 2, Law: scoredb.Uniform{}, Seed: 3}.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	sched := fuzzydb.NewScheduler(fuzzydb.SchedulerConfig{MaxConcurrent: 4})
-	mux, err := buildMux(db, wire.DefaultPage, 16, sched,
-		fuzzydb.WithShardPlan(fuzzydb.ShardPlanWeighted))
+	mux, err := buildMux(db, wire.DefaultPage, 16, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	// call makes one request, naming tenant (if any) in the header, and
-	// returns the body of its 200.
-	call := func(method, target, body, tenant string) []byte {
+	// send makes one request, naming tenant (if any) in the header, and
+	// returns its status and body.
+	send := func(method, target, body, tenant string) (int, []byte) {
 		t.Helper()
 		req, _ := http.NewRequest(method, ts.URL+target, strings.NewReader(body))
 		if tenant != "" {
@@ -53,8 +52,14 @@ func TestServerDefaultsAndTenantHeader(t *testing.T) {
 		}
 		defer resp.Body.Close()
 		out, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s %s %s: status %d: %s", method, target, body, resp.StatusCode, out)
+		return resp.StatusCode, out
+	}
+	// call is send for a request that must succeed: the body of its 200.
+	call := func(method, target, body, tenant string) []byte {
+		t.Helper()
+		status, out := send(method, target, body, tenant)
+		if status != http.StatusOK {
+			t.Fatalf("%s %s %s: status %d: %s", method, target, body, status, out)
 		}
 		return out
 	}
@@ -75,13 +80,13 @@ func TestServerDefaultsAndTenantHeader(t *testing.T) {
 
 	first := query("", "")
 	if first.Cache == nil || first.Cache.Hit || planned(first) == 0 {
-		t.Fatalf("a body naming no plan: cache %+v, planned work %v; want a miss under the weighted default", first.Cache, planned(first))
+		t.Fatalf("a sharded body: cache %+v, planned work %v; want a miss cut by the sketches", first.Cache, planned(first))
 	}
-	if same := query(`,"shard_plan":"weighted"`, ""); !same.Cache.Hit {
-		t.Errorf("spelling the default out missed the cache: the body naming no plan did not run weighted")
+	if same := query("", ""); !same.Cache.Hit {
+		t.Errorf("the same sharded body again missed the cache")
 	}
-	if even := query(`,"shard_plan":"even"`, ""); even.Cache.Hit || planned(even) != 0 {
-		t.Errorf(`"shard_plan":"even" did not override the weighted default: cache hit %t, planned work %v`, even.Cache.Hit, planned(even))
+	if status, out := send("POST", "/v1/query", `{"query":"A1 = \"*\"","shards":4,"shard_plan":"even"}`, ""); status != http.StatusBadRequest || !strings.Contains(string(out), "shard_plan") {
+		t.Errorf(`a body naming "shard_plan": status %d %s, want a 400 naming it`, status, out)
 	}
 
 	results := "/v1/results?q=" + url.QueryEscape(`A1 = "*"`) + "&k=2"
@@ -93,7 +98,7 @@ func TestServerDefaultsAndTenantHeader(t *testing.T) {
 	for _, st := range sched.Stats() {
 		admitted[st.Tenant] = st.Admitted
 	}
-	want := map[string]int64{"": 3, "hdr-post": 1, "body": 1, "hdr-get": 1, "url": 1}
+	want := map[string]int64{"": 2, "hdr-post": 1, "body": 1, "hdr-get": 1, "url": 1}
 	if fmt.Sprint(admitted) != fmt.Sprint(want) {
 		t.Errorf("admissions by tenant: %v, want %v", admitted, want)
 	}

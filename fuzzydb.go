@@ -66,13 +66,20 @@
 // reservation pool shared by every shard, so the global spend still
 // never overshoots. The report gains a per-shard cost breakdown.
 //
-// Pagination composes with sharding: Results under WithShards(P) plans
-// the shards as Query does (WithShardPlan included), keeps per-shard
-// state alive across pages, widens every shard's top-r computation in
-// place, and merges each page globally, so the page sequence matches the
-// unsharded pagination while deeper pages resume from each shard's
-// already-paid prefixes. A one-shot query is the first page of the same
-// evaluation.
+// The shard ranges follow the subsystems' grade-distribution sketches:
+// over subsystems that serve them (static and mutable ones, and the
+// latency, fault and resilience layers over them) the cut equalizes the
+// access work the sketches predict, so a skewed universe's hot region
+// is spread across shards; over subsystems that serve none (remote or
+// custom ones) the shards hold near-equal object counts. Reading
+// sketches never moves a tally.
+//
+// Pagination composes with sharding: Results under WithShards(P) cuts
+// the shards as Query does, keeps per-shard state alive across pages,
+// widens every shard's top-r computation in place, and merges each page
+// globally, so the page sequence matches the unsharded pagination while
+// deeper pages resume from each shard's already-paid prefixes. A
+// one-shot query is the first page of the same evaluation.
 //
 // # Latency hiding: the pipelined executor
 //
@@ -815,41 +822,39 @@ func WithParallelism(p int) QueryOption { return middleware.WithParallelism(p) }
 // ties AT the k-th grade resolve to a correct maximal choice that
 // coincides byte-for-byte whenever that grade is untied (see the
 // package notes on sharded evaluation). The report adds a per-shard
-// cost breakdown. Shards balance by plan: each runs to its own stop on
-// one worker, so a skewed universe is WithShardPlan's job. Composes with
+// cost breakdown. Each shard runs to its own stop on one worker, so the
+// cut balances them: by the access work the subsystems' grade sketches
+// predict where they serve sketches, by object count where they do not;
+// ShardDetails carries each shard's planned and actual cost. Composes with
 // WithParallelism (shard worker cap; 1 = deterministic sequential
 // shards), WithAccessBudget (one reservation pool shared by all shards),
 // and WithPrefetch (per-shard latency-hiding pipelines; see
 // WithPrefetch).
 func WithShards(p int) QueryOption { return middleware.WithShards(p) }
 
-// ShardPlanPolicy selects how WithShards cuts the universe into shard
-// ranges; see WithShardPlan.
-type ShardPlanPolicy = core.ShardPlanPolicy
+// ShardPlanPolicy named the shard-boundary policies of a removed
+// option: shards are cut by the subsystems' grade sketches (see
+// WithShards), so there is nothing to choose. It stays, with its two
+// constants and WithShardPlan, only so that callers naming them still
+// compile until they are edited.
+//
+// Deprecated: it has no effect; drop it.
+type ShardPlanPolicy int
 
-// Shard boundary policies for WithShardPlan.
+// The removed shard-boundary policies.
+//
+// Deprecated: WithShardPlan ignores them; drop them.
 const (
-	// ShardPlanEven splits the universe into near-equal object counts
-	// (the default).
-	ShardPlanEven = core.ShardPlanEven
-	// ShardPlanWeighted cuts at quantiles of the predicted access work
-	// derived from per-list grade-distribution sketches, so shard
-	// boundaries equalize expected cost instead of object count on
-	// skewed data.
-	ShardPlanWeighted = core.ShardPlanWeighted
+	ShardPlanEven ShardPlanPolicy = iota
+	ShardPlanWeighted
 )
 
-// WithShardPlan selects the shard-boundary policy for WithShards.
-// Under ShardPlanWeighted the engine consults per-list
-// grade-distribution sketches — exact cached ones from subsystems that
-// can serve them, bounded unmetered sampling otherwise — and cuts the
-// universe where predicted access work balances, so one hot region no
-// longer bounds the whole sharded query. Sketching and planning never
-// touch the Section 5 tallies; with no usable sketch the plan
-// degenerates to the even split byte for byte. The report's
-// ShardDetails carries each shard's planned and actual cost. No-op
-// without WithShards.
-func WithShardPlan(p ShardPlanPolicy) QueryOption { return middleware.WithShardPlan(p) }
+// WithShardPlan sets nothing: shards are cut by the subsystems' grade
+// sketches whatever it is given.
+//
+// Deprecated: a no-op kept so that callers naming it still compile;
+// drop it.
+func WithShardPlan(ShardPlanPolicy) QueryOption { return func(*Request) {} }
 
 // WithPrefetch evaluates one request with the pipelined latency-hiding
 // executor: background per-subsystem prefetchers keep sorted streams

@@ -35,11 +35,6 @@ type Key struct {
 	Shards      int
 	Parallelism int
 	Prefetch    int
-	// Plan extends the execution shape for sharded requests: the
-	// shard-boundary policy perturbs the per-shard tallies a cached
-	// report carries, so entries from different planning modes must not
-	// collide. Zero for unsharded requests.
-	Plan int
 }
 
 // AtomRef names one source list an entry depends on: the (attribute,

@@ -172,26 +172,25 @@ func fuzzExecutorEquivalence(t *testing.T, seed uint64) {
 	}
 	requireShardEquiv(t, label+"/sharded-par", want, sPar.Results, truth)
 
-	// Weighted planning is a transport change too: it moves shard
+	// Cutting by sketches is a transport change too: it moves shard
 	// boundaries to sketch quantiles, and may not disturb the answers
 	// beyond the shard-equivalence contract — with sequential shards, and
-	// with either plan under 2–4 shard workers.
+	// with or without sketches under 2–4 shard workers.
 	sketches := make([]*subsys.Sketch, m)
 	for j := 0; j < m; j++ {
 		sketches[j] = subsys.SketchList(db.List(j))
 	}
 	sWeighted, err := EvaluateSharded(context.Background(), tc.alg, srcs(), tc.f, k,
-		ShardConfig{Shards: shards, Parallel: 1, Plan: ShardPlanWeighted, Sketches: sketches})
+		ShardConfig{Shards: shards, Parallel: 1, Sketches: sketches})
 	if err != nil {
 		t.Fatalf("%s: sharded weighted: %v", label, err)
 	}
-	workersPlan := ShardPlanEven
+	var workersSketches []*subsys.Sketch // nil: the even cut
 	if rng.Intn(2) == 0 {
-		workersPlan = ShardPlanWeighted
+		workersSketches = sketches
 	}
 	sWorkers, err := EvaluateSharded(context.Background(), tc.alg, srcs(), tc.f, k,
-		ShardConfig{Shards: shards, Parallel: 2 + rng.Intn(3),
-			Plan: workersPlan, Sketches: sketches})
+		ShardConfig{Shards: shards, Parallel: 2 + rng.Intn(3), Sketches: workersSketches})
 	if err != nil {
 		t.Fatalf("%s: sharded workers: %v", label, err)
 	}
@@ -207,7 +206,7 @@ func fuzzExecutorEquivalence(t *testing.T, seed uint64) {
 
 	// Pagination runs on the same slice driver, so page one is the
 	// one-shot answer: unsharded, the serial results at the serial cost;
-	// sharded on the weighted plan — never fenced — the shard-equivalence
+	// sharded on the sketch cut — never fenced — the shard-equivalence
 	// contract. This leg draws nothing from rng.
 	pag, err := NewPaginator(context.Background(), tc.alg, srcs(), tc.f, ShardConfig{})
 	if err != nil {
@@ -220,7 +219,7 @@ func fuzzExecutorEquivalence(t *testing.T, seed uint64) {
 	requireIdentical(t, label+"/page-one", page, want, pag.Cost(), wantCost)
 	pag.Release()
 	sPag, err := NewPaginator(context.Background(), tc.alg, srcs(), tc.f,
-		ShardConfig{Shards: shards, Parallel: 1, Plan: ShardPlanWeighted, Sketches: sketches})
+		ShardConfig{Shards: shards, Parallel: 1, Sketches: sketches})
 	if err != nil {
 		t.Fatalf("%s: sharded paginator: %v", label, err)
 	}

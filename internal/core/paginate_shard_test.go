@@ -99,7 +99,7 @@ func TestShardedPaginatorHonorsWeightedPlan(t *testing.T) {
 	}
 	defer ref.Release()
 	sp, err := NewPaginator(context.Background(), A0{}, sourcesOf(db), agg.Min,
-		ShardConfig{Shards: shards, Parallel: 1, Plan: ShardPlanWeighted, Sketches: sketches})
+		ShardConfig{Shards: shards, Parallel: 1, Sketches: sketches})
 	if err != nil {
 		t.Fatal(err)
 	}

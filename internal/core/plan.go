@@ -1,54 +1,11 @@
 package core
 
 import (
-	"fmt"
-	"strings"
+	"slices"
 
 	"fuzzydb/internal/agg"
 	"fuzzydb/internal/subsys"
 )
-
-// ShardPlanPolicy selects how EvaluateSharded cuts the universe into
-// shard ranges.
-type ShardPlanPolicy int
-
-const (
-	// ShardPlanEven is the classic plan: P contiguous ranges of
-	// near-equal object count (subsys.PlanShards). The zero value, so
-	// existing ShardConfig literals keep their meaning byte for byte.
-	ShardPlanEven ShardPlanPolicy = iota
-	// ShardPlanWeighted cuts the universe at quantiles of a per-object
-	// expected-work proxy built from the sources' grade-distribution
-	// sketches, so shard boundaries equalize predicted access work
-	// instead of object count. Degenerates to ShardPlanEven when no
-	// usable sketch is available.
-	ShardPlanWeighted
-)
-
-// shardPlanNames is the one spelling of the policies outside Go: what a
-// request's JSON body, its URL form and the CLIs' -shard-plan flag say.
-var shardPlanNames = [...]string{ShardPlanEven: "even", ShardPlanWeighted: "weighted"}
-
-// MarshalText implements encoding.TextMarshaler.
-func (p ShardPlanPolicy) MarshalText() ([]byte, error) {
-	if p < 0 || int(p) >= len(shardPlanNames) {
-		return nil, fmt.Errorf("core: unknown shard plan policy %d", int(p))
-	}
-	return []byte(shardPlanNames[p]), nil
-}
-
-// UnmarshalText implements encoding.TextUnmarshaler. An unknown name is
-// an error, never the default: a misspelt "weightd" must not silently
-// evaluate as even.
-func (p *ShardPlanPolicy) UnmarshalText(text []byte) error {
-	for i, name := range shardPlanNames {
-		if string(text) == name {
-			*p = ShardPlanPolicy(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown shard plan %q (want %s)", text, strings.Join(shardPlanNames[:], " or "))
-}
 
 // PlanShardsWeighted splits the dense universe {0,…,n−1} into p
 // contiguous ranges that equalize predicted access work rather than
@@ -102,7 +59,14 @@ func PlanShardsWeighted(n, p int, sketches []*subsys.Sketch, t agg.Func) ([]subs
 	// zero-mass tail still costs its sorted scan, and strictly
 	// increasing cumulative work keeps the quantile cuts monotone.
 	const workFloor = 1e-9
+
+	// Every cut of a usable sketch is a grid point, so each segment lies
+	// inside one bucket of that sketch: at[j] walks sketch j's buckets
+	// alongside the segments, and the segment's mass is its share of
+	// that bucket's (MassBetween's interpolation, without the scan over
+	// every bucket per segment).
 	buf := make([]float64, len(sketches))
+	at := make([]int, len(sketches))
 	segWork := make([]float64, len(grid)-1)
 	var total float64
 	for i := 0; i+1 < len(grid); i++ {
@@ -110,7 +74,11 @@ func PlanShardsWeighted(n, p int, sketches []*subsys.Sketch, t agg.Func) ([]subs
 		w := float64(hi - lo)
 		for j, s := range sketches {
 			if s != nil && s.N == n && w > 0 {
-				buf[j] = s.MassBetween(lo, hi) / w
+				for s.Cuts[at[j]+1] <= lo {
+					at[j]++
+				}
+				b := at[j]
+				buf[j] = s.Mass[b] * w / float64(s.Cuts[b+1]-s.Cuts[b]) / w
 			} else {
 				// No sketch for this list: assume the indifferent mean.
 				buf[j] = 0.5
@@ -190,32 +158,11 @@ func workBetween(grid []int, segWork []float64, lo, hi int) float64 {
 // refineGrid merges an even grid of `extra` points into the sorted cut
 // grid (both spanning [0, n]), deduplicated and ascending.
 func refineGrid(grid []int, n, extra int) []int {
-	if extra < 1 {
-		return grid
-	}
-	seen := make(map[int]bool, len(grid)+extra)
-	for _, c := range grid {
-		seen[c] = true
-	}
-	out := append([]int(nil), grid...)
 	for i := 1; i < extra; i++ {
-		c := i * n / extra
-		if c > 0 && c < n && !seen[c] {
-			seen[c] = true
-			out = append(out, c)
+		if c := i * n / extra; c > 0 && c < n {
+			grid = append(grid, c)
 		}
 	}
-	sortInts(out)
-	return out
-}
-
-// sortInts is a small insertion sort: the grids here are a few hundred
-// entries at most, and keeping plan.go free of sort's interface noise
-// keeps the hot path allocation-free.
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
+	slices.Sort(grid)
+	return slices.Compact(grid)
 }

@@ -169,7 +169,7 @@ func TestPlanShardsWeightedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sr, err := EvaluateSharded(context.Background(), A0{}, sourcesOf(db), agg.Min, k,
-		ShardConfig{Shards: shards, Parallel: 1, Plan: ShardPlanWeighted, Sketches: sketches})
+		ShardConfig{Shards: shards, Parallel: 1, Sketches: sketches})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,16 +67,12 @@ type ShardConfig struct {
 	// the concurrently running shards (0 means the Pipelined default);
 	// each shard worker gets an equal slice, floored at 1.
 	PrefetchWidth int
-	// Plan selects how the universe is cut into shard ranges: the
-	// zero value ShardPlanEven splits by object count (the historical
-	// behavior, byte for byte), ShardPlanWeighted cuts at quantiles of
-	// the predicted access work derived from Sketches. Weighted planning
-	// degenerates to even when no usable sketch is supplied.
-	Plan ShardPlanPolicy
-	// Sketches are the per-list grade-distribution sketches the weighted
-	// planner consumes, in source order; nil entries (and sketches over
-	// the wrong universe) are tolerated — a list without a sketch is
-	// assumed indifferent. Ignored under ShardPlanEven.
+	// Sketches are the per-list grade-distribution sketches the shard
+	// planner cuts by, in source order: the ranges equalize the predicted
+	// access work PlanShardsWeighted derives from them. Nil entries (and
+	// sketches over the wrong universe) are tolerated — a list without a
+	// sketch is assumed indifferent — and with no usable sketch at all the
+	// cut is subsys.PlanShards' even one, byte for byte.
 	Sketches []*subsys.Sketch
 }
 
@@ -130,9 +126,9 @@ type ShardReport struct {
 	// Batches sum over shards and lists. Nil otherwise.
 	Prefetch *subsys.PipelineStats
 	// Details is the planning/measurement breakdown per planned shard:
-	// the range the planner drew, its predicted work (weighted plan
-	// only) and the model-weighted cost actually spent inside it. Nil on
-	// the degenerate unsharded path.
+	// the range the planner drew, its predicted work and the
+	// model-weighted cost actually spent inside it. Nil on the degenerate
+	// unsharded path.
 	Details []ShardDetail
 }
 
@@ -141,7 +137,8 @@ type ShardDetail struct {
 	// Range is the planned id range.
 	Range subsys.ShardRange
 	// Planned is the planner's predicted work for the range, in the
-	// work proxy's unitless scale; zero under the even plan.
+	// work proxy's unitless scale; zero when no usable sketch cut the
+	// universe (the even ranges).
 	Planned float64
 	// Actual is the model-weighted access cost spent evaluating the
 	// range.
@@ -256,7 +253,7 @@ type partition struct {
 	srcs    []subsys.Source
 	n       int
 	plan    []subsys.ShardRange // nil: one slice, the whole universe
-	planned []float64           // the weighted plan's predicted work per range
+	planned []float64           // predicted work per range; nil for the even cut
 	opts    []EvalOption
 	pool    *budgetPool // shared by the slices; nil unbudgeted
 	workers int
@@ -284,11 +281,7 @@ func newPartition(ctx context.Context, alg Algorithm, srcs []subsys.Source, t ag
 		d.opts = cfg.evalOptions(1, 1)
 		return d, nil
 	}
-	if cfg.Plan == ShardPlanWeighted {
-		d.plan, d.planned = PlanShardsWeighted(d.n, p, cfg.Sketches, t)
-	} else {
-		d.plan = subsys.PlanShards(d.n, p)
-	}
+	d.plan, d.planned = PlanShardsWeighted(d.n, p, cfg.Sketches, t)
 	if d.workers = cfg.Parallel; d.workers <= 0 {
 		d.workers = runtime.GOMAXPROCS(0)
 	}

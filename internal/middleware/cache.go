@@ -122,10 +122,6 @@ func (m *Middleware) cacheKey(plan *Plan, req Request) (cache.Key, bool) {
 	if par <= 1 {
 		par = 0
 	}
-	shardPlan := 0
-	if shards > 0 {
-		shardPlan = int(req.ShardPlan)
-	}
 	return cache.Key{
 		Query:       plan.norm.String(),
 		K:           m.clampK(req.K),
@@ -134,7 +130,6 @@ func (m *Middleware) cacheKey(plan *Plan, req Request) (cache.Key, bool) {
 		Shards:      shards,
 		Parallelism: par,
 		Prefetch:    prefetch,
-		Plan:        shardPlan,
 	}, true
 }
 

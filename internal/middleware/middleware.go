@@ -393,8 +393,9 @@ type Report struct {
 	Shards int
 	// ShardDetails is the planning/measurement breakdown per planned
 	// shard under WithShards: the planned range, its predicted work
-	// (weighted plan only) and the model-weighted cost actually spent
-	// in it. Nil for unsharded evaluations.
+	// (zero where no subsystem served a sketch, so the ranges are the
+	// even ones) and the model-weighted cost actually spent in it. Nil
+	// for unsharded evaluations.
 	ShardDetails []core.ShardDetail
 	// Degraded lists the subsystem lists a degraded evaluation dropped
 	// (WithDegradedLists), in drop order: which atom, how many attempts,
@@ -442,8 +443,8 @@ const DefaultTopN = 10
 // of GET /v1/results) and the CLIs bind their flags onto its fields.
 //
 // One rule covers every field: the zero value means the engine default.
-// A server decodes a body or URL onto its own defaults, so an absent
-// name keeps the default and a present one wins. Prefetch is a pointer
+// A server decodes a body or URL onto a zero request, so an absent name
+// is the default and a present one wins. Prefetch is a pointer
 // because cap 0 (the default cap) is meaningful and distinct from "off".
 // Algorithm and Model are in-process only and never cross the wire.
 type Request struct {
@@ -457,9 +458,6 @@ type Request struct {
 	Parallelism int `json:"parallelism,omitempty"`
 	// Shards partitions the universe (WithShards); 0/1 means unsharded.
 	Shards int `json:"shards,omitempty"`
-	// ShardPlan is the shard-boundary policy of a sharded request
-	// (WithShardPlan), by the names core.ShardPlanPolicy marshals to.
-	ShardPlan core.ShardPlanPolicy `json:"shard_plan,omitempty"`
 	// Budget caps the weighted access cost (WithAccessBudget); 0 = none.
 	Budget float64 `json:"budget,omitempty"`
 	// Prefetch selects the pipelined executor with this cap on its
@@ -527,6 +525,14 @@ func WithParallelism(p int) QueryOption {
 // untied); the report additionally carries the per-shard cost
 // breakdown.
 //
+// The cut follows the subsystems' grade-distribution sketches: where
+// they implement subsys.GradeSketcher (Static, Mutable and the wrappers
+// over them), the ranges equalize the access work predicted from the
+// sketches (core.PlanShardsWeighted), so a skewed workload's hot region
+// is spread across shards instead of concentrating in one; where none
+// does, the ranges hold near-equal object counts. Reading sketches is
+// invisible to the Section 5 tallies.
+//
 // WithShards composes with the other request options: WithParallelism
 // caps the number of shard workers running at once (1 = sequential
 // shards, the deterministic-cost mode; default GOMAXPROCS), and
@@ -539,20 +545,6 @@ func WithParallelism(p int) QueryOption {
 // so the page sequence matches the unsharded pagination.
 func WithShards(p int) QueryOption {
 	return func(r *Request) { r.Shards = p }
-}
-
-// WithShardPlan selects how WithShards cuts the universe into shard
-// ranges. core.ShardPlanEven (the default) splits by object count;
-// core.ShardPlanWeighted cuts at quantiles of the predicted access work
-// derived from the subsystems' grade-distribution sketches — subsystems
-// exposing subsys.GradeSketcher (Static, Mutable) serve exact cached
-// sketches, any other source is sketched once by bounded unmetered
-// sampling — so a skewed workload's hot region is spread across shards
-// instead of concentrating in one. Query and the streaming entry points
-// (Results, Stream) cut at the same ranges. Sketching and planning are
-// invisible to the Section 5 tallies. No-op without WithShards.
-func WithShardPlan(p core.ShardPlanPolicy) QueryOption {
-	return func(r *Request) { r.ShardPlan = p }
 }
 
 // WithPrefetch evaluates the request with the pipelined executor, the
@@ -640,7 +632,6 @@ func (r Request) lower() core.ShardConfig {
 		Budget:        r.Budget,
 		Model:         r.Model,
 		PrefetchWidth: r.widthCap,
-		Plan:          r.ShardPlan,
 	}
 	if r.Prefetch != nil {
 		// A negative cap, which only a hand-built Request can carry, reads
@@ -660,22 +651,17 @@ func (r Request) lower() core.ShardConfig {
 	return sc
 }
 
-// gradeSketches assembles the per-atom grade-distribution sketches the
-// weighted shard planner consumes: the subsystem's own cached sketch
-// when it implements subsys.GradeSketcher, a one-time bounded sampling
-// of the materialized list otherwise. Both routes read raw sources
-// outside any Counted, so the request's tallies are untouched.
-func (m *Middleware) gradeSketches(atoms []query.Atomic, lists []subsys.Source) []*subsys.Sketch {
+// gradeSketches gathers the per-atom grade-distribution sketches the
+// shard planner cuts by: each subsystem's own cached sketch where it
+// implements subsys.GradeSketcher, nil where it does not — a list
+// without a sketch counts as indifferent, and with none at all the cut
+// is the even one. Reading a sketch is no access, so the request's
+// tallies are untouched.
+func (m *Middleware) gradeSketches(atoms []query.Atomic) []*subsys.Sketch {
 	out := make([]*subsys.Sketch, len(atoms))
 	for i, a := range atoms {
 		if gs, ok := m.subsystems[a.Attr].(subsys.GradeSketcher); ok {
-			if sk := gs.GradeSketch(a.Target); sk != nil {
-				out[i] = sk
-				continue
-			}
-		}
-		if i < len(lists) && lists[i] != nil {
-			out[i] = subsys.SampleSketch(lists[i], subsys.DefaultSketchProbes)
+			out[i] = gs.GradeSketch(a.Target)
 		}
 	}
 	return out
@@ -834,13 +820,12 @@ func (m *Middleware) QueryString(ctx context.Context, q string, opts ...QueryOpt
 //
 // The options of Query apply per request; a budget bounds the cumulative
 // cost across all pages. With WithShards the widening runs per universe
-// shard, planned as Query plans it (WithShardPlan included), over shard
-// state kept alive across pages, each page merged globally (see
-// core.NewPaginator) — the page sequence matches the unsharded one. The
-// stream releases that state when it ends. On an error (cancellation,
-// budget, a planning failure, or a non-paginable algorithm pinned via
-// WithAlgorithm) the iterator yields one (zero Result, err) pair and
-// stops.
+// shard, cut as Query cuts it, over shard state kept alive across pages,
+// each page merged globally (see core.NewPaginator) — the page sequence
+// matches the unsharded one. The stream releases that state when it
+// ends. On an error (cancellation, budget, a planning failure, or a
+// non-paginable algorithm pinned via WithAlgorithm) the iterator yields
+// one (zero Result, err) pair and stops.
 func (m *Middleware) Results(ctx context.Context, q query.Node, opts ...QueryOption) iter.Seq2[core.Result, error] {
 	return m.stream(ctx, q, newRequest("", opts))
 }
@@ -971,16 +956,16 @@ func (m *Middleware) Filter(ctx context.Context, q query.Node, theta float64, op
 
 // bind materializes a plan's sources and lowers the request onto the
 // core configuration they will be evaluated under, for one-shot and
-// paginated evaluation alike. Sketches are drawn only for the weighted
-// shard planner, which both read.
+// paginated evaluation alike. A sharded request carries the subsystems'
+// grade sketches, which the shard planner cuts by.
 func (m *Middleware) bind(plan *Plan, req Request) ([]subsys.Source, core.ShardConfig, error) {
 	lists, err := m.sources(plan.Atoms)
 	if err != nil {
 		return nil, core.ShardConfig{}, err
 	}
 	scfg := req.lower()
-	if scfg.Shards > 1 && scfg.Plan == core.ShardPlanWeighted {
-		scfg.Sketches = m.gradeSketches(plan.Atoms, lists)
+	if scfg.Shards > 1 {
+		scfg.Sketches = m.gradeSketches(plan.Atoms)
 	}
 	return lists, scfg, nil
 }

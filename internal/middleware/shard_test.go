@@ -3,7 +3,9 @@ package middleware
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -111,13 +113,14 @@ func TestQueryWithShardsBudget(t *testing.T) {
 
 // TestResultsHonorsShards: the streaming iterator routes through the
 // sharded paginator under WithShards — per-shard widening with a global
-// merge per page, on the even or the weighted plan, on one worker or
-// several — and the answer stream, drained to the end of the universe,
-// is the unsharded one.
+// merge per page, cut by the subsystems' sketches or, over subsystems
+// that serve none, evenly, on one worker or several — and the answer
+// stream, drained to the end of the universe, is the unsharded one.
 func TestResultsHonorsShards(t *testing.T) {
 	mw := genStore(t, 300, 2, 75)
+	opaque, _ := opaqueEngine(t, mw)
 	q := genConj(2)
-	stream := func(opts ...QueryOption) []core.Result {
+	stream := func(mw *Middleware, opts ...QueryOption) []core.Result {
 		var out []core.Result
 		for r, err := range mw.Results(context.Background(), q, append([]QueryOption{TopN(7)}, opts...)...) {
 			if err != nil {
@@ -127,19 +130,20 @@ func TestResultsHonorsShards(t *testing.T) {
 		}
 		return out
 	}
-	plain := stream()
+	plain := stream(mw)
 	if len(plain) != 300 {
 		t.Fatalf("plain stream yielded %d results, want the whole universe (300)", len(plain))
 	}
 	for _, tc := range []struct {
 		name string
+		mw   *Middleware
 		opts []QueryOption
 	}{
-		{"shards=4", []QueryOption{WithShards(4)}},
-		{"shards=5 p=1", []QueryOption{WithShards(5), WithParallelism(1)}},
-		{"shards=4 weighted", []QueryOption{WithShards(4), WithShardPlan(core.ShardPlanWeighted)}},
+		{"shards=4", mw, []QueryOption{WithShards(4)}},
+		{"shards=5 p=1", mw, []QueryOption{WithShards(5), WithParallelism(1)}},
+		{"shards=4 even", opaque, []QueryOption{WithShards(4)}},
 	} {
-		if got := stream(tc.opts...); !reflect.DeepEqual(got, plain) {
+		if got := stream(tc.mw, tc.opts...); !reflect.DeepEqual(got, plain) {
 			t.Errorf("%s: stream diverged from the unsharded one:\n got %v\nwant %v", tc.name, got, plain)
 		}
 	}
@@ -252,67 +256,218 @@ func TestQueryWithPrefetchIsCostNeutral(t *testing.T) {
 	}
 }
 
-// droppyList stands in for a remote list while a weighted shard plan is
-// being drawn: its plain Grade panics, as wire.RemoteSource's does on a
-// transport failure, and its failAt-th random access fails, once.
-type droppyList struct {
-	subsys.ListSource
-	failAt int64
-	probes atomic.Int64
+// opaqueSubsystem embeds only the Subsystem interface, so it is no
+// GradeSketcher: an engine over it cuts its shards evenly. Its lists
+// count the random accesses that reach them.
+type opaqueSubsystem struct {
+	subsys.Subsystem
+	grades *atomic.Int64
 }
 
-func (d *droppyList) Grade(int) float64 { panic("plain face of a remote list read") }
-
-func (d *droppyList) TryEntry(rank int) (gradedset.Entry, error) { return d.Entry(rank), nil }
-
-func (d *droppyList) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
-	return d.Entries(lo, hi), nil
-}
-
-func (d *droppyList) TryGrade(obj int) (float64, error) {
-	if d.probes.Add(1) == d.failAt {
-		return 0, errors.New("connection dropped")
-	}
-	return d.ListSource.Grade(obj), nil
-}
-
-// droppySubsystem serves droppyLists and, embedding only the interface,
-// is no GradeSketcher: the planner has to sample its lists.
-type droppySubsystem struct{ subsys.Subsystem }
-
-func (s droppySubsystem) Query(target string) (subsys.Source, error) {
+func (s opaqueSubsystem) Query(target string) (subsys.Source, error) {
 	src, err := s.Subsystem.Query(target)
 	if err != nil {
 		return nil, err
 	}
-	return &droppyList{ListSource: src.(subsys.ListSource), failAt: 100}, nil
+	return &countedList{ListSource: src.(subsys.ListSource), grades: s.grades}, nil
 }
 
-// TestSampleSketchFailureFallsBackToEvenSplit: one dropped connection
-// while the weighted planner samples a remote list costs the plan that
-// list's sketch, not the process — the query still returns the
-// unsharded answer.
-func TestSampleSketchFailureFallsBackToEvenSplit(t *testing.T) {
-	const n, m = 1200, 3
-	plain := genStore(t, n, m, 71)
-	subsystems := make([]subsys.Subsystem, m)
-	for i := range subsystems {
-		subsystems[i] = droppySubsystem{plain.subsystems[attrName(i)]}
+// countedList is a list whose raw random accesses are counted.
+type countedList struct {
+	subsys.ListSource
+	grades *atomic.Int64
+}
+
+func (l *countedList) Grade(obj int) float64 {
+	l.grades.Add(1)
+	return l.ListSource.Grade(obj)
+}
+
+// opaqueEngine is an engine over mw's subsystems hidden behind
+// opaqueSubsystem, and the count of random accesses its lists see.
+func opaqueEngine(t *testing.T, mw *Middleware) (*Middleware, *atomic.Int64) {
+	t.Helper()
+	grades := new(atomic.Int64)
+	subsystems := make([]subsys.Subsystem, 0, len(mw.subsystems))
+	for _, s := range mw.subsystems {
+		subsystems = append(subsystems, opaqueSubsystem{s, grades})
 	}
-	mw, err := New(subsystems)
+	opaque, err := New(subsystems)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return opaque, grades
+}
+
+// TestShardsOverNonSketchersCutEvenly: over subsystems that serve no
+// grade sketch the shards are the even ranges, with no planned work,
+// and nothing samples the lists to draw them: the sources see exactly
+// the random accesses the report meters.
+func TestShardsOverNonSketchersCutEvenly(t *testing.T) {
+	const n, m = 1200, 3
+	plain := genStore(t, n, m, 71)
+	mw, grades := opaqueEngine(t, plain)
 	q := genConj(m)
 	want, err := plain.Query(context.Background(), q, TopN(15))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := mw.Query(context.Background(), q, TopN(15), WithShards(4), WithShardPlan(core.ShardPlanWeighted))
+	rep, err := mw.Query(context.Background(), q, TopN(15), WithShards(4), WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Shards != 4 || !reflect.DeepEqual(rep.Results, want.Results) {
 		t.Fatalf("%d shards, results\n got %v\nwant %v", rep.Shards, rep.Results, want.Results)
 	}
+	even := subsys.PlanShards(n, 4)
+	for i, d := range rep.ShardDetails {
+		if d.Range != even[i] || d.Planned != 0 {
+			t.Errorf("shard %d: range %+v planned %v, want the even range %+v unplanned", i, d.Range, d.Planned, even[i])
+		}
+	}
+	if got := grades.Load(); got != int64(rep.Cost.Random) {
+		t.Errorf("the sources saw %d random accesses, the report meters %d", got, rep.Cost.Random)
+	}
+}
+
+// skewedStore is tallies_test.go's skewedPlanDB shape over two Static
+// subsystems: the first quarter of the universe is hot in both lists,
+// each list's grade the reversal of the other's, and the cold tail
+// carries near-zero mass. An even 4-way cut hands one shard the whole
+// hot region.
+func skewedStore(t *testing.T, n int) *Middleware {
+	t.Helper()
+	hot := n / 4
+	var entries [2][]gradedset.Entry
+	for i := 0; i < n; i++ {
+		g1, g2 := 0.4*float64((i*104729)%n)/float64(n), 0.0004*float64((i*104729)%n)/float64(n)
+		if i < hot {
+			r := (i * 7919) % hot
+			g1, g2 = 0.5+0.5*(float64(r)+0.5)/float64(hot), 0.5+0.5*(float64(hot-1-r)+0.5)/float64(hot)
+		}
+		entries[0] = append(entries[0], gradedset.Entry{Object: i, Grade: g1})
+		entries[1] = append(entries[1], gradedset.Entry{Object: i, Grade: g2})
+	}
+	subsystems := make([]subsys.Subsystem, 2)
+	for j := range subsystems {
+		l, err := gradedset.NewList(entries[j])
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := subsys.NewStatic(attrName(j), n)
+		s.Set("*", l)
+		subsystems[j] = s
+	}
+	mw, err := New(subsystems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mw
+}
+
+// TestShardsCutBySketchesBalanceSkew: WithShards alone, over subsystems
+// that serve sketches, cuts the skewed universe at the sketches' work
+// quantiles — the report's shard details carry the planned work — and
+// the largest shard pays at most half of what it pays when the same
+// lists, served without sketches, are cut evenly. The answers and the
+// total stay the unsharded contract's.
+func TestShardsCutBySketchesBalanceSkew(t *testing.T) {
+	const n = 16384
+	mw := skewedStore(t, n)
+	q := genConj(2)
+	largest := func(rep *Report) (c int) {
+		for _, s := range rep.PerShard {
+			c = max(c, s.Sum())
+		}
+		return c
+	}
+	cut, err := mw.Query(context.Background(), q, TopN(10), WithShards(4), WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opaque, _ := opaqueEngine(t, mw)
+	even, err := opaque.Query(context.Background(), q, TopN(10), WithShards(4), WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cut.ShardDetails) != 4 {
+		t.Fatalf("%d shard details, want 4", len(cut.ShardDetails))
+	}
+	for i, d := range cut.ShardDetails {
+		if d.Planned <= 0 {
+			t.Errorf("shard %d: planned work %v; the sketches did not cut the universe", i, d.Planned)
+		}
+	}
+	if c, e := largest(cut), largest(even); 2*c > e {
+		t.Errorf("largest shard %d, over %d when cut evenly: want at most half", c, e)
+	}
+	if !reflect.DeepEqual(cut.Results, even.Results) {
+		t.Errorf("results differ:\n cut  %v\n even %v", cut.Results, even.Results)
+	}
+}
+
+// TestMutableShardedQueriesDuringWrites: two writers regrade objects of
+// the same Mutable lists while readers run sharded queries, which cut by
+// the sketches the writers keep moving. Under -race it is the check that
+// a sketch a planner holds is never written into; every query still
+// answers k results in grade order, cut by planned work, with per-shard
+// costs that sum to the total.
+func TestMutableShardedQueriesDuringWrites(t *testing.T) {
+	const n, m, k = 2048, 2, 10
+	_, eng, muts, _ := genMutableStore(t, n, m, 31, 16)
+	q := genConj(m)
+	stop := make(chan struct{})
+	var writers, readers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(seed uint64) {
+			defer writers.Done()
+			rng := rand.New(rand.NewPCG(seed, 9))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := muts[rng.IntN(m)].UpdateGrade("*", rng.IntN(n), rng.Float64()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(uint64(w))
+	}
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 25; i++ {
+				rep, err := eng.Query(context.Background(), q, TopN(k), WithShards(4), WithParallelism(2))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var perShard cost.Cost
+				for _, c := range rep.PerShard {
+					perShard = perShard.Add(c)
+				}
+				if len(rep.Results) != k || perShard != rep.Cost || len(rep.ShardDetails) != 4 {
+					t.Errorf("%d results, per-shard sum %v of %v, %d shard details", len(rep.Results), perShard, rep.Cost, len(rep.ShardDetails))
+					return
+				}
+				for j, d := range rep.ShardDetails {
+					if d.Planned <= 0 {
+						t.Errorf("shard %d: planned work %v; the sketches did not cut the universe", j, d.Planned)
+					}
+				}
+				for j := 1; j < k; j++ {
+					if rep.Results[j].Grade > rep.Results[j-1].Grade {
+						t.Errorf("results out of grade order at %d: %v", j, rep.Results)
+					}
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	writers.Wait()
 }

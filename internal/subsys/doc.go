@@ -131,18 +131,19 @@
 // narrow buckets, cold tails get wide ones — and MassBetween answers
 // "how much grade lives in [lo, hi)?" with per-bucket uniform
 // interpolation. SketchList builds the exact sketch from a materialized
-// list; SampleSketch estimates one from any Source using a bounded,
-// deterministic burst of strided random probes and no sorted access at
-// all, for opaque or remote subsystems whose sorted streams must not be
-// disturbed. Sketches are planning metadata, not evaluation state:
-// building one is never a metered access and never moves a cursor, so
-// the Section 5 tallies of a query are identical whether or not its
-// shard plan consulted sketches. Static and Mutable subsystems cache
-// one sketch per target and invalidate it with exactly the mutations
-// that move grade mass (UpdateGrade, Set — the same events that bump a
-// Versioned epoch), so a planner never cuts the universe against stale
-// distributions. core.PlanShardsWeighted consumes these to place shard
-// boundaries at quantiles of expected work instead of object count.
+// list. Sketches are planning metadata, not evaluation state: building
+// one is never a metered access and never moves a cursor, so the
+// Section 5 tallies of a query are identical whether or not its shard
+// plan consulted sketches. Static and Mutable subsystems serve them
+// (GradeSketcher, forwarded by the transport wrappers), caching one
+// sketch per target: Set drops it, and a Mutable's UpdateGrade replaces
+// it with a copy whose bucket holding the written object carries the
+// moved mass — exact per-bucket mass for O(buckets), never an O(N)
+// rebuild, and never a write into a sketch a planner holds. Only these
+// subsystems' lists are sketched; an opaque or remote subsystem's lists
+// are cut into even ranges. core.PlanShardsWeighted consumes the
+// sketches to place shard boundaries at quantiles of expected work
+// instead of object count.
 //
 // Sharding and the prefetch pipelines compose: a Counted over a
 // ShardView may run StartPrefetch, so the pipeline worker drives the

@@ -68,7 +68,7 @@ type Mutable struct {
 	epoch    uint64
 	floor    uint64             // UpdatesSince(since) with since < floor is unanswerable
 	journal  []Update           // ring of journalCap slots: Seq s lives at s % journalCap
-	sketches map[string]*Sketch // lazily built; dropped when the target's grades move
+	sketches map[string]*Sketch // lazily built; dropped by Set, shifted by UpdateGrade
 }
 
 // NewMutable builds a mutable subsystem over an n-object universe.
@@ -108,8 +108,11 @@ func (m *Mutable) Set(target string, l *gradedset.List) {
 
 // UpdateGrade changes the grade of obj under target to g: the
 // previously served snapshots are untouched, the next Query sees the
-// new list, the epoch advances, and the change is journaled. A no-op
-// update (the grade already is g) changes nothing, not even the epoch.
+// new list, the epoch advances, and the change is journaled. A cached
+// sketch of the target is replaced by one whose bucket holding obj
+// carries the moved mass (g − old) — O(buckets), where rebuilding it
+// would be an O(N) pass on the next sharded query. A no-op update (the
+// grade already is g) changes nothing, not even the epoch.
 func (m *Mutable) UpdateGrade(target string, obj int, g float64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -130,7 +133,9 @@ func (m *Mutable) UpdateGrade(target string, obj int, g float64) error {
 	}
 	m.lists[target] = nl
 	m.epoch++
-	delete(m.sketches, target)
+	if sk, ok := m.sketches[target]; ok {
+		m.sketches[target] = sk.withMoved(obj, g-old)
+	}
 	if m.journal == nil {
 		m.journal = make([]Update, m.journalCap)
 	}
@@ -155,11 +160,12 @@ func (m *Mutable) Query(target string) (Source, error) {
 	return FromList(l), nil
 }
 
-// GradeSketch implements GradeSketcher: the exact equi-depth sketch of
-// the target's current list, built on first request and cached until
-// the next update that touches the target — Set and UpdateGrade both
-// bump the epoch and drop the cached sketch, so a planner never cuts
-// the universe against stale grade mass. Planning metadata, never
+// GradeSketch implements GradeSketcher: the sketch of the target's
+// current list, built on first request and kept current by the updates
+// that touch the target — UpdateGrade moves the written object's mass
+// between buckets of a new sketch (exact per-bucket mass over the
+// first build's cuts), Set drops it for a rebuild — so a planner never
+// cuts the universe against stale grade mass. Planning metadata, never
 // metered. Unknown targets yield nil.
 func (m *Mutable) GradeSketch(target string) *Sketch {
 	m.mu.RLock()

@@ -1,7 +1,9 @@
 package subsys
 
 import (
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fuzzydb/internal/gradedset"
@@ -117,6 +119,10 @@ func TestSketchMassBetween(t *testing.T) {
 			t.Errorf("split at %d: %v + %v != %v", mid, a, b, total)
 		}
 	}
+	// The planners' boundary grid skips a nil sketch.
+	if cuts := MergedCuts(n, []*Sketch{nil}); !reflect.DeepEqual(cuts, []int{0, n}) {
+		t.Errorf("MergedCuts over a nil sketch = %v", cuts)
+	}
 }
 
 // TestSketchZeroMass: an all-zero list still partitions the axis (the
@@ -141,63 +147,6 @@ func TestSketchZeroMass(t *testing.T) {
 	}
 	if got := s.MassBetween(0, 128); got != 0 {
 		t.Errorf("mass %v over a zero list", got)
-	}
-}
-
-// probeSource counts the raw accesses SampleSketch issues.
-type probeSource struct {
-	Source
-	grades int
-	sorted int
-}
-
-func (p *probeSource) Grade(obj int) float64 {
-	p.grades++
-	return p.Source.Grade(obj)
-}
-
-func (p *probeSource) Entry(rank int) gradedset.Entry {
-	p.sorted++
-	return p.Source.Entry(rank)
-}
-
-func (p *probeSource) Entries(lo, hi int) []gradedset.Entry {
-	p.sorted += hi - lo
-	return p.Source.Entries(lo, hi)
-}
-
-// TestSampleSketch pins the opaque-source path: a bounded burst of
-// random probes and no sorted access at all (sketching must never
-// disturb a source's sorted stream), deterministic across calls, and
-// close enough to the exact sketch that range masses agree within the
-// stride resolution.
-func TestSampleSketch(t *testing.T) {
-	const n = 4096
-	l := hotListOf(t, n, 256)
-	ps := &probeSource{Source: FromList(l)}
-	s := SampleSketch(ps, 0)
-	if ps.grades != DefaultSketchProbes {
-		t.Errorf("%d random probes, want %d", ps.grades, DefaultSketchProbes)
-	}
-	if ps.sorted != 0 {
-		t.Errorf("%d sorted accesses; sampling must use random access only", ps.sorted)
-	}
-	again := SampleSketch(FromList(l), 0)
-	if !reflect.DeepEqual(s, again) {
-		t.Error("SampleSketch is not deterministic across calls")
-	}
-	exact := SketchList(l)
-	for _, r := range [][2]int{{0, 256}, {256, n}, {0, n / 2}, {n / 2, n}} {
-		got, want := s.MassBetween(r[0], r[1]), exact.MassBetween(r[0], r[1])
-		tol := 0.15*exact.Total() + 1e-9
-		if got < want-tol || got > want+tol {
-			t.Errorf("range %v: sampled mass %v, exact %v (tol %v)", r, got, want, tol)
-		}
-	}
-	// More probes than objects clamps to one probe per object: exact.
-	dense := SampleSketch(FromList(l), n*2)
-	if got, want := dense.Total(), exact.Total(); got < want-1e-9 || got > want+1e-9 {
-		t.Errorf("fully probed total %v, exact %v", got, want)
 	}
 }
 
@@ -255,9 +204,10 @@ func TestWrapperSketchForwarding(t *testing.T) {
 }
 
 // TestMutableGradeSketchInvalidation: a Mutable subsystem's cached
-// sketch survives reads and no-op updates, and is dropped by exactly
-// the mutations that move grade mass — UpdateGrade and Set — so a
-// planner never cuts the universe against stale distributions.
+// sketch survives reads and no-op updates; UpdateGrade replaces it with
+// a new sketch over the same cuts that carries the moved mass, leaving
+// the one a planner already holds as it was (copy on write); and Set,
+// which replaces the list wholesale, drops it for a fresh build.
 func TestMutableGradeSketchInvalidation(t *testing.T) {
 	m := NewMutable("color", 256, 0)
 	m.Set("red", hotListOf(t, 256, 16))
@@ -283,20 +233,64 @@ func TestMutableGradeSketchInvalidation(t *testing.T) {
 	if m.GradeSketch("red") != first {
 		t.Error("no-op update dropped the cached sketch")
 	}
-	// A real update drops the cache and the fresh sketch sees the move.
+	// A real update serves a new sketch that sees the move; the held one
+	// reads as it did.
+	held := Sketch{N: first.N, Cuts: slices.Clone(first.Cuts), Mass: slices.Clone(first.Mass)}
 	if err := m.UpdateGrade("red", 200, 0.95); err != nil {
 		t.Fatal(err)
 	}
 	second := m.GradeSketch("red")
 	if second == first {
-		t.Error("UpdateGrade did not invalidate the cached sketch")
+		t.Fatal("UpdateGrade kept serving the sketch it had")
+	}
+	if !reflect.DeepEqual(*first, held) {
+		t.Error("UpdateGrade wrote into a sketch a reader holds")
+	}
+	if !slices.Equal(second.Cuts, first.Cuts) {
+		t.Errorf("UpdateGrade moved the cuts: %v, were %v", second.Cuts, first.Cuts)
 	}
 	if second.MassBetween(190, 210) <= first.MassBetween(190, 210) {
-		t.Error("fresh sketch does not reflect the moved grade mass")
+		t.Error("the new sketch does not reflect the moved grade mass")
 	}
-	// Set replaces wholesale: cache dropped again.
-	m.Set("red", hotListOf(t, 256, 128))
-	if m.GradeSketch("red") == second {
-		t.Error("Set did not invalidate the cached sketch")
+	// Set replaces wholesale: the next sketch is built from the new list.
+	replaced := hotListOf(t, 256, 128)
+	m.Set("red", replaced)
+	if got := m.GradeSketch("red"); got == second || !reflect.DeepEqual(got, SketchList(replaced)) {
+		t.Error("Set did not drop the cached sketch")
+	}
+}
+
+// TestMutableSketchMassTracksWrites: over a chain of raises, lowers and
+// repeated writes to the same objects — past several overlay folds — the
+// cached sketch's per-bucket mass stays the exact grade sum of the
+// current list over that bucket's ids.
+func TestMutableSketchMassTracksWrites(t *testing.T) {
+	const n = 1024
+	m := NewMutable("color", n, 0)
+	m.Set("red", hotListOf(t, n, 64))
+	m.GradeSketch("red") // cached from here on
+	rng := rand.New(rand.NewPCG(7, 11))
+	for step := 0; step < 400; step++ {
+		obj := rng.IntN(n)
+		if step%3 == 2 {
+			obj = 5 // the same object, raised and lowered again and again
+		}
+		if err := m.UpdateGrade("red", obj, rng.Float64()); err != nil {
+			t.Fatal(err)
+		}
+		src, err := m.Query("red")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk := m.GradeSketch("red")
+		for b := range sk.Mass {
+			var exact float64
+			for id := sk.Cuts[b]; id < sk.Cuts[b+1]; id++ {
+				exact += src.Grade(id)
+			}
+			if d := sk.Mass[b] - exact; d < -1e-9 || d > 1e-9 {
+				t.Fatalf("step %d (object %d): bucket %d [%d,%d) carries %v, the list %v", step, obj, b, sk.Cuts[b], sk.Cuts[b+1], sk.Mass[b], exact)
+			}
+		}
 	}
 }

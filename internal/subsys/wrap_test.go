@@ -224,47 +224,3 @@ func TestCountedShortSpanFails(t *testing.T) {
 		t.Fatalf("Err() = %v, want a sorted *SourceError at rank 10 wrapping errShortSpan", err)
 	}
 }
-
-// droppedProbe is a remote list during planning: its plain Grade
-// panics, as wire.RemoteSource's does on a transport failure, and its
-// failAt-th TryGrade fails.
-type droppedProbe struct {
-	ListSource
-	failAt, probes int
-}
-
-func (d *droppedProbe) Grade(int) float64 { panic("plain face of a remote list read") }
-
-func (d *droppedProbe) TryEntry(rank int) (gradedset.Entry, error) { return d.Entry(rank), nil }
-
-func (d *droppedProbe) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
-	return d.Entries(lo, hi), nil
-}
-
-func (d *droppedProbe) TryGrade(obj int) (float64, error) {
-	if d.probes++; d.probes == d.failAt {
-		return 0, errors.New("connection dropped")
-	}
-	return d.ListSource.Grade(obj), nil
-}
-
-// TestSampleSketchReadsTheFallibleFace: sampling probes through Try*,
-// so a transport failure is a nil sketch (the planners' even-split
-// fallback), never the plain face's panic; without a failure the
-// sketch is the one sampled from the list itself.
-func TestSampleSketchReadsTheFallibleFace(t *testing.T) {
-	list := randomList(t, 2000, 4)
-	if sk := SampleSketch(&droppedProbe{ListSource: FromList(list), failAt: 40}, 0); sk != nil {
-		t.Errorf("sketch after a failed probe = %+v, want nil", sk)
-	}
-	healthy := &droppedProbe{ListSource: FromList(list)}
-	if got, want := SampleSketch(healthy, 0), SampleSketch(FromList(list), 0); !reflect.DeepEqual(got, want) {
-		t.Error("sketch through the fallible face differs from the plain one")
-	}
-	if healthy.probes != DefaultSketchProbes {
-		t.Errorf("%d probes, want %d", healthy.probes, DefaultSketchProbes)
-	}
-	if cuts := MergedCuts(2000, []*Sketch{nil}); !reflect.DeepEqual(cuts, []int{0, 2000}) {
-		t.Errorf("MergedCuts over a nil sketch = %v", cuts)
-	}
-}

@@ -28,9 +28,11 @@
 // QueryRequest is the engine's own request type (middleware.Request),
 // whose doc comment names every field once; the URL form carries the same
 // fields under the same JSON names (the query as q; see params.go). The
-// server decodes either form onto its defaults and refuses a malformed,
-// unknown or negative value, or a name that is no field, with a 400
-// naming it.
+// server decodes either form onto a zero request, so an absent name is
+// the engine default, and refuses a malformed, unknown or negative value,
+// or a name that is no field, with a 400 naming it. No field chooses how
+// a sharded request is cut: the engine cuts by the grade sketches its
+// subsystems serve.
 //
 // /v1/entries is sorted access: the entries at ranks [lo, hi) of one
 // list, paged — the server delivers at most Meta.Page entries per

@@ -69,7 +69,7 @@ func serveSubsystems(t *testing.T, subs []subsys.Subsystem, opts ...wire.ServerO
 	return client
 }
 
-func engineOver(t *testing.T, subs []subsys.Subsystem) *middleware.Middleware {
+func engineOver(t testing.TB, subs []subsys.Subsystem) *middleware.Middleware {
 	t.Helper()
 	eng, err := middleware.New(subs)
 	if err != nil {

@@ -73,10 +73,10 @@ func encodeParams(req QueryRequest) (url.Values, error) {
 	})
 }
 
-// decodeParams decodes the URL form onto req, which holds the defaults:
-// an absent (or empty) parameter keeps the default, a present one wins,
-// and one that names no field is refused (the alphabetically first, so
-// the error is stable).
+// decodeParams decodes the URL form onto req: an absent (or empty)
+// parameter keeps req's value, a present one wins, and one that names
+// no field is refused (the alphabetically first, so the error is
+// stable).
 func decodeParams(vals url.Values, req *QueryRequest) error {
 	unknown := ""
 	for name := range vals {
@@ -95,7 +95,7 @@ func decodeParams(vals url.Values, req *QueryRequest) error {
 		if _, text := f.Addr().Interface().(encoding.TextUnmarshaler); text || f.Kind() == reflect.String {
 			raw, _ = json.Marshal(string(raw)) // a string always marshals
 		}
-		f.SetZero() // a pointer field gets a fresh target, never the defaults' own
+		f.SetZero() // a pointer field gets a fresh target, never req's own
 		if err := json.Unmarshal(raw, f.Addr().Interface()); err != nil {
 			return fmt.Errorf("bad %s: %v", name, err)
 		}

@@ -100,7 +100,6 @@ func TestResultsParamsRoundTripEveryField(t *testing.T) {
 		"K":           middleware.TopN(7),
 		"Parallelism": middleware.WithParallelism(3),
 		"Shards":      middleware.WithShards(4),
-		"ShardPlan":   middleware.WithShardPlan(core.ShardPlanWeighted),
 		"Budget":      middleware.WithAccessBudget(99),
 		"Prefetch":    middleware.WithPrefetch(0),
 		"Degrade":     middleware.WithDegradedLists(1),
@@ -163,8 +162,8 @@ func TestResultsParamsRoundTripEveryField(t *testing.T) {
 	}
 	roundTrip(t, all)
 	// No new knob rode in with the refactor that made knobs cheap.
-	if wireFields != 9 || len(options) != 10 {
-		t.Errorf("%d wire fields and %d request options, want 9 and 10: a new knob needs its own justification (and this line updated)", wireFields, len(options))
+	if wireFields != 8 || len(options) != 9 {
+		t.Errorf("%d wire fields and %d request options, want 8 and 9: a new knob needs its own justification (and this line updated)", wireFields, len(options))
 	}
 }
 
@@ -192,7 +191,7 @@ func decodeOnto(s *QueryServer, params, body string, header http.Header) (QueryR
 // With several bad values the one reported is stable, the same on every
 // request (it used to follow a map's iteration order): the first
 // malformed one in Request's declaration order — k, parallelism, shards,
-// shard_plan, budget, prefetch, degrade — and, when everything parses,
+// budget, prefetch, degrade — and, when everything parses,
 // the first out-of-range one in the same order. A name that is no field
 // is refused before any value is read.
 func TestResultsParamsFirstErrorIsStable(t *testing.T) {
@@ -207,7 +206,8 @@ func TestResultsParamsFirstErrorIsStable(t *testing.T) {
 		{params: "q=x&degrade=bad&budget=bad", want: "bad budget:"},
 		{params: "q=x&k=-1&shards=bad", want: "bad shards:"}, // malformed before out of range
 		{params: "k=3", body: `{"k":3}`, want: "empty query"},
-		{params: "q=x&shard_plan=weightd", body: `{"query":"x","shard_plan":"weightd"}`, want: `unknown shard plan "weightd"`},
+		{params: "q=x&shard_plan=weighted&k=bad", body: `{"query":"x","shard_plan":"weighted"}`, want: `"shard_plan"`},
+		{params: "q=x&shard_plan=even", body: `{"query":"x","shards":4,"shard_plan":"even"}`, want: `"shard_plan"`},
 		{params: "q=x&k=-1", body: `{"query":"x","k":-1}`, want: "bad k: -1"},
 		{params: "q=x&parallelism=-2", body: `{"query":"x","parallelism":-2}`, want: "bad parallelism: -2"},
 		{params: "q=x&shards=-4", body: `{"query":"x","shards":-4}`, want: "bad shards: -4"},
@@ -236,19 +236,11 @@ func TestResultsParamsFirstErrorIsStable(t *testing.T) {
 	}
 }
 
-// TestRequestDecodesOntoServerDefaults: the one rule of a request's
-// fields — absent keeps the server's default, present wins — on both
-// endpoints, and the tenant header standing in only for an absent tenant.
-func TestRequestDecodesOntoServerDefaults(t *testing.T) {
-	s := NewQueryServer(nil, middleware.WithShardPlan(core.ShardPlanWeighted), middleware.WithPrefetch(2))
-	two := 2
-	defaults := QueryRequest{ShardPlan: core.ShardPlanWeighted, Prefetch: &two}
-	with := func(edit func(*QueryRequest)) QueryRequest {
-		req := defaults
-		req.Query = "x"
-		edit(&req)
-		return req
-	}
+// TestRequestTenantHeader: a request decodes onto a zero request — an
+// absent name is the engine default, a present one wins — on both
+// endpoints, and the tenant header stands in only for an absent tenant.
+func TestRequestTenantHeader(t *testing.T) {
+	s := NewQueryServer(nil)
 	nine := 9
 	header := http.Header{TenantHeader: {"from-header"}}
 	for _, tc := range []struct {
@@ -256,14 +248,12 @@ func TestRequestDecodesOntoServerDefaults(t *testing.T) {
 		header             http.Header
 		want               QueryRequest
 	}{
-		{"defaults apply", "q=x&shards=4", `{"query":"x","shards":4}`, nil,
-			with(func(r *QueryRequest) { r.Shards = 4 })},
-		{"request overrides", "q=x&shard_plan=even&prefetch=9", `{"query":"x","shard_plan":"even","prefetch":9}`, nil,
-			with(func(r *QueryRequest) { r.ShardPlan, r.Prefetch = core.ShardPlanEven, &nine })},
+		{"absent names stay zero", "q=x&shards=4&prefetch=9", `{"query":"x","shards":4,"prefetch":9}`, nil,
+			QueryRequest{Query: "x", Shards: 4, Prefetch: &nine}},
 		{"header names the tenant", "q=x", `{"query":"x"}`, header,
-			with(func(r *QueryRequest) { r.Tenant = "from-header" })},
+			QueryRequest{Query: "x", Tenant: "from-header"}},
 		{"request's tenant wins", "q=x&tenant=mine", `{"query":"x","tenant":"mine"}`, header,
-			with(func(r *QueryRequest) { r.Tenant = "mine" })},
+			QueryRequest{Query: "x", Tenant: "mine"}},
 	} {
 		for _, body := range []string{"", tc.body} {
 			got, w := decodeOnto(s, tc.params, body, tc.header)
@@ -271,9 +261,6 @@ func TestRequestDecodesOntoServerDefaults(t *testing.T) {
 				t.Errorf("%s (body %q): status %d %s\n got  %+v\n want %+v", tc.name, body, w.Code, w.Body, got, tc.want)
 			}
 		}
-	}
-	if *s.defaults.Prefetch != 2 {
-		t.Errorf("a request wrote through the defaults' prefetch depth: now %d", *s.defaults.Prefetch)
 	}
 }
 
@@ -295,7 +282,7 @@ func FuzzRequestParams(f *testing.F) {
 		}
 
 		req := QueryRequest{Query: query, K: k, Parallelism: parallelism, Shards: shards,
-			ShardPlan: core.ShardPlanPolicy(shards & 1), Budget: budget, Degrade: degrade, Tenant: tenant}
+			Budget: budget, Degrade: degrade, Tenant: tenant}
 		if prefetch >= 0 {
 			req.Prefetch = &prefetch
 		}

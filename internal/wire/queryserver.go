@@ -21,21 +21,14 @@ import (
 // into the engine — in-flight evaluation stops at its next cancellation
 // poll, budget reservations settle, and pooled state is released.
 type QueryServer struct {
-	eng      *middleware.Middleware
-	defaults QueryRequest
-	active   atomic.Int64
-	mux      *http.ServeMux
+	eng    *middleware.Middleware
+	active atomic.Int64
+	mux    *http.ServeMux
 }
 
-// NewQueryServer builds a query server over the engine. defaults set the
-// request every evaluation starts from — the hook for server-side
-// execution policy like a default shard plan; the
-// request's body or URL is then decoded onto it (see decode).
-func NewQueryServer(eng *middleware.Middleware, defaults ...middleware.QueryOption) *QueryServer {
+// NewQueryServer builds a query server over the engine.
+func NewQueryServer(eng *middleware.Middleware) *QueryServer {
 	s := &QueryServer{eng: eng}
-	for _, opt := range defaults {
-		opt(&s.defaults)
-	}
 	s.mux = http.NewServeMux()
 	s.Register(s.mux)
 	return s
@@ -64,19 +57,12 @@ func (s *QueryServer) Active() int64 { return s.active.Load() }
 const TenantHeader = "X-Fuzzydb-Tenant"
 
 // decode reads the request of either endpoint — the JSON body of a POST,
-// the URL form of a GET — onto a copy of the server's defaults, so a name
-// the request leaves out keeps the default and one it gives wins, and
-// checks the outcome at the boundary: a malformed, unknown or negative
-// value, or a name that is no field, is a 400 naming it, never a silent
-// default. ok is false
-// when the fault has been written.
+// the URL form of a GET — onto a zero request, so a name the request
+// leaves out keeps the engine default, and checks the outcome at the
+// boundary: a malformed, unknown or negative value, or a name that is no
+// field, is a 400 naming it, never a silent default. ok is false when
+// the fault has been written.
 func (s *QueryServer) decode(w http.ResponseWriter, r *http.Request) (req QueryRequest, ok bool) {
-	req = s.defaults
-	if req.Prefetch != nil {
-		// The JSON decoder writes through a non-nil pointer.
-		depth := *req.Prefetch
-		req.Prefetch = &depth
-	}
 	var err error
 	if r.Method == http.MethodGet {
 		err = decodeParams(r.URL.Query(), &req)

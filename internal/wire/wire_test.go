@@ -42,20 +42,15 @@ func dbSources(db *scoredb.Database) map[string]subsys.Source {
 	return lists
 }
 
+// noSketches embeds only the Subsystem interface, so it hides a Static
+// subsystem's grade sketches: an engine over it cuts its shards evenly,
+// as one over wire-backed subsystems, which serve no sketch, does.
+type noSketches struct{ subsys.Subsystem }
+
 // localEngine builds the in-process reference engine over db.
 func localEngine(t testing.TB, db *scoredb.Database) *middleware.Middleware {
 	t.Helper()
-	subs := make([]subsys.Subsystem, db.M())
-	for i := 0; i < db.M(); i++ {
-		s := subsys.NewStatic(listName(i), db.N())
-		s.Set("*", db.List(i))
-		subs[i] = s
-	}
-	eng, err := middleware.New(subs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
+	return engineOver(t, staticSubsystems(db))
 }
 
 // serveSources starts a loopback source server over db and dials it.
@@ -78,11 +73,7 @@ func serveSources(t testing.TB, db *scoredb.Database, opts ...wire.ServerOption)
 // wireEngine builds an engine whose sources live across the wire.
 func wireEngine(t testing.TB, client *wire.Client) *middleware.Middleware {
 	t.Helper()
-	eng, err := middleware.New(client.Subsystems())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
+	return engineOver(t, client.Subsystems())
 }
 
 // queryOf builds the m-way conjunction A1 = "*" AND … AND Am = "*".
@@ -128,10 +119,12 @@ func assertReportsEqual(t *testing.T, want, got *middleware.Report) {
 // the same query over in-process sources — across the serial executor,
 // the pipelined executor, sharded evaluation, and their composition.
 // The server's page cap is set below the spans the algorithms fetch, so
-// the client's paged-coalescing loop is on the tested path.
+// the client's paged-coalescing loop is on the tested path. Wire-backed
+// subsystems serve no grade sketch, so the in-process reference hides
+// its own: both cut their shards into the same even ranges.
 func TestLoopbackEquivalence(t *testing.T) {
 	db := testDB(t, 2000, 3, 11)
-	local := localEngine(t, db)
+	local := engineOver(t, wrapAll(staticSubsystems(db), func(s subsys.Subsystem) subsys.Subsystem { return noSketches{s} }))
 	remote := wireEngine(t, serveSources(t, db, wire.WithPage(64)))
 	q := queryOf(db.M())
 

@@ -57,13 +57,14 @@ var update = flag.Bool("update", false, "rewrite testdata/tallies.golden from th
 
 // shardedTally evaluates A0/min/k=10 over db sharded four ways, one
 // shard after the other (the deterministic mode), and returns the total
-// tally and the largest single shard's.
-func shardedTally(t *testing.T, db *scoredb.Database, plan core.ShardPlanPolicy) (total, maxShard int) {
+// tally and the largest single shard's. sketched cuts the universe by
+// the exact grade-distribution sketches an engine over static
+// subsystems serves (the "weighted" rows); without them the cut is the
+// even one (the "even" rows).
+func shardedTally(t *testing.T, db *scoredb.Database, sketched bool) (total, maxShard int) {
 	t.Helper()
-	cfg := core.ShardConfig{Shards: 4, Parallel: 1, Plan: plan}
-	if plan == core.ShardPlanWeighted {
-		// The exact grade-distribution sketches a loaded engine serves
-		// from its subsystems.
+	cfg := core.ShardConfig{Shards: 4, Parallel: 1}
+	if sketched {
 		for i := 0; i < db.M(); i++ {
 			cfg.Sketches = append(cfg.Sketches, subsys.SketchList(db.List(i)))
 		}
@@ -240,8 +241,8 @@ func TestTalliesGolden(t *testing.T) {
 			if got := a0(faulty); got != base {
 				t.Errorf("%s db %d: the zero-rate fault stack tallies %d, bare lists %d", name, d, got, base)
 			}
-			e, _ := shardedTally(t, db, core.ShardPlanEven)
-			w, _ := shardedTally(t, db, core.ShardPlanWeighted)
+			e, _ := shardedTally(t, db, false)
+			w, _ := shardedTally(t, db, true)
 			serial, even, weighted = serial+base, even+e, weighted+w
 		}
 		row(name, "serial", serial)
@@ -265,7 +266,7 @@ func TestTalliesGolden(t *testing.T) {
 		name := fmt.Sprintf("E17-fenced/N=%d", n)
 		db := skewedShardDB(t, n)
 		base := a0(listSources(db))
-		sharded, _ := shardedTally(t, db, core.ShardPlanEven)
+		sharded, _ := shardedTally(t, db, false)
 		if sharded >= base {
 			t.Errorf("%s: sharded tally %d not below the unsharded %d", name, sharded, base)
 		}
@@ -278,8 +279,8 @@ func TestTalliesGolden(t *testing.T) {
 	for _, n := range []int{16384, 262144} {
 		name := fmt.Sprintf("E17-planned/N=%d", n)
 		db := skewedPlanDB(t, n)
-		evenTotal, evenMax := shardedTally(t, db, core.ShardPlanEven)
-		wTotal, wMax := shardedTally(t, db, core.ShardPlanWeighted)
+		evenTotal, evenMax := shardedTally(t, db, false)
+		wTotal, wMax := shardedTally(t, db, true)
 		if 2*wMax > evenMax {
 			t.Errorf("%s: weighted max shard %d exceeds half the even plan's %d", name, wMax, evenMax)
 		}
