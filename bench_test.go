@@ -154,49 +154,6 @@ func BenchmarkE2_A0_GeneralM_Latency(b *testing.B) {
 	}
 }
 
-// benchShardedLatencyOver times a sharded evaluation over 1 ms/call
-// remote sources, with or without per-shard prefetch pipelines. One op
-// simulates minutes of waiting on the unpipelined path: run with
-// -benchtime 1x.
-func benchShardedLatencyOver(b *testing.B, alg core.Algorithm, dbs []*scoredb.Database, f agg.Func, k, shards int, prefetch bool) {
-	b.Helper()
-	cfg := core.ShardConfig{Shards: shards, Prefetch: prefetch}
-	for i := 0; i < b.N; i++ {
-		if _, err := core.EvaluateSharded(context.Background(), alg, latencySources(dbs[i%len(dbs)]), f, k, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE2_A0_GeneralM_ShardedLatency — the composed mode's headline:
-// the E2/m=5 workload over 1 ms/call remote sources, sharded 4 ways WITH
-// per-shard prefetch pipelines (WithShards ∘ WithPrefetch). The
-// acceptance figure of this PR: ns/op here must be ≥5x below the
-// NoPrefetch twin — per-shard batched sorted readahead plus the
-// 64-wide random-access overlap, where the sharded-but-serial path pays
-// a full round trip per access.
-func BenchmarkE2_A0_GeneralM_ShardedLatency(b *testing.B) {
-	for _, m := range []int{5} {
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			dbs := genDBs(32768, m, 4, scoredb.Uniform{}, 2)
-			benchShardedLatencyOver(b, core.A0{}, dbs, agg.Min, 10, 4, true)
-		})
-	}
-}
-
-// BenchmarkE2_A0_GeneralM_ShardedLatencyNoPrefetch — the same sharded
-// query without prefetch: the serial-inside sharded path this PR
-// composes away. One op is minutes of simulated round trips; run with
-// -benchtime 1x only.
-func BenchmarkE2_A0_GeneralM_ShardedLatencyNoPrefetch(b *testing.B) {
-	for _, m := range []int{5} {
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			dbs := genDBs(32768, m, 4, scoredb.Uniform{}, 2)
-			benchShardedLatencyOver(b, core.A0{}, dbs, agg.Min, 10, 4, false)
-		})
-	}
-}
-
 // BenchmarkEngineEndToEnd measures the full middleware path (parse, plan,
 // evaluate) on the running example, the operation a Garlic deployment
 // performs per user query.

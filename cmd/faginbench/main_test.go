@@ -56,21 +56,21 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestQuickDocument: what the binary writes under -quick is the golden
-// internal/sim pins, and the index ahead of its tables has one row per
-// registered experiment, each naming a test that exists in sim_test.go.
+// TestQuickDocument: the document the binary writes (sim.WriteDocument,
+// here at the -quick configuration with a stub table per experiment, so
+// no experiment runs) opens
+// with an index of one row per registered experiment, each naming a test
+// that exists in sim_test.go, and has a section for each. That the
+// -quick document's bytes are internal/sim/testdata/quick.golden is
+// TestQuickGolden's, in internal/sim; the binary's own flag handling and
+// output stream are TestRunOneExperiment's.
 func TestQuickDocument(t *testing.T) {
-	out, _, code := faginbench("-quick")
-	if code != 0 {
-		t.Fatalf("exit %d", code)
-	}
-	golden, err := os.ReadFile("../../internal/sim/testdata/quick.golden")
-	if err != nil {
+	var b strings.Builder
+	stub := func(e sim.Experiment) *sim.Table { return &sim.Table{ID: e.ID, Title: e.Title, Claim: e.Claim} }
+	if err := sim.WriteDocument(&b, sim.QuickConfig(), stub); err != nil {
 		t.Fatal(err)
 	}
-	if out != string(golden) {
-		t.Error("faginbench -quick does not write internal/sim/testdata/quick.golden (go test ./internal/sim shows where)")
-	}
+	out := b.String()
 	src, err := os.ReadFile("../../internal/sim/sim_test.go")
 	if err != nil {
 		t.Fatal(err)

@@ -14,18 +14,8 @@
 //
 // The report shows the answers, the plan the optimizer chose, and the
 // exact middleware cost (sorted + random accesses). The evaluation is a
-// request: -timeout bounds its wall-clock, -budget its access cost, -p
-// overlaps the subsystem accesses (cost-neutral; wall-clock only), and
-// -shards partitions the universe into that many slices evaluated
-// independently and combined by the threshold-aware top-k merge — the
-// report then breaks the cost down per shard.
-//
-// The shard boundaries sit at quantiles of the lists' sketched grade
-// mass rather than at equal widths, so a skewed universe still divides
-// into equal expected work. The per-shard cost lines show each shard's
-// planned range and expected work next to the cost it actually paid:
-//
-//	fuzzyquery -q 'A1 = "*" AND A2 = "*"' -db db.json -shards 4
+// request: -timeout bounds its wall-clock, -budget its access cost, and
+// -p overlaps the subsystem accesses (cost-neutral; wall-clock only).
 //
 // To exercise the latency-hiding pipeline against simulated remote
 // backends, -latency adds a per-call delay to every subsystem source and
@@ -37,12 +27,6 @@
 // calls the prefetchers issued:
 //
 //	fuzzyquery -q 'A1 = "*" AND A2 = "*"' -db db.json -latency 1ms -prefetch 0
-//
-// -shards and -prefetch compose: each shard then pipelines internally
-// against its re-ranked views (the mode for sharded queries over slow
-// backends), and the printed pipeline stats aggregate across shards:
-//
-//	fuzzyquery -q '...' -db db.json -shards 4 -latency 1ms -prefetch 0
 //
 // To exercise the fault-tolerance machinery, -faults injects seeded
 // deterministic transient faults (each fault site clears after two
@@ -74,7 +58,7 @@
 //
 // With -connect, the query evaluates on a remote fuzzyserve instance
 // instead. The flags that are fields of the request (fuzzydb.Request:
-// -q, -k, -p, -shards, -budget, -prefetch, -degrade,
+// -q, -k, -p, -budget, -prefetch, -degrade,
 // -tenant) bind onto one value that is evaluated locally or sent as it
 // stands, -timeout and -repeat apply to either, and the same report
 // prints from the wire response — only the engine-assembly and
@@ -149,8 +133,7 @@ func parseFlags(args []string, stderr io.Writer) (*flags, int) {
 	// The request. -prefetch is parsed below: -1 (off) is no depth.
 	fs.StringVar(&req.Query, "q", "", "query, e.g. 'Artist = \"Beatles\" AND AlbumColor ~ \"red\"'")
 	fs.IntVar(&req.K, "k", 10, "number of answers")
-	fs.IntVar(&req.Parallelism, "p", 1, "subsystem accesses in flight at once, on the pipelined executor (1 = serial; for slow subsystems, see -latency); with -shards, the shard worker cap instead")
-	fs.IntVar(&req.Shards, "shards", 1, "partition the universe into this many shards (1 = unsharded)")
+	fs.IntVar(&req.Parallelism, "p", 1, "subsystem accesses in flight at once, on the pipelined executor (1 = serial; for slow subsystems, see -latency)")
 	fs.Float64Var(&req.Budget, "budget", 0, "access budget (sorted + random); 0 = unlimited")
 	prefetch := fs.Int("prefetch", -1, "evaluate through the pipelined executor, its adaptive readahead depth (open at the depth the algorithm expects to reach, else at 1, double on stall) capped at this many ranks (0 = the default cap); -1 = off")
 	fs.IntVar(&req.Degrade, "degrade", 0, "drop up to this many permanently failed lists and re-evaluate over the survivors; 0 = fail fast")
@@ -288,17 +271,6 @@ func printReport(w io.Writer, resp wire.QueryResponse, name func(int) string, r 
 	}
 	if p := resp.Prefetch; p != nil {
 		fmt.Fprintf(w, "prefetch pipeline: max depth %d, stalls %d, batched calls %d, ranks fetched %d\n", p.MaxDepth, p.Stalls, p.Batches, p.Fetched)
-	}
-	if resp.Shards > 1 {
-		fmt.Fprintf(w, "sharded over %d universe slices:\n", resp.Shards)
-		for s, c := range resp.PerShard {
-			fmt.Fprintf(w, "  shard %-3d %s", s, costString(c))
-			if s < len(resp.ShardDetails) {
-				d := resp.ShardDetails[s]
-				fmt.Fprintf(w, "  range [%d,%d) planned %.1f actual %.1f", d.Lo, d.Hi, d.Planned, d.Actual)
-			}
-			fmt.Fprintln(w)
-		}
 	}
 	for _, d := range resp.Degraded {
 		fmt.Fprintf(w, "degraded: dropped %s = %q after %d attempts (%s sunk): %s\n",

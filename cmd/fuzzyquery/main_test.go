@@ -64,11 +64,10 @@ func TestLocalAndRemoteReportsPrintAlike(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	// Sequential shards: the per-shard lines are then deterministic. One
-	// parse of one command line feeds both paths.
+	// One parse of one command line feeds both paths.
 	const q = `A1 = "*" AND A2 = "*"`
 	var stderr bytes.Buffer
-	f, code := parseFlags([]string{"-q", q, "-k", "4", "-shards", "3", "-p", "1", "-connect", ts.URL}, &stderr)
+	f, code := parseFlags([]string{"-q", q, "-k", "4", "-connect", ts.URL}, &stderr)
 	if f == nil {
 		t.Fatalf("parseFlags exited %d: %s", code, stderr.String())
 	}
@@ -87,8 +86,8 @@ func TestLocalAndRemoteReportsPrintAlike(t *testing.T) {
 		t.Fatalf("runRemote exited %d:\n%s%s", code, remote.String(), stderr.String())
 	}
 
-	if !strings.Contains(local.String(), "album-") || !strings.Contains(local.String(), "sharded over 3 universe slices") {
-		t.Fatalf("local report lacks names or shard lines:\n%s", local.String())
+	if !strings.Contains(local.String(), "album-") {
+		t.Fatalf("local report lacks names:\n%s", local.String())
 	}
 	clock := regexp.MustCompile(`wall-clock \S+`)
 	named := regexp.MustCompile(`album-(\d+) *`)
@@ -128,10 +127,10 @@ func TestConnectConflictNamesFirstFlagInDeclarationOrder(t *testing.T) {
 
 // TestFlagsBindOneRequest: the command line binds onto one Request, and
 // that value — not a second assembly of the same flags — is what either
-// path evaluates. For seven request shapes the parsed Request is the
+// path evaluates. For five request shapes the parsed Request is the
 // expected one with and without -connect, and the body POSTed to the
-// server is the JSON the previous release's client sent for those flags,
-// byte for byte (field order, omitted zeros).
+// server is the expected JSON byte for byte (field order, omitted
+// zeros). -shards is no flag: the command refuses it by name.
 func TestFlagsBindOneRequest(t *testing.T) {
 	var posted []byte
 	_, mux := serveDB(t, scoredb.Generator{N: 300, M: 2, Seed: 9}.MustGenerate())
@@ -153,29 +152,22 @@ func TestFlagsBindOneRequest(t *testing.T) {
 		print string // a line the report must carry, if any
 	}{
 		{args: []string{"-k", "5"},
-			want: fuzzydb.Request{K: 5, Parallelism: 1, Shards: 1},
-			body: `{` + qJSON + `,"k":5,"parallelism":1,"shards":1}`},
+			want: fuzzydb.Request{K: 5, Parallelism: 1},
+			body: `{` + qJSON + `,"k":5,"parallelism":1}`},
 		// -p alone is the pipelined executor, and says so.
 		{args: []string{"-p", "3"},
-			want:  fuzzydb.Request{K: 10, Parallelism: 3, Shards: 1},
-			body:  `{` + qJSON + `,"k":10,"parallelism":3,"shards":1}`,
+			want:  fuzzydb.Request{K: 10, Parallelism: 3},
+			body:  `{` + qJSON + `,"k":10,"parallelism":3}`,
 			print: "prefetch pipeline:"},
-		{args: []string{"-shards", "4", "-p", "1"},
-			want: fuzzydb.Request{K: 10, Parallelism: 1, Shards: 4},
-			body: `{` + qJSON + `,"k":10,"parallelism":1,"shards":4}`},
-		{args: []string{"-shards", "4", "-p", "2"},
-			want:  fuzzydb.Request{K: 10, Parallelism: 2, Shards: 4},
-			body:  `{` + qJSON + `,"k":10,"parallelism":2,"shards":4}`,
-			print: "sharded over 4 universe slices:"},
 		{args: []string{"-prefetch", "0", "-p", "8"},
-			want: fuzzydb.Request{K: 10, Parallelism: 8, Shards: 1, Prefetch: depth(0)},
-			body: `{` + qJSON + `,"k":10,"parallelism":8,"shards":1,"prefetch":0}`},
+			want: fuzzydb.Request{K: 10, Parallelism: 8, Prefetch: depth(0)},
+			body: `{` + qJSON + `,"k":10,"parallelism":8,"prefetch":0}`},
 		{args: []string{"-budget", "5000", "-degrade", "1"},
-			want: fuzzydb.Request{K: 10, Parallelism: 1, Shards: 1, Budget: 5000, Degrade: 1},
-			body: `{` + qJSON + `,"k":10,"parallelism":1,"shards":1,"budget":5000,"degrade":1}`},
+			want: fuzzydb.Request{K: 10, Parallelism: 1, Budget: 5000, Degrade: 1},
+			body: `{` + qJSON + `,"k":10,"parallelism":1,"budget":5000,"degrade":1}`},
 		{args: []string{"-tenant", "gold", "-k", "3", "-prefetch", "4"},
-			want: fuzzydb.Request{K: 3, Parallelism: 1, Shards: 1, Prefetch: depth(4), Tenant: "gold"},
-			body: `{` + qJSON + `,"k":3,"parallelism":1,"shards":1,"prefetch":4,"tenant":"gold"}`},
+			want: fuzzydb.Request{K: 3, Parallelism: 1, Prefetch: depth(4), Tenant: "gold"},
+			body: `{` + qJSON + `,"k":3,"parallelism":1,"prefetch":4,"tenant":"gold"}`},
 	} {
 		tc.want.Query = q
 		args := append([]string{"-q", q}, tc.args...)
@@ -197,6 +189,10 @@ func TestFlagsBindOneRequest(t *testing.T) {
 		if !strings.Contains(stdout.String(), tc.print) {
 			t.Errorf("%v: report lacks %q:\n%s", tc.args, tc.print, stdout.String())
 		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-q", q, "-shards", "4"}, &stdout, &stderr); code == 0 || !strings.Contains(stderr.String(), "-shards") {
+		t.Errorf("-shards 4: exited %d with %q, want a non-zero exit naming the flag", code, stderr.String())
 	}
 }
 

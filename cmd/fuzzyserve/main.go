@@ -172,8 +172,7 @@ func loadDB(dbFile string, n, m int, seed uint64) (*scoredb.Database, error) {
 // buildMux mounts the source server (lists A1…Am) and the query server
 // (an engine over the same lists, target "*") on one mux; cache > 0
 // gives the engine a result cache of that many entries; a non-nil sched
-// puts the engine behind admission control. The engine's static
-// subsystems serve grade sketches, so a sharded request is cut by them.
+// puts the engine behind admission control.
 func buildMux(db *scoredb.Database, page, cache int, sched *fuzzydb.Scheduler) (*http.ServeMux, error) {
 	lists := make(map[string]subsys.Source, db.M())
 	subs := make([]fuzzydb.Subsystem, db.M())

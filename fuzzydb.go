@@ -41,46 +41,6 @@
 //		fmt.Println(r.Object, r.Grade)
 //	}
 //
-// # Sharded evaluation: partitioned universes
-//
-// WithShards(P) evaluates a request over P disjoint contiguous slices of
-// the object universe: the planner's algorithm runs once per shard over
-// re-ranked shard views of the subsystem results (each shard serial
-// inside — or pipelined inside under WithPrefetch — with shards fanned
-// out across workers), and the per-shard answers are combined by a
-// threshold-aware top-k merge. Finished shards publish
-// their exact answers to a shared scoreboard; a running shard whose
-// frontier aggregate t(g̲₁,…,g̲ₘ) — an upper bound on everything it has
-// not yet seen — falls strictly below the current global k-th grade is
-// fenced and completes over the objects already seen. The answers carry
-// the same grade sequence as the unsharded evaluation and the very same
-// objects in the same order everywhere above the k-th grade; within a
-// tie class AT the k-th grade, both strategies return a correct maximal
-// choice (Section 4) drawn from their own candidate sets — byte-for-byte
-// identical whenever the k-th grade is untied, which is the generic case
-// for continuous grades. On skewed data the fencing makes the sharded
-// evaluation do less total access work, not merely the same work in
-// parallel. WithShards composes with
-// the other options: WithParallelism caps the shard workers (1 =
-// deterministic sequential shards) and WithAccessBudget becomes one
-// reservation pool shared by every shard, so the global spend still
-// never overshoots. The report gains a per-shard cost breakdown.
-//
-// The shard ranges follow the subsystems' grade-distribution sketches:
-// over subsystems that serve them (static and mutable ones, and the
-// latency, fault and resilience layers over them) the cut equalizes the
-// access work the sketches predict, so a skewed universe's hot region
-// is spread across shards; over subsystems that serve none (remote or
-// custom ones) the shards hold near-equal object counts. Reading
-// sketches never moves a tally.
-//
-// Pagination composes with sharding: Results under WithShards(P) cuts
-// the shards as Query does, keeps per-shard state alive across pages,
-// widens every shard's top-r computation in place, and merges each page
-// globally, so the page sequence matches the unsharded pagination while
-// deeper pages resume from each shard's already-paid prefixes. A
-// one-shot query is the first page of the same evaluation.
-//
 // # Latency hiding: the pipelined executor
 //
 // When subsystems are genuinely remote — a millisecond per call rather
@@ -98,29 +58,14 @@
 // default applies otherwise. Payment stays strictly on delivery,
 // so the Section 5 tallies remain bit-identical to serial evaluation —
 // prefetched-but-unconsumed ranks cost nothing, budgets reserve before
-// delivery and a failed reservation closes the pipelines, fencing
-// drains them, and cancellation abandons even a wedged batch promptly.
+// delivery and a failed reservation closes the pipelines, and
+// cancellation abandons even a wedged batch promptly.
 // The report's Prefetch field carries the pipeline stats (deepest
 // batch, stalls, physical calls, ranks fetched — the last minus the
 // sorted tally is the readahead nobody consumed). NewLatencySource / WithSubsystemLatency
 // simulate such backends for benchmarking; on the E2/m=5 workload with
 // 1 ms/call sources the pipelined executor at its default width is over
 // an order of magnitude faster than at one probe per subsystem.
-//
-// Prefetch composes with sharding: WithShards(P) together with
-// WithPrefetch(d) runs every shard under its own pipelined executor —
-// the background prefetchers stream the shard's re-ranked views, the
-// random-access gather overlaps within each shard, and the total gather
-// width and readahead cap are budgeted globally across the shard
-// workers, so P shards never multiply the goroutine or buffer footprint
-// of one pipelined request. Payment stays on delivery under sharding
-// too (tallies bit-identical to the serial sharded evaluation), shard
-// fencing drains the fenced shard's pipelines without touching the
-// shared budget pool, and Report.Prefetch aggregates the stats across
-// shards. This is the configuration for sharded queries against slow
-// multi-backend subsystems: on the E2/m=5 workload with 1 ms/call
-// sources, the composed mode is ~50x faster than sharded-but-serial
-// evaluation.
 //
 // # Fault tolerance: fallible sources, resilience, degradation
 //
@@ -130,8 +75,8 @@
 // methods); every evaluation entry point then surfaces a terminal
 // failure as a typed *SourceError — which list, at which rank or object,
 // after how many attempts — with a valid partial-cost report, under
-// every executor and shard configuration alike. Between the backend and
-// the evaluation sit two wrappers: NewFaultSource injects seeded
+// every executor alike. Between the backend and the evaluation sit two
+// wrappers: NewFaultSource injects seeded
 // deterministic faults for testing (error rate, transient or permanent,
 // fail-after-N, wedged calls, per-phase targeting), and ResilientSource
 // adds retries with exponential backoff and full jitter, per-access
@@ -177,9 +122,9 @@
 // fetches over a pooled transport. Transparency is the contract, and
 // it is pinned by loopback integration tests: results and Section 5
 // tallies over wire-backed sources are bit-identical to in-process
-// evaluation under every executor and shard configuration — the wire
-// adds only latency, which is exactly what WithPrefetch hides (the
-// _Wire benchmarks measure that win against a real network stack).
+// evaluation under every executor — the wire adds only latency, which
+// is exactly what WithPrefetch hides (the _Wire benchmarks measure that
+// win against a real network stack).
 // See examples/wireserve for the minimal server-plus-client program.
 //
 // # Caching: epoch-versioned results over mutable sources
@@ -218,9 +163,9 @@
 // eng.Invalidate drops everything — instead of the evict-all a
 // version-tag cache would do. The equivalence contract — hit, repair
 // or miss, answers equal an always-recompute oracle — is pinned across
-// executors, sharding, and random update interleavings by the
-// middleware fuzz harness; see package internal/cache for the
-// revalidation argument and the staleness contract.
+// executors and random update interleavings by the middleware fuzz
+// harness; see package internal/cache for the revalidation argument and
+// the staleness contract.
 //
 // # Admission control: tenants, fair scheduling, load shedding
 //
@@ -238,7 +183,7 @@
 // service proportional to its configured weight. A global
 // MaxConcurrent bounds the evaluations in flight, and each admitted
 // query is granted a share of a global MaxWidth prefetch/gather
-// envelope, clamping its pipelined fan-out and shard workers so total
+// envelope, clamping its pipelined fan-out so total
 // source pressure stays bounded no matter how many callers arrive.
 //
 // Work that cannot be served in time is shed, not queued forever: a
@@ -657,29 +602,6 @@ func Evaluate(ctx context.Context, alg Algorithm, sources []Source, t AggFunc, k
 	return core.Evaluate(ctx, alg, sources, t, k, opts...)
 }
 
-// Sharded evaluation (partitioned universes).
-type (
-	// ShardConfig configures EvaluateSharded: shard count, worker cap,
-	// and the shared access budget.
-	ShardConfig = core.ShardConfig
-	// ShardReport is a sharded evaluation's outcome: global top-k
-	// results plus total, per-list, and per-shard Section 5 tallies.
-	ShardReport = core.ShardReport
-)
-
-// EvaluateSharded finds the top k answers of F_t(sources...) by
-// partitioned evaluation: the universe is split into contiguous shards,
-// the algorithm runs once per shard over re-ranked views, and the
-// per-shard answers are combined by a threshold-aware top-k merge that
-// fences shards whose remaining objects provably cannot reach the
-// global top k. Results match the unsharded evaluation (identical
-// grades; identical objects above the k-th grade; ties at the k-th
-// grade resolve to a correct maximal choice); see core.EvaluateSharded
-// for the full contract.
-func EvaluateSharded(ctx context.Context, alg Algorithm, sources []Source, t AggFunc, k int, cfg ShardConfig) (*ShardReport, error) {
-	return core.EvaluateSharded(ctx, alg, sources, t, k, cfg)
-}
-
 // Engine: the Garlic-style middleware.
 type (
 	// Engine routes queries to subsystems, plans, and evaluates. Its
@@ -809,34 +731,21 @@ func WithAlgorithm(alg Algorithm) QueryOption { return middleware.WithAlgorithm(
 // to p subsystem accesses in flight at once (p ≤ 1: serial); tallies stay
 // bit-identical to serial evaluation. It is for slow subsystems — over
 // in-memory lists the serial default is faster — and, like WithPrefetch,
-// needs sources that tolerate concurrent reads. Combined with WithShards
-// it caps the number of shard workers instead.
+// needs sources that tolerate concurrent reads.
 func WithParallelism(p int) QueryOption { return middleware.WithParallelism(p) }
 
-// WithShards evaluates one request over p disjoint contiguous slices of
-// the object universe: the chosen algorithm runs once per shard over
-// re-ranked shard views, and the per-shard answers are combined by a
-// threshold-aware top-k merge that stops shards early once they
-// provably cannot contribute. Answers match the unsharded evaluation —
-// identical grade sequence, identical objects above the k-th grade;
-// ties AT the k-th grade resolve to a correct maximal choice that
-// coincides byte-for-byte whenever that grade is untied (see the
-// package notes on sharded evaluation). The report adds a per-shard
-// cost breakdown. Each shard runs to its own stop on one worker, so the
-// cut balances them: by the access work the subsystems' grade sketches
-// predict where they serve sketches, by object count where they do not;
-// ShardDetails carries each shard's planned and actual cost. Composes with
-// WithParallelism (shard worker cap; 1 = deterministic sequential
-// shards), WithAccessBudget (one reservation pool shared by all shards),
-// and WithPrefetch (per-shard latency-hiding pipelines; see
-// WithPrefetch).
-func WithShards(p int) QueryOption { return middleware.WithShards(p) }
+// WithShards sets nothing: the engine evaluates every request over one
+// slice of the universe. It stays, with WithShardPlan, only so that
+// callers naming it still compile until they are edited; ROADMAP 4(a)
+// deletes both.
+//
+// Deprecated: a no-op; drop it.
+func WithShards(int) QueryOption { return func(*Request) {} }
 
 // ShardPlanPolicy named the shard-boundary policies of a removed
-// option: shards are cut by the subsystems' grade sketches (see
-// WithShards), so there is nothing to choose. It stays, with its two
-// constants and WithShardPlan, only so that callers naming them still
-// compile until they are edited.
+// option: the engine does not shard, so there is nothing to choose. It
+// stays, with its two constants and WithShardPlan, only so that callers
+// naming them still compile until they are edited.
 //
 // Deprecated: it has no effect; drop it.
 type ShardPlanPolicy int
@@ -849,8 +758,7 @@ const (
 	ShardPlanWeighted
 )
 
-// WithShardPlan sets nothing: shards are cut by the subsystems' grade
-// sketches whatever it is given.
+// WithShardPlan sets nothing: the engine does not shard.
 //
 // Deprecated: a no-op kept so that callers naming it still compile;
 // drop it.
@@ -863,10 +771,6 @@ func WithShardPlan(ShardPlanPolicy) QueryOption { return func(*Request) {} }
 // overlap across subsystems and objects. Tallies stay bit-identical to
 // serial evaluation; the report's Prefetch field carries the pipeline
 // stats.
-// Combined with WithShards(p) every shard pipelines internally against
-// its re-ranked views, with the gather width and readahead cap
-// budgeted globally across the shard workers; the stats aggregate
-// across shards.
 func WithPrefetch(depth int) QueryOption { return middleware.WithPrefetch(depth) }
 
 // WithAccessBudget caps one request's weighted middleware cost; the

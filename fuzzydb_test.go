@@ -3,6 +3,7 @@ package fuzzydb_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -370,4 +371,40 @@ func TestBudgetThroughFacade(t *testing.T) {
 		t.Fatalf("err %v does not expose *fuzzydb.BudgetError", err)
 	}
 	_ = eng
+}
+
+func TestWithShardsIsANoOp(t *testing.T) {
+	// WithShards and WithShardPlan are deprecated shims: the engine
+	// evaluates every request over one slice of the universe, so a
+	// request naming them returns the very answers and tallies of the
+	// request without them.
+	db := fuzzydb.DatabaseGenerator{N: 4096, M: 2, Law: fuzzydb.UniformLaw{}, Seed: 12}.MustGenerate()
+	subs := make([]fuzzydb.Subsystem, db.M())
+	for i := range subs {
+		s := fuzzydb.NewStaticSubsystem(fmt.Sprintf("A%d", i+1), db.N())
+		s.Set("*", db.List(i))
+		subs[i] = s
+	}
+	eng, err := fuzzydb.NewEngine(subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = `A1 = "*" AND A2 = "*"`
+	want, err := eng.QueryString(context.Background(), q, fuzzydb.TopN(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range [][]fuzzydb.QueryOption{
+		{fuzzydb.WithShards(4)},
+		{fuzzydb.WithShards(2), fuzzydb.WithShardPlan(fuzzydb.ShardPlanWeighted), fuzzydb.WithParallelism(1)},
+	} {
+		got, err := eng.QueryString(context.Background(), q, append([]fuzzydb.QueryOption{fuzzydb.TopN(10)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Results, want.Results) || got.Cost != want.Cost || !reflect.DeepEqual(got.PerList, want.PerList) {
+			t.Errorf("with %d shard options: %v at %v %v; without: %v at %v %v",
+				len(opts), got.Results, got.Cost, got.PerList, want.Results, want.Cost, want.PerList)
+		}
+	}
 }

@@ -15,7 +15,7 @@ import (
 // Key identifies a cacheable request: the normalized query (its
 // canonical AST string after rewrite), the answer count, the algorithm
 // and aggregation law that computed it, and the execution shape fields
-// that change what a report carries (shards, prefetch, parallelism).
+// that change what a report carries (prefetch, parallelism).
 // Two requests with equal keys are served the same report.
 type Key struct {
 	// Query is the canonical string of the normalized (rewritten) AST.
@@ -27,12 +27,10 @@ type Key struct {
 	// Law names the aggregation semantics (conjunction/disjunction
 	// rules) the query compiled under.
 	Law string
-	// Shards, Parallelism, and Prefetch pin the execution shape: reports
-	// carry shape-dependent sections (per-shard tallies, pipeline
-	// stats), so a hit must come from the same shape. Prefetch is -1
-	// when the request did not ask for the pipelined executor, else the
-	// requested depth.
-	Shards      int
+	// Parallelism and Prefetch pin the execution shape: reports carry a
+	// shape-dependent section (pipeline stats), so a hit must come from
+	// the same shape. Prefetch is -1 when the request did not ask for the
+	// pipelined executor, else the requested depth.
 	Parallelism int
 	Prefetch    int
 }

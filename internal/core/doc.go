@@ -41,9 +41,11 @@
 // Package core also provides threshold (filter-condition) evaluation in
 // the style of Chaudhuri–Gravano, and a Paginator implementing the "find
 // the next k best answers by continuing where we left off" feature noted
-// after Theorem 4.2. Partitioned evaluation has one driver: a one-shot
-// top k (EvaluateSharded) is the paginator's first page plus fencing,
-// over the same planned slices, and Run is its one whole-universe slice.
+// after Theorem 4.2. Evaluation has one driver: Run, Evaluate and the
+// paginator evaluate its one whole-universe slice. EvaluateSharded, the
+// even-cut sharded top k with threshold fencing, runs one serial slice
+// per range on the same driver; only the benchmark ladder and E17's
+// tallies still call it, and ROADMAP 4(a) moves it into internal/sim.
 //
 // # Requests and executors
 //
@@ -61,7 +63,7 @@
 // the equivalence tests pin that bit for bit. Cancellation is honored
 // between accesses (serial) or by abandoning in-flight workers
 // (pipelined). Budgets are enforced by reservation from one ledger, a
-// pool shared by an evaluation's slices (a pool of one unsharded),
+// pool of the evaluation's own (shared by EvaluateSharded's slices),
 // before each step, so a budgeted evaluation stops with
 // ErrBudgetExceeded and a partial cost that never overshoots the limit.
 //

@@ -85,10 +85,10 @@ type ExecContext struct {
 	abandoned bool
 	fallible  bool // any list exposes the fallible face; gates Err checks
 
-	// stop is the optional threshold stop-check a sharded evaluation
-	// installs: polled once per Stage (i.e. once per sorted round) with
-	// the algorithm's cursors; returning true fences every list, so the
-	// sorted loops run dry and the algorithm falls through to its
+	// stop is the optional threshold stop-check EvaluateSharded's
+	// shards install: polled once per Stage (i.e. once per sorted round)
+	// with the algorithm's cursors; returning true fences every list, so
+	// the sorted loops run dry and the algorithm falls through to its
 	// completion phase over the objects seen so far.
 	stop func([]*subsys.Cursor) bool
 

@@ -168,42 +168,33 @@ func TestPermanentFaultBeyondDemandIsInvisible(t *testing.T) {
 
 func TestShardedPermanentFaultSurfacesAndSettles(t *testing.T) {
 	// A permanent failure inside a sharded evaluation must surface as
-	// the same typed error whether the shards run serial or pipelined
-	// inside, settle the budget pool, and release cleanly (the -race
-	// run and goroutine exit at test end pin the absence of leaks).
+	// the typed error, settle the budget pool, and release cleanly (the
+	// -race run and goroutine exit at test end pin the absence of leaks).
 	db := scoredb.Generator{N: 120, M: 3, Law: scoredb.Uniform{}, Seed: 3}.MustGenerate()
 	const victim, rank = 1, 1
 	srcs := func() []subsys.Source { return failSourcesOf(db, victim, rank, -1) }
 
-	serialCfg := ShardConfig{Shards: 4, Parallel: 1}
-	pipedCfg := ShardConfig{Shards: 4, Parallel: 1, Prefetch: true, PrefetchCap: 2, PrefetchWidth: 2}
-	_, errS := EvaluateSharded(context.Background(), A0{}, srcs(), agg.Min, 30, serialCfg)
-	_, errP := EvaluateSharded(context.Background(), A0{}, srcs(), agg.Min, 30, pipedCfg)
-	var seS, seP *subsys.SourceError
-	if !errors.As(errS, &seS) || !errors.As(errP, &seP) {
-		t.Fatalf("sharded errors: serial-inside %v, piped-inside %v; want *subsys.SourceError from both", errS, errP)
-	}
-	if seS.List != victim || seP.List != victim {
-		t.Errorf("failed list: serial-inside %d, piped-inside %d, want %d", seS.List, seP.List, victim)
-	}
-	if *seS != *seP {
-		t.Errorf("sharded SourceError diverged: serial-inside %+v, piped-inside %+v", seS, seP)
-	}
-
-	// With a budget on top, the reservation pool must still settle: the
-	// run terminates with one of the two typed errors and never
-	// overshoots the limit.
-	for _, budget := range []float64{5, 40} {
-		cfg := pipedCfg
-		cfg.Budget = budget
-		rep, err := EvaluateSharded(context.Background(), A0{}, srcs(), agg.Min, 30, cfg)
+	for _, par := range []int{1, 3} {
+		cfg := ShardConfig{Shards: 4, Parallel: par}
+		_, err := EvaluateSharded(context.Background(), A0{}, srcs(), agg.Min, 30, cfg)
 		var se *subsys.SourceError
-		var be *BudgetError
-		if !errors.As(err, &se) && !errors.As(err, &be) {
-			t.Fatalf("budget %v: err = %v, want SourceError or BudgetError", budget, err)
+		if !errors.As(err, &se) || se.List != victim {
+			t.Fatalf("Parallel=%d: err = %v, want a *subsys.SourceError on list %d", par, err, victim)
 		}
-		if rep != nil && float64(rep.Cost.Sum()) > budget {
-			t.Errorf("budget %v: pool overshoot: spent %v", budget, rep.Cost.Sum())
+
+		// With a budget on top, the reservation pool must still settle:
+		// the run terminates with one of the two typed errors and never
+		// overshoots the limit.
+		for _, budget := range []float64{5, 40} {
+			cfg.Budget = budget
+			rep, err := EvaluateSharded(context.Background(), A0{}, srcs(), agg.Min, 30, cfg)
+			var be *BudgetError
+			if !errors.As(err, &se) && !errors.As(err, &be) {
+				t.Fatalf("Parallel=%d, budget %v: err = %v, want SourceError or BudgetError", par, budget, err)
+			}
+			if rep != nil && float64(rep.Cost.Sum()) > budget {
+				t.Errorf("Parallel=%d, budget %v: pool overshoot: spent %v", par, budget, rep.Cost.Sum())
+			}
 		}
 	}
 }
@@ -247,7 +238,7 @@ func TestResilientTransientFaultsInvisibleAcrossExecutors(t *testing.T) {
 		requireIdentical(t, execName(x), got, want, c, wantCost)
 	}
 
-	cfg := ShardConfig{Shards: 3, Parallel: 1, Prefetch: true, PrefetchCap: 2}
+	cfg := ShardConfig{Shards: 3, Parallel: 1}
 	clean, err := EvaluateSharded(context.Background(), TA{}, sourcesOf(db), agg.Min, 25, cfg)
 	if err != nil {
 		t.Fatalf("fault-free sharded: %v", err)
@@ -267,9 +258,9 @@ func TestResilientTransientFaultsInvisibleAcrossExecutors(t *testing.T) {
 }
 
 func TestFaultRacingShardFence(t *testing.T) {
-	// Parallel sharded evaluation with prefetch pipelines: the
-	// threshold-aware merge fences shard lists while fault-retry cycles
-	// are in flight on the pipeline workers. Transient faults are
+	// Parallel sharded evaluation: the threshold-aware merge fences
+	// shard lists while fault-retry cycles are in flight on the other
+	// shard workers. Transient faults are
 	// absorbed, so every iteration must satisfy the shard-equivalence
 	// contract against the fault-free unsharded reference. Run with
 	// -race; iterations vary goroutine interleaving.
@@ -282,7 +273,7 @@ func TestFaultRacingShardFence(t *testing.T) {
 	for it := 0; it < 10; it++ {
 		faulty := resilientFaultySources(db, 0xbeef+uint64(it), 0.15, 1, subsys.Policy{MaxRetries: 2})
 		rep, err := EvaluateSharded(context.Background(), TA{}, faulty(), agg.Min, 12,
-			ShardConfig{Shards: 4, Parallel: 3, Prefetch: true, PrefetchCap: 2, PrefetchWidth: 2})
+			ShardConfig{Shards: 4, Parallel: 3})
 		if err != nil {
 			t.Fatalf("iteration %d: %v", it, err)
 		}
@@ -416,7 +407,6 @@ func TestShortSpanIsSourceError(t *testing.T) {
 		}},
 		{"2 shards", sharded(ShardConfig{Shards: 2, Parallel: 1})},
 		{"2 shards, 2 workers", sharded(ShardConfig{Shards: 2, Parallel: 2})},
-		{"2 shards, prefetch", sharded(ShardConfig{Shards: 2, Parallel: 2, Prefetch: true})},
 	} {
 		res, err := run.eval()
 		var se *subsys.SourceError

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fuzzydb/internal/agg"
+	"fuzzydb/internal/gradedset"
 	"fuzzydb/internal/scoredb"
 	"fuzzydb/internal/subsys"
 )
@@ -198,4 +200,115 @@ func TestPipelinedHidesLatency(t *testing.T) {
 	if pipeWall*2 > serialWall {
 		t.Errorf("pipelined executor did not hide latency: %v vs serial %v", pipeWall, serialWall)
 	}
+}
+
+// callGauge meters the physical calls into a set of sources: how many
+// have started and how many are in flight right now.
+type callGauge struct{ calls, inflight atomic.Int64 }
+
+// gaugedSource passes every physical call on src through a callGauge.
+type gaugedSource struct {
+	src subsys.Source
+	g   *callGauge
+}
+
+func (s gaugedSource) enter() func() {
+	s.g.calls.Add(1)
+	s.g.inflight.Add(1)
+	return func() { s.g.inflight.Add(-1) }
+}
+func (s gaugedSource) Len() int { return s.src.Len() }
+func (s gaugedSource) Entry(rank int) gradedset.Entry {
+	defer s.enter()()
+	return s.src.Entry(rank)
+}
+func (s gaugedSource) Entries(lo, hi int) []gradedset.Entry {
+	defer s.enter()()
+	return s.src.Entries(lo, hi)
+}
+func (s gaugedSource) Grade(obj int) float64 {
+	defer s.enter()()
+	return s.src.Grade(obj)
+}
+
+// gauged passes every source's physical calls through g.
+func gauged(srcs []subsys.Source, g *callGauge) []subsys.Source {
+	out := make([]subsys.Source, len(srcs))
+	for i, src := range srcs {
+		out[i] = gaugedSource{src: src, g: g}
+	}
+	return out
+}
+
+// quiet reports whether no call is in flight and none has started since
+// the count `since` was read.
+func (g *callGauge) quiet(since int64) bool {
+	return g.inflight.Load() == 0 && g.calls.Load() == since
+}
+
+// settle waits for the sources to go quiet — nothing in flight and the
+// call count unchanged across two consecutive polls — and returns that
+// count. A condition, not a guess at how long in-flight batches take to
+// land on a loaded box; it gives up only after seconds.
+func (g *callGauge) settle(t *testing.T) int64 {
+	t.Helper()
+	last, held := int64(-1), 0
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if n := g.calls.Load(); g.quiet(last) {
+			if held++; held == 2 {
+				return n
+			}
+		} else {
+			last, held = n, 0
+		}
+	}
+	t.Fatalf("sources never went quiet: %d calls started, %d in flight", g.calls.Load(), g.inflight.Load())
+	return 0
+}
+
+// requireDrained asserts the pipelines over the gauged sources are
+// closed: once the in-flight batches have landed (settle), no further
+// call may start.
+func (g *callGauge) requireDrained(t *testing.T, after string) {
+	t.Helper()
+	before := g.settle(t)
+	for poll := 0; poll < 20; poll++ {
+		time.Sleep(time.Millisecond)
+		if !g.quiet(before) {
+			t.Errorf("pipelines still fetching after %s: %d -> %d calls, %d in flight",
+				after, before, g.calls.Load(), g.inflight.Load())
+			return
+		}
+	}
+}
+
+// TestPaginatorReleaseWithLivePipelines releases a pipelined paginator
+// mid-pagination, its pipelines still streaming from slow sources:
+// Release must stop them — the physical call counters settle — without
+// hanging on in-flight batches.
+func TestPaginatorReleaseWithLivePipelines(t *testing.T) {
+	db := scoredb.Generator{N: 4096, M: 2, Seed: 76}.MustGenerate()
+	var gauge callGauge
+	srcs := gauged(latencySourcesOf(db, 100*time.Microsecond), &gauge)
+	p, err := NewPaginator(context.Background(), A0{}, srcs, agg.Min, ShardConfig{Prefetch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.NextPage(5); err != nil {
+		t.Fatal(err)
+	}
+	if gauge.calls.Load() == 0 {
+		t.Fatal("no physical calls after a page; pipelines never engaged")
+	}
+	done := make(chan struct{})
+	go func() {
+		p.Release()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Release hung on live pipelines")
+	}
+	gauge.requireDrained(t, "Release")
 }

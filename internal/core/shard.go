@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -14,84 +15,67 @@ import (
 	"fuzzydb/internal/subsys"
 )
 
-// ShardConfig configures a sharded evaluation (see EvaluateSharded): the
-// dense universe {0,…,N−1} is split into Shards contiguous ranges, the
-// algorithm runs once per shard over re-ranked shard views of the
-// sources, and the per-shard top answers are merged into the global
-// top k under the package tie policy (descending grade, ascending id).
+// ShardConfig configures an evaluation run on the slice driver (Run,
+// NewPaginator, EvaluateSharded): its cost model, its executor and its
+// access budget, and for EvaluateSharded alone the shard count and the
+// shard worker cap.
 type ShardConfig struct {
-	// Shards is the number of universe partitions. Values ≤ 1 evaluate
-	// unsharded; values above N are clamped to N.
+	// Shards is the number of even universe partitions EvaluateSharded
+	// cuts (subsys.PlanShards). Values ≤ 1 evaluate unsharded; values
+	// above N are clamped to N. Run and NewPaginator ignore it: they
+	// evaluate one slice. Its one remaining caller is the benchmark
+	// ladder's core.sharded2_us rung; ROADMAP 4(a) deletes it with the
+	// rung.
 	Shards int
-	// Parallel caps the number of shard workers running at once: 0 means
-	// GOMAXPROCS, 1 runs the shards sequentially in index order — the
-	// deterministic mode, where the threshold merge stops later shards
-	// against the exact results of earlier ones and the per-shard cost
-	// tallies are reproducible bit for bit. Each worker evaluates its
-	// shard serially inside unless Prefetch is set. Unsharded there are no
-	// shard workers, and Parallel is ignored.
+	// Parallel caps the number of shard workers EvaluateSharded runs at
+	// once: 0 means GOMAXPROCS, 1 runs the shards sequentially in index
+	// order — the deterministic mode, where the threshold merge stops
+	// later shards against the exact results of earlier ones and the
+	// per-shard cost tallies are reproducible bit for bit. Every shard
+	// evaluates serially inside. Unsharded there are no shard workers,
+	// and Parallel is ignored. ROADMAP 4(a) deletes it with Shards.
 	Parallel int
 	// Budget bounds the weighted middleware cost of the whole evaluation
-	// across all shards, through one reservation pool: every shard
-	// reserves each step's worst-case price from it before issuing
-	// accesses, so the global spend never overshoots the limit (the
-	// *BudgetError semantics of WithAccessBudget, globally).
-	// Non-positive means unlimited.
+	// — across all shards, or across all pages of a paginator — through
+	// one reservation pool: every slice reserves each step's worst-case
+	// price from it before issuing accesses, so the global spend never
+	// overshoots the limit (the *BudgetError semantics of
+	// WithAccessBudget, globally). Non-positive means unlimited.
 	Budget float64
 	// Model prices sorted and random accesses for budget accounting
 	// (zero value means cost.Unweighted).
 	Model cost.Model
-	// Prefetch pipelines each shard's evaluation: instead of the serial
-	// executor, every shard runs under its own Pipelined executor whose
-	// background prefetch pipelines stream the shard's re-ranked views
-	// (batched Entries spans into the per-list spool, uncounted —
-	// pay-on-delivery holds under sharding, so the Section 5 tallies are
-	// unchanged) and whose random-access gather overlaps across lists
-	// and objects. The gather width and the per-list adaptive depth cap
-	// are budgeted globally: the totals (PrefetchWidth, PrefetchCap per
-	// list) are divided by the number of shard workers running at once,
-	// so P shards × m lists never multiply the goroutine or buffer count
-	// beyond the unsharded pipelined footprint. Shard fencing
-	// drains that shard's pipelines (Counted.Fence closes them) without
-	// touching the shared budget pool — prefetched-but-undelivered ranks
-	// were never reserved or paid.
+	// Prefetch runs the evaluation under the Pipelined executor:
+	// background prefetch pipelines stream the sorted lists (batched
+	// Entries spans into the per-list spool, uncounted — pay on
+	// delivery, so the Section 5 tallies are unchanged) and the
+	// random-access gather overlaps across lists and objects. It does not
+	// compose with Shards > 1: EvaluateSharded refuses the pair with
+	// ErrShardedPrefetch.
 	Prefetch bool
 	// PrefetchCap caps the per-list adaptive readahead depth (0 means
 	// subsys.DefaultPrefetchCap): the pipeline opens at the depth the
-	// shard's algorithm expects to reach — over the shard view's own
-	// length — or at 1 when it states none, doubles on stall and shrinks
-	// when the algorithm falls behind, never past the cap. Meaningful only
-	// where the pipelined executor runs.
+	// algorithm expects to reach, or at 1 when it states none, doubles on
+	// stall and shrinks when the algorithm falls behind, never past the
+	// cap. Meaningful only under Prefetch.
 	PrefetchCap int
-	// PrefetchWidth is the total random-access gather budget shared by
-	// the concurrently running shards (0 means the Pipelined default);
-	// each shard worker gets an equal slice, floored at 1.
+	// PrefetchWidth is the random-access gather width of the pipelined
+	// executor (0 means the Pipelined default). Meaningful only under
+	// Prefetch.
 	PrefetchWidth int
-	// Sketches are the per-list grade-distribution sketches the shard
-	// planner cuts by, in source order: the ranges equalize the predicted
-	// access work PlanShardsWeighted derives from them. Nil entries (and
-	// sketches over the wrong universe) are tolerated — a list without a
-	// sketch is assumed indifferent — and with no usable sketch at all the
-	// cut is subsys.PlanShards' even one, byte for byte.
-	Sketches []*subsys.Sketch
 }
+
+// ErrShardedPrefetch reports a ShardConfig asking EvaluateSharded for
+// Prefetch together with Shards > 1: shards evaluate serially inside,
+// and a pipelined evaluation runs unsharded.
+var ErrShardedPrefetch = errors.New("core: Prefetch does not compose with Shards > 1")
 
 // evalOptions is the one place a ShardConfig becomes the options of an
 // ExecContext, and so the one place an executor is chosen: the cost
-// model, and under Prefetch the pipelined executor at this evaluation's
-// share of the global resource budget. The total gather width is split
-// across the widthShare shards whose gathers can be in flight at once
-// (the worker cap), and the per-list readahead cap across the depthShare
-// shards whose pipelines hold buffers at once (the worker cap for
-// one-shot evaluation, where a finished shard releases its pipelines
-// before the next starts; the full shard count for the paginator, whose
-// pipelines stay alive across pages on every shard simultaneously).
-// Both floor at 1, so the whole sharded evaluation never holds more
-// probes in flight or more speculative ranks buffered than one unsharded
-// pipelined evaluation would. Without Prefetch every slice is serial.
-// Budget is not an option here: every slice reserves from the pool its
-// driver installs (see partition.open).
-func (cfg ShardConfig) evalOptions(widthShare, depthShare int) []EvalOption {
+// model, and under Prefetch the pipelined executor at the configured
+// width and readahead cap. Budget is not an option here: every slice
+// reserves from the pool its driver installs (see partition.open).
+func (cfg ShardConfig) evalOptions() []EvalOption {
 	opts := []EvalOption{WithCostModel(cfg.Model)}
 	if cfg.Prefetch {
 		width, depth := cfg.PrefetchWidth, cfg.PrefetchCap
@@ -101,59 +85,43 @@ func (cfg ShardConfig) evalOptions(widthShare, depthShare int) []EvalOption {
 		if depth <= 0 {
 			depth = subsys.DefaultPrefetchCap
 		}
-		opts = append(opts, WithExecutor(Pipelined{P: max(1, width/widthShare), MaxDepth: max(1, depth/depthShare)}))
+		opts = append(opts, WithExecutor(Pipelined{P: width, MaxDepth: depth}))
 	}
 	return opts
 }
 
-// ShardReport is the outcome of a sharded evaluation.
+// ShardReport is the outcome of an evaluation on the slice driver.
 type ShardReport struct {
 	// Results is the global top k in descending grade order (ties by
 	// ascending object id). Nil when the evaluation stopped early.
 	Results []Result
-	// Cost is the total Section 5 access cost summed over shards.
+	// Cost is the total Section 5 access cost, summed over shards.
 	Cost cost.Cost
 	// PerList breaks Cost down by source (atom), summed across shards.
 	PerList []cost.Cost
-	// PerShard breaks Cost down by shard.
+	// PerShard breaks Cost down by shard; nil unsharded. Read only by
+	// tests; ROADMAP 4(a) deletes it with EvaluateSharded.
 	PerShard []cost.Cost
 	// Shards is the number of shards actually planned (after clamping);
-	// 1 means the evaluation degenerated to the unsharded path.
+	// 1 means the evaluation ran unsharded. ROADMAP 4(a) deletes it with
+	// EvaluateSharded.
 	Shards int
-	// Prefetch aggregates the pipeline stats across every shard's lists
-	// when the evaluation ran with cfg.Prefetch and the pipelines
-	// engaged: MaxDepth is the deepest refill any shard used, Stalls and
-	// Batches sum over shards and lists. Nil otherwise.
+	// Prefetch carries the pipeline stats summed over the lists when the
+	// evaluation ran with cfg.Prefetch and the pipelines engaged:
+	// MaxDepth is the deepest refill any list used, Stalls and Batches
+	// sum over lists. Nil otherwise.
 	Prefetch *subsys.PipelineStats
-	// Details is the planning/measurement breakdown per planned shard:
-	// the range the planner drew, its predicted work and the
-	// model-weighted cost actually spent inside it. Nil on the degenerate
-	// unsharded path.
-	Details []ShardDetail
-}
-
-// ShardDetail is one planned shard's entry in ShardReport.Details.
-type ShardDetail struct {
-	// Range is the planned id range.
-	Range subsys.ShardRange
-	// Planned is the planner's predicted work for the range, in the
-	// work proxy's unitless scale; zero when no usable sketch cut the
-	// universe (the even ranges).
-	Planned float64
-	// Actual is the model-weighted access cost spent evaluating the
-	// range.
-	Actual float64
 }
 
 // EvaluateSharded finds the top k answers of F_t(srcs…) by partitioned
-// evaluation: it plans cfg.Shards contiguous ranges of the universe,
-// runs alg once per shard over re-ranked shard views (each under its
-// own ExecContext — serial inside by default, or a per-shard Pipelined
-// executor when cfg.Prefetch is set, with the gather width and readahead
-// cap budgeted globally across the shard workers — shards fanned out
-// on up to cfg.Parallel workers), and merges the per-shard answers into
-// the global top k. It is the first page of the Paginator's evaluation,
-// on the same slice driver, plus fencing.
+// evaluation: it cuts the universe into cfg.Shards contiguous ranges of
+// near-equal size (subsys.PlanShards), runs alg once per shard over
+// re-ranked shard views — each serially, under its own ExecContext, on
+// up to cfg.Parallel shard workers — and merges the per-shard answers
+// into the global top k. Its one remaining caller outside tests is the
+// benchmark ladder's core.sharded2_us rung: ROADMAP 4(a) deletes the
+// rung, then moves this function into internal/sim as E17's private
+// copy. The engine never shards.
 //
 // Equivalence contract (pinned by TestShardedVsUnsharded): the merged
 // answers carry the same grade sequence as the unsharded evaluation of
@@ -172,52 +140,54 @@ type ShardDetail struct {
 // fenced: its sorted streams run dry and the algorithm completes over
 // the objects already seen. Fencing never changes the merged answers
 // (every unseen object of a fenced shard is strictly below the final
-// k-th grade), it only saves accesses; on skewed data, shards that
-// cannot contribute stop after a handful of rounds, so the sharded
-// evaluation does less total access work than the unsharded one.
-// Fencing engages for the algorithms whose completion phase computes
-// exact grades for every seen object (A0, TA) under a monotone t; the
-// others simply run each shard to its own natural stop.
+// k-th grade), it only saves accesses. Fencing engages for the
+// algorithms whose completion phase computes exact grades for every
+// seen object (A0, TA) under a monotone t; the others simply run each
+// shard to its own natural stop.
 //
 // For cfg.Shards ≤ 1 the evaluation is one slice over the raw sources
 // (no shard view, so no re-ranking scan), on a budget pool of its own,
-// reported as one shard.
+// reported as one shard. cfg.Prefetch with cfg.Shards > 1 is refused
+// with ErrShardedPrefetch.
 //
 // On cancellation or budget exhaustion every shard worker stops
-// promptly (serial execution polls between accesses; a pipelined shard
-// abandons even a wedged in-flight batch and closes its pipelines; the
-// shared budget pool fails all further reservations once any shard
-// trips it, and each tripped shard's reservation failure also closes
-// that shard's prefetch pipelines), the workers are joined, and the
-// report carries the partial cost with nil results and the first error
-// in shard order.
+// promptly (serial execution polls between accesses; the shared budget
+// pool fails all further reservations once any shard trips it), the
+// workers are joined, and the report carries the partial cost with nil
+// results and the first error in shard order.
 func EvaluateSharded(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.Func, k int, cfg ShardConfig) (*ShardReport, error) {
-	d, err := newPartition(ctx, alg, srcs, t, cfg, false)
+	d, err := newPartition(ctx, alg, srcs, t, cfg)
 	if err == nil && (k < 1 || k > d.n) {
 		err = fmt.Errorf("%w: k=%d, N=%d", ErrBadK, k, d.n)
+	}
+	p := min(cfg.Shards, d.n)
+	if err == nil && p > 1 && cfg.Prefetch {
+		err = fmt.Errorf("%w: Shards=%d", ErrShardedPrefetch, cfg.Shards)
 	}
 	if err != nil {
 		return &ShardReport{Shards: 1}, err
 	}
-	if d.plan == nil {
+	if p <= 1 {
 		one := [1]slice{d.whole(k)}
 		return d.report(one[:], k)
 	}
-	return d.report(d.oneShot(k), k)
+	workers := cfg.Parallel
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return d.report(d.sharded(subsys.PlanShards(d.n, p), workers, k), k)
 }
 
 // Run evaluates body once over the raw sources under cfg — the cost
-// model, the executor (pipelined with the whole width and readahead cap
-// under Prefetch, serial otherwise), and Budget as the evaluation's own
-// pool — and reports it as one shard: the driver's
-// whole-universe slice, for a body that is not a top k (a threshold
-// filter, or the random accesses that repair a cached answer).
-// cfg.Shards is ignored. On cancellation, budget exhaustion or
-// a source failure the report carries the partial cost and nil results,
-// with the error.
+// model, the executor (pipelined under Prefetch, serial otherwise), and
+// Budget as the evaluation's own pool — and reports it as one shard: the
+// driver's whole-universe slice, for the engine's top k as for a body
+// that is not one (a threshold filter, or the random accesses that
+// repair a cached answer). cfg.Shards is ignored. On cancellation,
+// budget exhaustion or a source failure the report carries the partial
+// cost and nil results, with the error.
 func Run(ctx context.Context, srcs []subsys.Source, cfg ShardConfig, body func(*ExecContext, []*subsys.Counted) ([]Result, error)) (*ShardReport, error) {
-	cfg.Shards = 0
-	d, err := newPartition(ctx, runBody(body), srcs, nil, cfg, false)
+	d, err := newPartition(ctx, runBody(body), srcs, nil, cfg)
 	if err != nil {
 		return &ShardReport{Shards: 1}, err
 	}
@@ -235,39 +205,31 @@ func (b runBody) TopK(ec *ExecContext, lists []*subsys.Counted, _ agg.Func, _ in
 	return b(ec, lists)
 }
 
-// partition is the slice driver, the one implementation of partitioned
-// evaluation: EvaluateSharded runs it once at k, the Paginator once per
-// page at a widening r, and Run and Evaluate are its one whole-universe
-// slice. newPartition validates, clamps P and plans; open builds a slice
-// — the raw sources when P ≤ 1, re-ranked shard views otherwise — on the
-// evaluation's budget pool; run evaluates it, applies the failed-list final
-// net and settles the pool; merge combines the per-slice answers. Its
-// callers differ in two things only: a one-shot evaluation fences
-// against a threshold scoreboard and opens and closes each slice inside
-// its worker (oneShot); a paginator never fences — a shard hopeless for
-// page one may own page three — and keeps every slice open across pages.
+// partition is the slice driver, the one implementation of sliced
+// evaluation: Run, Evaluate and the Paginator evaluate its one
+// whole-universe slice (the Paginator once per page at a widening r),
+// EvaluateSharded one slice per even range. newPartition validates; open
+// builds a slice — the raw sources for the whole universe, re-ranked
+// shard views for a range — on the evaluation's budget pool; run
+// evaluates it, applies the failed-list final net and settles the pool;
+// merge combines the per-slice answers.
 type partition struct {
-	ctx     context.Context
-	alg     Algorithm
-	t       agg.Func
-	srcs    []subsys.Source
-	n       int
-	plan    []subsys.ShardRange // nil: one slice, the whole universe
-	planned []float64           // predicted work per range; nil for the even cut
-	opts    []EvalOption
-	pool    *budgetPool // shared by the slices; nil unbudgeted
-	workers int
+	ctx  context.Context
+	alg  Algorithm
+	t    agg.Func
+	srcs []subsys.Source
+	n    int
+	opts []EvalOption
+	pool *budgetPool // shared by the slices; nil unbudgeted
 }
 
-// newPartition validates the sources (a shard sees only its own views),
-// clamps cfg.Shards to the universe and plans the ranges. kept says the
-// slices stay open across pages, each holding its pipeline buffers, so
-// the readahead cap splits by the shard count, not the workers.
-func newPartition(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.Func, cfg ShardConfig, kept bool) (partition, error) {
+// newPartition validates the sources (a shard sees only its own views)
+// and lowers cfg onto the slices' options and budget pool.
+func newPartition(ctx context.Context, alg Algorithm, srcs []subsys.Source, t agg.Func, cfg ShardConfig) (partition, error) {
 	if len(srcs) == 0 {
 		return partition{}, ErrNoLists
 	}
-	d := partition{ctx: ctx, alg: alg, t: t, srcs: srcs, n: srcs[0].Len(), workers: 1}
+	d := partition{ctx: ctx, alg: alg, t: t, srcs: srcs, n: srcs[0].Len(), opts: cfg.evalOptions()}
 	for i, s := range srcs {
 		if s.Len() != d.n {
 			return partition{}, fmt.Errorf("%w: list %d has %d objects, want %d", ErrArity, i, s.Len(), d.n)
@@ -276,21 +238,6 @@ func newPartition(ctx context.Context, alg Algorithm, srcs []subsys.Source, t ag
 	if cfg.Budget > 0 {
 		d.pool = &budgetPool{limit: cfg.Budget}
 	}
-	p := min(cfg.Shards, d.n)
-	if p <= 1 {
-		d.opts = cfg.evalOptions(1, 1)
-		return d, nil
-	}
-	d.plan, d.planned = PlanShardsWeighted(d.n, p, cfg.Sketches, t)
-	if d.workers = cfg.Parallel; d.workers <= 0 {
-		d.workers = runtime.GOMAXPROCS(0)
-	}
-	d.workers = min(d.workers, p)
-	depthShare := d.workers
-	if kept {
-		depthShare = p
-	}
-	d.opts = cfg.evalOptions(d.workers, depthShare)
 	return d, nil
 }
 
@@ -310,15 +257,15 @@ type slice struct {
 	piped  bool                 // pipelines engaged; pstats is meaningful
 }
 
-// open builds slice i: counted lists over the raw sources (unsharded) or
-// over re-ranked views of the planned range, and their ExecContext,
-// drawing on the driver's budget pool.
-func (d *partition) open(i int) slice {
-	var s slice
+// open builds the slice over range r: counted lists over the raw
+// sources for the zero range (the whole universe) or over re-ranked
+// views of r, and their ExecContext, drawing on the driver's budget
+// pool.
+func (d *partition) open(r subsys.ShardRange) slice {
+	s := slice{r: r}
 	srcs := d.srcs
-	if d.plan != nil {
-		s.r = d.plan[i]
-		srcs = subsys.ShardSources(srcs, s.r)
+	if r.Len() > 0 {
+		srcs = subsys.ShardSources(srcs, r)
 	}
 	s.lists = subsys.CountAll(srcs)
 	s.ec = NewExecContext(d.ctx, s.lists, d.opts...)
@@ -336,7 +283,7 @@ func (d *partition) open(i int) slice {
 // settled either way — the failure was orderly, with no accesses in
 // flight. Answers come back in global ids.
 func (d *partition) run(s *slice, k int) {
-	if d.plan != nil {
+	if s.r.Len() > 0 {
 		k = min(k, s.r.Len())
 	}
 	s.res, s.err = d.alg.TopK(s.ec, s.lists, d.t, k)
@@ -381,27 +328,27 @@ func (s *slice) close() {
 // whole runs the one slice that is the whole universe at k, and closes
 // it.
 func (d *partition) whole(k int) slice {
-	s := d.open(0)
+	s := d.open(subsys.ShardRange{})
 	d.run(&s, k)
 	s.close()
 	return s
 }
 
-// oneShot runs every shard at k on the indexed fan-out, each opened and
-// closed inside its worker, fencing against the threshold scoreboard
-// where the algorithm tolerates it. With one worker the shards run
-// inline, in order: the scoreboard a shard stops against is then a
-// deterministic function of the data, and so are the per-shard tallies.
-// Its receiver is a copy, so that only a sharded evaluation puts the
-// driver on the heap.
-func (d partition) oneShot(k int) []slice {
+// sharded runs one serial slice per planned range at k, each opened and
+// closed inside its worker, on up to the given number of workers,
+// fencing against the threshold scoreboard where the algorithm tolerates
+// it. With one worker the shards run inline, in order: the scoreboard a
+// shard stops against is then a deterministic function of the data, and
+// so are the per-shard tallies. Its receiver is a copy, so that only a
+// sharded evaluation puts the driver on the heap.
+func (d partition) sharded(plan []subsys.ShardRange, workers, k int) []slice {
 	var board *shardBoard
 	if d.t.Monotone() && fenceSafe(d.alg) {
 		board = &shardBoard{top: boundedTopK{k: k}}
 	}
-	slices := make([]slice, len(d.plan))
-	runIndexed(d.workers, len(slices), func(i int) {
-		s := d.open(i)
+	slices := make([]slice, len(plan))
+	runIndexed(workers, len(slices), func(i int) {
+		s := d.open(plan[i])
 		if board != nil {
 			s.ec.stop = board.stopFunc(d.t, len(d.srcs))
 		}
@@ -415,27 +362,46 @@ func (d partition) oneShot(k int) []slice {
 	return slices
 }
 
+// runIndexed runs f(0..n-1) on up to the given number of workers, the
+// calling goroutine among them, and joins them all: EvaluateSharded's
+// shard fan-out. Workers claim indices in order, so one worker (or one
+// shard) is the caller alone, in index order — the deterministic-cost
+// mode. Cancellation is honored inside f (every shard polls its own
+// context), not here.
+func runIndexed(workers, n int, f func(int)) {
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			f(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
 // report sums the closed slices' tallies into a ShardReport and, when
 // every slice succeeded, merges their answers at k; otherwise it carries
 // the first error in slice order and nil results.
 func (d *partition) report(slices []slice, k int) (*ShardReport, error) {
-	rep := &ShardReport{PerShard: make([]cost.Cost, len(slices)), Shards: len(slices)}
-	if d.plan == nil {
-		rep.PerList = slices[0].per
-	} else {
+	rep := &ShardReport{Shards: len(slices), PerList: slices[0].per}
+	if len(slices) > 1 {
+		rep.PerShard = make([]cost.Cost, len(slices))
 		rep.PerList = make([]cost.Cost, len(d.srcs))
-		rep.Details = make([]ShardDetail, len(slices))
 	}
 	var err error
 	for i := range slices {
 		s := &slices[i]
-		rep.PerShard[i] = s.total
 		rep.Cost = rep.Cost.Add(s.total)
-		if rep.Details != nil {
-			rep.Details[i] = ShardDetail{Range: s.r, Actual: s.ec.model.Of(s.total)}
-			if d.planned != nil {
-				rep.Details[i].Planned = d.planned[i]
-			}
+		if len(slices) > 1 {
+			rep.PerShard[i] = s.total
 			for j, c := range s.per {
 				rep.PerList[j] = rep.PerList[j].Add(c)
 			}

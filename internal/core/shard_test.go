@@ -11,6 +11,7 @@ import (
 	"fuzzydb/internal/cost"
 	"fuzzydb/internal/gradedset"
 	"fuzzydb/internal/scoredb"
+	"fuzzydb/internal/subsys"
 )
 
 // TestShardedP1ByteForByte: Shards ≤ 1 must degenerate to the plain
@@ -380,5 +381,44 @@ func TestShardedBadArgs(t *testing.T) {
 	if _, err := EvaluateSharded(context.Background(), A0{}, nil, agg.Min, 1,
 		ShardConfig{Shards: 4}); !errors.Is(err, ErrNoLists) {
 		t.Errorf("no lists: err = %v, want ErrNoLists", err)
+	}
+	// Shards evaluate serially inside: a pipelined sharded evaluation is
+	// refused by name, never run serially in silence. Unsharded, Prefetch
+	// is the pipelined executor.
+	if rep, err := EvaluateSharded(context.Background(), A0{}, sourcesOf(db), agg.Min, 5,
+		ShardConfig{Shards: 4, Prefetch: true}); !errors.Is(err, ErrShardedPrefetch) || rep.Cost.Sum() != 0 {
+		t.Errorf("Shards=4 with Prefetch: err = %v, cost %v; want ErrShardedPrefetch before any access", err, rep.Cost)
+	}
+	if rep, err := EvaluateSharded(context.Background(), A0{}, sourcesOf(db), agg.Min, 5,
+		ShardConfig{Shards: 1, Prefetch: true}); err != nil || rep.Prefetch == nil {
+		t.Errorf("Shards=1 with Prefetch: err = %v, Prefetch stats %v; want a pipelined evaluation", err, rep.Prefetch)
+	}
+}
+
+// TestShardedTwoEvenShards pins what the benchmark ladder's sharded rung
+// times: ShardConfig{Shards: 2} is a real two-shard evaluation over the
+// two even ranges, each shard's tally exactly that of the algorithm run
+// alone over its range's re-ranked views (A0Prime is never fenced).
+func TestShardedTwoEvenShards(t *testing.T) {
+	db := scoredb.Generator{N: 1001, M: 3, Seed: 67}.MustGenerate()
+	sr, err := EvaluateSharded(context.Background(), A0Prime{}, sourcesOf(db), agg.Min, 10, ShardConfig{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Shards != 2 || len(sr.PerShard) != 2 {
+		t.Fatalf("reported %d shards, %d per-shard tallies; want 2", sr.Shards, len(sr.PerShard))
+	}
+	ranges := subsys.PlanShards(1001, 2)
+	if ranges[0] != (subsys.ShardRange{Lo: 0, Hi: 501}) || ranges[1] != (subsys.ShardRange{Lo: 501, Hi: 1001}) {
+		t.Fatalf("even ranges %v", ranges)
+	}
+	for i, r := range ranges {
+		_, c, err := Evaluate(context.Background(), A0Prime{}, subsys.ShardSources(sourcesOf(db), r), agg.Min, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sr.PerShard[i] != c {
+			t.Errorf("shard %d over %v: tally %v, the range alone %v", i, r, sr.PerShard[i], c)
+		}
 	}
 }

@@ -114,10 +114,6 @@ func (m *Middleware) cacheKey(plan *Plan, req Request) (cache.Key, bool) {
 	if req.Prefetch != nil {
 		prefetch = max(*req.Prefetch, 0) // as lower reads it
 	}
-	shards := req.Shards
-	if shards <= 1 {
-		shards = 0
-	}
 	par := req.Parallelism
 	if par <= 1 {
 		par = 0
@@ -127,7 +123,6 @@ func (m *Middleware) cacheKey(plan *Plan, req Request) (cache.Key, bool) {
 		K:           m.clampK(req.K),
 		Algorithm:   algID(plan.Algorithm),
 		Law:         m.sem.And.Name() + "/" + m.sem.Or.Name(),
-		Shards:      shards,
 		Parallelism: par,
 		Prefetch:    prefetch,
 	}, true
@@ -278,12 +273,6 @@ func cloneReport(r *Report) *Report {
 	}
 	if r.PerList != nil {
 		cp.PerList = append([]cost.Cost(nil), r.PerList...)
-	}
-	if r.PerShard != nil {
-		cp.PerShard = append([]cost.Cost(nil), r.PerShard...)
-	}
-	if r.ShardDetails != nil {
-		cp.ShardDetails = append([]core.ShardDetail(nil), r.ShardDetails...)
 	}
 	if r.Prefetch != nil {
 		p := *r.Prefetch

@@ -42,8 +42,8 @@ func genMutableStore(t testing.TB, n, m int, seed uint64, capacity int) (*Middle
 }
 
 // sameReport compares every section a hit promises to reproduce
-// bit-identically: results, Section 5 tallies and their per-list,
-// per-shard, and pipeline breakdowns.
+// bit-identically: results, Section 5 tallies and their per-list
+// breakdown.
 func sameReport(t *testing.T, label string, got, want *Report) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Results, want.Results) {
@@ -54,12 +54,6 @@ func sameReport(t *testing.T, label string, got, want *Report) {
 	}
 	if !reflect.DeepEqual(got.PerList, want.PerList) {
 		t.Fatalf("%s: per-list tallies differ", label)
-	}
-	if !reflect.DeepEqual(got.PerShard, want.PerShard) {
-		t.Fatalf("%s: per-shard tallies differ", label)
-	}
-	if got.Shards != want.Shards {
-		t.Fatalf("%s: shards = %d, want %d", label, got.Shards, want.Shards)
 	}
 }
 
@@ -81,7 +75,7 @@ func sameResults(t *testing.T, label string, got, want *Report) {
 }
 
 // TestCacheHitBitIdentity pins the equivalence contract across every
-// executor and sharding shape: the second identical request is a hit
+// executor shape: the second identical request is a hit
 // and its report is bit-identical to both the first computation and a
 // fresh evaluation by an uncached engine.
 func TestCacheHitBitIdentity(t *testing.T) {
@@ -92,8 +86,6 @@ func TestCacheHitBitIdentity(t *testing.T) {
 		{"serial", nil},
 		{"concurrent", []QueryOption{WithParallelism(4)}},
 		{"pipelined", []QueryOption{WithPrefetch(8)}},
-		{"sharded", []QueryOption{WithShards(4)}},
-		{"sharded-pipelined", []QueryOption{WithShards(4), WithPrefetch(8)}},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
@@ -775,17 +767,16 @@ func TestCacheRepairFaultFallsBack(t *testing.T) {
 	}
 }
 
-// TestCacheRepairUnderShapes: a repair runs the same under a sharded or
-// pipelined request shape, and its report has no shard or pipeline
-// sections — the probe reads no sorted list and ran over no shard.
+// TestCacheRepairUnderShapes: a repair runs the same under a pipelined
+// request shape, and its report has no pipeline section — the probe
+// reads no sorted list.
 func TestCacheRepairUnderShapes(t *testing.T) {
 	for _, sh := range []struct {
 		name string
 		opts []QueryOption
 	}{
-		{"sharded", []QueryOption{WithShards(4)}},
 		{"pipelined", []QueryOption{WithPrefetch(8)}},
-		{"sharded-pipelined", []QueryOption{WithShards(4), WithPrefetch(8)}},
+		{"concurrent", []QueryOption{WithParallelism(4)}},
 	} {
 		t.Run(sh.name, func(t *testing.T) {
 			eng, oracle, hs := hookedStore(t, 900, 3, 83)
@@ -799,14 +790,14 @@ func TestCacheRepairUnderShapes(t *testing.T) {
 			if !rep.Cache.Repaired || rep.Cost != (cost.Cost{Random: 2}) {
 				t.Fatalf("Cache = %+v, cost %+v; want a repair at Cost{0, 2}", rep.Cache, rep.Cost)
 			}
-			if rep.PerShard != nil || rep.ShardDetails != nil || rep.Shards != 0 || rep.Prefetch != nil {
-				t.Fatalf("repaired report carries shard or pipeline sections: %+v", rep)
+			if rep.Prefetch != nil {
+				t.Fatalf("repaired report carries a pipeline section: %+v", rep)
 			}
 			hit := askBoth(t, "after the repair", eng, oracle, q, opts...)
 			if !hit.Cache.Hit {
 				t.Fatalf("Cache = %+v, want a hit", hit.Cache)
 			}
-			sameReport(t, "hit vs the original computation's tallies", &Report{Results: hit.Results, Cost: first.Cost, PerList: first.PerList, PerShard: first.PerShard, Shards: first.Shards}, hit)
+			sameReport(t, "hit vs the original computation's tallies", &Report{Results: hit.Results, Cost: first.Cost, PerList: first.PerList}, hit)
 		})
 	}
 }

@@ -62,7 +62,6 @@ func FuzzCacheEquivalence(f *testing.F) {
 		shapes := [][]QueryOption{
 			nil,
 			{WithParallelism(3)},
-			{WithShards(3)},
 			{WithPrefetch(4)},
 		}
 		ctx := context.Background()

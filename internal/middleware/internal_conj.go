@@ -54,7 +54,6 @@ func (m *Middleware) TopKInternal(ctx context.Context, atoms []query.Atomic, k i
 		return nil, err
 	}
 	req := newRequest("", opts)
-	req.Shards = 0 // one pushed-down list: nothing to shard
 	plan := &Plan{
 		Algorithm: core.B0{}, // single list: the prefix is the answer
 		Atoms:     atoms,
@@ -63,6 +62,6 @@ func (m *Middleware) TopKInternal(ctx context.Context, atoms []query.Atomic, k i
 	}
 	// k is passed through unclamped: like the other explicit-k entry
 	// points, out-of-range values surface core.ErrBadK.
-	sr, err := core.EvaluateSharded(ctx, plan.Algorithm, []subsys.Source{src}, plan.Agg, k, req.lower())
-	return newReport(plan, req, sr, err)
+	sr, err := core.Run(ctx, []subsys.Source{src}, req.lower(), topK(plan.Algorithm, plan.Agg, k))
+	return newReport(plan, sr, err)
 }

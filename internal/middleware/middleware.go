@@ -11,19 +11,11 @@
 //	rep, err := mw.Query(ctx, q, TopN(10), WithParallelism(4),
 //		WithAccessBudget(5000))
 //
-// WithShards(P) additionally partitions the object universe into P
-// contiguous slices evaluated independently (the threshold-aware merge
-// of core.EvaluateSharded combines the per-shard answers); the report
-// then carries a per-shard cost breakdown alongside the per-atom one.
 // WithPrefetch(d) evaluates through the pipelined latency-hiding
 // executor — background per-subsystem prefetchers with adaptive batched
 // readahead, random accesses overlapped across subsystems and objects —
 // for requests whose subsystems are genuinely remote; the report then
-// carries the pipeline stats. The two compose: WithShards(P) plus
-// WithPrefetch(d) pipelines inside every shard (prefetchers stream the
-// shard's re-ranked views; the gather width and readahead cap are
-// budgeted globally across the shard workers), which is the mode for
-// sharded queries against slow multi-backend subsystems.
+// carries the pipeline stats.
 //
 // Results is the streaming form: it yields answers one at a time in
 // descending grade order (an iter.Seq2), widening the underlying top-r
@@ -35,26 +27,22 @@
 // # One path
 //
 // Every entry point lowers its request once and evaluates through one of
-// three core calls. Request.lower turns the request into a
-// core.ShardConfig (the only place parallelism, prefetch and the
-// scheduler's width grant are given a meaning for execution); bind adds
-// the plan's materialized sources and, for the weighted shard plan,
-// their sketches. Query and TopKInternal then run
-// core.EvaluateSharded, Results and Stream core.NewPaginator, and Filter —
-// whose body is not a top k — core.Run, as does a result-cache repair
-// (cache.go), whose body reads a few grades. All three run on core's one
-// slice driver: it validates the sources, plans the shards (honoring the
-// shard plan for pagination too), opens each slice, runs the algorithm,
-// applies the final net for failed sources, tallies, and merges the
-// per-slice answers. A one-shot top k is the first page of a paginator's
-// evaluation plus fencing.
+// two core calls over one slice of the universe. Request.lower turns the
+// request into a core.ShardConfig (the only place parallelism, prefetch
+// and the scheduler's width grant are given a meaning for execution).
+// Query, TopKInternal and Filter then run core.Run — with the plan's
+// algorithm at k as the body, or the threshold filter — as does a
+// result-cache repair (cache.go), whose body reads a few grades; Results
+// and Stream run core.NewPaginator. Both run on core's one slice driver:
+// it validates the sources, opens the slice, runs the body, applies the
+// final net for failed sources and tallies. A one-shot top k is the
+// first page of a paginator's evaluation.
 //
-// The features layered on top are degenerate cases, not branches:
-// WithShards(p ≤ 1) is core's one-slice case over the raw sources (the
-// report then carries no shard sections); an engine without WithCache,
-// or a request that may not be cached, skips the lookup-and-store steps
-// around the same evaluation; WithDegradedLists(0) is the degradation
-// loop's first iteration; a nil scheduler admits with a nil grant.
+// The features layered on top are degenerate cases, not branches: an
+// engine without WithCache, or a request that may not be cached, skips
+// the lookup-and-store steps around the same evaluation;
+// WithDegradedLists(0) is the degradation loop's first iteration; a nil
+// scheduler admits with a nil grant.
 //
 // # Failure: typed errors and graceful degradation
 //
@@ -383,20 +371,6 @@ type Report struct {
 	// much sorted and random access each subsystem served. Nil when the
 	// evaluation was abandoned with accesses in flight.
 	PerList []cost.Cost
-	// PerShard breaks the cost down by universe shard when the request
-	// asked for sharded evaluation (WithShards): PerShard[s] is the total
-	// access cost shard s incurred across all atoms. Nil for unsharded
-	// evaluations.
-	PerShard []cost.Cost
-	// Shards is the number of universe shards the evaluation ran over
-	// (0 for the unsharded path, 1 when WithShards degenerated to it).
-	Shards int
-	// ShardDetails is the planning/measurement breakdown per planned
-	// shard under WithShards: the planned range, its predicted work
-	// (zero where no subsystem served a sketch, so the ranges are the
-	// even ones) and the model-weighted cost actually spent in it. Nil
-	// for unsharded evaluations.
-	ShardDetails []core.ShardDetail
 	// Degraded lists the subsystem lists a degraded evaluation dropped
 	// (WithDegradedLists), in drop order: which atom, how many attempts,
 	// the terminal error, and the cost sunk into the failed attempt. Nil
@@ -406,28 +380,27 @@ type Report struct {
 	Degraded []DegradedList
 	// Prefetch reports what the pipelined executor's background
 	// prefetchers did (deepest adaptive batch, stalls, physical batched
-	// calls and the ranks they read), summed over the subsystem lists —
-	// and, under WithShards, aggregated across shards (MaxDepth is the
-	// deepest any shard grew; Stalls, Batches and Fetched sum). Fetched
-	// minus Cost.Sorted is the readahead the query never consumed. Nil
-	// unless the request ran on the pipelined executor (WithPrefetch, or
-	// WithParallelism(p>1) unsharded) and the pipelines engaged.
+	// calls and the ranks they read), summed over the subsystem lists
+	// (MaxDepth is the deepest any list grew). Fetched minus Cost.Sorted
+	// is the readahead the query never consumed. Nil unless the request
+	// ran on the pipelined executor (WithPrefetch or WithParallelism(p>1))
+	// and the pipelines engaged.
 	Prefetch *subsys.PipelineStats
 	// Cache records how the result cache handled this request — hit,
 	// repair or miss, the source-epoch fingerprint the answer reflects,
 	// and (on a hit) the access cost the cache saved. Nil when the engine
 	// has no cache or the request was not cacheable (budgeted, degraded
 	// or non-monotone evaluation). A hit carries the cached Results and
-	// the original computation's Cost, PerList, PerShard, and Prefetch
-	// sections verbatim: results bit-identical to what recomputing would
+	// the original computation's Cost, PerList and Prefetch sections
+	// verbatim: results bit-identical to what recomputing would
 	// return (provably so even after grade updates the entry survived or
 	// was repaired for); tallies describe the original computation — see
 	// package cache. A repair (Cache.Repaired) carries the repaired
 	// Results, and Cost and PerList of the random accesses it read, with
-	// no sorted access; whatever the request shape, it ran unsharded and
-	// unpipelined, so PerShard, ShardDetails and Prefetch are nil and
-	// Shards is 0. A repair that fails falls back to the recompute, whose
-	// report then also counts the reads the repair spent in Cost.
+	// no sorted access; whatever the request shape, it ran unpipelined,
+	// so Prefetch is nil. A repair that fails falls back to the
+	// recompute, whose report then also counts the reads the repair spent
+	// in Cost.
 	Cache *CacheInfo
 	// Plan that produced the results.
 	Plan *Plan
@@ -454,10 +427,8 @@ type Request struct {
 	// K is the number of answers (TopN); 0 means DefaultTopN.
 	K int `json:"k,omitempty"`
 	// Parallelism caps the source operations in flight
-	// (WithParallelism); under Shards, the shard workers.
+	// (WithParallelism).
 	Parallelism int `json:"parallelism,omitempty"`
-	// Shards partitions the universe (WithShards); 0/1 means unsharded.
-	Shards int `json:"shards,omitempty"`
 	// Budget caps the weighted access cost (WithAccessBudget); 0 = none.
 	Budget float64 `json:"budget,omitempty"`
 	// Prefetch selects the pipelined executor with this cap on its
@@ -507,44 +478,9 @@ func WithAlgorithm(alg core.Algorithm) QueryOption {
 // concurrent reads, and the report carries Prefetch stats. p ≤ 1 means
 // serial. Access tallies are bit-identical to a serial evaluation's;
 // only wall-clock changes, and only for the better over slow subsystems
-// (over in-memory lists serial is faster). Under WithShards it caps the
-// shard workers instead.
+// (over in-memory lists serial is faster).
 func WithParallelism(p int) QueryOption {
 	return func(r *Request) { r.Parallelism = p }
-}
-
-// WithShards evaluates the request over p disjoint contiguous slices of
-// the object universe: the planner's algorithm runs once per shard over
-// re-ranked shard views of the subsystem results, and the per-shard
-// answers are merged into the global top k by a threshold-aware merge —
-// a shard whose frontier aggregate falls strictly below the current
-// global k-th grade stops early (see core.EvaluateSharded). Answers
-// match the unsharded evaluation — identical grade sequence, identical
-// objects above the k-th grade, and a correct maximal choice within a
-// tie class at the k-th grade (byte-identical whenever that grade is
-// untied); the report additionally carries the per-shard cost
-// breakdown.
-//
-// The cut follows the subsystems' grade-distribution sketches: where
-// they implement subsys.GradeSketcher (Static, Mutable and the wrappers
-// over them), the ranges equalize the access work predicted from the
-// sketches (core.PlanShardsWeighted), so a skewed workload's hot region
-// is spread across shards instead of concentrating in one; where none
-// does, the ranges hold near-equal object counts. Reading sketches is
-// invisible to the Section 5 tallies.
-//
-// WithShards composes with the other request options: WithParallelism
-// caps the number of shard workers running at once (1 = sequential
-// shards, the deterministic-cost mode; default GOMAXPROCS), and
-// WithAccessBudget becomes a single reservation pool shared by all
-// shards, so the global spend still never overshoots. p ≤ 1 means
-// unsharded. The streaming entry points (Results, Stream) honor
-// WithShards too, with the same plan: each page widens every shard's
-// top-r computation over shard state kept alive across pages and merges
-// the per-shard answers (no fencing — later pages may need any shard),
-// so the page sequence matches the unsharded pagination.
-func WithShards(p int) QueryOption {
-	return func(r *Request) { r.Shards = p }
 }
 
 // WithPrefetch evaluates the request with the pipelined executor, the
@@ -560,13 +496,7 @@ func WithShards(p int) QueryOption {
 // default. WithParallelism(p>1) alone is this executor too, at the
 // default cap.
 // Access tallies are bit-identical to a serial evaluation's; only
-// wall-clock changes. Combined with WithShards every shard runs under
-// its own pipelined executor — background pipelines stream the shard's
-// re-ranked views, still pay-on-delivery — with the gather width and
-// readahead cap budgeted globally across the shard workers, so P
-// shards never multiply the goroutine or buffer footprint;
-// WithParallelism keeps its shard-worker-cap meaning there, and the
-// report's Prefetch stats aggregate across shards.
+// wall-clock changes.
 func WithPrefetch(depth int) QueryOption {
 	// The option owns one cap for its whole life: applying it to a
 	// request stores that address and allocates nothing per query.
@@ -615,20 +545,15 @@ func (r Request) withDefaults() Request {
 // configuration, and so the one place parallelism, prefetch and the
 // scheduler's width grant (sched.go) are given a meaning for execution.
 //
-// Under WithShards(p > 1), WithParallelism caps the shard workers (0 =
-// GOMAXPROCS) and the gather width budget stays at the executor default;
-// a width grant caps both, so admitted queries divide the global
-// envelope instead of each claiming the executor default.
-//
-// Unsharded, there are no shard workers, and WithParallelism(p > 1) is
-// the pipelined executor at width p, clamped by the grant — the cap on
-// source operations in flight — with or without WithPrefetch, while
-// p ≤ 1 (the "serial" default) stays serial even under a grant, and a
-// WithPrefetch request without it keeps the executor's wider default,
-// capped by the grant alone.
+// WithParallelism(p > 1) is the pipelined executor at width p, clamped
+// by the grant — the cap on source operations in flight — with or
+// without WithPrefetch, while p ≤ 1 (the "serial" default) stays serial
+// even under a grant, and a WithPrefetch request without it keeps the
+// executor's wider default, capped by the grant alone, so admitted
+// queries divide the global envelope instead of each claiming the
+// executor default.
 func (r Request) lower() core.ShardConfig {
 	sc := core.ShardConfig{
-		Shards:        r.Shards,
 		Budget:        r.Budget,
 		Model:         r.Model,
 		PrefetchWidth: r.widthCap,
@@ -638,33 +563,13 @@ func (r Request) lower() core.ShardConfig {
 		// as the default, like WithPrefetch makes it.
 		sc.Prefetch, sc.PrefetchCap = true, max(*r.Prefetch, 0)
 	}
-	p := r.Parallelism
-	if r.widthCap > 0 && (p <= 0 || p > r.widthCap) {
-		p = r.widthCap
-	}
-	switch {
-	case r.Shards > 1:
-		sc.Parallel = p
-	case r.Parallelism > 1:
-		sc.Prefetch, sc.PrefetchWidth = true, p
-	}
-	return sc
-}
-
-// gradeSketches gathers the per-atom grade-distribution sketches the
-// shard planner cuts by: each subsystem's own cached sketch where it
-// implements subsys.GradeSketcher, nil where it does not — a list
-// without a sketch counts as indifferent, and with none at all the cut
-// is the even one. Reading a sketch is no access, so the request's
-// tallies are untouched.
-func (m *Middleware) gradeSketches(atoms []query.Atomic) []*subsys.Sketch {
-	out := make([]*subsys.Sketch, len(atoms))
-	for i, a := range atoms {
-		if gs, ok := m.subsystems[a.Attr].(subsys.GradeSketcher); ok {
-			out[i] = gs.GradeSketch(a.Target)
+	if r.Parallelism > 1 {
+		sc.Prefetch, sc.PrefetchWidth = true, r.Parallelism
+		if r.widthCap > 0 {
+			sc.PrefetchWidth = min(sc.PrefetchWidth, r.widthCap)
 		}
 	}
-	return out
+	return sc
 }
 
 // clampK caps k at the universe size ("the best ten of seven" means all
@@ -819,10 +724,7 @@ func (m *Middleware) QueryString(ctx context.Context, q string, opts ...QueryOpt
 // prefixes already paid for rather than starting over.
 //
 // The options of Query apply per request; a budget bounds the cumulative
-// cost across all pages. With WithShards the widening runs per universe
-// shard, cut as Query cuts it, over shard state kept alive across pages,
-// each page merged globally (see core.NewPaginator) — the page sequence
-// matches the unsharded one. The stream releases that state when it
+// cost across all pages. The stream releases its list state when it
 // ends. On an error (cancellation, budget, a planning failure, or a
 // non-paginable algorithm pinned via WithAlgorithm) the iterator yields
 // one (zero Result, err) pair and stops.
@@ -892,8 +794,7 @@ func (m *Middleware) ResultsString(ctx context.Context, q string, opts ...QueryO
 
 // preparePagination binds the paginator behind Results and Stream: plan
 // (with any WithAlgorithm pin), validate paginability, and hand the
-// bound sources to core.NewPaginator, whose one-slice case is the
-// unsharded pagination.
+// plan's sources to core.NewPaginator.
 func (m *Middleware) preparePagination(ctx context.Context, q query.Node, req Request) (*core.Paginator, error) {
 	plan, err := m.plan(q, req)
 	if err != nil {
@@ -903,11 +804,11 @@ func (m *Middleware) preparePagination(ctx context.Context, q query.Node, req Re
 	if err != nil {
 		return nil, err
 	}
-	lists, scfg, err := m.bind(plan, req)
+	lists, err := m.sources(plan.Atoms)
 	if err != nil {
 		return nil, err
 	}
-	return core.NewPaginator(ctx, alg, lists, plan.Agg, scfg)
+	return core.NewPaginator(ctx, alg, lists, plan.Agg, req.lower())
 }
 
 // paginableAlgorithm adapts a plan's algorithm for incremental widening.
@@ -947,52 +848,39 @@ func (m *Middleware) Filter(ctx context.Context, q query.Node, theta float64, op
 		Agg:    c.Func,
 		Reason: fmt.Sprintf("filter condition: all objects with grade >= %g [CG96]", theta),
 	}
-	req.Shards = 0 // a threshold condition has no top-k merge to shard
 	sr, err := core.Run(ctx, lists, req.lower(), func(ec *core.ExecContext, counted []*subsys.Counted) ([]core.Result, error) {
 		return core.Filter(ec, counted, c.Func, theta)
 	})
-	return newReport(plan, req, sr, err)
-}
-
-// bind materializes a plan's sources and lowers the request onto the
-// core configuration they will be evaluated under, for one-shot and
-// paginated evaluation alike. A sharded request carries the subsystems'
-// grade sketches, which the shard planner cuts by.
-func (m *Middleware) bind(plan *Plan, req Request) ([]subsys.Source, core.ShardConfig, error) {
-	lists, err := m.sources(plan.Atoms)
-	if err != nil {
-		return nil, core.ShardConfig{}, err
-	}
-	scfg := req.lower()
-	if scfg.Shards > 1 {
-		scfg.Sketches = m.gradeSketches(plan.Atoms)
-	}
-	return lists, scfg, nil
+	return newReport(plan, sr, err)
 }
 
 // execute runs a plan under the request configuration. Errors mid-
 // evaluation (cancellation, budget, a source failure) come back with a
 // partial-cost report.
 func (m *Middleware) execute(ctx context.Context, plan *Plan, req Request) (*Report, error) {
-	lists, scfg, err := m.bind(plan, req)
+	lists, err := m.sources(plan.Atoms)
 	if err != nil {
 		return nil, err
 	}
-	sr, err := core.EvaluateSharded(ctx, plan.Algorithm, lists, plan.Agg, m.clampK(req.K), scfg)
-	return newReport(plan, req, sr, err)
+	sr, err := core.Run(ctx, lists, req.lower(), topK(plan.Algorithm, plan.Agg, m.clampK(req.K)))
+	return newReport(plan, sr, err)
+}
+
+// topK is the body that runs alg at k over the slice's lists, the
+// algorithm's own argument checks (k out of range) included.
+func topK(alg core.Algorithm, t agg.Func, k int) func(*core.ExecContext, []*subsys.Counted) ([]core.Result, error) {
+	return func(ec *core.ExecContext, lists []*subsys.Counted) ([]core.Result, error) {
+		return alg.TopK(ec, lists, t, k)
+	}
 }
 
 // newReport turns core's outcome into the request's report: the tallies
 // (with the per-atom breakdown when the lists align with the plan's
-// atoms), the prefetch stats, the shard sections only when the request
-// asked for WithShards, and the results only on success.
-func newReport(plan *Plan, req Request, sr *core.ShardReport, err error) (*Report, error) {
+// atoms), the prefetch stats, and the results only on success.
+func newReport(plan *Plan, sr *core.ShardReport, err error) (*Report, error) {
 	rep := &Report{Cost: sr.Cost, Prefetch: sr.Prefetch, Plan: plan}
 	if len(sr.PerList) == len(plan.Atoms) {
 		rep.PerList = sr.PerList
-	}
-	if req.Shards > 1 {
-		rep.PerShard, rep.Shards, rep.ShardDetails = sr.PerShard, sr.Shards, sr.Details
 	}
 	if err == nil {
 		rep.Results = sr.Results

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"fuzzydb/internal/core"
 	"fuzzydb/internal/query"
 	"fuzzydb/internal/scoredb"
 	"fuzzydb/internal/subsys"
@@ -42,7 +41,7 @@ func comparableReport(r *Report) (Report, string) {
 
 // TestDegenerateCasesAreTheSamePath pins, from outside, that the layers
 // over the one evaluation are degenerate cases of it and not paths of
-// their own: WithShards(0 or 1), WithDegradedLists(0), a nil scheduler
+// their own: WithDegradedLists(0), a nil scheduler
 // and a cache miss each return the very Report of the plain request,
 // under every executor.
 func TestDegenerateCasesAreTheSamePath(t *testing.T) {
@@ -75,8 +74,6 @@ func TestDegenerateCasesAreTheSamePath(t *testing.T) {
 		opts []QueryOption
 		miss bool // the engine caches: the first answer is a miss
 	}{
-		{"WithShards(0)", plain, []QueryOption{WithShards(0)}, false},
-		{"WithShards(1)", plain, []QueryOption{WithShards(1)}, false},
 		{"WithDegradedLists(0)", plain, []QueryOption{WithDegradedLists(0)}, false},
 		{"WithScheduler(nil)", engine(WithScheduler(nil)), nil, false},
 		{"WithCache miss", nil, nil, true},
@@ -86,9 +83,6 @@ func TestDegenerateCasesAreTheSamePath(t *testing.T) {
 		want, err := plain.Query(ctx, q, base...)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if want.Shards != 0 || want.PerShard != nil || want.ShardDetails != nil {
-			t.Errorf("%s: unsharded report carries shard sections: %+v", ex.name, want)
 		}
 		if len(want.Results) != k || len(want.PerList) != m || want.Cost.Sum() == 0 {
 			t.Fatalf("%s: malformed baseline %+v", ex.name, want)
@@ -118,31 +112,6 @@ func TestDegenerateCasesAreTheSamePath(t *testing.T) {
 					ex.name, tc.name, gotCmp, gotPlan, wantCmp, wantPlan)
 			}
 		}
-	}
-}
-
-// TestOneSlicePaginationIsUnshardedPagination: Results at WithShards(1)
-// delivers the page sequence of the request without the option (core's
-// paginator tests pin that it is the same single slice over the raw
-// sources).
-func TestOneSlicePaginationIsUnshardedPagination(t *testing.T) {
-	mw := genStore(t, 2000, 2, 92)
-	q := genConj(2)
-	ctx := context.Background()
-	stream := func(opts ...QueryOption) []core.Result {
-		var out []core.Result
-		for r, err := range mw.Results(ctx, q, append([]QueryOption{TopN(7)}, opts...)...) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out = append(out, r); len(out) == 40 {
-				break
-			}
-		}
-		return out
-	}
-	if got, want := stream(WithShards(1)), stream(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Results under WithShards(1) diverged:\n got %v\nwant %v", got, want)
 	}
 }
 
@@ -180,9 +149,6 @@ func TestSpecialistReportsCarryBreakdowns(t *testing.T) {
 			}
 			if (rep.Prefetch != nil) != prefetch {
 				t.Errorf("%s (prefetch=%v): Prefetch = %v", name, prefetch, rep.Prefetch)
-			}
-			if rep.Shards != 0 || rep.PerShard != nil {
-				t.Errorf("%s: shard sections on a report that cannot shard: %+v", name, rep)
 			}
 		}
 	}

@@ -124,11 +124,9 @@ func TestQueryDefaultTopN(t *testing.T) {
 
 // TestQueryParallelismIsCostNeutral: WithParallelism changes wall-clock
 // machinery only — answers, total cost, and the per-list breakdown are
-// bit-identical to the serial request — and means one thing per shape of
-// request: unsharded, the width of the pipelined executor, with or
-// without WithPrefetch and clamped by a scheduler's width grant (p ≤ 1
-// stays serial even under one); sharded, the cap on shard workers, each
-// serial inside.
+// bit-identical to the serial request — and means one thing: the width
+// of the pipelined executor, with or without WithPrefetch and clamped by
+// a scheduler's width grant (p ≤ 1 stays serial even under one).
 func TestQueryParallelismIsCostNeutral(t *testing.T) {
 	ctx := context.Background()
 	for _, m := range []int{2, 3, 4} {
@@ -145,14 +143,13 @@ func TestQueryParallelismIsCostNeutral(t *testing.T) {
 			name  string
 			opts  []QueryOption
 			grant int    // scheduler width grant; 0 = none
-			exec  string // executor of the unsharded request
+			exec  string // executor the request lowers to
 			piped bool   // Report.Prefetch is present
 		}{
 			{"p=3", []QueryOption{WithParallelism(3)}, 0, "pipelined(p=3)", true},
 			{"p=3 prefetch=0", []QueryOption{WithParallelism(3), WithPrefetch(0)}, 0, "pipelined(p=3)", true},
 			{"p=8 granted 2", []QueryOption{WithParallelism(8)}, 2, "pipelined(p=2)", true},
 			{"p=1 granted 8", []QueryOption{WithParallelism(1)}, 8, "serial", false},
-			{"p=3 shards=4", []QueryOption{WithParallelism(3), WithShards(4)}, 0, "", false},
 		} {
 			label := fmt.Sprintf("m=%d/%s", m, tc.name)
 			req := newRequest("", append([]QueryOption{TopN(7)}, tc.opts...))
@@ -167,20 +164,12 @@ func TestQueryParallelismIsCostNeutral(t *testing.T) {
 			if (par.Prefetch != nil) != tc.piped {
 				t.Errorf("%s: Prefetch = %+v, want presence %v", label, par.Prefetch, tc.piped)
 			}
-			cfg := req.lower()
-			if req.Shards > 1 {
-				// Sharding pays its own tallies; what the option means here is
-				// the worker cap, with no executor overlap inside a shard.
-				if par.Shards != 4 || cfg.Parallel != 3 || cfg.Prefetch {
-					t.Errorf("%s: %d shards under %+v, want 4 shards on 3 serial workers", label, par.Shards, cfg)
-				}
-				continue
-			}
 			if par.Cost != serial.Cost || !reflect.DeepEqual(par.PerList, serial.PerList) {
 				t.Errorf("%s: cost %v %v, serial %v %v", label, par.Cost, par.PerList, serial.Cost, serial.PerList)
 			}
-			// Unsharded, the core configuration is the executor: serial
-			// unless Prefetch, and then pipelined at PrefetchWidth.
+			// The core configuration is the executor: serial unless
+			// Prefetch, and then pipelined at PrefetchWidth.
+			cfg := req.lower()
 			exec := "serial"
 			if cfg.Prefetch {
 				exec = fmt.Sprintf("pipelined(p=%d)", cfg.PrefetchWidth)
@@ -437,5 +426,43 @@ func TestPinnedB0RefusedForMultiListPagination(t *testing.T) {
 	// Explicit pin: refused.
 	if err := first(WithAlgorithm(core.B0{})); err == nil {
 		t.Fatal("pinned B0 over 2 lists paginated silently; want a loud refusal")
+	}
+}
+
+// TestQueryWithPrefetchIsCostNeutral: the pipelined executor changes
+// wall-clock only — answers and Section 5 tallies match the serial
+// request bit for bit — and the report carries pipeline stats.
+func TestQueryWithPrefetchIsCostNeutral(t *testing.T) {
+	mw := genStore(t, 1500, 3, 81)
+	q := genConj(3)
+	want, err := mw.Query(context.Background(), q, TopN(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, depth := range []int{0, 4} {
+		rep, err := mw.Query(context.Background(), q, TopN(12), WithPrefetch(depth), WithParallelism(4))
+		if err != nil {
+			t.Fatalf("depth=%d: %v", depth, err)
+		}
+		if rep.Cost != want.Cost {
+			t.Errorf("depth=%d: cost %v, want %v", depth, rep.Cost, want.Cost)
+		}
+		if len(rep.Results) != len(want.Results) {
+			t.Fatalf("depth=%d: %d results, want %d", depth, len(rep.Results), len(want.Results))
+		}
+		for i := range want.Results {
+			if rep.Results[i] != want.Results[i] {
+				t.Errorf("depth=%d: result %d = %v, want %v", depth, i, rep.Results[i], want.Results[i])
+			}
+		}
+		if rep.Prefetch == nil {
+			t.Fatalf("depth=%d: no pipeline stats on the report", depth)
+		}
+		if rep.Prefetch.Batches == 0 {
+			t.Errorf("depth=%d: pipeline stats report zero batches", depth)
+		}
+		if depth > 0 && rep.Prefetch.MaxDepth > depth {
+			t.Errorf("fixed depth %d exceeded: max %d", depth, rep.Prefetch.MaxDepth)
+		}
 	}
 }

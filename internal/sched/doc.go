@@ -42,10 +42,9 @@
 // Config.MaxConcurrent bounds the queries evaluating at once, and each
 // admitted query is granted a prefetch/gather width of
 // MaxWidth/inflight (floored at one): the engine clamps its pipelined
-// gather fan-out, concurrent-executor width, and shard-worker count to
-// the grant, so P shards × m lists × N callers never exceed one
-// configured goroutine/buffer envelope no matter how many tenants are
-// admitted.
+// gather fan-out and concurrent-executor width to the grant, so m lists
+// × N callers never exceed one configured goroutine/buffer envelope no
+// matter how many tenants are admitted.
 //
 // Work that cannot be served in time is rejected, not queued forever:
 // a waiter sheds with a typed *OverloadError — carrying the tenant,

@@ -105,59 +105,22 @@
 //
 // # Partitioned universes (sharding)
 //
-// PlanShards splits the dense universe into P contiguous ranges, and
-// ShardView presents the restriction of a parent Source to one range as
-// a full-fledged Source of its own: objects renumbered to a local dense
-// universe (so the flat-array fast path applies per shard with pooled,
-// shard-sized memos), sorted order re-ranked lazily by scanning the
-// parent's canonical order forward — a comparison-only scan, never a
-// metered access, and never an O(N) per-query copy. A per-shard Counted
-// over the view meters exactly the accesses that shard's evaluation
-// consumed, so per-shard Section 5 tallies compose by addition.
-//
-// Fence supports the threshold-aware merge that sits above the views: a
-// shard driver that can prove a shard's remaining objects are out of
-// the global top k closes the shard's sorted streams, the algorithm's
-// cursors run dry, and its completion phase runs over what was seen.
-// What Fence never touches: delivered prefixes, tallies, memos, or
-// random access.
-//
-// # Grade-distribution sketches (planning metadata)
-//
-// A Sketch is an equi-depth histogram of one list's grade mass over the
-// id axis: at most DefaultSketchBuckets contiguous id buckets cut so
-// each holds a near-equal share of the list's total grade, which makes
-// the cuts quantiles of the mass distribution — hot id regions get
-// narrow buckets, cold tails get wide ones — and MassBetween answers
-// "how much grade lives in [lo, hi)?" with per-bucket uniform
-// interpolation. SketchList builds the exact sketch from a materialized
-// list. Sketches are planning metadata, not evaluation state: building
-// one is never a metered access and never moves a cursor, so the
-// Section 5 tallies of a query are identical whether or not its shard
-// plan consulted sketches. Static and Mutable subsystems serve them
-// (GradeSketcher, forwarded by the transport wrappers), caching one
-// sketch per target: Set drops it, and a Mutable's UpdateGrade replaces
-// it with a copy whose bucket holding the written object carries the
-// moved mass — exact per-bucket mass for O(buckets), never an O(N)
-// rebuild, and never a write into a sketch a planner holds. Only these
-// subsystems' lists are sketched; an opaque or remote subsystem's lists
-// are cut into even ranges. core.PlanShardsWeighted consumes the
-// sketches to place shard boundaries at quantiles of expected work
-// instead of object count.
-//
-// Sharding and the prefetch pipelines compose: a Counted over a
-// ShardView may run StartPrefetch, so the pipeline worker drives the
-// view's lazy re-ranking scan — batched parent Entries spans, filtered
-// and renumbered into the view's prefix — ahead of the shard's
-// evaluation while that evaluation's random accesses read the parent
-// concurrently. The view's scan state is internally synchronized for
-// exactly this pairing (the parent itself still only sees reads), and
-// the spans land in the pipeline's spool uncounted, so the
-// pay-on-delivery invariant holds under sharding too: per-shard Section
-// 5 tallies are bit-identical to an unpipelined shard run, however deep
-// the pipelines speculated. Fencing a shard closes its pipelines the
-// usual way — no further source accesses once in-flight batches land,
-// and a batch that lands after the fence is discarded, never delivered.
+// PlanShards splits the dense universe into P contiguous ranges of
+// near-equal size, and ShardView presents the restriction of a parent
+// Source to one range as a full-fledged Source of its own: objects
+// renumbered to a local dense universe, sorted order re-ranked lazily by
+// scanning the parent's canonical order forward — a comparison-only
+// scan, never a metered access. A per-shard Counted over the view meters
+// exactly the accesses that shard's evaluation consumed, so per-shard
+// Section 5 tallies compose by addition. Fence supports the
+// threshold-aware merge above the views: a shard driver that can prove a
+// shard's remaining objects are out of the global top k closes the
+// shard's sorted streams, the algorithm's cursors run dry, and its
+// completion phase runs over what was seen; Fence never touches
+// delivered prefixes, tallies, memos, or random access. The engine does
+// not shard: these are kept for core.EvaluateSharded alone, which only
+// the benchmark ladder and E17's tallies call, and ROADMAP 4(a) moves
+// them into internal/sim with it.
 //
 // # Error semantics: fallible sources
 //
@@ -206,7 +169,7 @@
 // Everything stacked on a Source or a Subsystem must be transparent to
 // the tallies and to the optional faces the engine probes for; a wrapper
 // that drops one silently loses the dense fast path, batched random
-// access, weighted planning or cache invalidation. So no wrapper
+// access or cache invalidation. So no wrapper
 // forwards capabilities by hand: it embeds a base (wrap.go) and
 // overrides what it changes.
 //
@@ -224,7 +187,7 @@
 // and adds neither, which is why the base has no Try* of its own.
 //
 // A Subsystem wrapper embeds wrapped, whose Query wraps what the inner
-// subsystem returns and which forwards GradeSketcher and Versioned;
+// subsystem returns and which forwards Versioned;
 // the middleware's SelectivityEstimator and ConjunctionEvaluator are
 // the two faces deliberately not forwarded (the reason is on wrapped).
 // Counted and the prefetch pipeline are not wrappers in this sense and

@@ -24,7 +24,9 @@ func (r ShardRange) Len() int { return r.Hi - r.Lo }
 // object). p < 1 is treated as 1, and p is clamped to n (floored at 1)
 // so the plan never contains a zero-width trailing shard: every planned
 // range is non-empty, and callers allocating a ShardView plus scratch
-// per range never pay for shards that could not hold an object.
+// per range never pay for shards that could not hold an object. Its
+// callers are core.EvaluateSharded and tests; ROADMAP 4(a) moves it into
+// internal/sim with them.
 func PlanShards(n, p int) []ShardRange {
 	if p < 1 {
 		p = 1
@@ -70,19 +72,19 @@ func PlanShards(n, p int) []ShardRange {
 // reads through its resolved fallible face, see FacesOf), so the P views
 // of one parent may be driven from P shard workers concurrently provided
 // the parent is immutable under reads — true of ListSource and every
-// built-in subsystem. The lazy re-ranking scan is
-// internally synchronized, so a view tolerates concurrent reads itself:
-// a background prefetch pipeline (Counted.StartPrefetch) may extend the
-// view's sorted prefix from its worker goroutine while the shard's
-// evaluation goroutine performs random accesses — the composed
-// WithShards+WithPrefetch mode. Returned Entries spans stay valid
-// across concurrent growth: the prefix only ever appends.
+// built-in subsystem. The lazy re-ranking scan is internally
+// synchronized, so a view tolerates concurrent reads itself, and
+// returned Entries spans stay valid across concurrent growth: the prefix
+// only ever appends.
 //
 // The view assumes the parent honors the dense-universe contract
 // (objects are exactly {0,…,N−1}); an out-of-range object would belong
 // to no shard, leaving some view short of its range, which the consumer
 // then records as a failure. Wrap untrusted sources with Validated
 // before sharding them.
+//
+// Its callers are core.EvaluateSharded (through ShardSources) and tests;
+// ROADMAP 4(a) moves it into internal/sim with them.
 type ShardView struct {
 	inner     // the parent
 	r         ShardRange
@@ -102,7 +104,9 @@ func NewShardView(parent Source, r ShardRange) *ShardView {
 // Like every wrapper a view always exposes the fallible face (and fails
 // only where its parent does), so a per-shard Counted detects and
 // routes around failures the same way an unsharded one does; fault
-// sites stay keyed on the parent's global ranks and object ids.
+// sites stay keyed on the parent's global ranks and object ids. Its
+// callers are core.EvaluateSharded and tests; ROADMAP 4(a) moves it into
+// internal/sim with them.
 func ShardSources(parents []Source, r ShardRange) []Source {
 	out := make([]Source, len(parents))
 	for i, p := range parents {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"fuzzydb/internal/gradedset"
 )
@@ -284,19 +283,11 @@ type Static struct {
 	attr    string
 	n       int
 	results map[string]*gradedset.List
-
-	sketchMu sync.Mutex
-	sketches map[string]*Sketch
 }
 
 // NewStatic builds a static subsystem over an n-object universe.
 func NewStatic(attr string, n int) *Static {
-	return &Static{
-		attr:     attr,
-		n:        n,
-		results:  make(map[string]*gradedset.List),
-		sketches: make(map[string]*Sketch),
-	}
+	return &Static{attr: attr, n: n, results: make(map[string]*gradedset.List)}
 }
 
 // Attribute implements Subsystem.
@@ -308,28 +299,6 @@ func (s *Static) Size() int { return s.n }
 // Set registers the graded list returned for target.
 func (s *Static) Set(target string, l *gradedset.List) {
 	s.results[target] = l
-	s.sketchMu.Lock()
-	delete(s.sketches, target)
-	s.sketchMu.Unlock()
-}
-
-// GradeSketch implements GradeSketcher: the exact equi-depth sketch of
-// the target's list, built on first request (one O(N) pass over the raw
-// list — planning metadata, never metered) and cached until Set
-// replaces the list. Unknown targets yield nil.
-func (s *Static) GradeSketch(target string) *Sketch {
-	s.sketchMu.Lock()
-	defer s.sketchMu.Unlock()
-	if sk, ok := s.sketches[target]; ok {
-		return sk
-	}
-	l, ok := s.results[target]
-	if !ok {
-		return nil
-	}
-	sk := SketchList(l)
-	s.sketches[target] = sk
-	return sk
 }
 
 // Targets lists the registered targets in sorted order.

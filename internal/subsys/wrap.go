@@ -95,12 +95,9 @@ func oneEntry(span []gradedset.Entry, err error) (gradedset.Entry, error) {
 }
 
 // wrapped is the base every Subsystem wrapper embeds: Query wraps what
-// the inner subsystem returns, and GradeSketcher and Versioned are
-// forwarded here for all of them. Transport layers move no grade mass,
-// so weighted shard plans, and the tallies that depend on the cuts, are
-// the same with and without the layer, and sketching never pays a
-// simulated round trip or trips a fault site; and a result cache over a
-// wrapped mutable subsystem must see its updates. The middleware's
+// the inner subsystem returns, and Versioned is forwarded here for all
+// of them: a result cache over a wrapped mutable subsystem must see its
+// updates. The middleware's
 // SelectivityEstimator and ConjunctionEvaluator are deliberately not
 // forwarded: the wrappers stand in for a remote backend, whose
 // optimizer hints are a separate protocol concern.
@@ -122,15 +119,6 @@ func (w wrapped) Query(target string) (Source, error) {
 		return nil, err
 	}
 	return w.wrap(target, src), nil
-}
-
-// GradeSketch implements GradeSketcher; nil when the inner subsystem
-// serves no sketches.
-func (w wrapped) GradeSketch(target string) *Sketch {
-	if gs, ok := w.sub.(GradeSketcher); ok {
-		return gs.GradeSketch(target)
-	}
-	return nil
 }
 
 // Epoch implements Versioned; an inner subsystem without it is immutable

@@ -35,24 +35,20 @@ var (
 	_ UniverseHinter = (*validatedSource)(nil)
 	_ ContextSource  = (*validatedSource)(nil)
 
-	_ Subsystem     = (*LatencySubsystem)(nil)
-	_ GradeSketcher = (*LatencySubsystem)(nil)
-	_ Versioned     = (*LatencySubsystem)(nil)
+	_ Subsystem = (*LatencySubsystem)(nil)
+	_ Versioned = (*LatencySubsystem)(nil)
 
-	_ Subsystem     = (*FaultSubsystem)(nil)
-	_ GradeSketcher = (*FaultSubsystem)(nil)
-	_ Versioned     = (*FaultSubsystem)(nil)
+	_ Subsystem = (*FaultSubsystem)(nil)
+	_ Versioned = (*FaultSubsystem)(nil)
 
-	_ Subsystem     = (*ResilientSubsystem)(nil)
-	_ GradeSketcher = (*ResilientSubsystem)(nil)
-	_ Versioned     = (*ResilientSubsystem)(nil)
+	_ Subsystem = (*ResilientSubsystem)(nil)
+	_ Versioned = (*ResilientSubsystem)(nil)
 )
 
 // TestSubsystemWrappersPreserveCapabilities is the Subsystem half of
 // TestWrappersPreserveCapabilities, one row per wrapper. Over a Mutable
-// each serves the inner sketch and tracks the inner epoch and journal
-// across an update, so weighted planning and cache invalidation see
-// through it; over subsystems without versions it reads as immutable;
+// each tracks the inner epoch and journal across an update, so cache
+// invalidation sees through it; over subsystems without versions it reads as immutable;
 // and a backend's optimizer hints — Relational's Selectivity, Vector's
 // QueryConjunction — are pinned as not forwarded.
 func TestSubsystemWrappersPreserveCapabilities(t *testing.T) {
@@ -80,10 +76,6 @@ func TestSubsystemWrappersPreserveCapabilities(t *testing.T) {
 			if _, err := sub.Query("nope"); !errors.Is(err, ErrUnknownTarget) {
 				t.Errorf("Query of an unknown target: %v, want the inner subsystem's error", err)
 			}
-			gs, ok := sub.(GradeSketcher)
-			if !ok || gs.GradeSketch("*") != mut.GradeSketch("*") || gs.GradeSketch("nope") != nil {
-				t.Errorf("GradeSketcher lost (implements: %t), or not the inner subsystem's cached sketch", ok)
-			}
 			v, ok := sub.(Versioned)
 			if !ok {
 				t.Fatal("Versioned lost")
@@ -105,9 +97,6 @@ func TestSubsystemWrappersPreserveCapabilities(t *testing.T) {
 			}
 			if _, ok := v.UpdatesSince(0); ok {
 				t.Error("UpdatesSince(0) ok across the Set that poisoned the journal")
-			}
-			if gs.GradeSketch("*") != mut.GradeSketch("*") {
-				t.Error("sketch not refreshed with the inner subsystem's after an update")
 			}
 
 			static := NewStatic("A", n)
@@ -131,12 +120,6 @@ func TestSubsystemWrappersPreserveCapabilities(t *testing.T) {
 				}); ok {
 					t.Errorf("over %T: ConjunctionEvaluator forwarded", inner)
 				}
-			}
-			if sk := w.wrap(static).(GradeSketcher).GradeSketch("*"); sk != static.GradeSketch("*") {
-				t.Error("GradeSketch over Static is not its cached sketch")
-			}
-			if sk := w.wrap(rel).(GradeSketcher).GradeSketch("x"); sk != nil {
-				t.Errorf("GradeSketch over a subsystem that serves none = %v", sk)
 			}
 		})
 	}

@@ -30,9 +30,7 @@
 // fields under the same JSON names (the query as q; see params.go). The
 // server decodes either form onto a zero request, so an absent name is
 // the engine default, and refuses a malformed, unknown or negative value,
-// or a name that is no field, with a 400 naming it. No field chooses how
-// a sharded request is cut: the engine cuts by the grade sketches its
-// subsystems serve.
+// or a name that is no field, with a 400 naming it.
 //
 // /v1/entries is sorted access: the entries at ranks [lo, hi) of one
 // list, paged — the server delivers at most Meta.Page entries per
@@ -48,8 +46,8 @@
 // contract of /v1/entries (subsys.BatchGrader on the client). A response
 // shorter than the request without err, or longer than it, is malformed.
 // /v1/query evaluates one request end to end and
-// returns the full report (results, Section 5 tallies, per-list and
-// per-shard breakdowns, plan, prefetch stats, degraded lists).
+// returns the full report (results, Section 5 tallies, per-list
+// breakdown, plan, prefetch stats, degraded lists).
 //
 // # Error envelope
 //

@@ -99,7 +99,6 @@ func TestResultsParamsRoundTripEveryField(t *testing.T) {
 	options := map[string]middleware.QueryOption{
 		"K":           middleware.TopN(7),
 		"Parallelism": middleware.WithParallelism(3),
-		"Shards":      middleware.WithShards(4),
 		"Budget":      middleware.WithAccessBudget(99),
 		"Prefetch":    middleware.WithPrefetch(0),
 		"Degrade":     middleware.WithDegradedLists(1),
@@ -162,8 +161,8 @@ func TestResultsParamsRoundTripEveryField(t *testing.T) {
 	}
 	roundTrip(t, all)
 	// No new knob rode in with the refactor that made knobs cheap.
-	if wireFields != 8 || len(options) != 9 {
-		t.Errorf("%d wire fields and %d request options, want 8 and 9: a new knob needs its own justification (and this line updated)", wireFields, len(options))
+	if wireFields != 7 || len(options) != 8 {
+		t.Errorf("%d wire fields and %d request options, want 7 and 8: a new knob needs its own justification (and this line updated)", wireFields, len(options))
 	}
 }
 
@@ -190,27 +189,28 @@ func decodeOnto(s *QueryServer, params, body string, header http.Header) (QueryR
 //
 // With several bad values the one reported is stable, the same on every
 // request (it used to follow a map's iteration order): the first
-// malformed one in Request's declaration order — k, parallelism, shards,
-// budget, prefetch, degrade — and, when everything parses,
+// malformed one in Request's declaration order — k, parallelism, budget,
+// prefetch, degrade — and, when everything parses,
 // the first out-of-range one in the same order. A name that is no field
 // is refused before any value is read.
 func TestResultsParamsFirstErrorIsStable(t *testing.T) {
 	s := NewQueryServer(nil)
 	for _, tc := range []struct{ params, body, want string }{
-		{params: "q=x&k=bad&shards=bad", want: "bad k:"},
-		{params: "q=x&shards=bad&k=bad", want: "bad k:"},
+		{params: "q=x&k=bad&budget=bad", want: "bad k:"},
+		{params: "q=x&budget=bad&k=bad", want: "bad k:"},
 		{params: "q=x&degrade=bad&parallelism=bad", want: "bad parallelism:"},
 		{params: "q=x&steal=true&k=bad", body: `{"query":"x","steal":true}`, want: `"steal"`},
 		{params: "q=x&zz=1&steal=bad", want: `unknown parameter "steal"`},
 		{params: "q=x&prefetch=bad&degrade=bad", want: "bad prefetch:"},
 		{params: "q=x&degrade=bad&budget=bad", want: "bad budget:"},
-		{params: "q=x&k=-1&shards=bad", want: "bad shards:"}, // malformed before out of range
+		{params: "q=x&k=-1&budget=bad", want: "bad budget:"}, // malformed before out of range
 		{params: "k=3", body: `{"k":3}`, want: "empty query"},
 		{params: "q=x&shard_plan=weighted&k=bad", body: `{"query":"x","shard_plan":"weighted"}`, want: `"shard_plan"`},
-		{params: "q=x&shard_plan=even", body: `{"query":"x","shards":4,"shard_plan":"even"}`, want: `"shard_plan"`},
+		{params: "q=x&shard_plan=even", body: `{"query":"x","shard_plan":"even"}`, want: `"shard_plan"`},
+		{params: "q=x&shards=4", body: `{"query":"x","shards":4}`, want: `"shards"`},
+		{params: "q=x&shards=1&k=bad", body: `{"query":"x","shards":1,"k":3}`, want: `"shards"`},
 		{params: "q=x&k=-1", body: `{"query":"x","k":-1}`, want: "bad k: -1"},
 		{params: "q=x&parallelism=-2", body: `{"query":"x","parallelism":-2}`, want: "bad parallelism: -2"},
-		{params: "q=x&shards=-4", body: `{"query":"x","shards":-4}`, want: "bad shards: -4"},
 		{params: "q=x&budget=-0.5", body: `{"query":"x","budget":-0.5}`, want: "bad budget: -0.5"},
 		{params: "q=x&budget=NaN", want: "bad budget:"}, // what a JSON body cannot say, the URL cannot either
 		{params: "q=x&prefetch=-1", body: `{"query":"x","prefetch":-1}`, want: "bad prefetch: -1"},
@@ -248,8 +248,8 @@ func TestRequestTenantHeader(t *testing.T) {
 		header             http.Header
 		want               QueryRequest
 	}{
-		{"absent names stay zero", "q=x&shards=4&prefetch=9", `{"query":"x","shards":4,"prefetch":9}`, nil,
-			QueryRequest{Query: "x", Shards: 4, Prefetch: &nine}},
+		{"absent names stay zero", "q=x&degrade=4&prefetch=9", `{"query":"x","degrade":4,"prefetch":9}`, nil,
+			QueryRequest{Query: "x", Degrade: 4, Prefetch: &nine}},
 		{"header names the tenant", "q=x", `{"query":"x"}`, header,
 			QueryRequest{Query: "x", Tenant: "from-header"}},
 		{"request's tenant wins", "q=x&tenant=mine", `{"query":"x","tenant":"mine"}`, header,
@@ -270,18 +270,18 @@ func TestRequestTenantHeader(t *testing.T) {
 // client can encode — the same requests it can send as a JSON body —
 // decodes to itself.
 func FuzzRequestParams(f *testing.F) {
-	f.Add("q=x&k=bad&shards=bad", "x", 3, 2, 4, 2.5, 0, 1, "gold")
-	f.Add("q=x&degrade=bad&parallelism=bad&steal=bad", "a b&c=d", 0, 0, 0, 0.0, -1, 0, "")
-	f.Add("q=x&shard_plan=weightd&budget=NaN&prefetch=-1", `A1 = "*" AND A2 = "*"`, 10, 1, 1, 5000.0, 7, 2, "a b&c=d")
-	f.Add("q=%zz&k=1e9&steal=T;tenant=%00", "", -1, -2, -3, -0.5, 1<<40, -1, "\xff")
-	f.Fuzz(func(t *testing.T, raw, query string, k, parallelism, shards int, budget float64, prefetch, degrade int, tenant string) {
+	f.Add("q=x&k=bad&shards=bad", "x", 3, 2, 2.5, 0, 1, "gold")
+	f.Add("q=x&degrade=bad&parallelism=bad&steal=bad", "a b&c=d", 0, 0, 0.0, -1, 0, "")
+	f.Add("q=x&shard_plan=weightd&budget=NaN&prefetch=-1", `A1 = "*" AND A2 = "*"`, 10, 1, 5000.0, 7, 2, "a b&c=d")
+	f.Add("q=%zz&k=1e9&steal=T;tenant=%00", "", -1, -2, -0.5, 1<<40, -1, "\xff")
+	f.Fuzz(func(t *testing.T, raw, query string, k, parallelism int, budget float64, prefetch, degrade int, tenant string) {
 		vals, _ := url.ParseQuery(raw) // like r.URL.Query(): keep what parsed
 		var hostile QueryRequest
 		if err := decodeParams(vals, &hostile); err == nil {
 			_ = checkRequest(&hostile)
 		}
 
-		req := QueryRequest{Query: query, K: k, Parallelism: parallelism, Shards: shards,
+		req := QueryRequest{Query: query, K: k, Parallelism: parallelism,
 			Budget: budget, Degrade: degrade, Tenant: tenant}
 		if prefetch >= 0 {
 			req.Prefetch = &prefetch

@@ -198,16 +198,6 @@ type CacheInfo struct {
 	SavedCost *Cost `json:"saved_cost,omitempty"`
 }
 
-// ShardDetail is the JSON form of core.ShardDetail: one planned
-// shard's range [Lo, Hi), the planner's expected work and the weighted
-// cost actually paid by accesses attributed to it.
-type ShardDetail struct {
-	Lo      int     `json:"lo"`
-	Hi      int     `json:"hi"`
-	Planned float64 `json:"planned"`
-	Actual  float64 `json:"actual"`
-}
-
 // DegradedList records one list a degraded evaluation dropped.
 type DegradedList struct {
 	Attr     string `json:"attr"`
@@ -224,13 +214,6 @@ type QueryResponse struct {
 	Cost    Cost     `json:"cost"`
 	// PerList breaks the cost down by atom, in plan order.
 	PerList []Cost `json:"per_list,omitempty"`
-	// PerShard breaks the cost down by universe shard (sharded requests).
-	PerShard []Cost `json:"per_shard,omitempty"`
-	Shards   int    `json:"shards,omitempty"`
-	// ShardDetails carries the planner's view of each shard (planned
-	// range and expected work, actual cost); present only on sharded
-	// requests.
-	ShardDetails []ShardDetail `json:"shard_details,omitempty"`
 	// Algorithm and Reason describe the plan that produced the results.
 	Algorithm string `json:"algorithm"`
 	Reason    string `json:"reason"`

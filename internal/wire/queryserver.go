@@ -111,15 +111,7 @@ func ResponseOf(rep *middleware.Report, elapsed time.Duration) QueryResponse {
 		Results:   make([]Result, 0, len(rep.Results)),
 		Cost:      costOf(rep.Cost),
 		PerList:   costsOf(rep.PerList),
-		PerShard:  costsOf(rep.PerShard),
-		Shards:    rep.Shards,
 		ElapsedNS: elapsed.Nanoseconds(),
-	}
-	for _, d := range rep.ShardDetails {
-		resp.ShardDetails = append(resp.ShardDetails, ShardDetail{
-			Lo: d.Range.Lo, Hi: d.Range.Hi,
-			Planned: d.Planned, Actual: d.Actual,
-		})
 	}
 	for _, r := range rep.Results {
 		resp.Results = append(resp.Results, Result{Object: r.Object, Grade: r.Grade})

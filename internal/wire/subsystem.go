@@ -5,7 +5,7 @@ import (
 )
 
 // The remote source must present every capability face the engine
-// probes for, so it composes with metering, sharding, resilience, and
+// probes for, so it composes with metering, resilience, and
 // prefetch exactly like a local source.
 var (
 	_ subsys.Source         = (*RemoteSource)(nil)

@@ -42,11 +42,6 @@ func dbSources(db *scoredb.Database) map[string]subsys.Source {
 	return lists
 }
 
-// noSketches embeds only the Subsystem interface, so it hides a Static
-// subsystem's grade sketches: an engine over it cuts its shards evenly,
-// as one over wire-backed subsystems, which serve no sketch, does.
-type noSketches struct{ subsys.Subsystem }
-
 // localEngine builds the in-process reference engine over db.
 func localEngine(t testing.TB, db *scoredb.Database) *middleware.Middleware {
 	t.Helper()
@@ -108,23 +103,18 @@ func assertReportsEqual(t *testing.T, want, got *middleware.Report) {
 	if !reflect.DeepEqual(want.PerList, got.PerList) {
 		t.Errorf("per-list cost diverges: local %v, wire %v", want.PerList, got.PerList)
 	}
-	if !reflect.DeepEqual(want.PerShard, got.PerShard) {
-		t.Errorf("per-shard cost diverges: local %v, wire %v", want.PerShard, got.PerShard)
-	}
 }
 
 // TestLoopbackEquivalence is the tentpole's transparency contract: a
 // query evaluated over wire-backed sources returns bit-identical results
-// and bit-identical Section 5 tallies (total, per list, per shard) to
-// the same query over in-process sources — across the serial executor,
-// the pipelined executor, sharded evaluation, and their composition.
-// The server's page cap is set below the spans the algorithms fetch, so
-// the client's paged-coalescing loop is on the tested path. Wire-backed
-// subsystems serve no grade sketch, so the in-process reference hides
-// its own: both cut their shards into the same even ranges.
+// and bit-identical Section 5 tallies (total and per list) to the same
+// query over the plain in-process Static subsystems — under the serial
+// executor and the pipelined one. The server's page cap is set below
+// the spans the algorithms fetch, so the client's paged-coalescing loop
+// is on the tested path.
 func TestLoopbackEquivalence(t *testing.T) {
 	db := testDB(t, 2000, 3, 11)
-	local := engineOver(t, wrapAll(staticSubsystems(db), func(s subsys.Subsystem) subsys.Subsystem { return noSketches{s} }))
+	local := localEngine(t, db)
 	remote := wireEngine(t, serveSources(t, db, wire.WithPage(64)))
 	q := queryOf(db.M())
 
@@ -135,8 +125,6 @@ func TestLoopbackEquivalence(t *testing.T) {
 		{"Serial", nil},
 		{"Parallel", []middleware.QueryOption{middleware.WithParallelism(3)}},
 		{"Pipelined", []middleware.QueryOption{middleware.WithPrefetch(0)}},
-		{"Sharded", []middleware.QueryOption{middleware.WithShards(4)}},
-		{"ShardedPipelined", []middleware.QueryOption{middleware.WithShards(4), middleware.WithPrefetch(0)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -18,9 +18,11 @@ package fuzzydb_test
 //     (_Parallel) and through the zero-rate fault stack (_Faulty). They must equal the
 //     serial tally: asserted per database below, no rows.
 //   - 16 were the even and the weighted 4-shard totals (_Sharded,
-//     _WeightedShard): the "sharded4-even" and "sharded4-weighted" rows.
+//     _WeightedShard): the "sharded4-even" rows, and "sharded4-weighted"
+//     rows that went with the weighted shard planner.
 //   - 10 were E17's fenced and planned figures: the E17 rows, with the
-//     three inequalities the benchmarks enforced asserted below.
+//     fenced inequality the benchmarks enforced asserted below (the
+//     planned rows' weighted figures went with the planner).
 //   - 4 were the write-mix hit rates (_CachedWriteMix): the
 //     "write-mix-hits-of-256" rows, as counts.
 //   - 28 were the serial tally recomputed under another benchmark's name —
@@ -33,8 +35,8 @@ package fuzzydb_test
 //
 // That sharding, pipelining, the wire and the cache leave the
 // unsharded-equivalent tally alone is asserted where those mechanisms
-// live: internal/core's dense_equiv, fuzz, pipelined and shard_pipeline
-// tests, internal/wire, internal/middleware's cache tests.
+// live: internal/core's dense_equiv, fuzz, pipelined and shard tests,
+// internal/wire, internal/middleware's cache tests.
 
 import (
 	"context"
@@ -55,28 +57,17 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/tallies.golden from this run")
 
-// shardedTally evaluates A0/min/k=10 over db sharded four ways, one
-// shard after the other (the deterministic mode), and returns the total
-// tally and the largest single shard's. sketched cuts the universe by
-// the exact grade-distribution sketches an engine over static
-// subsystems serves (the "weighted" rows); without them the cut is the
-// even one (the "even" rows).
-func shardedTally(t *testing.T, db *scoredb.Database, sketched bool) (total, maxShard int) {
+// shardedTally evaluates A0/min/k=10 over db cut into four even
+// shards, one shard after the other (the deterministic mode), and
+// returns the total tally: the "sharded4-even" rows.
+func shardedTally(t *testing.T, db *scoredb.Database) int {
 	t.Helper()
-	cfg := core.ShardConfig{Shards: 4, Parallel: 1}
-	if sketched {
-		for i := 0; i < db.M(); i++ {
-			cfg.Sketches = append(cfg.Sketches, subsys.SketchList(db.List(i)))
-		}
-	}
-	sr, err := core.EvaluateSharded(context.Background(), core.A0{}, listSources(db), agg.Min, 10, cfg)
+	sr, err := core.EvaluateSharded(context.Background(), core.A0{}, listSources(db), agg.Min, 10,
+		core.ShardConfig{Shards: 4, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range sr.PerShard {
-		maxShard = max(maxShard, c.Sum())
-	}
-	return sr.Cost.Sum(), maxShard
+	return sr.Cost.Sum()
 }
 
 // twoListDB builds a two-list database over n objects from a grade rule.
@@ -122,18 +113,13 @@ func skewedShardDB(t *testing.T, n int) *scoredb.Database {
 	})
 }
 
-// skewedPlanDB builds the weighted planner's workload: all grade mass
-// and every global winner lives in the hot first quarter, whose two
-// lists are ANTI-correlated — an object at g1-rank r among the hot ids
-// sits at g1-rank hot−1−r in list 2 — so the sorted prefixes of any hot
-// slice only begin to intersect after covering half its width, and a
-// shard over a hot slice of width w pays Θ(w) accesses. (The reversal
-// survives restriction to any id slice, so the linear law holds for
-// every shard the planner draws.) The cold tail carries near-zero mass
-// in both lists and fences immediately. An even 4-way split hands
-// shard 0 the entire hot region — a straggler carrying the whole
-// partitioned cost — while the weighted plan cuts the hot region at
-// mass quartiles.
+// skewedPlanDB builds the workload a removed weighted shard planner was
+// measured on (its unsharded row stays): all grade mass and every
+// global winner lives in the hot first quarter, whose two lists are
+// ANTI-correlated — an object at g1-rank r among the hot ids sits at
+// g1-rank hot−1−r in list 2 — so the sorted prefixes only begin to
+// intersect after covering half the hot region, and A0 pays Θ(N)
+// accesses. The cold tail carries near-zero mass in both lists.
 func skewedPlanDB(t *testing.T, n int) *scoredb.Database {
 	hot := n / 4
 	return twoListDB(t, n, func(i int) (g1, g2 float64) {
@@ -226,7 +212,7 @@ func TestTalliesGolden(t *testing.T) {
 	// uniform writes one E1/E2 workload's rows, and its write-mix row
 	// when asked.
 	uniform := func(name string, dbs []*scoredb.Database, writeMix bool) {
-		var serial, even, weighted int
+		var serial, even int
 		for d, db := range dbs {
 			base := a0(listSources(db))
 			if got := a0(listSources(db), core.WithExecutor(core.Pipelined{P: db.M()})); got != base {
@@ -241,13 +227,10 @@ func TestTalliesGolden(t *testing.T) {
 			if got := a0(faulty); got != base {
 				t.Errorf("%s db %d: the zero-rate fault stack tallies %d, bare lists %d", name, d, got, base)
 			}
-			e, _ := shardedTally(t, db, false)
-			w, _ := shardedTally(t, db, true)
-			serial, even, weighted = serial+base, even+e, weighted+w
+			serial, even = serial+base, even+shardedTally(t, db)
 		}
 		row(name, "serial", serial)
 		row(name, "sharded4-even", even)
-		row(name, "sharded4-weighted", weighted)
 		if writeMix {
 			row(name, "write-mix-hits-of-256", writeMixHits(t, dbs))
 		}
@@ -266,30 +249,16 @@ func TestTalliesGolden(t *testing.T) {
 		name := fmt.Sprintf("E17-fenced/N=%d", n)
 		db := skewedShardDB(t, n)
 		base := a0(listSources(db))
-		sharded, _ := shardedTally(t, db, false)
+		sharded := shardedTally(t, db)
 		if sharded >= base {
 			t.Errorf("%s: sharded tally %d not below the unsharded %d", name, sharded, base)
 		}
 		row(name, "serial", base)
 		row(name, "sharded4-even", sharded)
 	}
-	// E17, planned: the even split hands one shard the whole hot region;
-	// cutting at sketch quantiles must at least halve the largest shard
-	// without raising the total.
+	// E17, planned: the anti-correlated hot region, unsharded.
 	for _, n := range []int{16384, 262144} {
-		name := fmt.Sprintf("E17-planned/N=%d", n)
-		db := skewedPlanDB(t, n)
-		evenTotal, evenMax := shardedTally(t, db, false)
-		wTotal, wMax := shardedTally(t, db, true)
-		if 2*wMax > evenMax {
-			t.Errorf("%s: weighted max shard %d exceeds half the even plan's %d", name, wMax, evenMax)
-		}
-		if wTotal > evenTotal {
-			t.Errorf("%s: weighted total %d above the even plan's %d", name, wTotal, evenTotal)
-		}
-		row(name, "serial", a0(listSources(db)))
-		row(name, "sharded4-weighted", wTotal)
-		row(name, "sharded4-weighted-max-shard", wMax)
+		row(fmt.Sprintf("E17-planned/N=%d", n), "serial", a0(listSources(skewedPlanDB(t, n))))
 	}
 
 	const path = "testdata/tallies.golden"
