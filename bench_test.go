@@ -110,7 +110,7 @@ const benchSourceLatency = time.Millisecond
 func latencySources(db *scoredb.Database) []subsys.Source {
 	srcs := listSources(db)
 	for i, s := range srcs {
-		srcs[i] = subsys.NewLatencySource(s, benchSourceLatency, 0)
+		srcs[i] = subsys.NewLatencySource(s, benchSourceLatency)
 	}
 	return srcs
 }

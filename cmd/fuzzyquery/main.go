@@ -377,7 +377,7 @@ func buildEngine(dbFile string, latency time.Duration, fc faultConfig, cacheSize
 	}
 	if latency > 0 {
 		for i, s := range subs {
-			subs[i] = fuzzydb.WithSubsystemLatency(s, latency, 0)
+			subs[i] = fuzzydb.WithSubsystemLatency(s, latency)
 		}
 	}
 	if fc.retries > 0 {

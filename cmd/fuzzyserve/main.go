@@ -27,8 +27,7 @@
 //
 //	GET  /v1/meta     server self-description
 //	POST /v1/entries  sorted access (paged)
-//	POST /v1/grade    random access
-//	POST /v1/grades   random access, batched (at most a page of objects)
+//	POST /v1/grades   random access (at most a page of objects per call)
 //	POST /v1/query    one engine evaluation, full cost report
 //	GET  /v1/results  streaming NDJSON answer cursor
 //

@@ -89,25 +89,21 @@
 // the survivors (the answer equals a fresh query over them), and
 // Report.Degraded records what was lost.
 //
-// # Performance: the dense-universe fast path
+// # One object universe
 //
-// All built-in subsystems grade exactly the objects 0,…,N−1, and the
-// engine exploits that: grade memos, seen-sets, and per-object counters
-// are pooled flat arrays rather than maps, and sorted prefixes are
-// delivered in batched spans. Reported access costs are bit-identical to
-// the straightforward map-backed evaluation — the paper's Section 5
-// tallies are the contract, the fast path only changes wall-clock. A
-// custom Source over a sparse object universe works unchanged via the
-// map fallback; one over a dense universe can opt into the fast path by
-// also implementing subsys.UniverseHinter.
+// Every Source grades the objects 0,…,Len()−1, the universe of Section
+// 4's database, and nothing else: grade memos, seen-sets and per-object
+// counters are pooled flat arrays over it. A source whose sorted or
+// random access names any other object fails its list with a
+// *SourceError wrapping subsys.ErrOutsideUniverse, and the query with it.
 //
 // # Deployment: the wire protocol and cmd/fuzzyserve
 //
 // The engine deploys as a network service. cmd/fuzzyserve serves a
 // scoring database over a JSON/HTTP protocol (internal/wire) in two
 // layers: the raw sorted lists as paged source RPCs (GET /v1/meta,
-// POST /v1/entries, POST /v1/grade, POST /v1/grades for random access
-// in batches), and the full engine on the same
+// POST /v1/entries, POST /v1/grades for random access, one object or a
+// batch), and the full engine on the same
 // mux (POST /v1/query for one-shot evaluation with the complete cost
 // report, GET /v1/results for an NDJSON answer cursor that streams the
 // continuation iterator and cancels the server-side evaluation when
@@ -402,35 +398,22 @@ func NewMutableSubsystem(attr string, n int) *MutableSubsystem {
 // SourceFromList wraps a graded list as a Source.
 func SourceFromList(l *List) Source { return subsys.FromList(l) }
 
-// LatencyOption configures simulated-latency wrappers (NewLatencySource,
-// WithSubsystemLatency).
-type LatencyOption = subsys.LatencyOption
-
-// WithLatencyJitter makes a simulated-latency wrapper sleep a randomized
-// duration: each delay is scaled by a seeded uniform factor in
-// [1−frac, 1+frac], so the pipelined executor sees realistically uneven
-// backends while access tallies stay untouched (jitter, like latency,
-// moves wall-clock only).
-func WithLatencyJitter(frac float64, seed uint64) LatencyOption {
-	return subsys.WithLatencyJitter(frac, seed)
-}
-
 // NewLatencySource wraps a source with simulated remote-backend latency:
-// every physical call sleeps perCall plus perItem per delivered entry or
-// grade, so batched sorted access amortizes the per-call price over the
-// span. Access tallies are unchanged — latency moves wall-clock only.
-// Wrapping a fallible source (e.g. a FaultSource) preserves its failure
-// behavior: the latency is paid, then the error surfaces.
-func NewLatencySource(src Source, perCall, perItem time.Duration, opts ...LatencyOption) Source {
-	return subsys.NewLatencySource(src, perCall, perItem, opts...)
+// every physical call sleeps perCall, so batched sorted access amortizes
+// the price over the span. Access tallies are unchanged — latency moves
+// wall-clock only. Wrapping a fallible source (e.g. a FaultSource)
+// preserves its failure behavior: the latency is paid, then the error
+// surfaces.
+func NewLatencySource(src Source, perCall time.Duration) Source {
+	return subsys.NewLatencySource(src, perCall)
 }
 
 // WithSubsystemLatency wraps a subsystem so every source it produces
 // simulates remote-backend latency (see NewLatencySource): the stand-in
 // for benchmarking and demonstrating the latency-hiding executors
 // against slow backends.
-func WithSubsystemLatency(sub Subsystem, perCall, perItem time.Duration, opts ...LatencyOption) Subsystem {
-	return subsys.WithLatency(sub, perCall, perItem, opts...)
+func WithSubsystemLatency(sub Subsystem, perCall time.Duration) Subsystem {
+	return subsys.WithLatency(sub, perCall)
 }
 
 // Fault tolerance: fallible sources, fault injection, and resilience.
@@ -645,6 +628,9 @@ var (
 	// ErrSizeMismatch reports subsystems or results over different
 	// object universes.
 	ErrSizeMismatch = middleware.ErrSizeMismatch
+	// ErrOutsideUniverse is the cause of the *SourceError a list fails
+	// with when its source names an object outside 0…Len()−1.
+	ErrOutsideUniverse = subsys.ErrOutsideUniverse
 )
 
 // NewEngine builds an engine over subsystems sharing one object universe.

@@ -14,11 +14,12 @@ import (
 	"fuzzydb/internal/subsys"
 )
 
-// opaqueSource forwards a Source while hiding its UniverseHinter, forcing
-// the middleware onto the map-backed fallback for both the Counted memo
-// and the algorithms' scratch state. Access behavior is untouched, so a
-// dense-path evaluation and an opaque-path evaluation of the same
-// database must agree bit for bit — in results and in Section 5 costs.
+// opaqueSource forwards a Source's plain face only, so subsys.Counted
+// reads it through Entries and Grade, one virtual call per probe, rather
+// than through its bare-ListSource fast path (direct list reads, batched
+// misses). Access behavior is untouched, so a list-path evaluation and a
+// plain-face evaluation of the same database must agree bit for bit — in
+// results and in Section 5 costs.
 type opaqueSource struct{ src subsys.Source }
 
 func (o opaqueSource) Len() int                             { return o.src.Len() }
@@ -47,27 +48,27 @@ func validatedSourcesOf(db *scoredb.Database) []subsys.Source {
 
 // requireIdentical asserts two evaluations agree exactly: same objects,
 // same grades (==, not within epsilon), same access tallies.
-func requireIdentical(t *testing.T, label string, rDense, rMap []Result, cDense, cMap cost.Cost) {
+func requireIdentical(t *testing.T, label string, rList, rPlain []Result, cList, cPlain cost.Cost) {
 	t.Helper()
-	if cDense != cMap {
-		t.Errorf("%s: dense cost %v != map cost %v", label, cDense, cMap)
+	if cList != cPlain {
+		t.Errorf("%s: list-path cost %v != plain-face cost %v", label, cList, cPlain)
 	}
-	if len(rDense) != len(rMap) {
-		t.Fatalf("%s: dense returned %d results, map %d", label, len(rDense), len(rMap))
+	if len(rList) != len(rPlain) {
+		t.Fatalf("%s: list path returned %d results, plain face %d", label, len(rList), len(rPlain))
 	}
-	for i := range rDense {
-		if rDense[i] != rMap[i] {
-			t.Errorf("%s: result %d differs: dense %v, map %v", label, i, rDense[i], rMap[i])
+	for i := range rList {
+		if rList[i] != rPlain[i] {
+			t.Errorf("%s: result %d differs: list path %v, plain face %v", label, i, rList[i], rPlain[i])
 		}
 	}
 }
 
-// TestDenseFastPathMatchesMapFallback is the tentpole invariant: the
-// dense-universe fast path is a pure mechanical speedup. Across the
-// algorithm family, grade laws, arities, and randomized k, it must return
-// byte-identical results and identical cost.Cost tallies to the
-// map-backed path.
-func TestDenseFastPathMatchesMapFallback(t *testing.T) {
+// TestDenseFastPathMatchesPlainFace is the fast-path invariant: Counted's
+// direct reads of a bare in-memory list are a pure mechanical speedup.
+// Across the algorithm family, grade laws, arities, and randomized k,
+// they must return byte-identical results and identical cost.Cost
+// tallies to the same lists read through their plain Source face.
+func TestDenseFastPathMatchesPlainFace(t *testing.T) {
 	laws := map[string]scoredb.GradeLaw{
 		"Uniform":      scoredb.Uniform{},
 		"Binary":       scoredb.Binary{P: 0.08},
@@ -94,21 +95,22 @@ func TestDenseFastPathMatchesMapFallback(t *testing.T) {
 			for _, tc := range algs {
 				k := 1 + rng.Intn(n)
 				label := fmt.Sprintf("%s/m=%d/%s-%s/k=%d", lawName, m, tc.alg.Name(), tc.f.Name(), k)
-				rDense, cDense, err := Evaluate(context.Background(), tc.alg, sourcesOf(db), tc.f, k)
+				rList, cList, err := Evaluate(context.Background(), tc.alg, sourcesOf(db), tc.f, k)
 				if err != nil {
-					t.Fatalf("%s: dense: %v", label, err)
+					t.Fatalf("%s: list path: %v", label, err)
 				}
-				rMap, cMap, err := Evaluate(context.Background(), tc.alg, opaqueSourcesOf(db), tc.f, k)
+				rPlain, cPlain, err := Evaluate(context.Background(), tc.alg, opaqueSourcesOf(db), tc.f, k)
 				if err != nil {
-					t.Fatalf("%s: map: %v", label, err)
+					t.Fatalf("%s: plain face: %v", label, err)
 				}
-				requireIdentical(t, label, rDense, rMap, cDense, cMap)
+				requireIdentical(t, label, rList, rPlain, cList, cPlain)
 			}
 		}
 	}
 }
 
-// TestDenseFastPathUllman covers the two-list-only member of the family.
+// TestDenseFastPathUllman compares the list path with the plain face for
+// the two-list-only member of the family.
 func TestDenseFastPathUllman(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, law := range []scoredb.GradeLaw{scoredb.Uniform{}, scoredb.BoundedAbove{Max: 0.9}} {
@@ -116,21 +118,21 @@ func TestDenseFastPathUllman(t *testing.T) {
 		for probe := 0; probe < 2; probe++ {
 			k := 1 + rng.Intn(20)
 			alg := Ullman{Probe: probe}
-			rDense, cDense, err := Evaluate(context.Background(), alg, sourcesOf(db), agg.Min, k)
+			rList, cList, err := Evaluate(context.Background(), alg, sourcesOf(db), agg.Min, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rMap, cMap, err := Evaluate(context.Background(), alg, opaqueSourcesOf(db), agg.Min, k)
+			rPlain, cPlain, err := Evaluate(context.Background(), alg, opaqueSourcesOf(db), agg.Min, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireIdentical(t, fmt.Sprintf("ullman/probe=%d/k=%d", probe, k), rDense, rMap, cDense, cMap)
+			requireIdentical(t, fmt.Sprintf("ullman/probe=%d/k=%d", probe, k), rList, rPlain, cList, cPlain)
 		}
 	}
 }
 
 // TestDenseFastPathFilterFirst drives the selective-conjunct plan over a
-// binary list, on both paths.
+// binary list, through the list path and the plain face.
 func TestDenseFastPathFilterFirst(t *testing.T) {
 	l0 := (scoredb.Generator{N: 600, M: 1, Law: scoredb.Binary{P: 0.01}, Seed: 23}).MustGenerate().List(0)
 	l1 := (scoredb.Generator{N: 600, M: 1, Law: scoredb.Uniform{}, Seed: 24}).MustGenerate().List(0)
@@ -140,42 +142,43 @@ func TestDenseFastPathFilterFirst(t *testing.T) {
 	}
 	for _, k := range []int{1, 5, 40} {
 		alg := FilterFirst{}
-		rDense, cDense, err := Evaluate(context.Background(), alg, sourcesOf(db), agg.Min, k)
+		rList, cList, err := Evaluate(context.Background(), alg, sourcesOf(db), agg.Min, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rMap, cMap, err := Evaluate(context.Background(), alg, opaqueSourcesOf(db), agg.Min, k)
+		rPlain, cPlain, err := Evaluate(context.Background(), alg, opaqueSourcesOf(db), agg.Min, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIdentical(t, fmt.Sprintf("filter-first/k=%d", k), rDense, rMap, cDense, cMap)
+		requireIdentical(t, fmt.Sprintf("filter-first/k=%d", k), rList, rPlain, cList, cPlain)
 	}
 }
 
-// TestDenseFastPathFilter covers the threshold query evaluator.
+// TestDenseFastPathFilter compares the list path with the plain face for
+// the threshold query evaluator.
 func TestDenseFastPathFilter(t *testing.T) {
 	db := scoredb.Generator{N: 400, M: 3, Law: scoredb.Uniform{}, Seed: 29}.MustGenerate()
 	for _, theta := range []float64{0, 0.3, 0.8, 1} {
-		dense := subsys.CountAll(sourcesOf(db))
-		rDense, err := Filter(Background(), dense, agg.Min, theta)
+		lists := subsys.CountAll(sourcesOf(db))
+		rList, err := Filter(Background(), lists, agg.Min, theta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cDense := subsys.TotalCost(dense)
+		cList := subsys.TotalCost(lists)
 		opaque := subsys.CountAll(opaqueSourcesOf(db))
-		rMap, err := Filter(Background(), opaque, agg.Min, theta)
+		rPlain, err := Filter(Background(), opaque, agg.Min, theta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cMap := subsys.TotalCost(opaque)
-		requireIdentical(t, fmt.Sprintf("filter/theta=%v", theta), rDense, rMap, cDense, cMap)
+		cPlain := subsys.TotalCost(opaque)
+		requireIdentical(t, fmt.Sprintf("filter/theta=%v", theta), rList, rPlain, cList, cPlain)
 	}
 }
 
 // TestSerialVsConcurrentExecutors is the executor-equivalence invariant:
 // the pipelined executor is a transport change only. Across the
 // algorithm family, grade laws, arities, widths, and randomized k — on
-// the dense fast path, the map fallback, and behind the stateful
+// the list fast path, the plain face, and behind the stateful
 // Validated wrapper — it must return byte-identical results and
 // identical cost.Cost tallies to the serial evaluation. It runs at the
 // width WithParallelism lowers to and under a fixed and a drawn
@@ -221,8 +224,8 @@ func TestSerialVsConcurrentExecutors(t *testing.T) {
 					name string
 					srcs func(*scoredb.Database) []subsys.Source
 				}{
-					{"dense", sourcesOf},
-					{"map", opaqueSourcesOf},
+					{"list", sourcesOf},
+					{"plain", opaqueSourcesOf},
 					{"validated", validatedSourcesOf},
 				} {
 					rSerial, cSerial, err := Evaluate(context.Background(), tc.alg, mode.srcs(db), tc.f, k)
@@ -302,8 +305,8 @@ func requireShardEquiv(t *testing.T, label string, want, got []Result, truth fun
 // TestShardedVsUnsharded is the shard-equivalence invariant: partitioned
 // evaluation with the threshold-aware merge is a pure execution-strategy
 // change. Across the algorithm family, grade laws, arities, shard
-// counts, worker caps, and randomized k — on both the dense fast path
-// and the map fallback — the merged global top-k must match the
+// counts, worker caps, and randomized k — on both the list fast path
+// and the plain face — the merged global top-k must match the
 // unsharded evaluation: identical grade sequence, identical objects and
 // order everywhere above the k-th grade, and exact ground-truth grades
 // with no duplicates inside the k-th grade's tie class (see
@@ -346,8 +349,8 @@ func TestShardedVsUnsharded(t *testing.T) {
 					name string
 					srcs func(*scoredb.Database) []subsys.Source
 				}{
-					{"dense", sourcesOf},
-					{"map", opaqueSourcesOf},
+					{"list", sourcesOf},
+					{"plain", opaqueSourcesOf},
 				} {
 					want, _, err := Evaluate(context.Background(), tc.alg, mode.srcs(db), tc.f, k)
 					if err != nil {

@@ -16,8 +16,9 @@ import (
 // FuzzExecutorEquivalence is the randomized cross-executor equivalence
 // harness — the property, fuzzed: every execution strategy the engine
 // offers is a transport change only. One fuzz input seeds a PRNG that
-// draws a whole scenario — universe size and grade law (dense fast path
-// or the map/sparse fallback), arity m, k, the aggregation law, the
+// draws a whole scenario — universe size and grade law (lists read on
+// Counted's list fast path or through their plain face), arity m, k, the
+// aggregation law, the
 // algorithm, executor parameters, a shard count, and optionally an
 // access budget — and the harness then cross-checks, in the spirit of
 // fusion-rule cross-validation, that
@@ -97,17 +98,17 @@ func fuzzExecutorEquivalence(t *testing.T, seed uint64) {
 	width := 1 + rng.Intn(8)
 	_ = rng.Intn(24) // a retired executor's knob; drawn so committed seeds build the same scenario
 	p := 1 + rng.Intn(m+2)
-	sparse := rng.Intn(2) == 1 // map fallback instead of the dense path
+	plain := rng.Intn(2) == 1 // the plain face instead of the list fast path
 
 	db := scoredb.Generator{N: n, M: m, Law: law, Seed: seed ^ 0x9e3779b97f4a7c15}.MustGenerate()
 	srcs := func() []subsys.Source {
-		if sparse {
+		if plain {
 			return opaqueSourcesOf(db)
 		}
 		return sourcesOf(db)
 	}
-	label := fmt.Sprintf("seed=%d/N=%d/m=%d/%s/%s-%s/k=%d/P=%d/depth=%d/sparse=%v",
-		seed, n, m, law.Name(), tc.alg.Name(), tc.f.Name(), k, shards, depth, sparse)
+	label := fmt.Sprintf("seed=%d/N=%d/m=%d/%s/%s-%s/k=%d/P=%d/depth=%d/plain=%v",
+		seed, n, m, law.Name(), tc.alg.Name(), tc.f.Name(), k, shards, depth, plain)
 
 	// Unsharded reference, then every executor against it.
 	want, wantCost, err := Evaluate(context.Background(), tc.alg, srcs(), tc.f, k)

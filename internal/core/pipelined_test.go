@@ -16,7 +16,7 @@ import (
 func latencySourcesOf(db *scoredb.Database, perCall time.Duration) []subsys.Source {
 	srcs := sourcesOf(db)
 	for i := range srcs {
-		srcs[i] = subsys.NewLatencySource(srcs[i], perCall, 0)
+		srcs[i] = subsys.NewLatencySource(srcs[i], perCall)
 	}
 	return srcs
 }

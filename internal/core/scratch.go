@@ -9,17 +9,15 @@ import (
 
 // scratch is the reusable per-query working state of the algorithm
 // family: the seen-set, per-object counters, per-object running values,
-// and the entries/grades buffers every algorithm fills. Over a dense
-// universe (every list reports one via subsys.UniverseHinter) the
-// per-object state is flat arrays with epoch stamping — a slot is live
-// iff stamp[obj] == gen, so reuse across queries is O(1) with no
-// clearing. Sparse or unhinted sources fall back to maps.
+// and the entries/grades buffers every algorithm fills. The per-object
+// state is flat arrays over the universe 0…N−1 with epoch stamping — a
+// slot is live iff stamp[obj] == gen, so reuse across queries is O(1)
+// with no clearing. Every object an algorithm hands it came out of a
+// list's sorted stream, and subsys.Counted delivers no object outside
+// 0…Len()−1, so the arrays need no bounds test of their own.
 //
-// Both modes record first-touch order in touched, and algorithms iterate
-// objects exclusively through objects(). That makes the two modes
-// bit-identical in results and in Section 5 access counts: the fallback
-// is the same algorithm over a different dictionary, not a different
-// algorithm (the equivalence tests pin this).
+// First-touch order is recorded in touched, and algorithms iterate
+// objects exclusively through objects().
 //
 // Instances come from a sync.Pool so concurrent engine queries do not
 // allocate Θ(N) state per evaluation; acquire with acquireScratch and
@@ -32,18 +30,12 @@ import (
 // object visit had stamped for one already offered, and compare against
 // a stale val — with no panic to catch it.
 type scratch struct {
-	dense bool
-	n     int // universe size when dense
-
 	gen   uint32
 	stamp []uint32
 	count []int32
 	val   []float64
 
-	scount map[int]int32   // sparse fallback for count
-	sval   map[int]float64 // sparse fallback for val
-
-	touched []int // objects in first-touch order (both modes)
+	touched []int // objects in first-touch order
 
 	entries []gradedset.Entry // shared output staging buffer
 	grades  []float64         // shared grade-vector buffer
@@ -53,51 +45,30 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
 
-// denseUniverse reports the common dense universe of the lists, if every
-// list declares one.
-func denseUniverse(lists []*subsys.Counted) (int, bool) {
-	n := 0
-	for i, l := range lists {
-		u, ok := l.Universe()
-		if !ok {
-			return 0, false
-		}
-		if i == 0 {
-			n = u
-		} else if u != n {
-			return 0, false
-		}
-	}
-	return n, true
-}
-
-// acquireScratch draws a scratch from the pool, sized and keyed for the
-// given lists. Pair with release.
+// acquireScratch draws a scratch from the pool, sized for the universe
+// of the given lists: the largest Len(), which covers every object any
+// of them can deliver. Pair with release.
 func acquireScratch(lists []*subsys.Counted) *scratch {
 	s := scratchPool.Get().(*scratch)
-	n, dense := denseUniverse(lists)
-	s.dense, s.n = dense, n
+	n := 0
+	for _, l := range lists {
+		n = max(n, l.Len())
+	}
 	s.touched = s.touched[:0]
 	s.entries = s.entries[:0]
-	if dense {
-		if cap(s.stamp) < n {
-			s.stamp = make([]uint32, n)
-			s.count = make([]int32, n)
-			s.val = make([]float64, n)
-			s.gen = 0
-		}
-		s.stamp = s.stamp[:cap(s.stamp)]
-		s.count = s.count[:cap(s.count)]
-		s.val = s.val[:cap(s.val)]
-		s.gen++
-		if s.gen == 0 { // epoch wrap: stale stamps could alias; clear once
-			clear(s.stamp)
-			s.gen = 1
-		}
-		s.scount, s.sval = nil, nil
-	} else {
-		s.scount = make(map[int]int32)
-		s.sval = nil
+	if cap(s.stamp) < n {
+		s.stamp = make([]uint32, n)
+		s.count = make([]int32, n)
+		s.val = make([]float64, n)
+		s.gen = 0
+	}
+	s.stamp = s.stamp[:cap(s.stamp)]
+	s.count = s.count[:cap(s.count)]
+	s.val = s.val[:cap(s.val)]
+	s.gen++
+	if s.gen == 0 { // epoch wrap: stale stamps could alias; clear once
+		clear(s.stamp)
+		s.gen = 1
 	}
 	return s
 }
@@ -110,66 +81,38 @@ func (s *scratch) release() { scratchPool.Put(s) }
 // visit appends obj to the touch order. Algorithms that only need a seen
 // set use count==1 as "newly seen".
 func (s *scratch) visit(obj int) int32 {
-	if s.dense {
-		if s.stamp[obj] != s.gen {
-			s.stamp[obj] = s.gen
-			s.count[obj] = 1
-			s.touched = append(s.touched, obj)
-			return 1
-		}
-		s.count[obj]++
-		return s.count[obj]
-	}
-	c := s.scount[obj] + 1
-	s.scount[obj] = c
-	if c == 1 {
+	if s.stamp[obj] != s.gen {
+		s.stamp[obj] = s.gen
+		s.count[obj] = 1
 		s.touched = append(s.touched, obj)
+		return 1
 	}
-	return c
+	s.count[obj]++
+	return s.count[obj]
 }
 
 // countOf returns obj's current counter (0 if never visited).
 func (s *scratch) countOf(obj int) int32 {
-	if s.dense {
-		if s.stamp[obj] != s.gen {
-			return 0
-		}
-		return s.count[obj]
+	if s.stamp[obj] != s.gen {
+		return 0
 	}
-	return s.scount[obj]
+	return s.count[obj]
 }
 
 // offerMax keeps the running maximum value per object (B₀'s h(x)); the
 // first offer appends obj to the touch order.
 func (s *scratch) offerMax(obj int, g float64) {
-	if s.dense {
-		if s.stamp[obj] != s.gen {
-			s.stamp[obj] = s.gen
-			s.val[obj] = g
-			s.touched = append(s.touched, obj)
-		} else if g > s.val[obj] {
-			s.val[obj] = g
-		}
-		return
-	}
-	if s.sval == nil {
-		s.sval = make(map[int]float64)
-	}
-	if v, seen := s.sval[obj]; !seen || g > v {
-		if !seen {
-			s.touched = append(s.touched, obj)
-		}
-		s.sval[obj] = g
+	if s.stamp[obj] != s.gen {
+		s.stamp[obj] = s.gen
+		s.val[obj] = g
+		s.touched = append(s.touched, obj)
+	} else if g > s.val[obj] {
+		s.val[obj] = g
 	}
 }
 
 // valOf returns the running value recorded by offerMax.
-func (s *scratch) valOf(obj int) float64 {
-	if s.dense {
-		return s.val[obj]
-	}
-	return s.sval[obj]
-}
+func (s *scratch) valOf(obj int) float64 { return s.val[obj] }
 
 // objects returns every touched object in first-touch order. The slice
 // aliases the scratch and is valid until release.

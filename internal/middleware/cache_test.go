@@ -421,13 +421,13 @@ func TestCacheBehindWrappers(t *testing.T) {
 		wrap func(subsys.Subsystem) subsys.Subsystem
 	}{
 		{"bare", func(s subsys.Subsystem) subsys.Subsystem { return s }},
-		{"WithLatency", func(s subsys.Subsystem) subsys.Subsystem { return subsys.WithLatency(s, 0, 0) }},
+		{"WithLatency", func(s subsys.Subsystem) subsys.Subsystem { return subsys.WithLatency(s, 0) }},
 		{"WithFaults", func(s subsys.Subsystem) subsys.Subsystem { return subsys.WithFaults(s, subsys.FaultPlan{Seed: 3}) }},
 		{"WithResilience", func(s subsys.Subsystem) subsys.Subsystem {
 			return subsys.WithResilience(s, subsys.Policy{MaxRetries: 1})
 		}},
 		{"WithResilience(WithLatency(WithFaults))", func(s subsys.Subsystem) subsys.Subsystem {
-			return subsys.WithResilience(subsys.WithLatency(subsys.WithFaults(s, subsys.FaultPlan{Seed: 3}), 0, 0), subsys.Policy{MaxRetries: 1})
+			return subsys.WithResilience(subsys.WithLatency(subsys.WithFaults(s, subsys.FaultPlan{Seed: 3}), 0), subsys.Policy{MaxRetries: 1})
 		}},
 	}
 	db := scoredb.Generator{N: n, M: m, Seed: 53}.MustGenerate()

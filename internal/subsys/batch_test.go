@@ -74,9 +74,8 @@ func upTo(n int) []int {
 // TestWrappersPreserveCapabilities pins that no wrapper silently drops
 // an optional capability of the source under it: over a batch-capable
 // parent each one still exposes BatchGrader (with the parent's cap),
-// UniverseHinter, ContextSource and FallibleSource, so a wrapped remote
-// source keeps the dense fast path, per-request contexts, typed
-// failures and batched random access. Over a parent that does not batch
+// ContextSource and FallibleSource, so a wrapped remote source keeps
+// per-request contexts, typed failures and batched random access. Over a parent that does not batch
 // the same wrappers report the capability absent, and Validated never
 // forwards it.
 func TestWrappersPreserveCapabilities(t *testing.T) {
@@ -88,7 +87,7 @@ func TestWrappersPreserveCapabilities(t *testing.T) {
 	}{
 		{"Resilient", func(s Source) Source { return Resilient(s, Policy{MaxRetries: 1}) }},
 		{"FaultSource", func(s Source) Source { return NewFaultSource(s, FaultPlan{}) }},
-		{"LatencySource", func(s Source) Source { return NewLatencySource(s, 0, 0) }},
+		{"LatencySource", func(s Source) Source { return NewLatencySource(s, 0) }},
 		{"ShardSources", func(s Source) Source {
 			return ShardSources([]Source{s}, ShardRange{Lo: 8, Hi: 40})[0]
 		}},
@@ -106,11 +105,6 @@ func TestWrappersPreserveCapabilities(t *testing.T) {
 			}
 			if c := Count(src); c.GradeBatch() != max || !c.Fallible() {
 				t.Errorf("Counted sees batch %d (want %d), fallible %t", c.GradeBatch(), max, c.Fallible())
-			}
-			if h, ok := src.(UniverseHinter); !ok {
-				t.Error("UniverseHinter lost")
-			} else if _, dense := h.Universe(); !dense {
-				t.Error("dense universe lost")
 			}
 			if _, ok := src.(FallibleSource); !ok {
 				t.Error("FallibleSource lost")
@@ -140,9 +134,6 @@ func TestWrappersPreserveCapabilities(t *testing.T) {
 		src := Validated(newBatchList(list, max))
 		if _, ok := src.(BatchGrader); ok {
 			t.Error("Validated forwards BatchGrader; its per-access checks would be bypassed")
-		}
-		if _, ok := src.(UniverseHinter); !ok {
-			t.Error("UniverseHinter lost")
 		}
 		if _, ok := src.(ContextSource); !ok {
 			t.Error("ContextSource lost")
@@ -236,7 +227,7 @@ func TestLatencyAndShardViewBatches(t *testing.T) {
 	const n = 64
 	list := descendingList(t, n)
 	parent := newBatchList(list, n)
-	lat := NewLatencySource(parent, 0, 0)
+	lat := NewLatencySource(parent, 0)
 	out := make([]float64, 10)
 	if got, err := lat.TryGrades(upTo(10), out); got != 10 || err != nil {
 		t.Fatalf("LatencySource.TryGrades = (%d, %v)", got, err)

@@ -19,71 +19,66 @@ func denseList(t *testing.T, grades []float64) *gradedset.List {
 	return l
 }
 
-// hideHint wraps a Source without forwarding UniverseHinter, forcing
-// Counted onto the map-backed memo.
-type hideHint struct{ src Source }
+// opaqueSource forwards a Source's plain face only, so Counted reads it
+// through Entries and Grade rather than its bare-ListSource fast path.
+type opaqueSource struct{ src Source }
 
-func (h hideHint) Len() int                             { return h.src.Len() }
-func (h hideHint) Entry(rank int) gradedset.Entry       { return h.src.Entry(rank) }
-func (h hideHint) Entries(lo, hi int) []gradedset.Entry { return h.src.Entries(lo, hi) }
-func (h hideHint) Grade(obj int) float64                { return h.src.Grade(obj) }
+func (h opaqueSource) Len() int                             { return h.src.Len() }
+func (h opaqueSource) Entry(rank int) gradedset.Entry       { return h.src.Entry(rank) }
+func (h opaqueSource) Entries(lo, hi int) []gradedset.Entry { return h.src.Entries(lo, hi) }
+func (h opaqueSource) Grade(obj int) float64                { return h.src.Grade(obj) }
 
-// TestCountedDenseMatchesMapMemo walks identical access sequences through
-// a dense-universe Counted and a map-fallback Counted: every observable —
-// entries, grades, Known, Seen size, costs — must agree.
-func TestCountedDenseMatchesMapMemo(t *testing.T) {
+// TestCountedListPathMatchesPlainFace walks identical access sequences
+// through a Counted over a bare ListSource (the list fast path) and one
+// over the same list's plain face: every observable — entries, grades,
+// Known, Seen size, costs — must agree.
+func TestCountedListPathMatchesPlainFace(t *testing.T) {
 	l := denseList(t, []float64{0.9, 0.2, 0.8, 0.5, 0.7, 0.1, 0.6, 0.3})
-	dense := Count(FromList(l))
-	if _, ok := dense.Universe(); !ok {
-		t.Fatal("dense list source did not report a universe")
-	}
-	mapped := Count(hideHint{src: FromList(l)})
-	if _, ok := mapped.Universe(); ok {
-		t.Fatal("hidden hint still reported a universe")
-	}
+	list := Count(FromList(l))
+	plain := Count(opaqueSource{src: FromList(l)})
 
 	for rank := 0; rank < 5; rank++ {
-		ed, okd := dense.EntryAt(rank)
-		em, okm := mapped.EntryAt(rank)
+		ed, okd := list.EntryAt(rank)
+		em, okm := plain.EntryAt(rank)
 		if okd != okm || ed != em {
-			t.Fatalf("rank %d: dense (%v,%v) vs map (%v,%v)", rank, ed, okd, em, okm)
+			t.Fatalf("rank %d: list (%v,%v) vs plain (%v,%v)", rank, ed, okd, em, okm)
 		}
 	}
 	for _, obj := range []int{1, 1, 7, 0, 5} {
-		if gd, gm := dense.Grade(obj), mapped.Grade(obj); gd != gm {
-			t.Errorf("Grade(%d): dense %v vs map %v", obj, gd, gm)
+		if gd, gm := list.Grade(obj), plain.Grade(obj); gd != gm {
+			t.Errorf("Grade(%d): list %v vs plain %v", obj, gd, gm)
 		}
 	}
 	for obj := 0; obj < 8; obj++ {
-		gd, okd := dense.Known(obj)
-		gm, okm := mapped.Known(obj)
+		gd, okd := list.Known(obj)
+		gm, okm := plain.Known(obj)
 		if gd != gm || okd != okm {
-			t.Errorf("Known(%d): dense (%v,%v) vs map (%v,%v)", obj, gd, okd, gm, okm)
+			t.Errorf("Known(%d): list (%v,%v) vs plain (%v,%v)", obj, gd, okd, gm, okm)
 		}
 	}
-	if ds, ms := len(dense.Seen()), len(mapped.Seen()); ds != ms {
-		t.Errorf("Seen: dense %d objects vs map %d", ds, ms)
+	if ds, ms := len(list.Seen()), len(plain.Seen()); ds != ms {
+		t.Errorf("Seen: list %d objects vs plain %d", ds, ms)
 	}
-	if dense.Cost() != mapped.Cost() {
-		t.Errorf("cost: dense %v vs map %v", dense.Cost(), mapped.Cost())
+	if list.Cost() != plain.Cost() {
+		t.Errorf("cost: list %v vs plain %v", list.Cost(), plain.Cost())
 	}
 	// Re-reads of a paid-for prefix stay free on both.
-	before := dense.Cost()
-	dense.EntryAt(2)
-	mapped.EntryAt(2)
-	if dense.Cost() != before || mapped.Cost() != before {
+	before := list.Cost()
+	list.EntryAt(2)
+	plain.EntryAt(2)
+	if list.Cost() != before || plain.Cost() != before {
 		t.Error("re-reading a delivered rank was charged")
 	}
 }
 
 // TestEntryAtSingleSourceCall pins the satellite fix: delivering rank r
-// costs exactly one Entry/Entries call per rank, even on re-read, and on
-// the map fallback path too.
+// costs exactly one Entry/Entries call per rank, even on re-read, through
+// the plain face too.
 func TestEntryAtSingleSourceCall(t *testing.T) {
 	l := denseList(t, []float64{0.9, 0.8, 0.7, 0.6})
 	calls := 0
 	src := countingSource{list: l, calls: &calls}
-	c := Count(hideHint{src: src})
+	c := Count(opaqueSource{src: src})
 	c.EntryAt(2) // delivers ranks 0,1,2
 	if calls != 3 {
 		t.Fatalf("delivering 3 ranks cost %d source reads", calls)
@@ -164,7 +159,7 @@ func TestCursorNextBatch(t *testing.T) {
 func TestCursorLastGradeCached(t *testing.T) {
 	l := denseList(t, []float64{0.9, 0.8, 0.3})
 	calls := 0
-	c := Count(hideHint{src: countingSource{list: l, calls: &calls}})
+	c := Count(opaqueSource{src: countingSource{list: l, calls: &calls}})
 	cu := NewCursor(c)
 	for {
 		e, ok := cu.Next()
@@ -181,21 +176,7 @@ func TestCursorLastGradeCached(t *testing.T) {
 	}
 }
 
-// TestValidatedKeepsDenseHint: wrapping a dense source in the contract
-// checker must not knock it off the dense fast path.
-func TestValidatedKeepsDenseHint(t *testing.T) {
-	l := denseList(t, []float64{0.9, 0.8, 0.7})
-	c := Count(Validated(FromList(l)))
-	if n, ok := c.Universe(); !ok || n != 3 {
-		t.Errorf("validated dense source reports universe (%d, %v), want (3, true)", n, ok)
-	}
-	c = Count(Validated(hideHint{src: FromList(l)}))
-	if _, ok := c.Universe(); ok {
-		t.Error("validated sparse source invented a universe hint")
-	}
-}
-
-// TestCountedReleaseRecycles: a released dense cache is reusable and a
+// TestCountedReleaseRecycles: a released grade memo is reusable and a
 // fresh Counted starts clean.
 func TestCountedReleaseRecycles(t *testing.T) {
 	l := denseList(t, []float64{0.9, 0.8, 0.7})

@@ -15,19 +15,16 @@
 // paper's "the grade has already been determined, so random access is not
 // needed"), and exposes the sequential cursor semantics of sorted access.
 //
-// # Dense-universe fast path
+// # One object universe
 //
-// Every subsystem in this repository grades exactly the objects
-// {0,…,N−1}, and a Source over such a universe advertises it through the
-// optional UniverseHinter interface. Counted then backs its grade memo
-// with a pooled, epoch-stamped flat array instead of a map, so a metered
-// access is a pair of array writes; the delivered sorted prefix is kept
-// in order so re-reads never touch the source. Sources over sparse or
-// undeclared object sets (custom integrations, filtered views) silently
-// fall back to the map memo with identical semantics and identical
-// Section 5 access counts — the fast path is a mechanical speedup, never
-// a behavioral change, and the equivalence tests in core pin exactly
-// that. Call Release (or subsys.ReleaseAll) after an evaluation to
+// Every Source grades the objects 0,…,Len()−1 and no others. Counted
+// backs its grade memo with a pooled, epoch-stamped flat array over them,
+// so a metered access is a pair of array writes, and the bounds test of
+// that write is the universe check: a sorted entry naming any other
+// object fails the list at its rank, unpaid, and a probe of one fails it
+// at the object — a *SourceError wrapping ErrOutsideUniverse either way.
+// The delivered sorted prefix is kept in order so re-reads never touch
+// the source. Call Release (or subsys.ReleaseAll) after an evaluation to
 // recycle the pooled arrays; long-lived consumers such as paginators may
 // simply skip it.
 //
@@ -105,10 +102,10 @@
 //
 // # Partitioned universes (sharding)
 //
-// PlanShards splits the dense universe into P contiguous ranges of
+// PlanShards splits the universe into P contiguous ranges of
 // near-equal size, and ShardView presents the restriction of a parent
 // Source to one range as a full-fledged Source of its own: objects
-// renumbered to a local dense universe, sorted order re-ranked lazily by
+// renumbered to a local universe, sorted order re-ranked lazily by
 // scanning the parent's canonical order forward — a comparison-only
 // scan, never a metered access. A per-shard Counted over the view meters
 // exactly the accesses that shard's evaluation consumed, so per-shard
@@ -168,7 +165,7 @@
 //
 // Everything stacked on a Source or a Subsystem must be transparent to
 // the tallies and to the optional faces the engine probes for; a wrapper
-// that drops one silently loses the dense fast path, batched random
+// that drops one silently loses per-request contexts, batched random
 // access or cache invalidation. So no wrapper
 // forwards capabilities by hand: it embeds a base (wrap.go) and
 // overrides what it changes.
@@ -177,7 +174,6 @@
 // faces once (FacesOf) and forwards
 //
 //	Source            Len, Entry, Entries, Grade   the plain face, untouched
-//	UniverseHinter    Universe                     the wrapped source's hint
 //	ContextSource     BindContext                  bound on the wrapped source
 //	BatchGrader       MaxGrades                    0 when in.Batch is nil
 //

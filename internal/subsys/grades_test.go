@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
@@ -64,7 +63,9 @@ func (s shortBatcher) TryGrades(objs []int, out []float64) (int, error) {
 // TestGradesMatchesGradeLoop pins the column routine to the loop it
 // replaces: on twin Counted lists in the same state, Grades(objs, col)
 // and `for i, obj := range objs { col[i] = c.Grade(obj) }` leave the
-// same column, tallies, memo (Seen, in order) and sticky failure.
+// same column, tallies, memo (Seen, in order) and sticky failure — for
+// an object outside the universe 0…N−1, the same ErrOutsideUniverse at
+// the same first such object.
 func TestGradesMatchesGradeLoop(t *testing.T) {
 	const n = 40
 	dense := descendingList(t, n)
@@ -90,16 +91,21 @@ func TestGradesMatchesGradeLoop(t *testing.T) {
 		// only the failure's cause differs.
 		shortAt int
 		fails   bool // the case is about a source failure: there must be one
+		outside bool // ... and that failure is ErrOutsideUniverse
 	}{
 		{name: "dense list", src: func() Source { return FromList(dense) }, objs: all, shortAt: -1},
-		{name: "sparse list", src: func() Source { return FromList(sparse) }, objs: []int{7, 8, 0, 273, 14, 1000}, shortAt: -1},
-		{name: "outside the dense universe", src: func() Source { return FromList(dense) }, objs: []int{3, n, -1, 5, n + 9, n}, shortAt: -1},
+		// A list that grades objects beyond 0…Len()−1: probing one of them
+		// fails the list, and the misses after it read 0.
+		{name: "sparse list", src: func() Source { return FromList(sparse) }, objs: []int{7, 8, 0, 273, 14, 1000}, shortAt: -1, fails: true, outside: true},
+		{name: "outside the dense universe", src: func() Source { return FromList(dense) }, prep: sorted(4), objs: []int{3, 9, n, -1, 5, n + 9, 9, all[0]}, shortAt: -1, fails: true, outside: true},
+		{name: "batches of 3, outside the universe", src: func() Source { return newBatchList(dense, 3) }, prep: sorted(5),
+			objs: append(append(append([]int(nil), all[:20]...), -3, n), all[20:]...), shortAt: -1, fails: true, outside: true},
 		{name: "duplicates", src: func() Source { return FromList(dense) }, objs: []int{9, 4, 9, 9, 30, 4}, shortAt: -1},
 		{name: "known and unknown mixed", src: func() Source { return FromList(dense) }, prep: func(c *Counted) {
 			sorted(10)(c)
 			c.Grade(33)
 		}, objs: all, shortAt: -1},
-		{name: "wrapped list", src: func() Source { return NewLatencySource(FromList(dense), 0, 0) }, prep: sorted(6), objs: all, shortAt: -1},
+		{name: "wrapped list", src: func() Source { return NewLatencySource(FromList(dense), 0) }, prep: sorted(6), objs: all, shortAt: -1},
 		{name: "sticky failure already set", src: func() Source {
 			return &flaky{ListSource: FromList(dense), failRank: 5}
 		}, prep: sorted(8), objs: all, shortAt: -1, fails: true},
@@ -150,12 +156,14 @@ func TestGradesMatchesGradeLoop(t *testing.T) {
 			if column.Cost() != loop.Cost() {
 				t.Errorf("cost = %v, want %v", column.Cost(), loop.Cost())
 			}
-			if g, w := seenInOrder(column), seenInOrder(loop); !reflect.DeepEqual(g, w) {
+			if g, w := column.Seen(), loop.Seen(); !reflect.DeepEqual(g, w) {
 				t.Errorf("seen = %v\nwant   %v", g, w)
 			}
 			switch gerr, werr := column.serr, loop.serr; {
 			case (werr != nil) != tc.fails:
 				t.Errorf("the Grade loop's failure = %v, want one: %t", werr, tc.fails)
+			case tc.outside && (!errors.Is(werr, ErrOutsideUniverse) || !werr.Random):
+				t.Errorf("the Grade loop's failure = %v, want a random-access ErrOutsideUniverse", werr)
 			case tc.shortAt >= 0:
 				if gerr == nil || werr == nil || gerr.Rank != werr.Rank || gerr.List != werr.List ||
 					gerr.Random != werr.Random || !errors.Is(gerr, errShortGrades) {
@@ -195,21 +203,6 @@ func TestGradesMatchesGradeLoop(t *testing.T) {
 			}
 		})
 	}
-}
-
-// seenInOrder is Seen with its unordered part (the map memo) sorted, so
-// the dense memo's first-seen order is compared exactly.
-func seenInOrder(c *Counted) []int {
-	var ordered []int
-	if c.dc != nil {
-		ordered = append(ordered, c.dc.seen...)
-	}
-	rest := make([]int, 0, len(c.known))
-	for obj := range c.known {
-		rest = append(rest, obj)
-	}
-	sort.Ints(rest)
-	return append(ordered, rest...)
 }
 
 // TestPooledPrefixUnderConcurrentQueries hammers the pooled sorted

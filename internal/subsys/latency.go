@@ -1,8 +1,6 @@
 package subsys
 
 import (
-	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,19 +9,17 @@ import (
 
 // LatencySource wraps a Source with simulated access latency, standing
 // in for a remote backend (a subsystem reached over a network, a disk
-// index): every physical call sleeps PerCall, plus PerItem for each
-// entry or grade it delivers. A batched sorted access therefore pays the
-// per-call price once for the whole span — the amortization a real
-// cursor-style protocol gives — which is exactly the shape that makes
-// readahead depth matter: with latency dominated by PerCall, doubling
-// the batch halves the per-rank cost.
+// index): every physical call sleeps PerCall, however many entries or
+// grades it delivers. A batched sorted access therefore pays the price
+// once for the whole span — the amortization a real cursor-style
+// protocol gives — which is exactly the shape that makes readahead depth
+// matter: doubling the batch halves the per-rank cost.
 //
-// The wrapper is stateless apart from atomic call counters (and the
-// mutex-guarded jitter generator, when configured), so it is safe for
-// the concurrent reads a pipelined executor performs (provided the
-// wrapped source is too, as every built-in source is). Access tallies
-// are unaffected: latency changes wall-clock, never the Section 5 cost
-// of the evaluation.
+// The wrapper is stateless apart from atomic call counters, so it is
+// safe for the concurrent reads a pipelined executor performs (provided
+// the wrapped source is too, as every built-in source is). Access
+// tallies are unaffected: latency changes wall-clock, never the Section
+// 5 cost of the evaluation.
 //
 // LatencySource also implements FallibleSource: failures of a fallible
 // wrapped source pass through (with the latency still paid — a failed
@@ -33,74 +29,21 @@ import (
 type LatencySource struct {
 	inner
 	perCall time.Duration
-	perItem time.Duration
-	jit     *jitterer
 	calls   atomic.Int64
 	items   atomic.Int64
 }
 
-// LatencyOption configures optional latency-simulation behavior.
-type LatencyOption func(*latencyConfig)
-
-type latencyConfig struct {
-	jitterFrac float64
-	jitterSeed uint64
-}
-
-// WithLatencyJitter makes every simulated sleep vary uniformly within
-// ±frac of its nominal duration (frac clamped to [0, 1]), drawn from a
-// generator seeded with seed — so latency sims stop being perfectly
-// uniform while staying reproducible. frac = 0 disables jitter.
-func WithLatencyJitter(frac float64, seed uint64) LatencyOption {
-	return func(c *latencyConfig) {
-		if frac < 0 {
-			frac = 0
-		}
-		if frac > 1 {
-			frac = 1
-		}
-		c.jitterFrac = frac
-		c.jitterSeed = seed
-	}
-}
-
-// jitterer scales durations by a seeded uniform factor in [1−frac, 1+frac].
-type jitterer struct {
-	frac float64
-	mu   sync.Mutex
-	rng  *rand.Rand
-}
-
-func (j *jitterer) scale(d time.Duration) time.Duration {
-	j.mu.Lock()
-	u := j.rng.Float64()
-	j.mu.Unlock()
-	return time.Duration(float64(d) * (1 - j.frac + 2*j.frac*u))
-}
-
-// NewLatencySource wraps src with perCall latency on every physical call
-// plus perItem latency per delivered entry or grade.
-func NewLatencySource(src Source, perCall, perItem time.Duration, opts ...LatencyOption) *LatencySource {
-	var cfg latencyConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	s := &LatencySource{inner: wrapping(src), perCall: perCall, perItem: perItem}
-	if cfg.jitterFrac > 0 {
-		s.jit = &jitterer{frac: cfg.jitterFrac, rng: rand.New(rand.NewSource(int64(cfg.jitterSeed)))}
-	}
-	return s
+// NewLatencySource wraps src with perCall latency on every physical call.
+func NewLatencySource(src Source, perCall time.Duration) *LatencySource {
+	return &LatencySource{inner: wrapping(src), perCall: perCall}
 }
 
 // pay simulates the latency of one physical call delivering n items.
 func (s *LatencySource) pay(n int) {
 	s.calls.Add(1)
 	s.items.Add(int64(n))
-	if d := s.perCall + time.Duration(n)*s.perItem; d > 0 {
-		if s.jit != nil {
-			d = s.jit.scale(d)
-		}
-		time.Sleep(d)
+	if s.perCall > 0 {
+		time.Sleep(s.perCall)
 	}
 }
 
@@ -165,10 +108,9 @@ func (s *LatencySource) TryGrades(objs []int, out []float64) (int, error) {
 type LatencySubsystem struct{ wrapped }
 
 // WithLatency wraps sub so its query results simulate remote-backend
-// latency (see LatencySource); options such as WithLatencyJitter apply
-// to every source the subsystem produces.
-func WithLatency(sub Subsystem, perCall, perItem time.Duration, opts ...LatencyOption) *LatencySubsystem {
+// latency (see LatencySource).
+func WithLatency(sub Subsystem, perCall time.Duration) *LatencySubsystem {
 	return &LatencySubsystem{wrapped{sub, func(_ string, src Source) Source {
-		return NewLatencySource(src, perCall, perItem, opts...)
+		return NewLatencySource(src, perCall)
 	}}}
 }

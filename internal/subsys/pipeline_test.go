@@ -59,7 +59,7 @@ func TestPipelinePaysOnDeliveryOnly(t *testing.T) {
 // than ranks, because the batch depth doubles as the consumer stalls.
 func TestPipelineBatchesSortedAccess(t *testing.T) {
 	const n = 2048
-	lat := NewLatencySource(FromList(pipelineList(t, n)), 20*time.Microsecond, 0)
+	lat := NewLatencySource(FromList(pipelineList(t, n)), 20*time.Microsecond)
 	c := Count(lat)
 	defer c.Release()
 	c.StartPrefetch(0)
@@ -97,7 +97,7 @@ func TestPipelineBatchesSortedAccess(t *testing.T) {
 // (no further physical calls once the in-flight batch lands) and the
 // cursor reports exhaustion.
 func TestPipelineFenceDrains(t *testing.T) {
-	lat := NewLatencySource(FromList(pipelineList(t, 1024)), 50*time.Microsecond, 0)
+	lat := NewLatencySource(FromList(pipelineList(t, 1024)), 50*time.Microsecond)
 	c := Count(lat)
 	c.StartPrefetch(32)
 	cu := NewCursor(c)
@@ -130,10 +130,7 @@ func TestPipelineFenceDrains(t *testing.T) {
 // tallies (via Counted) identical to the unwrapped source.
 func TestLatencySourceShape(t *testing.T) {
 	l := pipelineList(t, 64)
-	lat := NewLatencySource(FromList(l), 0, 0)
-	if n, dense := lat.Universe(); !dense || n != 64 {
-		t.Fatalf("Universe() = %d, %v; want 64, true", n, dense)
-	}
+	lat := NewLatencySource(FromList(l), 0)
 	span := lat.Entries(0, 10)
 	if len(span) != 10 {
 		t.Fatalf("Entries returned %d", len(span))

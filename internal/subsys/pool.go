@@ -6,7 +6,7 @@ import (
 	"fuzzydb/internal/gradedset"
 )
 
-// denseCache memoizes grades over the dense universe {0,…,N−1} with an
+// denseCache memoizes grades over the universe {0,…,N−1} with an
 // epoch-stamped flat array: grades[obj] is valid iff stamp[obj] == gen.
 // Reuse is O(1) — bumping gen invalidates every slot at once — so a cache
 // drawn from the pool is ready without zeroing N slots, which matters
@@ -33,18 +33,24 @@ func (d *denseCache) get(obj int) (float64, bool) {
 	return d.grades[obj], true
 }
 
-// put memoizes the grade of obj. It reports false when obj lies outside
-// the universe (the caller falls back to its overflow map).
+// put memoizes the grade of obj. It reports false, memoizing nothing,
+// when obj lies outside the universe: the one bounds test that decides
+// whether an object belongs to it (see ErrOutsideUniverse).
 func (d *denseCache) put(obj int, g float64) bool {
 	if obj < 0 || obj >= d.n {
 		return false
 	}
+	d.set(obj, g)
+	return true
+}
+
+// set is put for an obj the caller has already bounds-checked.
+func (d *denseCache) set(obj int, g float64) {
 	if d.stamp[obj] != d.gen {
 		d.stamp[obj] = d.gen
 		d.seen = append(d.seen, obj)
 	}
 	d.grades[obj] = g
-	return true
 }
 
 var denseCachePool sync.Pool // of *denseCache

@@ -6,7 +6,7 @@ import (
 	"fuzzydb/internal/gradedset"
 )
 
-// ShardRange is one contiguous slice [Lo, Hi) of the dense universe
+// ShardRange is one contiguous slice [Lo, Hi) of the universe
 // {0,…,N−1}: the unit of partitioned evaluation. Shards are disjoint and
 // cover the universe, so every object belongs to exactly one shard.
 type ShardRange struct {
@@ -19,7 +19,7 @@ type ShardRange struct {
 // Len returns the number of objects in the shard.
 func (r ShardRange) Len() int { return r.Hi - r.Lo }
 
-// PlanShards splits the dense universe {0,…,n−1} into p contiguous
+// PlanShards splits the universe {0,…,n−1} into p contiguous
 // ranges of near-equal size (the first n mod p shards hold one extra
 // object). p < 1 is treated as 1, and p is clamped to n (floored at 1)
 // so the plan never contains a zero-width trailing shard: every planned
@@ -56,10 +56,10 @@ func PlanShards(n, p int) []ShardRange {
 // ShardView is a re-ranked view of a parent source restricted to the
 // objects of one contiguous range: the graded list the shard's subsystem
 // would have produced had it only indexed those objects. Objects are
-// renumbered to the local dense universe {0,…,Hi−Lo−1} (local id =
-// global id − Lo), so the view reports a dense universe of its own and
-// every downstream layer — pooled grade memos, flat-array scratch —
-// stays on the fast path without any per-query O(N) copy of the parent.
+// renumbered to the local universe {0,…,Hi−Lo−1} (local id = global
+// id − Lo), so every downstream layer — pooled grade memos, flat-array
+// scratch — is sized to the shard without any per-query O(N) copy of
+// the parent.
 //
 // Sorted order is inherited: the view's rank order is the subsequence of
 // the parent's canonical order (descending grade, ascending id on ties)
@@ -77,8 +77,8 @@ func PlanShards(n, p int) []ShardRange {
 // returned Entries spans stay valid across concurrent growth: the prefix
 // only ever appends.
 //
-// The view assumes the parent honors the dense-universe contract
-// (objects are exactly {0,…,N−1}); an out-of-range object would belong
+// The view assumes the parent honors the universe contract (objects
+// are exactly {0,…,N−1}); an out-of-range object would belong
 // to no shard, leaving some view short of its range, which the consumer
 // then records as a failure. Wrap untrusted sources with Validated
 // before sharding them.
@@ -117,10 +117,6 @@ func ShardSources(parents []Source, r ShardRange) []Source {
 
 // Len implements Source: the number of objects in the shard.
 func (s *ShardView) Len() int { return s.r.Len() }
-
-// Universe implements UniverseHinter: a shard view is always dense over
-// its local ids.
-func (s *ShardView) Universe() (int, bool) { return s.r.Len(), true }
 
 // fill extends the re-ranked prefix to at least n local entries (or the
 // shard's end), scanning the parent's sorted entries forward in chunks
@@ -196,7 +192,7 @@ func (s *ShardView) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	err := s.fill(hi)
-	// A parent that breaks the dense-universe contract leaves the view
+	// A parent that breaks the universe contract leaves the view
 	// short of r.Len() entries once fully scanned: clamp instead of
 	// overrunning, and the consumer records the short span as a failure.
 	if n := len(s.entries); hi > n {

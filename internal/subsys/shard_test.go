@@ -80,9 +80,6 @@ func TestShardViewMatchesFilteredReference(t *testing.T) {
 			if v.Len() != len(want) {
 				t.Fatalf("shard %v: Len = %d, want %d", r, v.Len(), len(want))
 			}
-			if u, dense := v.Universe(); !dense || u != r.Len() {
-				t.Fatalf("shard %v: Universe = (%d,%v), want (%d,true)", r, u, dense, r.Len())
-			}
 			for rank, w := range want {
 				if got := v.Entry(rank); got != w {
 					t.Errorf("shard %v: Entry(%d) = %v, want %v", r, rank, got, w)
@@ -122,9 +119,6 @@ func TestShardViewEmptyRange(t *testing.T) {
 	}
 	if got := v.Entries(0, 0); len(got) != 0 {
 		t.Errorf("Entries(0,0) = %v, want empty", got)
-	}
-	if u, dense := v.Universe(); !dense || u != 0 {
-		t.Errorf("Universe = (%d,%v), want (0,true)", u, dense)
 	}
 }
 

@@ -2,6 +2,7 @@ package subsys
 
 import (
 	"errors"
+	"fmt"
 
 	"fuzzydb/internal/cost"
 	"fuzzydb/internal/gradedset"
@@ -27,16 +28,25 @@ type Source interface {
 	Grade(obj int) float64
 }
 
-// UniverseHinter is an optional Source capability: a source graded over
-// exactly the dense universe {0,…,N−1} can report it, letting the
-// middleware back its per-object bookkeeping with flat arrays instead of
-// maps. Sources over sparse or unknown object sets simply omit the
-// method (or return dense=false) and the middleware falls back to maps.
+// UniverseHinter is the old optional declaration of the universe
+// {0,…,N−1}. Every Source now grades exactly 0…Len()−1 (see Counted), so
+// nothing in the engine reads the hint any more.
+//
+// Deprecated: there is one object universe; the interface is kept only
+// for callers that still forward it.
 type UniverseHinter interface {
 	// Universe returns the universe size N when the source grades
 	// exactly the objects 0,…,N−1.
 	Universe() (n int, dense bool)
 }
+
+// ErrOutsideUniverse is the cause of the *SourceError a list fails with
+// when its source names an object outside 0…Len()−1: on sorted access
+// at the rank that named it, on random access at the object asked for.
+var ErrOutsideUniverse = errors.New("subsys: object outside the universe 0…N−1")
+
+// outside is the sticky failure for obj outside a universe of n objects.
+func outside(obj, n int) error { return fmt.Errorf("%w: object %d of %d", ErrOutsideUniverse, obj, n) }
 
 // ListSource adapts a gradedset.List to the Source interface.
 type ListSource struct {
@@ -61,9 +71,6 @@ func (s ListSource) Grade(obj int) float64 {
 	return g
 }
 
-// Universe implements UniverseHinter via the list's own density index.
-func (s ListSource) Universe() (int, bool) { return s.list.DenseUniverse() }
-
 // Counted wraps a Source with access metering and memoization. It is the
 // object algorithms actually touch: every grade that reaches an algorithm
 // has been paid for exactly once, so the counters are the S and R of the
@@ -86,11 +93,12 @@ func (s ListSource) Universe() (int, bool) { return s.list.DenseUniverse() }
 // The grade memo (which decides whether a later random access is free)
 // is likewise updated only at delivery time, never by readahead.
 //
-// Over a dense universe (the source implements UniverseHinter) the
-// memo is an epoch-stamped flat array drawn from a pool, so a metered
-// access costs two array writes rather than a map insert; sparse sources
-// use the map fallback. Either way the delivered prefix is cached in
-// order, so re-reads never touch the source again.
+// Every source grades the universe 0…Len()−1, so the memo is an
+// epoch-stamped flat array of Len() slots drawn from a pool, and a
+// metered access costs two array writes. The bounds test that write
+// makes is the universe check: a sorted entry or a probe naming any other
+// object fails the list with ErrOutsideUniverse, unpaid. The delivered
+// prefix is cached in order, so re-reads never touch the source again.
 type Counted struct {
 	src     Source
 	fs      FallibleSource    // non-nil when src exposes the fallible face
@@ -102,8 +110,7 @@ type Counted struct {
 	random  int               // R for this list
 	fenced  bool              // sorted stream closed early (threshold stop); see Fence
 	prefix  []gradedset.Entry // buffered prefix, prefix[r] = entry at rank r; may exceed fetched
-	dc      *denseCache       // dense-universe memo; nil → map fallback
-	known   map[int]float64   // map fallback memo (also overflow for out-of-universe probes)
+	dc      *denseCache       // grade memo over 0…length−1; nil after Release
 	list    *gradedset.List   // the list itself when src is a bare in-memory ListSource
 	pipe    *pipeline         // background prefetcher; nil until StartPrefetch
 	expect  int               // rank the evaluation expects to read to (see Expect); 0 = unstated
@@ -111,8 +118,7 @@ type Counted struct {
 	piped   bool              // a pipeline ran at some point (pstats is meaningful)
 }
 
-// Count wraps src for metered access. When src reports a dense universe
-// the memo is array-backed; otherwise a map is used.
+// Count wraps src for metered access over the universe 0…src.Len()−1.
 func Count(src Source) *Counted {
 	// Probed, not resolved with FacesOf: whether the source can fail at
 	// all decides Fallible(), and an adapter per list per query is an
@@ -127,17 +133,15 @@ func Count(src Source) *Counted {
 	if ls, ok := src.(ListSource); ok {
 		// Only the bare adapter: behind a wrapper (latency, faults, a
 		// tracer) a probe is no longer two array reads, and the wrapper
-		// must keep seeing every access.
-		c.list = ls.list
-	}
-	if h, ok := src.(UniverseHinter); ok {
-		if n, dense := h.Universe(); dense {
-			c.dc = acquireDenseCache(n)
-			c.prefix = c.dc.prefix[:0]
-			return c
+		// must keep seeing every access. And only over the universe: a
+		// list that grades other objects can fail (ErrOutsideUniverse),
+		// which Fallible must report.
+		if _, ok := ls.list.DenseUniverse(); ok {
+			c.list = ls.list
 		}
 	}
-	c.known = make(map[int]float64)
+	c.dc = acquireDenseCache(c.length)
+	c.prefix = c.dc.prefix[:0]
 	return c
 }
 
@@ -179,7 +183,6 @@ func (c *Counted) Release() {
 		c.dc = nil
 	}
 	c.prefix = nil
-	c.known = nil
 	c.src = nil
 }
 
@@ -192,15 +195,6 @@ func ReleaseAll(cs []*Counted) {
 
 // Len returns the number of graded objects.
 func (c *Counted) Len() int { return c.length }
-
-// Universe reports the dense universe size when the underlying source
-// declared one (see UniverseHinter).
-func (c *Counted) Universe() (int, bool) {
-	if c.dc != nil {
-		return c.dc.n, true
-	}
-	return 0, false
-}
 
 // Depth returns the high-water mark of sorted access.
 func (c *Counted) Depth() int { return c.fetched }
@@ -229,20 +223,6 @@ func (c *Counted) Fence() {
 
 // Fenced reports whether the sorted stream was closed early.
 func (c *Counted) Fenced() bool { return c.fenced }
-
-// record memoizes a grade learned by either access mode.
-func (c *Counted) record(obj int, g float64) {
-	if c.dc != nil {
-		if c.dc.put(obj, g) {
-			return
-		}
-		// Out-of-universe object on a dense source: overflow to the map.
-		if c.known == nil {
-			c.known = make(map[int]float64)
-		}
-	}
-	c.known[obj] = g
-}
 
 // ensureBuffered extends the buffered prefix to at least n entries on
 // behalf of a consumer about to deliver them: absorbing from the
@@ -355,8 +335,9 @@ func (c *Counted) Err() error {
 
 // Fallible reports whether the list can fail mid-query: its source
 // exposes a fallible face (FallibleSource or BatchGrader), or it is
-// anything but a bare in-memory list — any other Source can still
-// deliver a short sorted span (see errShortSpan).
+// anything but a bare in-memory list over the universe — any other
+// Source can still deliver a short sorted span (see errShortSpan) or an
+// object outside the universe (see ErrOutsideUniverse).
 func (c *Counted) Fallible() bool { return c.fs != nil || c.bg != nil || c.list == nil }
 
 // Expect states how many ranks of the list the evaluation expects its
@@ -434,8 +415,15 @@ func (c *Counted) deliver(hi int) {
 	if hi <= c.fetched {
 		return
 	}
-	for _, got := range c.prefix[c.fetched:hi] {
-		c.record(got.Object, got.Grade)
+	for i, got := range c.prefix[c.fetched:hi] {
+		if !c.dc.put(got.Object, got.Grade) {
+			// The entry names an object outside the universe: the list
+			// fails at its rank, and the stream ends before it, unpaid.
+			rank := c.fetched + i
+			c.failSorted(rank, outside(got.Object, c.length))
+			c.prefix, c.fetched = c.prefix[:rank], rank
+			return
+		}
 	}
 	c.fetched = hi
 }
@@ -484,16 +472,7 @@ func (c *Counted) entriesTo(lo, hi int) []gradedset.Entry {
 // the cached value is returned at no cost, per Section 4's observation
 // that no access is needed for objects already seen.
 func (c *Counted) Grade(obj int) float64 {
-	if c.dc != nil {
-		if g, ok := c.dc.get(obj); ok {
-			return g
-		}
-		if c.known != nil {
-			if g, ok := c.known[obj]; ok {
-				return g
-			}
-		}
-	} else if g, ok := c.known[obj]; ok {
+	if g, ok := c.dc.get(obj); ok {
 		return g
 	}
 	if c.serr != nil {
@@ -502,19 +481,22 @@ func (c *Counted) Grade(obj int) float64 {
 		// into the typed error before the 0 can reach a result.
 		return 0
 	}
+	if uint(obj) >= uint(c.length) {
+		c.failRandom(obj, outside(obj, c.length))
+		return 0
+	}
+	var g float64
 	if c.fs != nil {
-		g, err := c.fs.TryGrade(obj)
-		if err != nil {
+		var err error
+		if g, err = c.fs.TryGrade(obj); err != nil {
 			c.failRandom(obj, err)
 			return 0
 		}
-		c.random++
-		c.record(obj, g)
-		return g
+	} else {
+		g = c.src.Grade(obj)
 	}
-	g := c.src.Grade(obj)
 	c.random++
-	c.record(obj, g)
+	c.dc.set(obj, g)
 	return g
 }
 
@@ -524,7 +506,7 @@ func (c *Counted) Grade(obj int) float64 {
 //
 // with exactly that loop's outcome: the column, the random tally, the
 // memo, Seen() order and the sticky first failure (duplicates in objs
-// and objects outside a dense universe included). What changes is how
+// and objects outside the universe included). What changes is how
 // the source is read. Known grades are resolved inline; the misses are
 // collected and read in one go — straight from the list when the source
 // is an in-memory ListSource (one loop of independent loads instead of
@@ -532,18 +514,18 @@ func (c *Counted) Grade(obj int) float64 {
 // and then paid for through DeliverGrade in ascending index order. A
 // source with neither gets one Grade call per miss, as before.
 func (c *Counted) Grades(objs []int, col []float64) {
-	var local missBuf
-	b := &local
-	if c.dc != nil {
-		b = &c.dc.miss
-	}
+	b := &c.dc.miss
 	at, ids := b.at[:0], b.ids[:0]
+	read := -1 // misses before the first object outside the universe
 	for i, obj := range objs {
-		if g, ok := c.Known(obj); ok {
+		if g, ok := c.dc.get(obj); ok {
 			col[i] = g
-		} else {
-			at, ids = append(at, i), append(ids, obj)
+			continue
 		}
+		if read < 0 && uint(obj) >= uint(c.length) {
+			read = len(ids)
+		}
+		at, ids = append(at, i), append(ids, obj)
 	}
 	b.at, b.ids = at, ids
 	if c.list == nil && c.bg == nil {
@@ -552,16 +534,19 @@ func (c *Counted) Grades(objs []int, col []float64) {
 		}
 		return
 	}
+	if read < 0 {
+		read = len(ids)
+	}
 	if cap(b.out) < len(ids) {
 		b.out = make([]float64, len(ids))
 	}
 	out := b.out[:len(ids)]
-	size := len(ids)
+	size := read
 	if c.list == nil {
 		size = c.GradeBatch()
 	}
-	for lo := 0; lo < len(ids) && c.serr == nil; lo += size {
-		hi := min(lo+size, len(ids))
+	for lo := 0; lo < read && c.serr == nil; lo += size {
+		hi := min(lo+size, read)
 		n, err := c.TrySourceGrades(ids[lo:hi], out[lo:hi])
 		for t := lo; t < lo+n; t++ {
 			col[at[t]] = c.DeliverGrade(ids[t], out[t])
@@ -569,6 +554,9 @@ func (c *Counted) Grades(objs []int, col []float64) {
 		if err != nil {
 			c.failRandom(ids[lo+n], err)
 		}
+	}
+	if read < len(ids) {
+		c.failRandom(ids[read], outside(ids[read], c.length))
 	}
 	if c.serr != nil {
 		// Failed list (now or before the call): a miss the source never
@@ -657,45 +645,23 @@ func (c *Counted) FailGrade(obj int, err error) { c.failRandom(obj, err) }
 // serial evaluation would have probed, so tallies and memo state
 // coincide.
 func (c *Counted) DeliverGrade(obj int, g float64) float64 {
-	if g0, ok := c.Known(obj); ok {
+	if g0, ok := c.dc.get(obj); ok {
 		return g0
 	}
+	if !c.dc.put(obj, g) {
+		c.failRandom(obj, outside(obj, c.length))
+		return 0
+	}
 	c.random++
-	c.record(obj, g)
 	return g
 }
 
 // Known reports the grade of obj if it has already been paid for.
-func (c *Counted) Known(obj int) (float64, bool) {
-	if c.dc != nil {
-		if g, ok := c.dc.get(obj); ok {
-			return g, true
-		}
-		if c.known == nil {
-			return 0, false
-		}
-	}
-	g, ok := c.known[obj]
-	return g, ok
-}
+func (c *Counted) Known(obj int) (float64, bool) { return c.dc.get(obj) }
 
-// Seen returns every object whose grade in this list is known, in
-// unspecified order.
-func (c *Counted) Seen() []int {
-	if c.dc != nil {
-		objs := make([]int, 0, len(c.dc.seen)+len(c.known))
-		objs = append(objs, c.dc.seen...)
-		for obj := range c.known {
-			objs = append(objs, obj)
-		}
-		return objs
-	}
-	objs := make([]int, 0, len(c.known))
-	for obj := range c.known {
-		objs = append(objs, obj)
-	}
-	return objs
-}
+// Seen returns every object whose grade in this list is known, in the
+// order the list first learned them.
+func (c *Counted) Seen() []int { return append([]int(nil), c.dc.seen...) }
 
 // Cost returns this list's access tallies so far.
 func (c *Counted) Cost() cost.Cost {
@@ -809,7 +775,7 @@ func (cu *Cursor) DemandAhead(n int) {
 // paid for only when the cursor consumes it.
 func (cu *Cursor) AwaitAhead(n int, stop <-chan struct{}) bool {
 	c := cu.list
-	if c.fenced {
+	if c.fenced || c.serr != nil {
 		return false
 	}
 	want := cu.pos + n

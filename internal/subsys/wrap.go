@@ -11,7 +11,7 @@ import (
 // Try and Batch without asking again what the source can do.
 type Faces struct {
 	// Src is the source itself: the plain face, and the value the other
-	// optional capabilities (UniverseHinter, ContextSource) are probed on.
+	// optional capability (ContextSource) is probed on.
 	Src Source
 	// Try is never nil: the source's own fallible face, or over a source
 	// without one an adapter onto the plain face whose Try* cannot fail.
@@ -62,16 +62,6 @@ func (w inner) Len() int                             { return w.in.Src.Len() }
 func (w inner) Entry(rank int) gradedset.Entry       { return w.in.Src.Entry(rank) }
 func (w inner) Entries(lo, hi int) []gradedset.Entry { return w.in.Src.Entries(lo, hi) }
 func (w inner) Grade(obj int) float64                { return w.in.Src.Grade(obj) }
-
-// Universe implements UniverseHinter with the wrapped source's hint, so
-// a wrapper does not knock an evaluation off the flat-array fast path
-// (core requires every list to report dense).
-func (w inner) Universe() (int, bool) {
-	if h, ok := w.in.Src.(UniverseHinter); ok {
-		return h.Universe()
-	}
-	return 0, false
-}
 
 // BindContext implements ContextSource: the request context travels
 // down to whatever below performs the physical accesses.

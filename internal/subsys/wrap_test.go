@@ -13,27 +13,22 @@ import (
 var (
 	_ FallibleSource = (*LatencySource)(nil)
 	_ BatchGrader    = (*LatencySource)(nil)
-	_ UniverseHinter = (*LatencySource)(nil)
 	_ ContextSource  = (*LatencySource)(nil)
 
 	_ FallibleSource = (*FaultSource)(nil)
 	_ BatchGrader    = (*FaultSource)(nil)
-	_ UniverseHinter = (*FaultSource)(nil)
 	_ ContextSource  = (*FaultSource)(nil)
 
 	_ FallibleSource = (*ResilientSource)(nil)
 	_ BatchGrader    = (*ResilientSource)(nil)
-	_ UniverseHinter = (*ResilientSource)(nil)
 	_ ContextSource  = (*ResilientSource)(nil)
 
 	_ FallibleSource = (*ShardView)(nil)
 	_ BatchGrader    = (*ShardView)(nil)
-	_ UniverseHinter = (*ShardView)(nil)
 	_ ContextSource  = (*ShardView)(nil)
 
-	_ Source         = (*validatedSource)(nil)
-	_ UniverseHinter = (*validatedSource)(nil)
-	_ ContextSource  = (*validatedSource)(nil)
+	_ Source        = (*validatedSource)(nil)
+	_ ContextSource = (*validatedSource)(nil)
 
 	_ Subsystem = (*LatencySubsystem)(nil)
 	_ Versioned = (*LatencySubsystem)(nil)
@@ -58,11 +53,11 @@ func TestSubsystemWrappersPreserveCapabilities(t *testing.T) {
 		name string
 		wrap func(Subsystem) Subsystem
 	}{
-		{"WithLatency", func(s Subsystem) Subsystem { return WithLatency(s, 0, 0) }},
+		{"WithLatency", func(s Subsystem) Subsystem { return WithLatency(s, 0) }},
 		{"WithFaults", func(s Subsystem) Subsystem { return WithFaults(s, FaultPlan{}) }},
 		{"WithResilience", func(s Subsystem) Subsystem { return WithResilience(s, Policy{}) }},
 		{"WithResilience(WithLatency(WithFaults))", func(s Subsystem) Subsystem {
-			return WithResilience(WithLatency(WithFaults(s, FaultPlan{}), 0, 0), Policy{})
+			return WithResilience(WithLatency(WithFaults(s, FaultPlan{}), 0), Policy{})
 		}},
 	}
 	for _, w := range wrappers {

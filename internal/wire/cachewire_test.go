@@ -209,7 +209,7 @@ func TestSourceRPCDisconnectCancels(t *testing.T) {
 		path string
 		body any
 	}{
-		{"grade", "/v1/grade", wire.GradeRequest{List: "A1", Object: 3}},
+		{"grade", "/v1/grades", wire.GradesRequest{List: "A1", Objects: []int{3}}},
 		{"entries", "/v1/entries", wire.EntriesRequest{List: "A1", Lo: 0, Hi: 10}},
 	}
 	for _, tc := range calls {

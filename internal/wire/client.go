@@ -27,7 +27,7 @@ import (
 // is futile. The underlying cause (including context.Canceled /
 // context.DeadlineExceeded) is reachable through errors.Is/As.
 type TransportError struct {
-	// Op names the failing endpoint ("entries", "grade", "query", …).
+	// Op names the failing endpoint ("entries", "grades", "query", …).
 	Op string
 	// Status is the HTTP status of an error response; 0 when the failure
 	// happened below HTTP (dial, reset, decode).
@@ -160,10 +160,8 @@ func (c *Client) Close() { c.hc.CloseIdleConnections() }
 // Source returns the named remote list as a subsys.Source. The source
 // implements subsys.FallibleSource (transport and server faults flow
 // through the typed-error machinery instead of panicking),
-// subsys.UniverseHinter (when the server reports a dense universe),
 // subsys.ContextSource (per-request contexts bound by the engine reach
-// the HTTP requests), and subsys.BatchGrader (when the server advertises
-// /v1/grades).
+// the HTTP requests), and subsys.BatchGrader (/v1/grades).
 func (c *Client) Source(list string) (*RemoteSource, error) {
 	for _, name := range c.meta.Lists {
 		if name == list {
@@ -342,9 +340,9 @@ func envelopeError(op string, resp *http.Response) *TransportError {
 }
 
 // RemoteSource is one remote list as a subsys.Source: sorted access
-// maps to paged /v1/entries fetches, random access to /v1/grade and, in
-// batches through subsys.BatchGrader, to /v1/grades. Obtain one from
-// Client.Source.
+// maps to paged /v1/entries fetches, random access to /v1/grades (one
+// object for TryGrade, a batch through subsys.BatchGrader). Obtain one
+// from Client.Source.
 //
 // The Try* methods are safe for concurrent use (the pipelined
 // executor's prefetchers and gather workers all hit the shared pooled
@@ -384,8 +382,10 @@ func (s *RemoteSource) boundCtx() context.Context {
 // Len implements Source: the universe size from the server's meta.
 func (s *RemoteSource) Len() int { return s.c.meta.N }
 
-// Universe implements subsys.UniverseHinter from the server's meta.
-func (s *RemoteSource) Universe() (int, bool) { return s.c.meta.N, s.c.meta.Dense }
+// Universe reports the server's universe {0,…,N−1}.
+//
+// Deprecated: every source grades 0…Len()−1; nothing in the engine asks.
+func (s *RemoteSource) Universe() (int, bool) { return s.c.meta.N, true }
 
 // TryEntries implements subsys.FallibleSource: one logical batched
 // sorted access, coalesced into as few paged fetches as the server's
@@ -399,10 +399,6 @@ func (s *RemoteSource) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
 		return nil, nil
 	}
 	ctx := s.boundCtx()
-	universe := 0
-	if s.c.meta.Dense {
-		universe = s.c.meta.N
-	}
 	var out []gradedset.Entry
 	pos := lo
 	for pos < hi {
@@ -410,7 +406,7 @@ func (s *RemoteSource) TryEntries(lo, hi int) ([]gradedset.Entry, error) {
 		if err := s.c.post(ctx, "entries", "/v1/entries", EntriesRequest{List: s.list, Lo: pos, Hi: hi}, &resp); err != nil {
 			return out, err
 		}
-		span, err := resp.entries(hi-pos, universe)
+		span, err := resp.entries(hi-pos, s.c.meta.N)
 		if err != nil {
 			return out, err
 		}
@@ -443,19 +439,12 @@ func (s *RemoteSource) TryEntry(rank int) (gradedset.Entry, error) {
 	return gradedset.Entry{}, err
 }
 
-// TryGrade implements subsys.FallibleSource: one random access.
+// TryGrade implements subsys.FallibleSource: one random access, a
+// one-object /v1/grades call.
 func (s *RemoteSource) TryGrade(obj int) (float64, error) {
-	var resp GradeResponse
-	if err := s.c.post(s.boundCtx(), "grade", "/v1/grade", GradeRequest{List: s.list, Object: obj}, &resp); err != nil {
-		return 0, err
-	}
-	if resp.Err != nil {
-		return 0, &TransportError{Op: "grade", Msg: resp.Err.Message, Temporary: resp.Err.Transient}
-	}
-	if err := checkGrades("grade", []float64{resp.Grade}); err != nil {
-		return 0, err
-	}
-	return resp.Grade, nil
+	var g [1]float64
+	_, err := s.TryGrades([]int{obj}, g[:])
+	return g[0], err
 }
 
 // TryGrades implements subsys.BatchGrader: one /v1/grades round trip
@@ -484,15 +473,8 @@ func (s *RemoteSource) TryGrades(objs []int, out []float64) (int, error) {
 	return n, nil
 }
 
-// MaxGrades implements subsys.BatchGrader: the server's page when it
-// advertises /v1/grades, 0 (capability absent, /v1/grade per object)
-// when dialled to a server that predates the endpoint.
-func (s *RemoteSource) MaxGrades() int {
-	if s.c.meta.Grades {
-		return s.c.meta.Page
-	}
-	return 0
-}
+// MaxGrades implements subsys.BatchGrader: the server's page.
+func (s *RemoteSource) MaxGrades() int { return s.c.meta.Page }
 
 // Entry implements Source; it panics on a transport failure (see the
 // type comment).

@@ -18,9 +18,8 @@
 // A SourceServer serves raw sorted lists; a QueryServer serves a full
 // engine. cmd/fuzzyserve mounts both on one mux.
 //
-//	GET  /v1/meta     → Meta{n, dense, lists, page, grades, engine}
+//	GET  /v1/meta     → Meta{n, lists, page, engine}
 //	POST /v1/entries  EntriesRequest{list, lo, hi} → EntriesResponse{objects, grades, err?}
-//	POST /v1/grade    GradeRequest{list, object}   → GradeResponse{grade, err?}
 //	POST /v1/grades   GradesRequest{list, objects} → GradesResponse{grades, err?}
 //	POST /v1/query    QueryRequest                 → QueryResponse
 //	GET  /v1/results  QueryRequest as URL params   → NDJSON stream of Result rows
@@ -34,10 +33,10 @@
 //
 // /v1/entries is sorted access: the entries at ranks [lo, hi) of one
 // list, paged — the server delivers at most Meta.Page entries per
-// response and the client continues from rank lo+len(objects). /v1/grade
-// is random access; /v1/grades is random access in batches: grades[i]
-// is the grade of objects[i], for at most Meta.Page objects — a larger
-// batch, or on a dense server an object id outside {0,…,n−1}, is a 400.
+// response and the client continues from rank lo+len(objects).
+// /v1/grades is random access, one object or a batch: grades[i] is the
+// grade of objects[i], for at most Meta.Page objects — a larger batch,
+// or an object id outside the universe {0,…,n−1}, is a 400.
 // The batch is len(objects) accesses delivered together, never a
 // cheaper kind of access: the client still meters one random access per
 // grade it delivers. When the backing source fails mid-batch the
@@ -56,7 +55,7 @@
 //	{"error": "message", "transient": true, "cost": {"sorted": s, "random": r}}
 //
 // It appears in two positions with two meanings. In-band (the err field
-// of a 200 entries/grade response): the backing source itself failed;
+// of a 200 entries/grades response): the backing source itself failed;
 // the delivered span is the longest prefix obtained before the failure,
 // preserving the subsys.FallibleSource partial-span contract across the
 // wire. As the body of a non-2xx response: the protocol call failed —
@@ -67,24 +66,16 @@
 // retry decision (subsys.Resilient): 5xx and 429 default transient,
 // other 4xx permanent.
 //
-// # Compatibility
-//
-// /v1/grades postdates the other source endpoints. A server that mounts
-// it says so in Meta ("grades": true); a client dialled to a server
-// that does not keeps to one /v1/grade per object — RemoteSource then
-// reports the batch capability absent (MaxGrades 0) and every layer
-// above falls back by itself. An old client simply never calls the new
-// route. Neither side has a switch for it.
-//
 // # Malformed responses
 //
 // The client trusts the status line, not the body: an entries span
-// whose objects and grades differ in length or that is longer than
-// asked for, a grades batch of the wrong length, and any grade outside
-// [0, 1] (NaN and infinities do not survive JSON decoding at all) are
-// returned as a *TransportError — permanent when the JSON was well
-// formed, since a retry would be answered the same — and none of the
-// response's values reach the engine.
+// whose objects and grades differ in length, that is longer than asked
+// for or that names an object outside {0,…,n−1}, a grades batch of the
+// wrong length, and any grade outside [0, 1] (NaN and infinities do not
+// survive JSON decoding at all) are returned as a *TransportError —
+// permanent when the JSON was well formed, since a retry would be
+// answered the same — and none of the response's values reach the
+// engine.
 //
 // # Overload: 429 and Retry-After
 //
@@ -133,14 +124,13 @@
 //     in-band source faults surface as typed *TransportError values
 //     carrying a Transient() classification, so subsys.Resilient can
 //     retry, break, and degrade exactly as it does for local faults;
-//   - subsys.UniverseHinter — forwards the server's dense-universe
-//     claim so downstream set algebra keeps the flat-array fast path;
 //   - subsys.ContextSource — the engine binds each evaluation's context
 //     (core.NewExecContext), and every HTTP access runs under it, so
 //     cancelling a query cancels its in-flight network reads;
 //   - subsys.BatchGrader — TryGrades is one /v1/grades round trip, so
 //     the pipelined executor's gather phase costs one round trip per
-//     list (per Meta.Page misses) instead of one per object.
+//     list (per Meta.Page misses) instead of one per object; TryGrade
+//     is the same call for one object.
 //
 // TryEntries(lo, hi) coalesces one logical span into sequential paged
 // fetches and, on failure, returns the partial span alongside the
@@ -149,8 +139,8 @@
 // reads a list in one or two /v1/entries calls of a few hundred ranks
 // rather than a doubling ramp of small ones — and every one is checked
 // before the engine sees it: a span that is malformed, out of [0, 1],
-// not in descending grade order, or (on a dense universe) names an
-// object outside it is a permanent *TransportError delivering nothing.
+// not in descending grade order, or names an object outside the
+// universe is a permanent *TransportError delivering nothing.
 // Client.Query and Client.Results evaluate remotely instead,
 // for deployments where the data and the engine live together and only
 // answers cross the wire (cmd/fuzzyquery -connect).

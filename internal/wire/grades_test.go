@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -79,8 +80,8 @@ func engineOver(t testing.TB, subs []subsys.Subsystem) *middleware.Middleware {
 }
 
 // TestBatchedGatherEquivalence is the batched random-access contract:
-// a wire-backed pipelined evaluation — whose gather phase is now one
-// /v1/grades round trip per chunk instead of one /v1/grade per object —
+// a wire-backed pipelined evaluation — whose gather phase is one
+// /v1/grades round trip per chunk instead of one call per object —
 // returns answers and per-list tallies bit-identical to the in-process
 // serial evaluation, and when a source fails permanently the identical
 // SourceError{List, Rank, Random}. Fault injection sits on the server
@@ -178,8 +179,8 @@ func (c *countingTransport) count(path string) int {
 
 // TestGatherIssuesOneBatchPerList pins the round-trip count: A₀′ has one
 // gather phase, so a two-list pipelined query issues at most one
-// /v1/grades call per list and never a single-object /v1/grade — for a
-// large k and for a k whose handful of probes is below the inline cutoff.
+// /v1/grades call per list — for a large k and for a k whose handful of
+// probes is below the inline cutoff.
 func TestGatherIssuesOneBatchPerList(t *testing.T) {
 	db := testDB(t, 4000, 2, 22)
 	ss, err := wire.NewSourceServer(dbSources(db))
@@ -203,9 +204,6 @@ func TestGatherIssuesOneBatchPerList(t *testing.T) {
 		}
 		if n := ct.count("/v1/grades"); n < 1 || n > 2 {
 			t.Errorf("k=%d: %d /v1/grades calls for %d random accesses, want 1 or 2 (one per list)", k, n, rep.Cost.Random)
-		}
-		if n := ct.count("/v1/grade"); n != 0 {
-			t.Errorf("k=%d: %d single-object /v1/grade calls, want 0", k, n)
 		}
 	}
 }
@@ -254,50 +252,6 @@ func TestSortedPhaseRoundTripBudget(t *testing.T) {
 			t.Errorf("seed %d: %d /v1/entries calls, %d ranks fetched for %d paid; want one call per list and under twice the ranks",
 				seed, ct.count("/v1/entries"), fetched, paid)
 		}
-	}
-}
-
-// TestOldServerFallback: a client dialled to a server that predates
-// /v1/grades (no "grades" in its meta, no such route) keeps probing
-// through /v1/grade and answers identically.
-func TestOldServerFallback(t *testing.T) {
-	db := testDB(t, 1500, 2, 23)
-	ss, err := wire.NewSourceServer(dbSources(db))
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := http.NewServeMux()
-	old.HandleFunc("GET /v1/meta", func(w http.ResponseWriter, r *http.Request) {
-		rec := httptest.NewRecorder()
-		ss.ServeHTTP(rec, r)
-		var meta map[string]any
-		if err := json.Unmarshal(rec.Body.Bytes(), &meta); err != nil {
-			t.Error(err)
-		}
-		delete(meta, "grades")
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(meta)
-	})
-	old.HandleFunc("POST /v1/grades", func(w http.ResponseWriter, r *http.Request) {
-		t.Error("client called /v1/grades on a server that does not advertise it")
-		http.NotFound(w, r)
-	})
-	old.Handle("/", ss)
-	ts := httptest.NewServer(old)
-	defer ts.Close()
-	ct := &countingTransport{}
-	client, err := wire.Dial(ts.URL, wire.WithHTTPClient(&http.Client{Transport: ct}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if client.Meta().Grades {
-		t.Fatal("the stub still advertises /v1/grades")
-	}
-	want := mustQuery(t, localEngine(t, db), queryOf(2), middleware.TopN(10))
-	got := mustQuery(t, wireEngine(t, client), queryOf(2), middleware.TopN(10), middleware.WithPrefetch(0))
-	assertReportsEqual(t, want, got)
-	if n := ct.count("/v1/grade"); n != got.Cost.Random {
-		t.Errorf("%d /v1/grade calls for %d random accesses", n, got.Cost.Random)
 	}
 }
 
@@ -367,38 +321,43 @@ func TestCancellationMidBatch(t *testing.T) {
 // 200 entries or grades body, the client returns a typed
 // *wire.TransportError and hands no value of it to the engine.
 func TestHostileSpanResponses(t *testing.T) {
+	// The meta of a server from before this protocol dropped "dense" and
+	// "grades": the client ignores both.
 	const meta = `{"n":100,"dense":true,"lists":["A1"],"page":50,"grades":true}`
 	cases := []struct {
 		name string
 		path string // the endpoint the body answers
 		body string
+		meta string // the /v1/meta body; meta when empty
 	}{
-		{"entries: more objects than grades", "/v1/entries", `{"objects":[1,2,3],"grades":[0.9,0.8]}`},
-		{"entries: more grades than objects", "/v1/entries", `{"objects":[1],"grades":[0.9,0.8]}`},
-		{"entries: longer than requested", "/v1/entries", `{"objects":[1,2,3,4,5],"grades":[0.9,0.8,0.7,0.6,0.5]}`},
-		{"entries: grade above 1", "/v1/entries", `{"objects":[1,2],"grades":[1.5,0.8]}`},
-		{"entries: negative grade", "/v1/entries", `{"objects":[1,2],"grades":[0.9,-0.1]}`},
-		{"entries: NaN", "/v1/entries", `{"objects":[1],"grades":[NaN]}`},
-		{"entries: infinity", "/v1/entries", `{"objects":[1],"grades":[1e999]}`},
-		{"entries: grades increase", "/v1/entries", `{"objects":[1,2,3],"grades":[0.9,0.5,0.7]}`},
-		{"entries: object outside the dense universe", "/v1/entries", `{"objects":[1,100],"grades":[0.9,0.8]}`},
-		{"entries: negative object", "/v1/entries", `{"objects":[-1],"grades":[0.9]}`},
-		{"entries: empty page without err", "/v1/entries", `{"objects":[],"grades":[]}`},
-		{"grades: longer than requested", "/v1/grades", `{"grades":[0.9,0.8,0.7,0.6]}`},
-		{"grades: shorter without err", "/v1/grades", `{"grades":[0.9,0.8]}`},
-		{"grades: complete with err", "/v1/grades", `{"grades":[0.9,0.8,0.7],"err":{"error":"x","transient":true}}`},
-		{"grades: grade above 1", "/v1/grades", `{"grades":[0.9,1.01,0.7]}`},
-		{"grades: negative grade", "/v1/grades", `{"grades":[0.9,0.8,-1]}`},
-		{"grades: NaN", "/v1/grades", `{"grades":[0.9,NaN,0.7]}`},
-		{"grades: negative infinity", "/v1/grades", `{"grades":[0.9,-1e999,0.7]}`},
-		{"grades: null", "/v1/grades", `{"grades":null}`},
+		{"entries: more objects than grades", "/v1/entries", `{"objects":[1,2,3],"grades":[0.9,0.8]}`, ""},
+		{"entries: more grades than objects", "/v1/entries", `{"objects":[1],"grades":[0.9,0.8]}`, ""},
+		{"entries: longer than requested", "/v1/entries", `{"objects":[1,2,3,4,5],"grades":[0.9,0.8,0.7,0.6,0.5]}`, ""},
+		{"entries: grade above 1", "/v1/entries", `{"objects":[1,2],"grades":[1.5,0.8]}`, ""},
+		{"entries: negative grade", "/v1/entries", `{"objects":[1,2],"grades":[0.9,-0.1]}`, ""},
+		{"entries: NaN", "/v1/entries", `{"objects":[1],"grades":[NaN]}`, ""},
+		{"entries: infinity", "/v1/entries", `{"objects":[1],"grades":[1e999]}`, ""},
+		{"entries: grades increase", "/v1/entries", `{"objects":[1,2,3],"grades":[0.9,0.5,0.7]}`, ""},
+		{"entries: object outside the dense universe", "/v1/entries", `{"objects":[1,100],"grades":[0.9,0.8]}`, ""},
+		{"entries: negative object", "/v1/entries", `{"objects":[-1],"grades":[0.9]}`, ""},
+		{"entries: object 100 of 100, meta without dense", "/v1/entries", `{"objects":[1,100],"grades":[0.9,0.8]}`,
+			`{"n":100,"lists":["A1"],"page":50}`},
+		{"entries: empty page without err", "/v1/entries", `{"objects":[],"grades":[]}`, ""},
+		{"grades: longer than requested", "/v1/grades", `{"grades":[0.9,0.8,0.7,0.6]}`, ""},
+		{"grades: shorter without err", "/v1/grades", `{"grades":[0.9,0.8]}`, ""},
+		{"grades: complete with err", "/v1/grades", `{"grades":[0.9,0.8,0.7],"err":{"error":"x","transient":true}}`, ""},
+		{"grades: grade above 1", "/v1/grades", `{"grades":[0.9,1.01,0.7]}`, ""},
+		{"grades: negative grade", "/v1/grades", `{"grades":[0.9,0.8,-1]}`, ""},
+		{"grades: NaN", "/v1/grades", `{"grades":[0.9,NaN,0.7]}`, ""},
+		{"grades: negative infinity", "/v1/grades", `{"grades":[0.9,-1e999,0.7]}`, ""},
+		{"grades: null", "/v1/grades", `{"grades":null}`, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set("Content-Type", "application/json")
 				if r.URL.Path == "/v1/meta" {
-					_, _ = io.WriteString(w, meta)
+					_, _ = io.WriteString(w, cmp.Or(tc.meta, meta))
 					return
 				}
 				_, _ = io.WriteString(w, tc.body)
@@ -435,12 +394,26 @@ func TestHostileSpanResponses(t *testing.T) {
 	}
 }
 
+// plainSource hides every face of a Source but the plain one.
+type plainSource struct{ subsys.Source }
+
 // TestGradesRequestValidation: the server answers a batch over its page
-// and, on a dense universe, an object id outside it with a permanent
-// 400 envelope; the same batch within bounds is served.
+// and an object id outside the universe with a permanent 400 envelope;
+// the same batch within bounds is served. It holds over bare lists and
+// over sources that show nothing but the plain Source face.
 func TestGradesRequestValidation(t *testing.T) {
 	db := testDB(t, 100, 1, 25)
-	ss, err := wire.NewSourceServer(dbSources(db), wire.WithPage(4))
+	plain := dbSources(db)
+	for name, src := range plain {
+		plain[name] = plainSource{src}
+	}
+	for name, lists := range map[string]map[string]subsys.Source{"lists": dbSources(db), "plain": plain} {
+		t.Run(name, func(t *testing.T) { gradesRequestValidation(t, db, lists) })
+	}
+}
+
+func gradesRequestValidation(t *testing.T, db *scoredb.Database, lists map[string]subsys.Source) {
+	ss, err := wire.NewSourceServer(lists, wire.WithPage(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,14 +9,10 @@ import (
 )
 
 // Meta is the server's self-description, served at GET /v1/meta. Every
-// list shares one object universe of N objects; Dense reports whether
-// that universe is exactly {0,…,N−1} for every list, so clients can
-// forward the flat-array fast path (subsys.UniverseHinter).
+// list grades one object universe, {0,…,N−1}.
 type Meta struct {
 	// N is the universe size shared by every list.
 	N int `json:"n"`
-	// Dense reports a dense {0,…,N−1} universe on every list.
-	Dense bool `json:"dense"`
 	// Lists names the sorted lists the server exposes, in sorted order.
 	Lists []string `json:"lists"`
 	// Page is the server's per-response cap on Entries spans: a request
@@ -24,16 +20,13 @@ type Meta struct {
 	// client continues from where the span ended. It also caps the
 	// objects of one /v1/grades batch; a larger batch is rejected.
 	Page int `json:"page"`
-	// Grades reports that the server mounts POST /v1/grades; a client
-	// dialled to a server that does not say so keeps to /v1/grade.
-	Grades bool `json:"grades,omitempty"`
 	// Engine reports whether the server also mounts the query endpoints
 	// (POST /v1/query, GET /v1/results).
 	Engine bool `json:"engine,omitempty"`
 }
 
 // Fault is the error envelope used everywhere on the wire: inside a 200
-// entries/grade response when the backing source itself failed
+// entries/grades response when the backing source itself failed
 // (application-level fault alongside a possibly partial span), and as
 // the whole body of a non-2xx response (protocol-level failure).
 type Fault struct {
@@ -77,10 +70,9 @@ type EntriesResponse struct {
 // what only a broken or hostile server sends: arrays of different
 // lengths, more entries than the max asked for, grades outside [0, 1]
 // (NaN and infinities never survive JSON decoding), grades that increase
-// along the span — sorted order is what A₀'s stopping rule rests on — and,
-// when universe > 0 (the server declared the dense universe {0,…,N−1}),
-// an object outside it.
-func (r *EntriesResponse) entries(max, universe int) ([]gradedset.Entry, error) {
+// along the span — sorted order is what A₀'s stopping rule rests on — and
+// an object outside the universe {0,…,n−1}.
+func (r *EntriesResponse) entries(max, n int) ([]gradedset.Entry, error) {
 	if len(r.Objects) != len(r.Grades) || len(r.Objects) > max {
 		return nil, &TransportError{Op: "entries", Msg: fmt.Sprintf(
 			"malformed span: %d objects, %d grades, %d requested", len(r.Objects), len(r.Grades), max)}
@@ -94,9 +86,9 @@ func (r *EntriesResponse) entries(max, universe int) ([]gradedset.Entry, error) 
 			return nil, &TransportError{Op: "entries", Msg: fmt.Sprintf(
 				"unsorted span: grade %v at position %d follows %v", r.Grades[i], i, r.Grades[i-1])}
 		}
-		if universe > 0 && (obj < 0 || obj >= universe) {
+		if uint(obj) >= uint(n) {
 			return nil, &TransportError{Op: "entries", Msg: fmt.Sprintf(
-				"object %d at position %d is outside the dense universe of %d", obj, i, universe)}
+				"object %d at position %d is outside the universe of %d", obj, i, n)}
 		}
 		out[i] = gradedset.Entry{Object: obj, Grade: r.Grades[i]}
 	}
@@ -112,19 +104,6 @@ func checkGrades(op string, grades []float64) error {
 		}
 	}
 	return nil
-}
-
-// GradeRequest asks for random access: the grade of Object in the named
-// list. POST /v1/grade.
-type GradeRequest struct {
-	List   string `json:"list"`
-	Object int    `json:"object"`
-}
-
-// GradeResponse carries the grade, or the backing source's failure.
-type GradeResponse struct {
-	Grade float64 `json:"grade"`
-	Err   *Fault  `json:"err,omitempty"`
 }
 
 // GradesRequest asks for batched random access: the grades of Objects,

@@ -86,7 +86,7 @@ func NewSourceServer(lists map[string]subsys.Source, opts ...ServerOption) (*Sou
 		opt(s)
 	}
 	names := make([]string, 0, len(lists))
-	n, dense := -1, true
+	n := -1
 	for name, src := range lists {
 		names = append(names, name)
 		if n < 0 {
@@ -94,17 +94,10 @@ func NewSourceServer(lists map[string]subsys.Source, opts ...ServerOption) (*Sou
 		} else if src.Len() != n {
 			return nil, fmt.Errorf("wire: list %q has %d objects, want %d", name, src.Len(), n)
 		}
-		if h, ok := src.(subsys.UniverseHinter); ok {
-			if un, d := h.Universe(); !d || un != src.Len() {
-				dense = false
-			}
-		} else {
-			dense = false
-		}
 		s.lists[name] = serverList{subsys.FacesOf(src)}
 	}
 	sort.Strings(names)
-	s.meta = Meta{N: n, Dense: dense, Lists: names, Page: s.page, Grades: true, Engine: s.engine}
+	s.meta = Meta{N: n, Lists: names, Page: s.page, Engine: s.engine}
 	s.mux = http.NewServeMux()
 	s.Register(s.mux)
 	return s, nil
@@ -118,7 +111,6 @@ func (s *SourceServer) Meta() Meta { return s.meta }
 func (s *SourceServer) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/meta", s.handleMeta)
 	mux.HandleFunc("POST /v1/entries", s.handleEntries)
-	mux.HandleFunc("POST /v1/grade", s.handleGrade)
 	mux.HandleFunc("POST /v1/grades", s.handleGrades)
 }
 
@@ -169,29 +161,6 @@ func (s *SourceServer) handleEntries(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *SourceServer) handleGrade(w http.ResponseWriter, r *http.Request) {
-	var req GradeRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	sl, ok := s.lists[req.List]
-	if !ok {
-		writeFault(w, http.StatusNotFound, &Fault{Message: fmt.Sprintf("unknown list %q", req.List)})
-		return
-	}
-	resp, ok := serveBound(r, sl.Src, func() GradeResponse {
-		g, err := sl.Try.TryGrade(req.Object)
-		if err != nil {
-			return GradeResponse{Err: faultOf(err)}
-		}
-		return GradeResponse{Grade: g}
-	})
-	if !ok {
-		return // client gone; nothing to write
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 func (s *SourceServer) handleGrades(w http.ResponseWriter, r *http.Request) {
 	var req GradesRequest
 	if !decodeRequest(w, r, &req) {
@@ -206,12 +175,10 @@ func (s *SourceServer) handleGrades(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, http.StatusBadRequest, &Fault{Message: fmt.Sprintf("batch of %d objects exceeds the page of %d", len(req.Objects), s.page)})
 		return
 	}
-	if s.meta.Dense {
-		for _, obj := range req.Objects {
-			if obj < 0 || obj >= s.meta.N {
-				writeFault(w, http.StatusBadRequest, &Fault{Message: fmt.Sprintf("object %d outside the universe of %d", obj, s.meta.N)})
-				return
-			}
+	for _, obj := range req.Objects {
+		if uint(obj) >= uint(s.meta.N) {
+			writeFault(w, http.StatusBadRequest, &Fault{Message: fmt.Sprintf("object %d outside the universe of %d", obj, s.meta.N)})
+			return
 		}
 	}
 	resp, ok := serveBound(r, sl.Src, func() GradesResponse {

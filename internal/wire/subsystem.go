@@ -10,7 +10,6 @@ import (
 var (
 	_ subsys.Source         = (*RemoteSource)(nil)
 	_ subsys.FallibleSource = (*RemoteSource)(nil)
-	_ subsys.UniverseHinter = (*RemoteSource)(nil)
 	_ subsys.ContextSource  = (*RemoteSource)(nil)
 	_ subsys.BatchGrader    = (*RemoteSource)(nil)
 	_ subsys.Subsystem      = (*Subsystem)(nil)

@@ -320,7 +320,7 @@ type flakyTransport struct {
 }
 
 func (f *flakyTransport) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/v1/entries" || r.URL.Path == "/v1/grade" {
+	if r.URL.Path == "/v1/entries" || r.URL.Path == "/v1/grades" {
 		f.mu.Lock()
 		f.n++
 		kill := f.n%f.every == 0
