@@ -97,6 +97,15 @@
 // random access names any other object fails its list with a
 // *SourceError wrapping subsys.ErrOutsideUniverse, and the query with it.
 //
+// An in-memory list is read in spans. A serial evaluation copies a bare
+// list ahead into a pooled buffer in one step per extension — to the
+// depth the algorithm expects to read (A₀'s N^((m−1)/m)·k^(1/m), as the
+// pipelined executor opens a remote list), or by doubling when it states
+// none — and then delivers rank by rank from that buffer. Readahead is
+// unmetered, so the Section 5 tallies are those of one sorted access per
+// rank consumed, and a wrapped or remote source sees exactly the calls
+// it saw before.
+//
 // # Deployment: the wire protocol and cmd/fuzzyserve
 //
 // The engine deploys as a network service. cmd/fuzzyserve serves a

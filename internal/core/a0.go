@@ -90,21 +90,19 @@ func (A0) sortedPhase(ec *ExecContext, sc *scratch, lists []*subsys.Counted, k i
 // expectDepth tells every list how deep the A₀ sorted phase expects to
 // read it (subsys.Counted.Expect), so a pipelined executor opens each
 // list's readahead window at that depth instead of discovering it one
-// doubling — one round trip — at a time. Over independent lists the phase
-// stops at T ≈ N^((m−1)/m)·k^(1/m) in every list (Theorem 5.3: the planner's
-// own reason for choosing A₀); the statement is T plus a quarter, because
-// the relative spread of the measured stopping depth is ≈16 % at m = 2
-// and ≈10 % at m = 3 (bench/README.md, k = 10), so +25 % is ≥ 1.5σ and the
-// opening batch serves all but a few lists in one call. Never below k —
+// doubling — one round trip — at a time, and a serial evaluation reads a
+// bare in-memory list to that depth in one span. Over independent lists
+// the phase stops at T ≈ N^((m−1)/m)·k^(1/m) in every list (Theorem 5.3:
+// the planner's own reason for choosing A₀); the statement is T plus a
+// quarter, because the relative spread of the measured stopping depth is
+// ≈16 % at m = 2 and ≈10 % at m = 3 (bench/README.md, k = 10), so +25 %
+// is ≥ 1.5σ and the opening batch serves all but a few lists in one
+// call. Never below k —
 // k matches need k ranks of every list, so those are never over-read —
 // and, applied last, never past what an access budget could pay for in
 // whole rounds. Transport only: correlated or skewed lists that stop
 // elsewhere cost over-read or further round trips, never a tallied access.
-// A serial evaluation has no window to open and pays one branch.
 func (ec *ExecContext) expectDepth(lists []*subsys.Counted, k int) {
-	if ec.pipe == nil {
-		return
-	}
 	m := float64(len(lists))
 	kRoot := math.Pow(float64(k), 1/m)
 	for _, l := range lists {

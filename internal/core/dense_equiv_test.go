@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -33,6 +34,53 @@ func opaqueSourcesOf(db *scoredb.Database) []subsys.Source {
 		srcs[i] = opaqueSource{src: srcs[i]}
 	}
 	return srcs
+}
+
+// overlaidSourcesOf is db's lists served by Mutable subsystems after a
+// few grade writes each (raises to the top, lowers to the bottom, moves
+// to another object's grade, so a binary list stays binary): fewer than the ⌈√N⌉ that fold an overlay, so every list
+// reads as a shared flat base plus moved entries, and a sorted span may
+// cross an overlay boundary. plain is the same lists' plain faces.
+func overlaidSourcesOf(t *testing.T, db *scoredb.Database, seed int64) (list, plain []subsys.Source) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	n := db.N()
+	for i := range db.M() {
+		mu := subsys.NewMutable(fmt.Sprintf("A%d", i), n, 0)
+		mu.Set("*", db.List(i))
+		for range int(math.Sqrt(float64(n)))/2 + 1 {
+			g, _ := db.List(i).Grade(rng.Intn(n)) // a grade the list already has
+			switch rng.Intn(3) {
+			case 0:
+				g = 1
+			case 1:
+				g = 0
+			}
+			if err := mu.UpdateGrade("*", rng.Intn(n), g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		src, err := mu.Query("*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		list, plain = append(list, src), append(plain, opaqueSource{src: src})
+	}
+	return list, plain
+}
+
+// sourceShape is one database's lists read two ways: as bare
+// ListSources (Counted's list path) and through their plain faces.
+type sourceShape struct {
+	name        string
+	list, plain []subsys.Source
+}
+
+// shapesOf is db's lists as they are and overlaid (overlaidSourcesOf).
+func shapesOf(t *testing.T, db *scoredb.Database, seed int64) []sourceShape {
+	t.Helper()
+	oList, oPlain := overlaidSourcesOf(t, db, seed)
+	return []sourceShape{{"flat", sourcesOf(db), opaqueSourcesOf(db)}, {"overlay", oList, oPlain}}
 }
 
 // validatedSourcesOf is db's lists behind the contract-checking wrapper,
@@ -66,6 +114,7 @@ func requireIdentical(t *testing.T, label string, rList, rPlain []Result, cList,
 // TestDenseFastPathMatchesPlainFace is the fast-path invariant: Counted's
 // direct reads of a bare in-memory list are a pure mechanical speedup.
 // Across the algorithm family, grade laws, arities, and randomized k,
+// over flat lists and over lists carrying an overlay of moved entries,
 // they must return byte-identical results and identical cost.Cost
 // tallies to the same lists read through their plain Source face.
 func TestDenseFastPathMatchesPlainFace(t *testing.T) {
@@ -92,47 +141,54 @@ func TestDenseFastPathMatchesPlainFace(t *testing.T) {
 		for m := 2; m <= 5; m++ {
 			n := 200 + rng.Intn(400)
 			db := scoredb.Generator{N: n, M: m, Law: law, Seed: uint64(100*m) + 7}.MustGenerate()
+			shapes := shapesOf(t, db, int64(n))
 			for _, tc := range algs {
 				k := 1 + rng.Intn(n)
-				label := fmt.Sprintf("%s/m=%d/%s-%s/k=%d", lawName, m, tc.alg.Name(), tc.f.Name(), k)
-				rList, cList, err := Evaluate(context.Background(), tc.alg, sourcesOf(db), tc.f, k)
-				if err != nil {
-					t.Fatalf("%s: list path: %v", label, err)
+				for _, sh := range shapes {
+					label := fmt.Sprintf("%s/m=%d/%s/%s-%s/k=%d", lawName, m, sh.name, tc.alg.Name(), tc.f.Name(), k)
+					rList, cList, err := Evaluate(context.Background(), tc.alg, sh.list, tc.f, k)
+					if err != nil {
+						t.Fatalf("%s: list path: %v", label, err)
+					}
+					rPlain, cPlain, err := Evaluate(context.Background(), tc.alg, sh.plain, tc.f, k)
+					if err != nil {
+						t.Fatalf("%s: plain face: %v", label, err)
+					}
+					requireIdentical(t, label, rList, rPlain, cList, cPlain)
 				}
-				rPlain, cPlain, err := Evaluate(context.Background(), tc.alg, opaqueSourcesOf(db), tc.f, k)
-				if err != nil {
-					t.Fatalf("%s: plain face: %v", label, err)
-				}
-				requireIdentical(t, label, rList, rPlain, cList, cPlain)
 			}
 		}
 	}
 }
 
 // TestDenseFastPathUllman compares the list path with the plain face for
-// the two-list-only member of the family.
+// the two-list-only member of the family, over flat and overlaid lists.
 func TestDenseFastPathUllman(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, law := range []scoredb.GradeLaw{scoredb.Uniform{}, scoredb.BoundedAbove{Max: 0.9}} {
 		db := scoredb.Generator{N: 500, M: 2, Law: law, Seed: 19}.MustGenerate()
+		shapes := shapesOf(t, db, 19)
 		for probe := 0; probe < 2; probe++ {
 			k := 1 + rng.Intn(20)
 			alg := Ullman{Probe: probe}
-			rList, cList, err := Evaluate(context.Background(), alg, sourcesOf(db), agg.Min, k)
-			if err != nil {
-				t.Fatal(err)
+			for _, sh := range shapes {
+				rList, cList, err := Evaluate(context.Background(), alg, sh.list, agg.Min, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rPlain, cPlain, err := Evaluate(context.Background(), alg, sh.plain, agg.Min, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireIdentical(t, fmt.Sprintf("ullman/%s/probe=%d/k=%d", sh.name, probe, k), rList, rPlain, cList, cPlain)
 			}
-			rPlain, cPlain, err := Evaluate(context.Background(), alg, opaqueSourcesOf(db), agg.Min, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireIdentical(t, fmt.Sprintf("ullman/probe=%d/k=%d", probe, k), rList, rPlain, cList, cPlain)
 		}
 	}
 }
 
 // TestDenseFastPathFilterFirst drives the selective-conjunct plan over a
-// binary list, through the list path and the plain face.
+// binary list, through the list path and the plain face, over flat and
+// overlaid lists.
 func TestDenseFastPathFilterFirst(t *testing.T) {
 	l0 := (scoredb.Generator{N: 600, M: 1, Law: scoredb.Binary{P: 0.01}, Seed: 23}).MustGenerate().List(0)
 	l1 := (scoredb.Generator{N: 600, M: 1, Law: scoredb.Uniform{}, Seed: 24}).MustGenerate().List(0)
@@ -140,17 +196,20 @@ func TestDenseFastPathFilterFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	shapes := shapesOf(t, db, 23)
 	for _, k := range []int{1, 5, 40} {
 		alg := FilterFirst{}
-		rList, cList, err := Evaluate(context.Background(), alg, sourcesOf(db), agg.Min, k)
-		if err != nil {
-			t.Fatal(err)
+		for _, sh := range shapes {
+			rList, cList, err := Evaluate(context.Background(), alg, sh.list, agg.Min, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rPlain, cPlain, err := Evaluate(context.Background(), alg, sh.plain, agg.Min, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, fmt.Sprintf("filter-first/%s/k=%d", sh.name, k), rList, rPlain, cList, cPlain)
 		}
-		rPlain, cPlain, err := Evaluate(context.Background(), alg, opaqueSourcesOf(db), agg.Min, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdentical(t, fmt.Sprintf("filter-first/k=%d", k), rList, rPlain, cList, cPlain)
 	}
 }
 

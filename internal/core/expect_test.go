@@ -138,3 +138,35 @@ func TestFaultInsideOpeningBatchStaysInvisible(t *testing.T) {
 		}
 	}
 }
+
+// TestSerialWrappedSourceReadsPerRank: A₀ states its depth in a serial
+// evaluation too, but only a bare in-memory list reads ahead on it. A
+// wrapped source is still asked for exactly the ranks the algorithm
+// consumes, one [r, r+1) call per rank in order, and the tally is that
+// of the bare lists.
+func TestSerialWrappedSourceReadsPerRank(t *testing.T) {
+	const m, k = 3, 10
+	db := scoredb.Generator{N: 4096, M: m, Seed: 67}.MustGenerate()
+	want, wantCost, err := Evaluate(context.Background(), A0{}, sourcesOf(db), agg.Min, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs, logs := loggedSourcesOf(db, -1, -1)
+	got, gotCost, err := Evaluate(context.Background(), A0{}, srcs, agg.Min, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, "serial A0, wrapped", want, got, wantCost, gotCost)
+	depth := wantCost.Sorted / m // round-robin: every list read to the same rank
+	for i, l := range logs {
+		calls := l.calls()
+		if len(calls) != depth {
+			t.Fatalf("list %d: %d sorted calls, want one per rank consumed (%d)", i, len(calls), depth)
+		}
+		for r, c := range calls {
+			if c != [2]int{r, r + 1} {
+				t.Fatalf("list %d: call %d is %v, want [%d %d]", i, r, c, r, r+1)
+			}
+		}
+	}
+}

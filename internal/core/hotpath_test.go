@@ -64,7 +64,7 @@ func a0PrimePrivatePrefix(lists []*subsys.Counted, k int) []Result {
 // one — each in turn, so the i₀ list is among them — was already read by
 // an earlier cursor far deeper than A₀′ will read: the candidates must
 // come from the ranks A₀′'s own cursor consumed, not from everything the
-// list has delivered. Candidates (the memo's new objects, in order),
+// list has delivered. Candidates (the grades the memo learned),
 // tallies and answers must equal the private-copy reference's.
 func TestA0PrimePrefixIsTheCursorsNotTheLists(t *testing.T) {
 	// Few grade levels: over continuous grades nothing past the cursor
@@ -104,10 +104,14 @@ func TestA0PrimePrefixIsTheCursorsNotTheLists(t *testing.T) {
 				if got[j].Cost() != ref[j].Cost() {
 					t.Errorf("%s: list %d cost %v, want %v", label, j, got[j].Cost(), ref[j].Cost())
 				}
-				// The dense memo lists objects in first-seen order: same
-				// candidates, probed in the same order.
-				if g, w := got[j].Seen(), ref[j].Seen(); !reflect.DeepEqual(g, w) {
-					t.Errorf("%s: list %d learned %d grades, want %d (or in another order)", label, j, len(g), len(w))
+				// Same candidates probed: the memos hold the same grades.
+				for obj := range ref[j].Len() {
+					gg, gok := got[j].Known(obj)
+					wg, wok := ref[j].Known(obj)
+					if gg != wg || gok != wok {
+						t.Errorf("%s: list %d Known(%d) = (%v, %t), want (%v, %t)", label, j, obj, gg, gok, wg, wok)
+						break
+					}
 				}
 			}
 			subsys.ReleaseAll(ref)

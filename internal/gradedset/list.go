@@ -304,6 +304,32 @@ func (l *List) rangeSlow(lo, hi int) []Entry {
 	return out
 }
 
+// AppendRange appends the entries at sorted positions [lo, hi) to dst
+// and returns the extended slice: Range copied into a buffer the caller
+// keeps. A flat list appends in one copy; an overlaid one fills the grown
+// dst run by run, so a span crossing an overlay boundary costs no
+// intermediate slice.
+func (l *List) AppendRange(dst []Entry, lo, hi int) []Entry {
+	if uint(hi) <= uint(len(l.entries)) {
+		return append(dst, l.entries[lo:hi]...)
+	}
+	return l.appendRangeSlow(dst, lo, hi)
+}
+
+// appendRangeSlow is AppendRange over an overlay, and the bounds panic of
+// a flat list.
+func (l *List) appendRangeSlow(dst []Entry, lo, hi int) []Entry {
+	o := l.ov
+	if o == nil || hi <= lo {
+		return append(dst, l.Range(lo, hi)...)
+	}
+	_ = o.base.entries[lo:hi] // the flat form's bounds panic
+	n := len(dst)
+	dst = slices.Grow(dst, hi-lo)[:n+hi-lo]
+	o.fill(dst[n:], lo)
+	return dst
+}
+
 // GradedSet converts the list back to an unordered graded set.
 func (l *List) GradedSet() *GradedSet {
 	s := NewWithCapacity(l.Len())

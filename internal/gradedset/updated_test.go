@@ -183,6 +183,10 @@ func sameList(t *testing.T, rng *rand.Rand, got, want *List, objs []int) {
 		if !slices.Equal(got.Range(lo, hi), want.Range(lo, hi)) {
 			t.Fatalf("Range(%d, %d) = %v, want %v", lo, hi, got.Range(lo, hi), want.Range(lo, hi))
 		}
+		head := []Entry{{Object: -1, Grade: 1}}
+		if !slices.Equal(got.AppendRange(head, lo, hi), append(head, want.Range(lo, hi)...)) {
+			t.Fatalf("AppendRange(head, %d, %d) = %v, want head and %v", lo, hi, got.AppendRange(head, lo, hi), want.Range(lo, hi))
+		}
 		p := rng.Intn(n+4) - 2
 		if !slices.Equal(got.Prefix(p), want.Prefix(p)) {
 			t.Fatalf("Prefix(%d) differs", p)

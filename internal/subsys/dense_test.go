@@ -1,6 +1,8 @@
 package subsys
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"fuzzydb/internal/gradedset"
@@ -31,7 +33,7 @@ func (h opaqueSource) Grade(obj int) float64                { return h.src.Grade
 // TestCountedListPathMatchesPlainFace walks identical access sequences
 // through a Counted over a bare ListSource (the list fast path) and one
 // over the same list's plain face: every observable — entries, grades,
-// Known, Seen size, costs — must agree.
+// Known, costs — must agree.
 func TestCountedListPathMatchesPlainFace(t *testing.T) {
 	l := denseList(t, []float64{0.9, 0.2, 0.8, 0.5, 0.7, 0.1, 0.6, 0.3})
 	list := Count(FromList(l))
@@ -55,9 +57,6 @@ func TestCountedListPathMatchesPlainFace(t *testing.T) {
 		if gd != gm || okd != okm {
 			t.Errorf("Known(%d): list (%v,%v) vs plain (%v,%v)", obj, gd, okd, gm, okm)
 		}
-	}
-	if ds, ms := len(list.Seen()), len(plain.Seen()); ds != ms {
-		t.Errorf("Seen: list %d objects vs plain %d", ds, ms)
 	}
 	if list.Cost() != plain.Cost() {
 		t.Errorf("cost: list %v vs plain %v", list.Cost(), plain.Cost())
@@ -191,5 +190,79 @@ func TestCountedReleaseRecycles(t *testing.T) {
 			t.Fatalf("iteration %d: cost %v", i, got)
 		}
 		c.Release()
+	}
+}
+
+// TestListReadaheadIsInvisible walks a bare list, which reads ahead in
+// spans, and the same list's plain face, which reads exactly what is
+// delivered, through the same cursor calls — with and without a stated
+// depth, over a flat list and over one whose overlay holds moved
+// entries. After every Next the tally, the consumed prefix and the memo
+// must agree; only the buffer may run ahead of the high-water mark.
+func TestListReadaheadIsInvisible(t *testing.T) {
+	const n = 500
+	flat := randomList(t, n, 7)
+	overlaid := flat
+	rng := rand.New(rand.NewSource(8))
+	for range 15 { // under the ⌈√N⌉ = 23 fold: every write stays in the overlay
+		g := rng.Float64()
+		if rng.Intn(3) == 0 {
+			g = float64(rng.Intn(2)) // to the top or the bottom
+		}
+		var err error
+		if overlaid, err = overlaid.Updated(rng.Intn(n), g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		l      *gradedset.List
+		expect int
+	}{
+		{"flat", flat, 0}, {"flat/expect", flat, 40},
+		{"overlay", overlaid, 0}, {"overlay/expect", overlaid, 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bare, plain := Count(FromList(tc.l)), Count(opaqueSource{src: FromList(tc.l)})
+			defer bare.Release()
+			defer plain.Release()
+			bare.Expect(tc.expect)
+			plain.Expect(tc.expect)
+			bc, pc := NewCursor(bare), NewCursor(plain)
+			for step := 0; ; step++ {
+				if step == 60 {
+					// A second cursor re-reads the delivered prefix and
+					// then leads: the slow path on both.
+					bc, pc = NewCursor(bare), NewCursor(plain)
+				}
+				be, bok := bc.Next()
+				pe, pok := pc.Next()
+				if be != pe || bok != pok {
+					t.Fatalf("step %d: bare (%v, %t), plain (%v, %t)", step, be, bok, pe, pok)
+				}
+				if bare.Cost() != plain.Cost() {
+					t.Fatalf("step %d: cost %v, plain %v", step, bare.Cost(), plain.Cost())
+				}
+				if !slices.Equal(bc.Consumed(), pc.Consumed()) {
+					t.Fatalf("step %d: consumed prefixes differ", step)
+				}
+				if bare.Buffered() < bare.Depth() {
+					t.Fatalf("step %d: %d buffered below the high-water mark %d", step, bare.Buffered(), bare.Depth())
+				}
+				for obj := range n {
+					bg, bk := bare.Known(obj)
+					pg, pk := plain.Known(obj)
+					if bg != pg || bk != pk {
+						t.Fatalf("step %d: Known(%d) = (%v, %t), plain (%v, %t)", step, obj, bg, bk, pg, pk)
+					}
+				}
+				if !bok {
+					break
+				}
+			}
+			if bare.Depth() != n {
+				t.Fatalf("read to %d of %d", bare.Depth(), n)
+			}
+		})
 	}
 }

@@ -37,7 +37,14 @@
 // memoized. The pipelined executor exploits this to overlap the per-round
 // sorted accesses of all m lists — readahead is a latency-hiding detail
 // of the transport, while the Section 5 tallies record exactly what the
-// algorithm consumed, bit-identical to a serial evaluation.
+// algorithm consumed, bit-identical to a serial evaluation. A serial
+// evaluation over a bare in-memory ListSource reads ahead as well: one
+// span per unmet demand, to the depth the algorithm stated with
+// Counted.Expect (A₀'s Theorem 5.3 depth) or to twice what is buffered,
+// copied straight from the list (gradedset.List.AppendRange) into the
+// pooled prefix; a cursor then delivers each buffered rank inline. Any
+// other Source — a wrapper, a remote list — is read for exactly the
+// ranks demanded, so the calls it sees are the same as ever.
 //
 // # Background prefetch pipelines
 //

@@ -156,8 +156,12 @@ func TestGradesMatchesGradeLoop(t *testing.T) {
 			if column.Cost() != loop.Cost() {
 				t.Errorf("cost = %v, want %v", column.Cost(), loop.Cost())
 			}
-			if g, w := column.Seen(), loop.Seen(); !reflect.DeepEqual(g, w) {
-				t.Errorf("seen = %v\nwant   %v", g, w)
+			for obj := range loop.Len() {
+				gg, gok := column.Known(obj)
+				wg, wok := loop.Known(obj)
+				if gg != wg || gok != wok {
+					t.Errorf("Known(%d) = (%v, %t), want (%v, %t)", obj, gg, gok, wg, wok)
+				}
 			}
 			switch gerr, werr := column.serr, loop.serr; {
 			case (werr != nil) != tc.fails:

@@ -16,7 +16,6 @@ type denseCache struct {
 	gen    uint32
 	grades []float64
 	stamp  []uint32
-	seen   []int // objects with known grades, in first-seen order
 
 	// Buffers of the Counted that holds the cache, pooled with it so their
 	// capacity outlives one evaluation: the list's buffered sorted prefix
@@ -46,10 +45,7 @@ func (d *denseCache) put(obj int, g float64) bool {
 
 // set is put for an obj the caller has already bounds-checked.
 func (d *denseCache) set(obj int, g float64) {
-	if d.stamp[obj] != d.gen {
-		d.stamp[obj] = d.gen
-		d.seen = append(d.seen, obj)
-	}
+	d.stamp[obj] = d.gen
 	d.grades[obj] = g
 }
 
@@ -70,7 +66,6 @@ func acquireDenseCache(n int) *denseCache {
 	d.n = n
 	d.grades = d.grades[:cap(d.grades)]
 	d.stamp = d.stamp[:cap(d.stamp)]
-	d.seen = d.seen[:0]
 	d.gen++
 	if d.gen == 0 { // epoch wrap: stale stamps could alias; clear once
 		clear(d.stamp)

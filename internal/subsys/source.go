@@ -19,10 +19,13 @@ type Source interface {
 	Entry(rank int) gradedset.Entry
 	// Entries performs batched sorted access: the entries at ranks
 	// [lo, hi) in one call. It is the bulk form of Entry — semantically
-	// hi−lo units of sorted access delivered together, so the middleware
-	// pays one virtual call per prefix extension instead of one per rank.
-	// The returned slice may share the source's storage and must not be
-	// mutated; it is valid until the next call on the source.
+	// hi−lo units of sorted access delivered together. Counted calls it
+	// once per prefix extension, for exactly the ranks its consumer
+	// demands or its prefetch pipeline reads ahead, so a wrapper sees
+	// the same calls whatever it wraps (a bare ListSource is read
+	// straight from its list instead; see Counted). The returned slice
+	// may share the source's storage and must not be mutated; it is
+	// valid until the next call on the source.
 	Entries(lo, hi int) []gradedset.Entry
 	// Grade performs random access: the grade of the given object.
 	Grade(obj int) float64
@@ -89,7 +92,13 @@ func (s ListSource) Grade(obj int) float64 {
 // overlaps the m per-round sorted accesses across subsystems — readahead
 // is a latency-hiding detail of the transport, while the Section 5
 // tallies meter exactly what the algorithm consumed, so they are
-// bit-identical to a serial evaluation.
+// bit-identical to a serial evaluation. A bare in-memory ListSource
+// without a pipeline reads ahead too: an unmet demand copies one span
+// into the buffer, to the depth stated with Expect or twice what is
+// buffered, whichever is more, so a sorted phase costs a few copies
+// rather than a source call per rank. No wrapper sees that list, and it
+// cannot fail, so the span's length is observable nowhere but in
+// Buffered.
 // The grade memo (which decides whether a later random access is free)
 // is likewise updated only at delivery time, never by readahead.
 //
@@ -228,7 +237,8 @@ func (c *Counted) Fenced() bool { return c.fenced }
 // behalf of a consumer about to deliver them: absorbing from the
 // background pipeline when one is attached (waiting for it if
 // necessary), and reading the missing ranks from the source in one
-// batched call otherwise (or when the pipeline was closed early). It
+// batched call otherwise (or when the pipeline was closed early) — over
+// a bare list, one span read ahead past n (see buffer). It
 // does not deliver anything: the paid high-water mark and the grade
 // memo are untouched. A source failure that leaves the demand unmet is
 // recorded as the list's sticky error.
@@ -282,6 +292,19 @@ func (c *Counted) buffer(n int, demand bool) {
 		}
 		// Pipeline closed early (fence, abort): fall through to a direct
 		// read for whatever the consumer still insists on delivering.
+	}
+	if c.list != nil {
+		// A bare in-memory list: no wrapper observes the call and the list
+		// cannot fail, so an unpiped read runs ahead in one span to the
+		// depth the evaluation expects (Expect), or to twice what is
+		// buffered, instead of one call per rank. Readahead is uncounted,
+		// as the pipeline's is: payment and the memo wait for delivery.
+		hi := n
+		if c.pipe == nil {
+			hi = min(max(n, c.expect, 2*len(c.prefix)), c.length)
+		}
+		c.prefix = c.list.AppendRange(c.prefix, len(c.prefix), hi)
+		return
 	}
 	var span []gradedset.Entry
 	var err error
@@ -434,9 +457,10 @@ func (c *Counted) Buffered() int { return len(c.prefix) }
 // EntryAt returns the entry at the given rank via sorted access,
 // advancing (and paying for) the prefix up to that rank if it has not
 // been delivered before. ok is false beyond the end of the list. The
-// advance is one batched Entries call (or free if prefetched), and the
-// delivered prefix is kept, so each rank costs exactly one source access
-// ever.
+// advance reads from the source only what is not buffered yet — one
+// batched Entries call, one span read ahead over a bare list, nothing if
+// prefetched — and the delivered prefix is kept, so each rank costs
+// exactly one sorted access in the tally ever.
 func (c *Counted) EntryAt(rank int) (e gradedset.Entry, ok bool) {
 	if rank < 0 || rank >= c.length {
 		return gradedset.Entry{}, false
@@ -505,7 +529,7 @@ func (c *Counted) Grade(obj int) float64 {
 //	for i, obj := range objs { col[i] = c.Grade(obj) }
 //
 // with exactly that loop's outcome: the column, the random tally, the
-// memo, Seen() order and the sticky first failure (duplicates in objs
+// memo and the sticky first failure (duplicates in objs
 // and objects outside the universe included). What changes is how
 // the source is read. Known grades are resolved inline; the misses are
 // collected and read in one go — straight from the list when the source
@@ -659,10 +683,6 @@ func (c *Counted) DeliverGrade(obj int, g float64) float64 {
 // Known reports the grade of obj if it has already been paid for.
 func (c *Counted) Known(obj int) (float64, bool) { return c.dc.get(obj) }
 
-// Seen returns every object whose grade in this list is known, in the
-// order the list first learned them.
-func (c *Counted) Seen() []int { return append([]int(nil), c.dc.seen...) }
-
 // Cost returns this list's access tallies so far.
 func (c *Counted) Cost() cost.Cost {
 	return cost.Cost{Sorted: c.fetched, Random: c.random}
@@ -700,11 +720,25 @@ func Cursors(lists []*Counted) []*Cursor {
 
 // Next returns the next entry in descending grade order, or ok = false at
 // the end of the list (or past a Fence).
+//
+// A cursor at the list's high-water mark with the next rank already
+// buffered — every round of a round-robin sorted phase once a span is
+// read ahead — delivers it inline: one memo write and the two counters.
+// Anything else (a re-read, an unbuffered rank, an object outside the
+// universe) takes EntryAt.
 func (cu *Cursor) Next() (e gradedset.Entry, ok bool) {
-	if cu.list.fenced {
+	c := cu.list
+	if c.fenced {
 		return gradedset.Entry{}, false
 	}
-	e, ok = cu.list.EntryAt(cu.pos)
+	if p := cu.pos; p == c.fetched && p < len(c.prefix) {
+		e = c.prefix[p]
+		if c.dc.put(e.Object, e.Grade) {
+			c.fetched, cu.pos, cu.last = p+1, p+1, e.Grade
+			return e, true
+		}
+	}
+	e, ok = c.EntryAt(cu.pos)
 	if ok {
 		cu.pos++
 		cu.last = e.Grade
