@@ -215,10 +215,8 @@ func (ec *ExecContext) SourceFailure() error {
 // the lists' sticky failures, so every loop that polls for cancellation
 // also notices a failed source.
 func (ec *ExecContext) err() error {
-	if ec.fallible {
-		if serr := ec.SourceFailure(); serr != nil {
-			return serr
-		}
+	if serr := ec.SourceFailure(); serr != nil {
+		return serr
 	}
 	if ec.done == nil {
 		return nil
@@ -260,24 +258,18 @@ func (ec *ExecContext) Stage(cursors []*subsys.Cursor, ahead int) error {
 		return nil
 	}
 	ec.snapshot()
-	err := ec.pipe.stage(ec.ctx, cursors, ahead)
-	if err != nil {
-		var ab *AbandonedError
-		if errors.As(err, &ab) {
-			ec.abandoned = true
-		}
+	if err := ec.pipe.stage(ec.ctx, cursors, ahead); err != nil {
+		ec.abandoned = true // stage fails only with an *AbandonedError
 		return err
 	}
-	if ec.fallible {
-		// Staging itself is readahead and never records a failure (see
-		// subsys.Counted.bufferAhead), but a failure recorded by earlier
-		// consumption can land between the err() check above and here.
-		// Surface it now, and stop all remaining readahead first: a
-		// failing evaluation must not keep touching the sources.
-		if serr := ec.SourceFailure(); serr != nil {
-			ec.stopPrefetch()
-			return serr
-		}
+	// Staging itself is readahead and never records a failure (see
+	// subsys.Counted.bufferAhead), but a failure recorded by earlier
+	// consumption can land between the err() check above and here.
+	// Surface it now, and stop all remaining readahead first: a failing
+	// evaluation must not keep touching the sources.
+	if serr := ec.SourceFailure(); serr != nil {
+		ec.stopPrefetch()
+		return serr
 	}
 	return nil
 }
@@ -293,22 +285,16 @@ func (ec *ExecContext) ReserveRound(cursors []*subsys.Cursor) error {
 }
 
 // Reserve gates a step that will perform at most nSorted sorted and
-// nRandom random accesses against the budget pool. With no budget
-// configured it is free. It does not consume anything: the actual spend
-// is whatever the step's accesses tally. A failed reservation
-// additionally closes any background prefetch pipelines on the
-// evaluation's lists — once the budget is exhausted, nothing may keep
-// touching the sources, not even uncounted readahead.
+// nRandom random accesses against the budget pool (see reserve). With no
+// budget configured it is free. It does not consume anything: the actual
+// spend is whatever the step's accesses tally.
 func (ec *ExecContext) Reserve(nSorted, nRandom int) error {
 	if ec.pool == nil {
 		return nil
 	}
 	need := ec.model.C1*float64(nSorted) + ec.model.C2*float64(nRandom)
-	if err := ec.pool.reserve(ec, need); err != nil {
-		ec.stopPrefetch()
-		return err
-	}
-	return nil
+	_, err := ec.reserve(1, func(int) float64 { return need })
+	return err
 }
 
 // stopPrefetch closes the background prefetch pipelines of every list of
@@ -321,44 +307,63 @@ func (ec *ExecContext) stopPrefetch() {
 	}
 }
 
-// Gather runs the random-access phase — cols[j][i] = lists[j].Grade of
-// objs[i] — serially, or overlapped under the pipelined executor. Both
-// fill the columns list-major: a list's misses are then read from its
-// source in one go (subsys.Counted.Grades), where an object-major sweep
-// waits out each probe's cache misses, or its round trip, before issuing
-// the next. Under a budget it is that object-major sweep nonetheless,
-// serial, with an exact per-object reservation, so the budget is never
-// overshot.
+// Gather runs the random-access phase, cols[j][i] = lists[j].Grade of
+// objs[i], the same way under every executor (see gather). Under a
+// budget it goes in runs, each reserved at once: the longest prefix of
+// the objects whose per-object reservations (ReserveProbes) would have
+// been granted, then the next object on its own, which fails where a
+// one-by-one sweep fails. An object's price cannot change within the
+// phase, since the objects are distinct.
 func (ec *ExecContext) Gather(lists []*subsys.Counted, objs []int, cols [][]float64) error {
 	if err := ec.err(); err != nil {
 		return err
 	}
-	var err error
-	switch {
-	case ec.pool != nil:
-		err = ec.gatherBudgeted(lists, objs, cols)
-	case ec.pipe != nil:
-		ec.snapshot()
-		err = ec.pipe.gather(ec.ctx, lists, objs, cols)
-		if err != nil {
-			var ab *AbandonedError
-			if errors.As(err, &ab) {
-				ec.abandoned = true
+	for lo, hi := 0, len(objs); lo < len(objs); lo = hi {
+		if ec.pool != nil {
+			n, err := ec.reserve(len(objs)-lo, func(i int) float64 {
+				return ec.model.C2 * float64(missing(lists, objs[lo+i]))
+			})
+			if err != nil {
+				return err
 			}
+			hi = lo + n
 		}
-	default:
-		err = gatherInline(ec.ctx, lists, objs, cols)
-	}
-	if err == nil && ec.fallible {
-		// A probe may have hit a terminal source failure (recorded as the
-		// list's sticky error; Grade then returned 0). Surface it before
-		// the zeros can flow into an aggregation.
-		if serr := ec.SourceFailure(); serr != nil {
+		if err := ec.gather(lists, objs[lo:hi], cols, lo); err != nil {
+			// A failed list's unpaid grades read 0: the typed error must
+			// surface before they reach an aggregation, and nothing may
+			// keep touching the sources.
 			ec.stopPrefetch()
-			return serr
+			return err
 		}
 	}
-	return err
+	return nil
+}
+
+// gather fills cols[j][off+i] for objs[i] list-major: each list stages
+// its misses, reads them from its source in GradeBatch chunks (over a
+// bare in-memory list, one gradedset.List.Grades loop) and pays for them
+// in the order a one-by-one sweep would have probed (see
+// subsys.Counted.StageGrades). The pipelined executor overlaps the
+// chunks when that pays. Either way the phase stops at the first
+// failure, so every executor leaves the same tallies.
+func (ec *ExecContext) gather(lists []*subsys.Counted, objs []int, cols [][]float64, off int) error {
+	if ec.pipe != nil && ec.pipe.overlaps(lists, len(objs)) {
+		ec.snapshot()
+		if err := ec.pipe.gather(ec.ctx, lists, objs, cols, off); err != nil {
+			ec.abandoned = true // like stage, gather fails only with an *AbandonedError
+			return err
+		}
+		return ec.err()
+	}
+	for j, l := range lists {
+		col := cols[j][off : off+len(objs)]
+		n, err := l.FetchStaged(0, l.StageGrades(objs, col), ec.done)
+		l.PayStaged(col, n, err)
+		if err := ec.err(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // appendScores runs the random-access-plus-computation phase shared by
@@ -389,33 +394,30 @@ func (ec *ExecContext) ReserveProbes(lists []*subsys.Counted, obj int) error {
 	if ec.pool == nil {
 		return nil
 	}
-	missing := 0
-	for _, l := range lists {
-		if _, ok := l.Known(obj); !ok {
-			missing++
-		}
-	}
-	return ec.Reserve(0, missing)
+	return ec.Reserve(0, missing(lists, obj))
 }
 
-// gatherBudgeted is the budget-respecting gather: object-major, with an
-// exact reservation (only genuinely unknown grades are priced) before
-// each object's probes.
-func (ec *ExecContext) gatherBudgeted(lists []*subsys.Counted, objs []int, cols [][]float64) error {
-	for i, obj := range objs {
-		if i%ctxCheckEvery == 0 {
-			if err := ec.err(); err != nil {
-				return err
-			}
-		}
-		if err := ec.ReserveProbes(lists, obj); err != nil {
-			return err
-		}
-		for j, l := range lists {
-			cols[j][i] = l.Grade(obj)
+// reserve reserves a run of steps from the pool (budgetPool.reserve). A
+// failed reservation closes every background prefetch pipeline of the
+// evaluation: once the budget is exhausted, nothing may keep touching
+// the sources, not even uncounted readahead.
+func (ec *ExecContext) reserve(n int, price func(int) float64) (int, error) {
+	n, err := ec.pool.reserve(ec, n, price)
+	if err != nil {
+		ec.stopPrefetch()
+	}
+	return n, err
+}
+
+// missing counts the lists that have not paid for obj's grade yet.
+func missing(lists []*subsys.Counted, obj int) int {
+	n := 0
+	for _, l := range lists {
+		if _, ok := l.Known(obj); !ok {
+			n++
 		}
 	}
-	return nil
+	return n
 }
 
 // releaseScratch pools the scratch unless the evaluation was abandoned
@@ -425,36 +427,6 @@ func (ec *ExecContext) releaseScratch(s *scratch) {
 	if !ec.abandoned {
 		s.release()
 	}
-}
-
-// ctxCheckEvery paces cancellation polls inside long serial probe
-// loops: frequent enough that even a shard-sized sweep (a few hundred
-// objects) notices cancellation mid-phase, cheap enough (one channel
-// poll per 256 probes) to vanish in the noise of the probes
-// themselves. Polls never touch the tallies.
-const ctxCheckEvery = 256
-
-// gatherInline is the serial random-access phase: list-major, one
-// column after another, each through the batched column routine in spans
-// of ctxCheckEvery objects with a cancellation poll between spans. It is
-// the order the pipelined gather pays in too, so both leave the same
-// tallies and report the same first SourceError.
-func gatherInline(ctx context.Context, lists []*subsys.Counted, objs []int, cols [][]float64) error {
-	done := ctx.Done()
-	for j, l := range lists {
-		for lo := 0; lo < len(objs); lo += ctxCheckEvery {
-			if done != nil {
-				select {
-				case <-done:
-					return fmt.Errorf("core: evaluation canceled: %w", context.Cause(ctx))
-				default:
-				}
-			}
-			hi := min(lo+ctxCheckEvery, len(objs))
-			l.Grades(objs[lo:hi], cols[j][lo:hi])
-		}
-	}
-	return nil
 }
 
 // Concurrent names the executor that ran one worker per list; Pipelined

@@ -162,6 +162,71 @@ func TestAccessBudgetRespectsCostModel(t *testing.T) {
 	}
 }
 
+// batchCounter is a source that batches random access, up to max
+// objects a call, and records the size of every batch it serves.
+type batchCounter struct {
+	subsys.Source
+	max     int
+	batches []int
+}
+
+func (b *batchCounter) MaxGrades() int { return b.max }
+
+func (b *batchCounter) TryGrades(objs []int, out []float64) (int, error) {
+	b.batches = append(b.batches, len(objs))
+	for i, obj := range objs {
+		out[i] = b.Grade(obj)
+	}
+	return len(objs), nil
+}
+
+// TestBudgetedGatherBatches: a budgeted gather reads a batching source
+// in batches, one call per MaxGrades misses of a list, and stops with
+// the same tallies and the same *BudgetError as over sources that do
+// not batch.
+func TestBudgetedGatherBatches(t *testing.T) {
+	db := scoredb.Generator{N: 2048, M: 3, Seed: 12}.MustGenerate()
+	_, full, err := Evaluate(context.Background(), A0{}, sourcesOf(db), agg.Min, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const max = 8
+	for _, budget := range []float64{2 * float64(full.Sum()), float64(full.Sorted + full.Random/2)} {
+		_, want, wantErr := Evaluate(context.Background(), A0{}, sourcesOf(db), agg.Min, 20, WithAccessBudget(budget))
+		srcs := sourcesOf(db)
+		counters := make([]*batchCounter, len(srcs))
+		for j := range srcs {
+			counters[j] = &batchCounter{Source: srcs[j], max: max}
+			srcs[j] = counters[j]
+		}
+		lists := subsys.CountAll(srcs)
+		ec := NewExecContext(context.Background(), lists, WithAccessBudget(budget))
+		_, err := (A0{}).TopK(ec, lists, agg.Min, 20)
+		if got := subsys.TotalCost(lists); got != want {
+			t.Errorf("budget %v: cost %v, unbatched %v", budget, got, want)
+		}
+		var be, wantBE *BudgetError
+		if errors.As(wantErr, &wantBE) != errors.As(err, &be) || be != nil && (be.Spent != wantBE.Spent || be.Need != wantBE.Need) {
+			t.Errorf("budget %v: err %v, unbatched %v", budget, err, wantErr)
+		}
+		if stops := budget < float64(full.Sum()); stops != (be != nil) {
+			t.Errorf("budget %v of %v: err %v", budget, full.Sum(), err)
+		}
+		for j, l := range lists {
+			misses := l.Cost().Random
+			if got, want := len(counters[j].batches), (misses+max-1)/max; got != want {
+				t.Errorf("budget %v, list %d: %d TryGrades calls for %d misses, want %d", budget, j, got, misses, want)
+			}
+			for _, size := range counters[j].batches {
+				if size > max {
+					t.Errorf("budget %v, list %d: a batch of %d exceeds MaxGrades %d", budget, j, size, max)
+				}
+			}
+		}
+		subsys.ReleaseAll(lists)
+	}
+}
+
 // TestBudgetAcrossAlgorithms asserts the whole family honors a tiny
 // budget: each either finishes within it or stops with ErrBudgetExceeded
 // and a partial cost within it.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -115,31 +116,43 @@ func TestPermanentSortedFaultIdenticalAcrossExecutors(t *testing.T) {
 }
 
 func TestPermanentRandomFaultIdenticalAcrossExecutors(t *testing.T) {
-	// Anti-correlated lists: object 0 tops list 0 but sits last in
-	// list 1, so A0's phase 2 random-probes it on list 1 under every
-	// executor. Partial tallies are not compared: executors legitimately
-	// differ in how much of a probe batch they pay for once the failure
-	// is discovered mid-gather.
+	// Anti-correlated lists: object 0 tops list 0 (and list 2, when there
+	// is one) but sits last in list 1, so A0's phase 2 random-probes it
+	// on list 1 under every executor. The phase stops at that failure
+	// under every executor, so the partial tallies match too: with a third
+	// list, nothing is paid for on it after list 1 failed.
 	const n = 40
-	rows := [][]float64{make([]float64, n), make([]float64, n)}
-	for i := 0; i < n; i++ {
-		rows[0][i] = 1 - float64(i)/float64(n+1)
-		rows[1][i] = float64(i+1) / float64(n+1)
-	}
-	db, err := scoredb.FromMatrix(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const victim, obj = 1, 0
-	srcs := func() []subsys.Source { return failSourcesOf(db, victim, -1, obj) }
+	for _, m := range []int{2, 3} {
+		rows := make([][]float64, m)
+		for j := range rows {
+			rows[j] = make([]float64, n)
+		}
+		for i := 0; i < n; i++ {
+			rows[0][i] = 1 - float64(i)/float64(n+1)
+			rows[1][i] = float64(i+1) / float64(n+1)
+			if m == 3 {
+				rows[2][i] = 1 - float64(i)/float64(2*n)
+			}
+		}
+		db, err := scoredb.FromMatrix(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const victim, obj = 1, 0
+		srcs := func() []subsys.Source { return failSourcesOf(db, victim, -1, obj) }
 
-	_, _, serr := Evaluate(context.Background(), A0{}, srcs(), agg.Min, 3)
-	requireSourceError(t, "serial", serr, victim, obj, true)
-	for _, x := range faultExecs() {
-		got, _, err := Evaluate(context.Background(), A0{}, srcs(), agg.Min, 3, withExec(x)...)
-		requireSourceError(t, execName(x), err, victim, obj, true)
-		if got != nil {
-			t.Errorf("%s: results %v alongside the error", execName(x), got)
+		_, wantCost, serr := Evaluate(context.Background(), A0{}, srcs(), agg.Min, 3)
+		requireSourceError(t, fmt.Sprintf("m=%d serial", m), serr, victim, obj, true)
+		for _, x := range faultExecs() {
+			label := fmt.Sprintf("m=%d %s", m, execName(x))
+			got, c, err := Evaluate(context.Background(), A0{}, srcs(), agg.Min, 3, withExec(x)...)
+			requireSourceError(t, label, err, victim, obj, true)
+			if got != nil {
+				t.Errorf("%s: results %v alongside the error", label, got)
+			}
+			if c != wantCost {
+				t.Errorf("%s: partial cost %v, serial %v", label, c, wantCost)
+			}
 		}
 	}
 }

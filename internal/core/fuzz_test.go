@@ -298,7 +298,7 @@ func fuzzExecutorEquivalence(t *testing.T, seed uint64) {
 			if gRes != nil {
 				t.Errorf("%s: %s results alongside the error", flabel, execName(x))
 			}
-			if !wSE.Random && gCost != wCost {
+			if gCost != wCost {
 				t.Errorf("%s: %s partial cost %v, serial %v", flabel, execName(x), gCost, wCost)
 			}
 		}

@@ -8,15 +8,15 @@ import (
 
 const (
 	// defaultGatherWidth is the number of gather chunks (see
-	// Pipelined.Gather: batched calls, or single probes of a source that
+	// Pipelined.gather: batched calls, or single probes of a source that
 	// does not batch) Pipelined keeps in flight at once when P is unset:
 	// wide enough that a per-millisecond backend serves thousands of
 	// probes per second, narrow enough not to stampede a real service.
 	defaultGatherWidth = 64
-	// pipelinedGatherCutoff is the probe count below which
-	// Pipelined.Gather probes sources that do not batch inline. It is
-	// deliberately tiny: the executor exists for sources where a single
-	// access costs more than a goroutine handoff.
+	// pipelinedGatherCutoff is the probe count below which a gather over
+	// sources that do not batch runs inline (see Pipelined.overlaps). It
+	// is deliberately tiny: the executor exists for sources where a
+	// single access costs more than a goroutine handoff.
 	pipelinedGatherCutoff = 16
 )
 
@@ -42,17 +42,14 @@ const (
 // cursor's demand before blocking on any of them, so the m refills of a
 // round proceed concurrently across lists.
 //
-// The random-access gather phase overlaps across both lists AND objects:
-// the executor resolves memoized grades first, cuts each list's missing
-// probes into chunks of the source's batch size (one round trip per
-// list over a subsys.BatchGrader, one probe per chunk otherwise), fans
-// the chunks out on up to P workers against the raw sources, and then
-// delivers the fetched grades in exactly the serial probe order.
-// Payment stays strictly on delivery in both phases, so the Section 5
-// tallies are bit-identical to the serial evaluation's (the equivalence
-// tests pin this), and budgets compose: reservations happen before
-// delivery, and a failed reservation closes every pipeline — the
-// evaluation never prefetches past a reservation failure.
+// The random-access phase is the serial one (ExecContext.Gather), except
+// that its chunks — one round trip each over a subsys.BatchGrader, one
+// probe otherwise — fan out on up to P workers, across both lists and
+// objects, before anything is paid for. Payment stays strictly on
+// delivery in both phases, so the Section 5 tallies are bit-identical to
+// the serial evaluation's (the equivalence tests pin this), and budgets
+// compose: reservations happen before delivery, and a failed reservation
+// closes every pipeline.
 //
 // Sources must tolerate concurrent reads (pipeline refills overlap the
 // gather probes, and gather probes each other): every built-in source
@@ -124,92 +121,67 @@ func (p *Pipelined) stage(ctx context.Context, cursors []*subsys.Cursor, ahead i
 	return nil
 }
 
-// gather fills cols[j][i] = lists[j].Grade(objs[i]),
-// overlapped across every (list, object) pair. Memoized grades are
-// resolved inline first; each list's run of genuinely missing probes is
-// cut into chunks of that list's batch size (subsys.Counted.GradeBatch:
-// one round trip per chunk over a batching source, one probe per chunk
-// otherwise), the chunks fan out on up to width() workers against the
-// raw sources — uncounted — and the grades are then delivered in the
-// exact serial order (list-major, ascending object index), so per-list
-// tallies and memo state match gatherInline's bit for bit.
-func (p *Pipelined) gather(ctx context.Context, lists []*subsys.Counted, objs []int, cols [][]float64) error {
-	// A chunk is the run [lo, hi) of the miss arrays below, all of list j;
-	// its worker leaves the count of grades obtained in n and the source
-	// failure that stopped it, if any, in err.
+// overlaps reports whether a gather of n objects over lists fans out:
+// when a source batches, so that each chunk is a round trip to hide, or
+// when it can make at least pipelinedGatherCutoff probes. A bare
+// in-memory list reads its misses in one loop too, but hides nothing.
+func (p *Pipelined) overlaps(lists []*subsys.Counted, n int) bool {
+	for _, l := range lists {
+		if l.GradeBatch() > 1 && l.Fallible() {
+			return true
+		}
+	}
+	return n*len(lists) >= pipelinedGatherCutoff
+}
+
+// ctxCheckEvery paces the gather workers' cancellation polls: one per
+// 256 chunks, frequent enough to notice cancellation mid-phase, cheap
+// enough to vanish in the noise of the reads themselves.
+const ctxCheckEvery = 256
+
+// gather is ExecContext.gather with the chunks of every list's misses
+// fanned out on up to width() workers, then paid for list-major up to
+// the first failure. It fails only with the *AbandonedError of a
+// cancellation.
+func (p *Pipelined) gather(ctx context.Context, lists []*subsys.Counted, objs []int, cols [][]float64, off int) error {
+	// A chunk is the run [lo, hi) of list j's staged misses; reading it
+	// leaves how far they were read in n, and the failure, if any, in err.
 	type chunk struct {
 		j, lo, hi, n int
 		err          error
 	}
-	var (
-		at, ids []int // per miss, list-major: index into objs, object id
-		chunks  []chunk
-		batched bool
-	)
+	var chunks []chunk
 	for j, l := range lists {
-		col, first := cols[j], len(at)
-		for i, obj := range objs {
-			if g, ok := l.Known(obj); ok {
-				col[i] = g
-			} else {
-				at, ids = append(at, i), append(ids, obj)
-			}
-		}
-		size := l.GradeBatch()
-		batched = batched || size > 1
-		for lo := first; lo < len(at); lo += size {
-			chunks = append(chunks, chunk{j: j, lo: lo, hi: min(lo+size, len(at))})
+		read, size := l.StageGrades(objs, cols[j][off:off+len(objs)]), l.GradeBatch()
+		for lo := 0; lo < read; lo += size {
+			chunks = append(chunks, chunk{j: j, lo: lo, hi: min(lo+size, read)})
 		}
 	}
-	if len(at) == 0 {
-		return nil
-	}
-	if len(at) < pipelinedGatherCutoff && !batched {
-		// Too few single probes to pay a goroutine handoff for: fill the
-		// columns inline, in the same order.
-		return gatherInline(ctx, lists, objs, cols)
-	}
-	fetched := make([]float64, len(at))
 	err := fanOut(ctx, p.width(), len(chunks), func(ctx context.Context, t int) bool {
 		if ctx.Done() != nil && t%ctxCheckEvery == 0 && ctx.Err() != nil {
 			return false
 		}
-		// Raw, unmetered read: payment happens at delivery below. A source
-		// failure is recorded per chunk, NOT by bailing the fan-out —
-		// bailing would fabricate an abandonment (poisoned lists, GC'd
-		// state) out of an orderly, typed failure.
 		c := &chunks[t]
-		c.n, c.err = lists[c.j].TrySourceGrades(ids[c.lo:c.hi], fetched[c.lo:c.hi])
-		// Except under a canceled context: then the failure is the
-		// cancellation reaching the transport, and bailing reports the
-		// abandonment whichever way the race with fanOut's own watch of
-		// ctx goes.
+		c.n, c.err = lists[c.j].FetchStaged(c.lo, c.hi, nil)
+		c.n += c.lo
+		// A source failure stays in its chunk: bailing would make an
+		// abandonment of a typed failure, unless it is the cancellation
+		// reaching the transport.
 		return c.err == nil || ctx.Err() == nil
 	})
 	if err != nil {
-		for _, l := range lists {
-			l.AbortPrefetch()
-		}
 		return err
 	}
-	// Delivery in serial probe order: each miss pays one random access
-	// (objs are distinct within a phase, so the miss set was fixed at
-	// phase start — exactly the accesses gatherInline would have paid).
-	for _, c := range chunks {
-		l, col := lists[c.j], cols[c.j]
-		for t := c.lo; t < c.lo+c.n; t++ {
-			col[at[t]] = l.DeliverGrade(ids[t], fetched[t])
-		}
-		if c.err != nil {
-			// First failed probe in serial order: record it as the list's
-			// sticky error and stop delivering — the ExecContext's
-			// post-gather check surfaces the typed error, and no grade
-			// past the failure point is paid for.
-			l.FailGrade(ids[c.lo+c.n], c.err)
-			for _, l := range lists {
-				l.AbortPrefetch()
+	t := 0
+	for j, l := range lists {
+		n, err := 0, error(nil)
+		for ; t < len(chunks) && chunks[t].j == j; t++ {
+			if err == nil {
+				n, err = chunks[t].n, chunks[t].err
 			}
-			return nil
+		}
+		if l.PayStaged(cols[j][off:off+len(objs)], n, err); l.Err() != nil {
+			break
 		}
 	}
 	return nil

@@ -531,27 +531,33 @@ type budgetPool struct {
 }
 
 // reserve settles ec's previous step (commit actual spend, release its
-// reservation) and grants the next one, or fails with a *BudgetError.
-// The failure's Spent is the synchronized actual spend (committed), per
-// the BudgetError contract; a grant can be refused even when committed
-// plus need is under the limit, because other shards' outstanding
-// worst-case reservations also hold headroom — that pessimism is what
-// makes the pool overshoot-proof.
-func (p *budgetPool) reserve(ec *ExecContext, need float64) error {
+// reservation) and grants, in one reservation, the longest prefix of n ≥
+// 1 steps priced price(0), price(1), … that step-by-step reservations
+// would have granted, each step spending its price before the next, and
+// returns its length. When not even step 0 fits it fails with a
+// *BudgetError whose Spent is the synchronized actual spend (committed).
+// Other shards' outstanding worst-case reservations hold headroom too:
+// that pessimism is what makes the pool overshoot-proof.
+func (p *budgetPool) reserve(ec *ExecContext, n int, price func(int) float64) (int, error) {
 	spent := ec.model.Of(subsys.TotalCost(ec.lists))
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.committed += spent - ec.synced
-	ec.synced = spent
-	p.outstanding -= ec.outstanding
-	ec.outstanding = 0
-	if p.broke || p.committed+p.outstanding+need > p.limit {
+	p.settle(ec, spent)
+	i, need := 0, 0.0
+	for ; i < n && !p.broke; i++ {
+		next := need + price(i)
+		if p.committed+p.outstanding+next > p.limit {
+			break
+		}
+		need = next
+	}
+	if i == 0 {
 		p.broke = true
-		return &BudgetError{Limit: p.limit, Spent: p.committed, Need: need}
+		return 0, &BudgetError{Limit: p.limit, Spent: p.committed, Need: price(0)}
 	}
 	ec.outstanding = need
 	p.outstanding += need
-	return nil
+	return i, nil
 }
 
 // finish commits ec's final spend and releases its reservation; called
@@ -559,9 +565,15 @@ func (p *budgetPool) reserve(ec *ExecContext, need float64) error {
 func (p *budgetPool) finish(ec *ExecContext) {
 	spent := ec.model.Of(subsys.TotalCost(ec.lists))
 	p.mu.Lock()
+	p.settle(ec, spent)
+	p.mu.Unlock()
+}
+
+// settle commits ec's actual spend and releases its outstanding
+// reservation. The caller holds p.mu.
+func (p *budgetPool) settle(ec *ExecContext, spent float64) {
 	p.committed += spent - ec.synced
 	ec.synced = spent
 	p.outstanding -= ec.outstanding
 	ec.outstanding = 0
-	p.mu.Unlock()
 }

@@ -232,8 +232,8 @@ func TestLatencyAndShardViewBatches(t *testing.T) {
 	if got, err := lat.TryGrades(upTo(10), out); got != 10 || err != nil {
 		t.Fatalf("LatencySource.TryGrades = (%d, %v)", got, err)
 	}
-	if lat.Calls() != 1 || lat.Items() != 10 {
-		t.Errorf("latency paid for %d calls / %d items, want 1 / 10", lat.Calls(), lat.Items())
+	if b := parent.seen(); len(b) != 1 || len(b[0]) != 10 {
+		t.Errorf("latency wrapper passed on batches %v, want one call of 10", b)
 	}
 
 	parent = newBatchList(list, n)
@@ -269,11 +269,11 @@ func (l lyingBatcher) TryGrades(objs []int, out []float64) (int, error) {
 func TestCountedNormalizesBatchContract(t *testing.T) {
 	list := descendingList(t, 32)
 	out := make([]float64, 8)
-	n, err := Count(lyingBatcher{newBatchList(list, 8), true}).TrySourceGrades(upTo(8), out)
+	n, err := Count(lyingBatcher{newBatchList(list, 8), true}).fetch(upTo(8), out)
 	if n != 7 || !errors.Is(err, errShortGrades) {
 		t.Errorf("short batch = (%d, %v), want 7 grades and errShortGrades", n, err)
 	}
-	n, err = Count(lyingBatcher{newBatchList(list, 8), false}).TrySourceGrades(upTo(8), out)
+	n, err = Count(lyingBatcher{newBatchList(list, 8), false}).fetch(upTo(8), out)
 	if n != 8 || err != nil {
 		t.Errorf("complete batch with an error = (%d, %v), want success", n, err)
 	}

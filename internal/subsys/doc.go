@@ -50,7 +50,7 @@
 //
 // StartPrefetch extends the readahead buffer into a background per-list
 // pipeline: a worker goroutine issues batched sorted accesses
-// (src.Entries) ahead of the algorithm's demand, with adaptive depth:
+// (TryEntries) ahead of the algorithm's demand, with adaptive depth:
 // the window opens at the rank the consumer said it expects to reach
 // (Counted.Expect; the A₀ family knows it in closed form) and covers a
 // demand stated up front in one call, so a list is usually read in one
@@ -59,13 +59,10 @@
 // and shrinks when it falls behind, capped at DefaultPrefetchCap — the
 // per-call latency of a slow or remote source is amortized over larger
 // spans exactly when the source is slow enough to warrant it (the
-// pipeline type states the whole policy). The pay-on-delivery invariant is unchanged: the worker fills a
-// spool the consumer absorbs into the (still uncounted) prefix buffer,
-// and only consumption meters and memoizes, so tallies stay
-// bit-identical however deep the pipeline ran. The random-access twins
-// TrySourceGrades (raw, unmetered, callable concurrently) and
-// DeliverGrade (pays in serial order) let an executor overlap random
-// accesses across lists and objects under the same invariant.
+// pipeline type states the whole policy). The pay-on-delivery invariant
+// is unchanged: the worker fills a spool the consumer absorbs into the
+// (still uncounted) prefix buffer, and only consumption meters and
+// memoizes, so tallies stay bit-identical however deep the pipeline ran.
 //
 // # Batched random access
 //
@@ -73,32 +70,27 @@
 // random access is batched through an optional capability, BatchGrader:
 // TryGrades(objs, out) performs up to MaxGrades random accesses in one
 // call. A source where a call is a round trip (wire.RemoteSource)
-// implements it; sources where a call is an array read do not. The
-// contract is TryEntries' partial prefix: n grades were obtained before
-// err, out[:n] is valid, and a non-nil err belongs to objs[n] — so
-// however probes were batched, a failure pins to the object a one-by-one
-// sweep would have failed at. Counted.TrySourceGrades is the raw face
-// (one source call per batch, or one per object without the capability,
-// GradeBatch telling the caller how to cut); payment stays per grade at
-// DeliverGrade, so a batch of n is n random accesses in every Section 5
-// tally.
+// implements it. Its contract is TryEntries' partial prefix: out[:n] is
+// valid and a non-nil err belongs to objs[n], so however probes were
+// batched, a failure pins to the object a one-by-one sweep fails at.
 //
-// Counted.Grades is the one routine that fills a list's column of a
-// random-access phase, whatever the executor: grades the memo holds are
-// resolved inline, the misses are read from the source in one go and
-// then paid for in ascending index order, so its outcome — column,
-// tallies, memo, sticky first failure — is that of probing the objects
-// one by one. "In one go" is GradeBatch-sized TryGrades calls over a
-// BatchGrader, and one Grade/TryGrade per miss over any other source,
-// with one exception that is not a capability: a Counted wrapping the
-// bare in-memory ListSource reads its list's grades directly
-// (gradedset.List.Grades, a loop of independent loads, so the cache
-// misses of different objects overlap). ListSource does NOT implement
-// BatchGrader, on purpose: every wrapper forwards it (see "Writing a
-// wrapper"), and a simulated remote would receive a whole list's misses
-// as one call. Behind any wrapper — latency, faults, resilience, a shard
-// view, a tracer — a probe is no longer two array reads, and the
-// wrapper keeps seeing every one.
+// A random-access phase has one path, whatever the executor, in three
+// steps on each list. StageGrades fills the grades the memo holds and
+// stages the misses in a pooled buffer. FetchStaged reads them from the
+// source, raw and unmetered, in GradeBatch chunks: one TryGrades call
+// per chunk over a BatchGrader, one TryGrade per miss over any other
+// source, and over the bare in-memory ListSource one
+// gradedset.List.Grades loop (independent loads whose cache misses
+// overlap). PayStaged pays for them in ascending index order up to the
+// first failure, so a batch of n is n random accesses in every Section 5
+// tally, and the outcome is that of probing the objects one by one.
+// Counted.Grades is the three steps for one list; the core executors run
+// them list-major, and the pipelined one overlaps the fetches of all
+// lists' chunks (they may run concurrently). ListSource does NOT
+// implement BatchGrader, on purpose: every wrapper forwards it, and a
+// simulated remote would receive a whole list's misses as one call.
+// Behind any wrapper — latency, faults, resilience, a shard view, a
+// tracer — the wrapper sees every probe.
 //
 // Lifecycle: Fence drains a list's pipeline (no further accesses once
 // the in-flight batch lands), Release stops and joins it, AbortPrefetch
@@ -129,8 +121,9 @@
 // # Error semantics: fallible sources
 //
 // A subsystem whose accesses can fail implements FallibleSource — the
-// Try* variants of the two access modes — and Counted detects the
-// capability at wrap time. Failures then obey three rules.
+// Try* variants of the two access modes — and Counted reads every source
+// through that face (a source without one through an adapter that never
+// fails). Failures obey three rules.
 //
 // First, failures are sticky and typed. The first failed access pins a
 // *SourceError carrying the list index, the failing rank or object id,
@@ -151,8 +144,8 @@
 // the algorithm actually demands the missing rank. Only consumption
 // records a failure, so which faults surface is a property of what the
 // algorithm consumed, invariant across serial, pipelined and sharded
-// execution — the executor-equivalence fuzz pins a
-// permanent fault to the identical *SourceError under every executor,
+// execution — the executor-equivalence fuzz pins a permanent fault to
+// the identical *SourceError and partial tallies under every executor,
 // and a fault past the last demanded rank to no error at all.
 //
 // Third, recovery wraps below, not inside: Resilient adds per-site
@@ -193,9 +186,6 @@
 // subsystem returns and which forwards Versioned;
 // the middleware's SelectivityEstimator and ConjunctionEvaluator are
 // the two faces deliberately not forwarded (the reason is on wrapped).
-// Counted and the prefetch pipeline are not wrappers in this sense and
-// keep their own two-face reads: whether the source can fail at all is
-// what Counted.Fallible reports.
 //
 // The package also provides realistic stand-ins for the subsystems the
 // paper names: a relational predicate engine (0/1 grades, the

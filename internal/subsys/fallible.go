@@ -10,12 +10,11 @@ import (
 // FallibleSource is the optional failure-aware face of a Source: a
 // subsystem whose accesses can fail (a remote engine, a flaky transport)
 // implements the Try* variants alongside the plain interface. Counted
-// detects the capability at wrap time and routes every physical access
-// through it; the plain methods exist only to satisfy Source for
-// consumers that never look, and by convention they forward to the
-// underlying data without surfacing faults. Every wrapper in this
-// package, shard views included, always exposes Try* — over a parent
-// that cannot fail they simply never fail (see FacesOf).
+// reads every source through this one face, a source without it through
+// an adapter that never fails (infallible); the plain methods exist only
+// to satisfy Source, and by convention forward to the underlying data
+// without surfacing faults. Every wrapper in this package, shard views
+// included, exposes Try* (see FacesOf).
 //
 // Contract for the Try* methods: on a nil error the result is complete
 // (TryEntries returns exactly hi−lo entries). On a non-nil error
@@ -43,11 +42,10 @@ type FallibleSource interface {
 // random twin of TryEntries, for sources where a call costs a round
 // trip. It is a capability, not part of Source, so existing sources
 // and wrappers stay valid; a wrapper whose parent lacks it reports
-// MaxGrades 0 and its TryGrades must not be called. Every gather reads
-// through it — Counted.Grades, the column routine of the serial
-// executor, in MaxGrades chunks; the pipelined executor the same chunks
-// in parallel — and payment stays per delivered grade, so
-// batching never moves a Section 5 tally.
+// MaxGrades 0 and its TryGrades must not be called. Every random-access
+// phase reads through it in MaxGrades chunks (Counted.FetchStaged), and
+// payment stays per delivered grade, so batching never moves a Section 5
+// tally.
 type BatchGrader interface {
 	// TryGrades performs up to MaxGrades random accesses in one call:
 	// out[i] = grade of objs[i]. n is the number of grades obtained

@@ -105,7 +105,7 @@ func TestGradesMatchesGradeLoop(t *testing.T) {
 			sorted(10)(c)
 			c.Grade(33)
 		}, objs: all, shortAt: -1},
-		{name: "wrapped list", src: func() Source { return NewLatencySource(FromList(dense), 0) }, prep: sorted(6), objs: all, shortAt: -1},
+		{name: "wrapped list", src: func() Source { return NewLatencySource(&callCounter{Source: FromList(dense)}, 0) }, prep: sorted(6), objs: all, shortAt: -1},
 		{name: "sticky failure already set", src: func() Source {
 			return &flaky{ListSource: FromList(dense), failRank: 5}
 		}, prep: sorted(8), objs: all, shortAt: -1, fails: true},
@@ -201,8 +201,9 @@ func TestGradesMatchesGradeLoop(t *testing.T) {
 			// A wrapper sees every access: the in-memory fast path is for
 			// the bare ListSource only.
 			if lat, ok := colSrc.(*LatencySource); ok {
-				if wantCalls := loopSrc.(*LatencySource).Calls(); lat.Calls() != wantCalls {
-					t.Errorf("wrapper saw %d calls, the Grade loop's wrapper %d", lat.Calls(), wantCalls)
+				calls := func(lat Source) int64 { return lat.(*LatencySource).in.Src.(*callCounter).calls.Load() }
+				if got, want := calls(lat), calls(loopSrc); got != want {
+					t.Errorf("wrapper saw %d calls, the Grade loop's wrapper %d", got, want)
 				}
 			}
 		})

@@ -44,7 +44,7 @@ func (s PipelineStats) Add(o PipelineStats) PipelineStats {
 }
 
 // pipeline is the background prefetcher of one Counted list: a single
-// worker goroutine issues batched sorted accesses (src.Entries) ahead of
+// worker goroutine issues batched sorted accesses (TryEntries) ahead of
 // the algorithm's consumption and parks the results in a spool the
 // consumer absorbs into the list's uncounted prefix buffer. Prefetched
 // ranks are NOT delivered — the Section 5 sorted tally and the grade
@@ -86,8 +86,7 @@ func (s PipelineStats) Add(o PipelineStats) PipelineStats {
 // worker is the only other toucher. All shared state is guarded by mu;
 // the two buffered-by-one channels carry wakeups, not data.
 type pipeline struct {
-	src    Source
-	fs     FallibleSource // non-nil when src exposes the fallible face
+	src    FallibleSource // the list's fallible face (see Counted)
 	length int
 
 	mu       sync.Mutex
@@ -111,13 +110,12 @@ type pipeline struct {
 // ranks the list already holds, its window opening at the rank the
 // consumer expects to reach (expect; 0 when it stated nothing, which
 // opens at 1); maxDepth <= 0 selects DefaultPrefetchCap.
-func newPipeline(src Source, fs FallibleSource, length, buffered, maxDepth, expect int) *pipeline {
+func newPipeline(src FallibleSource, length, buffered, maxDepth, expect int) *pipeline {
 	if maxDepth <= 0 {
 		maxDepth = DefaultPrefetchCap
 	}
 	p := &pipeline{
 		src:      src,
-		fs:       fs,
 		length:   length,
 		need:     buffered,
 		fetched:  buffered,
@@ -171,13 +169,7 @@ func (p *pipeline) run() {
 		p.mu.Unlock()
 
 		// The slow call, outside the lock: one batched sorted access.
-		var span []gradedset.Entry
-		var ferr error
-		if p.fs != nil {
-			span, ferr = p.fs.TryEntries(lo, hi)
-		} else {
-			span = p.src.Entries(lo, hi)
-		}
+		span, ferr := p.src.TryEntries(lo, hi)
 
 		p.mu.Lock()
 		if p.closed {

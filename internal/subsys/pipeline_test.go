@@ -3,6 +3,7 @@ package subsys
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,6 +22,34 @@ func pipelineList(t *testing.T, n int) *gradedset.List {
 		t.Fatal(err)
 	}
 	return l
+}
+
+// callCounter counts the physical calls made on the source it wraps and
+// the entries and grades they delivered; safe under a pipeline's worker.
+type callCounter struct {
+	Source
+	calls, items atomic.Int64
+}
+
+func (c *callCounter) count(n int) {
+	c.calls.Add(1)
+	c.items.Add(int64(n))
+}
+
+func (c *callCounter) Entry(rank int) gradedset.Entry {
+	c.count(1)
+	return c.Source.Entry(rank)
+}
+
+func (c *callCounter) Entries(lo, hi int) []gradedset.Entry {
+	span := c.Source.Entries(lo, hi)
+	c.count(len(span))
+	return span
+}
+
+func (c *callCounter) Grade(obj int) float64 {
+	c.count(1)
+	return c.Source.Grade(obj)
 }
 
 // TestPipelinePaysOnDeliveryOnly is the pay-on-delivery invariant at the
@@ -59,8 +88,8 @@ func TestPipelinePaysOnDeliveryOnly(t *testing.T) {
 // than ranks, because the batch depth doubles as the consumer stalls.
 func TestPipelineBatchesSortedAccess(t *testing.T) {
 	const n = 2048
-	lat := NewLatencySource(FromList(pipelineList(t, n)), 20*time.Microsecond)
-	c := Count(lat)
+	cnt := &callCounter{Source: FromList(pipelineList(t, n))}
+	c := Count(NewLatencySource(cnt, 20*time.Microsecond))
 	defer c.Release()
 	c.StartPrefetch(0)
 	cu := NewCursor(c)
@@ -76,7 +105,7 @@ func TestPipelineBatchesSortedAccess(t *testing.T) {
 	if got := c.Cost().Sorted; got != n {
 		t.Fatalf("consumed %d ranks, want %d", got, n)
 	}
-	calls := lat.Calls()
+	calls := cnt.calls.Load()
 	if calls >= n/4 {
 		t.Errorf("pipeline issued %d calls for %d ranks; batching did not amortize", calls, n)
 	}
@@ -97,8 +126,8 @@ func TestPipelineBatchesSortedAccess(t *testing.T) {
 // (no further physical calls once the in-flight batch lands) and the
 // cursor reports exhaustion.
 func TestPipelineFenceDrains(t *testing.T) {
-	lat := NewLatencySource(FromList(pipelineList(t, 1024)), 50*time.Microsecond)
-	c := Count(lat)
+	cnt := &callCounter{Source: FromList(pipelineList(t, 1024))}
+	c := Count(NewLatencySource(cnt, 50*time.Microsecond))
 	c.StartPrefetch(32)
 	cu := NewCursor(c)
 	cu.DemandAhead(16)
@@ -111,9 +140,9 @@ func TestPipelineFenceDrains(t *testing.T) {
 		t.Error("cursor delivered past a fence")
 	}
 	time.Sleep(5 * time.Millisecond) // let any in-flight batch land
-	before := lat.Calls()
+	before := cnt.calls.Load()
 	time.Sleep(10 * time.Millisecond)
-	if after := lat.Calls(); after != before {
+	if after := cnt.calls.Load(); after != before {
 		t.Errorf("pipeline still fetching after fence: %d -> %d calls", before, after)
 	}
 	if got := c.Cost().Sorted; got != 8 {
@@ -130,18 +159,19 @@ func TestPipelineFenceDrains(t *testing.T) {
 // tallies (via Counted) identical to the unwrapped source.
 func TestLatencySourceShape(t *testing.T) {
 	l := pipelineList(t, 64)
-	lat := NewLatencySource(FromList(l), 0)
+	cnt := &callCounter{Source: FromList(l)}
+	lat := NewLatencySource(cnt, 0)
 	span := lat.Entries(0, 10)
 	if len(span) != 10 {
 		t.Fatalf("Entries returned %d", len(span))
 	}
 	lat.Grade(3)
 	lat.Entry(12)
-	if lat.Calls() != 3 {
-		t.Errorf("Calls() = %d, want 3", lat.Calls())
+	if cnt.calls.Load() != 3 {
+		t.Errorf("calls = %d, want 3", cnt.calls.Load())
 	}
-	if lat.Items() != 12 {
-		t.Errorf("Items() = %d, want 12", lat.Items())
+	if cnt.items.Load() != 12 {
+		t.Errorf("items = %d, want 12", cnt.items.Load())
 	}
 }
 

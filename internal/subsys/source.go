@@ -77,7 +77,10 @@ func (s ListSource) Grade(obj int) float64 {
 // Counted wraps a Source with access metering and memoization. It is the
 // object algorithms actually touch: every grade that reaches an algorithm
 // has been paid for exactly once, so the counters are the S and R of the
-// Section 5 cost model by construction.
+// Section 5 cost model by construction. It reads its source through one
+// face, FallibleSource (a source without it through an adapter that
+// cannot fail), and batches random access through one phase, whatever
+// the executor: StageGrades, FetchStaged, PayStaged.
 //
 // Sorted access is sequential within the subsystem — to see rank r the
 // middleware must have received ranks 0…r — but the middleware caches
@@ -96,11 +99,9 @@ func (s ListSource) Grade(obj int) float64 {
 // without a pipeline reads ahead too: an unmet demand copies one span
 // into the buffer, to the depth stated with Expect or twice what is
 // buffered, whichever is more, so a sorted phase costs a few copies
-// rather than a source call per rank. No wrapper sees that list, and it
-// cannot fail, so the span's length is observable nowhere but in
-// Buffered.
-// The grade memo (which decides whether a later random access is free)
-// is likewise updated only at delivery time, never by readahead.
+// rather than a source call per rank; nothing but Buffered observes the
+// span's length. The grade memo (which decides whether a later random
+// access is free) is likewise updated only at delivery, never by readahead.
 //
 // Every source grades the universe 0…Len()−1, so the memo is an
 // epoch-stamped flat array of Len() slots drawn from a pool, and a
@@ -109,8 +110,9 @@ func (s ListSource) Grade(obj int) float64 {
 // object fails the list with ErrOutsideUniverse, unpaid. The delivered
 // prefix is cached in order, so re-reads never touch the source again.
 type Counted struct {
-	src     Source
-	fs      FallibleSource    // non-nil when src exposes the fallible face
+	src     Source            // nil after Release
+	fs      FallibleSource    // src's fallible face: its own, or &plain
+	plain   infallible        // the face of a src that cannot fail
 	bg      BatchGrader       // non-nil when src batches random access
 	idx     int               // list index within the evaluation (SourceError.List)
 	serr    *SourceError      // sticky first failure; the stream then reads as exhausted
@@ -129,12 +131,15 @@ type Counted struct {
 
 // Count wraps src for metered access over the universe 0…src.Len()−1.
 func Count(src Source) *Counted {
-	// Probed, not resolved with FacesOf: whether the source can fail at
-	// all decides Fallible(), and an adapter per list per query is an
-	// allocation the in-process path does not pay.
+	// Probed, not resolved with FacesOf: the adapter for a source that
+	// cannot fail lives inside the Counted, so resolving the face costs
+	// no allocation on the in-process path.
 	c := &Counted{src: src, length: src.Len()}
 	if f, ok := src.(FallibleSource); ok {
 		c.fs = f
+	} else {
+		c.plain = infallible{src}
+		c.fs = &c.plain
 	}
 	if bg, ok := src.(BatchGrader); ok && bg.MaxGrades() > 0 {
 		c.bg = bg
@@ -306,13 +311,7 @@ func (c *Counted) buffer(n int, demand bool) {
 		c.prefix = c.list.AppendRange(c.prefix, len(c.prefix), hi)
 		return
 	}
-	var span []gradedset.Entry
-	var err error
-	if c.fs != nil {
-		span, err = c.fs.TryEntries(len(c.prefix), n)
-	} else {
-		span = c.src.Entries(len(c.prefix), n)
-	}
+	span, err := c.fs.TryEntries(len(c.prefix), n)
 	c.prefix = append(c.prefix, span...)
 	if demand && len(c.prefix) < n {
 		// Record a failure only when it left the demand unmet: an error
@@ -356,12 +355,11 @@ func (c *Counted) Err() error {
 	return c.serr
 }
 
-// Fallible reports whether the list can fail mid-query: its source
-// exposes a fallible face (FallibleSource or BatchGrader), or it is
-// anything but a bare in-memory list over the universe — any other
-// Source can still deliver a short sorted span (see errShortSpan) or an
-// object outside the universe (see ErrOutsideUniverse).
-func (c *Counted) Fallible() bool { return c.fs != nil || c.bg != nil || c.list == nil }
+// Fallible reports whether the list can fail mid-query: whether it is
+// anything but a bare in-memory list over the universe. Any other Source
+// can fail an access, deliver a short sorted span (see errShortSpan) or
+// name an object outside the universe (see ErrOutsideUniverse).
+func (c *Counted) Fallible() bool { return c.list == nil }
 
 // Expect states how many ranks of the list the evaluation expects its
 // sorted phase to read, before it reads any: an algorithm whose stopping
@@ -391,7 +389,7 @@ func (c *Counted) StartPrefetch(maxDepth int) {
 	if c.pipe != nil || c.fenced || c.src == nil || c.serr != nil {
 		return
 	}
-	c.pipe = newPipeline(c.src, c.fs, c.length, len(c.prefix), maxDepth, c.expect)
+	c.pipe = newPipeline(c.fs, c.length, len(c.prefix), maxDepth, c.expect)
 	c.piped = true
 }
 
@@ -509,38 +507,46 @@ func (c *Counted) Grade(obj int) float64 {
 		c.failRandom(obj, outside(obj, c.length))
 		return 0
 	}
-	var g float64
-	if c.fs != nil {
-		var err error
-		if g, err = c.fs.TryGrade(obj); err != nil {
-			c.failRandom(obj, err)
-			return 0
-		}
-	} else {
-		g = c.src.Grade(obj)
+	g, err := c.fs.TryGrade(obj)
+	if err != nil {
+		c.failRandom(obj, err)
+		return 0
 	}
 	c.random++
 	c.dc.set(obj, g)
 	return g
 }
 
-// Grades is the random-access phase of one list, the batched form of
+// Grades is the random-access phase of one list (StageGrades,
+// FetchStaged, PayStaged), the batched form of
 //
 //	for i, obj := range objs { col[i] = c.Grade(obj) }
 //
 // with exactly that loop's outcome: the column, the random tally, the
-// memo and the sticky first failure (duplicates in objs
-// and objects outside the universe included). What changes is how
-// the source is read. Known grades are resolved inline; the misses are
-// collected and read in one go — straight from the list when the source
-// is an in-memory ListSource (one loop of independent loads instead of
-// a virtual call per probe), in GradeBatch() chunks over a BatchGrader —
-// and then paid for through DeliverGrade in ascending index order. A
-// source with neither gets one Grade call per miss, as before.
+// memo and the sticky first failure (duplicates in objs and objects
+// outside the universe included).
 func (c *Counted) Grades(objs []int, col []float64) {
+	n, err := c.FetchStaged(0, c.StageGrades(objs, col), nil)
+	c.PayStaged(col, n, err)
+}
+
+// missBuf stages one random-access phase of a list: each miss's index in
+// objs, its id and the grade read for it, and how many misses may be read.
+type missBuf struct {
+	at, ids []int
+	out     []float64
+	read    int
+}
+
+// StageGrades opens a random-access phase on the list: col[i] is filled
+// for every objs[i] whose grade the memo holds, and the rest, the misses,
+// are staged in the list's pooled buffer in index order. It returns how
+// many misses FetchStaged may read: those before the first object outside
+// the universe, and none on a failed list.
+func (c *Counted) StageGrades(objs []int, col []float64) int {
 	b := &c.dc.miss
 	at, ids := b.at[:0], b.ids[:0]
-	read := -1 // misses before the first object outside the universe
+	read := -1
 	for i, obj := range objs {
 		if g, ok := c.dc.get(obj); ok {
 			col[i] = g
@@ -551,96 +557,108 @@ func (c *Counted) Grades(objs []int, col []float64) {
 		}
 		at, ids = append(at, i), append(ids, obj)
 	}
-	b.at, b.ids = at, ids
-	if c.list == nil && c.bg == nil {
-		for t, i := range at {
-			col[i] = c.Grade(ids[t])
-		}
-		return
-	}
-	if read < 0 {
+	switch {
+	case c.serr != nil:
+		read = 0
+	case read < 0:
 		read = len(ids)
 	}
-	if cap(b.out) < len(ids) {
-		b.out = make([]float64, len(ids))
+	if cap(b.out) < read {
+		b.out = make([]float64, read)
 	}
-	out := b.out[:len(ids)]
-	size := read
-	if c.list == nil {
-		size = c.GradeBatch()
-	}
-	for lo := 0; lo < read && c.serr == nil; lo += size {
-		hi := min(lo+size, read)
-		n, err := c.TrySourceGrades(ids[lo:hi], out[lo:hi])
-		for t := lo; t < lo+n; t++ {
-			col[at[t]] = c.DeliverGrade(ids[t], out[t])
-		}
-		if err != nil {
-			c.failRandom(ids[lo+n], err)
-		}
-	}
-	if read < len(ids) {
-		c.failRandom(ids[read], outside(ids[read], c.length))
-	}
-	if c.serr != nil {
-		// Failed list (now or before the call): a miss the source never
-		// delivered reads as 0, a delivered one as what the memo holds.
-		for t, i := range at {
-			col[i], _ = c.Known(ids[t])
-		}
-	}
+	b.at, b.ids, b.out, b.read = at, ids, b.out[:read], read
+	return read
 }
 
-// missBuf is the staging of one Grades call: for each object whose grade
-// was not known, its index in objs and its id, and the grades read for
-// them from the source.
-type missBuf struct {
-	at, ids []int
-	out     []float64
-}
-
-// GradeBatch is the most objects one TrySourceGrades call fetches in a
-// single source call: the source's MaxGrades, or 1 without BatchGrader.
+// GradeBatch is the chunk FetchStaged reads misses in, one source call
+// each: the source's MaxGrades over a BatchGrader, the whole universe
+// over a bare in-memory list, 1 otherwise.
 func (c *Counted) GradeBatch() int {
-	if c.bg != nil {
+	switch {
+	case c.list != nil:
+		return max(c.length, 1)
+	case c.bg != nil:
 		return c.bg.MaxGrades()
 	}
 	return 1
 }
 
-// TrySourceGrades reads the grades of objs from the underlying source
-// directly — out[i] for objs[i], in one call when the source batches
-// random access: no metering, no memo, raw transport. n is the number
-// of grades obtained before err (see BatchGrader). It exists for
-// executors that overlap random accesses out of band and then pay for
-// them in order via DeliverGrade (or record the failure via FailGrade);
-// unlike every other method it may be called from several goroutines at
-// once (the source must tolerate concurrent reads).
-func (c *Counted) TrySourceGrades(objs []int, out []float64) (n int, err error) {
+// FetchStaged reads the grades of staged misses [lo, hi) from the
+// source, one call per GradeBatch: raw transport, unmetered, unmemoized.
+// It stops at the first call that comes back short, and before a call
+// once stop is closed (stop may be nil). n is how many grades it read,
+// err the failure at the miss after them. Unlike every other method it
+// may run on several goroutines at once, over disjoint ranges.
+func (c *Counted) FetchStaged(lo, hi int, stop <-chan struct{}) (n int, err error) {
+	b := &c.dc.miss
+	size := c.GradeBatch()
+	for at := lo; at < hi; at += size {
+		select {
+		case <-stop:
+			return at - lo, nil
+		default:
+		}
+		end := min(at+size, hi)
+		if got, err := c.fetch(b.ids[at:end], b.out[at:end]); err != nil {
+			return at + got - lo, err
+		}
+	}
+	return hi - lo, nil
+}
+
+// fetch reads out[i], the grade of objs[i], in one source call when the
+// source batches (or is a bare list). n is the number of grades obtained
+// before err, per BatchGrader's contract, which it normalizes.
+func (c *Counted) fetch(objs []int, out []float64) (n int, err error) {
 	switch {
 	case c.list != nil:
 		c.list.Grades(objs, out)
+		return len(objs), nil
 	case c.bg != nil:
-		n, err = c.bg.TryGrades(objs, out)
-		if n >= len(objs) {
+		if n, err = c.bg.TryGrades(objs, out); n >= len(objs) {
 			return len(objs), nil
-		}
-		if err == nil {
+		} else if err == nil {
 			err = errShortGrades
 		}
 		return n, err
-	case c.fs != nil:
-		for i, obj := range objs {
-			if out[i], err = c.fs.TryGrade(obj); err != nil {
-				return i, err
-			}
-		}
-	default:
-		for i, obj := range objs {
-			out[i] = c.src.Grade(obj)
+	}
+	for ; n < len(objs); n++ {
+		if out[n], err = c.fs.TryGrade(objs[n]); err != nil {
+			break
 		}
 	}
-	return len(objs), nil
+	return n, err
+}
+
+// PayStaged closes the phase in the order a one-by-one sweep would have
+// probed: the first n staged misses, which FetchStaged read, are paid
+// for (one random access and a memo write each; a duplicate in objs is
+// free the second time) and their col slots filled. A non-nil err then
+// fails the list at the next miss, as does an object outside the
+// universe once every readable miss is paid. On a failed list every
+// unpaid miss reads 0.
+func (c *Counted) PayStaged(col []float64, n int, err error) {
+	b := &c.dc.miss
+	for t, i := range b.at[:n] {
+		g, ok := c.dc.get(b.ids[t])
+		if !ok {
+			g = b.out[t]
+			c.dc.set(b.ids[t], g)
+			c.random++
+		}
+		col[i] = g
+	}
+	switch {
+	case err != nil:
+		c.failRandom(b.ids[n], err)
+	case n == b.read && n < len(b.ids):
+		c.failRandom(b.ids[n], outside(b.ids[n], c.length))
+	}
+	if c.serr != nil {
+		for t, i := range b.at {
+			col[i], _ = c.dc.get(b.ids[t])
+		}
+	}
 }
 
 // errShortGrades pins a BatchGrader that broke its contract (fewer
@@ -653,32 +671,6 @@ var errShortGrades = errors.New("subsys: batched random access returned short wi
 // whole graded set, so the list fails instead of reading as exhausted
 // over a silently truncated stream.
 var errShortSpan = errors.New("subsys: sorted access returned short without an error")
-
-// FailGrade records a random-access failure observed out of band (see
-// TrySourceGrades) as the list's sticky error. Like DeliverGrade it must
-// be called from the evaluation goroutine, in serial probe order, so the
-// failure that sticks is the one a serial evaluation would have hit
-// first.
-func (c *Counted) FailGrade(obj int, err error) { c.failRandom(obj, err) }
-
-// DeliverGrade pays for one random access whose grade was fetched out of
-// band (see TrySourceGrades): if obj is already known the memoized grade
-// is returned at no cost — exactly the cache hit a serial probe would
-// have had — otherwise the random tally advances and g enters the memo.
-// Must be called from the evaluation goroutine, in the same order a
-// serial evaluation would have probed, so tallies and memo state
-// coincide.
-func (c *Counted) DeliverGrade(obj int, g float64) float64 {
-	if g0, ok := c.dc.get(obj); ok {
-		return g0
-	}
-	if !c.dc.put(obj, g) {
-		c.failRandom(obj, outside(obj, c.length))
-		return 0
-	}
-	c.random++
-	return g
-}
 
 // Known reports the grade of obj if it has already been paid for.
 func (c *Counted) Known(obj int) (float64, bool) { return c.dc.get(obj) }
